@@ -17,7 +17,7 @@ import numpy as np
 from .dynamics import VectorFieldBundle, builtin_law, eval_F_z
 from .equilibria import (
     TOL_ZERO,
-    _aligned_newton,
+    aligned_newton,
     aligned_parameters,
     canonical_gauge,
     design_frameworks,
@@ -25,8 +25,8 @@ from .equilibria import (
     solve_ancillary_aligned,
 )
 from .errors import ConfigurationError, FormulaDomainError, InfeasibleLengthsError
-from .graph import mixed_adjacency, two_cycles
-from .numkernel import Spectrum, eigenvalues, fd_jacobian, left_nullspace
+from .graph import two_cycles
+from .numkernel import Spectrum, eigenvalues, fd_jacobian
 from .rigidity import (
     Framework,
     TargetLengths,
@@ -195,7 +195,7 @@ def gauge_slice_z_basis(b: VectorFieldBundle, witness: Framework):
     removing.
     """
     z0 = edge_vectors(witness).z
-    cycles = left_nullspace(mixed_adjacency(b.graph), 1e-12)
+    cycles = b.cycle_basis
     rows = [np.kron(cycles.T, np.eye(2))] if cycles.shape[1] else []
     rotation = np.column_stack([-z0[:, 1], z0[:, 0]]).ravel()
     rows.append(rotation[None, :])
@@ -265,7 +265,7 @@ def _aligned_anchor(b0, base, mus, center, witness, mu_edge):
     bundle = b0.with_lengths(base.perturbed(mu_edge, float(mus[center])))
     if witness is not None:
         a, bb, sigma = aligned_parameters(canonical_gauge(witness))
-        fw = _aligned_newton(bundle, a, bb, sigma)
+        fw = aligned_newton(bundle, a, bb, sigma)
         if fw is not None:
             return aligned_parameters(fw)
     records = solve_ancillary_aligned(bundle)
@@ -292,7 +292,7 @@ def _aligned_branch_points(b0, base, mus, center, params, mu_edge, max_halvings=
                 for j in range(1, steps + 1):
                     mu_j = start + (target_mu - start) * j / steps
                     bundle = b0.with_lengths(base.perturbed(mu_edge, mu_j))
-                    walk_fw = _aligned_newton(bundle, *walk_state)
+                    walk_fw = aligned_newton(bundle, *walk_state)
                     if walk_fw is None:
                         failed = True
                         break

@@ -28,9 +28,8 @@ from .equilibria import (
     census,
     classify_kind,
     design_frameworks,
-    gauge_fixed_spectrum,
+    equilibrium_record,
     solve_ancillary_aligned,
-    _record,
 )
 from .errors import (
     FormationForgeError,
@@ -81,6 +80,32 @@ class RunResult:
     payload: dict
 
 
+# Types of the experiment parameters the runners read; other keys are ignored.
+_PARAM_TYPES = {
+    "n_random": int,
+    "samples": int,
+    "mu_edge": int,
+    "stride": int,
+    "dedupe_tol": float,
+    "eps": float,
+    "t_end": float,
+    "step": float,
+}
+
+
+def _check_type(value, kind, what, where):
+    """Raise a ScenarioError unless ``value`` is a JSON integer or number.
+
+    ``kind`` is int for integers and float for any number; booleans are
+    neither, although Python counts them as integers.
+    """
+    ok = isinstance(value, int if kind is int else (int, float))
+    if isinstance(value, bool) or not ok:
+        noun = "an integer" if kind is int else "a number"
+        raise ScenarioError(f"{what} must be {noun}, got {value!r}", position=where)
+    return value
+
+
 def _require(raw, key, kind, where):
     if key not in raw:
         raise ScenarioError(f"missing required key {key!r}", position=where)
@@ -127,11 +152,16 @@ def load_scenario(path):
             raise ScenarioError(
                 f"edge {i + 1} must be a pair of 1-indexed vertices", position="graph"
             )
-        edges.append((int(pair[0]) - 1, int(pair[1]) - 1))
+        for v in pair:
+            _check_type(v, int, f"edge {i + 1} vertex", "graph")
+        edges.append((pair[0] - 1, pair[1] - 1))
     graph = FormationGraph(n=vertices, edges=tuple(edges))
 
     lengths_raw = _require(raw, "lengths", dict, p.name)
-    values = tuple(float(v) for v in _require(lengths_raw, "values", list, "lengths"))
+    values = tuple(
+        float(_check_type(v, float, f"length value {i + 1}", "lengths"))
+        for i, v in enumerate(_require(lengths_raw, "values", list, "lengths"))
+    )
     convention = lengths_raw.get("convention", "squared")
     if convention not in ("squared", "plain"):
         raise ScenarioError(
@@ -145,7 +175,7 @@ def load_scenario(path):
 
     law_raw = _require(raw, "law", dict, p.name)
     law_name = _require(law_raw, "name", str, "law")
-    law_gain = float(law_raw.get("gain", 1.0))
+    law_gain = float(_check_type(law_raw.get("gain", 1.0), float, "key 'gain'", "law"))
     sign_corrected = bool(law_raw.get("sign_corrected", False))
 
     exp_raw = _require(raw, "experiment", dict, p.name)
@@ -156,6 +186,27 @@ def load_scenario(path):
             position="experiment",
         )
     params = {k: v for k, v in exp_raw.items() if k != "kind"}
+    for key, value in params.items():
+        if key in _PARAM_TYPES:
+            _check_type(value, _PARAM_TYPES[key], f"key {key!r}", "experiment")
+    if "mu_edge" in params and not 1 <= params["mu_edge"] <= graph.m:
+        raise ScenarioError(
+            f"key 'mu_edge' must name an edge from 1 to {graph.m}", position="experiment"
+        )
+    if "initial" in params:
+        try:
+            initial = np.asarray(params["initial"], dtype=float)
+        except (TypeError, ValueError):
+            initial = None
+        if initial is None or initial.size != 2 * graph.n:
+            raise ScenarioError(
+                f"key 'initial' must hold {2 * graph.n} numbers, two per agent",
+                position="experiment",
+            )
+    seed = _check_type(raw.get("seed", 0), int, "key 'seed'", p.name)
+    out = raw.get("out")
+    if out is not None and not isinstance(out, str):
+        raise ScenarioError("key 'out' must be of type str", position=p.name)
 
     return Scenario(
         name=str(raw.get("name", p.stem)),
@@ -167,8 +218,8 @@ def load_scenario(path):
         law_sign_corrected=sign_corrected,
         experiment=experiment,
         params=params,
-        seed=int(raw.get("seed", 0)),
-        out=raw.get("out"),
+        seed=seed,
+        out=out,
     )
 
 
@@ -257,7 +308,8 @@ def _run_census(sc, bundle, out, seed, tol):
 
 def _run_spectrum(sc, bundle, out, seed, tol):
     records = [
-        _record(bundle, fw) for fw in design_frameworks(bundle.graph, bundle.lengths)
+        equilibrium_record(bundle, fw)
+        for fw in design_frameworks(bundle.graph, bundle.lengths)
     ]
     records.extend(solve_ancillary_aligned(bundle))
     rows = _sorted_records(records)

@@ -22,7 +22,7 @@ from .errors import (
     UnknownLawError,
 )
 from .graph import FormationGraph, edge_adjacency, mixed_adjacency
-from .numkernel import kron_I2, left_nullspace
+from .numkernel import fd_jacobian, kron_I2, left_nullspace
 from .rigidity import TargetLengths, edge_block_rows
 
 BUILTIN_LAW_NAMES = ("gradient_squared", "gradient_plain", "eq1_plain")
@@ -233,7 +233,15 @@ def builtin_law(name, gain=1.0, sign_corrected=False):
 @lru_cache(maxsize=32)
 def _graph_matrices(g: FormationGraph):
     mixed = mixed_adjacency(g)
-    return {
+    by_origin = {}
+    for k, (o, _) in enumerate(g.edges):
+        by_origin.setdefault(o, []).append(k)
+    # incidence[k] = e_o (e_t - e_o)^T: where edge k's block enters the x-Jacobian
+    incidence = np.zeros((g.m, g.n, g.n))
+    for k, (o, t) in enumerate(g.edges):
+        incidence[k, o, t] = 1.0
+        incidence[k, o, o] = -1.0
+    mats = {
         "mixed": mixed,
         "mixed2": kron_I2(mixed),
         "edge_adj": edge_adjacency(g),
@@ -241,7 +249,15 @@ def _graph_matrices(g: FormationGraph):
         "cycles": left_nullspace(mixed, 1e-12),
         "origins": g.origins(),
         "targets": g.targets(),
+        "incidence": incidence,
+        "singles": tuple(ks[0] for ks in by_origin.values() if len(ks) == 1),
+        "pairs": tuple(tuple(ks) for ks in by_origin.values() if len(ks) == 2),
     }
+    # Every caller of this graph shares these arrays.
+    for value in mats.values():
+        if isinstance(value, np.ndarray):
+            value.flags.writeable = False
+    return mats
 
 
 @dataclass(frozen=True, eq=False)
@@ -272,6 +288,11 @@ class VectorFieldBundle:
     def F_z(self, z, check=True):
         return eval_F_z(self, z, check=check)
 
+    @property
+    def cycle_basis(self):
+        """Orthonormal basis of the graph's cycle space, from the graph cache."""
+        return _graph_matrices(self.graph)["cycles"]
+
 
 def _positions(b, x):
     arr = np.asarray(x, dtype=float)
@@ -294,18 +315,13 @@ def edge_weights(b: VectorFieldBundle, z):
     d = b.lengths.as_array()
     if b.law.separable:
         return np.asarray(b.law.weight(d, s2), dtype=float)
+    mats = _graph_matrices(b.graph)
     u = np.zeros(b.graph.m)
-    by_origin = {}
-    for k, (o, _) in enumerate(b.graph.edges):
-        by_origin.setdefault(o, []).append(k)
-    for ks in by_origin.values():
-        if len(ks) == 1:
-            k = ks[0]
-            u[k] = float(b.law.weight(d[k], s2[k]))
-        else:
-            i, j = ks
-            s = float(zz[i] @ zz[j])
-            u[i], u[j] = b.law.pair_weights((d[i], d[j]), (s2[i], s2[j]), s)
+    for k in mats["singles"]:
+        u[k] = float(b.law.weight(d[k], s2[k]))
+    for i, j in mats["pairs"]:
+        s = float(zz[i] @ zz[j])
+        u[i], u[j] = b.law.pair_weights((d[i], d[j]), (s2[i], s2[j]), s)
     return u
 
 
@@ -322,6 +338,50 @@ def eval_F_x(b: VectorFieldBundle, x):
     xdot = np.zeros_like(pts)
     np.add.at(xdot, mats["origins"], u[:, None] * z)
     return xdot.ravel() if flat else xdot
+
+
+def weight_slopes(law: ControlLaw, d, s2):
+    """``law.weight_dlen`` over matching arrays, zero on zero-length edges.
+
+    Callers multiply the slope by the edge vector or its squared length,
+    a product whose limit on a vanishing edge is zero for both built-in
+    laws. ``gradient_plain`` returns an infinite slope there, which would
+    turn that product into nan.
+    """
+    s2 = np.asarray(s2, dtype=float)
+    nonzero = s2 > 0.0
+    if nonzero.all():
+        return np.asarray(law.weight_dlen(d, s2), dtype=float)
+    slopes = np.zeros(s2.shape)
+    if nonzero.any():
+        slopes[nonzero] = law.weight_dlen(np.asarray(d, dtype=float)[nonzero], s2[nonzero])
+    return slopes
+
+
+def jacobian_x(b: VectorFieldBundle, x):
+    """Jacobian of :func:`eval_F_x` at any state, as a 2n-by-2n matrix.
+
+    Edge ``k`` from ``o`` to ``t`` adds ``M_k = u_k I + 2 u'_k z_k z_k^T``
+    at block ``(o, t)`` and ``-M_k`` at block ``(o, o)``, where ``u'`` is
+    the weight's derivative in the squared length. Unlike
+    :func:`jacobian_z` this holds away from equilibria too. A law that
+    couples a two-coleader pair has no such per-edge blocks, so
+    non-separable laws fall back to central differences of the field.
+    """
+    pts, _ = _positions(b, x)
+    if not b.law.separable:
+        return fd_jacobian(lambda v: eval_F_x(b, v), pts.ravel())
+    mats = _graph_matrices(b.graph)
+    z = pts[mats["targets"]] - pts[mats["origins"]]
+    s2 = np.sum(z * z, axis=1)
+    d = b.lengths.as_array()
+    u = np.asarray(b.law.weight(d, s2), dtype=float)
+    slopes2 = 2.0 * weight_slopes(b.law, d, s2)
+    blocks = slopes2[:, None, None] * z[:, :, None] * z[:, None, :]
+    blocks[:, 0, 0] += u
+    blocks[:, 1, 1] += u
+    n2 = 2 * b.graph.n
+    return np.einsum("kab,kij->aibj", mats["incidence"], blocks).reshape(n2, n2)
 
 
 def eval_F_z(b: VectorFieldBundle, z, check=True):
@@ -377,16 +437,11 @@ def zprime_vectors(b: VectorFieldBundle, z):
     d = b.lengths.as_array()
     zp = 2.0 * np.asarray(b.law.weight_dlen(d, s2), dtype=float)[:, None] * zz
     if not b.law.separable:
-        by_origin = {}
-        for k, (o, _) in enumerate(b.graph.edges):
-            by_origin.setdefault(o, []).append(k)
-        for ks in by_origin.values():
-            if len(ks) == 2:
-                i, j = ks
-                s = float(zz[i] @ zz[j])
-                cij, cji = b.law.pair_cross((d[i], d[j]), (s2[i], s2[j]), s)
-                zp[i] = zp[i] + 2.0 * cij * zz[j]
-                zp[j] = zp[j] + 2.0 * cji * zz[i]
+        for i, j in _graph_matrices(b.graph)["pairs"]:
+            s = float(zz[i] @ zz[j])
+            cij, cji = b.law.pair_cross((d[i], d[j]), (s2[i], s2[j]), s)
+            zp[i] = zp[i] + 2.0 * cij * zz[j]
+            zp[j] = zp[j] + 2.0 * cji * zz[i]
     return zp
 
 

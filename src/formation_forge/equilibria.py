@@ -16,7 +16,14 @@ from itertools import permutations
 
 import numpy as np
 
-from .dynamics import VectorFieldBundle, builtin_law, edge_weights, eval_F_x
+from .dynamics import (
+    VectorFieldBundle,
+    builtin_law,
+    edge_weights,
+    eval_F_x,
+    jacobian_x,
+    weight_slopes,
+)
 from .errors import (
     ConfigurationError,
     FormationForgeError,
@@ -168,6 +175,13 @@ def gauge_fixed_spectrum(b: VectorFieldBundle, f: Framework, tol_residual=_RESID
     full spectrum is exactly this slice spectrum plus the structural
     zeros; restricting first avoids having to tell a genuinely small
     eigenvalue apart from a symmetry zero.
+
+    The linearization is a central difference of :func:`eval_F_x`, not
+    the closed form :func:`jacobian_x` the solvers use. The two differ
+    by about 1e-9 relative, enough to move printed spectra past their
+    pinned tolerance; where two agents coincide, the difference quotient
+    straddles the kink of a zero-length plain-law edge and is off by its
+    step. Moving spectra to the closed form changes published numbers.
     """
     m, _ = _gauge_jacobian(b, f, tol_residual)
     return eigenvalues(m)
@@ -206,7 +220,7 @@ def classify_kind(b: VectorFieldBundle, f: Framework, tol=_DESIGN_TOL):
     return "ancillary_other"
 
 
-def _damped_newton(f, x0, tol=1e-11, max_iter=80):
+def _damped_newton(f, x0, tol=1e-11, max_iter=80, jac=None):
     """Newton iteration with least-squares steps and residual backtracking.
 
     The plain iteration overshoots badly on the cubic formation field from
@@ -216,6 +230,11 @@ def _damped_newton(f, x0, tol=1e-11, max_iter=80):
     is translation invariant, so the two translation directions would
     otherwise blow the iterate up without changing the residual). Returns
     the root, or None when the iteration stagnates or runs out of budget.
+
+    ``jac(x)`` supplies the Jacobian; the census passes the closed form
+    :func:`jacobian_x`. Without it the Jacobian is a central difference
+    of ``f``, which is what :func:`scalar_census` uses for its
+    user-supplied flows.
     """
     x = np.array(x0, dtype=float).ravel()
     fx = np.atleast_1d(np.asarray(f(x), dtype=float))
@@ -223,8 +242,8 @@ def _damped_newton(f, x0, tol=1e-11, max_iter=80):
     for _ in range(max_iter):
         if res <= tol:
             return x
-        jac = fd_jacobian(f, x)
-        step, *_ = np.linalg.lstsq(jac, -fx, rcond=1e-8)
+        jx = fd_jacobian(f, x) if jac is None else jac(x)
+        step, *_ = np.linalg.lstsq(jx, -fx, rcond=1e-8)
         if not np.all(np.isfinite(step)):
             return None
         alpha = 1.0
@@ -241,7 +260,8 @@ def _damped_newton(f, x0, tol=1e-11, max_iter=80):
     return x if res <= tol else None
 
 
-def _record(b: VectorFieldBundle, f: Framework, tol_zero=TOL_ZERO):
+def equilibrium_record(b: VectorFieldBundle, f: Framework, tol_zero=TOL_ZERO):
+    """Classify an equilibrium and attach its gauge-fixed spectrum and index."""
     m, residual = _gauge_jacobian(b, f)
     spec = eigenvalues(m)
     radius = max(spec.spectral_radius, 1e-300)
@@ -273,43 +293,93 @@ def _aligned_positions(d, a, bb, sigma):
 
 
 def _aligned_residual(b, d, a, bb, sigma):
+    """The fourth edge's weight and the force balance on agent 1."""
     x = _aligned_positions(d, a, bb, sigma)
     if x is None:
         return None
-    fw = Framework(graph=b.graph, x=x)
-    z = edge_vectors(fw).z
-    u = edge_weights(b, z)
+    # x_target - x_origin over the two-cycles edges, as edge_vectors computes it
+    u = edge_weights(b, x[[1, 2, 0, 2, 3]] - x[[0, 1, 2, 3, 0]])
     return np.array([u[3], u[0] * a + u[4] * bb])
 
 
-def _aligned_newton(b, a0, b0, sigma, newton_tol=1e-11, max_iter=60):
+def _aligned_system(law, d, a, bb, sigma):
+    """:func:`_aligned_residual` and its closed-form Jacobian in ``(a, b)``.
+
+    Valid for separable laws, and evaluated straight from the parameters:
+    only edges 1, 4 and 5 enter, with squared lengths ``a^2``,
+    ``(alpha - b)^2 + beta^2`` and ``b^2`` summed as the edge vectors'
+    components would be, so the residual matches the framework route bit
+    for bit. With ``beta^2 = d_3 - alpha^2`` the fourth length is
+    ``b^2 - 2 alpha b + d_3``, which depends on ``a`` only through
+    ``alpha(a)``. Returns None where agent 3 cannot be placed.
+    """
+    if a <= 1e-9:
+        return None
+    alpha = (a * a + d[2] - d[1]) / (2.0 * a)
+    beta_sq = d[2] - alpha * alpha
+    if beta_sq < 0.0:
+        return None
+    beta = math.sqrt(beta_sq)
+    gap = alpha - bb
+    s2 = np.array([a * a, gap * gap + beta * beta, bb * bb])
+    dk = d[[0, 3, 4]]
+    u = np.asarray(law.weight(dk, s2), dtype=float)
+    du = weight_slopes(law, dk, s2)
+    dalpha = 0.5 - (d[2] - d[1]) / (2.0 * a * a)
+    res = np.array([u[1], u[0] * a + u[2] * bb])
+    jac = np.array([
+        [-2.0 * bb * dalpha * du[1], 2.0 * (bb - alpha) * du[1]],
+        [u[0] + 2.0 * s2[0] * du[0], u[2] + 2.0 * s2[2] * du[2]],
+    ])
+    return res, jac
+
+
+def _aligned_fd_jacobian(b, d, v, sigma):
+    jac = np.zeros((2, 2))
+    for col in range(2):
+        h = 1e-7 * max(1.0, abs(v[col]))
+        vp = v.copy()
+        vm = v.copy()
+        vp[col] += h
+        vm[col] -= h
+        rp = _aligned_residual(b, d, vp[0], vp[1], sigma)
+        rm = _aligned_residual(b, d, vm[0], vm[1], sigma)
+        if rp is None or rm is None:
+            return None
+        jac[:, col] = (rp - rm) / (2.0 * h)
+    return jac
+
+
+def aligned_newton(b, a0, b0, sigma, newton_tol=1e-11, max_iter=60):
     """Newton from one aligned seed; the converged framework or None.
 
-    The returned framework is verified to be an equilibrium of the full
-    flow, not just a root of the two-scalar reduction.
+    The unknowns are the signed positions ``a`` and ``b`` of agents 2 and
+    4 on the line through agent 1, with agent 3 on mirror ``sigma``. For
+    separable laws the 2x2 Jacobian is closed form (:func:`_aligned_system`);
+    a law that couples a two-coleader pair has no closed form here and
+    gets central differences of the residual. The returned framework is
+    verified to be an equilibrium of the full flow, not just a root of
+    the two-scalar reduction.
     """
     d = b.lengths.as_array()
     v = np.array([float(a0), float(b0)])
     ok = False
     for _ in range(max_iter):
-        res = _aligned_residual(b, d, v[0], v[1], sigma)
+        jac = None
+        if b.law.separable:
+            system = _aligned_system(b.law, d, v[0], v[1], sigma)
+            res, jac = (None, None) if system is None else system
+        else:
+            res = _aligned_residual(b, d, v[0], v[1], sigma)
         if res is None or not np.all(np.isfinite(res)):
             return None
         if np.max(np.abs(res)) <= newton_tol:
             ok = True
             break
-        jac = np.zeros((2, 2))
-        for col in range(2):
-            h = 1e-7 * max(1.0, abs(v[col]))
-            vp = v.copy()
-            vm = v.copy()
-            vp[col] += h
-            vm[col] -= h
-            rp = _aligned_residual(b, d, vp[0], vp[1], sigma)
-            rm = _aligned_residual(b, d, vm[0], vm[1], sigma)
-            if rp is None or rm is None:
+        if jac is None:
+            jac = _aligned_fd_jacobian(b, d, v, sigma)
+            if jac is None:
                 return None
-            jac[:, col] = (rp - rm) / (2.0 * h)
         try:
             step = np.linalg.solve(jac, -res)
         except np.linalg.LinAlgError:
@@ -372,13 +442,13 @@ def solve_ancillary_aligned(
     for sigma in (1.0, -1.0):
         for a0 in a_seeds:
             for b0 in b_seeds:
-                fw = _aligned_newton(b, a0, b0, sigma, newton_tol, max_iter)
+                fw = aligned_newton(b, a0, b0, sigma, newton_tol, max_iter)
                 if fw is None:
                     continue
                 if any(np.max(np.abs(fw.x - sx)) <= 1e-7 for sx in solutions):
                     continue
                 solutions.append(fw.x)
-                records.append(_record(b, fw))
+                records.append(equilibrium_record(b, fw))
     return records
 
 
@@ -395,10 +465,15 @@ def _collinear_line_equilibria(b, rng, n_trials, span, newton_tol, max_iter):
         x = np.column_stack([p, np.zeros(n)])
         return eval_F_x(b, x)[:, 0]
 
+    def line_jacobian(p):
+        return jacobian_x(b, np.column_stack([p, np.zeros(n)]))[0::2, 0::2]
+
     found = []
     for _ in range(n_trials):
         p0 = rng.uniform(-span, span, n)
-        root = _damped_newton(line_field, p0, tol=newton_tol, max_iter=max_iter)
+        root = _damped_newton(
+            line_field, p0, tol=newton_tol, max_iter=max_iter, jac=line_jacobian
+        )
         if root is not None:
             found.append(np.column_stack([root, np.zeros(n)]))
     return found
@@ -441,7 +516,7 @@ def census(
     for s in seeds:
         root = _damped_newton(
             lambda v: eval_F_x(b, v), np.asarray(s, dtype=float).ravel(),
-            tol=newton_tol, max_iter=max_iter,
+            tol=newton_tol, max_iter=max_iter, jac=lambda v: jacobian_x(b, v),
         )
         if root is None:
             dropped += 1
@@ -451,7 +526,7 @@ def census(
         if any(np.max(np.abs(gauged.x - kx)) <= dedupe_tol for kx in kept):
             continue
         kept.append(gauged.x)
-        records.append(_record(b, gauged))
+        records.append(equilibrium_record(b, gauged))
 
     feasible = any(r.kind == "design" for r in records)
     almost_surely_stable = all(r.kind == "design" for r in records if r.stable)

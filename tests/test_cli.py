@@ -276,6 +276,52 @@ class TestErrorPaths:
         assert record["error"] == "configuration"
         assert record["message"] == "edge 6 references vertex 9 of 4"
 
+    @pytest.mark.parametrize(
+        "overrides, position, message",
+        [
+            (
+                {"graph": {"vertices": 4, "edges": [[1, "x"]]}},
+                "graph",
+                "edge 1 vertex must be an integer, got 'x'",
+            ),
+            (
+                {"experiment": {"kind": "census", "n_random": "many"}},
+                "experiment",
+                "key 'n_random' must be an integer, got 'many'",
+            ),
+        ],
+    )
+    def test_mistyped_field_is_a_scenario_error(
+        self, tmp_path, capsys, overrides, position, message
+    ):
+        path = write_scenario(tmp_path, overrides)
+        with pytest.raises(ScenarioError) as info:
+            load_scenario(path)
+        assert info.value.position == position
+        status = run_scenario(path, out_dir=tmp_path / "out")
+        record, out_text = read_stderr_record(capsys)
+        assert status == 2
+        assert out_text == ""
+        assert record == {"error": "scenario", "message": f"{position}: {message}"}
+
+    @pytest.mark.parametrize(
+        "overrides",
+        [
+            {"lengths": {"values": [2.0, "long", 2.0, 3.3, 1.4], "convention": "plain"}},
+            {"law": {"name": "gradient_squared", "gain": "high"}},
+            {"seed": 1.5},
+            {"experiment": {"kind": "sweep", "samples": True}},
+            {"experiment": {"kind": "sweep", "mu_edge": 9}},
+            {"experiment": {"kind": "simulate", "initial": [[0, 0], [1, "a"]]}},
+        ],
+    )
+    def test_other_malformed_fields_exit_2(self, tmp_path, capsys, overrides):
+        path = write_scenario(tmp_path, overrides)
+        status = run_scenario(path, out_dir=tmp_path / "out")
+        record, _ = read_stderr_record(capsys)
+        assert status == 2
+        assert record["error"] == "scenario"
+
     def test_unknown_law(self, tmp_path, capsys):
         path = write_scenario(tmp_path, {"law": {"name": "bang_bang"}})
         status = run_scenario(path, out_dir=tmp_path / "out")

@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from formation_forge.dynamics import (
     BUILTIN_LAW_NAMES,
@@ -12,6 +14,7 @@ from formation_forge.dynamics import (
     eval_F_x,
     eval_F_z,
     jacobian_d,
+    jacobian_x,
     jacobian_z,
     reduced_J,
     verify_compatibility,
@@ -334,6 +337,61 @@ class TestJacobianZ:
         z = edge_vectors(realize_two_cycles(b.lengths)[0]).z * 1.1
         with pytest.raises(FormulaDomainError, match="design equilibria"):
             jacobian_z(b, z)
+
+
+def fig2_bundle(law_name):
+    law = builtin_law(law_name)
+    lengths = TargetLengths.from_values((2.0, 2.6, 2.0, 3.3, 1.4), convention="plain")
+    return VectorFieldBundle(
+        graph=two_cycles(), law=law, lengths=TargetLengths(lengths.d, law.convention)
+    )
+
+
+def relative_gap(a, b):
+    return float(np.max(np.abs(a - b))) / max(1.0, float(np.max(np.abs(b))))
+
+
+class TestJacobianX:
+    @settings(max_examples=60, deadline=None)
+    @given(
+        law_name=st.sampled_from(BUILTIN_LAW_NAMES),
+        x=st.lists(st.floats(-4.0, 4.0), min_size=8, max_size=8),
+    )
+    def test_matches_finite_differences_away_from_equilibrium(self, law_name, x):
+        b = fig2_bundle(law_name)
+        x = np.array(x)
+        z = edge_vectors(Framework(graph=b.graph, x=x.reshape(4, 2))).z
+        # Central differences lose accuracy near a vanishing plain-law edge.
+        assume(float(np.min(np.hypot(z[:, 0], z[:, 1]))) >= 0.1)
+        numeric = fd_jacobian(lambda v: eval_F_x(b, v), x)
+        assert relative_gap(jacobian_x(b, x), numeric) <= 1e-7
+
+    @pytest.mark.parametrize("law_name", BUILTIN_LAW_NAMES)
+    def test_zero_length_edge_takes_the_limit(self, law_name):
+        # Agents 2 and 3 coincide, so edge 2 has zero length; gradient_plain's
+        # weight slope is infinite there but its product with z z^T tends to 0.
+        b = fig2_bundle(law_name)
+        x = np.array([0.0, 0.0, 1.5, 0.5, 1.5, 0.5, -1.0, 2.0])
+        with np.errstate(divide="raise", invalid="raise"):
+            analytic = jacobian_x(b, x)
+        u2 = edge_weights(b, np.zeros((5, 2)))[1]
+        assert np.array_equal(analytic[2:4, 4:6], u2 * np.eye(2))
+        assert np.array_equal(analytic[2:4, 2:4], -u2 * np.eye(2))
+        # At the kink of |z| at zero, central differences are only O(h) accurate.
+        numeric = fd_jacobian(lambda v: eval_F_x(b, v), x)
+        assert relative_gap(analytic, numeric) <= 1e-5
+
+    def test_pair_law_falls_back_to_finite_differences(self):
+        def pair(d_pair, s2_pair, s):
+            return (s2_pair[0] - d_pair[0] + s, s2_pair[1] - d_pair[1] - s)
+
+        law = CustomLaw(lambda d, s2: s2 - d, name="inner", pair_func=pair)
+        b = VectorFieldBundle(
+            graph=two_cycles(), law=law, lengths=TargetLengths(d=(1.0,) * 5)
+        )
+        x = np.random.default_rng(3).normal(size=8)
+        numeric = fd_jacobian(lambda v: eval_F_x(b, v), x)
+        assert np.array_equal(jacobian_x(b, x), numeric)
 
 
 class TestJacobianD:

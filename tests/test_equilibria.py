@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from formation_forge.dynamics import (
     VectorFieldBundle,
@@ -13,6 +15,8 @@ from formation_forge.equilibria import (
     BENCHMARK_LENGTHS,
     BENCHMARK_SPECTRA,
     RECORD_KINDS,
+    _aligned_residual,
+    _aligned_system,
     canonical_gauge,
     census,
     classify_kind,
@@ -252,6 +256,23 @@ class TestAlignedSolver:
         with pytest.raises(Exception, match="two-cycles"):
             solve_ancillary_aligned(b)
 
+    def test_pair_law_takes_the_finite_difference_path(self):
+        # A pair law that ignores the coupling is gradient_squared in
+        # disguise, but as a non-separable law it gets central differences.
+        from formation_forge.dynamics import CustomLaw
+
+        def pair(d_pair, s2_pair, s):
+            return (s2_pair[0] - d_pair[0], s2_pair[1] - d_pair[1])
+
+        law = CustomLaw(lambda d, s2: s2 - d, name="uncoupled", pair_func=pair)
+        b = VectorFieldBundle(
+            graph=two_cycles(), law=law, lengths=TargetLengths(d=BENCHMARK_SQUARED)
+        )
+        def positions(bundle):
+            return sorted(r.framework.x.ravel().tolist() for r in solve_ancillary_aligned(bundle))
+
+        assert np.allclose(positions(b), positions(benchmark_bundle()), rtol=0.0, atol=1e-8)
+
     def test_first_and_fifth_errors_do_not_vanish(self):
         # Aligned equilibria balance the two-coleader forces without
         # meeting either of that agent's length targets.
@@ -262,6 +283,42 @@ class TestAlignedSolver:
             errs = edge_errors(rec.framework, b.lengths)
             assert abs(errs[0]) > 1e-3 and abs(errs[4]) > 1e-3
             assert np.max(np.abs(errs[1:4])) <= 1e-9
+
+
+class TestAlignedJacobian:
+    @settings(max_examples=80, deadline=None)
+    @given(
+        law_name=st.sampled_from(("gradient_squared", "gradient_plain", "eq1_plain")),
+        a=st.floats(0.3, 5.0),
+        bb=st.floats(-5.0, 5.0),
+        sigma=st.sampled_from((1.0, -1.0)),
+    )
+    def test_matches_central_differences_of_the_residual(self, law_name, a, bb, sigma):
+        law = builtin_law(law_name)
+        b = VectorFieldBundle(
+            graph=two_cycles(), law=law,
+            lengths=TargetLengths(d=BENCHMARK_SQUARED, convention=law.convention),
+        )
+        d = b.lengths.as_array()
+        system = _aligned_system(law, d, a, bb, sigma)
+        assume(system is not None)
+        res, jac = system
+        # Straight from the parameters, the residual keeps the rounding of
+        # the route through the framework's edge vectors.
+        assert np.array_equal(res, _aligned_residual(b, d, a, bb, sigma))
+        alpha = (a * a + d[2] - d[1]) / (2.0 * a)
+        # Central differences lose accuracy as a plain-law edge 4 vanishes.
+        assume(bb * bb - 2.0 * alpha * bb + d[2] >= 0.1)
+        numeric = np.zeros((2, 2))
+        v = np.array([a, bb])
+        for col in range(2):
+            step = np.eye(2)[col] * 1e-6 * max(1.0, abs(v[col]))
+            rp = _aligned_residual(b, d, *(v + step), sigma)
+            rm = _aligned_residual(b, d, *(v - step), sigma)
+            assume(rp is not None and rm is not None)
+            numeric[:, col] = (rp - rm) / (2.0 * step[col])
+        scale = max(1.0, float(np.max(np.abs(numeric))))
+        assert float(np.max(np.abs(jac - numeric))) <= 1e-6 * scale
 
 
 @pytest.fixture(scope="module")
