@@ -11,7 +11,7 @@ singularity and bifurcation analyses lean on.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property
 
 import numpy as np
 
@@ -21,9 +21,9 @@ from .errors import (
     InconsistentStateError,
     UnknownLawError,
 )
-from .graph import FormationGraph, edge_adjacency, mixed_adjacency
-from .numkernel import fd_jacobian, kron_I2, left_nullspace
-from .rigidity import TargetLengths, edge_block_rows
+from .graph import FormationGraph, graph_matrices
+from .numkernel import fd_jacobian, squared_lengths
+from .rigidity import TargetLengths, edge_block_rows, length_errors
 
 BUILTIN_LAW_NAMES = ("gradient_squared", "gradient_plain", "eq1_plain")
 
@@ -230,36 +230,6 @@ def builtin_law(name, gain=1.0, sign_corrected=False):
     )
 
 
-@lru_cache(maxsize=32)
-def _graph_matrices(g: FormationGraph):
-    mixed = mixed_adjacency(g)
-    by_origin = {}
-    for k, (o, _) in enumerate(g.edges):
-        by_origin.setdefault(o, []).append(k)
-    # incidence[k] = e_o (e_t - e_o)^T: where edge k's block enters the x-Jacobian
-    incidence = np.zeros((g.m, g.n, g.n))
-    for k, (o, t) in enumerate(g.edges):
-        incidence[k, o, t] = 1.0
-        incidence[k, o, o] = -1.0
-    mats = {
-        "mixed": mixed,
-        "mixed2": kron_I2(mixed),
-        "edge_adj": edge_adjacency(g),
-        "edge_adj2": kron_I2(edge_adjacency(g)),
-        "cycles": left_nullspace(mixed, 1e-12),
-        "origins": g.origins(),
-        "targets": g.targets(),
-        "incidence": incidence,
-        "singles": tuple(ks[0] for ks in by_origin.values() if len(ks) == 1),
-        "pairs": tuple(tuple(ks) for ks in by_origin.values() if len(ks) == 2),
-    }
-    # Every caller of this graph shares these arrays.
-    for value in mats.values():
-        if isinstance(value, np.ndarray):
-            value.flags.writeable = False
-    return mats
-
-
 @dataclass(frozen=True, eq=False)
 class VectorFieldBundle:
     """A graph, a law, and target lengths, ready to evaluate the flow."""
@@ -291,14 +261,14 @@ class VectorFieldBundle:
     @property
     def cycle_basis(self):
         """Orthonormal basis of the graph's cycle space, from the graph cache."""
-        return _graph_matrices(self.graph)["cycles"]
+        return graph_matrices(self.graph)["cycles"]
 
-
-def _positions(b, x):
-    arr = np.asarray(x, dtype=float)
-    flat = arr.ndim == 1
-    pts = arr.reshape(b.graph.n, 2)
-    return pts, flat
+    @cached_property
+    def squared_targets(self):
+        """The stored squared target lengths as a read-only array."""
+        d = self.lengths.as_array()
+        d.flags.writeable = False
+        return d
 
 
 def _edge_state(b, z):
@@ -309,13 +279,16 @@ def _edge_state(b, z):
 
 
 def edge_weights(b: VectorFieldBundle, z):
-    """Per-edge feedback weights, evaluating coupled pairs where present."""
-    zz = np.asarray(z, dtype=float).reshape(b.graph.m, 2)
-    s2 = np.sum(zz * zz, axis=1)
-    d = b.lengths.as_array()
+    """Per-edge feedback weights, evaluating coupled pairs where present.
+
+    ``z`` holds the edge vectors stacked flat (2m) or as rows (m, 2).
+    """
+    s2 = squared_lengths(z)
+    d = b.squared_targets
     if b.law.separable:
         return np.asarray(b.law.weight(d, s2), dtype=float)
-    mats = _graph_matrices(b.graph)
+    zz = np.asarray(z, dtype=float).reshape(b.graph.m, 2)
+    mats = graph_matrices(b.graph)
     u = np.zeros(b.graph.m)
     for k in mats["singles"]:
         u[k] = float(b.law.weight(d[k], s2[k]))
@@ -329,15 +302,17 @@ def eval_F_x(b: VectorFieldBundle, x):
     """Agent velocities: each agent moves along its outgoing edge vectors.
 
     Decentralization is structural here, an agent's velocity only reads
-    the relative positions of the agents it observes.
+    the relative positions of the agents it observes. The edge vectors are
+    gathered and the weighted edges scattered back to their origins
+    through the graph's cached incidence matrices; ``x`` may be flat (2n)
+    or rows (n, 2), and the result has the same layout.
     """
-    pts, flat = _positions(b, x)
-    mats = _graph_matrices(b.graph)
-    z = pts[mats["targets"]] - pts[mats["origins"]]
+    arr = np.asarray(x, dtype=float)
+    mats = graph_matrices(b.graph)
+    z = mats["mixed2"] @ arr.ravel()
     u = edge_weights(b, z)
-    xdot = np.zeros_like(pts)
-    np.add.at(xdot, mats["origins"], u[:, None] * z)
-    return xdot.ravel() if flat else xdot
+    xdot = mats["scatter2"] @ (u.repeat(2) * z)
+    return xdot if arr.ndim == 1 else xdot.reshape(b.graph.n, 2)
 
 
 def weight_slopes(law: ControlLaw, d, s2):
@@ -368,13 +343,13 @@ def jacobian_x(b: VectorFieldBundle, x):
     couples a two-coleader pair has no such per-edge blocks, so
     non-separable laws fall back to central differences of the field.
     """
-    pts, _ = _positions(b, x)
+    pts = np.asarray(x, dtype=float).reshape(b.graph.n, 2)
     if not b.law.separable:
         return fd_jacobian(lambda v: eval_F_x(b, v), pts.ravel())
-    mats = _graph_matrices(b.graph)
+    mats = graph_matrices(b.graph)
     z = pts[mats["targets"]] - pts[mats["origins"]]
-    s2 = np.sum(z * z, axis=1)
-    d = b.lengths.as_array()
+    s2 = squared_lengths(z)
+    d = b.squared_targets
     u = np.asarray(b.law.weight(d, s2), dtype=float)
     slopes2 = 2.0 * weight_slopes(b.law, d, s2)
     blocks = slopes2[:, None, None] * z[:, :, None] * z[:, None, :]
@@ -394,7 +369,7 @@ def eval_F_z(b: VectorFieldBundle, z, check=True):
     constraint surface.
     """
     zz, flat = _edge_state(b, z)
-    mats = _graph_matrices(b.graph)
+    mats = graph_matrices(b.graph)
     if check and mats["cycles"].shape[1]:
         sums = mats["cycles"].T @ zz
         scale = max(1.0, float(np.max(np.abs(zz))))
@@ -408,16 +383,8 @@ def eval_F_z(b: VectorFieldBundle, z, check=True):
     return zdot.ravel() if flat else zdot
 
 
-def _squared_errors(b, zz):
-    s2 = np.sum(zz * zz, axis=1)
-    d = b.lengths.as_array()
-    if b.lengths.convention == "plain":
-        return np.sqrt(s2) - np.sqrt(d)
-    return s2 - d
-
-
 def _require_design_point(b, zz, what):
-    err = np.max(np.abs(_squared_errors(b, zz)))
+    err = np.max(np.abs(length_errors(zz, b.lengths)))
     if err > _EQUILIBRIUM_ERROR_TOL:
         raise FormulaDomainError(
             f"{what} is only valid at design equilibria where every edge error "
@@ -433,11 +400,11 @@ def zprime_vectors(b: VectorFieldBundle, z):
     cross derivative, which is zero for all built-in laws.
     """
     zz, _ = _edge_state(b, z)
-    s2 = np.sum(zz * zz, axis=1)
-    d = b.lengths.as_array()
+    s2 = squared_lengths(zz)
+    d = b.squared_targets
     zp = 2.0 * np.asarray(b.law.weight_dlen(d, s2), dtype=float)[:, None] * zz
     if not b.law.separable:
-        for i, j in _graph_matrices(b.graph)["pairs"]:
+        for i, j in graph_matrices(b.graph)["pairs"]:
             s = float(zz[i] @ zz[j])
             cij, cji = b.law.pair_cross((d[i], d[j]), (s2[i], s2[j]), s)
             zp[i] = zp[i] + 2.0 * cij * zz[j]
@@ -452,8 +419,8 @@ def zdprime_vectors(b: VectorFieldBundle, z):
     squared targets, up to the edge adjacency factor.
     """
     zz, _ = _edge_state(b, z)
-    s2 = np.sum(zz * zz, axis=1)
-    d = b.lengths.as_array()
+    s2 = squared_lengths(zz)
+    d = b.squared_targets
     return np.asarray(b.law.weight_dtarget(d, s2), dtype=float)[:, None] * zz
 
 
@@ -466,7 +433,7 @@ def jacobian_z(b: VectorFieldBundle, z):
     """
     zz, _ = _edge_state(b, z)
     _require_design_point(b, zz, "the analytic Jacobian in z")
-    mats = _graph_matrices(b.graph)
+    mats = graph_matrices(b.graph)
     dz = edge_block_rows(zz)
     dzp = edge_block_rows(zprime_vectors(b, zz))
     return mats["edge_adj2"] @ dzp.T @ dz
@@ -476,7 +443,7 @@ def jacobian_d(b: VectorFieldBundle, z):
     """Closed-form derivative in the stored squared targets, at a design point."""
     zz, _ = _edge_state(b, z)
     _require_design_point(b, zz, "the analytic Jacobian in d")
-    mats = _graph_matrices(b.graph)
+    mats = graph_matrices(b.graph)
     dzpp = edge_block_rows(zdprime_vectors(b, zz))
     return mats["edge_adj2"] @ dzpp.T
 
@@ -490,7 +457,7 @@ def reduced_J(b: VectorFieldBundle, z):
     question to an m-dimensional computation.
     """
     zz, _ = _edge_state(b, z)
-    mats = _graph_matrices(b.graph)
+    mats = graph_matrices(b.graph)
     zp = zprime_vectors(b, zz)
     return (zz @ zp.T) * mats["edge_adj"]
 

@@ -32,7 +32,7 @@ from .errors import (
     SingularityError,
 )
 from .graph import two_cycles
-from .numkernel import Spectrum, eigenvalues, fd_jacobian
+from .numkernel import Spectrum, eigenvalues, fd_jacobian, squared_lengths
 from .rigidity import (
     Framework,
     TargetLengths,
@@ -104,7 +104,7 @@ def design_frameworks(graph, lengths: TargetLengths):
     d = lengths.as_array()
     for fw in frameworks:
         z = edge_vectors(fw).z
-        err = float(np.max(np.abs(np.sum(z * z, axis=1) - d)))
+        err = float(np.max(np.abs(squared_lengths(z) - d)))
         if err > 1e-12 * max(1.0, float(np.max(d))):
             raise FormationForgeError(
                 f"design realization failed its length verification (error {err:.3e})"

@@ -9,12 +9,13 @@ matrix built here indexes edges by their slot in the edge list.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from itertools import permutations
 
 import numpy as np
 
 from .errors import ConfigurationError
-from .numkernel import kron_I2
+from .numkernel import kron_I2, left_nullspace
 
 
 @dataclass(frozen=True)
@@ -117,8 +118,49 @@ class AdjacencyBundle:
 
 def adjacency_bundle(g: FormationGraph):
     """Mixed and edge adjacency plus the coordinate-doubled mixed matrix."""
+    mats = graph_matrices(g)
+    return AdjacencyBundle(mixed=mats["mixed"], edge_adj=mats["edge_adj"], mixed2=mats["mixed2"])
+
+
+@lru_cache(maxsize=32)
+def graph_matrices(g: FormationGraph):
+    """Every matrix and index set the flow needs for ``g``, built once per graph.
+
+    ``mixed2`` gathers stacked edge vectors from stacked positions and
+    ``scatter2`` sums per-edge vectors into each edge's origin agent.
+    Each row of ``scatter2`` holds at most two ones, because agents
+    observe at most two others, so ``scatter2 @ v`` adds at most two
+    exact products to exact zeros and is bit-identical to summing the
+    origin's edges in edge order. The arrays are read-only because every
+    caller of the graph shares them.
+    """
     mixed = mixed_adjacency(g)
-    return AdjacencyBundle(mixed=mixed, edge_adj=edge_adjacency(g), mixed2=kron_I2(mixed))
+    edge_adj = edge_adjacency(g)
+    by_origin = {}
+    for k, (o, _) in enumerate(g.edges):
+        by_origin.setdefault(o, []).append(k)
+    # incidence[k] = e_o (e_t - e_o)^T: where edge k's block enters the x-Jacobian
+    incidence = np.zeros((g.m, g.n, g.n))
+    for k, (o, t) in enumerate(g.edges):
+        incidence[k, o, t] = 1.0
+        incidence[k, o, o] = -1.0
+    mats = {
+        "mixed": mixed,
+        "mixed2": kron_I2(mixed),
+        "scatter2": kron_I2((mixed < 0).T),
+        "edge_adj": edge_adj,
+        "edge_adj2": kron_I2(edge_adj),
+        "cycles": left_nullspace(mixed, 1e-12),
+        "origins": g.origins(),
+        "targets": g.targets(),
+        "incidence": incidence,
+        "singles": tuple(ks[0] for ks in by_origin.values() if len(ks) == 1),
+        "pairs": tuple(tuple(ks) for ks in by_origin.values() if len(ks) == 2),
+    }
+    for value in mats.values():
+        if isinstance(value, np.ndarray):
+            value.flags.writeable = False
+    return mats
 
 
 def contains_subformation(g: FormationGraph, h: FormationGraph):

@@ -136,6 +136,17 @@ def kron_I2(m):
     return np.kron(a, np.eye(2))
 
 
+def squared_lengths(z):
+    """Squared lengths of planar vectors stacked flat (2m) or as rows (m, 2).
+
+    Bit-identical to ``np.sum(z * z, axis=1)`` on the rows, at a fraction
+    of its call overhead on the few-edge arrays of a formation.
+    """
+    w = np.asarray(z, dtype=float).ravel()
+    w = w * w
+    return w[0::2] + w[1::2]
+
+
 @dataclass(frozen=True)
 class NewtonResult:
     x: np.ndarray
@@ -206,7 +217,10 @@ def integrate_ode(f, x0, t_end, step=1e-3, method="rk4"):
     Only the classical 4th-order scheme is provided; the fixed step keeps
     trajectories deterministic so they can serve as golden fixtures. The
     final state's vector-field norm is reported on the result. A
-    non-finite state aborts with :class:`BlowUpError` carrying the time.
+    non-finite state aborts with :class:`BlowUpError` carrying the time;
+    the overflow on the way there raises no floating-point warning, so the
+    error is the only report of it. Times and states are written into
+    arrays allocated once for the whole run.
     """
     if method != "rk4":
         raise ConfigurationError(f"unknown integration method {method!r}")
@@ -221,24 +235,25 @@ def integrate_ode(f, x0, t_end, step=1e-3, method="rk4"):
     steps = [step] * int(n_full)
     if rem > 1e-12 * max(1.0, abs(float(t_end))):
         steps.append(rem)
-    times = [0.0]
-    states = [x.copy()]
+    times = np.empty(len(steps) + 1)
+    states = np.empty((len(steps) + 1,) + x.shape)
+    times[0] = 0.0
+    states[0] = x
     t = 0.0
-    for h in steps:
-        k1 = fun(x)
-        k2 = fun(x + 0.5 * h * k1)
-        k3 = fun(x + 0.5 * h * k2)
-        k4 = fun(x + h * k3)
-        x = x + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-        t += h
-        if not np.all(np.isfinite(x)):
-            raise BlowUpError(f"trajectory left the finite range at t={t:.6g}", time=t)
-        times.append(t)
-        states.append(x.copy())
-    final_residual = float(np.max(np.abs(fun(x))))
-    return Trajectory(
-        times=np.asarray(times), states=np.asarray(states), final_residual=final_residual
-    )
+    with np.errstate(over="ignore", invalid="ignore"):
+        for i, h in enumerate(steps, 1):
+            k1 = fun(x)
+            k2 = fun(x + 0.5 * h * k1)
+            k3 = fun(x + 0.5 * h * k2)
+            k4 = fun(x + h * k3)
+            x = x + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+            t += h
+            if not np.isfinite(x).all():
+                raise BlowUpError(f"trajectory left the finite range at t={t:.6g}", time=t)
+            times[i] = t
+            states[i] = x
+        final_residual = float(np.max(np.abs(fun(x))))
+    return Trajectory(times=times, states=states, final_residual=final_residual)
 
 
 def fd_steps(x, h):

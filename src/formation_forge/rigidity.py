@@ -16,7 +16,7 @@ import numpy as np
 
 from .errors import ConfigurationError, InfeasibleLengthsError
 from .graph import FormationGraph, mixed_adjacency, two_cycles
-from .numkernel import kron_I2, rank_tol
+from .numkernel import kron_I2, rank_tol, squared_lengths
 
 CONVENTIONS = ("squared", "plain")
 
@@ -126,8 +126,12 @@ def edge_errors(f: Framework, lengths: TargetLengths):
         raise ConfigurationError(
             f"{len(lengths.d)} target lengths for a graph with {f.graph.m} edges"
         )
-    z = edge_vectors(f).z
-    s2 = np.sum(z * z, axis=1)
+    return length_errors(edge_vectors(f).z, lengths)
+
+
+def length_errors(z, lengths: TargetLengths):
+    """Per-edge errors of edge vectors ``z`` (flat or rows) against ``lengths``."""
+    s2 = squared_lengths(z)
     d = lengths.as_array()
     if lengths.convention == "plain":
         return np.sqrt(s2) - np.sqrt(d)

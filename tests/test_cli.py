@@ -2,6 +2,10 @@
 
 import dataclasses
 import json
+import os
+import re
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -421,3 +425,54 @@ class TestEmitReport:
         )
         text = emit_report(result)
         assert "transcritical exchange: indeterminate (no sweep points)" in text
+
+
+class TestStderrContract:
+    def test_blow_up_prints_one_json_record_and_no_warnings(self, tmp_path):
+        # A fresh interpreter, so NumPy's floating-point warnings reach stderr
+        # the way they do for a user instead of being collected by pytest.
+        path = write_scenario(
+            tmp_path,
+            {
+                "law": {"name": "gradient_squared", "gain": 500.0},
+                "experiment": {"kind": "simulate", "t_end": 2.0},
+                "seed": 3,
+            },
+        )
+        env = dict(os.environ)
+        env.pop("PYTHONWARNINGS", None)
+        src = str(Path(formation_forge.__file__).resolve().parents[1])
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+        proc = subprocess.run(
+            [
+                sys.executable,
+                "-c",
+                "import sys; from formation_forge.cli import main; sys.exit(main(sys.argv[1:]))",
+                "run",
+                str(path),
+                "--out",
+                str(tmp_path / "out"),
+            ],
+            capture_output=True,
+            text=True,
+            env=env,
+            timeout=120,
+        )
+        assert proc.returncode == 3
+        lines = proc.stderr.splitlines()
+        assert len(lines) == 1, proc.stderr
+        record = json.loads(lines[0])
+        assert record["error"] == "blow-up"
+        assert "finite range" in record["message"]
+
+
+class TestReadme:
+    def test_scenario_example_loads(self, tmp_path):
+        readme = Path(__file__).resolve().parents[1] / "README.md"
+        block = re.search(r"```json\n(.*?)```", readme.read_text(), re.S)
+        assert block is not None
+        path = tmp_path / "readme.json"
+        path.write_text(block.group(1))
+        sc = load_scenario(path)
+        bundled = load_scenario(SCENARIO_DIR / "fig2.json")
+        assert dataclasses.astuple(sc) == dataclasses.astuple(bundled)
