@@ -26,12 +26,11 @@ from .equilibria import (
 )
 from .errors import ConfigurationError, FormulaDomainError, InfeasibleLengthsError
 from .graph import two_cycles
-from .numkernel import Spectrum, eigenvalues, fd_jacobian
+from .numkernel import Spectrum, eigenvalues, fd_jacobian, fd_second_directional
 from .rigidity import (
     Framework,
     TargetLengths,
     edge_vectors,
-    in_singular_set,
     singular_witnesses,
 )
 
@@ -145,10 +144,8 @@ def sotomayor_check(
     fmu_norm = float(np.linalg.norm(fmu))
     t_mu = float(w @ fmu)
 
+    t_quad = float(w @ fd_second_directional(lambda x: f(x, mu0), x0, v, h))
     hs = h * max(1.0, float(np.max(np.abs(x0))))
-    f_pp = f(x0 + hs * v, mu0)
-    f_mm = f(x0 - hs * v, mu0)
-    t_quad = float(w @ ((f_pp - 2.0 * f0 + f_mm) / (hs * hs)))
 
     def dir_deriv(mu):
         return (f(x0 + hs * v, mu) - f(x0 - hs * v, mu)) / (2.0 * hs)
@@ -349,7 +346,7 @@ def mu_sweep(d0, eps=DEFAULT_SWEEP_HALF_WIDTH, samples=21, template=None, mu_edg
     for end in (float(mus[0]), float(mus[-1])):
         design_frameworks(graph, base.perturbed(mu_edge, end))
 
-    witnesses = singular_witnesses(base) if in_singular_set(base) else []
+    witnesses = singular_witnesses(base)
     witness = witnesses[0] if witnesses else None
     center = int(np.argmin(np.abs(mus)))
 

@@ -34,7 +34,6 @@ from .equilibria import (
 from .errors import (
     FormationForgeError,
     FormulaDomainError,
-    InfeasibleLengthsError,
     ScenarioError,
 )
 from .graph import FormationGraph
@@ -231,12 +230,7 @@ def _build_bundle(sc: Scenario):
     is the law's own.
     """
     law = builtin_law(sc.law_name, sc.law_gain, sign_corrected=sc.law_sign_corrected)
-    if sc.length_convention == "plain":
-        if any(v <= 0 for v in sc.length_values):
-            raise InfeasibleLengthsError("plain lengths must be positive")
-        stored = tuple(v * v for v in sc.length_values)
-    else:
-        stored = sc.length_values
+    stored = TargetLengths.from_values(sc.length_values, sc.length_convention).d
     lengths = TargetLengths(d=stored, convention=law.convention)
     return VectorFieldBundle(graph=sc.graph, law=law, lengths=lengths)
 

@@ -26,13 +26,14 @@ from .dynamics import (
 )
 from .errors import (
     ConfigurationError,
+    ConvergenceError,
     FormationForgeError,
     FormulaDomainError,
     InfeasibleLengthsError,
     SingularityError,
 )
 from .graph import two_cycles
-from .numkernel import Spectrum, eigenvalues, fd_jacobian, squared_lengths
+from .numkernel import Spectrum, eigenvalues, fd_jacobian, newton_root, squared_lengths
 from .rigidity import (
     Framework,
     TargetLengths,
@@ -84,11 +85,25 @@ class EquilibriumRecord:
 
 @dataclass(frozen=True, eq=False)
 class CensusReport:
+    """The census records and the verdicts read off them."""
+
     records: tuple[EquilibriumRecord, ...]
-    feasible: bool
-    almost_surely_stable: bool
-    index_sum: int
     dropped_seeds: int = 0
+
+    @property
+    def feasible(self):
+        """Whether a design equilibrium was found."""
+        return any(r.kind == "design" for r in self.records)
+
+    @property
+    def almost_surely_stable(self):
+        """Whether every stable equilibrium is a design one."""
+        return all(r.kind == "design" for r in self.records if r.stable)
+
+    @property
+    def index_sum(self):
+        """Sum of the indices of the hyperbolic equilibria."""
+        return sum(r.index for r in self.records if r.index is not None)
 
     def by_kind(self, kind):
         return [r for r in self.records if r.kind == kind]
@@ -189,16 +204,13 @@ def gauge_fixed_spectrum(b: VectorFieldBundle, f: Framework, tol_residual=_RESID
 
 def poincare_index(b: VectorFieldBundle, f: Framework, tol_zero=TOL_ZERO):
     """Sign of the gauge-slice Jacobian determinant at a hyperbolic equilibrium."""
-    m, _ = _gauge_jacobian(b, f)
-    spec = eigenvalues(m)
-    radius = max(spec.spectral_radius, 1e-300)
-    if min(abs(v.real) for v in spec.values) <= tol_zero * radius:
+    index = equilibrium_record(b, f, tol_zero).index
+    if index is None:
         raise SingularityError(
             "poincare index is undefined at a non-hyperbolic equilibrium "
             f"(an eigenvalue real part is within {tol_zero:g} of zero, relative)"
         )
-    sign, _ = np.linalg.slogdet(m)
-    return int(round(sign))
+    return index
 
 
 def classify_kind(b: VectorFieldBundle, f: Framework, tol=_DESIGN_TOL):
@@ -218,46 +230,6 @@ def classify_kind(b: VectorFieldBundle, f: Framework, tol=_DESIGN_TOL):
         if aligned and middle_ok:
             return "ancillary_aligned"
     return "ancillary_other"
-
-
-def _damped_newton(f, x0, tol=1e-11, max_iter=80, jac=None):
-    """Newton iteration with least-squares steps and residual backtracking.
-
-    The plain iteration overshoots badly on the cubic formation field from
-    generic seeds; halving the step until the residual decreases keeps
-    distant seeds usable. The least-squares solve truncates small singular
-    values so the step stays orthogonal to the numerical kernel (the field
-    is translation invariant, so the two translation directions would
-    otherwise blow the iterate up without changing the residual). Returns
-    the root, or None when the iteration stagnates or runs out of budget.
-
-    ``jac(x)`` supplies the Jacobian; the census passes the closed form
-    :func:`jacobian_x`. Without it the Jacobian is a central difference
-    of ``f``, which is what :func:`scalar_census` uses for its
-    user-supplied flows.
-    """
-    x = np.array(x0, dtype=float).ravel()
-    fx = np.atleast_1d(np.asarray(f(x), dtype=float))
-    res = float(np.max(np.abs(fx)))
-    for _ in range(max_iter):
-        if res <= tol:
-            return x
-        jx = fd_jacobian(f, x) if jac is None else jac(x)
-        step, *_ = np.linalg.lstsq(jx, -fx, rcond=1e-8)
-        if not np.all(np.isfinite(step)):
-            return None
-        alpha = 1.0
-        for _ in range(25):
-            xn = x + alpha * step
-            fn = np.atleast_1d(np.asarray(f(xn), dtype=float))
-            rn = float(np.max(np.abs(fn))) if np.all(np.isfinite(fn)) else np.inf
-            if rn < res:
-                break
-            alpha *= 0.5
-        else:
-            return None
-        x, fx, res = xn, fn, rn
-    return x if res <= tol else None
 
 
 def equilibrium_record(b: VectorFieldBundle, f: Framework, tol_zero=TOL_ZERO):
@@ -293,10 +265,10 @@ def _aligned_positions(d, a, bb, sigma):
 
 
 def _aligned_residual(b, d, a, bb, sigma):
-    """The fourth edge's weight and the force balance on agent 1."""
+    """The fourth edge's weight and the force balance on agent 1; NaN off-domain."""
     x = _aligned_positions(d, a, bb, sigma)
     if x is None:
-        return None
+        return np.full(2, np.nan)
     # x_target - x_origin over the two-cycles edges, as edge_vectors computes it
     u = edge_weights(b, x[[1, 2, 0, 2, 3]] - x[[0, 1, 2, 3, 0]])
     return np.array([u[3], u[0] * a + u[4] * bb])
@@ -334,22 +306,6 @@ def _aligned_system(law, d, a, bb, sigma):
     return res, jac
 
 
-def _aligned_fd_jacobian(b, d, v, sigma):
-    jac = np.zeros((2, 2))
-    for col in range(2):
-        h = 1e-7 * max(1.0, abs(v[col]))
-        vp = v.copy()
-        vm = v.copy()
-        vp[col] += h
-        vm[col] -= h
-        rp = _aligned_residual(b, d, vp[0], vp[1], sigma)
-        rm = _aligned_residual(b, d, vm[0], vm[1], sigma)
-        if rp is None or rm is None:
-            return None
-        jac[:, col] = (rp - rm) / (2.0 * h)
-    return jac
-
-
 def aligned_newton(b, a0, b0, sigma, newton_tol=1e-11, max_iter=60):
     """Newton from one aligned seed; the converged framework or None.
 
@@ -360,6 +316,12 @@ def aligned_newton(b, a0, b0, sigma, newton_tol=1e-11, max_iter=60):
     gets central differences of the residual. The returned framework is
     verified to be an equilibrium of the full flow, not just a root of
     the two-scalar reduction.
+
+    The iteration is plain Newton, not the damped :func:`newton_root`:
+    an undamped step that leaves the domain (agent 3 unplaceable) ends
+    the seed, which the seed grid relies on. Damping it doubles the
+    residual evaluations on the benchmark lengths and changes which
+    aligned roots the grid finds.
     """
     d = b.lengths.as_array()
     v = np.array([float(a0), float(b0)])
@@ -377,9 +339,9 @@ def aligned_newton(b, a0, b0, sigma, newton_tol=1e-11, max_iter=60):
             ok = True
             break
         if jac is None:
-            jac = _aligned_fd_jacobian(b, d, v, sigma)
-            if jac is None:
-                return None
+            jac = fd_jacobian(
+                lambda p: _aligned_residual(b, d, p[0], p[1], sigma), v, h=1e-7
+            )
         try:
             step = np.linalg.solve(jac, -res)
         except np.linalg.LinAlgError:
@@ -471,11 +433,13 @@ def _collinear_line_equilibria(b, rng, n_trials, span, newton_tol, max_iter):
     found = []
     for _ in range(n_trials):
         p0 = rng.uniform(-span, span, n)
-        root = _damped_newton(
-            line_field, p0, tol=newton_tol, max_iter=max_iter, jac=line_jacobian
-        )
-        if root is not None:
-            found.append(np.column_stack([root, np.zeros(n)]))
+        try:
+            root = newton_root(
+                line_field, p0, max_iter=max_iter, tol=newton_tol, jac=line_jacobian
+            ).x
+        except ConvergenceError:
+            continue
+        found.append(np.column_stack([root, np.zeros(n)]))
     return found
 
 
@@ -514,11 +478,12 @@ def census(
     records = []
     dropped = 0
     for s in seeds:
-        root = _damped_newton(
-            lambda v: eval_F_x(b, v), np.asarray(s, dtype=float).ravel(),
-            tol=newton_tol, max_iter=max_iter, jac=lambda v: jacobian_x(b, v),
-        )
-        if root is None:
+        try:
+            root = newton_root(
+                lambda v: eval_F_x(b, v), np.asarray(s, dtype=float).ravel(),
+                max_iter=max_iter, tol=newton_tol, jac=lambda v: jacobian_x(b, v),
+            ).x
+        except ConvergenceError:
             dropped += 1
             continue
         fw = Framework(graph=b.graph, x=root.reshape(b.graph.n, 2))
@@ -527,17 +492,7 @@ def census(
             continue
         kept.append(gauged.x)
         records.append(equilibrium_record(b, gauged))
-
-    feasible = any(r.kind == "design" for r in records)
-    almost_surely_stable = all(r.kind == "design" for r in records if r.stable)
-    index_sum = sum(r.index for r in records if r.index is not None)
-    return CensusReport(
-        records=tuple(records),
-        feasible=feasible,
-        almost_surely_stable=almost_surely_stable,
-        index_sum=index_sum,
-        dropped_seeds=dropped,
-    )
+    return CensusReport(records=tuple(records), dropped_seeds=dropped)
 
 
 def scalar_census(f, design_values, lo=None, hi=None, n_seeds=41, fprime=None):
@@ -556,11 +511,10 @@ def scalar_census(f, design_values, lo=None, hi=None, n_seeds=41, fprime=None):
         hi = 2.5 * scale
     roots = []
     for x0 in np.linspace(lo, hi, n_seeds):
-        found = _damped_newton(lambda x: np.atleast_1d(f(float(x[0]))), np.array([float(x0)]),
-                               tol=1e-12, max_iter=60)
-        if found is None:
+        try:
+            root = float(newton_root(f, float(x0), max_iter=60, tol=1e-12).x)
+        except ConvergenceError:
             continue
-        root = float(found[0])
         if any(abs(root - r) <= 1e-8 * max(1.0, abs(r)) for r in roots):
             continue
         roots.append(root)
@@ -583,15 +537,7 @@ def scalar_census(f, design_values, lo=None, hi=None, n_seeds=41, fprime=None):
                 residual=abs(float(f(root))),
             )
         )
-    feasible = any(r.kind == "design" for r in records)
-    almost_surely_stable = all(r.kind == "design" for r in records if r.stable)
-    index_sum = sum(r.index for r in records if r.index is not None)
-    return CensusReport(
-        records=tuple(records),
-        feasible=feasible,
-        almost_surely_stable=almost_surely_stable,
-        index_sum=index_sum,
-    )
+    return CensusReport(records=tuple(records))
 
 
 def _chebyshev_multiset(computed, reference):

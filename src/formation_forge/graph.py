@@ -109,19 +109,6 @@ def outvalence(g: FormationGraph, v: int):
     return sum(1 for o, _ in g.edges if o == v)
 
 
-@dataclass(frozen=True)
-class AdjacencyBundle:
-    mixed: np.ndarray
-    edge_adj: np.ndarray
-    mixed2: np.ndarray
-
-
-def adjacency_bundle(g: FormationGraph):
-    """Mixed and edge adjacency plus the coordinate-doubled mixed matrix."""
-    mats = graph_matrices(g)
-    return AdjacencyBundle(mixed=mats["mixed"], edge_adj=mats["edge_adj"], mixed2=mats["mixed2"])
-
-
 @lru_cache(maxsize=32)
 def graph_matrices(g: FormationGraph):
     """Every matrix and index set the flow needs for ``g``, built once per graph.

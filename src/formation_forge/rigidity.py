@@ -281,22 +281,18 @@ def make_singular_lengths(d1, d2, d3, signed_z5_length):
 def in_singular_set(lengths: TargetLengths, tol=1e-9):
     """Whether some realization has its first and fifth edges parallel.
 
-    The test enumerates all realizations and compares the planar cross
-    product of ``z1`` and ``z5`` against ``tol`` relative to their norms.
     Infeasible lengths raise rather than returning false, because
     membership is only defined over realizable targets.
     """
-    for fw in realize_two_cycles(lengths):
-        z = edge_vectors(fw).z
-        n1 = float(np.hypot(*z[0]))
-        n5 = float(np.hypot(*z[4]))
-        if abs(planar_cross(z[0], z[4])) <= tol * max(n1 * n5, 1e-300):
-            return True
-    return False
+    return bool(singular_witnesses(lengths, tol))
 
 
 def singular_witnesses(lengths: TargetLengths, tol=1e-9):
-    """Realizations of ``lengths`` with parallel first and fifth edges."""
+    """Realizations of ``lengths`` with parallel first and fifth edges.
+
+    The planar cross product of ``z1`` and ``z5`` is compared against
+    ``tol`` relative to their norms.
+    """
     hits = []
     for fw in realize_two_cycles(lengths):
         z = edge_vectors(fw).z

@@ -427,43 +427,54 @@ class TestEmitReport:
         assert "transcritical exchange: indeterminate (no sweep points)" in text
 
 
+def run_fresh(command, tmp_path):
+    """Run a blow-up scenario in a fresh interpreter; returns the process.
+
+    A fresh interpreter lets NumPy's floating-point warnings and runpy's
+    import warnings reach stderr the way they do for a user instead of
+    being collected by pytest.
+    """
+    path = write_scenario(
+        tmp_path,
+        {
+            "law": {"name": "gradient_squared", "gain": 500.0},
+            "experiment": {"kind": "simulate", "t_end": 2.0},
+            "seed": 3,
+        },
+    )
+    env = dict(os.environ)
+    env.pop("PYTHONWARNINGS", None)
+    src = str(Path(formation_forge.__file__).resolve().parents[1])
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    return subprocess.run(
+        [sys.executable, *command, "run", str(path), "--out", str(tmp_path / "out")],
+        capture_output=True,
+        text=True,
+        env=env,
+        timeout=120,
+    )
+
+
 class TestStderrContract:
-    def test_blow_up_prints_one_json_record_and_no_warnings(self, tmp_path):
-        # A fresh interpreter, so NumPy's floating-point warnings reach stderr
-        # the way they do for a user instead of being collected by pytest.
-        path = write_scenario(
-            tmp_path,
-            {
-                "law": {"name": "gradient_squared", "gain": 500.0},
-                "experiment": {"kind": "simulate", "t_end": 2.0},
-                "seed": 3,
-            },
-        )
-        env = dict(os.environ)
-        env.pop("PYTHONWARNINGS", None)
-        src = str(Path(formation_forge.__file__).resolve().parents[1])
-        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
-        proc = subprocess.run(
-            [
-                sys.executable,
-                "-c",
-                "import sys; from formation_forge.cli import main; sys.exit(main(sys.argv[1:]))",
-                "run",
-                str(path),
-                "--out",
-                str(tmp_path / "out"),
-            ],
-            capture_output=True,
-            text=True,
-            env=env,
-            timeout=120,
-        )
+    def assert_one_blow_up_record(self, proc):
         assert proc.returncode == 3
         lines = proc.stderr.splitlines()
         assert len(lines) == 1, proc.stderr
         record = json.loads(lines[0])
         assert record["error"] == "blow-up"
         assert "finite range" in record["message"]
+
+    def test_blow_up_prints_one_json_record_and_no_warnings(self, tmp_path):
+        command = [
+            "-c",
+            "import sys; from formation_forge.cli import main; sys.exit(main(sys.argv[1:]))",
+        ]
+        self.assert_one_blow_up_record(run_fresh(command, tmp_path))
+
+    def test_module_route_prints_one_json_record(self, tmp_path):
+        # ``python -m formation_forge.cli`` would first print runpy's warning
+        # that the package already imported its cli module.
+        self.assert_one_blow_up_record(run_fresh(["-m", "formation_forge"], tmp_path))
 
 
 class TestReadme:

@@ -1,5 +1,7 @@
 """Tests for equilibrium construction, classification, and the census."""
 
+import hashlib
+
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
@@ -15,6 +17,7 @@ from formation_forge.equilibria import (
     BENCHMARK_LENGTHS,
     BENCHMARK_SPECTRA,
     RECORD_KINDS,
+    CensusReport,
     _aligned_residual,
     _aligned_system,
     canonical_gauge,
@@ -315,10 +318,18 @@ class TestAlignedJacobian:
             step = np.eye(2)[col] * 1e-6 * max(1.0, abs(v[col]))
             rp = _aligned_residual(b, d, *(v + step), sigma)
             rm = _aligned_residual(b, d, *(v - step), sigma)
-            assume(rp is not None and rm is not None)
+            assume(np.all(np.isfinite(rp)) and np.all(np.isfinite(rm)))
             numeric[:, col] = (rp - rm) / (2.0 * step[col])
         scale = max(1.0, float(np.max(np.abs(numeric))))
         assert float(np.max(np.abs(jac - numeric))) <= 1e-6 * scale
+
+
+    def test_residual_is_nan_off_domain(self):
+        # Agent 3 cannot be placed when a is too small for the triangle, and the
+        # aligned Newton's finite-step check rejects the NaN this returns.
+        b = benchmark_bundle()
+        d = b.lengths.as_array()
+        assert np.isnan(_aligned_residual(b, d, 0.1, 1.0, 1.0)).all()
 
 
 @pytest.fixture(scope="module")
@@ -400,6 +411,53 @@ class TestCensus:
                 chebyshev(partners[0].spectrum_gauge.values, rec.spectrum_gauge.values)
                 <= 1e-8
             )
+
+
+# The plain lengths of the bundled fig2.json census, in its edge order.
+FIG2_PLAIN = (2.0, 2.6, 2.0, 3.3, 1.4)
+
+# sha256 of the fig2 census (n_random=60, seed 7) under each law, over every
+# record's kind, index, positions and gauge spectrum, with the dropped-seed
+# count beside it. Recorded before the census moved onto numkernel's
+# newton_root, so any change to a bit of the census fails them.
+FIG2_CENSUS_PINS = {
+    "gradient_squared": ("be93de1a05764c9dbebc4d97f2b5a7123e2d574ad8756dbd9a8f9da57fa71577", 6),
+    "gradient_plain": ("795d541758f7e479d434f81b8bd6ee5e795fe90ac055cd707f9d5c4fe67ee9bd", 3),
+}
+
+
+def census_digest(report):
+    h = hashlib.sha256()
+    for rec in report.records:
+        h.update(rec.kind.encode())
+        h.update(repr(rec.index).encode())
+        h.update(np.ascontiguousarray(rec.framework.x).tobytes())
+        h.update(np.array(rec.spectrum_gauge.values, dtype=complex).tobytes())
+    return h.hexdigest()
+
+
+@pytest.mark.parametrize("law_name", sorted(FIG2_CENSUS_PINS))
+def test_fig2_census_is_pinned(law_name):
+    law = builtin_law(law_name)
+    b = VectorFieldBundle(
+        graph=two_cycles(),
+        law=law,
+        lengths=TargetLengths(d=tuple(v * v for v in FIG2_PLAIN), convention=law.convention),
+    )
+    report = census(b, n_random=60, seed=7)
+    assert (census_digest(report), report.dropped_seeds) == FIG2_CENSUS_PINS[law_name]
+
+
+class TestCensusVerdicts:
+    def test_verdicts_are_read_off_the_records(self, census_report):
+        records = census_report.records
+        assert census_report.feasible == any(r.kind == "design" for r in records)
+        assert census_report.index_sum == sum(r.index for r in records if r.index is not None)
+        bare = CensusReport(records=())
+        assert not bare.feasible
+        assert bare.almost_surely_stable
+        assert bare.index_sum == 0
+        assert bare.dropped_seeds == 0
 
 
 class TestScalarCensus:

@@ -6,9 +6,9 @@ import pytest
 from formation_forge.errors import ConfigurationError
 from formation_forge.graph import (
     FormationGraph,
-    adjacency_bundle,
     contains_subformation,
     edge_adjacency,
+    graph_matrices,
     mixed_adjacency,
     outvalence,
     two_cycles,
@@ -141,10 +141,10 @@ class TestEdgeAdjacency:
 
     def test_bundle_is_consistent(self):
         g = two_cycles()
-        bundle = adjacency_bundle(g)
-        assert np.array_equal(bundle.mixed, mixed_adjacency(g))
-        assert np.array_equal(bundle.edge_adj, edge_adjacency(g))
-        assert np.array_equal(bundle.mixed2, kron_I2(mixed_adjacency(g)))
+        mats = graph_matrices(g)
+        assert np.array_equal(mats["mixed"], mixed_adjacency(g))
+        assert np.array_equal(mats["edge_adj"], edge_adjacency(g))
+        assert np.array_equal(mats["mixed2"], kron_I2(mixed_adjacency(g)))
 
 
 class TestOutvalence:

@@ -191,6 +191,35 @@ class TestNewton:
             newton_root(lambda x: x * x + 1.0, 0.5, max_iter=30)
         assert info.value.last_iterate is not None
         assert info.value.iterations is not None
+        assert "stagnated" in str(info.value)
+
+    def test_damped_steps_converge_from_far_out(self):
+        # The undamped iteration on arctan diverges from |x0| > 1.39;
+        # halving the step until the residual falls brings it home.
+        result = newton_root(np.arctan, 3.0)
+        assert abs(result.x) <= 1e-12
+        assert result.residual <= 1e-12
+
+    def test_budget_exhaustion_is_reported(self):
+        with pytest.raises(ConvergenceError, match="did not reach") as info:
+            newton_root(np.arctan, 3.0, max_iter=2)
+        assert info.value.iterations == 2
+
+    def test_non_finite_seed_is_a_convergence_error(self):
+        with pytest.raises(ConvergenceError, match="non-finite"):
+            newton_root(lambda x: np.array([np.inf * x[0], x[1]]), [1.0, 1.0],
+                        jac=lambda x: np.eye(2))
+
+    def test_analytic_jacobian_is_used(self):
+        calls = []
+
+        def jac(x):
+            calls.append(x)
+            return 2.0 * x
+
+        result = newton_root(lambda x: x * x - 4.0, 3.0, jac=jac)
+        assert abs(result.x - 2.0) <= 1e-12
+        assert len(calls) == result.iterations
 
 
 class TestIntegrate:
