@@ -34,8 +34,9 @@ from .rigidity import (
     singular_witnesses,
 )
 
-SWEEP_BRANCHES = ("design", "ancillary_aligned")
 DEFAULT_SWEEP_HALF_WIDTH = 0.2
+SWEEP_MAX_HALVINGS = 3
+"""Times an aligned-branch step is split in two before the sample is dropped."""
 
 
 @dataclass(frozen=True, eq=False)
@@ -227,9 +228,12 @@ def sotomayor_at_witness(b: VectorFieldBundle, witness: Framework, mu_edge=2, **
     return sotomayor_check(family, q0, 0.0, **kwargs)
 
 
-def _is_stable(spec: Spectrum):
-    radius = max(spec.spectral_radius, 1e-300)
-    return bool(spec.leading_real < -TOL_ZERO * radius)
+def _branch_point(bundle, mu, branch, fw):
+    spec = gauge_fixed_spectrum(bundle, fw)
+    return BranchPoint(
+        mu=mu, branch=branch, framework=fw,
+        leading_real=spec.leading_real, stable=spec.is_stable(TOL_ZERO),
+    )
 
 
 def _design_branch_points(b0, base, mus, center, ref, mu_edge):
@@ -244,14 +248,8 @@ def _design_branch_points(b0, base, mus, center, ref, mu_edge):
                 continue
             gauged = [canonical_gauge(fw) for fw in frameworks]
             pick = min(gauged, key=lambda g: float(np.max(np.abs(g.x - chain_ref))))
-            bundle = b0.with_lengths(lengths)
-            spec = gauge_fixed_spectrum(bundle, pick)
-            points[idx] = BranchPoint(
-                mu=float(mus[idx]),
-                branch="design",
-                framework=pick,
-                leading_real=spec.leading_real,
-                stable=_is_stable(spec),
+            points[idx] = _branch_point(
+                b0.with_lengths(lengths), float(mus[idx]), "design", pick
             )
             chain_ref = pick.x
     return [points[i] for i in sorted(points)]
@@ -272,7 +270,7 @@ def _aligned_anchor(b0, base, mus, center, witness, mu_edge):
     return aligned_parameters((stable or records)[0].framework)
 
 
-def _aligned_branch_points(b0, base, mus, center, params, mu_edge, max_halvings=3):
+def _aligned_branch_points(b0, base, mus, center, params, mu_edge):
     points = {}
     for indices in (range(center, len(mus)), range(center - 1, -1, -1)):
         state = params
@@ -280,7 +278,7 @@ def _aligned_branch_points(b0, base, mus, center, params, mu_edge, max_halvings=
         for idx in indices:
             target_mu = float(mus[idx])
             fw = None
-            for split in range(max_halvings + 1):
+            for split in range(SWEEP_MAX_HALVINGS + 1):
                 steps = 2**split
                 walk_state = state
                 walk_fw = None
@@ -302,14 +300,7 @@ def _aligned_branch_points(b0, base, mus, center, params, mu_edge, max_halvings=
                 continue
             prev_mu = target_mu
             bundle = b0.with_lengths(base.perturbed(mu_edge, target_mu))
-            spec = gauge_fixed_spectrum(bundle, fw)
-            points[idx] = BranchPoint(
-                mu=target_mu,
-                branch="ancillary_aligned",
-                framework=fw,
-                leading_real=spec.leading_real,
-                stable=_is_stable(spec),
-            )
+            points[idx] = _branch_point(bundle, target_mu, "ancillary_aligned", fw)
     return [points[i] for i in sorted(points)]
 
 
@@ -457,8 +448,6 @@ def logistic_equilibria(mu):
     out = {0.0: mu < 0.0}
     if mu != 0.0:
         out[mu] = mu > 0.0
-    else:
-        out[0.0] = False
     return out
 
 

@@ -91,6 +91,14 @@ _PARAM_TYPES = {
     "step": float,
 }
 
+# Lower bounds of the experiment parameters that have one, and their wording.
+_PARAM_BOUNDS = {
+    "n_random": (lambda v: v >= 0, "must not be negative"),
+    "dedupe_tol": (lambda v: v >= 0, "must not be negative"),
+    "t_end": (lambda v: v > 0, "must be positive"),
+    "stride": (lambda v: v >= 1, "must be at least 1"),
+}
+
 
 def _check_type(value, kind, what, where):
     """Raise a ScenarioError unless ``value`` is a JSON integer or number.
@@ -109,11 +117,8 @@ def _require(raw, key, kind, where):
     if key not in raw:
         raise ScenarioError(f"missing required key {key!r}", position=where)
     value = raw[key]
-    if kind is not None and not isinstance(value, kind):
-        names = kind if isinstance(kind, type) else kind[0]
-        raise ScenarioError(
-            f"key {key!r} must be of type {names.__name__}", position=where
-        )
+    if not isinstance(value, kind):
+        raise ScenarioError(f"key {key!r} must be of type {kind.__name__}", position=where)
     return value
 
 
@@ -154,6 +159,8 @@ def load_scenario(path):
         for v in pair:
             _check_type(v, int, f"edge {i + 1} vertex", "graph")
         edges.append((pair[0] - 1, pair[1] - 1))
+    if not edges:
+        raise ScenarioError("a formation graph needs at least one edge", position="graph")
     graph = FormationGraph(n=vertices, edges=tuple(edges))
 
     lengths_raw = _require(raw, "lengths", dict, p.name)
@@ -188,6 +195,10 @@ def load_scenario(path):
     for key, value in params.items():
         if key in _PARAM_TYPES:
             _check_type(value, _PARAM_TYPES[key], f"key {key!r}", "experiment")
+        if key in _PARAM_BOUNDS:
+            within, wording = _PARAM_BOUNDS[key]
+            if not within(value):
+                raise ScenarioError(f"key {key!r} {wording}, got {value!r}", "experiment")
     if "mu_edge" in params and not 1 <= params["mu_edge"] <= graph.m:
         raise ScenarioError(
             f"key 'mu_edge' must name an edge from 1 to {graph.m}", position="experiment"
@@ -371,7 +382,7 @@ def _run_sotomayor(sc, bundle, out, seed, tol):
 def _run_simulate(sc, bundle, out, seed, tol):
     t_end = float(sc.params.get("t_end", 10.0))
     step = float(sc.params.get("step", 1e-3))
-    stride = max(1, int(sc.params.get("stride", 50)))
+    stride = int(sc.params.get("stride", 50))
     if "initial" in sc.params:
         x0 = np.asarray(sc.params["initial"], dtype=float).reshape(bundle.graph.n, 2)
     else:
@@ -571,6 +582,8 @@ def run_scenario(path, out_dir=None, seed=None, tol=None):
     stdout and saved as report.txt next to the CSV artifacts.
     """
     try:
+        if tol is not None and not tol > 0:
+            raise ScenarioError(f"--tol must be positive, got {tol!r}")
         sc = load_scenario(path)
         if seed is not None:
             sc = dataclasses.replace(sc, seed=int(seed))

@@ -33,21 +33,30 @@ from .errors import (
     SingularityError,
 )
 from .graph import two_cycles
-from .numkernel import Spectrum, eigenvalues, fd_jacobian, newton_root, squared_lengths
+from .numkernel import Spectrum, eigenvalues, fd_jacobian, left_nullspace, newton_root
+from .numkernel import squared_lengths
 from .rigidity import (
     Framework,
     TargetLengths,
     edge_errors,
     edge_vectors,
-    planar_cross,
+    edges_aligned,
     realize_two_cycles,
 )
 
 RECORD_KINDS = ("design", "ancillary_aligned", "ancillary_collinear", "ancillary_other")
 
-TOL_ZERO = 1e-6
-_DESIGN_TOL = 1e-8
-_RESIDUAL_TOL = 1e-9
+# The settings every classification and solve in this module runs with.
+TOL_ZERO = 1e-6  # stability margin, relative to the spectral radius
+DESIGN_TOL = 1e-8  # edge-error, collinearity and alignment tolerance of classify_kind
+RESIDUAL_TOL = 1e-9  # largest field residual accepted as an equilibrium
+NEWTON_TOL = 1e-11  # residual at which the census and aligned solves stop
+CENSUS_MAX_ITER = 80
+CENSUS_COLLINEAR_SEEDS = 24
+ALIGNED_MAX_ITER = 60
+ALIGNED_A_FACTORS = (0.4, 0.7, 1.0, 1.4, 2.0)  # agent 2 seeds, times sqrt(d1)
+ALIGNED_B_FACTORS = (0.4, 0.8, 1.2, 2.0)  # agent 4 seeds, times +-sqrt(d5)
+SCALAR_SEEDS = 41
 
 BENCHMARK_LENGTHS = (2.0, 2.6, 2.0, 1.4, 3.3)
 """Plain-length values of the reference census the test suite reproduces."""
@@ -161,20 +170,15 @@ def gauge_slice_basis(x):
     superposed), in which case the slice is correspondingly larger.
     """
     pts = np.asarray(x, dtype=float).reshape(-1, 2)
-    n = pts.shape[0]
-    t1 = np.tile([1.0, 0.0], n)
-    t2 = np.tile([0.0, 1.0], n)
+    translations = np.tile(np.eye(2), (pts.shape[0], 1))
     rot = np.column_stack([-pts[:, 1], pts[:, 0]]).ravel()
-    sym = np.column_stack([t1, t2, rot])
-    u, s, _ = np.linalg.svd(sym, full_matrices=True)
-    rank = int(np.sum(s > 1e-12 * s[0]))
-    return u[:, rank:]
+    return left_nullspace(np.column_stack([translations, rot]), 1e-12)
 
 
-def _gauge_jacobian(b: VectorFieldBundle, f: Framework, tol_residual=_RESIDUAL_TOL):
+def _gauge_jacobian(b: VectorFieldBundle, f: Framework):
     fx = eval_F_x(b, f.x.ravel())
     residual = float(np.max(np.abs(fx)))
-    if residual > tol_residual:
+    if residual > RESIDUAL_TOL:
         raise FormulaDomainError(
             f"gauge-fixed linearization requires an equilibrium; residual {residual:.3e}"
         )
@@ -183,7 +187,7 @@ def _gauge_jacobian(b: VectorFieldBundle, f: Framework, tol_residual=_RESIDUAL_T
     return basis.T @ jac @ basis, residual
 
 
-def gauge_fixed_spectrum(b: VectorFieldBundle, f: Framework, tol_residual=_RESIDUAL_TOL):
+def gauge_fixed_spectrum(b: VectorFieldBundle, f: Framework):
     """Spectrum of the linearization restricted to the gauge slice.
 
     The rigid directions lie in the kernel at any equilibrium, so the
@@ -198,47 +202,44 @@ def gauge_fixed_spectrum(b: VectorFieldBundle, f: Framework, tol_residual=_RESID
     straddles the kink of a zero-length plain-law edge and is off by its
     step. Moving spectra to the closed form changes published numbers.
     """
-    m, _ = _gauge_jacobian(b, f, tol_residual)
+    m, _ = _gauge_jacobian(b, f)
     return eigenvalues(m)
 
 
-def poincare_index(b: VectorFieldBundle, f: Framework, tol_zero=TOL_ZERO):
+def poincare_index(b: VectorFieldBundle, f: Framework):
     """Sign of the gauge-slice Jacobian determinant at a hyperbolic equilibrium."""
-    index = equilibrium_record(b, f, tol_zero).index
+    index = equilibrium_record(b, f).index
     if index is None:
         raise SingularityError(
             "poincare index is undefined at a non-hyperbolic equilibrium "
-            f"(an eigenvalue real part is within {tol_zero:g} of zero, relative)"
+            f"(an eigenvalue real part is within {TOL_ZERO:g} of zero, relative)"
         )
     return index
 
 
-def classify_kind(b: VectorFieldBundle, f: Framework, tol=_DESIGN_TOL):
+def classify_kind(b: VectorFieldBundle, f: Framework):
     """Assign a census kind by priority: design, collinear, aligned, other."""
     errs = edge_errors(f, b.lengths)
-    if float(np.max(np.abs(errs))) <= tol:
+    if float(np.max(np.abs(errs))) <= DESIGN_TOL:
         return "design"
     z = edge_vectors(f).z
     svals = np.linalg.svd(z, compute_uv=False)
-    if svals[0] <= tol or (len(svals) > 1 and svals[1] <= tol * svals[0]):
+    if svals[0] <= DESIGN_TOL or (len(svals) > 1 and svals[1] <= DESIGN_TOL * svals[0]):
         return "ancillary_collinear"
-    n1 = float(np.hypot(*z[0]))
-    n5 = float(np.hypot(*z[4])) if z.shape[0] >= 5 else 0.0
-    if z.shape[0] >= 5 and n1 > tol and n5 > tol:
-        aligned = abs(planar_cross(z[0], z[4])) <= tol * n1 * n5
-        middle_ok = float(np.max(np.abs(errs[1:4]))) <= tol
-        if aligned and middle_ok:
-            return "ancillary_aligned"
+    if (
+        z.shape[0] >= 5
+        and edges_aligned(z[0], z[4], DESIGN_TOL)
+        and float(np.max(np.abs(errs[1:4]))) <= DESIGN_TOL
+    ):
+        return "ancillary_aligned"
     return "ancillary_other"
 
 
-def equilibrium_record(b: VectorFieldBundle, f: Framework, tol_zero=TOL_ZERO):
+def equilibrium_record(b: VectorFieldBundle, f: Framework):
     """Classify an equilibrium and attach its gauge-fixed spectrum and index."""
     m, residual = _gauge_jacobian(b, f)
     spec = eigenvalues(m)
-    radius = max(spec.spectral_radius, 1e-300)
-    stable = all(v.real < -tol_zero * radius for v in spec.values)
-    if min(abs(v.real) for v in spec.values) > tol_zero * radius:
+    if spec.is_hyperbolic(TOL_ZERO):
         sign, _ = np.linalg.slogdet(m)
         index = int(round(sign))
     else:
@@ -248,19 +249,31 @@ def equilibrium_record(b: VectorFieldBundle, f: Framework, tol_zero=TOL_ZERO):
         kind=classify_kind(b, f),
         spectrum_gauge=spec,
         index=index,
-        stable=stable,
+        stable=spec.is_stable(TOL_ZERO),
         residual=residual,
     )
 
 
-def _aligned_positions(d, a, bb, sigma):
+def _aligned_triangle(d, a):
+    """Agent 3's abscissa and height with agents 1 and 2 at 0 and ``a``.
+
+    This is the aligned solver's domain: None where ``a <= 1e-9`` or the
+    circles of radii ``sqrt(d3)`` and ``sqrt(d2)`` about them do not meet.
+    """
     if a <= 1e-9:
         return None
     alpha = (a * a + d[2] - d[1]) / (2.0 * a)
     beta_sq = d[2] - alpha * alpha
     if beta_sq < 0.0:
         return None
-    beta = math.sqrt(beta_sq)
+    return alpha, math.sqrt(beta_sq)
+
+
+def _aligned_positions(d, a, bb, sigma):
+    triangle = _aligned_triangle(d, a)
+    if triangle is None:
+        return None
+    alpha, beta = triangle
     return np.array([[0.0, 0.0], [a, 0.0], [alpha, sigma * beta], [bb, 0.0]])
 
 
@@ -285,13 +298,10 @@ def _aligned_system(law, d, a, bb, sigma):
     ``b^2 - 2 alpha b + d_3``, which depends on ``a`` only through
     ``alpha(a)``. Returns None where agent 3 cannot be placed.
     """
-    if a <= 1e-9:
+    triangle = _aligned_triangle(d, a)
+    if triangle is None:
         return None
-    alpha = (a * a + d[2] - d[1]) / (2.0 * a)
-    beta_sq = d[2] - alpha * alpha
-    if beta_sq < 0.0:
-        return None
-    beta = math.sqrt(beta_sq)
+    alpha, beta = triangle
     gap = alpha - bb
     s2 = np.array([a * a, gap * gap + beta * beta, bb * bb])
     dk = d[[0, 3, 4]]
@@ -306,7 +316,7 @@ def _aligned_system(law, d, a, bb, sigma):
     return res, jac
 
 
-def aligned_newton(b, a0, b0, sigma, newton_tol=1e-11, max_iter=60):
+def aligned_newton(b, a0, b0, sigma):
     """Newton from one aligned seed; the converged framework or None.
 
     The unknowns are the signed positions ``a`` and ``b`` of agents 2 and
@@ -325,8 +335,7 @@ def aligned_newton(b, a0, b0, sigma, newton_tol=1e-11, max_iter=60):
     """
     d = b.lengths.as_array()
     v = np.array([float(a0), float(b0)])
-    ok = False
-    for _ in range(max_iter):
+    for _ in range(ALIGNED_MAX_ITER):
         jac = None
         if b.law.separable:
             system = _aligned_system(b.law, d, v[0], v[1], sigma)
@@ -335,8 +344,7 @@ def aligned_newton(b, a0, b0, sigma, newton_tol=1e-11, max_iter=60):
             res = _aligned_residual(b, d, v[0], v[1], sigma)
         if res is None or not np.all(np.isfinite(res)):
             return None
-        if np.max(np.abs(res)) <= newton_tol:
-            ok = True
+        if np.max(np.abs(res)) <= NEWTON_TOL:
             break
         if jac is None:
             jac = fd_jacobian(
@@ -351,13 +359,11 @@ def aligned_newton(b, a0, b0, sigma, newton_tol=1e-11, max_iter=60):
         v = v + step
         if abs(v[0]) > 1e6 or abs(v[1]) > 1e6:
             return None
-    if not ok:
+    else:  # the budget ran out
         return None
-    x = _aligned_positions(d, v[0], v[1], sigma)
-    if x is None:
-        return None
-    fw = Framework(graph=b.graph, x=x)
-    if float(np.max(np.abs(eval_F_x(b, fw.x)))) > _RESIDUAL_TOL:
+    # the converged residual was finite, so v is inside the domain
+    fw = Framework(graph=b.graph, x=_aligned_positions(d, v[0], v[1], sigma))
+    if float(np.max(np.abs(eval_F_x(b, fw.x)))) > RESIDUAL_TOL:
         return None
     return fw
 
@@ -372,13 +378,7 @@ def aligned_parameters(f: Framework):
     return float(x[1, 0]), float(x[3, 0]), 1.0 if x[2, 1] >= 0.0 else -1.0
 
 
-def solve_ancillary_aligned(
-    b: VectorFieldBundle,
-    a_seeds=None,
-    b_seeds=None,
-    newton_tol=1e-11,
-    max_iter=60,
-):
+def solve_ancillary_aligned(b: VectorFieldBundle):
     """Equilibria whose first and fifth edge vectors are parallel.
 
     The configuration is parameterized by the signed positions of agents
@@ -395,26 +395,22 @@ def solve_ancillary_aligned(
     d = b.lengths.as_array()
     r1 = math.sqrt(d[0])
     r5 = math.sqrt(d[4])
-    if a_seeds is None:
-        a_seeds = [f * r1 for f in (0.4, 0.7, 1.0, 1.4, 2.0)]
-    if b_seeds is None:
-        b_seeds = [s * f * r5 for s in (1.0, -1.0) for f in (0.4, 0.8, 1.2, 2.0)]
-    solutions = []
+    a_seeds = [f * r1 for f in ALIGNED_A_FACTORS]
+    b_seeds = [s * f * r5 for s in (1.0, -1.0) for f in ALIGNED_B_FACTORS]
     records = []
     for sigma in (1.0, -1.0):
         for a0 in a_seeds:
             for b0 in b_seeds:
-                fw = aligned_newton(b, a0, b0, sigma, newton_tol, max_iter)
+                fw = aligned_newton(b, a0, b0, sigma)
                 if fw is None:
                     continue
-                if any(np.max(np.abs(fw.x - sx)) <= 1e-7 for sx in solutions):
+                if any(np.max(np.abs(fw.x - r.framework.x)) <= 1e-7 for r in records):
                     continue
-                solutions.append(fw.x)
                 records.append(equilibrium_record(b, fw))
     return records
 
 
-def _collinear_line_equilibria(b, rng, n_trials, span, newton_tol, max_iter):
+def _collinear_line_equilibria(b, rng, span):
     """Equilibria of the flow restricted to a line through the origin.
 
     Collinear configurations form an invariant subspace, so roots of the
@@ -431,11 +427,11 @@ def _collinear_line_equilibria(b, rng, n_trials, span, newton_tol, max_iter):
         return jacobian_x(b, np.column_stack([p, np.zeros(n)]))[0::2, 0::2]
 
     found = []
-    for _ in range(n_trials):
+    for _ in range(CENSUS_COLLINEAR_SEEDS):
         p0 = rng.uniform(-span, span, n)
         try:
             root = newton_root(
-                line_field, p0, max_iter=max_iter, tol=newton_tol, jac=line_jacobian
+                line_field, p0, max_iter=CENSUS_MAX_ITER, tol=NEWTON_TOL, jac=line_jacobian
             ).x
         except ConvergenceError:
             continue
@@ -443,15 +439,7 @@ def _collinear_line_equilibria(b, rng, n_trials, span, newton_tol, max_iter):
     return found
 
 
-def census(
-    b: VectorFieldBundle,
-    n_random=200,
-    seed=0,
-    dedupe_tol=1e-6,
-    n_collinear=24,
-    newton_tol=1e-11,
-    max_iter=80,
-):
+def census(b: VectorFieldBundle, n_random=200, seed=0, dedupe_tol=1e-6):
     """Find, polish, deduplicate, and classify equilibria of the flow.
 
     Seeds come from the closed-form design realizations, the aligned
@@ -467,50 +455,44 @@ def census(
             seeds.extend(fw.x for fw in design_frameworks(b.graph, b.lengths))
         except InfeasibleLengthsError:
             pass
-        for rec in solve_ancillary_aligned(b, newton_tol=newton_tol):
+        for rec in solve_ancillary_aligned(b):
             seeds.append(rec.framework.x)
-    seeds.extend(
-        _collinear_line_equilibria(b, rng, n_collinear, span, newton_tol, max_iter)
-    )
+    seeds.extend(_collinear_line_equilibria(b, rng, span))
     seeds.extend(rng.uniform(-span, span, (b.graph.n, 2)) for _ in range(n_random))
 
-    kept = []
     records = []
     dropped = 0
     for s in seeds:
         try:
             root = newton_root(
                 lambda v: eval_F_x(b, v), np.asarray(s, dtype=float).ravel(),
-                max_iter=max_iter, tol=newton_tol, jac=lambda v: jacobian_x(b, v),
+                max_iter=CENSUS_MAX_ITER, tol=NEWTON_TOL, jac=lambda v: jacobian_x(b, v),
             ).x
         except ConvergenceError:
             dropped += 1
             continue
         fw = Framework(graph=b.graph, x=root.reshape(b.graph.n, 2))
         gauged = canonical_gauge(fw)
-        if any(np.max(np.abs(gauged.x - kx)) <= dedupe_tol for kx in kept):
+        if any(np.max(np.abs(gauged.x - r.framework.x)) <= dedupe_tol for r in records):
             continue
-        kept.append(gauged.x)
         records.append(equilibrium_record(b, gauged))
     return CensusReport(records=tuple(records), dropped_seeds=dropped)
 
 
-def scalar_census(f, design_values, lo=None, hi=None, n_seeds=41, fprime=None):
+def scalar_census(f, design_values, fprime=None):
     """Census of a one-dimensional flow ``xdot = f(x)``.
 
     The taxonomy and verdicts match the planar census: ``design_values``
     play the role of the target configurations, every other root is
     ancillary, and the almost-sure-stability verdict asks whether every
-    stable root is a design one.
+    stable root is a design one. Newton runs from ``SCALAR_SEEDS`` evenly
+    spaced seeds on 2.5 times the largest design value (at least 1) either
+    side of zero.
     """
     design = [float(v) for v in design_values]
     scale = max([1.0] + [abs(v) for v in design])
-    if lo is None:
-        lo = -2.5 * scale
-    if hi is None:
-        hi = 2.5 * scale
     roots = []
-    for x0 in np.linspace(lo, hi, n_seeds):
+    for x0 in np.linspace(-2.5 * scale, 2.5 * scale, SCALAR_SEEDS):
         try:
             root = float(newton_root(f, float(x0), max_iter=60, tol=1e-12).x)
         except ConvergenceError:
@@ -576,11 +558,6 @@ class ConventionCandidate:
 class ConventionReport:
     candidates: tuple[ConventionCandidate, ...]
     best: ConventionCandidate
-
-
-def _spectrum_positive_count(spec: Spectrum, tol):
-    radius = max(spec.spectral_radius, 1e-300)
-    return sum(1 for v in spec.values if v.real > tol * radius)
 
 
 def identify_convention(values=BENCHMARK_LENGTHS, published=None, tol=0.15):
@@ -670,8 +647,8 @@ def _score_candidate(graph, law, law_name, interpretation, leg_order, d, publish
 
     deviations = {"design_stable": dev_s, "design_unstable": dev_u, "aligned": dev_a}
     quantitative_ok = all(v <= tol for v in deviations.values())
-    qual_stable = classes[i_st].is_stable(0.0)
-    qual_unstable = _spectrum_positive_count(classes[i_un], TOL_ZERO) == 1
+    qual_stable = classes[i_st].is_stable()
+    qual_unstable = classes[i_un].unstable_count(TOL_ZERO) == 1
     qualitative_ok = bool(qual_stable and qual_unstable and aligned_stable)
     spectra = {
         "design_stable": classes[i_st],

@@ -50,10 +50,24 @@ class Spectrum:
 
     @property
     def spectral_radius(self):
-        return max(abs(v) for v in self.values)
+        return max((abs(v) for v in self.values), default=0.0)
+
+    # The package's one stability rule: a real part counts as negative or
+    # positive only beyond ``tol`` times the spectral radius (floored at 1e-300).
+    def _margin(self, tol):
+        return tol * max(self.spectral_radius, 1e-300)
 
     def is_stable(self, tol=0.0):
-        return all(v.real < -tol for v in self.values)
+        margin = self._margin(tol)
+        return all(v.real < -margin for v in self.values)
+
+    def is_hyperbolic(self, tol):
+        margin = self._margin(tol)
+        return all(abs(v.real) > margin for v in self.values)
+
+    def unstable_count(self, tol):
+        margin = self._margin(tol)
+        return sum(1 for v in self.values if v.real > margin)
 
     @classmethod
     def from_values(cls, values):

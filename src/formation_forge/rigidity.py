@@ -172,6 +172,16 @@ def planar_cross(u, v):
     return float(u[0] * v[1] - u[1] * v[0])
 
 
+def edges_aligned(u, v, tol):
+    """Whether planar vectors ``u`` and ``v`` are parallel or antiparallel.
+
+    Both must be longer than ``tol``; then ``|u x v| <= tol |u| |v|``.
+    """
+    nu = float(np.hypot(*u))
+    nv = float(np.hypot(*v))
+    return nu > tol and nv > tol and abs(planar_cross(u, v)) <= tol * nu * nv
+
+
 def _circle_intersection_height(center_dist, r_near, r_far, edge_names):
     """Abscissa and height of the intersection of two circles.
 
@@ -288,16 +298,8 @@ def in_singular_set(lengths: TargetLengths, tol=1e-9):
 
 
 def singular_witnesses(lengths: TargetLengths, tol=1e-9):
-    """Realizations of ``lengths`` with parallel first and fifth edges.
-
-    The planar cross product of ``z1`` and ``z5`` is compared against
-    ``tol`` relative to their norms.
-    """
-    hits = []
-    for fw in realize_two_cycles(lengths):
-        z = edge_vectors(fw).z
-        n1 = float(np.hypot(*z[0]))
-        n5 = float(np.hypot(*z[4]))
-        if abs(planar_cross(z[0], z[4])) <= tol * max(n1 * n5, 1e-300):
-            hits.append(fw)
-    return hits
+    """Realizations of ``lengths`` whose first and fifth edges are aligned."""
+    return [
+        fw for fw in realize_two_cycles(lengths)
+        if edges_aligned(*edge_vectors(fw).z[[0, 4]], tol)
+    ]

@@ -1,6 +1,7 @@
 """Tests for scenario loading, the experiment runners, and the reports."""
 
 import dataclasses
+import hashlib
 import json
 import os
 import re
@@ -317,14 +318,41 @@ class TestErrorPaths:
             {"experiment": {"kind": "sweep", "samples": True}},
             {"experiment": {"kind": "sweep", "mu_edge": 9}},
             {"experiment": {"kind": "simulate", "initial": [[0, 0], [1, "a"]]}},
+            {
+                "graph": {"vertices": 4, "edges": []},
+                "lengths": {"values": [], "convention": "plain"},
+            },
+            {
+                "graph": {"vertices": 4, "edges": []},
+                "lengths": {"values": [], "convention": "plain"},
+                "experiment": {"kind": "simulate"},
+            },
+            {"experiment": {"kind": "census", "dedupe_tol": -1e-6}},
+            {"experiment": {"kind": "census", "n_random": -1}},
+            {"experiment": {"kind": "simulate", "t_end": -1.0}},
+            {"experiment": {"kind": "simulate", "t_end": 0.0}},
+            {"experiment": {"kind": "simulate", "stride": -4}},
+            {"experiment": {"kind": "simulate", "stride": 0}},
         ],
     )
     def test_other_malformed_fields_exit_2(self, tmp_path, capsys, overrides):
         path = write_scenario(tmp_path, overrides)
         status = run_scenario(path, out_dir=tmp_path / "out")
-        record, _ = read_stderr_record(capsys)
+        record, out_text = read_stderr_record(capsys)
         assert status == 2
+        assert out_text == ""
         assert record["error"] == "scenario"
+
+    @pytest.mark.parametrize("tol", ["-1", "0", "nan"])
+    def test_nonpositive_tol_exits_2(self, tmp_path, capsys, tol):
+        out = tmp_path / "out"
+        status = main(["run", str(SCENARIO_DIR / "fig2.json"), "--out", str(out), "--tol", tol])
+        record, out_text = read_stderr_record(capsys)
+        assert status == 2
+        assert out_text == ""
+        assert record["error"] == "scenario"
+        assert "--tol must be positive" in record["message"]
+        assert not out.exists()
 
     def test_unknown_law(self, tmp_path, capsys):
         path = write_scenario(tmp_path, {"law": {"name": "bang_bang"}})
@@ -385,6 +413,41 @@ class TestErrorPaths:
         assert status == 3
         assert record["error"] == "blow-up"
         assert "finite range" in record["message"]
+
+
+# sha256 of every file the CLI writes when a bundled scenario runs as the
+# given experiment. A change to any byte of a CSV or report fails these.
+CLI_OUTPUT_SHA256 = {
+    ("fig2.json", "census"): {
+        "census.csv": "aac156a08d2b1f69bb33d618c961eb4632a9e1f0134ca6d0ae4b7ce2fb0faba3",
+        "report.txt": "0dd681d5692588a42bfb2f0512be144f47453f83e16ae7d06be6a50f6af5aa8d",
+    },
+    ("fig2.json", "spectrum"): {
+        "report.txt": "df2cbf6fc19abddcb6d9e0899d0d0c3fe24c6fd46f5232f36975cb16b833ff8f",
+        "spectrum.csv": "1c131b54244e7393c4a977ea48d52d0dc001f18d37076607f9c9657dfc62540e",
+    },
+    ("sweep_s0.json", "sweep"): {
+        "report.txt": "0fe3432e93129a8ffcef83c9c5a0fc9e3ce61f8a4890d20cea0d9cadd1013bb2",
+        "sweep.csv": "03e25aa4d10f8cb64b972cc55b1393fcdfff1746d05d762c0cbe5e8c2e37a866",
+    },
+    ("sweep_s0.json", "sotomayor"): {
+        "report.txt": "19beb1eee90acdb73a2ffa33c29b0d77a3d8244e492c06c06d7a5e575a1d4dea",
+        "sotomayor.csv": "e881598f3819f6b82bd07968b835c58f5d6774d3ef94f570e3f22ee8928e6e74",
+    },
+}
+
+
+@pytest.mark.parametrize("scenario, kind", sorted(CLI_OUTPUT_SHA256))
+def test_bundled_scenario_outputs_are_pinned(tmp_path, capsys, scenario, kind):
+    raw = json.loads((SCENARIO_DIR / scenario).read_text())
+    raw["experiment"]["kind"] = kind
+    path = tmp_path / scenario
+    path.write_text(json.dumps(raw))
+    out = tmp_path / "out"
+    assert run_scenario(path, out_dir=out) == 0
+    capsys.readouterr()
+    digests = {f.name: hashlib.sha256(f.read_bytes()).hexdigest() for f in out.iterdir()}
+    assert digests == CLI_OUTPUT_SHA256[(scenario, kind)]
 
 
 class TestMain:

@@ -79,6 +79,42 @@ class TestSpectrum:
         assert spec.is_stable()
         assert not spec.is_stable(tol=1.0)
 
+    # With the dominant eigenvalue -10 and tol 1e-3, the margin is 1e-2.
+    @pytest.mark.parametrize(
+        "multiple, stable, hyperbolic, unstable",
+        [
+            (-2.0, True, True, 0),
+            (-0.5, False, False, 0),
+            (0.5, False, False, 0),
+            (2.0, False, True, 1),
+        ],
+    )
+    def test_relative_rule_margin(self, multiple, stable, hyperbolic, unstable):
+        tol = 1e-3
+        spec = Spectrum.from_values([-10.0, multiple * tol * 10.0, -3.0 + 4.0j, -3.0 - 4.0j])
+        assert spec.is_stable(tol) is stable
+        assert spec.is_hyperbolic(tol) is hyperbolic
+        assert spec.unstable_count(tol) == unstable
+
+    def test_zero_tolerance_is_the_sign(self):
+        spec = Spectrum.from_values([-1e-300, -5.0])
+        assert spec.is_stable() and spec.is_hyperbolic(0.0)
+        assert Spectrum.from_values([1e-300, -5.0]).unstable_count(0.0) == 1
+        assert not Spectrum.from_values([0.0, -5.0]).is_hyperbolic(0.0)
+
+    def test_zero_spectrum_is_neither_stable_nor_hyperbolic(self):
+        spec = Spectrum.from_values([0.0, 0.0])
+        assert not spec.is_stable(1e-6)
+        assert not spec.is_hyperbolic(1e-6)
+        assert spec.unstable_count(1e-6) == 0
+
+    @pytest.mark.parametrize("tol", [0.0, 1e-6])
+    def test_empty_spectrum(self, tol):
+        spec = eigenvalues(np.zeros((0, 0)))
+        assert spec.is_stable(tol)
+        assert spec.is_hyperbolic(tol)
+        assert spec.unstable_count(tol) == 0
+
     def test_unpaired_complex_value_is_rejected(self):
         with pytest.raises(ConvergenceError):
             Spectrum.from_values([1.0 + 1.0j, 2.0])

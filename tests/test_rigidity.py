@@ -11,6 +11,7 @@ from formation_forge.rigidity import (
     TargetLengths,
     edge_errors,
     edge_vectors,
+    edges_aligned,
     in_singular_set,
     is_infinitesimally_rigid,
     is_minimally_rigid,
@@ -265,6 +266,33 @@ class TestSingularSet:
             z = edge_vectors(fw).z
             n1, n5 = np.hypot(*z[0]), np.hypot(*z[4])
             assert abs(planar_cross(z[0], z[4])) <= 1e-9 * n1 * n5
+
+
+class TestEdgesAligned:
+    @pytest.mark.parametrize(
+        "u, v, aligned",
+        [
+            ((1.0, 0.0), (2.0, 0.0), True),
+            ((1.0, 1.0), (-3.0, -3.0), True),
+            ((1.0, 0.0), (0.0, 1.0), False),
+            ((1.0, 0.0), (1.0, 5e-10), True),
+            ((1.0, 0.0), (1.0, 2e-9), False),
+            ((0.0, 0.0), (1.0, 0.0), False),
+            ((1.0, 0.0), (0.0, 0.0), False),
+            ((5e-10, 0.0), (1.0, 0.0), False),
+        ],
+    )
+    def test_cases(self, u, v, aligned):
+        assert edges_aligned(np.array(u), np.array(v), 1e-9) is aligned
+
+    def test_invariant_under_rotation_and_scale(self):
+        rng = np.random.default_rng(4)
+        for _ in range(50):
+            u = rng.normal(size=2)
+            theta = rng.uniform(0.0, 2.0 * np.pi)
+            rot = np.array([[np.cos(theta), -np.sin(theta)], [np.sin(theta), np.cos(theta)]])
+            scale = rng.uniform(0.1, 10.0) * rng.choice([-1.0, 1.0])
+            assert edges_aligned(rot @ u, scale * (rot @ u), 1e-9)
 
 
 class TestBlockRowRank:
