@@ -12,6 +12,7 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import json
+import math
 import sys
 from dataclasses import dataclass
 from pathlib import Path
@@ -44,6 +45,7 @@ from .rigidity import (
     edge_errors,
     is_infinitesimally_rigid,
     is_minimally_rigid,
+    length_errors,
     rigidity_matrix,
     singular_witnesses,
 )
@@ -91,11 +93,14 @@ _PARAM_TYPES = {
     "step": float,
 }
 
-# Lower bounds of the experiment parameters that have one, and their wording.
+# Bounds of the experiment parameters that have one, and their wording.
+# JSON as Python reads it admits Infinity and NaN, which no bound below
+# may let through to the integrator's step count.
 _PARAM_BOUNDS = {
     "n_random": (lambda v: v >= 0, "must not be negative"),
     "dedupe_tol": (lambda v: v >= 0, "must not be negative"),
-    "t_end": (lambda v: v > 0, "must be positive"),
+    "t_end": (lambda v: math.isfinite(v) and v > 0, "must be finite and positive"),
+    "step": (lambda v: math.isfinite(v) and v > 0, "must be finite and positive"),
     "stride": (lambda v: v >= 1, "must be at least 1"),
 }
 
@@ -394,13 +399,13 @@ def _run_simulate(sc, bundle, out, seed, tol):
     indices = list(range(0, len(traj.times), stride))
     if indices[-1] != len(traj.times) - 1:
         indices.append(len(traj.times) - 1)
-    rows = []
-    for i in indices:
-        x = traj.states[i].reshape(bundle.graph.n, 2)
-        fw = Framework(graph=bundle.graph, x=x)
-        errs = edge_errors(fw, bundle.lengths)
-        rows.append([_num(traj.times[i])] + [_num(v) for v in traj.states[i]]
-                    + [_num(e) for e in errs])
+    pts = traj.states[indices].reshape(len(indices), bundle.graph.n, 2)
+    z = pts[:, bundle.graph.targets()] - pts[:, bundle.graph.origins()]
+    errors = length_errors(z, bundle.lengths)
+    rows = [
+        [_num(traj.times[i])] + [_num(v) for v in traj.states[i]] + [_num(e) for e in errs]
+        for i, errs in zip(indices, errors)
+    ]
     header = ["t"]
     for i in range(bundle.graph.n):
         header += [f"x{i + 1}", f"y{i + 1}"]

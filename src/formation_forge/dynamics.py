@@ -10,6 +10,7 @@ singularity and bifurcation analyses lean on.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -17,6 +18,7 @@ import numpy as np
 
 from .errors import (
     ConfigurationError,
+    DimensionError,
     FormulaDomainError,
     InconsistentStateError,
     UnknownLawError,
@@ -38,7 +40,10 @@ class ControlLaw:
     and the squared current length ``s2``; working in squared quantities
     keeps the chain rule through ``s2 = z.z`` uniform across conventions.
     Compatibility requires the weight to vanish exactly when the edge
-    error does.
+    error does. ``weight`` and the derivatives broadcast over arrays;
+    ``float_weight``, which the field kernel calls, is the weight of one
+    edge as a float. Its default converts ``weight``; an override must
+    return the bits ``weight`` returns elementwise.
 
     Two-coleader agents evaluate their pair of weights through
     ``pair_weights``, which also receives the inner product of the two
@@ -59,6 +64,10 @@ class ControlLaw:
     def weight(self, d, s2):
         raise NotImplementedError
 
+    def float_weight(self, d, s2):
+        """The weight of one edge, for float ``d`` and ``s2``, as a float."""
+        return float(self.weight(d, s2))
+
     def weight_dlen(self, d, s2):
         """Derivative of the weight in the squared current length."""
         raise NotImplementedError
@@ -73,8 +82,8 @@ class ControlLaw:
 
     def pair_weights(self, d_pair, s2_pair, s):
         return (
-            self.weight(d_pair[0], s2_pair[0]),
-            self.weight(d_pair[1], s2_pair[1]),
+            self.float_weight(d_pair[0], s2_pair[0]),
+            self.float_weight(d_pair[1], s2_pair[1]),
         )
 
     def pair_cross(self, d_pair, s2_pair, s):
@@ -93,6 +102,9 @@ class GradientSquaredLaw(ControlLaw):
 
     def weight(self, d, s2):
         return self.gain * (np.asarray(s2, dtype=float) - d)
+
+    def float_weight(self, d, s2):
+        return self.gain * (s2 - d)
 
     def weight_dlen(self, d, s2):
         return self.gain * np.ones_like(np.asarray(s2, dtype=float))
@@ -116,6 +128,10 @@ class GradientPlainLaw(ControlLaw):
 
     def weight(self, d, s2):
         return self._sign * self.gain * (np.sqrt(np.asarray(s2, dtype=float)) - np.sqrt(d))
+
+    def float_weight(self, d, s2):
+        # math.sqrt is correctly rounded like np.sqrt; ``s2 ** 0.5`` is not.
+        return self._sign * self.gain * (math.sqrt(s2) - math.sqrt(d))
 
     def weight_dlen(self, d, s2):
         s2 = np.asarray(s2, dtype=float)
@@ -279,40 +295,65 @@ def _edge_state(b, z):
 
 
 def edge_weights(b: VectorFieldBundle, z):
-    """Per-edge feedback weights, evaluating coupled pairs where present.
+    """Per-edge feedback weights, in one loop over the graph's agents.
 
-    ``z`` holds the edge vectors stacked flat (2m) or as rows (m, 2).
+    ``z`` holds the edge vectors stacked flat (2m) or as rows (m, 2). A
+    flat list of floats, as :func:`eval_F_x` gathers it, gives a list;
+    any other input goes through numpy and gives an array. A lone edge
+    gets ``law.float_weight``, a two-coleader pair ``law.pair_weights``.
+    A coupled pair's inner product is numpy's dot, which may fuse the
+    multiply-add and so differ from float arithmetic in the last bit; it
+    is how coupled weights have always been computed. A separable law
+    ignores the product, which is then summed in floats, at no numpy cost.
     """
-    s2 = squared_lengths(z)
-    d = b.squared_targets
-    if b.law.separable:
-        return np.asarray(b.law.weight(d, s2), dtype=float)
-    zz = np.asarray(z, dtype=float).reshape(b.graph.m, 2)
+    as_list = isinstance(z, list) and (not z or isinstance(z[0], float))
+    zs = z if as_list else np.asarray(z, dtype=float).ravel().tolist()
+    law = b.law
+    d = b.lengths.d
     mats = graph_matrices(b.graph)
-    u = np.zeros(b.graph.m)
+    u = [0.0] * len(d)
     for k in mats["singles"]:
-        u[k] = float(b.law.weight(d[k], s2[k]))
+        zx, zy = zs[2 * k], zs[2 * k + 1]
+        u[k] = law.float_weight(d[k], zx * zx + zy * zy)
     for i, j in mats["pairs"]:
-        s = float(zz[i] @ zz[j])
-        u[i], u[j] = b.law.pair_weights((d[i], d[j]), (s2[i], s2[j]), s)
-    return u
+        zix, ziy, zjx, zjy = zs[2 * i], zs[2 * i + 1], zs[2 * j], zs[2 * j + 1]
+        if law.separable:
+            s = zix * zjx + ziy * zjy
+        else:
+            s = float(np.dot((zix, ziy), (zjx, zjy)))
+        u[i], u[j] = law.pair_weights(
+            (d[i], d[j]), (zix * zix + ziy * ziy, zjx * zjx + zjy * zjy), s
+        )
+    return u if as_list else np.array(u)
 
 
 def eval_F_x(b: VectorFieldBundle, x):
     """Agent velocities: each agent moves along its outgoing edge vectors.
 
     Decentralization is structural here, an agent's velocity only reads
-    the relative positions of the agents it observes. The edge vectors are
-    gathered and the weighted edges scattered back to their origins
-    through the graph's cached incidence matrices; ``x`` may be flat (2n)
-    or rows (n, 2), and the result has the same layout.
+    the relative positions of the agents it observes. One pass over the
+    graph's edge list on Python floats gathers the flat edge vectors,
+    :func:`edge_weights` weighs them, and each ``u_k z_k`` is added into
+    its origin agent in edge order; at a formation's few agents NumPy
+    would cost more in call overhead than in arithmetic. ``x`` may be flat
+    (2n) or rows (n, 2), and the result is an array of the same layout.
     """
     arr = np.asarray(x, dtype=float)
-    mats = graph_matrices(b.graph)
-    z = mats["mixed2"] @ arr.ravel()
+    xs = arr.ravel().tolist()
+    if len(xs) != 2 * b.graph.n:
+        raise DimensionError(f"{len(xs)} coordinates for {b.graph.n} planar agents")
+    edges = b.graph.edges
+    z = []
+    for o, t in edges:
+        z.append(xs[2 * t] - xs[2 * o])
+        z.append(xs[2 * t + 1] - xs[2 * o + 1])
     u = edge_weights(b, z)
-    xdot = mats["scatter2"] @ (u.repeat(2) * z)
-    return xdot if arr.ndim == 1 else xdot.reshape(b.graph.n, 2)
+    xdot = [0.0] * len(xs)
+    for k, (o, _) in enumerate(edges):
+        xdot[2 * o] += u[k] * z[2 * k]
+        xdot[2 * o + 1] += u[k] * z[2 * k + 1]
+    out = np.array(xdot)
+    return out if arr.ndim == 1 else out.reshape(b.graph.n, 2)
 
 
 def weight_slopes(law: ControlLaw, d, s2):

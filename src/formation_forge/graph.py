@@ -113,13 +113,10 @@ def outvalence(g: FormationGraph, v: int):
 def graph_matrices(g: FormationGraph):
     """Every matrix and index set the flow needs for ``g``, built once per graph.
 
-    ``mixed2`` gathers stacked edge vectors from stacked positions and
-    ``scatter2`` sums per-edge vectors into each edge's origin agent.
-    Each row of ``scatter2`` holds at most two ones, because agents
-    observe at most two others, so ``scatter2 @ v`` adds at most two
-    exact products to exact zeros and is bit-identical to summing the
-    origin's edges in edge order. The arrays are read-only because every
-    caller of the graph shares them.
+    ``singles`` and ``pairs`` group the edges by origin agent: the edge of
+    each agent that observes one other, and the two edges of each
+    two-coleader agent. The arrays are read-only because every caller of
+    the graph shares them.
     """
     mixed = mixed_adjacency(g)
     edge_adj = edge_adjacency(g)
@@ -134,7 +131,6 @@ def graph_matrices(g: FormationGraph):
     mats = {
         "mixed": mixed,
         "mixed2": kron_I2(mixed),
-        "scatter2": kron_I2((mixed < 0).T),
         "edge_adj": edge_adj,
         "edge_adj2": kron_I2(edge_adj),
         "cycles": left_nullspace(mixed, 1e-12),

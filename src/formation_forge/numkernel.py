@@ -11,6 +11,7 @@ fixed-step integrator whose output is bit-reproducible.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -249,39 +250,57 @@ def integrate_ode(f, x0, t_end, step=1e-3, method="rk4"):
 
     Only the classical 4th-order scheme is provided; the fixed step keeps
     trajectories deterministic so they can serve as golden fixtures. The
-    final state's vector-field norm is reported on the result. A
-    non-finite state aborts with :class:`BlowUpError` carrying the time;
-    the overflow on the way there raises no floating-point warning, so the
-    error is the only report of it. Times and states are written into
-    arrays allocated once for the whole run.
+    state is ``x0`` flattened, and ``f`` maps it as a 1-d array. Between
+    the calls of ``f`` the stages are Python floats, in the expression
+    order of the array form and with its bits, at a fraction of its call
+    overhead. The final state's vector-field norm is reported on the
+    result. A non-finite state aborts with :class:`BlowUpError` carrying
+    the time; the overflow on the way there raises no floating-point
+    warning, so the error is the only report of it. Times and states are
+    written into arrays allocated once for the whole run. A non-finite
+    ``t_end`` or ``step``, a step that is not positive, or a step count
+    that cannot index an array is a :class:`ConfigurationError`.
     """
     if method != "rk4":
         raise ConfigurationError(f"unknown integration method {method!r}")
+    t_end, step = float(t_end), float(step)
+    if not (math.isfinite(t_end) and math.isfinite(step)):
+        raise ConfigurationError(
+            f"integration end time and step must be finite, got {t_end!r} and {step!r}"
+        )
     if step <= 0:
         raise ConfigurationError("integration step must be positive")
-    x = np.atleast_1d(np.asarray(x0, dtype=float)).copy()
+    n_full, rem = divmod(t_end, step)
+    if n_full >= sys.maxsize:
+        raise ConfigurationError(
+            f"{n_full:.3g} integration steps cannot index an array; use a larger step"
+        )
+    x = np.asarray(x0, dtype=float).ravel().tolist()
 
     def fun(v):
-        return np.atleast_1d(np.asarray(f(v), dtype=float))
+        return np.asarray(f(np.array(v)), dtype=float).ravel().tolist()
 
-    n_full, rem = divmod(float(t_end), step)
     steps = [step] * int(n_full)
-    if rem > 1e-12 * max(1.0, abs(float(t_end))):
+    if rem > 1e-12 * max(1.0, abs(t_end)):
         steps.append(rem)
     times = np.empty(len(steps) + 1)
-    states = np.empty((len(steps) + 1,) + x.shape)
+    states = np.empty((len(steps) + 1, len(x)))
     times[0] = 0.0
     states[0] = x
     t = 0.0
     with np.errstate(over="ignore", invalid="ignore"):
         for i, h in enumerate(steps, 1):
+            half, sixth = 0.5 * h, h / 6.0
             k1 = fun(x)
-            k2 = fun(x + 0.5 * h * k1)
-            k3 = fun(x + 0.5 * h * k2)
-            k4 = fun(x + h * k3)
-            x = x + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+            k2 = fun([a + half * k for a, k in zip(x, k1)])
+            k3 = fun([a + half * k for a, k in zip(x, k2)])
+            k4 = fun([a + h * k for a, k in zip(x, k3)])
+            x = [
+                a + sixth * (((p + 2.0 * q) + 2.0 * r) + w)
+                for a, p, q, r, w in zip(x, k1, k2, k3, k4)
+            ]
             t += h
-            if not np.isfinite(x).all():
+            if not all(map(math.isfinite, x)):
                 raise BlowUpError(f"trajectory left the finite range at t={t:.6g}", time=t)
             times[i] = t
             states[i] = x

@@ -130,8 +130,13 @@ def edge_errors(f: Framework, lengths: TargetLengths):
 
 
 def length_errors(z, lengths: TargetLengths):
-    """Per-edge errors of edge vectors ``z`` (flat or rows) against ``lengths``."""
-    s2 = squared_lengths(z)
+    """Per-edge errors of edge vectors ``z`` against ``lengths``.
+
+    ``z`` is flat (2m), rows (m, 2), or a stack of rows (..., m, 2), whose
+    errors come back with the stack's leading shape.
+    """
+    z = np.asarray(z, dtype=float)
+    s2 = squared_lengths(z).reshape(z.shape[:-2] + (-1,))
     d = lengths.as_array()
     if lengths.convention == "plain":
         return np.sqrt(s2) - np.sqrt(d)

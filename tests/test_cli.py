@@ -343,6 +343,35 @@ class TestErrorPaths:
         assert out_text == ""
         assert record["error"] == "scenario"
 
+    @pytest.mark.parametrize(
+        "key, value",
+        [
+            ("t_end", float("inf")),
+            ("t_end", 1e300),
+            ("step", float("nan")),
+            ("step", float("inf")),
+            ("step", 0.0),
+            ("step", -1e-3),
+        ],
+    )
+    def test_unusable_simulate_time_grid_exits_2(self, tmp_path, capsys, key, value):
+        # JSON as Python reads it admits Infinity and NaN. A finite t_end
+        # whose step count overflows an array index is refused by the
+        # integrator, still as a validation error.
+        path = write_scenario(tmp_path, {"experiment": {"kind": "simulate", key: value}})
+        status = run_scenario(path, out_dir=tmp_path / "out")
+        record, out_text = read_stderr_record(capsys)
+        assert status == 2
+        assert out_text == ""
+        if key == "t_end" and value == 1e300:
+            assert record["error"] == "configuration"
+            assert "cannot index an array" in record["message"]
+        else:
+            assert record == {
+                "error": "scenario",
+                "message": f"experiment: key {key!r} must be finite and positive, got {value!r}",
+            }
+
     @pytest.mark.parametrize("tol", ["-1", "0", "nan"])
     def test_nonpositive_tol_exits_2(self, tmp_path, capsys, tol):
         out = tmp_path / "out"

@@ -1,12 +1,13 @@
-"""Tests for the flow kernel: the gather/scatter field, the weights, the integrator.
+"""Tests for the flow kernel: the per-edge field, the weights, the integrator.
 
-The agent field is checked bit for bit against the per-agent accumulation
-it replaced (``np.add.at`` over edge origins), which stays here as the
-reference. The trajectory hashes were recorded with that reference
-kernel, so any change to a bit of a trajectory fails them.
+The agent field is checked bit for bit against an accumulation per agent
+with ``np.add.at`` over edge origins and the weights on arrays, which
+stays here as the reference. The trajectory hashes were recorded with
+that reference kernel, so any change to a bit of a trajectory fails them.
 """
 
 import hashlib
+import math
 
 import numpy as np
 import pytest
@@ -21,15 +22,21 @@ from formation_forge.dynamics import (
     edge_weights,
     eval_F_x,
 )
+from formation_forge.errors import BlowUpError
 from formation_forge.graph import FormationGraph, two_cycles
 from formation_forge.numkernel import integrate_ode, squared_lengths
 from formation_forge.rigidity import TargetLengths
 
 # Agent 3 (1-based) observes nobody, so its velocity row is all zeros.
 LEADER_FOLLOWER = FormationGraph(n=3, edges=((0, 1), (0, 2), (1, 2)))
-GRAPHS = (two_cycles(), LEADER_FOLLOWER)
+# Two-cycles plus followers: agent 5 (1-based) observes 1 and 2, and agent 6
+# observes 5 and 3, so three agents are two-coleader agents.
+TWO_CYCLES_FOLLOWERS = FormationGraph(
+    n=6, edges=two_cycles().edges + ((4, 0), (4, 1), (5, 4), (5, 2))
+)
+GRAPHS = (two_cycles(), LEADER_FOLLOWER, TWO_CYCLES_FOLLOWERS)
 
-PLAIN_VALUES = (2.0, 2.6, 2.0, 3.3, 1.4, 1.7)
+PLAIN_VALUES = (2.0, 2.6, 2.0, 3.3, 1.4, 1.7, 2.2, 1.9, 3.1)
 
 
 def coupled_pair(d_pair, s2_pair, s):
@@ -85,8 +92,8 @@ class TestAgentField:
     @given(
         graph_index=st.integers(0, len(GRAPHS) - 1),
         law_name=st.sampled_from(BUILTIN_LAW_NAMES + ("pair",)),
-        coords=st.lists(coordinates, min_size=8, max_size=8),
-        collapse=st.one_of(st.none(), st.integers(0, 4)),
+        coords=st.lists(coordinates, min_size=12, max_size=12),
+        collapse=st.one_of(st.none(), st.integers(0, 8)),
     )
     def test_matches_the_add_at_reference_bit_for_bit(
         self, graph_index, law_name, coords, collapse
@@ -112,6 +119,14 @@ class TestAgentField:
         assert np.array_equal(xdot[4:], [0.0, 0.0])
         assert np.array_equal(xdot, add_at_field(b, x).ravel())
 
+    def test_coupled_pair_reads_numpy_dot_of_its_edges(self):
+        # Where BLAS fuses a multiply into the add, numpy's dot of edges 1
+        # and 5 here is 11.899500000000002 while the float sum
+        # z1x*z5x + z1y*z5y is 11.8995, and the coupled field would differ.
+        b = make_bundle(two_cycles(), "pair")
+        x = np.array([-2.04, 2.98, -0.24, 1.15, -2.67, -2.8, 2.08, 0.53])
+        assert np.array_equal(eval_F_x(b, x), add_at_field(b, x).ravel())
+
     @pytest.mark.parametrize("law_name", BUILTIN_LAW_NAMES + ("pair",))
     def test_zero_length_edge(self, law_name):
         b = make_bundle(two_cycles(), law_name)
@@ -134,12 +149,74 @@ class TestEdgeWeights:
         assert np.array_equal(squared_lengths(z), expected)
         assert np.array_equal(squared_lengths(z.ravel()), expected)
 
+    def test_a_flat_list_gives_a_list_of_the_same_weights(self):
+        for law_name in BUILTIN_LAW_NAMES + ("pair",):
+            b = make_bundle(TWO_CYCLES_FOLLOWERS, law_name)
+            z = np.random.default_rng(7).normal(size=(9, 2))
+            weights = edge_weights(b, z.ravel().tolist())
+            assert isinstance(weights, list)
+            assert np.array_equal(np.array(weights), edge_weights(b, z))
+
     def test_bundle_targets_are_read_only(self):
         b = make_bundle(two_cycles(), "gradient_squared")
         assert np.array_equal(b.squared_targets, b.lengths.as_array())
         assert b.squared_targets is b.squared_targets
         with pytest.raises(ValueError):
             b.squared_targets[0] = 1.0
+
+
+def same_bits(a, b):
+    return np.float64(a).tobytes() == np.float64(b).tobytes()
+
+
+HOOK_LAWS = BUILTIN_LAW_NAMES + ("custom",)
+
+# Squared target lengths are positive and finite; squared current lengths
+# are sums of squares, so they may be zero and may reach the float range.
+targets = st.floats(1e-300, 1e300, allow_nan=False, allow_infinity=False)
+squared_lengths_drawn = st.one_of(
+    st.just(0.0),
+    st.floats(0.0, 100.0),
+    st.floats(1e300, 1.7976931348623157e308),
+    st.floats(0.0, 1.7976931348623157e308),
+)
+
+
+class TestFloatWeightHook:
+    """The field kernel's per-edge weights against the array weights."""
+
+    @staticmethod
+    def hook_law(name, gain):
+        if name == "custom":
+            return CustomLaw(lambda d, s2: gain * (s2 - d) * (1.0 + s2), name="grown")
+        return builtin_law(name, gain=gain)
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        law_name=st.sampled_from(HOOK_LAWS),
+        gain=st.sampled_from((1.0, 0.3, 2.5)),
+        d=targets,
+        s2=squared_lengths_drawn,
+    )
+    def test_float_hook_matches_the_array_weight_bit_for_bit(self, law_name, gain, d, s2):
+        law = self.hook_law(law_name, gain)
+        with np.errstate(over="ignore"):
+            expected = law.weight(np.array([d]), np.array([s2]))[0]
+            got = law.float_weight(d, s2)
+        assert type(got) is float
+        assert same_bits(got, expected)
+
+    # Draws on [0, 100) where ``s2 ** 0.5`` (libm pow) and the correctly
+    # rounded square root differ; 1,697 of 2,000,000 uniform draws did.
+    POW_MISSES = (17.72267404746588, 37.7463431532434, 57.81557539306126, 8.22532882518997)
+
+    def test_the_plain_hook_needs_a_correctly_rounded_square_root(self):
+        law = builtin_law("gradient_plain")
+        for s2 in self.POW_MISSES:
+            assert same_bits(law.float_weight(4.0, s2), law.weight(4.0, np.array([s2]))[0])
+            assert math.sqrt(s2) == float(np.sqrt(s2))
+        # A hook written with ``** 0.5`` would break bit-identity with the arrays.
+        assert any(s2**0.5 != math.sqrt(s2) for s2 in self.POW_MISSES)
 
 
 # sha256 of ``states.tobytes()`` for the trajectory in ``pinned_trajectory``,
@@ -173,6 +250,21 @@ class TestIntegrator:
         traj = integrate_ode(lambda x: -x, [1.0, 2.0], 0.25, step=0.1)
         assert traj.states.shape == (4, 2)
         assert traj.times[-1] == pytest.approx(0.25)
+
+    def test_eq1_plain_blow_up_time_is_pinned(self):
+        # As printed, eq1_plain pushes a spread-out start apart in finite
+        # time; the time of the first non-finite state was recorded with the
+        # array kernel and the array integrator.
+        law = builtin_law("eq1_plain")
+        b = VectorFieldBundle(
+            graph=two_cycles(),
+            law=law,
+            lengths=TargetLengths.from_values(PLAIN_VALUES[:5], law.convention),
+        )
+        x0 = 2.0 * np.array([0.1, -0.2, 1.7, 0.3, 0.9, 1.6, -1.2, 1.1])
+        with pytest.raises(BlowUpError) as info:
+            integrate_ode(lambda x: eval_F_x(b, x), x0, 20.0, step=1e-3)
+        assert info.value.time == 0.23600000000000018
 
     @pytest.mark.parametrize("law_name", BUILTIN_LAW_NAMES)
     def test_trajectory_bits_are_pinned(self, law_name):

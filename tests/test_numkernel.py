@@ -297,6 +297,23 @@ class TestIntegrate:
         with pytest.raises(ConfigurationError):
             integrate_ode(lambda x: -x, 1.0, 1.0, method="euler")
 
+    @pytest.mark.parametrize(
+        "t_end, step",
+        [
+            (float("inf"), 1e-3),
+            (float("nan"), 1e-3),
+            (1.0, float("nan")),
+            (1.0, float("inf")),
+            (1.0, 0.0),
+            (1.0, -1e-3),
+            # 1e303 steps: more than an array index can count.
+            (1e300, 1e-3),
+        ],
+    )
+    def test_unusable_time_grid_is_a_configuration_error(self, t_end, step):
+        with pytest.raises(ConfigurationError):
+            integrate_ode(lambda x: -x, 1.0, t_end, step=step)
+
 
 class TestFiniteDifferences:
     def test_linear_map_is_exact(self):
