@@ -102,6 +102,8 @@ _PARAM_BOUNDS = {
     "t_end": (lambda v: math.isfinite(v) and v > 0, "must be finite and positive"),
     "step": (lambda v: math.isfinite(v) and v > 0, "must be finite and positive"),
     "stride": (lambda v: v >= 1, "must be at least 1"),
+    "eps": (lambda v: math.isfinite(v) and v > 0, "must be finite and positive"),
+    "samples": (lambda v: v >= 1, "must be at least 1"),
 }
 
 

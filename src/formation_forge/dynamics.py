@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property
 
 import numpy as np
 
@@ -24,7 +23,7 @@ from .errors import (
     UnknownLawError,
 )
 from .graph import FormationGraph, graph_matrices
-from .numkernel import fd_jacobian, squared_lengths
+from .numkernel import fd_jacobian
 from .rigidity import TargetLengths, edge_block_rows, length_errors
 
 BUILTIN_LAW_NAMES = ("gradient_squared", "gradient_plain", "eq1_plain")
@@ -36,14 +35,11 @@ _CYCLE_TOL = 1e-6
 class ControlLaw:
     """Scalar edge feedback ``u(d; length)`` with derivative hooks.
 
-    ``weight`` and its derivatives receive the stored squared target ``d``
-    and the squared current length ``s2``; working in squared quantities
-    keeps the chain rule through ``s2 = z.z`` uniform across conventions.
-    Compatibility requires the weight to vanish exactly when the edge
-    error does. ``weight`` and the derivatives broadcast over arrays;
-    ``float_weight``, which the field kernel calls, is the weight of one
-    edge as a float. Its default converts ``weight``; an override must
-    return the bits ``weight`` returns elementwise.
+    Every hook reads one edge: the stored squared target ``d`` and the
+    squared current length ``s2`` come in as floats and a float goes out.
+    Working in squared quantities keeps the chain rule through
+    ``s2 = z.z`` uniform across conventions. Compatibility requires the
+    weight to vanish exactly when the edge error does.
 
     Two-coleader agents evaluate their pair of weights through
     ``pair_weights``, which also receives the inner product of the two
@@ -64,10 +60,6 @@ class ControlLaw:
     def weight(self, d, s2):
         raise NotImplementedError
 
-    def float_weight(self, d, s2):
-        """The weight of one edge, for float ``d`` and ``s2``, as a float."""
-        return float(self.weight(d, s2))
-
     def weight_dlen(self, d, s2):
         """Derivative of the weight in the squared current length."""
         raise NotImplementedError
@@ -81,10 +73,7 @@ class ControlLaw:
         raise NotImplementedError
 
     def pair_weights(self, d_pair, s2_pair, s):
-        return (
-            self.float_weight(d_pair[0], s2_pair[0]),
-            self.float_weight(d_pair[1], s2_pair[1]),
-        )
+        return self.weight(d_pair[0], s2_pair[0]), self.weight(d_pair[1], s2_pair[1])
 
     def pair_cross(self, d_pair, s2_pair, s):
         """Cross derivatives (du_a/ds2_b, du_b/ds2_a) for a coupled pair."""
@@ -101,23 +90,24 @@ class GradientSquaredLaw(ControlLaw):
     convention = "squared"
 
     def weight(self, d, s2):
-        return self.gain * (np.asarray(s2, dtype=float) - d)
-
-    def float_weight(self, d, s2):
         return self.gain * (s2 - d)
 
     def weight_dlen(self, d, s2):
-        return self.gain * np.ones_like(np.asarray(s2, dtype=float))
+        return self.gain
 
     def weight_dtarget(self, d, s2):
-        return -self.gain * np.ones_like(np.asarray(s2, dtype=float))
+        return -self.gain
 
     def weight_dlen2(self, d, s2):
-        return np.zeros_like(np.asarray(s2, dtype=float))
+        return 0.0
 
 
 class GradientPlainLaw(ControlLaw):
-    """Weight equal to the plain-length error: ``u = gain * (|z| - sqrt(d))``."""
+    """Weight equal to the plain-length error: ``u = gain * (|z| - sqrt(d))``.
+
+    The square roots are ``math.sqrt``, which is correctly rounded;
+    ``s2 ** 0.5`` is not, and would move the last bit of some weights.
+    """
 
     name = "gradient_plain"
     convention = "plain"
@@ -127,24 +117,16 @@ class GradientPlainLaw(ControlLaw):
         self._sign = float(sign)
 
     def weight(self, d, s2):
-        return self._sign * self.gain * (np.sqrt(np.asarray(s2, dtype=float)) - np.sqrt(d))
-
-    def float_weight(self, d, s2):
-        # math.sqrt is correctly rounded like np.sqrt; ``s2 ** 0.5`` is not.
         return self._sign * self.gain * (math.sqrt(s2) - math.sqrt(d))
 
     def weight_dlen(self, d, s2):
-        s2 = np.asarray(s2, dtype=float)
-        return self._sign * self.gain / (2.0 * np.sqrt(s2))
+        return self._sign * self.gain / (2.0 * math.sqrt(s2))
 
     def weight_dtarget(self, d, s2):
-        d = np.asarray(d, dtype=float)
-        s2 = np.asarray(s2, dtype=float)
-        return -self._sign * self.gain / (2.0 * np.sqrt(d)) * np.ones_like(s2)
+        return -self._sign * self.gain / (2.0 * math.sqrt(d))
 
     def weight_dlen2(self, d, s2):
-        s2 = np.asarray(s2, dtype=float)
-        return -self._sign * self.gain / (4.0 * s2**1.5)
+        return -self._sign * self.gain / (4.0 * s2 * math.sqrt(s2))
 
 
 class Eq1PlainLaw(GradientPlainLaw):
@@ -186,34 +168,23 @@ class CustomLaw(ControlLaw):
         self.separable = pair_func is None
 
     def weight(self, d, s2):
-        f = np.vectorize(lambda a, b: float(self._func(a, b)))
-        return f(d, s2)
+        return float(self._func(d, s2))
 
     def _step(self, v):
         return 1e-6 * max(1.0, abs(float(v)))
 
     def weight_dlen(self, d, s2):
-        def one(a, b):
-            h = self._step(b)
-            return (self._func(a, b + h) - self._func(a, b - h)) / (2.0 * h)
-
-        return np.vectorize(one)(d, s2)
+        h = self._step(s2)
+        return (self._func(d, s2 + h) - self._func(d, s2 - h)) / (2.0 * h)
 
     def weight_dtarget(self, d, s2):
-        def one(a, b):
-            h = self._step(a)
-            return (self._func(a + h, b) - self._func(a - h, b)) / (2.0 * h)
-
-        return np.vectorize(one)(d, s2)
+        h = self._step(d)
+        return (self._func(d + h, s2) - self._func(d - h, s2)) / (2.0 * h)
 
     def weight_dlen2(self, d, s2):
-        def one(a, b):
-            h = 1e-4 * max(1.0, abs(float(b)))
-            return (self._func(a, b + h) - 2.0 * self._func(a, b) + self._func(a, b - h)) / (
-                h * h
-            )
-
-        return np.vectorize(one)(d, s2)
+        h = 1e-4 * max(1.0, abs(float(s2)))
+        f = self._func
+        return (f(d, s2 + h) - 2.0 * f(d, s2) + f(d, s2 - h)) / (h * h)
 
     def pair_weights(self, d_pair, s2_pair, s):
         if self._pair is None:
@@ -279,13 +250,6 @@ class VectorFieldBundle:
         """Orthonormal basis of the graph's cycle space, from the graph cache."""
         return graph_matrices(self.graph)["cycles"]
 
-    @cached_property
-    def squared_targets(self):
-        """The stored squared target lengths as a read-only array."""
-        d = self.lengths.as_array()
-        d.flags.writeable = False
-        return d
-
 
 def _edge_state(b, z):
     arr = np.asarray(z, dtype=float)
@@ -300,7 +264,7 @@ def edge_weights(b: VectorFieldBundle, z):
     ``z`` holds the edge vectors stacked flat (2m) or as rows (m, 2). A
     flat list of floats, as :func:`eval_F_x` gathers it, gives a list;
     any other input goes through numpy and gives an array. A lone edge
-    gets ``law.float_weight``, a two-coleader pair ``law.pair_weights``.
+    gets ``law.weight``, a two-coleader pair ``law.pair_weights``.
     A coupled pair's inner product is numpy's dot, which may fuse the
     multiply-add and so differ from float arithmetic in the last bit; it
     is how coupled weights have always been computed. A separable law
@@ -314,7 +278,7 @@ def edge_weights(b: VectorFieldBundle, z):
     u = [0.0] * len(d)
     for k in mats["singles"]:
         zx, zy = zs[2 * k], zs[2 * k + 1]
-        u[k] = law.float_weight(d[k], zx * zx + zy * zy)
+        u[k] = law.weight(d[k], zx * zx + zy * zy)
     for i, j in mats["pairs"]:
         zix, ziy, zjx, zjy = zs[2 * i], zs[2 * i + 1], zs[2 * j], zs[2 * j + 1]
         if law.separable:
@@ -357,21 +321,14 @@ def eval_F_x(b: VectorFieldBundle, x):
 
 
 def weight_slopes(law: ControlLaw, d, s2):
-    """``law.weight_dlen`` over matching arrays, zero on zero-length edges.
+    """``law.weight_dlen`` over matching sequences of floats, as a list.
 
-    Callers multiply the slope by the edge vector or its squared length,
-    a product whose limit on a vanishing edge is zero for both built-in
-    laws. ``gradient_plain`` returns an infinite slope there, which would
-    turn that product into nan.
+    A zero-length edge gets slope zero. Callers multiply the slope by the
+    edge vector's outer product or its squared length, a product whose
+    limit on a vanishing edge is zero for both built-in laws;
+    ``gradient_plain``'s slope divides by zero there.
     """
-    s2 = np.asarray(s2, dtype=float)
-    nonzero = s2 > 0.0
-    if nonzero.all():
-        return np.asarray(law.weight_dlen(d, s2), dtype=float)
-    slopes = np.zeros(s2.shape)
-    if nonzero.any():
-        slopes[nonzero] = law.weight_dlen(np.asarray(d, dtype=float)[nonzero], s2[nonzero])
-    return slopes
+    return [0.0 if s == 0.0 else law.weight_dlen(dk, s) for dk, s in zip(d, s2)]
 
 
 def jacobian_x(b: VectorFieldBundle, x):
@@ -379,25 +336,37 @@ def jacobian_x(b: VectorFieldBundle, x):
 
     Edge ``k`` from ``o`` to ``t`` adds ``M_k = u_k I + 2 u'_k z_k z_k^T``
     at block ``(o, t)`` and ``-M_k`` at block ``(o, o)``, where ``u'`` is
-    the weight's derivative in the squared length. Unlike
-    :func:`jacobian_z` this holds away from equilibria too. A law that
-    couples a two-coleader pair has no such per-edge blocks, so
-    non-separable laws fall back to central differences of the field.
+    the weight's derivative in the squared length. The blocks are summed
+    in one loop over the edge list on Python floats, like
+    :func:`eval_F_x`. Unlike :func:`jacobian_z` this holds away from
+    equilibria too. A law that couples a two-coleader pair has no such
+    per-edge blocks, so non-separable laws fall back to central
+    differences of the field.
     """
-    pts = np.asarray(x, dtype=float).reshape(b.graph.n, 2)
-    if not b.law.separable:
-        return fd_jacobian(lambda v: eval_F_x(b, v), pts.ravel())
-    mats = graph_matrices(b.graph)
-    z = pts[mats["targets"]] - pts[mats["origins"]]
-    s2 = squared_lengths(z)
-    d = b.squared_targets
-    u = np.asarray(b.law.weight(d, s2), dtype=float)
-    slopes2 = 2.0 * weight_slopes(b.law, d, s2)
-    blocks = slopes2[:, None, None] * z[:, :, None] * z[:, None, :]
-    blocks[:, 0, 0] += u
-    blocks[:, 1, 1] += u
+    arr = np.asarray(x, dtype=float).ravel()
     n2 = 2 * b.graph.n
-    return np.einsum("kab,kij->aibj", mats["incidence"], blocks).reshape(n2, n2)
+    if arr.size != n2:
+        raise DimensionError(f"{arr.size} coordinates for {b.graph.n} planar agents")
+    if not b.law.separable:
+        return fd_jacobian(lambda v: eval_F_x(b, v), arr)
+    xs = arr.tolist()
+    edges = b.graph.edges
+    z = [(xs[2 * t] - xs[2 * o], xs[2 * t + 1] - xs[2 * o + 1]) for o, t in edges]
+    s2 = [zx * zx + zy * zy for zx, zy in z]
+    d = b.lengths.d
+    slopes = weight_slopes(b.law, d, s2)
+    jac = [[0.0] * n2 for _ in range(n2)]
+    for k, (o, t) in enumerate(edges):
+        zx, zy = z[k]
+        u = b.law.weight(d[k], s2[k])
+        w = 2.0 * slopes[k]
+        rows = ((w * zx) * zx + u, (w * zx) * zy), ((w * zy) * zx, (w * zy) * zy + u)
+        for row, (mx, my) in zip((jac[2 * o], jac[2 * o + 1]), rows):
+            row[2 * t] += mx
+            row[2 * t + 1] += my
+            row[2 * o] -= mx
+            row[2 * o + 1] -= my
+    return np.array(jac)
 
 
 def eval_F_z(b: VectorFieldBundle, z, check=True):
@@ -441,9 +410,9 @@ def zprime_vectors(b: VectorFieldBundle, z):
     cross derivative, which is zero for all built-in laws.
     """
     zz, _ = _edge_state(b, z)
-    s2 = squared_lengths(zz)
-    d = b.squared_targets
-    zp = 2.0 * np.asarray(b.law.weight_dlen(d, s2), dtype=float)[:, None] * zz
+    s2 = [zx * zx + zy * zy for zx, zy in zz.tolist()]
+    d = b.lengths.d
+    zp = np.array([2.0 * b.law.weight_dlen(dk, s) for dk, s in zip(d, s2)])[:, None] * zz
     if not b.law.separable:
         for i, j in graph_matrices(b.graph)["pairs"]:
             s = float(zz[i] @ zz[j])
@@ -460,9 +429,9 @@ def zdprime_vectors(b: VectorFieldBundle, z):
     squared targets, up to the edge adjacency factor.
     """
     zz, _ = _edge_state(b, z)
-    s2 = squared_lengths(zz)
-    d = b.squared_targets
-    return np.asarray(b.law.weight_dtarget(d, s2), dtype=float)[:, None] * zz
+    s2 = [zx * zx + zy * zy for zx, zy in zz.tolist()]
+    c = [b.law.weight_dtarget(dk, s) for dk, s in zip(b.lengths.d, s2)]
+    return np.array(c)[:, None] * zz
 
 
 def jacobian_z(b: VectorFieldBundle, z):
@@ -513,9 +482,9 @@ def verify_compatibility(law: ControlLaw, d_samples, s_samples=(0.0, 1.0, -2.5))
     worst = 0.0
     for d in d_samples:
         d = float(d)
-        worst = max(worst, abs(float(law.weight(d, d))))
+        worst = max(worst, abs(law.weight(d, d)))
         for d2 in d_samples:
             for s in s_samples:
                 ua, ub = law.pair_weights((d, float(d2)), (d, float(d2)), float(s))
-                worst = max(worst, abs(float(ua)), abs(float(ub)))
+                worst = max(worst, abs(ua), abs(ub))
     return worst

@@ -303,9 +303,9 @@ def _aligned_system(law, d, a, bb, sigma):
         return None
     alpha, beta = triangle
     gap = alpha - bb
-    s2 = np.array([a * a, gap * gap + beta * beta, bb * bb])
-    dk = d[[0, 3, 4]]
-    u = np.asarray(law.weight(dk, s2), dtype=float)
+    s2 = [a * a, gap * gap + beta * beta, bb * bb]
+    dk = [d[0], d[3], d[4]]
+    u = [law.weight(dk_i, s2_i) for dk_i, s2_i in zip(dk, s2)]
     du = weight_slopes(law, dk, s2)
     dalpha = 0.5 - (d[2] - d[1]) / (2.0 * a * a)
     res = np.array([u[1], u[0] * a + u[2] * bb])

@@ -74,7 +74,7 @@ def two_cycles():
 
 
 def mixed_adjacency(g: FormationGraph):
-    """Edge-by-vertex signed incidence: -1 at the origin, +1 at the target.
+    """Edge-by-vertex signed adjacency: -1 at the origin, +1 at the target.
 
     Stacked edge vectors are recovered as ``kron_I2(mixed_adjacency(g)) @ x``.
     """
@@ -118,25 +118,14 @@ def graph_matrices(g: FormationGraph):
     two-coleader agent. The arrays are read-only because every caller of
     the graph shares them.
     """
-    mixed = mixed_adjacency(g)
     edge_adj = edge_adjacency(g)
     by_origin = {}
     for k, (o, _) in enumerate(g.edges):
         by_origin.setdefault(o, []).append(k)
-    # incidence[k] = e_o (e_t - e_o)^T: where edge k's block enters the x-Jacobian
-    incidence = np.zeros((g.m, g.n, g.n))
-    for k, (o, t) in enumerate(g.edges):
-        incidence[k, o, t] = 1.0
-        incidence[k, o, o] = -1.0
     mats = {
-        "mixed": mixed,
-        "mixed2": kron_I2(mixed),
         "edge_adj": edge_adj,
         "edge_adj2": kron_I2(edge_adj),
-        "cycles": left_nullspace(mixed, 1e-12),
-        "origins": g.origins(),
-        "targets": g.targets(),
-        "incidence": incidence,
+        "cycles": left_nullspace(mixed_adjacency(g), 1e-12),
         "singles": tuple(ks[0] for ks in by_origin.values() if len(ks) == 1),
         "pairs": tuple(tuple(ks) for ks in by_origin.values() if len(ks) == 2),
     }

@@ -372,6 +372,30 @@ class TestErrorPaths:
                 "message": f"experiment: key {key!r} must be finite and positive, got {value!r}",
             }
 
+    @pytest.mark.parametrize(
+        "key, value, wording",
+        [
+            ("eps", float("inf"), "must be finite and positive"),
+            ("eps", float("nan"), "must be finite and positive"),
+            ("eps", -0.2, "must be finite and positive"),
+            ("eps", 0.0, "must be finite and positive"),
+            ("samples", 0, "must be at least 1"),
+        ],
+    )
+    def test_unusable_sweep_grid_exits_2(self, tmp_path, capsys, key, value, wording):
+        # Unchecked, an infinite eps puts NumPy warnings on stderr and a NaN
+        # one surfaces as infeasible target lengths, so both are refused
+        # at load time with the zero and negative ones.
+        path = write_scenario(tmp_path, {"experiment": {"kind": "sweep", key: value}})
+        status = run_scenario(path, out_dir=tmp_path / "out")
+        record, out_text = read_stderr_record(capsys)
+        assert status == 2
+        assert out_text == ""
+        assert record == {
+            "error": "scenario",
+            "message": f"experiment: key {key!r} {wording}, got {value!r}",
+        }
+
     @pytest.mark.parametrize("tol", ["-1", "0", "nan"])
     def test_nonpositive_tol_exits_2(self, tmp_path, capsys, tol):
         out = tmp_path / "out"

@@ -142,9 +142,8 @@ class TestEdgeAdjacency:
     def test_bundle_is_consistent(self):
         g = two_cycles()
         mats = graph_matrices(g)
-        assert np.array_equal(mats["mixed"], mixed_adjacency(g))
         assert np.array_equal(mats["edge_adj"], edge_adjacency(g))
-        assert np.array_equal(mats["mixed2"], kron_I2(mixed_adjacency(g)))
+        assert np.array_equal(mats["edge_adj2"], kron_I2(edge_adjacency(g)))
 
 
 class TestOutvalence:

@@ -1,9 +1,11 @@
-"""Tests for the flow kernel: the per-edge field, the weights, the integrator.
+"""Tests for the flow kernel: the per-edge field, its Jacobian, the weights,
+the integrator.
 
 The agent field is checked bit for bit against an accumulation per agent
-with ``np.add.at`` over edge origins and the weights on arrays, which
-stays here as the reference. The trajectory hashes were recorded with
-that reference kernel, so any change to a bit of a trajectory fails them.
+with ``np.add.at`` over edge origins, and ``jacobian_x`` against an
+``einsum`` of its edge blocks over the graph's incidence; both stay here
+as references. The trajectory hashes were recorded with the reference
+field, so any change to a bit of a trajectory fails them.
 """
 
 import hashlib
@@ -21,6 +23,7 @@ from formation_forge.dynamics import (
     builtin_law,
     edge_weights,
     eval_F_x,
+    jacobian_x,
 )
 from formation_forge.errors import BlowUpError
 from formation_forge.graph import FormationGraph, two_cycles
@@ -65,23 +68,46 @@ def add_at_field(b, x):
     z = pts[b.graph.targets()] - pts[origins]
     s2 = np.sum(z * z, axis=1)
     d = b.lengths.as_array()
-    if b.law.separable:
-        u = np.asarray(b.law.weight(d, s2), dtype=float)
-    else:
-        by_origin = {}
-        for k, o in enumerate(origins):
-            by_origin.setdefault(int(o), []).append(k)
-        u = np.zeros(b.graph.m)
-        for ks in by_origin.values():
-            if len(ks) == 1:
-                u[ks[0]] = float(b.law.weight(d[ks[0]], s2[ks[0]]))
-            else:
-                i, j = ks
-                s = float(z[i] @ z[j])
-                u[i], u[j] = b.law.pair_weights((d[i], d[j]), (s2[i], s2[j]), s)
+    by_origin = {}
+    for k, o in enumerate(origins):
+        by_origin.setdefault(int(o), []).append(k)
+    u = np.zeros(b.graph.m)
+    for ks in by_origin.values():
+        if len(ks) == 1:
+            u[ks[0]] = float(b.law.weight(d[ks[0]], s2[ks[0]]))
+        else:
+            i, j = ks
+            s = float(z[i] @ z[j])
+            u[i], u[j] = b.law.pair_weights((d[i], d[j]), (s2[i], s2[j]), s)
     xdot = np.zeros_like(pts)
     np.add.at(xdot, origins, u[:, None] * z)
     return xdot
+
+
+def einsum_jacobian(b, x):
+    """``jacobian_x`` as the edge blocks ``u I + 2u' z z^T`` summed by ``einsum``.
+
+    ``incidence[k] = e_o (e_t - e_o)^T`` places edge ``k``'s block in the
+    agent Jacobian. The weight and slope of each edge come from the law's
+    hooks, with slope zero on a zero-length edge.
+    """
+    g = b.graph
+    pts = np.asarray(x, dtype=float).reshape(g.n, 2)
+    z = pts[g.targets()] - pts[g.origins()]
+    s2 = np.sum(z * z, axis=1)
+    d = b.lengths.d
+    u = np.array([float(b.law.weight(d[k], s2[k])) for k in range(g.m)])
+    slopes = np.array(
+        [0.0 if s2[k] == 0.0 else float(b.law.weight_dlen(d[k], s2[k])) for k in range(g.m)]
+    )
+    blocks = (2.0 * slopes)[:, None, None] * z[:, :, None] * z[:, None, :]
+    blocks[:, 0, 0] += u
+    blocks[:, 1, 1] += u
+    incidence = np.zeros((g.m, g.n, g.n))
+    for k, (o, t) in enumerate(g.edges):
+        incidence[k, o, t] = 1.0
+        incidence[k, o, o] = -1.0
+    return np.einsum("kab,kij->aibj", incidence, blocks).reshape(2 * g.n, 2 * g.n)
 
 
 coordinates = st.floats(-5.0, 5.0, allow_nan=False, allow_infinity=False)
@@ -157,12 +183,25 @@ class TestEdgeWeights:
             assert isinstance(weights, list)
             assert np.array_equal(np.array(weights), edge_weights(b, z))
 
-    def test_bundle_targets_are_read_only(self):
-        b = make_bundle(two_cycles(), "gradient_squared")
-        assert np.array_equal(b.squared_targets, b.lengths.as_array())
-        assert b.squared_targets is b.squared_targets
-        with pytest.raises(ValueError):
-            b.squared_targets[0] = 1.0
+
+
+class TestJacobianX:
+    @settings(max_examples=150, deadline=None)
+    @given(
+        graph=st.sampled_from((two_cycles(), TWO_CYCLES_FOLLOWERS)),
+        law_name=st.sampled_from(BUILTIN_LAW_NAMES),
+        coords=st.lists(coordinates, min_size=12, max_size=12),
+        collapse=st.one_of(st.none(), st.integers(0, 8)),
+    )
+    def test_matches_the_einsum_reference_bit_for_bit(self, graph, law_name, coords, collapse):
+        b = make_bundle(graph, law_name)
+        pts = np.asarray(coords[: 2 * graph.n]).reshape(graph.n, 2)
+        if collapse is not None:
+            o, t = graph.edges[collapse % graph.m]
+            pts[t] = pts[o]
+        expected = einsum_jacobian(b, pts)
+        assert np.array_equal(jacobian_x(b, pts), expected)
+        assert np.array_equal(jacobian_x(b, pts.ravel()), expected)
 
 
 def same_bits(a, b):
@@ -182,8 +221,19 @@ squared_lengths_drawn = st.one_of(
 )
 
 
+def numpy_weight(law_name, gain, d, s2):
+    """The weight of each hook law written on NumPy arrays of one element."""
+    d, s2 = np.array([d]), np.array([s2])
+    if law_name == "gradient_squared":
+        return (gain * (s2 - d))[0]
+    if law_name == "custom":
+        return (gain * (s2 - d) * (1.0 + s2))[0]
+    sign = -1.0 if law_name == "eq1_plain" else 1.0
+    return (sign * gain * (np.sqrt(s2) - np.sqrt(d)))[0]
+
+
 class TestFloatWeightHook:
-    """The field kernel's per-edge weights against the array weights."""
+    """The scalar ``weight`` hooks against the same formulas on NumPy arrays."""
 
     @staticmethod
     def hook_law(name, gain):
@@ -201,8 +251,8 @@ class TestFloatWeightHook:
     def test_float_hook_matches_the_array_weight_bit_for_bit(self, law_name, gain, d, s2):
         law = self.hook_law(law_name, gain)
         with np.errstate(over="ignore"):
-            expected = law.weight(np.array([d]), np.array([s2]))[0]
-            got = law.float_weight(d, s2)
+            expected = numpy_weight(law_name, gain, d, s2)
+        got = law.weight(d, s2)
         assert type(got) is float
         assert same_bits(got, expected)
 
@@ -213,7 +263,7 @@ class TestFloatWeightHook:
     def test_the_plain_hook_needs_a_correctly_rounded_square_root(self):
         law = builtin_law("gradient_plain")
         for s2 in self.POW_MISSES:
-            assert same_bits(law.float_weight(4.0, s2), law.weight(4.0, np.array([s2]))[0])
+            assert same_bits(law.weight(4.0, s2), numpy_weight("gradient_plain", 1.0, 4.0, s2))
             assert math.sqrt(s2) == float(np.sqrt(s2))
         # A hook written with ``** 0.5`` would break bit-identity with the arrays.
         assert any(s2**0.5 != math.sqrt(s2) for s2 in self.POW_MISSES)
