@@ -10,6 +10,7 @@ to stderr.
 from __future__ import annotations
 
 import argparse
+import csv
 import dataclasses
 import json
 import math
@@ -19,11 +20,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .bifurcation import (
-    mu_sweep,
-    sotomayor_at_witness,
-    transcritical_detect,
-)
+from .bifurcation import mu_sweep, sotomayor_at_witness, transcritical_detect
 from .dynamics import VectorFieldBundle, builtin_law, eval_F_x
 from .equilibria import (
     census,
@@ -32,11 +29,7 @@ from .equilibria import (
     equilibrium_record,
     solve_ancillary_aligned,
 )
-from .errors import (
-    FormationForgeError,
-    FormulaDomainError,
-    ScenarioError,
-)
+from .errors import FormationForgeError, FormulaDomainError, ScenarioError
 from .graph import FormationGraph
 from .numkernel import integrate_ode, rank_tol
 from .rigidity import (
@@ -51,7 +44,6 @@ from .rigidity import (
 )
 
 SCENARIO_FORMAT = 1
-EXPERIMENTS = ("census", "spectrum", "sweep", "sotomayor", "simulate", "rigidity")
 
 _TOP_KEYS = {"format", "name", "graph", "lengths", "law", "experiment", "seed", "out"}
 
@@ -71,40 +63,33 @@ class Scenario:
     out: str | None
 
 
-@dataclass(frozen=True, eq=False)
-class RunResult:
-    """Everything an experiment produced, ready for report rendering."""
+# A bound is a test of a value against the graph's edge count m and the
+# wording when it fails. JSON as Python reads it admits Infinity and NaN,
+# which no bound lets through to the integrator's step count or the sweep.
+_POSITIVE = (
+    lambda v, m: math.isfinite(v) and v > 0, "must be finite and positive, got {v!r}"
+)
+_NON_NEGATIVE = (lambda v, m: v >= 0, "must not be negative, got {v!r}")
+_AT_LEAST_ONE = (lambda v, m: v >= 1, "must be at least 1, got {v!r}")
 
-    kind: str
-    scenario: Scenario
-    bundle: VectorFieldBundle | None
-    payload: dict
-
-
-# Types of the experiment parameters the runners read; other keys are ignored.
-_PARAM_TYPES = {
-    "n_random": int,
-    "samples": int,
-    "mu_edge": int,
-    "stride": int,
-    "dedupe_tol": float,
-    "eps": float,
-    "t_end": float,
-    "step": float,
+# Every experiment parameter: its type, its default and its bound. Any
+# experiment may carry any of these keys; each reads its own.
+_PARAMS = {
+    "n_random": (int, 200, *_NON_NEGATIVE),
+    "dedupe_tol": (float, 1e-6, *_NON_NEGATIVE),
+    "eps": (float, 0.2, *_POSITIVE),
+    "samples": (int, 21, *_AT_LEAST_ONE),
+    "mu_edge": (int, 3, lambda v, m: 1 <= v <= m, "must name an edge from 1 to {m}"),
+    "t_end": (float, 10.0, *_POSITIVE),
+    "step": (float, 1e-3, *_POSITIVE),
+    "stride": (int, 50, *_AT_LEAST_ONE),
 }
 
-# Bounds of the experiment parameters that have one, and their wording.
-# JSON as Python reads it admits Infinity and NaN, which no bound below
-# may let through to the integrator's step count.
-_PARAM_BOUNDS = {
-    "n_random": (lambda v: v >= 0, "must not be negative"),
-    "dedupe_tol": (lambda v: v >= 0, "must not be negative"),
-    "t_end": (lambda v: math.isfinite(v) and v > 0, "must be finite and positive"),
-    "step": (lambda v: math.isfinite(v) and v > 0, "must be finite and positive"),
-    "stride": (lambda v: v >= 1, "must be at least 1"),
-    "eps": (lambda v: math.isfinite(v) and v > 0, "must be finite and positive"),
-    "samples": (lambda v: v >= 1, "must be at least 1"),
-}
+
+def _param(sc, key):
+    """The experiment parameter ``key``: the scenario's value, else the default."""
+    kind, default, _, _ = _PARAMS[key]
+    return kind(sc.params[key] if key in sc.params else default)
 
 
 def _check_type(value, kind, what, where):
@@ -120,13 +105,28 @@ def _check_type(value, kind, what, where):
     return value
 
 
+def _checked(value, key, kind, within, wording, where, m):
+    """``value`` of key ``key``, refused unless of ``kind`` and ``within(value, m)``."""
+    _check_type(value, kind, f"key {key!r}", where)
+    if not within(value, m):
+        raise ScenarioError(f"key {key!r} " + wording.format(v=value, m=m), position=where)
+    return value
+
+
 def _require(raw, key, kind, where):
+    """The required key's value, of type ``kind`` (never a JSON boolean)."""
     if key not in raw:
         raise ScenarioError(f"missing required key {key!r}", position=where)
     value = raw[key]
-    if not isinstance(value, kind):
+    if isinstance(value, bool) or not isinstance(value, kind):
         raise ScenarioError(f"key {key!r} must be of type {kind.__name__}", position=where)
     return value
+
+
+def _refuse_unknown(raw, known, noun, where):
+    unknown = sorted(set(raw) - set(known))
+    if unknown:
+        raise ScenarioError(f"unknown {noun} keys: {', '.join(unknown)}", position=where)
 
 
 def load_scenario(path):
@@ -144,9 +144,7 @@ def load_scenario(path):
         )
     if not isinstance(raw, dict):
         raise ScenarioError("scenario root must be an object", position=p.name)
-    unknown = sorted(set(raw) - _TOP_KEYS)
-    if unknown:
-        raise ScenarioError(f"unknown scenario keys: {', '.join(unknown)}", position=p.name)
+    _refuse_unknown(raw, _TOP_KEYS, "scenario", p.name)
     fmt = _require(raw, "format", int, p.name)
     if fmt != SCENARIO_FORMAT:
         raise ScenarioError(
@@ -155,6 +153,7 @@ def load_scenario(path):
         )
 
     graph_raw = _require(raw, "graph", dict, p.name)
+    _refuse_unknown(graph_raw, ("vertices", "edges"), "graph", "graph")
     vertices = _require(graph_raw, "vertices", int, "graph")
     edges_raw = _require(graph_raw, "edges", list, "graph")
     edges = []
@@ -171,6 +170,7 @@ def load_scenario(path):
     graph = FormationGraph(n=vertices, edges=tuple(edges))
 
     lengths_raw = _require(raw, "lengths", dict, p.name)
+    _refuse_unknown(lengths_raw, ("values", "convention"), "lengths", "lengths")
     values = tuple(
         float(_check_type(v, float, f"length value {i + 1}", "lengths"))
         for i, v in enumerate(_require(lengths_raw, "values", list, "lengths"))
@@ -187,29 +187,29 @@ def load_scenario(path):
         )
 
     law_raw = _require(raw, "law", dict, p.name)
+    _refuse_unknown(law_raw, ("name", "gain", "sign_corrected"), "law", "law")
     law_name = _require(law_raw, "name", str, "law")
-    law_gain = float(_check_type(law_raw.get("gain", 1.0), float, "key 'gain'", "law"))
-    sign_corrected = bool(law_raw.get("sign_corrected", False))
+    gain = _checked(law_raw.get("gain", 1.0), "gain", float, *_POSITIVE, "law", graph.m)
+    sign_corrected = law_raw.get("sign_corrected", False)
+    if not isinstance(sign_corrected, bool):
+        raise ScenarioError(
+            f"key 'sign_corrected' must be true or false, got {sign_corrected!r}",
+            position="law",
+        )
 
     exp_raw = _require(raw, "experiment", dict, p.name)
     experiment = _require(exp_raw, "kind", str, "experiment")
-    if experiment not in EXPERIMENTS:
+    if experiment not in _RUNNERS:
         raise ScenarioError(
-            f"unknown experiment {experiment!r}; one of {', '.join(EXPERIMENTS)}",
+            f"unknown experiment {experiment!r}; one of {', '.join(_RUNNERS)}",
             position="experiment",
         )
+    _refuse_unknown(exp_raw, ["kind", "initial", *_PARAMS], "experiment", "experiment")
     params = {k: v for k, v in exp_raw.items() if k != "kind"}
     for key, value in params.items():
-        if key in _PARAM_TYPES:
-            _check_type(value, _PARAM_TYPES[key], f"key {key!r}", "experiment")
-        if key in _PARAM_BOUNDS:
-            within, wording = _PARAM_BOUNDS[key]
-            if not within(value):
-                raise ScenarioError(f"key {key!r} {wording}, got {value!r}", "experiment")
-    if "mu_edge" in params and not 1 <= params["mu_edge"] <= graph.m:
-        raise ScenarioError(
-            f"key 'mu_edge' must name an edge from 1 to {graph.m}", position="experiment"
-        )
+        if key != "initial":
+            kind, _, within, wording = _PARAMS[key]
+            _checked(value, key, kind, within, wording, "experiment", graph.m)
     if "initial" in params:
         try:
             initial = np.asarray(params["initial"], dtype=float)
@@ -220,7 +220,12 @@ def load_scenario(path):
                 f"key 'initial' must hold {2 * graph.n} numbers, two per agent",
                 position="experiment",
             )
-    seed = _check_type(raw.get("seed", 0), int, "key 'seed'", p.name)
+        if not np.isfinite(initial).all():
+            raise ScenarioError(
+                f"key 'initial' must hold {2 * graph.n} finite numbers",
+                position="experiment",
+            )
+    seed = _checked(raw.get("seed", 0), "seed", int, *_NON_NEGATIVE, p.name, graph.m)
     out = raw.get("out")
     if out is not None and not isinstance(out, str):
         raise ScenarioError("key 'out' must be of type str", position=p.name)
@@ -231,7 +236,7 @@ def load_scenario(path):
         length_values=values,
         length_convention=convention,
         law_name=law_name,
-        law_gain=law_gain,
+        law_gain=float(gain),
         law_sign_corrected=sign_corrected,
         experiment=experiment,
         params=params,
@@ -253,6 +258,7 @@ def _build_bundle(sc: Scenario):
     return VectorFieldBundle(graph=sc.graph, law=law, lengths=lengths)
 
 
+# CSV cells print floats at 12 significant digits, report lines at 6.
 def _num(v):
     return "%.12g" % float(v)
 
@@ -274,69 +280,132 @@ def _bool_cell(v):
     return "true" if v else "false"
 
 
-def _sorted_records(records):
+def _fmt(v):
+    return f"{float(v):.6g}"
+
+
+def _fmt_eig(c):
+    c = complex(c)
+    if abs(c.imag) < 1e-12:
+        return _fmt(c.real)
+    sign = "+" if c.imag >= 0 else "-"
+    return f"{_fmt(c.real)}{sign}{_fmt(abs(c.imag))}i"
+
+
+def _yesno(v):
+    return "yes" if v else "no"
+
+
+def _write_csv(path, header, rows):
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow(header)
+        writer.writerows(rows)
+
+
+def _records_out(path, records):
+    """Write records sorted by kind, then leading eigenvalue; returns their table."""
+
     def key(r):
         eigs = tuple((v.real, v.imag) for v in r.spectrum_gauge.values)
         pos = tuple(r.framework.x.ravel()) if r.framework is not None else ()
         return (r.kind, r.leading_real, eigs, pos)
 
-    return sorted(records, key=key)
-
-
-def _write_csv(path, header, rows):
-    import csv as _csv
-
-    with open(path, "w", newline="") as fh:
-        writer = _csv.writer(fh, lineterminator="\n")
-        writer.writerow(header)
-        writer.writerows(rows)
-
-
-def _write_records_csv(path, records):
-    rows = [
+    rows = sorted(records, key=key)
+    _write_csv(
+        path,
+        ["kind", "stable", "index", "eigenvalues", "positions"],
         [
-            r.kind,
-            _bool_cell(r.stable),
-            "" if r.index is None else str(r.index),
-            _eig_cell(r.spectrum_gauge.values),
-            _positions_cell(r.framework.x) if r.framework is not None else "",
-        ]
-        for r in records
+            [
+                r.kind,
+                _bool_cell(r.stable),
+                "" if r.index is None else str(r.index),
+                _eig_cell(r.spectrum_gauge.values),
+                _positions_cell(r.framework.x) if r.framework is not None else "",
+            ]
+            for r in rows
+        ],
+    )
+    lines = [
+        f"equilibria: {len(rows)}",
+        "kind                 stable  index  leading      eigenvalues",
     ]
-    _write_csv(path, ["kind", "stable", "index", "eigenvalues", "positions"], rows)
+    for r in rows:
+        index = "n/a" if r.index is None else str(r.index)
+        eigs = ", ".join(_fmt_eig(v) for v in r.spectrum_gauge.values)
+        lines.append(
+            f"{r.kind:<20} {_yesno(r.stable):<7} {index:<6} "
+            f"{_fmt(r.leading_real):<12} {eigs}"
+        )
+    return lines
 
 
-def _run_census(sc, bundle, out, seed, tol):
+# Each runner writes its experiment's CSV into ``out`` and returns its
+# report lines; ``tol`` is the --tol override or None.
+
+
+def _run_census(sc, bundle, out, tol):
     report = census(
         bundle,
-        n_random=int(sc.params.get("n_random", 200)),
-        seed=seed,
-        dedupe_tol=tol if tol is not None else float(sc.params.get("dedupe_tol", 1e-6)),
+        n_random=_param(sc, "n_random"),
+        seed=sc.seed,
+        dedupe_tol=tol if tol is not None else _param(sc, "dedupe_tol"),
     )
-    rows = _sorted_records(report.records)
-    _write_records_csv(out / "census.csv", rows)
-    return RunResult("census", sc, bundle, {"report": report, "rows": rows})
+    return _records_out(out / "census.csv", report.records) + [
+        f"dropped seeds: {report.dropped_seeds}",
+        f"feasible: {_yesno(report.feasible)}",
+        f"almost surely stable: {_yesno(report.almost_surely_stable)}",
+        f"index sum: {report.index_sum}",
+    ]
 
 
-def _run_spectrum(sc, bundle, out, seed, tol):
+def _run_spectrum(sc, bundle, out, tol):
     records = [
         equilibrium_record(bundle, fw)
         for fw in design_frameworks(bundle.graph, bundle.lengths)
     ]
     records.extend(solve_ancillary_aligned(bundle))
-    rows = _sorted_records(records)
-    _write_records_csv(out / "spectrum.csv", rows)
-    return RunResult("spectrum", sc, bundle, {"rows": rows})
+    return _records_out(out / "spectrum.csv", records)
 
 
-def _run_sweep(sc, bundle, out, seed, tol):
-    eps = float(sc.params.get("eps", 0.2))
-    samples = int(sc.params.get("samples", 21))
-    mu_edge = int(sc.params.get("mu_edge", 3)) - 1
-    points = mu_sweep(
-        bundle.lengths, eps=eps, samples=samples, template=bundle, mu_edge=mu_edge
-    )
+def _sweep_lines(points):
+    """Report lines of a sweep: its points per branch and the exchange verdict."""
     detection = transcritical_detect(points)
+    by_branch = {}
+    for pt in points:
+        by_branch.setdefault(pt.branch, []).append(pt)
+    lines = [
+        f"points: {len(points)} ("
+        + ", ".join(f"{name} {len(pts)}" for name, pts in sorted(by_branch.items()))
+        + ")"
+    ]
+    for name in sorted(by_branch):
+        pts = sorted(by_branch[name], key=lambda q: q.mu)
+        lines.append(
+            f"branch {name}: leading {_fmt(pts[0].leading_real)} at mu "
+            f"{_fmt(pts[0].mu)} to {_fmt(pts[-1].leading_real)} at mu "
+            f"{_fmt(pts[-1].mu)}"
+        )
+    if detection.detected:
+        lines.append(f"transcritical exchange: detected ({detection.orientation})")
+        for name in sorted(detection.crossings):
+            lines.append(f"crossing {name}: mu = {_fmt(detection.crossings[name])}")
+    elif detection.indeterminate:
+        lines.append(f"transcritical exchange: indeterminate ({detection.reason})")
+    else:
+        lines.append(f"transcritical exchange: not detected ({detection.reason})")
+    return lines
+
+
+def _run_sweep(sc, bundle, out, tol):
+    mu_edge = _param(sc, "mu_edge") - 1
+    points = mu_sweep(
+        bundle.lengths,
+        eps=_param(sc, "eps"),
+        samples=_param(sc, "samples"),
+        template=bundle,
+        mu_edge=mu_edge,
+    )
     rows = []
     for p in points:
         lengths_mu = bundle.lengths.perturbed(mu_edge, p.mu)
@@ -347,27 +416,22 @@ def _run_sweep(sc, bundle, out, seed, tol):
             + [_positions_cell(p.framework.x)]
         )
     header = ["mu", "branch", "leading_real", "stable"]
-    header += [f"e{i + 1}" for i in range(bundle.graph.m)]
-    header += ["positions"]
+    header += [f"e{i + 1}" for i in range(bundle.graph.m)] + ["positions"]
     _write_csv(out / "sweep.csv", header, rows)
-    return RunResult(
-        "sweep", sc, bundle,
-        {"points": points, "detection": detection, "eps": eps, "samples": samples},
-    )
+    return _sweep_lines(points)
 
 
-def _run_sotomayor(sc, bundle, out, seed, tol):
-    mu_edge = int(sc.params.get("mu_edge", 3)) - 1
+def _run_sotomayor(sc, bundle, out, tol):
     witnesses = singular_witnesses(bundle.lengths)
     if not witnesses:
         raise FormulaDomainError(
             "the sotomayor experiment needs targets in the singular set "
             "(no realization has its first and fifth edges parallel)"
         )
-    kwargs = {}
-    if tol is not None:
-        kwargs["tol_nondegen"] = tol
-    report = sotomayor_at_witness(bundle, witnesses[0], mu_edge=mu_edge, **kwargs)
+    kwargs = {} if tol is None else {"tol_nondegen": tol}
+    report = sotomayor_at_witness(
+        bundle, witnesses[0], mu_edge=_param(sc, "mu_edge") - 1, **kwargs
+    )
     _write_csv(
         out / "sotomayor.csv",
         [
@@ -381,19 +445,26 @@ def _run_sotomayor(sc, bundle, out, seed, tol):
             _num(report.fmu_norm), _eig_cell(report.slice_spectrum.values),
         ]],
     )
-    return RunResult(
-        "sotomayor", sc, bundle, {"report": report, "witness": witnesses[0]}
-    )
+    return [
+        f"zero eigenvalue unique: {_yesno(report.zero_eig_unique)}",
+        f"other eigenvalues negative: {_yesno(report.others_negative)}",
+        f"degenerate: {_yesno(report.degenerate)}",
+        f"t_mu: {_fmt(report.t_mu)} (|dF/dmu| = {_fmt(report.fmu_norm)})",
+        f"t_quad: {_fmt(report.t_quad)}",
+        f"t_mixed: {_fmt(report.t_mixed)}",
+        "slice spectrum: " + ", ".join(_fmt_eig(v) for v in report.slice_spectrum.values),
+        f"verdict: {_yesno(report.verdict)}",
+    ]
 
 
-def _run_simulate(sc, bundle, out, seed, tol):
-    t_end = float(sc.params.get("t_end", 10.0))
-    step = float(sc.params.get("step", 1e-3))
-    stride = int(sc.params.get("stride", 50))
+def _run_simulate(sc, bundle, out, tol):
+    t_end = _param(sc, "t_end")
+    step = _param(sc, "step")
+    stride = _param(sc, "stride")
     if "initial" in sc.params:
         x0 = np.asarray(sc.params["initial"], dtype=float).reshape(bundle.graph.n, 2)
     else:
-        rng = np.random.default_rng(seed)
+        rng = np.random.default_rng(sc.seed)
         span = 2.0 * float(np.max(np.sqrt(bundle.lengths.as_array())))
         x0 = rng.uniform(-span, span, (bundle.graph.n, 2))
     traj = integrate_ode(lambda x: eval_F_x(bundle, x), x0.ravel(), t_end, step=step)
@@ -415,44 +486,36 @@ def _run_simulate(sc, bundle, out, seed, tol):
     _write_csv(out / "simulate.csv", header, rows)
 
     final = Framework(graph=bundle.graph, x=traj.final_state.reshape(bundle.graph.n, 2))
-    payload = {
-        "t_end": t_end,
-        "step": step,
-        "final_residual": traj.final_residual,
-        "final_errors": edge_errors(final, bundle.lengths),
-        "final_kind": classify_kind(bundle, final),
-        "settled": traj.final_residual <= 1e-6,
-    }
-    return RunResult("simulate", sc, bundle, payload)
+    return [
+        f"t_end: {_fmt(t_end)}  step: {_fmt(step)}",
+        f"final residual: {_fmt(traj.final_residual)}",
+        "final edge errors: "
+        + ", ".join(_fmt(e) for e in edge_errors(final, bundle.lengths)),
+        f"settled: {_yesno(traj.final_residual <= 1e-6)}",
+        f"final kind: {classify_kind(bundle, final)}",
+    ]
 
 
-def _rigidity_line(rank, rows, rigid, minimal):
+def _run_rigidity(sc, bundle, out, tol):
+    fw = design_frameworks(bundle.graph, bundle.lengths)[0]
+    r = rigidity_matrix(fw)
+    rows = r.shape[0]
+    rank_tolerance = tol if tol is not None else 1e-9
+    rank = rank_tol(r, rank_tolerance)
+    rigid = is_infinitesimally_rigid(fw, rank_tolerance)
+    minimal = is_minimally_rigid(fw, rank_tolerance)
+    _write_csv(
+        out / "rigidity.csv",
+        ["rank", "rows", "infinitesimally_rigid", "minimally_rigid"],
+        [[str(rank), str(rows), _bool_cell(rigid), _bool_cell(minimal)]],
+    )
     if not rigid:
         quals = "not infinitesimally rigid"
     elif minimal:
         quals = "infinitesimally rigid, minimally rigid"
     else:
         quals = "infinitesimally rigid, not minimally rigid"
-    return f"rank {rank} of {rows} ({quals})"
-
-
-def _run_rigidity(sc, bundle, out, seed, tol):
-    fw = design_frameworks(bundle.graph, bundle.lengths)[0]
-    r = rigidity_matrix(fw)
-    rank_tolerance = tol if tol is not None else 1e-9
-    rank = rank_tol(r, rank_tolerance)
-    rigid = is_infinitesimally_rigid(fw, rank_tolerance)
-    minimal = is_minimally_rigid(fw, rank_tolerance)
-    line = _rigidity_line(rank, r.shape[0], rigid, minimal)
-    _write_csv(
-        out / "rigidity.csv",
-        ["rank", "rows", "infinitesimally_rigid", "minimally_rigid"],
-        [[str(rank), str(r.shape[0]), _bool_cell(rigid), _bool_cell(minimal)]],
-    )
-    return RunResult(
-        "rigidity", sc, bundle,
-        {"line": line, "rank": rank, "rows": r.shape[0], "framework": fw},
-    )
+    return [f"rank {rank} of {rows} ({quals})"]
 
 
 _RUNNERS = {
@@ -465,140 +528,36 @@ _RUNNERS = {
 }
 
 
-def _fmt(v):
-    return f"{float(v):.6g}"
-
-
-def _fmt_eig(c):
-    c = complex(c)
-    if abs(c.imag) < 1e-12:
-        return _fmt(c.real)
-    sign = "+" if c.imag >= 0 else "-"
-    return f"{_fmt(c.real)}{sign}{_fmt(abs(c.imag))}i"
-
-
-def _yesno(v):
-    return "yes" if v else "no"
-
-
-def _report_header(result: RunResult):
-    sc = result.scenario
-    lines = [
-        f"scenario: {sc.name}",
-        f"experiment: {sc.experiment}",
-        f"graph: {sc.graph.n} agents, {sc.graph.m} edges",
-        f"law: {sc.law_name} (gain {_fmt(sc.law_gain)})",
-        "lengths: " + ", ".join(_fmt(v) for v in sc.length_values)
-        + f" ({sc.length_convention} values)",
-        f"seed: {sc.seed}",
-    ]
-    return lines
-
-
-def _record_table(rows):
-    lines = ["kind                 stable  index  leading      eigenvalues"]
-    for r in rows:
-        index = "n/a" if r.index is None else str(r.index)
-        eigs = ", ".join(_fmt_eig(v) for v in r.spectrum_gauge.values)
-        lines.append(
-            f"{r.kind:<20} {_yesno(r.stable):<7} {index:<6} "
-            f"{_fmt(r.leading_real):<12} {eigs}"
-        )
-    return lines
-
-
-def emit_report(result: RunResult):
-    """Render an experiment's outcome as a deterministic text block.
-
-    Records are sorted by kind then leading eigenvalue; floats print at
-    6 significant digits.
-    """
-    lines = _report_header(result)
-    kind = result.kind
-    p = result.payload
-
-    if kind in ("census", "spectrum"):
-        rows = p["rows"]
-        lines.append(f"equilibria: {len(rows)}")
-        lines.extend(_record_table(rows))
-        if kind == "census":
-            report = p["report"]
-            lines.append(f"dropped seeds: {report.dropped_seeds}")
-            lines.append(f"feasible: {_yesno(report.feasible)}")
-            lines.append(f"almost surely stable: {_yesno(report.almost_surely_stable)}")
-            lines.append(f"index sum: {report.index_sum}")
-    elif kind == "sweep":
-        points = p["points"]
-        detection = p["detection"]
-        by_branch = {}
-        for pt in points:
-            by_branch.setdefault(pt.branch, []).append(pt)
-        lines.append(
-            f"points: {len(points)} ("
-            + ", ".join(f"{name} {len(pts)}" for name, pts in sorted(by_branch.items()))
-            + ")"
-        )
-        for name in sorted(by_branch):
-            pts = sorted(by_branch[name], key=lambda q: q.mu)
-            lines.append(
-                f"branch {name}: leading {_fmt(pts[0].leading_real)} at mu "
-                f"{_fmt(pts[0].mu)} to {_fmt(pts[-1].leading_real)} at mu "
-                f"{_fmt(pts[-1].mu)}"
-            )
-        if detection.detected:
-            lines.append(f"transcritical exchange: detected ({detection.orientation})")
-            for name in sorted(detection.crossings):
-                lines.append(
-                    f"crossing {name}: mu = {_fmt(detection.crossings[name])}"
-                )
-        elif detection.indeterminate:
-            lines.append(f"transcritical exchange: indeterminate ({detection.reason})")
-        else:
-            lines.append(f"transcritical exchange: not detected ({detection.reason})")
-    elif kind == "sotomayor":
-        report = p["report"]
-        lines.append(f"zero eigenvalue unique: {_yesno(report.zero_eig_unique)}")
-        lines.append(f"other eigenvalues negative: {_yesno(report.others_negative)}")
-        lines.append(f"degenerate: {_yesno(report.degenerate)}")
-        lines.append(f"t_mu: {_fmt(report.t_mu)} (|dF/dmu| = {_fmt(report.fmu_norm)})")
-        lines.append(f"t_quad: {_fmt(report.t_quad)}")
-        lines.append(f"t_mixed: {_fmt(report.t_mixed)}")
-        lines.append(
-            "slice spectrum: "
-            + ", ".join(_fmt_eig(v) for v in report.slice_spectrum.values)
-        )
-        lines.append(f"verdict: {_yesno(report.verdict)}")
-    elif kind == "simulate":
-        lines.append(f"t_end: {_fmt(p['t_end'])}  step: {_fmt(p['step'])}")
-        lines.append(f"final residual: {_fmt(p['final_residual'])}")
-        lines.append(
-            "final edge errors: " + ", ".join(_fmt(e) for e in p["final_errors"])
-        )
-        lines.append(f"settled: {_yesno(p['settled'])}")
-        lines.append(f"final kind: {p['final_kind']}")
-    elif kind == "rigidity":
-        lines.append(p["line"])
-    return "\n".join(lines) + "\n"
-
-
 def run_scenario(path, out_dir=None, seed=None, tol=None):
     """Run one scenario file; returns the process exit status.
 
     Artifacts are written to ``out_dir``, the scenario's ``out`` field, or
-    the working directory, in that precedence. The report is printed to
-    stdout and saved as report.txt next to the CSV artifacts.
+    the working directory, in that precedence. The report, the scenario
+    header followed by the experiment's lines, is printed to stdout and
+    saved as report.txt next to the CSV artifacts.
     """
     try:
         if tol is not None and not tol > 0:
             raise ScenarioError(f"--tol must be positive, got {tol!r}")
+        if seed is not None and seed < 0:
+            raise ScenarioError(f"--seed must not be negative, got {seed!r}")
         sc = load_scenario(path)
         if seed is not None:
             sc = dataclasses.replace(sc, seed=int(seed))
         bundle = _build_bundle(sc)
         out = Path(out_dir or sc.out or ".")
         out.mkdir(parents=True, exist_ok=True)
-        result = _RUNNERS[sc.experiment](sc, bundle, out, sc.seed, tol)
-        text = emit_report(result)
+        lines = _RUNNERS[sc.experiment](sc, bundle, out, tol)
+        text = "\n".join([
+            f"scenario: {sc.name}",
+            f"experiment: {sc.experiment}",
+            f"graph: {sc.graph.n} agents, {sc.graph.m} edges",
+            f"law: {sc.law_name} (gain {_fmt(sc.law_gain)})",
+            "lengths: " + ", ".join(_fmt(v) for v in sc.length_values)
+            + f" ({sc.length_convention} values)",
+            f"seed: {sc.seed}",
+            *lines,
+        ]) + "\n"
         (out / "report.txt").write_text(text)
     except FormationForgeError as exc:
         record = {"error": exc.code, "message": str(exc)}

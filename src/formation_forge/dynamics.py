@@ -53,8 +53,8 @@ class ControlLaw:
     separable = True
 
     def __init__(self, gain=1.0):
-        if gain <= 0:
-            raise ConfigurationError("law gain must be positive")
+        if not (math.isfinite(gain) and gain > 0):
+            raise ConfigurationError(f"law gain must be finite and positive, got {gain!r}")
         self.gain = float(gain)
 
     def weight(self, d, s2):

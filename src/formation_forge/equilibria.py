@@ -333,22 +333,26 @@ def aligned_newton(b, a0, b0, sigma):
     residual evaluations on the benchmark lengths and changes which
     aligned roots the grid finds.
     """
-    d = b.lengths.as_array()
-    v = np.array([float(a0), float(b0)])
+    # Python floats: the 2x2 system and the law hooks run about twice as
+    # fast on them as on NumPy scalars, with the same results.
+    d = b.lengths.d
+    va, vb = float(a0), float(b0)
     for _ in range(ALIGNED_MAX_ITER):
         jac = None
         if b.law.separable:
-            system = _aligned_system(b.law, d, v[0], v[1], sigma)
+            system = _aligned_system(b.law, d, va, vb, sigma)
             res, jac = (None, None) if system is None else system
         else:
-            res = _aligned_residual(b, d, v[0], v[1], sigma)
+            res = _aligned_residual(b, d, va, vb, sigma)
         if res is None or not np.all(np.isfinite(res)):
             return None
         if np.max(np.abs(res)) <= NEWTON_TOL:
             break
         if jac is None:
             jac = fd_jacobian(
-                lambda p: _aligned_residual(b, d, p[0], p[1], sigma), v, h=1e-7
+                lambda p: _aligned_residual(b, d, p[0], p[1], sigma),
+                np.array([va, vb]),
+                h=1e-7,
             )
         try:
             step = np.linalg.solve(jac, -res)
@@ -356,13 +360,14 @@ def aligned_newton(b, a0, b0, sigma):
             return None
         if not np.all(np.isfinite(step)):
             return None
-        v = v + step
-        if abs(v[0]) > 1e6 or abs(v[1]) > 1e6:
+        va += float(step[0])
+        vb += float(step[1])
+        if abs(va) > 1e6 or abs(vb) > 1e6:
             return None
     else:  # the budget ran out
         return None
-    # the converged residual was finite, so v is inside the domain
-    fw = Framework(graph=b.graph, x=_aligned_positions(d, v[0], v[1], sigma))
+    # the converged residual was finite, so (va, vb) is inside the domain
+    fw = Framework(graph=b.graph, x=_aligned_positions(d, va, vb, sigma))
     if float(np.max(np.abs(eval_F_x(b, fw.x)))) > RESIDUAL_TOL:
         return None
     return fw

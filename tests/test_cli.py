@@ -13,10 +13,9 @@ import numpy as np
 import pytest
 
 import formation_forge
-from formation_forge.bifurcation import transcritical_detect
 from formation_forge.cli import (
-    RunResult,
-    emit_report,
+    _PARAMS,
+    _sweep_lines,
     load_scenario,
     main,
     run_scenario,
@@ -396,6 +395,99 @@ class TestErrorPaths:
             "message": f"experiment: key {key!r} {wording}, got {value!r}",
         }
 
+    def test_negative_seed_in_the_file_exits_2(self, tmp_path, capsys):
+        path = write_scenario(tmp_path, {"seed": -1})
+        status = run_scenario(path, out_dir=tmp_path / "out")
+        record, out_text = read_stderr_record(capsys)
+        assert status == 2
+        assert out_text == ""
+        assert record == {
+            "error": "scenario",
+            "message": "case.json: key 'seed' must not be negative, got -1",
+        }
+
+    def test_negative_seed_flag_exits_2(self, tmp_path, capsys):
+        out = tmp_path / "out"
+        fig2 = str(SCENARIO_DIR / "fig2.json")
+        status = main(["run", fig2, "--out", str(out), "--seed", "-1"])
+        record, out_text = read_stderr_record(capsys)
+        assert status == 2
+        assert out_text == ""
+        assert record == {
+            "error": "scenario", "message": "--seed must not be negative, got -1"
+        }
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "law, message",
+        [
+            ({"name": "gradient_squared", "gain": float("nan")},
+             "key 'gain' must be finite and positive, got nan"),
+            ({"name": "gradient_squared", "gain": float("inf")},
+             "key 'gain' must be finite and positive, got inf"),
+            ({"name": "gradient_squared", "gain": 0},
+             "key 'gain' must be finite and positive, got 0"),
+            ({"name": "eq1_plain", "sign_corrected": "false"},
+             "key 'sign_corrected' must be true or false, got 'false'"),
+            ({"name": "eq1_plain", "sign_corrected": 0},
+             "key 'sign_corrected' must be true or false, got 0"),
+        ],
+    )
+    def test_unusable_law_section_exits_2(self, tmp_path, capsys, law, message):
+        # Unchecked, a NaN gain gives a NaN report with exit 0, an infinite
+        # one puts NumPy warnings on stderr, and the string "false" reads
+        # as true.
+        path = write_scenario(tmp_path, {"law": law})
+        status = run_scenario(path, out_dir=tmp_path / "out")
+        record, out_text = read_stderr_record(capsys)
+        assert status == 2
+        assert out_text == ""
+        assert record == {"error": "scenario", "message": f"law: {message}"}
+
+    @pytest.mark.parametrize(
+        "overrides, message",
+        [
+            (
+                {"experiment": {"kind": "simulate", "initial": [0.0] * 7 + [float("nan")]}},
+                "experiment: key 'initial' must hold 8 finite numbers",
+            ),
+            (
+                {"experiment": {"kind": "simulate", "initial": [float("inf")] + [0.0] * 7}},
+                "experiment: key 'initial' must hold 8 finite numbers",
+            ),
+            (
+                {"graph": {**BASE["graph"], "directed": True}},
+                "graph: unknown graph keys: directed",
+            ),
+            (
+                {"lengths": {**BASE["lengths"], "unit": "m"}},
+                "lengths: unknown lengths keys: unit",
+            ),
+            (
+                {"law": {"name": "gradient_squared", "gian": 3}},
+                "law: unknown law keys: gian",
+            ),
+            (
+                {"experiment": {"kind": "census", "n_randon": 10}},
+                "experiment: unknown experiment keys: n_randon",
+            ),
+            ({"format": True}, "case.json: key 'format' must be of type int"),
+            (
+                {"graph": {**BASE["graph"], "vertices": True}},
+                "graph: key 'vertices' must be of type int",
+            ),
+        ],
+    )
+    def test_section_refuses_what_it_does_not_read(
+        self, tmp_path, capsys, overrides, message
+    ):
+        path = write_scenario(tmp_path, overrides)
+        status = run_scenario(path, out_dir=tmp_path / "out")
+        record, out_text = read_stderr_record(capsys)
+        assert status == 2
+        assert out_text == ""
+        assert record == {"error": "scenario", "message": message}
+
     @pytest.mark.parametrize("tol", ["-1", "0", "nan"])
     def test_nonpositive_tol_exits_2(self, tmp_path, capsys, tol):
         out = tmp_path / "out"
@@ -525,21 +617,9 @@ class TestMain:
 
 class TestEmitReport:
     def test_empty_sweep_is_reported_indeterminate(self):
-        sc = dataclasses.replace(
-            load_scenario(SCENARIO_DIR / "sweep_s0.json"), params={"samples": 0}
-        )
-        result = RunResult(
-            kind="sweep",
-            scenario=sc,
-            bundle=None,
-            payload={
-                "points": [],
-                "detection": transcritical_detect([]),
-                "eps": 0.2,
-                "samples": 0,
-            },
-        )
-        text = emit_report(result)
+        # The sweep's report lines with no points; load time refuses
+        # samples < 1, so no scenario reaches this through the CLI.
+        text = "\n".join(_sweep_lines([]))
         assert "transcritical exchange: indeterminate (no sweep points)" in text
 
 
@@ -603,3 +683,14 @@ class TestReadme:
         sc = load_scenario(path)
         bundled = load_scenario(SCENARIO_DIR / "fig2.json")
         assert dataclasses.astuple(sc) == dataclasses.astuple(bundled)
+
+    def test_parameter_table_matches_the_code(self):
+        readme = Path(__file__).resolve().parents[1] / "README.md"
+        # | `key` | read by | type | default | bound |
+        row = r"^\| `(\w+)` \| [^|]+ \| ([^|]+) \| ([^|]+) \|"
+        rows = re.findall(row, readme.read_text(), re.M)
+        table = {key: (kind.strip(), default.strip()) for key, kind, default in rows}
+        assert set(table) == set(_PARAMS) | {"initial"}
+        for key, (kind, default, _, _) in _PARAMS.items():
+            assert table[key][0] == ("integer" if kind is int else "number")
+            assert float(table[key][1]) == default

@@ -96,6 +96,11 @@ class TestControlLaws:
         with pytest.raises(ConfigurationError):
             builtin_law("gradient_squared", gain=0.0)
 
+    @pytest.mark.parametrize("gain", [float("nan"), float("inf")])
+    def test_nonfinite_gain_rejected(self, gain):
+        with pytest.raises(ConfigurationError, match="finite and positive"):
+            builtin_law("gradient_squared", gain=gain)
+
     def test_custom_law_finite_difference_hooks(self):
         law = CustomLaw(
             lambda d, s2: (s2 - d) + 0.3 * (s2 - d) ** 2,
