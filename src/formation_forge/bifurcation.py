@@ -17,8 +17,8 @@ import numpy as np
 from .dynamics import VectorFieldBundle, builtin_law, eval_F_z
 from .equilibria import (
     TOL_ZERO,
-    aligned_newton,
     aligned_parameters,
+    aligned_root_near,
     canonical_gauge,
     design_frameworks,
     gauge_fixed_spectrum,
@@ -35,8 +35,11 @@ from .rigidity import (
 )
 
 DEFAULT_SWEEP_HALF_WIDTH = 0.2
-SWEEP_MAX_HALVINGS = 3
-"""Times an aligned-branch step is split in two before the sample is dropped."""
+
+# The settings of every Sotomayor test; only its nondegeneracy bound is an option.
+SOTOMAYOR_TOL_EQ = 1e-9  # largest family residual accepted as an equilibrium
+SOTOMAYOR_STATE_STEP = 1e-4  # central-difference step in the state
+SOTOMAYOR_PARAM_STEP = 1e-7  # central-difference step in the parameter
 
 
 @dataclass(frozen=True, eq=False)
@@ -89,29 +92,23 @@ def _normalize_sign(vec):
     return -vec if vec[idx] < 0 else vec
 
 
-def sotomayor_check(
-    family,
-    x0,
-    mu0,
-    tol_eq=1e-9,
-    tol_zero=TOL_ZERO,
-    tol_nondegen=1e-3,
-    h=1e-4,
-    k=1e-7,
-):
+def sotomayor_check(family, x0, mu0, tol_nondegen=1e-3):
     """Evaluate the transcritical conditions for ``xdot = family(x, mu)``.
 
     The family must already be free of structural kernel directions
     (for formation flows, use the gauge-reduced family from
     :func:`formation_family`), so a unique zero eigenvalue is meaningful.
-    All derivatives are central finite differences; ``h`` steps the state,
-    ``k`` steps the parameter.
+    All derivatives are central finite differences;
+    ``SOTOMAYOR_STATE_STEP`` steps the state, ``SOTOMAYOR_PARAM_STEP`` the
+    parameter.
 
     The verdict is true exactly when the zero eigenvalue is unique, the
     remaining eigenvalues have negative real part, ``|t_mu|`` is below
-    ``tol_zero`` times the parameter-derivative norm, and both ``t_quad``
+    ``TOL_ZERO`` times the parameter-derivative norm, and both ``t_quad``
     and ``t_mixed`` clear ``tol_nondegen``.
     """
+    tol_eq, tol_zero = SOTOMAYOR_TOL_EQ, TOL_ZERO
+    h, k = SOTOMAYOR_STATE_STEP, SOTOMAYOR_PARAM_STEP
     x0 = np.atleast_1d(np.asarray(x0, dtype=float))
     mu0 = float(mu0)
 
@@ -256,13 +253,10 @@ def _design_branch_points(b0, base, mus, center, ref, mu_edge):
 
 
 def _aligned_anchor(b0, base, mus, center, witness, mu_edge):
-    """Aligned-branch parameters at the grid point closest to mu = 0."""
-    bundle = b0.with_lengths(base.perturbed(mu_edge, float(mus[center])))
+    """The aligned branch's start: the witness, else the first stable (or first) centre root."""
     if witness is not None:
-        a, bb, sigma = aligned_parameters(canonical_gauge(witness))
-        fw = aligned_newton(bundle, a, bb, sigma)
-        if fw is not None:
-            return aligned_parameters(fw)
+        return aligned_parameters(canonical_gauge(witness))
+    bundle = b0.with_lengths(base.perturbed(mu_edge, float(mus[center])))
     records = solve_ancillary_aligned(bundle)
     if not records:
         return None
@@ -271,36 +265,22 @@ def _aligned_anchor(b0, base, mus, center, witness, mu_edge):
 
 
 def _aligned_branch_points(b0, base, mus, center, params, mu_edge):
+    """The aligned branch, each sample's Newton started from the last root found.
+
+    A sample where Newton fails is left out, a gap in the branch.
+    """
+    *start, sigma = params
     points = {}
     for indices in (range(center, len(mus)), range(center - 1, -1, -1)):
-        state = params
-        prev_mu = float(mus[center])
+        state = start
         for idx in indices:
-            target_mu = float(mus[idx])
-            fw = None
-            for split in range(SWEEP_MAX_HALVINGS + 1):
-                steps = 2**split
-                walk_state = state
-                walk_fw = None
-                start = prev_mu
-                failed = False
-                for j in range(1, steps + 1):
-                    mu_j = start + (target_mu - start) * j / steps
-                    bundle = b0.with_lengths(base.perturbed(mu_edge, mu_j))
-                    walk_fw = aligned_newton(bundle, *walk_state)
-                    if walk_fw is None:
-                        failed = True
-                        break
-                    walk_state = aligned_parameters(walk_fw)
-                if not failed:
-                    state = walk_state
-                    fw = walk_fw
-                    break
+            mu = float(mus[idx])
+            bundle = b0.with_lengths(base.perturbed(mu_edge, mu))
+            fw = aligned_root_near(bundle, *state, sigma)
             if fw is None:
                 continue
-            prev_mu = target_mu
-            bundle = b0.with_lengths(base.perturbed(mu_edge, target_mu))
-            points[idx] = _branch_point(bundle, target_mu, "ancillary_aligned", fw)
+            state = aligned_parameters(fw)[:2]
+            points[idx] = _branch_point(bundle, mu, "ancillary_aligned", fw)
     return [points[i] for i in sorted(points)]
 
 
@@ -310,11 +290,14 @@ def mu_sweep(d0, eps=DEFAULT_SWEEP_HALF_WIDTH, samples=21, template=None, mu_edg
     ``d0`` gives the base targets (a TargetLengths or a tuple of stored
     squared values); ``template`` supplies the graph and law, defaulting
     to the squared-error gradient law on the two-cycles graph. Both grid
-    endpoints must be realizable. When ``d0`` sits in the singular set
-    the branches are anchored at its witness so they meet at mu = 0;
-    otherwise the sweep still runs (the detector is expected to report
-    no crossing). Samples where a branch's solver fails are omitted,
-    leaving a gap.
+    endpoints must be realizable. The design branch follows the nearest
+    closed-form realization from sample to sample. The aligned branch
+    starts at the sample nearest mu = 0: from the witness when ``d0`` sits
+    in the singular set, so the branches meet there, and otherwise from
+    the first stable aligned equilibrium (the detector is then expected to
+    report no crossing). It is continued outward by :func:`newton_root` on
+    the 2x2 aligned residual, each sample from the last root found.
+    Samples where a branch's solver fails are omitted, leaving a gap.
     """
     if template is None:
         law = builtin_law("gradient_squared")

@@ -211,27 +211,30 @@ def load_scenario(path):
             kind, _, within, wording = _PARAMS[key]
             _checked(value, key, kind, within, wording, "experiment", graph.m)
     if "initial" in params:
-        try:
-            initial = np.asarray(params["initial"], dtype=float)
-        except (TypeError, ValueError):
-            initial = None
-        if initial is None or initial.size != 2 * graph.n:
+        # JSON numbers only: a boolean is no coordinate, though numpy reads it as one
+        entries = np.asarray(params["initial"], dtype=object).ravel().tolist()
+        if len(entries) != 2 * graph.n or not all(
+            isinstance(v, (int, float)) and not isinstance(v, bool) for v in entries
+        ):
             raise ScenarioError(
                 f"key 'initial' must hold {2 * graph.n} numbers, two per agent",
                 position="experiment",
             )
-        if not np.isfinite(initial).all():
+        if not np.isfinite(np.asarray(entries, dtype=float)).all():
             raise ScenarioError(
                 f"key 'initial' must hold {2 * graph.n} finite numbers",
                 position="experiment",
             )
     seed = _checked(raw.get("seed", 0), "seed", int, *_NON_NEGATIVE, p.name, graph.m)
+    name = raw.get("name", p.stem)
+    if not isinstance(name, str):
+        raise ScenarioError("key 'name' must be of type str", position=p.name)
     out = raw.get("out")
     if out is not None and not isinstance(out, str):
         raise ScenarioError("key 'out' must be of type str", position=p.name)
 
     return Scenario(
-        name=str(raw.get("name", p.stem)),
+        name=name,
         graph=graph,
         length_values=values,
         length_convention=convention,

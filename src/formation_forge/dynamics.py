@@ -239,12 +239,6 @@ class VectorFieldBundle:
     def with_lengths(self, lengths: TargetLengths):
         return VectorFieldBundle(graph=self.graph, law=self.law, lengths=lengths)
 
-    def F_x(self, x):
-        return eval_F_x(self, x)
-
-    def F_z(self, z, check=True):
-        return eval_F_z(self, z, check=check)
-
     @property
     def cycle_basis(self):
         """Orthonormal basis of the graph's cycle space, from the graph cache."""

@@ -53,9 +53,7 @@ RESIDUAL_TOL = 1e-9  # largest field residual accepted as an equilibrium
 NEWTON_TOL = 1e-11  # residual at which the census and aligned solves stop
 CENSUS_MAX_ITER = 80
 CENSUS_COLLINEAR_SEEDS = 24
-ALIGNED_MAX_ITER = 60
-ALIGNED_A_FACTORS = (0.4, 0.7, 1.0, 1.4, 2.0)  # agent 2 seeds, times sqrt(d1)
-ALIGNED_B_FACTORS = (0.4, 0.8, 1.2, 2.0)  # agent 4 seeds, times +-sqrt(d5)
+ALIGNED_SCAN_STEPS = 64  # scan steps along each aligned path; even, so the top is a sample
 SCALAR_SEEDS = 41
 
 BENCHMARK_LENGTHS = (2.0, 2.6, 2.0, 1.4, 3.3)
@@ -257,8 +255,9 @@ def equilibrium_record(b: VectorFieldBundle, f: Framework):
 def _aligned_triangle(d, a):
     """Agent 3's abscissa and height with agents 1 and 2 at 0 and ``a``.
 
-    This is the aligned solver's domain: None where ``a <= 1e-9`` or the
-    circles of radii ``sqrt(d3)`` and ``sqrt(d2)`` about them do not meet.
+    This is the domain of :func:`aligned_root_near`: None where ``a <= 1e-9``
+    (the scan's bound too) or the circles of radii ``sqrt(d3)`` and
+    ``sqrt(d2)`` about them do not meet.
     """
     if a <= 1e-9:
         return None
@@ -316,58 +315,34 @@ def _aligned_system(law, d, a, bb, sigma):
     return res, jac
 
 
-def aligned_newton(b, a0, b0, sigma):
-    """Newton from one aligned seed; the converged framework or None.
+def aligned_root_near(b, a0, b0, sigma):
+    """The aligned equilibrium :func:`newton_root` reaches from ``(a0, b0)``, or None.
 
-    The unknowns are the signed positions ``a`` and ``b`` of agents 2 and
-    4 on the line through agent 1, with agent 3 on mirror ``sigma``. For
-    separable laws the 2x2 Jacobian is closed form (:func:`_aligned_system`);
-    a law that couples a two-coleader pair has no closed form here and
-    gets central differences of the residual. The returned framework is
-    verified to be an equilibrium of the full flow, not just a root of
-    the two-scalar reduction.
-
-    The iteration is plain Newton, not the damped :func:`newton_root`:
-    an undamped step that leaves the domain (agent 3 unplaceable) ends
-    the seed, which the seed grid relies on. Damping it doubles the
-    residual evaluations on the benchmark lengths and changes which
-    aligned roots the grid finds.
+    The unknowns are agent 2's and agent 4's positions on the line through
+    agent 1, agent 3 on mirror ``sigma``; the residual is the fourth edge's
+    weight and agent 1's balance, with :func:`_aligned_system`'s closed-form
+    Jacobian for separable laws and central differences for coupled pairs.
+    The root is verified to be an equilibrium of the full flow.
     """
-    # Python floats: the 2x2 system and the law hooks run about twice as
-    # fast on them as on NumPy scalars, with the same results.
     d = b.lengths.d
-    va, vb = float(a0), float(b0)
-    for _ in range(ALIGNED_MAX_ITER):
-        jac = None
-        if b.law.separable:
-            system = _aligned_system(b.law, d, va, vb, sigma)
-            res, jac = (None, None) if system is None else system
-        else:
-            res = _aligned_residual(b, d, va, vb, sigma)
-        if res is None or not np.all(np.isfinite(res)):
-            return None
-        if np.max(np.abs(res)) <= NEWTON_TOL:
-            break
-        if jac is None:
-            jac = fd_jacobian(
-                lambda p: _aligned_residual(b, d, p[0], p[1], sigma),
-                np.array([va, vb]),
-                h=1e-7,
-            )
-        try:
-            step = np.linalg.solve(jac, -res)
-        except np.linalg.LinAlgError:
-            return None
-        if not np.all(np.isfinite(step)):
-            return None
-        va += float(step[0])
-        vb += float(step[1])
-        if abs(va) > 1e6 or abs(vb) > 1e6:
-            return None
-    else:  # the budget ran out
+    if b.law.separable:
+
+        def system(v):
+            found = _aligned_system(b.law, d, float(v[0]), float(v[1]), sigma)
+            return found or (np.full(2, np.nan), None)
+
+        fun, jac = (lambda v: system(v)[0]), (lambda v: system(v)[1])
+    else:
+        fun, jac = (lambda v: _aligned_residual(b, d, v[0], v[1], sigma)), None
+    try:
+        root = newton_root(
+            fun, np.array([a0, b0], dtype=float),
+            max_iter=CENSUS_MAX_ITER, tol=NEWTON_TOL, jac=jac,
+        ).x
+    except ConvergenceError:
         return None
-    # the converged residual was finite, so (va, vb) is inside the domain
-    fw = Framework(graph=b.graph, x=_aligned_positions(d, va, vb, sigma))
+    # a finite converged residual puts the root inside the domain
+    fw = Framework(graph=b.graph, x=_aligned_positions(d, float(root[0]), float(root[1]), sigma))
     if float(np.max(np.abs(eval_F_x(b, fw.x)))) > RESIDUAL_TOL:
         return None
     return fw
@@ -384,34 +359,71 @@ def aligned_parameters(f: Framework):
 
 
 def solve_ancillary_aligned(b: VectorFieldBundle):
-    """Equilibria whose first and fifth edge vectors are parallel.
+    """Every equilibrium whose first and fifth edge vectors are parallel.
 
-    The configuration is parameterized by the signed positions of agents
-    2 and 4 on the common line through agent 1, with agent 3 pinned by
-    its two exact length constraints (two mirror branches). Newton then
-    solves the remaining two scalars: the fourth edge's weight and the
-    force balance on the two-coleader agent. Seeds cover a coarse grid;
-    everything that converges and verifies as a genuine equilibrium of
-    the full flow is returned, deduplicated. The seed grid does not claim
-    completeness.
+    Agents 1, 2 and 4 lie on a line, at 0, ``a > 0`` and ``b``. With edges
+    2 to 4 at their targets, agent 3 stands at a height ``h`` over the line
+    and its legs to agents 2, 1 and 4 span ``w_i = +-sqrt(d_i - h^2)`` along
+    it. For ``r`` the shortest leg, ``h = r cos(phi)`` and that leg's
+    ``w = r sin(phi)`` with ``phi`` in ``[-pi/2, pi/2]``; the signs of the
+    other two ``w`` give four paths that cover the curve, none folding in
+    ``phi``. An equilibrium on it is a zero of agent 1's balance
+    ``g = u1 a + u5 b``, weighted by ``law.pair_weights`` at ``s = a b``, so
+    every law takes this route. Each path is sampled at
+    ``ALIGNED_SCAN_STEPS + 1`` even steps of ``phi``; an inner sample with
+    ``g == 0`` is a root, and each sign change is bisected to adjacent
+    floats. Roots that pass the full field's residual check are returned,
+    then their mirror images, which negate agent 3's height exactly.
     """
     if b.graph.edges != two_cycles().edges:
         raise ConfigurationError("the aligned solver is specific to the two-cycles graph")
-    d = b.lengths.as_array()
-    r1 = math.sqrt(d[0])
-    r5 = math.sqrt(d[4])
-    a_seeds = [f * r1 for f in ALIGNED_A_FACTORS]
-    b_seeds = [s * f * r5 for s in (1.0, -1.0) for f in ALIGNED_B_FACTORS]
+    d = b.lengths.d
+    legs = (d[1], d[2], d[3])  # squared legs from agent 3 to agents 2, 1 and 4
+    top = min(range(3), key=legs.__getitem__)
+    r = math.sqrt(legs[top])
+    rest = [leg - legs[top] for leg in legs]
+
+    def place(phi, signs):
+        """``(a, alpha, h, b)``: agents 2, 3 and 4 at ``phi`` on one path."""
+        w_top = r * math.sin(phi)
+        w = [s * math.sqrt(extra + w_top * w_top) for s, extra in zip(signs, rest)]
+        w[top] = w_top
+        return w[1] + w[0], w[1], r * math.cos(phi), w[1] + w[2]
+
+    def balance(point):
+        a, _, _, bb = point
+        u1, u5 = b.law.pair_weights((d[0], d[4]), (a * a, bb * bb), a * bb)
+        return u1 * a + u5 * bb
+
+    phis = [math.pi * (j / ALIGNED_SCAN_STEPS - 0.5) for j in range(ALIGNED_SCAN_STEPS + 1)]
+    roots = []
+    for s1 in (1.0, -1.0):
+        for s2 in (1.0, -1.0):
+            signs = [s1, s2]
+            signs.insert(top, 1.0)
+            g = [balance(place(phi, signs)) for phi in phis]
+            for j in range(ALIGNED_SCAN_STEPS):
+                if g[j] == 0.0:
+                    if j > 0:  # phi = -pi/2 puts agent 3 on the line
+                        roots.append(place(phis[j], signs))
+                elif g[j + 1] != 0.0 and (g[j] < 0.0) != (g[j + 1] < 0.0):
+                    lo, hi = (phis[j], g[j]), (phis[j + 1], g[j + 1])
+                    while lo[0] < (mid := 0.5 * (lo[0] + hi[0])) < hi[0]:
+                        g_mid = balance(place(mid, signs))
+                        if (g_mid < 0.0) == (lo[1] < 0.0):
+                            lo = (mid, g_mid)
+                        else:
+                            hi = (mid, g_mid)
+                    phi = min(lo, hi, key=lambda pg: abs(pg[1]))[0]
+                    roots.append(place(phi, signs))
+    # dict.fromkeys: paths whose top legs tie share their top sample
+    kept = [root for root in dict.fromkeys(roots) if root[0] > 1e-9]
     records = []
-    for sigma in (1.0, -1.0):
-        for a0 in a_seeds:
-            for b0 in b_seeds:
-                fw = aligned_newton(b, a0, b0, sigma)
-                if fw is None:
-                    continue
-                if any(np.max(np.abs(fw.x - r.framework.x)) <= 1e-7 for r in records):
-                    continue
-                records.append(equilibrium_record(b, fw))
+    for mirror in (1.0, -1.0):
+        for a, alpha, h, bb in kept:
+            x = np.array([[0.0, 0.0], [a, 0.0], [alpha, mirror * h], [bb, 0.0]])
+            if float(np.max(np.abs(eval_F_x(b, x)))) <= RESIDUAL_TOL:
+                records.append(equilibrium_record(b, Framework(graph=b.graph, x=x)))
     return records
 
 
@@ -447,10 +459,11 @@ def _collinear_line_equilibria(b, rng, span):
 def census(b: VectorFieldBundle, n_random=200, seed=0, dedupe_tol=1e-6):
     """Find, polish, deduplicate, and classify equilibria of the flow.
 
-    Seeds come from the closed-form design realizations, the aligned
-    solver, random collinear lines, and random frameworks drawn uniformly
-    from a square sized to the targets. Non-convergent seeds are counted,
-    not raised. Identical seeds and tolerances give an identical report.
+    Seeds come from the closed-form design realizations, every aligned
+    equilibrium (:func:`solve_ancillary_aligned`), random collinear lines,
+    and random frameworks drawn uniformly from a square sized to the
+    targets. Non-convergent seeds are counted, not raised. Identical seeds
+    and tolerances give an identical report.
     """
     rng = np.random.default_rng(seed)
     span = 2.0 * float(np.max(np.sqrt(b.lengths.as_array())))

@@ -177,7 +177,7 @@ def test_jacobian_factorizations_hold_at_design_equilibria():
             analytic_d = jacobian_d(b, z)
 
             def in_targets(dv):
-                return b.with_lengths(TargetLengths(d=tuple(dv))).F_z(z.ravel())
+                return eval_F_z(b.with_lengths(TargetLengths(d=tuple(dv))), z.ravel())
 
             numeric_d = fd_jacobian(in_targets, np.asarray(lengths.d))
             scale_d = max(1.0, float(np.max(np.abs(analytic_d))))

@@ -406,6 +406,30 @@ class TestErrorPaths:
             "message": "case.json: key 'seed' must not be negative, got -1",
         }
 
+    def test_name_must_be_a_string(self, tmp_path, capsys):
+        # Passed through str(), [1] used to run as scenario "[1]" with exit 0.
+        path = write_scenario(tmp_path, {"name": [1]})
+        status = run_scenario(path, out_dir=tmp_path / "out")
+        record, out_text = read_stderr_record(capsys)
+        assert status == 2
+        assert out_text == ""
+        assert record == {
+            "error": "scenario", "message": "case.json: key 'name' must be of type str"
+        }
+
+    def test_initial_booleans_are_not_coordinates(self, tmp_path, capsys):
+        # numpy reads true as 1.0, so this used to run from all-ones positions.
+        initial = [[True, True], [1.0, 0.0], [0.0, 1.0], [1.0, 1.0]]
+        path = write_scenario(tmp_path, {"experiment": {"kind": "simulate", "initial": initial}})
+        status = run_scenario(path, out_dir=tmp_path / "out")
+        record, out_text = read_stderr_record(capsys)
+        assert status == 2
+        assert out_text == ""
+        assert record == {
+            "error": "scenario",
+            "message": "experiment: key 'initial' must hold 8 numbers, two per agent",
+        }
+
     def test_negative_seed_flag_exits_2(self, tmp_path, capsys):
         out = tmp_path / "out"
         fig2 = str(SCENARIO_DIR / "fig2.json")
@@ -564,16 +588,16 @@ class TestErrorPaths:
 # given experiment. A change to any byte of a CSV or report fails these.
 CLI_OUTPUT_SHA256 = {
     ("fig2.json", "census"): {
-        "census.csv": "aac156a08d2b1f69bb33d618c961eb4632a9e1f0134ca6d0ae4b7ce2fb0faba3",
+        "census.csv": "86808b7b34082ca61e72897be3d6e4dd3fd03b42d8b82d698c321aa589314cbf",
         "report.txt": "0dd681d5692588a42bfb2f0512be144f47453f83e16ae7d06be6a50f6af5aa8d",
     },
     ("fig2.json", "spectrum"): {
         "report.txt": "df2cbf6fc19abddcb6d9e0899d0d0c3fe24c6fd46f5232f36975cb16b833ff8f",
-        "spectrum.csv": "1c131b54244e7393c4a977ea48d52d0dc001f18d37076607f9c9657dfc62540e",
+        "spectrum.csv": "f7cab7148454a09f81ee6ff22b0db0a7040c72ea8731a0958995d53ffd7403ab",
     },
     ("sweep_s0.json", "sweep"): {
         "report.txt": "0fe3432e93129a8ffcef83c9c5a0fc9e3ce61f8a4890d20cea0d9cadd1013bb2",
-        "sweep.csv": "03e25aa4d10f8cb64b972cc55b1393fcdfff1746d05d762c0cbe5e8c2e37a866",
+        "sweep.csv": "c46f8db7a880c25a76b7733ad2cd5bc98dd041f6a8c008fddc57b0ea4f23e0cc",
     },
     ("sweep_s0.json", "sotomayor"): {
         "report.txt": "19beb1eee90acdb73a2ffa33c29b0d77a3d8244e492c06c06d7a5e575a1d4dea",

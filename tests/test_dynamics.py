@@ -407,7 +407,7 @@ class TestJacobianD:
             analytic = jacobian_d(b, z)
 
             def in_targets(dv):
-                return b.with_lengths(TargetLengths(d=tuple(dv))).F_z(z.ravel())
+                return eval_F_z(b.with_lengths(TargetLengths(d=tuple(dv))), z.ravel())
 
             numeric = fd_jacobian(in_targets, np.asarray(b.lengths.d))
             scale = max(1.0, float(np.max(np.abs(analytic))))

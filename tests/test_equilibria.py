@@ -1,6 +1,7 @@
 """Tests for equilibrium construction, classification, and the census."""
 
 import hashlib
+import math
 
 import numpy as np
 import pytest
@@ -20,6 +21,8 @@ from formation_forge.equilibria import (
     CensusReport,
     _aligned_residual,
     _aligned_system,
+    aligned_parameters,
+    aligned_root_near,
     canonical_gauge,
     census,
     classify_kind,
@@ -260,8 +263,9 @@ class TestAlignedSolver:
             solve_ancillary_aligned(b)
 
     def test_pair_law_takes_the_finite_difference_path(self):
-        # A pair law that ignores the coupling is gradient_squared in
-        # disguise, but as a non-separable law it gets central differences.
+        # A pair law that ignores the coupling is gradient_squared in disguise.
+        # The scan reads its weights through pair_weights like any law's; as a
+        # non-separable law it gets central differences in aligned_root_near.
         from formation_forge.dynamics import CustomLaw
 
         def pair(d_pair, s2_pair, s):
@@ -275,6 +279,10 @@ class TestAlignedSolver:
             return sorted(r.framework.x.ravel().tolist() for r in solve_ancillary_aligned(bundle))
 
         assert np.allclose(positions(b), positions(benchmark_bundle()), rtol=0.0, atol=1e-8)
+        for rec in solve_ancillary_aligned(benchmark_bundle()):
+            a, bb, sigma = aligned_parameters(rec.framework)
+            fw = aligned_root_near(b, a + 1e-3, bb - 1e-3, sigma)
+            assert np.max(np.abs(fw.x - rec.framework.x)) <= 1e-8
 
     def test_first_and_fifth_errors_do_not_vanish(self):
         # Aligned equilibria balance the two-coleader forces without
@@ -286,6 +294,94 @@ class TestAlignedSolver:
             errs = edge_errors(rec.framework, b.lengths)
             assert abs(errs[0]) > 1e-3 and abs(errs[4]) > 1e-3
             assert np.max(np.abs(errs[1:4])) <= 1e-9
+
+
+def squared_law_aligned_roots():
+    """A function from squared targets to their aligned roots ``(a, b)``, a > 0.
+
+    Under the squared law an aligned equilibrium solves two polynomials in
+    agent 2's abscissa ``a`` and agent 4's ``b``: the fourth edge at its
+    target, ``a b^2 - (a^2 + d3 - d2) b + a (d3 - d4) = 0``, and agent 1's
+    balance, ``a^3 - d1 a + b^3 - d5 b = 0``. Their resultant in ``b`` is a
+    polynomial of degree 9 in ``a``. Its real roots where agent 3 can stand
+    off the line, each with the ``b`` of the quadratic that satisfies the
+    cubic, are every aligned equilibrium up to mirror images.
+    """
+    sp = pytest.importorskip("sympy")
+    a, b, *d = sp.symbols("a b d1:6")
+    edge4 = a * b**2 - (a**2 + d[2] - d[1]) * b + a * (d[2] - d[3])
+    balance = a**3 - d[0] * a + b**3 - d[4] * b
+    resultant = sp.Poly(sp.resultant(edge4, balance, b), a)
+    assert resultant.degree() == 9
+    coefficients = sp.lambdify(d, resultant.all_coeffs())
+
+    def roots(dv):
+        d1, d2, d3, d4, d5 = dv
+        found = []
+        for r in np.roots(np.array(coefficients(*dv), dtype=float)):
+            va = r.real
+            if abs(r.imag) > 1e-7 * max(1.0, abs(r)) or va <= 1e-9:
+                continue
+            alpha = (va * va + d3 - d2) / (2.0 * va)
+            if d3 - alpha * alpha <= 0.0:
+                continue
+            p, q = -(va * va + d3 - d2) / va, d3 - d4
+            disc = math.sqrt(max(0.0, p * p / 4.0 - q))
+            for vb in (-p / 2.0 + disc, -p / 2.0 - disc):
+                scale = max(1.0, va**3, abs(vb) ** 3, d1 * va, d5 * abs(vb))
+                if abs(va**3 - d1 * va + vb**3 - d5 * vb) <= 1e-6 * scale:
+                    found.append((va, vb))
+        return found
+
+    return roots
+
+
+def same_root(p, q):
+    return all(abs(u - v) <= 1e-6 * max(1.0, abs(v)) for u, v in zip(p, q))
+
+
+def test_aligned_scan_finds_every_resultant_root():
+    roots = squared_law_aligned_roots()
+    rng = np.random.default_rng(3)
+    target_sets = [tuple(v * v for v in FIG2_PLAIN), (1.0, 5.0, 4.0, 8.0, 4.0)]
+    target_sets += [tuple(row) for row in rng.uniform(0.25, 40.0, (300, 5))]
+    law = builtin_law("gradient_squared")
+    total = 0
+    for d in target_sets:
+        b = VectorFieldBundle(graph=two_cycles(), law=law, lengths=TargetLengths(d=d))
+        records = solve_ancillary_aligned(b)
+        upper = [
+            aligned_parameters(r.framework)[:2] for r in records if r.framework.x[2, 1] > 0.0
+        ]
+        want = []
+        for root in roots(d):
+            if not any(same_root(root, w) for w in want):
+                want.append(root)
+        assert len(records) == 2 * len(upper), d
+        assert all(any(same_root(w, u) for u in upper) for w in want), d
+        assert all(any(same_root(u, w) for w in want) for u in upper), d
+        for rec in records:
+            assert float(np.max(np.abs(eval_F_x(b, rec.framework.x)))) <= 1e-12, d
+        total += len(want)
+    assert total == 420
+
+
+@pytest.mark.parametrize("law_name", ("gradient_squared", "gradient_plain", "eq1_plain"))
+def test_aligned_mirror_pairs_have_identical_spectra(law_name):
+    # Each mirror is its root with agent 3's height negated, so the
+    # linearizations agree up to sign flips and the spectra bit for bit.
+    law = builtin_law(law_name)
+    b = VectorFieldBundle(
+        graph=two_cycles(), law=law,
+        lengths=TargetLengths(d=tuple(v * v for v in FIG2_PLAIN), convention=law.convention),
+    )
+    records = solve_ancillary_aligned(b)
+    assert len(records) == 4
+    for rec, mirror in zip(records[:2], records[2:]):
+        flipped = rec.framework.x.copy()
+        flipped[2, 1] = -flipped[2, 1]
+        assert np.array_equal(mirror.framework.x, flipped)
+        assert mirror.spectrum_gauge.values == rec.spectrum_gauge.values
 
 
 class TestAlignedJacobian:
@@ -325,8 +421,8 @@ class TestAlignedJacobian:
 
 
     def test_residual_is_nan_off_domain(self):
-        # Agent 3 cannot be placed when a is too small for the triangle, and the
-        # aligned Newton's finite-step check rejects the NaN this returns.
+        # Agent 3 cannot be placed when a is too small for the triangle, and
+        # newton_root in aligned_root_near rejects the NaN this returns.
         b = benchmark_bundle()
         d = b.lengths.as_array()
         assert np.isnan(_aligned_residual(b, d, 0.1, 1.0, 1.0)).all()
@@ -418,11 +514,12 @@ FIG2_PLAIN = (2.0, 2.6, 2.0, 3.3, 1.4)
 
 # sha256 of the fig2 census (n_random=60, seed 7) under each law, over every
 # record's kind, index, positions and gauge spectrum, with the dropped-seed
-# count beside it. Recorded before the census moved onto numkernel's
-# newton_root, so any change to a bit of the census fails them.
+# count beside it. Any change to a bit of the census fails them. Last
+# recorded when solve_ancillary_aligned became a scan, which moved the
+# aligned seeds by rounding only and put each mirror pair in a fixed order.
 FIG2_CENSUS_PINS = {
-    "gradient_squared": ("be93de1a05764c9dbebc4d97f2b5a7123e2d574ad8756dbd9a8f9da57fa71577", 6),
-    "gradient_plain": ("795d541758f7e479d434f81b8bd6ee5e795fe90ac055cd707f9d5c4fe67ee9bd", 3),
+    "gradient_squared": ("2f4e264b5c7b032d3fb603f7eab5803d77ff64367ca22a286ee350267d555edc", 6),
+    "gradient_plain": ("85a17fce6340fe963c03dac631819d91a0d890128aa6df9ed0df14215b792c3a", 3),
 }
 
 
