@@ -102,7 +102,18 @@ def _check_type(value, kind, what, where):
     if isinstance(value, bool) or not ok:
         noun = "an integer" if kind is int else "a number"
         raise ScenarioError(f"{what} must be {noun}, got {value!r}", position=where)
+    if kind is float and not _fits_float(value):
+        raise ScenarioError(f"{what} must be a number within float range", position=where)
     return value
+
+
+def _fits_float(value):
+    """Whether a JSON number converts to a float; an integer can be too large."""
+    try:
+        float(value)
+    except OverflowError:
+        return False
+    return True
 
 
 def _checked(value, key, kind, within, wording, where, m):
@@ -142,6 +153,8 @@ def load_scenario(path):
         raise ScenarioError(
             exc.msg, position=f"{p.name}: line {exc.lineno} column {exc.colno}"
         )
+    except ValueError as exc:  # an integer past Python's digit limit for int()
+        raise ScenarioError(str(exc), position=p.name)
     if not isinstance(raw, dict):
         raise ScenarioError("scenario root must be an object", position=p.name)
     _refuse_unknown(raw, _TOP_KEYS, "scenario", p.name)
@@ -220,7 +233,7 @@ def load_scenario(path):
                 f"key 'initial' must hold {2 * graph.n} numbers, two per agent",
                 position="experiment",
             )
-        if not np.isfinite(np.asarray(entries, dtype=float)).all():
+        if not all(_fits_float(v) and math.isfinite(v) for v in entries):
             raise ScenarioError(
                 f"key 'initial' must hold {2 * graph.n} finite numbers",
                 position="experiment",

@@ -52,7 +52,6 @@ DESIGN_TOL = 1e-8  # edge-error, collinearity and alignment tolerance of classif
 RESIDUAL_TOL = 1e-9  # largest field residual accepted as an equilibrium
 NEWTON_TOL = 1e-11  # residual at which the census and aligned solves stop
 CENSUS_MAX_ITER = 80
-CENSUS_COLLINEAR_SEEDS = 24
 ALIGNED_SCAN_STEPS = 64  # scan steps along each aligned path; even, so the top is a sample
 SCALAR_SEEDS = 41
 
@@ -427,73 +426,52 @@ def solve_ancillary_aligned(b: VectorFieldBundle):
     return records
 
 
-def _collinear_line_equilibria(b, rng, span):
-    """Equilibria of the flow restricted to a line through the origin.
-
-    Collinear configurations form an invariant subspace, so roots of the
-    one-dimensional restriction are equilibria of the full flow. These
-    are representatives only; collinear equilibria can come in continua.
-    """
-    n = b.graph.n
-
-    def line_field(p):
-        x = np.column_stack([p, np.zeros(n)])
-        return eval_F_x(b, x)[:, 0]
-
-    def line_jacobian(p):
-        return jacobian_x(b, np.column_stack([p, np.zeros(n)]))[0::2, 0::2]
-
-    found = []
-    for _ in range(CENSUS_COLLINEAR_SEEDS):
-        p0 = rng.uniform(-span, span, n)
-        try:
-            root = newton_root(
-                line_field, p0, max_iter=CENSUS_MAX_ITER, tol=NEWTON_TOL, jac=line_jacobian
-            ).x
-        except ConvergenceError:
-            continue
-        found.append(np.column_stack([root, np.zeros(n)]))
-    return found
-
-
 def census(b: VectorFieldBundle, n_random=200, seed=0, dedupe_tol=1e-6):
-    """Find, polish, deduplicate, and classify equilibria of the flow.
+    """Gather, deduplicate and classify the flow's equilibria.
 
-    Seeds come from the closed-form design realizations, every aligned
-    equilibrium (:func:`solve_ancillary_aligned`), random collinear lines,
-    and random frameworks drawn uniformly from a square sized to the
-    targets. Non-convergent seeds are counted, not raised. Identical seeds
-    and tolerances give an identical report.
+    On two-cycles the closed-form design realizations and every aligned
+    equilibrium (:func:`solve_ancillary_aligned`) enter as built, designs
+    first; a design whose field residual exceeds ``RESIDUAL_TOL`` is
+    counted as dropped. Then Newton runs from ``n_random`` frameworks drawn
+    uniformly from a square sized to the targets, the first draws of
+    ``default_rng(seed)``; its roots enter in canonical gauge, and a
+    non-convergent draw is counted, not raised. A record within
+    ``dedupe_tol`` of an earlier one is skipped. Identical seeds and
+    tolerances give an identical report.
     """
-    rng = np.random.default_rng(seed)
-    span = 2.0 * float(np.max(np.sqrt(b.lengths.as_array())))
-    seeds = []
-    if b.graph.edges == two_cycles().edges:
-        try:
-            seeds.extend(fw.x for fw in design_frameworks(b.graph, b.lengths))
-        except InfeasibleLengthsError:
-            pass
-        for rec in solve_ancillary_aligned(b):
-            seeds.append(rec.framework.x)
-    seeds.extend(_collinear_line_equilibria(b, rng, span))
-    seeds.extend(rng.uniform(-span, span, (b.graph.n, 2)) for _ in range(n_random))
-
     records = []
     dropped = 0
-    for s in seeds:
+
+    def is_new(x):
+        return all(np.max(np.abs(x - r.framework.x)) > dedupe_tol for r in records)
+
+    if b.graph.edges == two_cycles().edges:
+        try:
+            designs = design_frameworks(b.graph, b.lengths)
+        except InfeasibleLengthsError:
+            designs = []
+        for fw in designs:
+            # at large targets rounding can leave a realization short of RESIDUAL_TOL
+            if float(np.max(np.abs(eval_F_x(b, fw.x)))) > RESIDUAL_TOL:
+                dropped += 1
+            elif is_new(fw.x):
+                records.append(equilibrium_record(b, fw))
+        records.extend(rec for rec in solve_ancillary_aligned(b) if is_new(rec.framework.x))
+
+    rng = np.random.default_rng(seed)
+    span = 2.0 * float(np.max(np.sqrt(b.lengths.as_array())))
+    for _ in range(n_random):
         try:
             root = newton_root(
-                lambda v: eval_F_x(b, v), np.asarray(s, dtype=float).ravel(),
+                lambda v: eval_F_x(b, v), rng.uniform(-span, span, (b.graph.n, 2)).ravel(),
                 max_iter=CENSUS_MAX_ITER, tol=NEWTON_TOL, jac=lambda v: jacobian_x(b, v),
             ).x
         except ConvergenceError:
             dropped += 1
             continue
-        fw = Framework(graph=b.graph, x=root.reshape(b.graph.n, 2))
-        gauged = canonical_gauge(fw)
-        if any(np.max(np.abs(gauged.x - r.framework.x)) <= dedupe_tol for r in records):
-            continue
-        records.append(equilibrium_record(b, gauged))
+        gauged = canonical_gauge(Framework(graph=b.graph, x=root.reshape(b.graph.n, 2)))
+        if is_new(gauged.x):
+            records.append(equilibrium_record(b, gauged))
     return CensusReport(records=tuple(records), dropped_seeds=dropped)
 
 

@@ -50,11 +50,15 @@ class EdgeVectors:
 
     ``Dz`` is the m-by-2m matrix whose i-th row carries ``z_i`` transposed
     in the i-th coordinate pair; it turns stacked planar vectors into
-    per-edge scalar projections.
+    per-edge scalar projections. It is built from ``z`` on each access,
+    since most callers read only ``z``.
     """
 
     z: np.ndarray
-    Dz: np.ndarray
+
+    @property
+    def Dz(self):
+        return edge_block_rows(self.z)
 
 
 def edge_block_rows(z):
@@ -69,7 +73,7 @@ def edge_block_rows(z):
 def edge_vectors(f: Framework):
     """Edge vectors ``z_i = x_target - x_origin`` in edge order."""
     z = f.x[f.graph.targets()] - f.x[f.graph.origins()]
-    return EdgeVectors(z=z, Dz=edge_block_rows(z))
+    return EdgeVectors(z=z)
 
 
 @dataclass(frozen=True)

@@ -2,8 +2,10 @@
 
 import dataclasses
 import hashlib
+import importlib
 import json
 import os
+import pkgutil
 import re
 import subprocess
 import sys
@@ -33,6 +35,9 @@ BASE = {
     "experiment": {"kind": "census", "n_random": 10},
     "seed": 7,
 }
+
+# A JSON integer too large for a float: "1" followed by 400 zeros.
+HUGE = 10**400
 
 
 def write_scenario(tmp_path, overrides, name="case.json"):
@@ -137,7 +142,7 @@ class TestCensusRun:
         assert "scenario: benchmark-census" in report
         assert "feasible: yes" in report
         assert "almost surely stable: no" in report
-        assert "dropped seeds: 6" in report
+        assert "dropped seeds: 4" in report
         assert "index sum: -6" in report
         csv_text = (out / "census.csv").read_text()
         assert csv_text.splitlines()[0] == "kind,stable,index,eigenvalues,positions"
@@ -471,6 +476,45 @@ class TestErrorPaths:
     @pytest.mark.parametrize(
         "overrides, message",
         [
+            ({"law": {"name": "gradient_squared", "gain": HUGE}},
+             "law: key 'gain' must be a number within float range"),
+            ({"lengths": {"values": [HUGE, 2.6, 2.0, 3.3, 1.4], "convention": "plain"}},
+             "lengths: length value 1 must be a number within float range"),
+            ({"experiment": {"kind": "simulate", "initial": [HUGE] + [0.0] * 7}},
+             "experiment: key 'initial' must hold 8 finite numbers"),
+            ({"experiment": {"kind": "sweep", "eps": HUGE}},
+             "experiment: key 'eps' must be a number within float range"),
+            ({"experiment": {"kind": "census", "dedupe_tol": HUGE}},
+             "experiment: key 'dedupe_tol' must be a number within float range"),
+            ({"experiment": {"kind": "simulate", "t_end": HUGE}},
+             "experiment: key 't_end' must be a number within float range"),
+        ],
+    )
+    def test_integer_past_float_range_exits_2(self, tmp_path, capsys, overrides, message):
+        # float() of such an integer raises OverflowError, which used to
+        # surface as an internal error with exit 3.
+        path = write_scenario(tmp_path, overrides)
+        status = run_scenario(path, out_dir=tmp_path / "out")
+        record, out_text = read_stderr_record(capsys)
+        assert status == 2
+        assert out_text == ""
+        assert record == {"error": "scenario", "message": message}
+
+    def test_integer_past_the_digit_limit_exits_2(self, tmp_path, capsys):
+        # Python 3.11 on (and 3.10 from 3.10.7) refuses to read an integer
+        # literal of more than 4300 digits with a ValueError; older Pythons
+        # read it and the float range check refuses it.
+        path = write_scenario(tmp_path, {"law": {"name": "gradient_squared", "gain": 1}})
+        path.write_text(path.read_text().replace('"gain": 1', '"gain": 1' + "0" * 5000))
+        status = run_scenario(path, out_dir=tmp_path / "out")
+        record, out_text = read_stderr_record(capsys)
+        assert status == 2
+        assert out_text == ""
+        assert record["error"] == "scenario"
+
+    @pytest.mark.parametrize(
+        "overrides, message",
+        [
             (
                 {"experiment": {"kind": "simulate", "initial": [0.0] * 7 + [float("nan")]}},
                 "experiment: key 'initial' must hold 8 finite numbers",
@@ -589,7 +633,7 @@ class TestErrorPaths:
 CLI_OUTPUT_SHA256 = {
     ("fig2.json", "census"): {
         "census.csv": "86808b7b34082ca61e72897be3d6e4dd3fd03b42d8b82d698c321aa589314cbf",
-        "report.txt": "0dd681d5692588a42bfb2f0512be144f47453f83e16ae7d06be6a50f6af5aa8d",
+        "report.txt": "22660183cbe3d92f6e436af93c25aa88ec4d71eead151a57652523d3d467c1a0",
     },
     ("fig2.json", "spectrum"): {
         "report.txt": "df2cbf6fc19abddcb6d9e0899d0d0c3fe24c6fd46f5232f36975cb16b833ff8f",
@@ -707,6 +751,17 @@ class TestReadme:
         sc = load_scenario(path)
         bundled = load_scenario(SCENARIO_DIR / "fig2.json")
         assert dataclasses.astuple(sc) == dataclasses.astuple(bundled)
+
+    def test_named_constants_exist(self):
+        readme = Path(__file__).resolve().parents[1] / "README.md"
+        names = set(re.findall(r"`([A-Z][A-Z0-9_]+)`", readme.read_text()))
+        assert names
+        modules = [formation_forge] + [
+            importlib.import_module(f"formation_forge.{info.name}")
+            for info in pkgutil.iter_modules(formation_forge.__path__)
+        ]
+        missing = {name for name in names if not any(hasattr(m, name) for m in modules)}
+        assert not missing
 
     def test_parameter_table_matches_the_code(self):
         readme = Path(__file__).resolve().parents[1] / "README.md"

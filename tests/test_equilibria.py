@@ -8,6 +8,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from formation_forge import equilibria
 from formation_forge.dynamics import (
     VectorFieldBundle,
     builtin_law,
@@ -18,6 +19,7 @@ from formation_forge.equilibria import (
     BENCHMARK_LENGTHS,
     BENCHMARK_SPECTRA,
     RECORD_KINDS,
+    RESIDUAL_TOL,
     CensusReport,
     _aligned_residual,
     _aligned_system,
@@ -27,6 +29,7 @@ from formation_forge.equilibria import (
     census,
     classify_kind,
     design_frameworks,
+    equilibrium_record,
     gauge_fixed_spectrum,
     gauge_slice_basis,
     identify_convention,
@@ -47,6 +50,7 @@ from formation_forge.rigidity import (
     edge_vectors,
     make_singular_lengths,
     planar_cross,
+    singular_witnesses,
 )
 
 BENCHMARK_SQUARED = (4.0, 6.76, 4.0, 10.89, 1.96)
@@ -514,12 +518,14 @@ FIG2_PLAIN = (2.0, 2.6, 2.0, 3.3, 1.4)
 
 # sha256 of the fig2 census (n_random=60, seed 7) under each law, over every
 # record's kind, index, positions and gauge spectrum, with the dropped-seed
-# count beside it. Any change to a bit of the census fails them. Last
-# recorded when solve_ancillary_aligned became a scan, which moved the
-# aligned seeds by rounding only and put each mirror pair in a fixed order.
+# count beside it. Any change to a bit of the census fails them. The digests
+# were last recorded when solve_ancillary_aligned became a scan, which moved
+# the aligned seeds by rounding only and put each mirror pair in a fixed
+# order; the counts when the collinear line seeds, which never converged
+# here, left the census.
 FIG2_CENSUS_PINS = {
-    "gradient_squared": ("2f4e264b5c7b032d3fb603f7eab5803d77ff64367ca22a286ee350267d555edc", 6),
-    "gradient_plain": ("85a17fce6340fe963c03dac631819d91a0d890128aa6df9ed0df14215b792c3a", 3),
+    "gradient_squared": ("2f4e264b5c7b032d3fb603f7eab5803d77ff64367ca22a286ee350267d555edc", 4),
+    "gradient_plain": ("85a17fce6340fe963c03dac631819d91a0d890128aa6df9ed0df14215b792c3a", 1),
 }
 
 
@@ -533,16 +539,88 @@ def census_digest(report):
     return h.hexdigest()
 
 
-@pytest.mark.parametrize("law_name", sorted(FIG2_CENSUS_PINS))
-def test_fig2_census_is_pinned(law_name):
+def fig2_bundle(law_name):
     law = builtin_law(law_name)
-    b = VectorFieldBundle(
+    return VectorFieldBundle(
         graph=two_cycles(),
         law=law,
         lengths=TargetLengths(d=tuple(v * v for v in FIG2_PLAIN), convention=law.convention),
     )
-    report = census(b, n_random=60, seed=7)
+
+
+@pytest.mark.parametrize("law_name", sorted(FIG2_CENSUS_PINS))
+def test_fig2_census_is_pinned(law_name):
+    report = census(fig2_bundle(law_name), n_random=60, seed=7)
     assert (census_digest(report), report.dropped_seeds) == FIG2_CENSUS_PINS[law_name]
+
+
+def assert_same_record(rec, other):
+    assert (rec.kind, rec.index, rec.stable, rec.residual) == (
+        other.kind, other.index, other.stable, other.residual
+    )
+    assert np.array_equal(rec.framework.x, other.framework.x)
+    assert rec.spectrum_gauge.values == other.spectrum_gauge.values
+
+
+class TestCensusTakesStructuralRecordsAsBuilt:
+    @pytest.mark.parametrize("law_name", sorted(FIG2_CENSUS_PINS))
+    def test_one_spectrum_per_record(self, monkeypatch, law_name):
+        b = fig2_bundle(law_name)
+        calls = []
+        original = equilibria.equilibrium_record
+
+        def counted(bundle, fw):
+            calls.append(fw)
+            return original(bundle, fw)
+
+        monkeypatch.setattr(equilibria, "equilibrium_record", counted)
+        report = census(b, n_random=60, seed=7)
+        assert len(report.records) == 10
+        assert len(calls) == 10
+
+    @pytest.mark.parametrize("law_name", sorted(FIG2_CENSUS_PINS))
+    def test_design_and_aligned_records_are_bit_identical(self, law_name):
+        b = fig2_bundle(law_name)
+        report = census(b, n_random=60, seed=7)
+        built = [equilibrium_record(b, fw) for fw in design_frameworks(b.graph, b.lengths)]
+        built += solve_ancillary_aligned(b)
+        assert [r.kind for r in built] == ["design"] * 4 + ["ancillary_aligned"] * 4
+        for rec, other in zip(report.records, built):
+            assert_same_record(rec, other)
+
+    def test_design_short_of_the_residual_tolerance_is_dropped(self):
+        # At 100 times fig2's lengths two realizations' field residuals are
+        # about 1e-8 under the squared law; a record of one would be refused.
+        b = VectorFieldBundle(
+            graph=two_cycles(), law=builtin_law("gradient_squared"),
+            lengths=TargetLengths(d=tuple((100.0 * v) ** 2 for v in FIG2_PLAIN)),
+        )
+        residuals = [
+            float(np.max(np.abs(eval_F_x(b, fw.x))))
+            for fw in design_frameworks(b.graph, b.lengths)
+        ]
+        short = sum(r > RESIDUAL_TOL for r in residuals)
+        assert 0 < short < len(residuals)
+        report = census(b, n_random=0, seed=0)
+        assert report.dropped_seeds == short
+        assert len(report.by_kind("design")) == len(residuals) - short
+
+    def test_singular_witness_is_one_design_record(self):
+        lengths = TargetLengths(d=(1.0, 5.0, 4.0, 8.0, 4.0))
+        b = VectorFieldBundle(graph=two_cycles(), law=builtin_law("gradient_squared"),
+                              lengths=lengths)
+        witnesses = singular_witnesses(lengths)
+        assert witnesses
+        aligned = solve_ancillary_aligned(b)
+        report = census(b, n_random=10, seed=0)
+
+        def near(records, fw):
+            return [r for r in records if np.max(np.abs(r.framework.x - fw.x)) <= 1e-6]
+
+        for fw in witnesses:
+            # the aligned solver reaches the witness too; the census keeps one record
+            assert near(aligned, fw)
+            assert [r.kind for r in near(report.records, fw)] == ["design"]
 
 
 class TestCensusVerdicts:
