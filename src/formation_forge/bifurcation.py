@@ -79,12 +79,14 @@ class BranchPoint:
 
 @dataclass(frozen=True, eq=False)
 class TranscriticalReport:
-    detected: bool
-    indeterminate: bool
-    reason: str | None
-    crossings: dict
-    orientation: str | None
-    grid_step: float | None
+    """A sweep's verdict; the fields a verdict does not reach stay empty."""
+
+    detected: bool = False
+    indeterminate: bool = False
+    reason: str | None = None
+    crossings: dict = field(default_factory=dict)
+    orientation: str | None = None
+    grid_step: float | None = None
 
 
 def _normalize_sign(vec):
@@ -233,54 +235,22 @@ def _branch_point(bundle, mu, branch, fw):
     )
 
 
-def _design_branch_points(b0, base, mus, center, ref, mu_edge):
-    points = {}
-    for indices in (range(center, len(mus)), range(center - 1, -1, -1)):
-        chain_ref = ref
-        for idx in indices:
-            lengths = base.perturbed(mu_edge, float(mus[idx]))
-            try:
-                frameworks = design_frameworks(b0.graph, lengths)
-            except InfeasibleLengthsError:
-                continue
-            gauged = [canonical_gauge(fw) for fw in frameworks]
-            pick = min(gauged, key=lambda g: float(np.max(np.abs(g.x - chain_ref))))
-            points[idx] = _branch_point(
-                b0.with_lengths(lengths), float(mus[idx]), "design", pick
-            )
-            chain_ref = pick.x
-    return [points[i] for i in sorted(points)]
+def _follow_branch(grid, center, branch, start, step):
+    """One branch over ``grid``'s (mu, bundle) samples, walked outward from ``center``.
 
-
-def _aligned_anchor(b0, base, mus, center, witness, mu_edge):
-    """The aligned branch's start: the witness, else the first stable (or first) centre root."""
-    if witness is not None:
-        return aligned_parameters(canonical_gauge(witness))
-    bundle = b0.with_lengths(base.perturbed(mu_edge, float(mus[center])))
-    records = solve_ancillary_aligned(bundle)
-    if not records:
-        return None
-    stable = [r for r in records if r.stable]
-    return aligned_parameters((stable or records)[0].framework)
-
-
-def _aligned_branch_points(b0, base, mus, center, params, mu_edge):
-    """The aligned branch, each sample's Newton started from the last root found.
-
-    A sample where Newton fails is left out, a gap in the branch.
+    At each sample ``step(bundle, previous)`` continues the branch from the
+    framework found last, ``start`` at the centre; a sample where it
+    returns None is left out, a gap in the branch.
     """
-    *start, sigma = params
     points = {}
-    for indices in (range(center, len(mus)), range(center - 1, -1, -1)):
-        state = start
+    for indices in (range(center, len(grid)), range(center - 1, -1, -1)):
+        previous = start
         for idx in indices:
-            mu = float(mus[idx])
-            bundle = b0.with_lengths(base.perturbed(mu_edge, mu))
-            fw = aligned_root_near(bundle, *state, sigma)
-            if fw is None:
-                continue
-            state = aligned_parameters(fw)[:2]
-            points[idx] = _branch_point(bundle, mu, "ancillary_aligned", fw)
+            mu, bundle = grid[idx]
+            fw = step(bundle, previous)
+            if fw is not None:
+                points[idx] = _branch_point(bundle, mu, branch, fw)
+                previous = fw
     return [points[i] for i in sorted(points)]
 
 
@@ -290,14 +260,18 @@ def mu_sweep(d0, eps=DEFAULT_SWEEP_HALF_WIDTH, samples=21, template=None, mu_edg
     ``d0`` gives the base targets (a TargetLengths or a tuple of stored
     squared values); ``template`` supplies the graph and law, defaulting
     to the squared-error gradient law on the two-cycles graph. Both grid
-    endpoints must be realizable. The design branch follows the nearest
-    closed-form realization from sample to sample. The aligned branch
-    starts at the sample nearest mu = 0: from the witness when ``d0`` sits
-    in the singular set, so the branches meet there, and otherwise from
-    the first stable aligned equilibrium (the detector is then expected to
-    report no crossing). It is continued outward by :func:`newton_root` on
-    the 2x2 aligned residual, each sample from the last root found.
-    Samples where a branch's solver fails are omitted, leaving a gap.
+    endpoints must be realizable. Both branches follow one rule: walk
+    outward from the sample nearest mu = 0 in both directions, each sample
+    continuing from the framework found last; a sample whose step finds
+    nothing is omitted, leaving a gap. When ``d0`` sits in the singular
+    set both branches start at the witness in canonical gauge, so they
+    meet there. Otherwise the design branch starts at the first design
+    realization of ``d0`` and the aligned branch at the first stable (else
+    first) aligned equilibrium of the centre sample; the detector is then
+    expected to report no crossing. The design step picks the closed-form
+    realization nearest the last one. The aligned step is
+    :func:`aligned_root_near` from the last root's ``(a, b)``, on the
+    mirror of the branch start.
     """
     if template is None:
         law = builtin_law("gradient_squared")
@@ -320,19 +294,32 @@ def mu_sweep(d0, eps=DEFAULT_SWEEP_HALF_WIDTH, samples=21, template=None, mu_edg
     for end in (float(mus[0]), float(mus[-1])):
         design_frameworks(graph, base.perturbed(mu_edge, end))
 
-    witnesses = singular_witnesses(base)
-    witness = witnesses[0] if witnesses else None
+    grid = [(float(mu), b0.with_lengths(base.perturbed(mu_edge, float(mu)))) for mu in mus]
     center = int(np.argmin(np.abs(mus)))
 
-    if witness is not None:
-        ref = canonical_gauge(witness).x
-    else:
-        ref = canonical_gauge(design_frameworks(graph, base)[0]).x
-    points = _design_branch_points(b0, base, mus, center, ref, mu_edge)
+    def design_step(bundle, previous):
+        try:
+            frameworks = design_frameworks(graph, bundle.lengths)
+        except InfeasibleLengthsError:
+            return None
+        gauged = [canonical_gauge(fw) for fw in frameworks]
+        return min(gauged, key=lambda g: float(np.max(np.abs(g.x - previous.x))))
 
-    params = _aligned_anchor(b0, base, mus, center, witness, mu_edge)
-    if params is not None:
-        points.extend(_aligned_branch_points(b0, base, mus, center, params, mu_edge))
+    witnesses = singular_witnesses(base)
+    start = canonical_gauge(witnesses[0] if witnesses else design_frameworks(graph, base)[0])
+    points = _follow_branch(grid, center, "design", start, design_step)
+    if not witnesses:
+        records = solve_ancillary_aligned(grid[center][1])
+        stable = [r for r in records if r.stable]
+        start = (stable or records)[0].framework if records else None
+    if start is not None:
+        sigma = aligned_parameters(start)[2]
+
+        def aligned_step(bundle, previous):
+            a, bb, _ = aligned_parameters(previous)
+            return aligned_root_near(bundle, a, bb, sigma)
+
+        points += _follow_branch(grid, center, "ancillary_aligned", start, aligned_step)
     return points
 
 
@@ -345,34 +332,32 @@ def transcritical_detect(points):
     Incomplete data (missing branches, gapped or non-uniform grids) gives
     an indeterminate report rather than a verdict.
     """
-
-    def indeterminate(reason):
-        return TranscriticalReport(
-            detected=False, indeterminate=True, reason=reason,
-            crossings={}, orientation=None, grid_step=None,
-        )
-
     points = list(points)
-    if not points:
-        return indeterminate("no sweep points")
     branches = {}
     for p in points:
         branches.setdefault(p.branch, []).append(p)
-    if len(branches) < 2:
-        return indeterminate("fewer than two branches in the sweep")
-    if len(branches) > 2:
-        return indeterminate("more than two branches in the sweep")
     names = sorted(branches)
     for name in names:
         branches[name].sort(key=lambda p: p.mu)
-        if len(branches[name]) < 2:
-            return indeterminate(f"branch {name!r} has fewer than two sweep points")
+    short = [name for name in names if len(branches[name]) < 2]
     grids = [np.array([p.mu for p in branches[name]]) for name in names]
-    if len(grids[0]) != len(grids[1]) or np.max(np.abs(grids[0] - grids[1])) > 1e-12:
-        return indeterminate("branch grids differ; the sweep has gaps")
-    diffs = np.diff(grids[0])
-    if np.max(diffs) - np.min(diffs) > 1e-9 * (1.0 + float(np.max(np.abs(grids[0])))):
-        return indeterminate("sweep grid is not uniform; the sweep has gaps")
+    if not points:
+        reason = "no sweep points"
+    elif len(names) < 2:
+        reason = "fewer than two branches in the sweep"
+    elif len(names) > 2:
+        reason = "more than two branches in the sweep"
+    elif short:
+        reason = f"branch {short[0]!r} has fewer than two sweep points"
+    elif len(grids[0]) != len(grids[1]) or np.max(np.abs(grids[0] - grids[1])) > 1e-12:
+        reason = "branch grids differ; the sweep has gaps"
+    else:
+        diffs = np.diff(grids[0])
+        reason = None
+        if np.max(diffs) - np.min(diffs) > 1e-9 * (1.0 + float(np.max(np.abs(grids[0])))):
+            reason = "sweep grid is not uniform; the sweep has gaps"
+    if reason is not None:
+        return TranscriticalReport(indeterminate=True, reason=reason)
     grid_step = float(np.mean(diffs))
 
     crossings = {}
@@ -383,10 +368,9 @@ def transcritical_detect(points):
         changes = [i for i in range(len(lr) - 1) if positive[i] != positive[i + 1]]
         if len(changes) != 1:
             return TranscriticalReport(
-                detected=False, indeterminate=False,
                 reason=f"branch {name!r} leading eigenvalue changes sign "
                        f"{len(changes)} times, expected exactly one",
-                crossings={}, orientation=None, grid_step=grid_step,
+                grid_step=grid_step,
             )
         i = changes[0]
         mu_i, mu_j = grids[0][i], grids[0][i + 1]
@@ -395,24 +379,21 @@ def transcritical_detect(points):
 
     if first_signs[names[0]] == first_signs[names[1]]:
         return TranscriticalReport(
-            detected=False, indeterminate=False,
             reason="branches do not exchange stability; their sign patterns agree",
-            crossings=crossings, orientation=None, grid_step=grid_step,
+            crossings=crossings, grid_step=grid_step,
         )
     for name, mu_c in crossings.items():
         if abs(mu_c) > grid_step * (1.0 + 1e-9):
             return TranscriticalReport(
-                detected=False, indeterminate=False,
                 reason=f"branch {name!r} crossing estimate {mu_c:.3g} is farther "
                        f"than one grid step from zero",
-                crossings=crossings, orientation=None, grid_step=grid_step,
+                crossings=crossings, grid_step=grid_step,
             )
     stable_low = names[0] if not first_signs[names[0]] else names[1]
     stable_high = names[1] if stable_low == names[0] else names[0]
     orientation = f"{stable_low} stable below the crossing, {stable_high} stable above"
     return TranscriticalReport(
-        detected=True, indeterminate=False, reason=None,
-        crossings=crossings, orientation=orientation, grid_step=grid_step,
+        detected=True, crossings=crossings, orientation=orientation, grid_step=grid_step,
     )
 
 

@@ -19,7 +19,6 @@ import numpy as np
 from .dynamics import (
     VectorFieldBundle,
     builtin_law,
-    edge_weights,
     eval_F_x,
     jacobian_x,
     weight_slopes,
@@ -275,26 +274,19 @@ def _aligned_positions(d, a, bb, sigma):
     return np.array([[0.0, 0.0], [a, 0.0], [alpha, sigma * beta], [bb, 0.0]])
 
 
-def _aligned_residual(b, d, a, bb, sigma):
-    """The fourth edge's weight and the force balance on agent 1; NaN off-domain."""
-    x = _aligned_positions(d, a, bb, sigma)
-    if x is None:
-        return np.full(2, np.nan)
-    # x_target - x_origin over the two-cycles edges, as edge_vectors computes it
-    u = edge_weights(b, x[[1, 2, 0, 2, 3]] - x[[0, 1, 2, 3, 0]])
-    return np.array([u[3], u[0] * a + u[4] * bb])
-
-
 def _aligned_system(law, d, a, bb, sigma):
-    """:func:`_aligned_residual` and its closed-form Jacobian in ``(a, b)``.
+    """The fourth edge's weight and the force balance on agent 1, with their Jacobian.
 
-    Valid for separable laws, and evaluated straight from the parameters:
-    only edges 1, 4 and 5 enter, with squared lengths ``a^2``,
-    ``(alpha - b)^2 + beta^2`` and ``b^2`` summed as the edge vectors'
-    components would be, so the residual matches the framework route bit
-    for bit. With ``beta^2 = d_3 - alpha^2`` the fourth length is
-    ``b^2 - 2 alpha b + d_3``, which depends on ``a`` only through
-    ``alpha(a)``. Returns None where agent 3 cannot be placed.
+    Evaluated straight from the parameters: only edges 1, 4 and 5 enter,
+    with squared lengths ``a^2``, ``(alpha - b)^2 + beta^2`` and ``b^2``
+    summed as the edge vectors' components would be, and agent 1's pair
+    read through ``law.pair_weights`` at ``s = a b`` as :func:`edge_weights`
+    reads it, so the residual matches the route through the framework bit
+    for bit under every law. The closed-form Jacobian in ``(a, b)`` is
+    returned for separable laws and None for coupled pairs. With
+    ``beta^2 = d_3 - alpha^2`` the fourth length is ``b^2 - 2 alpha b + d_3``,
+    which depends on ``a`` only through ``alpha(a)``. Returns None where
+    agent 3 cannot be placed.
     """
     triangle = _aligned_triangle(d, a)
     if triangle is None:
@@ -302,14 +294,16 @@ def _aligned_system(law, d, a, bb, sigma):
     alpha, beta = triangle
     gap = alpha - bb
     s2 = [a * a, gap * gap + beta * beta, bb * bb]
-    dk = [d[0], d[3], d[4]]
-    u = [law.weight(dk_i, s2_i) for dk_i, s2_i in zip(dk, s2)]
-    du = weight_slopes(law, dk, s2)
+    u1, u5 = law.pair_weights((d[0], d[4]), (s2[0], s2[2]), a * bb)
+    u4 = law.weight(d[3], s2[1])
+    res = np.array([u4, u1 * a + u5 * bb])
+    if not law.separable:
+        return res, None
+    du = weight_slopes(law, [d[0], d[3], d[4]], s2)
     dalpha = 0.5 - (d[2] - d[1]) / (2.0 * a * a)
-    res = np.array([u[1], u[0] * a + u[2] * bb])
     jac = np.array([
         [-2.0 * bb * dalpha * du[1], 2.0 * (bb - alpha) * du[1]],
-        [u[0] + 2.0 * s2[0] * du[0], u[2] + 2.0 * s2[2] * du[2]],
+        [u1 + 2.0 * s2[0] * du[0], u5 + 2.0 * s2[2] * du[2]],
     ])
     return res, jac
 
@@ -318,24 +312,22 @@ def aligned_root_near(b, a0, b0, sigma):
     """The aligned equilibrium :func:`newton_root` reaches from ``(a0, b0)``, or None.
 
     The unknowns are agent 2's and agent 4's positions on the line through
-    agent 1, agent 3 on mirror ``sigma``; the residual is the fourth edge's
-    weight and agent 1's balance, with :func:`_aligned_system`'s closed-form
-    Jacobian for separable laws and central differences for coupled pairs.
-    The root is verified to be an equilibrium of the full flow.
+    agent 1, agent 3 on mirror ``sigma``; the residual is
+    :func:`_aligned_system`'s, the fourth edge's weight and agent 1's
+    balance, for every law. Its closed-form Jacobian serves separable
+    laws, and coupled pairs get newton_root's central differences. The
+    root is verified to be an equilibrium of the full flow.
     """
     d = b.lengths.d
-    if b.law.separable:
 
-        def system(v):
-            found = _aligned_system(b.law, d, float(v[0]), float(v[1]), sigma)
-            return found or (np.full(2, np.nan), None)
+    def system(v):
+        found = _aligned_system(b.law, d, float(v[0]), float(v[1]), sigma)
+        return found or (np.full(2, np.nan), None)
 
-        fun, jac = (lambda v: system(v)[0]), (lambda v: system(v)[1])
-    else:
-        fun, jac = (lambda v: _aligned_residual(b, d, v[0], v[1], sigma)), None
+    jac = (lambda v: system(v)[1]) if b.law.separable else None
     try:
         root = newton_root(
-            fun, np.array([a0, b0], dtype=float),
+            lambda v: system(v)[0], np.array([a0, b0], dtype=float),
             max_iter=CENSUS_MAX_ITER, tol=NEWTON_TOL, jac=jac,
         ).x
     except ConvergenceError:
@@ -643,7 +635,7 @@ def _score_candidate(graph, law, law_name, interpretation, leg_order, d, publish
 
     deviations = {"design_stable": dev_s, "design_unstable": dev_u, "aligned": dev_a}
     quantitative_ok = all(v <= tol for v in deviations.values())
-    qual_stable = classes[i_st].is_stable()
+    qual_stable = classes[i_st].is_stable(TOL_ZERO)
     qual_unstable = classes[i_un].unstable_count(TOL_ZERO) == 1
     qualitative_ok = bool(qual_stable and qual_unstable and aligned_stable)
     spectra = {

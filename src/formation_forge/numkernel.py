@@ -58,7 +58,7 @@ class Spectrum:
     def _margin(self, tol):
         return tol * max(self.spectral_radius, 1e-300)
 
-    def is_stable(self, tol=0.0):
+    def is_stable(self, tol):
         margin = self._margin(tol)
         return all(v.real < -margin for v in self.values)
 
@@ -245,7 +245,7 @@ class Trajectory:
         return self.states[-1]
 
 
-def integrate_ode(f, x0, t_end, step=1e-3, method="rk4"):
+def integrate_ode(f, x0, t_end, step=1e-3):
     """Fixed-step integration of ``xdot = f(x)`` from 0 to ``t_end``.
 
     Only the classical 4th-order scheme is provided; the fixed step keeps
@@ -261,8 +261,6 @@ def integrate_ode(f, x0, t_end, step=1e-3, method="rk4"):
     ``t_end`` or ``step``, a step that is not positive, or a step count
     that cannot index an array is a :class:`ConfigurationError`.
     """
-    if method != "rk4":
-        raise ConfigurationError(f"unknown integration method {method!r}")
     t_end, step = float(t_end), float(step)
     if not (math.isfinite(t_end) and math.isfinite(step)):
         raise ConfigurationError(

@@ -15,7 +15,7 @@ from formation_forge.bifurcation import (
     transcritical_detect,
 )
 from formation_forge.dynamics import VectorFieldBundle, builtin_law
-from formation_forge.equilibria import canonical_gauge
+from formation_forge.equilibria import canonical_gauge, solve_ancillary_aligned
 from formation_forge.errors import (
     ConfigurationError,
     FormulaDomainError,
@@ -182,6 +182,28 @@ class TestMuSweep:
                 assert np.sign(p.leading_real) == -np.sign(p.mu)
             else:
                 assert np.sign(p.leading_real) == np.sign(p.mu)
+
+    def test_a_failed_step_leaves_a_gap(self):
+        # The aligned branch through this witness ends at mu = 0: for mu > 0
+        # the continuation finds no root, and the scan's nearest aligned
+        # equilibrium at the next sample is about 2 away, on another branch.
+        out = make_singular_lengths(1.0, 1.0, 2.0, -2.0)
+        points = mu_sweep(out.lengths)
+        mus = np.linspace(-0.2, 0.2, 21)
+        design = [p for p in points if p.branch == "design"]
+        aligned = [p for p in points if p.branch == "ancillary_aligned"]
+        assert [p.mu for p in design] == mus.tolist()
+        assert [p.mu for p in aligned] == mus[:11].tolist()
+        report = transcritical_detect(points)
+        assert report.indeterminate and "gaps" in report.reason
+        bundle = VectorFieldBundle(
+            graph=two_cycles(), law=builtin_law("gradient_squared"),
+            lengths=out.lengths.perturbed(2, float(mus[11])),
+        )
+        beyond = solve_ancillary_aligned(bundle)
+        assert beyond
+        end = aligned[-1].framework.x
+        assert min(np.max(np.abs(r.framework.x - end)) for r in beyond) > 1.9
 
     def test_rejects_empty_grids(self):
         out, _ = singular_setup()

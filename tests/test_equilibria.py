@@ -10,8 +10,10 @@ from hypothesis import strategies as st
 
 from formation_forge import equilibria
 from formation_forge.dynamics import (
+    CustomLaw,
     VectorFieldBundle,
     builtin_law,
+    edge_weights,
     eval_F_x,
     reduced_J,
 )
@@ -21,7 +23,7 @@ from formation_forge.equilibria import (
     RECORD_KINDS,
     RESIDUAL_TOL,
     CensusReport,
-    _aligned_residual,
+    _aligned_positions,
     _aligned_system,
     aligned_parameters,
     aligned_root_near,
@@ -52,8 +54,23 @@ from formation_forge.rigidity import (
     planar_cross,
     singular_witnesses,
 )
+from test_kernel import make_law
 
 BENCHMARK_SQUARED = (4.0, 6.76, 4.0, 10.89, 1.96)
+
+
+def aligned_residual(b, d, a, bb, sigma):
+    """The aligned residual through the framework's edge vectors; NaN off-domain.
+
+    The oracle of ``_aligned_system``: the fourth edge's weight and the
+    force balance on agent 1, from :func:`edge_weights` on the placed agents.
+    """
+    x = _aligned_positions(d, a, bb, sigma)
+    if x is None:
+        return np.full(2, np.nan)
+    # x_target - x_origin over the two-cycles edges, as edge_vectors computes it
+    u = edge_weights(b, x[[1, 2, 0, 2, 3]] - x[[0, 1, 2, 3, 0]])
+    return np.array([u[3], u[0] * a + u[4] * bb])
 
 
 def benchmark_bundle():
@@ -171,7 +188,7 @@ class TestGaugeFixedSpectrum:
     def test_benchmark_design_classes(self):
         b = benchmark_bundle()
         frameworks = design_frameworks(b.graph, b.lengths)
-        stable = [fw for fw in frameworks if gauge_fixed_spectrum(b, fw).is_stable()]
+        stable = [fw for fw in frameworks if gauge_fixed_spectrum(b, fw).is_stable(0.0)]
         assert len(stable) == 2
         for fw in frameworks:
             spec = gauge_fixed_spectrum(b, fw)
@@ -199,7 +216,7 @@ class TestPoincareIndex:
         b = benchmark_bundle()
         for fw in design_frameworks(b.graph, b.lengths):
             spec = gauge_fixed_spectrum(b, fw)
-            expected = -1 if spec.is_stable() else 1
+            expected = -1 if spec.is_stable(0.0) else 1
             assert poincare_index(b, fw) == expected
 
     def test_undefined_at_a_singular_witness(self):
@@ -270,8 +287,6 @@ class TestAlignedSolver:
         # A pair law that ignores the coupling is gradient_squared in disguise.
         # The scan reads its weights through pair_weights like any law's; as a
         # non-separable law it gets central differences in aligned_root_near.
-        from formation_forge.dynamics import CustomLaw
-
         def pair(d_pair, s2_pair, s):
             return (s2_pair[0] - d_pair[0], s2_pair[1] - d_pair[1])
 
@@ -408,7 +423,7 @@ class TestAlignedJacobian:
         res, jac = system
         # Straight from the parameters, the residual keeps the rounding of
         # the route through the framework's edge vectors.
-        assert np.array_equal(res, _aligned_residual(b, d, a, bb, sigma))
+        assert np.array_equal(res, aligned_residual(b, d, a, bb, sigma))
         alpha = (a * a + d[2] - d[1]) / (2.0 * a)
         # Central differences lose accuracy as a plain-law edge 4 vanishes.
         assume(bb * bb - 2.0 * alpha * bb + d[2] >= 0.1)
@@ -416,20 +431,42 @@ class TestAlignedJacobian:
         v = np.array([a, bb])
         for col in range(2):
             step = np.eye(2)[col] * 1e-6 * max(1.0, abs(v[col]))
-            rp = _aligned_residual(b, d, *(v + step), sigma)
-            rm = _aligned_residual(b, d, *(v - step), sigma)
+            rp = aligned_residual(b, d, *(v + step), sigma)
+            rm = aligned_residual(b, d, *(v - step), sigma)
             assume(np.all(np.isfinite(rp)) and np.all(np.isfinite(rm)))
             numeric[:, col] = (rp - rm) / (2.0 * step[col])
         scale = max(1.0, float(np.max(np.abs(numeric))))
         assert float(np.max(np.abs(jac - numeric))) <= 1e-6 * scale
 
 
+    @settings(max_examples=80, deadline=None)
+    @given(
+        a=st.floats(0.3, 5.0),
+        bb=st.floats(-5.0, 5.0),
+        sigma=st.sampled_from((1.0, -1.0)),
+    )
+    def test_coupled_pair_residual_matches_the_framework_route(self, a, bb, sigma):
+        # A coupled pair reads s = a b through pair_weights as edge_weights
+        # does; its Jacobian is left to newton_root's central differences.
+        law = make_law("pair")
+        b = VectorFieldBundle(
+            graph=two_cycles(), law=law, lengths=TargetLengths(d=BENCHMARK_SQUARED)
+        )
+        d = b.lengths.as_array()
+        system = _aligned_system(law, d, a, bb, sigma)
+        assume(system is not None)
+        res, jac = system
+        assert np.array_equal(res, aligned_residual(b, d, a, bb, sigma))
+        assert jac is None
+
     def test_residual_is_nan_off_domain(self):
-        # Agent 3 cannot be placed when a is too small for the triangle, and
-        # newton_root in aligned_root_near rejects the NaN this returns.
+        # Agent 3 cannot be placed when a is too small for the triangle. The
+        # oracle returns NaN there, and _aligned_system None, which
+        # aligned_root_near turns into the NaN that newton_root rejects.
         b = benchmark_bundle()
         d = b.lengths.as_array()
-        assert np.isnan(_aligned_residual(b, d, 0.1, 1.0, 1.0)).all()
+        assert np.isnan(aligned_residual(b, d, 0.1, 1.0, 1.0)).all()
+        assert _aligned_system(b.law, d, 0.1, 1.0, 1.0) is None
 
 
 @pytest.fixture(scope="module")

@@ -1,7 +1,9 @@
 """Design rules checked on the package source itself.
 
 A module's underscore names are its own: another module of the package
-that needs one should use, or ask for, a public name instead.
+that needs one should use, or ask for, a public name instead. And a
+private helper is there for its module: one its module never names is
+dead, however many tests still import it.
 """
 
 import ast
@@ -79,3 +81,45 @@ def test_the_check_sees_each_import_form():
         (7, "cli._build_bundle"),
         (8, "graph._cache"),
     ]
+
+
+def unreferenced_private_helpers(source):
+    """Module-level private functions and classes that ``source`` never names.
+
+    Such a helper is dead code, or lives on only for the tests that import it.
+    """
+    tree = ast.parse(source)
+    defined = [
+        node.name
+        for node in tree.body
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
+        and is_private(node.name)
+    ]
+    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    return [name for name in defined if name not in used]
+
+
+def test_every_private_helper_is_used_in_its_own_module():
+    offenders = {
+        path.name: names
+        for path in sorted(PACKAGE_DIR.glob("*.py"))
+        if (names := unreferenced_private_helpers(path.read_text()))
+    }
+    assert offenders == {}
+
+
+def test_the_helper_check_sees_unused_definitions():
+    source = (
+        "def _used():\n"
+        "    return 1\n"
+        "def _dead():\n"
+        "    return _used()\n"
+        "class _Kept:\n"
+        "    pass\n"
+        "class _Gone:\n"
+        "    def _method(self):\n"
+        "        return _Kept\n"
+        "def __getattr__(name):\n"
+        "    return name\n"
+    )
+    assert unreferenced_private_helpers(source) == ["_dead", "_Gone"]
