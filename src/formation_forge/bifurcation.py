@@ -14,25 +14,20 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .dynamics import VectorFieldBundle, builtin_law, eval_F_z
+from .dynamics import VectorFieldBundle, eval_F_x, eval_F_z
 from .equilibria import (
+    RESIDUAL_TOL,
     TOL_ZERO,
     aligned_parameters,
     aligned_root_near,
     canonical_gauge,
-    design_frameworks,
     gauge_fixed_spectrum,
     solve_ancillary_aligned,
 )
 from .errors import ConfigurationError, FormulaDomainError, InfeasibleLengthsError
-from .graph import two_cycles
+from .graph import graph_matrices, two_cycles
 from .numkernel import Spectrum, eigenvalues, fd_jacobian, fd_second_directional
-from .rigidity import (
-    Framework,
-    TargetLengths,
-    edge_vectors,
-    singular_witnesses,
-)
+from .rigidity import Framework, edge_vectors, realize_two_cycles, singular_witnesses
 
 DEFAULT_SWEEP_HALF_WIDTH = 0.2
 
@@ -191,8 +186,8 @@ def gauge_slice_z_basis(b: VectorFieldBundle, witness: Framework):
     out). Translations do not act on edge vectors, so nothing else needs
     removing.
     """
-    z0 = edge_vectors(witness).z
-    cycles = b.cycle_basis
+    z0 = edge_vectors(witness)
+    cycles = graph_matrices(b.graph)["cycles"]
     rows = [np.kron(cycles.T, np.eye(2))] if cycles.shape[1] else []
     rotation = np.column_stack([-z0[:, 1], z0[:, 0]]).ravel()
     rows.append(rotation[None, :])
@@ -211,7 +206,7 @@ def formation_family(b: VectorFieldBundle, witness: Framework, mu_edge=2):
     the zero vector placing the family at the witness.
     """
     basis = gauge_slice_z_basis(b, witness)
-    z0 = edge_vectors(witness).z.ravel()
+    z0 = edge_vectors(witness).ravel()
 
     def family(q, mu):
         bundle = b.with_lengths(b.lengths.perturbed(mu_edge, float(mu)))
@@ -239,8 +234,9 @@ def _follow_branch(grid, center, branch, start, step):
     """One branch over ``grid``'s (mu, bundle) samples, walked outward from ``center``.
 
     At each sample ``step(bundle, previous)`` continues the branch from the
-    framework found last, ``start`` at the centre; a sample where it
-    returns None is left out, a gap in the branch.
+    framework found last, ``start`` at the centre. A sample where it
+    returns None, or a framework whose field residual exceeds
+    ``RESIDUAL_TOL``, is left out: a gap in the branch.
     """
     points = {}
     for indices in (range(center, len(grid)), range(center - 1, -1, -1)):
@@ -248,65 +244,55 @@ def _follow_branch(grid, center, branch, start, step):
         for idx in indices:
             mu, bundle = grid[idx]
             fw = step(bundle, previous)
-            if fw is not None:
-                points[idx] = _branch_point(bundle, mu, branch, fw)
-                previous = fw
+            if fw is None or float(np.max(np.abs(eval_F_x(bundle, fw.x)))) > RESIDUAL_TOL:
+                continue
+            points[idx] = _branch_point(bundle, mu, branch, fw)
+            previous = fw
     return [points[i] for i in sorted(points)]
 
 
-def mu_sweep(d0, eps=DEFAULT_SWEEP_HALF_WIDTH, samples=21, template=None, mu_edge=2):
+def mu_sweep(b: VectorFieldBundle, eps=DEFAULT_SWEEP_HALF_WIDTH, samples=21, mu_edge=2):
     """Sweep the design and aligned branches over a symmetric mu grid.
 
-    ``d0`` gives the base targets (a TargetLengths or a tuple of stored
-    squared values); ``template`` supplies the graph and law, defaulting
-    to the squared-error gradient law on the two-cycles graph. Both grid
+    ``b`` gives the graph, the law and the base targets; the stored
+    squared target of ``mu_edge`` is shifted by each mu. Both grid
     endpoints must be realizable. Both branches follow one rule: walk
     outward from the sample nearest mu = 0 in both directions, each sample
     continuing from the framework found last; a sample whose step finds
-    nothing is omitted, leaving a gap. When ``d0`` sits in the singular
+    nothing, or finds a framework that is not an equilibrium of the flow,
+    is omitted, leaving a gap. When the base targets sit in the singular
     set both branches start at the witness in canonical gauge, so they
     meet there. Otherwise the design branch starts at the first design
-    realization of ``d0`` and the aligned branch at the first stable (else
-    first) aligned equilibrium of the centre sample; the detector is then
-    expected to report no crossing. The design step picks the closed-form
-    realization nearest the last one. The aligned step is
+    realization of the base targets and the aligned branch at the first
+    stable (else first) aligned equilibrium of the centre sample; the
+    detector is then expected to report no crossing. The design step picks
+    the closed-form realization nearest the last one. The aligned step is
     :func:`aligned_root_near` from the last root's ``(a, b)``, on the
     mirror of the branch start.
     """
-    if template is None:
-        law = builtin_law("gradient_squared")
-        graph = two_cycles()
-    else:
-        law = template.law
-        graph = template.graph
-    if graph.edges != two_cycles().edges:
+    if b.graph != two_cycles():
         raise ConfigurationError("the branch sweep is specific to the two-cycles graph")
-    if isinstance(d0, TargetLengths):
-        base = d0
-    else:
-        base = TargetLengths(d=tuple(float(v) for v in d0), convention=law.convention)
-    b0 = VectorFieldBundle(graph=graph, law=law, lengths=base)
-
+    base = b.lengths
     samples = int(samples)
     if samples < 1:
         raise ConfigurationError("a sweep needs at least one sample")
     mus = np.linspace(-float(eps), float(eps), samples)
     for end in (float(mus[0]), float(mus[-1])):
-        design_frameworks(graph, base.perturbed(mu_edge, end))
+        realize_two_cycles(b.graph, base.perturbed(mu_edge, end))
 
-    grid = [(float(mu), b0.with_lengths(base.perturbed(mu_edge, float(mu)))) for mu in mus]
+    grid = [(float(mu), b.with_lengths(base.perturbed(mu_edge, float(mu)))) for mu in mus]
     center = int(np.argmin(np.abs(mus)))
 
     def design_step(bundle, previous):
         try:
-            frameworks = design_frameworks(graph, bundle.lengths)
+            frameworks = realize_two_cycles(bundle.graph, bundle.lengths)
         except InfeasibleLengthsError:
             return None
         gauged = [canonical_gauge(fw) for fw in frameworks]
         return min(gauged, key=lambda g: float(np.max(np.abs(g.x - previous.x))))
 
     witnesses = singular_witnesses(base)
-    start = canonical_gauge(witnesses[0] if witnesses else design_frameworks(graph, base)[0])
+    start = canonical_gauge(witnesses[0] if witnesses else realize_two_cycles(b.graph, base)[0])
     points = _follow_branch(grid, center, "design", start, design_step)
     if not witnesses:
         records = solve_ancillary_aligned(grid[center][1])

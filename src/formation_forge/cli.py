@@ -22,15 +22,9 @@ import numpy as np
 
 from .bifurcation import mu_sweep, sotomayor_at_witness, transcritical_detect
 from .dynamics import VectorFieldBundle, builtin_law, eval_F_x
-from .equilibria import (
-    census,
-    classify_kind,
-    design_frameworks,
-    equilibrium_record,
-    solve_ancillary_aligned,
-)
-from .errors import FormationForgeError, FormulaDomainError, ScenarioError
-from .graph import FormationGraph
+from .equilibria import census, classify_kind, equilibrium_record, solve_ancillary_aligned
+from .errors import ConfigurationError, FormationForgeError, FormulaDomainError, ScenarioError
+from .graph import FormationGraph, two_cycles
 from .numkernel import integrate_ode, rank_tol
 from .rigidity import (
     Framework,
@@ -39,6 +33,7 @@ from .rigidity import (
     is_infinitesimally_rigid,
     is_minimally_rigid,
     length_errors,
+    realize_two_cycles,
     rigidity_matrix,
     singular_witnesses,
 )
@@ -378,7 +373,7 @@ def _run_census(sc, bundle, out, tol):
 def _run_spectrum(sc, bundle, out, tol):
     records = [
         equilibrium_record(bundle, fw)
-        for fw in design_frameworks(bundle.graph, bundle.lengths)
+        for fw in realize_two_cycles(bundle.graph, bundle.lengths)
     ]
     records.extend(solve_ancillary_aligned(bundle))
     return _records_out(out / "spectrum.csv", records)
@@ -416,11 +411,7 @@ def _sweep_lines(points):
 def _run_sweep(sc, bundle, out, tol):
     mu_edge = _param(sc, "mu_edge") - 1
     points = mu_sweep(
-        bundle.lengths,
-        eps=_param(sc, "eps"),
-        samples=_param(sc, "samples"),
-        template=bundle,
-        mu_edge=mu_edge,
+        bundle, eps=_param(sc, "eps"), samples=_param(sc, "samples"), mu_edge=mu_edge
     )
     rows = []
     for p in points:
@@ -438,6 +429,8 @@ def _run_sweep(sc, bundle, out, tol):
 
 
 def _run_sotomayor(sc, bundle, out, tol):
+    if bundle.graph != two_cycles():
+        raise ConfigurationError("the sotomayor experiment is specific to the two-cycles graph")
     witnesses = singular_witnesses(bundle.lengths)
     if not witnesses:
         raise FormulaDomainError(
@@ -513,7 +506,7 @@ def _run_simulate(sc, bundle, out, tol):
 
 
 def _run_rigidity(sc, bundle, out, tol):
-    fw = design_frameworks(bundle.graph, bundle.lengths)[0]
+    fw = realize_two_cycles(bundle.graph, bundle.lengths)[0]
     r = rigidity_matrix(fw)
     rows = r.shape[0]
     rank_tolerance = tol if tol is not None else 1e-9
@@ -562,7 +555,10 @@ def run_scenario(path, out_dir=None, seed=None, tol=None):
             sc = dataclasses.replace(sc, seed=int(seed))
         bundle = _build_bundle(sc)
         out = Path(out_dir or sc.out or ".")
-        out.mkdir(parents=True, exist_ok=True)
+        try:
+            out.mkdir(parents=True, exist_ok=True)
+        except OSError as exc:
+            raise ScenarioError(f"cannot create output directory: {exc}")
         lines = _RUNNERS[sc.experiment](sc, bundle, out, tol)
         text = "\n".join([
             f"scenario: {sc.name}",

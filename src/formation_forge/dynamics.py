@@ -239,11 +239,6 @@ class VectorFieldBundle:
     def with_lengths(self, lengths: TargetLengths):
         return VectorFieldBundle(graph=self.graph, law=self.law, lengths=lengths)
 
-    @property
-    def cycle_basis(self):
-        """Orthonormal basis of the graph's cycle space, from the graph cache."""
-        return graph_matrices(self.graph)["cycles"]
-
 
 def _edge_state(b, z):
     arr = np.asarray(z, dtype=float)
@@ -253,28 +248,25 @@ def _edge_state(b, z):
 
 
 def edge_weights(b: VectorFieldBundle, z):
-    """Per-edge feedback weights, in one loop over the graph's agents.
+    """Per-edge feedback weights as a list, in one loop over the graph's agents.
 
-    ``z`` holds the edge vectors stacked flat (2m) or as rows (m, 2). A
-    flat list of floats, as :func:`eval_F_x` gathers it, gives a list;
-    any other input goes through numpy and gives an array. A lone edge
-    gets ``law.weight``, a two-coleader pair ``law.pair_weights``.
+    ``z`` is a list of floats holding the edge vectors stacked flat (2m),
+    as :func:`eval_F_x` gathers them. A lone edge gets ``law.weight``, a
+    two-coleader pair ``law.pair_weights``.
     A coupled pair's inner product is numpy's dot, which may fuse the
     multiply-add and so differ from float arithmetic in the last bit; it
     is how coupled weights have always been computed. A separable law
     ignores the product, which is then summed in floats, at no numpy cost.
     """
-    as_list = isinstance(z, list) and (not z or isinstance(z[0], float))
-    zs = z if as_list else np.asarray(z, dtype=float).ravel().tolist()
     law = b.law
     d = b.lengths.d
     mats = graph_matrices(b.graph)
     u = [0.0] * len(d)
     for k in mats["singles"]:
-        zx, zy = zs[2 * k], zs[2 * k + 1]
+        zx, zy = z[2 * k], z[2 * k + 1]
         u[k] = law.weight(d[k], zx * zx + zy * zy)
     for i, j in mats["pairs"]:
-        zix, ziy, zjx, zjy = zs[2 * i], zs[2 * i + 1], zs[2 * j], zs[2 * j + 1]
+        zix, ziy, zjx, zjy = z[2 * i], z[2 * i + 1], z[2 * j], z[2 * j + 1]
         if law.separable:
             s = zix * zjx + ziy * zjy
         else:
@@ -282,7 +274,7 @@ def edge_weights(b: VectorFieldBundle, z):
         u[i], u[j] = law.pair_weights(
             (d[i], d[j]), (zix * zix + ziy * ziy, zjx * zjx + zjy * zjy), s
         )
-    return u if as_list else np.array(u)
+    return u
 
 
 def eval_F_x(b: VectorFieldBundle, x):
@@ -382,7 +374,7 @@ def eval_F_z(b: VectorFieldBundle, z, check=True):
                 "edge-vector state violates the cycle constraints "
                 f"(max violation {np.max(np.abs(sums)):.3e})"
             )
-    u = edge_weights(b, zz)
+    u = np.array(edge_weights(b, zz.ravel().tolist()))
     zdot = mats["edge_adj"] @ (u[:, None] * zz)
     return zdot.ravel() if flat else zdot
 

@@ -26,14 +26,12 @@ from .dynamics import (
 from .errors import (
     ConfigurationError,
     ConvergenceError,
-    FormationForgeError,
     FormulaDomainError,
     InfeasibleLengthsError,
     SingularityError,
 )
 from .graph import two_cycles
 from .numkernel import Spectrum, eigenvalues, fd_jacobian, left_nullspace, newton_root
-from .numkernel import squared_lengths
 from .rigidity import (
     Framework,
     TargetLengths,
@@ -114,24 +112,6 @@ class CensusReport:
         return [r for r in self.records if r.kind == kind]
 
 
-def design_frameworks(graph, lengths: TargetLengths):
-    """All design equilibria of the two-cycles targets, in canonical gauge.
-
-    Wraps the closed-form realization and verifies each returned framework
-    satisfies its squared-length targets to 1e-12.
-    """
-    frameworks = realize_two_cycles(lengths, graph)
-    d = lengths.as_array()
-    for fw in frameworks:
-        z = edge_vectors(fw).z
-        err = float(np.max(np.abs(squared_lengths(z) - d)))
-        if err > 1e-12 * max(1.0, float(np.max(d))):
-            raise FormationForgeError(
-                f"design realization failed its length verification (error {err:.3e})"
-            )
-    return frameworks
-
-
 def canonical_gauge(f: Framework):
     """Translate the first agent to the origin and rotate the first edge to +x.
 
@@ -142,7 +122,7 @@ def canonical_gauge(f: Framework):
     """
     x = f.x - f.x[0]
     fw = f.with_positions(x)
-    z = edge_vectors(fw).z
+    z = edge_vectors(fw)
     direction = None
     for k in range(z.shape[0]):
         norm = float(np.hypot(*z[k]))
@@ -218,7 +198,7 @@ def classify_kind(b: VectorFieldBundle, f: Framework):
     errs = edge_errors(f, b.lengths)
     if float(np.max(np.abs(errs))) <= DESIGN_TOL:
         return "design"
-    z = edge_vectors(f).z
+    z = edge_vectors(f)
     svals = np.linalg.svd(z, compute_uv=False)
     if svals[0] <= DESIGN_TOL or (len(svals) > 1 and svals[1] <= DESIGN_TOL * svals[0]):
         return "ancillary_collinear"
@@ -315,8 +295,8 @@ def aligned_root_near(b, a0, b0, sigma):
     agent 1, agent 3 on mirror ``sigma``; the residual is
     :func:`_aligned_system`'s, the fourth edge's weight and agent 1's
     balance, for every law. Its closed-form Jacobian serves separable
-    laws, and coupled pairs get newton_root's central differences. The
-    root is verified to be an equilibrium of the full flow.
+    laws, and coupled pairs get newton_root's central differences. Whether
+    the root is an equilibrium of the full flow is left to the caller.
     """
     d = b.lengths.d
 
@@ -333,10 +313,7 @@ def aligned_root_near(b, a0, b0, sigma):
     except ConvergenceError:
         return None
     # a finite converged residual puts the root inside the domain
-    fw = Framework(graph=b.graph, x=_aligned_positions(d, float(root[0]), float(root[1]), sigma))
-    if float(np.max(np.abs(eval_F_x(b, fw.x)))) > RESIDUAL_TOL:
-        return None
-    return fw
+    return Framework(graph=b.graph, x=_aligned_positions(d, float(root[0]), float(root[1]), sigma))
 
 
 def aligned_parameters(f: Framework):
@@ -366,7 +343,7 @@ def solve_ancillary_aligned(b: VectorFieldBundle):
     floats. Roots that pass the full field's residual check are returned,
     then their mirror images, which negate agent 3's height exactly.
     """
-    if b.graph.edges != two_cycles().edges:
+    if b.graph != two_cycles():
         raise ConfigurationError("the aligned solver is specific to the two-cycles graph")
     d = b.lengths.d
     legs = (d[1], d[2], d[3])  # squared legs from agent 3 to agents 2, 1 and 4
@@ -437,9 +414,9 @@ def census(b: VectorFieldBundle, n_random=200, seed=0, dedupe_tol=1e-6):
     def is_new(x):
         return all(np.max(np.abs(x - r.framework.x)) > dedupe_tol for r in records)
 
-    if b.graph.edges == two_cycles().edges:
+    if b.graph == two_cycles():
         try:
-            designs = design_frameworks(b.graph, b.lengths)
+            designs = realize_two_cycles(b.graph, b.lengths)
         except InfeasibleLengthsError:
             designs = []
         for fw in designs:
@@ -482,7 +459,7 @@ def scalar_census(f, design_values, fprime=None):
     roots = []
     for x0 in np.linspace(-2.5 * scale, 2.5 * scale, SCALAR_SEEDS):
         try:
-            root = float(newton_root(f, float(x0), max_iter=60, tol=1e-12).x)
+            root = float(newton_root(lambda v: [f(v[0])], [x0], max_iter=60, tol=1e-12).x[0])
         except ConvergenceError:
             continue
         if any(abs(root - r) <= 1e-8 * max(1.0, abs(r)) for r in roots):
@@ -596,7 +573,7 @@ def _score_candidate(graph, law, law_name, interpretation, leg_order, d, publish
     try:
         lengths = TargetLengths(d=tuple(d), convention=law.convention)
         bundle = VectorFieldBundle(graph=graph, law=law, lengths=lengths)
-        frameworks = design_frameworks(graph, lengths)
+        frameworks = realize_two_cycles(graph, lengths)
     except (InfeasibleLengthsError, ConfigurationError):
         return ConventionCandidate(
             law_name=law_name, interpretation=interpretation, leg_order=leg_order,

@@ -180,35 +180,25 @@ def newton_root(f, x0, max_iter=50, tol=1e-12, jac=None):
     continuous symmetry (the formation field is translation invariant) the
     step stays orthogonal to the numerical kernel instead of blowing the
     iterate up without changing the residual. The Jacobian comes from
-    central finite differences unless an analytic ``jac`` is supplied. A
-    scalar ``x0`` makes ``f`` and ``jac`` scalar functions and the root a
-    scalar.
+    central finite differences unless an analytic ``jac`` is supplied.
+    ``x0`` is a vector, and ``f`` maps a vector to a vector.
 
     Returns a :class:`NewtonResult`; raises :class:`ConvergenceError`
     carrying the last iterate when the residual, Jacobian or step is not
     finite, no halving decreases the residual (stagnation), or the
     residual misses ``tol`` within ``max_iter`` steps.
     """
-    scalar_input = np.isscalar(x0) or np.asarray(x0).ndim == 0
-    x = np.array(x0, dtype=float).ravel()
-    fun = (lambda v: f(v[0])) if scalar_input else f
+    x = np.array(x0, dtype=float)
 
     def fail(reason, it):
-        return ConvergenceError(
-            f"newton iteration {reason}",
-            last_iterate=x[0] if scalar_input else x,
-            iterations=it,
-        )
+        return ConvergenceError(f"newton iteration {reason}", last_iterate=x, iterations=it)
 
-    fx = np.atleast_1d(np.asarray(fun(x), dtype=float))
+    fx = np.asarray(f(x), dtype=float)
     res = float(np.max(np.abs(fx)))
     for it in range(max_iter):
         if res <= tol:
             break
-        if jac is None:
-            jx = fd_jacobian(fun, x)
-        else:
-            jx = np.atleast_2d(jac(x[0])) if scalar_input else jac(x)
+        jx = fd_jacobian(f, x) if jac is None else jac(x)
         if not (math.isfinite(res) and np.isfinite(jx).all()):
             raise fail("met a non-finite residual or Jacobian", it)
         step, *_ = np.linalg.lstsq(jx, -fx, rcond=1e-8)
@@ -217,7 +207,7 @@ def newton_root(f, x0, max_iter=50, tol=1e-12, jac=None):
         alpha = 1.0
         for _ in range(25):
             xn = x + alpha * step
-            fn = np.atleast_1d(np.asarray(fun(xn), dtype=float))
+            fn = np.asarray(f(xn), dtype=float)
             rn = float(np.max(np.abs(fn))) if np.all(np.isfinite(fn)) else np.inf
             if rn < res:
                 break
@@ -231,7 +221,7 @@ def newton_root(f, x0, max_iter=50, tol=1e-12, jac=None):
             raise fail(
                 f"did not reach tol={tol:g} in {max_iter} steps (residual {res:.3e})", it
             )
-    return NewtonResult(x=x[0] if scalar_input else x, iterations=it, residual=res)
+    return NewtonResult(x=x, iterations=it, residual=res)
 
 
 @dataclass(frozen=True)

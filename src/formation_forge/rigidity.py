@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigurationError, InfeasibleLengthsError
+from .errors import ConfigurationError, FormationForgeError, InfeasibleLengthsError
 from .graph import FormationGraph, mixed_adjacency, two_cycles
 from .numkernel import kron_I2, rank_tol, squared_lengths
 
@@ -44,24 +44,11 @@ class Framework:
         return Framework(graph=self.graph, x=x)
 
 
-@dataclass(frozen=True, eq=False)
-class EdgeVectors:
-    """Per-edge relative positions and their block-row matrix.
-
-    ``Dz`` is the m-by-2m matrix whose i-th row carries ``z_i`` transposed
-    in the i-th coordinate pair; it turns stacked planar vectors into
-    per-edge scalar projections. It is built from ``z`` on each access,
-    since most callers read only ``z``.
-    """
-
-    z: np.ndarray
-
-    @property
-    def Dz(self):
-        return edge_block_rows(self.z)
-
-
 def edge_block_rows(z):
+    """The m-by-2m matrix ``D(z)`` whose i-th row carries ``z_i`` in pair i.
+
+    It turns stacked planar vectors into per-edge scalar projections.
+    """
     z = np.asarray(z, dtype=float)
     m = z.shape[0]
     d = np.zeros((m, 2 * m))
@@ -71,9 +58,8 @@ def edge_block_rows(z):
 
 
 def edge_vectors(f: Framework):
-    """Edge vectors ``z_i = x_target - x_origin`` in edge order."""
-    z = f.x[f.graph.targets()] - f.x[f.graph.origins()]
-    return EdgeVectors(z=z)
+    """Edge vectors ``z_i = x_target - x_origin`` in edge order, as (m, 2) rows."""
+    return f.x[f.graph.targets()] - f.x[f.graph.origins()]
 
 
 @dataclass(frozen=True)
@@ -130,7 +116,7 @@ def edge_errors(f: Framework, lengths: TargetLengths):
         raise ConfigurationError(
             f"{len(lengths.d)} target lengths for a graph with {f.graph.m} edges"
         )
-    return length_errors(edge_vectors(f).z, lengths)
+    return length_errors(edge_vectors(f), lengths)
 
 
 def length_errors(z, lengths: TargetLengths):
@@ -153,8 +139,7 @@ def rigidity_matrix(f: Framework):
     Row ``i`` therefore carries ``-z_i`` transposed in the origin block and
     ``+z_i`` transposed in the target block.
     """
-    ev = edge_vectors(f)
-    return ev.Dz @ kron_I2(mixed_adjacency(f.graph))
+    return edge_block_rows(edge_vectors(f)) @ kron_I2(mixed_adjacency(f.graph))
 
 
 def is_infinitesimally_rigid(f: Framework, tol=1e-9):
@@ -211,17 +196,17 @@ def _circle_intersection_height(center_dist, r_near, r_far, edge_names):
     return alpha, math.sqrt(max(beta_sq, 0.0))
 
 
-def realize_two_cycles(lengths: TargetLengths, graph: FormationGraph | None = None):
+def realize_two_cycles(graph: FormationGraph, lengths: TargetLengths):
     """All planar realizations of two-cycles target lengths, in canonical gauge.
 
     The gauge pins ``x1`` at the origin and the first edge along the
     positive x axis. Generic lengths give four frameworks (two mirror
     pairs); tangency of either circle pair collapses coincident solutions,
     so fewer may be returned. Infeasible lengths raise, naming the violated
-    triangle.
+    triangle. Each framework is verified to meet its squared-length targets
+    to 1e-12 relative to the largest (at least 1).
     """
-    g = graph if graph is not None else two_cycles()
-    if g.edges != two_cycles().edges or g.n != 4:
+    if graph != two_cycles():
         raise ConfigurationError("realization is implemented for the two-cycles graph")
     d = lengths.as_array()
     if d.size != 5:
@@ -238,9 +223,15 @@ def realize_two_cycles(lengths: TargetLengths, graph: FormationGraph | None = No
         alpha4, beta4 = _circle_intersection_height(r[2], r[4], r[3], (3, 4, 5))
         for s4 in (1.0, -1.0):
             x4 = alpha4 * u_hat + s4 * beta4 * u_perp
-            fw = Framework(graph=g, x=np.vstack([x1, x2, x3, x4]))
+            fw = Framework(graph=graph, x=np.vstack([x1, x2, x3, x4]))
             if not any(np.max(np.abs(fw.x - other.x)) <= 1e-12 for other in frameworks):
                 frameworks.append(fw)
+    for fw in frameworks:
+        err = float(np.max(np.abs(squared_lengths(edge_vectors(fw)) - d)))
+        if err > 1e-12 * max(1.0, float(np.max(d))):
+            raise FormationForgeError(
+                f"design realization failed its length verification (error {err:.3e})"
+            )
     return frameworks
 
 
@@ -309,6 +300,6 @@ def in_singular_set(lengths: TargetLengths, tol=1e-9):
 def singular_witnesses(lengths: TargetLengths, tol=1e-9):
     """Realizations of ``lengths`` whose first and fifth edges are aligned."""
     return [
-        fw for fw in realize_two_cycles(lengths)
-        if edges_aligned(*edge_vectors(fw).z[[0, 4]], tol)
+        fw for fw in realize_two_cycles(two_cycles(), lengths)
+        if edges_aligned(*edge_vectors(fw)[[0, 4]], tol)
     ]

@@ -29,7 +29,6 @@ from formation_forge.dynamics import (
 from formation_forge.equilibria import (
     BENCHMARK_SPECTRA,
     census,
-    design_frameworks,
     gauge_fixed_spectrum,
     identify_convention,
     poincare_index,
@@ -46,9 +45,11 @@ from formation_forge.numkernel import (
 from formation_forge.rigidity import (
     Framework,
     TargetLengths,
+    edge_block_rows,
     edge_vectors,
     is_infinitesimally_rigid,
     make_singular_lengths,
+    realize_two_cycles,
     rigidity_matrix,
     singular_witnesses,
 )
@@ -85,7 +86,7 @@ def squared_bundle(d):
 def random_feasible_lengths(rng):
     """Squared lengths read off a random framework, hence always realizable."""
     fw = Framework(graph=two_cycles(), x=rng.normal(size=(4, 2)))
-    z = edge_vectors(fw).z
+    z = edge_vectors(fw)
     return TargetLengths(d=tuple(np.sum(z * z, axis=1)))
 
 
@@ -158,17 +159,16 @@ def test_jacobian_factorizations_hold_at_design_equilibria():
 
     for _ in range(200):
         fw = Framework(graph=two_cycles(), x=rng.normal(size=(4, 2)))
-        ev = edge_vectors(fw)
-        product = ev.Dz @ kron_I2(mixed_adjacency(fw.graph))
+        product = edge_block_rows(edge_vectors(fw)) @ kron_I2(mixed_adjacency(fw.graph))
         assert np.max(np.abs(rigidity_matrix(fw) - product)) <= 1e-12
 
     for _ in range(20):
         lengths = random_feasible_lengths(rng)
         b = squared_bundle(lengths.d)
-        frameworks = design_frameworks(b.graph, lengths)
+        frameworks = realize_two_cycles(b.graph, lengths)
         assert len(frameworks) == 4
         for fw in frameworks:
-            z = edge_vectors(fw).z
+            z = edge_vectors(fw)
             analytic = jacobian_z(b, z)
             numeric = fd_jacobian(lambda v: eval_F_z(b, v, check=False), z.ravel())
             scale = max(1.0, float(np.max(np.abs(analytic))))
@@ -210,7 +210,7 @@ def test_singular_targets_have_corank_one_and_matched_kernels():
         assert is_infinitesimally_rigid(out.witness)
 
         b = squared_bundle(out.lengths.d)
-        z = edge_vectors(out.witness).z
+        z = edge_vectors(out.witness)
         assert rank_tol(reduced_J(b, z), 1e-8) == 4
 
         in_z = jacobian_z(b, z)
@@ -226,13 +226,13 @@ def test_singular_targets_have_corank_one_and_matched_kernels():
 def test_stability_exchange_is_detected_and_nondegenerate():
     start = time.perf_counter()
     lengths = TargetLengths(d=(1.0, 5.0, 4.0, 8.0, 4.0))
-    points = mu_sweep(lengths, eps=0.2, samples=21)
+    b = squared_bundle(lengths.d)
+    points = mu_sweep(b, eps=0.2, samples=21)
     detection = transcritical_detect(points)
     assert detection.detected
     for mu_c in detection.crossings.values():
         assert abs(mu_c) <= detection.grid_step
 
-    b = squared_bundle(lengths.d)
     witness = singular_witnesses(lengths)[0]
     report = sotomayor_at_witness(b, witness)
     assert report.verdict
@@ -286,7 +286,7 @@ def test_symmetry_and_index_properties():
     for _ in range(20):
         lengths = random_feasible_lengths(rng)
         b = squared_bundle(lengths.d)
-        frameworks = design_frameworks(b.graph, lengths)
+        frameworks = realize_two_cycles(b.graph, lengths)
         flip = np.array([1.0, -1.0])
         for fw in frameworks:
             partners = [

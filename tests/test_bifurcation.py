@@ -32,22 +32,26 @@ from formation_forge.rigidity import (
     planar_cross,
     singular_witnesses,
 )
+from test_kernel import make_law
 
 PROOF_LENGTHS = (5.0, 8.0, 1.0, 0.8125, 0.3125)
 
 
+def squared_bundle(lengths):
+    return VectorFieldBundle(
+        graph=two_cycles(), law=builtin_law("gradient_squared"), lengths=lengths
+    )
+
+
 def singular_setup():
     out = make_singular_lengths(1.0, 5.0, 4.0, 2.0)
-    bundle = VectorFieldBundle(
-        graph=two_cycles(), law=builtin_law("gradient_squared"), lengths=out.lengths
-    )
-    return out, bundle
+    return out, squared_bundle(out.lengths)
 
 
 @pytest.fixture(scope="module")
 def canonical_sweep():
-    out, _ = singular_setup()
-    return mu_sweep(out.lengths)
+    _, bundle = singular_setup()
+    return mu_sweep(bundle)
 
 
 class TestSotomayorNormalForm:
@@ -119,7 +123,7 @@ class TestSotomayorAtWitness:
 
         x = np.array([[0.0, 0.0], [-2.0, 1.0], [0.0, -1.0], [0.5, -0.25]])
         fw = Framework(graph=two_cycles(), x=x)
-        z = edge_vectors(fw).z
+        z = edge_vectors(fw)
         assert tuple(np.sum(z * z, axis=1)) == PROOF_LENGTHS
         assert abs(planar_cross(z[0], z[4])) <= 1e-12
 
@@ -130,7 +134,7 @@ class TestGaugeSliceZBasis:
         basis = gauge_slice_z_basis(bundle, out.witness)
         assert basis.shape == (10, 5)
         assert np.max(np.abs(basis.T @ basis - np.eye(5))) <= 1e-12
-        z0 = edge_vectors(out.witness).z
+        z0 = edge_vectors(out.witness)
         cycles = left_nullspace(mixed_adjacency(bundle.graph), 1e-12)
         assert np.max(np.abs(kron_I2(cycles.T) @ basis)) <= 1e-12
         rotation = np.column_stack([-z0[:, 1], z0[:, 0]]).ravel()
@@ -168,7 +172,7 @@ class TestMuSweep:
             lengths = out.lengths.perturbed(2, p.mu)
             errs = edge_errors(p.framework, lengths)
             assert np.max(np.abs(errs[1:4])) <= 1e-9
-            z = edge_vectors(p.framework).z
+            z = edge_vectors(p.framework)
             n1, n5 = np.hypot(*z[0]), np.hypot(*z[4])
             assert abs(planar_cross(z[0], z[4])) <= 1e-8 * n1 * n5
             if abs(p.mu) >= 0.199:
@@ -188,7 +192,7 @@ class TestMuSweep:
         # the continuation finds no root, and the scan's nearest aligned
         # equilibrium at the next sample is about 2 away, on another branch.
         out = make_singular_lengths(1.0, 1.0, 2.0, -2.0)
-        points = mu_sweep(out.lengths)
+        points = mu_sweep(squared_bundle(out.lengths))
         mus = np.linspace(-0.2, 0.2, 21)
         design = [p for p in points if p.branch == "design"]
         aligned = [p for p in points if p.branch == "ancillary_aligned"]
@@ -196,36 +200,50 @@ class TestMuSweep:
         assert [p.mu for p in aligned] == mus[:11].tolist()
         report = transcritical_detect(points)
         assert report.indeterminate and "gaps" in report.reason
-        bundle = VectorFieldBundle(
-            graph=two_cycles(), law=builtin_law("gradient_squared"),
-            lengths=out.lengths.perturbed(2, float(mus[11])),
-        )
-        beyond = solve_ancillary_aligned(bundle)
+        beyond = solve_ancillary_aligned(squared_bundle(out.lengths.perturbed(2, float(mus[11]))))
         assert beyond
         end = aligned[-1].framework.x
         assert min(np.max(np.abs(r.framework.x - end)) for r in beyond) > 1.9
 
+    def test_a_design_that_is_no_equilibrium_leaves_a_gap(self):
+        # Under test_kernel's coupled pair, agent 1's weights do not vanish at
+        # the targets, so no design realization is an equilibrium of the flow.
+        _, bundle = singular_setup()
+        points = mu_sweep(
+            VectorFieldBundle(graph=bundle.graph, law=make_law("pair"), lengths=bundle.lengths)
+        )
+        assert not [p for p in points if p.branch == "design"]
+        report = transcritical_detect(points)
+        assert report.indeterminate and report.reason == "fewer than two branches in the sweep"
+
     def test_rejects_empty_grids(self):
-        out, _ = singular_setup()
+        _, bundle = singular_setup()
         with pytest.raises(ConfigurationError):
-            mu_sweep(out.lengths, samples=0)
+            mu_sweep(bundle, samples=0)
 
     def test_rejects_other_graphs(self):
         from formation_forge.graph import FormationGraph
 
         out, _ = singular_setup()
-        template = VectorFieldBundle(
+        triangle = VectorFieldBundle(
             graph=FormationGraph(n=3, edges=((0, 1), (1, 2), (2, 0))),
             law=builtin_law("gradient_squared"),
             lengths=TargetLengths(d=(1.0, 1.0, 1.0)),
         )
-        with pytest.raises(ConfigurationError, match="two-cycles"):
-            mu_sweep(out.lengths, template=template)
+        # the two-cycles edges with a fifth, idle agent are another graph
+        idle = VectorFieldBundle(
+            graph=FormationGraph(n=5, edges=two_cycles().edges),
+            law=builtin_law("gradient_squared"),
+            lengths=out.lengths,
+        )
+        for bundle in (triangle, idle):
+            with pytest.raises(ConfigurationError, match="two-cycles"):
+                mu_sweep(bundle)
 
     def test_infeasible_endpoint_raises(self):
-        out, _ = singular_setup()
+        _, bundle = singular_setup()
         with pytest.raises(InfeasibleLengthsError):
-            mu_sweep(out.lengths, eps=5.0)
+            mu_sweep(bundle, eps=5.0)
 
 
 class TestTranscriticalDetect:
@@ -242,15 +260,15 @@ class TestTranscriticalDetect:
         )
 
     def test_generic_targets_show_no_crossing(self):
-        points = mu_sweep((4.0, 6.76, 4.0, 10.89, 1.96))
+        points = mu_sweep(squared_bundle(TargetLengths(d=(4.0, 6.76, 4.0, 10.89, 1.96))))
         report = transcritical_detect(points)
         assert not report.detected
         assert not report.indeterminate
         assert "changes sign" in report.reason
 
     def test_single_sample_sweep_is_indeterminate(self):
-        out, _ = singular_setup()
-        report = transcritical_detect(mu_sweep(out.lengths, samples=1))
+        _, bundle = singular_setup()
+        report = transcritical_detect(mu_sweep(bundle, samples=1))
         assert report.indeterminate
         assert "fewer than two sweep points" in report.reason
 

@@ -167,6 +167,16 @@ class TestCensusRun:
         assert "seed: 11" in (out / "report.txt").read_text()
 
 
+    def test_two_cycles_edges_with_an_idle_agent_run_the_generic_census(self, tmp_path, capsys):
+        # Five vertices make another graph than two-cycles: Newton seeds only.
+        graph = dict(BASE["graph"], vertices=5)
+        path = write_scenario(tmp_path, {"graph": graph})
+        out = tmp_path / "out"
+        assert run_scenario(path, out_dir=out) == 0
+        assert capsys.readouterr().err == ""
+        assert "graph: 5 agents, 5 edges" in (out / "report.txt").read_text()
+
+
 class TestSweepRun:
     def test_bundled_sweep_scenario_detects_the_exchange(self, tmp_path, capsys):
         out = tmp_path / "out"
@@ -234,6 +244,22 @@ class TestOtherRuns:
         assert record["error"] == "formula-domain"
         assert "singular set" in record["message"]
 
+    def test_sotomayor_refuses_other_graphs(self, tmp_path, capsys):
+        # Singular witnesses are two-cycles frameworks; another five-edge
+        # graph, or the two-cycles edges on five vertices, has none.
+        lengths = {"values": [1.0, 5.0, 4.0, 8.0, 4.0], "convention": "squared"}
+        for graph in (
+            {"vertices": 4, "edges": [[1, 2], [2, 3], [3, 4], [4, 1], [1, 3]]},
+            dict(BASE["graph"], vertices=5),
+        ):
+            path = write_scenario(
+                tmp_path, {"graph": graph, "lengths": lengths, "experiment": {"kind": "sotomayor"}}
+            )
+            assert run_scenario(path, out_dir=tmp_path / "out") == 2
+            record, _ = read_stderr_record(capsys)
+            assert record["error"] == "configuration"
+            assert "two-cycles" in record["message"]
+
     def test_spectrum_lists_design_and_aligned(self, tmp_path, capsys):
         out = tmp_path / "out"
         path = write_scenario(tmp_path, {"experiment": {"kind": "spectrum"}})
@@ -247,11 +273,11 @@ class TestOtherRuns:
 
     def test_simulate_settles_near_a_design_shape(self, tmp_path, capsys):
         out = tmp_path / "out"
-        from formation_forge.equilibria import design_frameworks
+        from formation_forge.rigidity import realize_two_cycles
         from formation_forge.rigidity import TargetLengths
 
         lengths = TargetLengths.from_values((2.0, 2.6, 2.0, 3.3, 1.4), convention="plain")
-        stable = design_frameworks(load_scenario(SCENARIO_DIR / "fig2.json").graph, lengths)[1]
+        stable = realize_two_cycles(load_scenario(SCENARIO_DIR / "fig2.json").graph, lengths)[1]
         initial = (stable.x + 0.02).tolist()
         path = write_scenario(
             tmp_path,
@@ -610,6 +636,18 @@ class TestErrorPaths:
         assert run_scenario(path, out_dir=out) == 0
         capsys.readouterr()
         assert "feasible: no" in (out / "report.txt").read_text()
+
+    def test_unusable_output_directory_exits_2(self, tmp_path, capsys):
+        path = write_scenario(tmp_path, {})
+        blocker = tmp_path / "taken"
+        blocker.write_text("")
+        for out in (blocker, blocker / "sub"):
+            assert main(["run", str(path), "--out", str(out)]) == 2
+            record, stdout = read_stderr_record(capsys)
+            assert record["error"] == "scenario"
+            assert "cannot create output directory" in record["message"]
+            assert str(out) in record["message"]
+            assert stdout == ""
 
     def test_numerical_blow_up_exits_three(self, tmp_path, capsys):
         path = write_scenario(

@@ -30,7 +30,6 @@ from formation_forge.equilibria import (
     canonical_gauge,
     census,
     classify_kind,
-    design_frameworks,
     equilibrium_record,
     gauge_fixed_spectrum,
     gauge_slice_basis,
@@ -52,6 +51,7 @@ from formation_forge.rigidity import (
     edge_vectors,
     make_singular_lengths,
     planar_cross,
+    realize_two_cycles,
     singular_witnesses,
 )
 from test_kernel import make_law
@@ -69,7 +69,7 @@ def aligned_residual(b, d, a, bb, sigma):
     if x is None:
         return np.full(2, np.nan)
     # x_target - x_origin over the two-cycles edges, as edge_vectors computes it
-    u = edge_weights(b, x[[1, 2, 0, 2, 3]] - x[[0, 1, 2, 3, 0]])
+    u = edge_weights(b, (x[[1, 2, 0, 2, 3]] - x[[0, 1, 2, 3, 0]]).ravel().tolist())
     return np.array([u[3], u[0] * a + u[4] * bb])
 
 
@@ -96,7 +96,7 @@ def chebyshev(a, b):
 
 class TestDesignFrameworks:
     def test_equilateral_targets_give_four_with_coincidence(self):
-        frameworks = design_frameworks(two_cycles(), TargetLengths(d=(1.0,) * 5))
+        frameworks = realize_two_cycles(two_cycles(), TargetLengths(d=(1.0,) * 5))
         assert len(frameworks) == 4
         coincident = [
             fw for fw in frameworks if np.max(np.abs(fw.x[3] - fw.x[1])) <= 1e-12
@@ -104,7 +104,7 @@ class TestDesignFrameworks:
         assert coincident
 
     def test_benchmark_targets_give_two_mirror_pairs(self):
-        frameworks = design_frameworks(two_cycles(), TargetLengths(d=BENCHMARK_SQUARED))
+        frameworks = realize_two_cycles(two_cycles(), TargetLengths(d=BENCHMARK_SQUARED))
         assert len(frameworks) == 4
         flip = np.array([1.0, -1.0])
         for fw in frameworks:
@@ -117,13 +117,13 @@ class TestDesignFrameworks:
 
     def test_singular_witness_appears_among_realizations(self):
         out = make_singular_lengths(1.0, 5.0, 4.0, 2.0)
-        frameworks = design_frameworks(two_cycles(), out.lengths)
+        frameworks = realize_two_cycles(two_cycles(), out.lengths)
         target = canonical_gauge(out.witness)
         assert any(np.max(np.abs(fw.x - target.x)) <= 1e-9 for fw in frameworks)
 
     def test_infeasible_targets_raise(self):
         with pytest.raises(InfeasibleLengthsError, match="edges 1, 2, 3"):
-            design_frameworks(two_cycles(), TargetLengths(d=(1.0, 25.0, 4.0, 8.0, 4.0)))
+            realize_two_cycles(two_cycles(), TargetLengths(d=(1.0, 25.0, 4.0, 8.0, 4.0)))
 
 
 class TestCanonicalGauge:
@@ -187,7 +187,7 @@ class TestGaugeSliceBasis:
 class TestGaugeFixedSpectrum:
     def test_benchmark_design_classes(self):
         b = benchmark_bundle()
-        frameworks = design_frameworks(b.graph, b.lengths)
+        frameworks = realize_two_cycles(b.graph, b.lengths)
         stable = [fw for fw in frameworks if gauge_fixed_spectrum(b, fw).is_stable(0.0)]
         assert len(stable) == 2
         for fw in frameworks:
@@ -198,14 +198,14 @@ class TestGaugeFixedSpectrum:
 
     def test_matches_reduced_jacobian_spectrum(self):
         b = benchmark_bundle()
-        for fw in design_frameworks(b.graph, b.lengths):
+        for fw in realize_two_cycles(b.graph, b.lengths):
             gauge = gauge_fixed_spectrum(b, fw)
-            reduced = eigenvalues(reduced_J(b, edge_vectors(fw).z))
+            reduced = eigenvalues(reduced_J(b, edge_vectors(fw)))
             assert chebyshev(gauge.values, reduced.values) <= 1e-6
 
     def test_refused_away_from_equilibria(self):
         b = benchmark_bundle()
-        fw = design_frameworks(b.graph, b.lengths)[0]
+        fw = realize_two_cycles(b.graph, b.lengths)[0]
         off = fw.with_positions(fw.x * 1.05)
         with pytest.raises(FormulaDomainError, match="equilibrium"):
             gauge_fixed_spectrum(b, off)
@@ -214,7 +214,7 @@ class TestGaugeFixedSpectrum:
 class TestPoincareIndex:
     def test_benchmark_design_indices(self):
         b = benchmark_bundle()
-        for fw in design_frameworks(b.graph, b.lengths):
+        for fw in realize_two_cycles(b.graph, b.lengths):
             spec = gauge_fixed_spectrum(b, fw)
             expected = -1 if spec.is_stable(0.0) else 1
             assert poincare_index(b, fw) == expected
@@ -229,7 +229,7 @@ class TestPoincareIndex:
 class TestClassifyKind:
     def test_design_framework(self):
         b = benchmark_bundle()
-        fw = design_frameworks(b.graph, b.lengths)[0]
+        fw = realize_two_cycles(b.graph, b.lengths)[0]
         assert classify_kind(b, fw) == "design"
 
     def test_collinear_framework(self):
@@ -265,7 +265,7 @@ class TestAlignedSolver:
         for rec in records:
             assert rec.stable
             assert rec.residual <= 1e-9
-            z = edge_vectors(rec.framework).z
+            z = edge_vectors(rec.framework)
             n1, n5 = np.hypot(*z[0]), np.hypot(*z[4])
             assert abs(planar_cross(z[0], z[4])) <= 1e-9 * n1 * n5
         leads = sorted({round(rec.leading_real, 4) for rec in records})
@@ -282,6 +282,14 @@ class TestAlignedSolver:
         )
         with pytest.raises(Exception, match="two-cycles"):
             solve_ancillary_aligned(b)
+        # the two-cycles edges with a fifth, idle agent are another graph
+        idle = VectorFieldBundle(
+            graph=FormationGraph(n=5, edges=two_cycles().edges),
+            law=builtin_law("gradient_squared"),
+            lengths=TargetLengths(d=BENCHMARK_SQUARED),
+        )
+        with pytest.raises(Exception, match="two-cycles"):
+            solve_ancillary_aligned(idle)
 
     def test_pair_law_takes_the_finite_difference_path(self):
         # A pair law that ignores the coupling is gradient_squared in disguise.
@@ -619,7 +627,7 @@ class TestCensusTakesStructuralRecordsAsBuilt:
     def test_design_and_aligned_records_are_bit_identical(self, law_name):
         b = fig2_bundle(law_name)
         report = census(b, n_random=60, seed=7)
-        built = [equilibrium_record(b, fw) for fw in design_frameworks(b.graph, b.lengths)]
+        built = [equilibrium_record(b, fw) for fw in realize_two_cycles(b.graph, b.lengths)]
         built += solve_ancillary_aligned(b)
         assert [r.kind for r in built] == ["design"] * 4 + ["ancillary_aligned"] * 4
         for rec, other in zip(report.records, built):
@@ -634,7 +642,7 @@ class TestCensusTakesStructuralRecordsAsBuilt:
         )
         residuals = [
             float(np.max(np.abs(eval_F_x(b, fw.x))))
-            for fw in design_frameworks(b.graph, b.lengths)
+            for fw in realize_two_cycles(b.graph, b.lengths)
         ]
         short = sum(r > RESIDUAL_TOL for r in residuals)
         assert 0 < short < len(residuals)

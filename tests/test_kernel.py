@@ -23,10 +23,11 @@ from formation_forge.dynamics import (
     builtin_law,
     edge_weights,
     eval_F_x,
+    eval_F_z,
     jacobian_x,
 )
 from formation_forge.errors import BlowUpError
-from formation_forge.graph import FormationGraph, two_cycles
+from formation_forge.graph import FormationGraph, graph_matrices, two_cycles
 from formation_forge.numkernel import integrate_ode, squared_lengths
 from formation_forge.rigidity import TargetLengths
 
@@ -61,15 +62,12 @@ def make_bundle(graph, law_name):
     )
 
 
-def add_at_field(b, x):
-    """The agent field accumulated per origin with ``np.add.at``."""
-    pts = np.asarray(x, dtype=float).reshape(b.graph.n, 2)
-    origins = b.graph.origins()
-    z = pts[b.graph.targets()] - pts[origins]
+def reference_weights(b, z):
+    """Per-edge weights of edge-vector rows ``z``, gathered by origin agent."""
     s2 = np.sum(z * z, axis=1)
     d = b.lengths.as_array()
     by_origin = {}
-    for k, o in enumerate(origins):
+    for k, o in enumerate(b.graph.origins()):
         by_origin.setdefault(int(o), []).append(k)
     u = np.zeros(b.graph.m)
     for ks in by_origin.values():
@@ -79,8 +77,16 @@ def add_at_field(b, x):
             i, j = ks
             s = float(z[i] @ z[j])
             u[i], u[j] = b.law.pair_weights((d[i], d[j]), (s2[i], s2[j]), s)
+    return u
+
+
+def add_at_field(b, x):
+    """The agent field accumulated per origin with ``np.add.at``."""
+    pts = np.asarray(x, dtype=float).reshape(b.graph.n, 2)
+    origins = b.graph.origins()
+    z = pts[b.graph.targets()] - pts[origins]
     xdot = np.zeros_like(pts)
-    np.add.at(xdot, origins, u[:, None] * z)
+    np.add.at(xdot, origins, reference_weights(b, z)[:, None] * z)
     return xdot
 
 
@@ -163,11 +169,13 @@ class TestAgentField:
 class TestEdgeWeights:
     @pytest.mark.parametrize("law_name", BUILTIN_LAW_NAMES + ("pair",))
     def test_flat_and_row_layouts_agree(self, law_name):
+        # eval_F_z takes rows or a flat vector and weighs either as the flat list
         b = make_bundle(two_cycles(), law_name)
         z = np.random.default_rng(5).normal(size=(5, 2))
-        rows = edge_weights(b, z)
-        assert rows.shape == (5,)
-        assert np.array_equal(edge_weights(b, z.ravel()), rows)
+        u = np.array(edge_weights(b, z.ravel().tolist()))
+        expected = graph_matrices(b.graph)["edge_adj"] @ (u[:, None] * z)
+        assert np.array_equal(eval_F_z(b, z, check=False), expected)
+        assert np.array_equal(eval_F_z(b, z.ravel(), check=False), expected.ravel())
 
     def test_squared_lengths_match_the_row_sum(self):
         z = np.random.default_rng(6).normal(size=(7, 2)) * 10.0 ** np.arange(-3, 4)[:, None]
@@ -181,7 +189,7 @@ class TestEdgeWeights:
             z = np.random.default_rng(7).normal(size=(9, 2))
             weights = edge_weights(b, z.ravel().tolist())
             assert isinstance(weights, list)
-            assert np.array_equal(np.array(weights), edge_weights(b, z))
+            assert np.array_equal(np.array(weights), reference_weights(b, z))
 
 
 

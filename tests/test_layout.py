@@ -123,3 +123,17 @@ def test_the_helper_check_sees_unused_definitions():
         "    return name\n"
     )
     assert unreferenced_private_helpers(source) == ["_dead", "_Gone"]
+
+
+def test_all_lists_exactly_the_imported_public_names():
+    tree = ast.parse((PACKAGE_DIR / "__init__.py").read_text())
+    imported = [
+        alias.asname or alias.name
+        for node in tree.body
+        if isinstance(node, ast.ImportFrom)
+        for alias in node.names
+        if not is_private(alias.asname or alias.name)
+    ]
+    assert len(imported) == len(set(imported))
+    assert sorted(formation_forge.__all__) == sorted(imported)
+    assert len(formation_forge.__all__) == len(set(formation_forge.__all__))

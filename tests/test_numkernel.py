@@ -129,7 +129,7 @@ class TestRank:
 
     def test_generic_rigidity_matrix_rank(self):
         lengths = TargetLengths(d=(1.0, 5.0, 4.0, 8.0, 4.1))
-        fw = realize_two_cycles(lengths)[0]
+        fw = realize_two_cycles(two_cycles(), lengths)[0]
         assert rank_tol(rigidity_matrix(fw), 1e-9) == 5
 
     def test_kron_doubles_rank(self):
@@ -192,21 +192,23 @@ class TestKron:
 
 
 class TestNewton:
+    # A scalar equation is solved as a 1-vector one.
     def test_scalar_quadratic(self):
-        result = newton_root(lambda x: x * x - 4.0, 3.0, tol=1e-12)
-        assert abs(result.x - 2.0) <= 1e-10
+        result = newton_root(lambda x: x * x - 4.0, [3.0], tol=1e-12)
+        assert result.x.shape == (1,)
+        assert abs(result.x[0] - 2.0) <= 1e-10
         assert result.residual <= 1e-12
         assert result.iterations >= 1
 
     def test_scalar_cubic(self):
-        result = newton_root(lambda x: x * (1.0 - x * x), 0.8, tol=1e-12)
-        assert abs(result.x - 1.0) <= 1e-10
+        result = newton_root(lambda x: x * (1.0 - x * x), [0.8], tol=1e-12)
+        assert abs(result.x[0] - 1.0) <= 1e-10
 
     def test_circle_intersection_matches_closed_form(self):
         # The third agent of a realization sits on two circles at once;
         # solving that system directly must land on the constructed point.
         lengths = TargetLengths(d=(1.0, 5.0, 4.0, 8.0, 4.0))
-        fw = realize_two_cycles(lengths)[0]
+        fw = realize_two_cycles(two_cycles(), lengths)[0]
         x2 = fw.x[1]
 
         def f(p):
@@ -224,7 +226,7 @@ class TestNewton:
     def test_failure_carries_last_iterate(self):
         # x^2 + 1 has no real root; the iteration must fail loudly.
         with pytest.raises(ConvergenceError) as info:
-            newton_root(lambda x: x * x + 1.0, 0.5, max_iter=30)
+            newton_root(lambda x: x * x + 1.0, [0.5], max_iter=30)
         assert info.value.last_iterate is not None
         assert info.value.iterations is not None
         assert "stagnated" in str(info.value)
@@ -232,13 +234,13 @@ class TestNewton:
     def test_damped_steps_converge_from_far_out(self):
         # The undamped iteration on arctan diverges from |x0| > 1.39;
         # halving the step until the residual falls brings it home.
-        result = newton_root(np.arctan, 3.0)
-        assert abs(result.x) <= 1e-12
+        result = newton_root(np.arctan, [3.0])
+        assert abs(result.x[0]) <= 1e-12
         assert result.residual <= 1e-12
 
     def test_budget_exhaustion_is_reported(self):
         with pytest.raises(ConvergenceError, match="did not reach") as info:
-            newton_root(np.arctan, 3.0, max_iter=2)
+            newton_root(np.arctan, [3.0], max_iter=2)
         assert info.value.iterations == 2
 
     def test_non_finite_seed_is_a_convergence_error(self):
@@ -251,10 +253,10 @@ class TestNewton:
 
         def jac(x):
             calls.append(x)
-            return 2.0 * x
+            return np.diag(2.0 * x)
 
-        result = newton_root(lambda x: x * x - 4.0, 3.0, jac=jac)
-        assert abs(result.x - 2.0) <= 1e-12
+        result = newton_root(lambda x: x * x - 4.0, [3.0], jac=jac)
+        assert abs(result.x[0] - 2.0) <= 1e-12
         assert len(calls) == result.iterations
 
 
@@ -275,7 +277,7 @@ class TestIntegrate:
         # Pick an attracting realization: beyond the three zero eigenvalues
         # from rigid motions, every real part must be negative.
         stable = None
-        for fw in realize_two_cycles(lengths):
+        for fw in realize_two_cycles(two_cycles(), lengths):
             jac = fd_jacobian(lambda v: eval_F_x(bundle, v), fw.x.ravel())
             reals = sorted(eigenvalues(jac).real_parts, reverse=True)
             if reals[3] < -1e-6:
@@ -331,7 +333,7 @@ class TestFiniteDifferences:
         bundle = VectorFieldBundle(
             graph=two_cycles(), law=builtin_law("gradient_squared"), lengths=lengths
         )
-        z = edge_vectors(realize_two_cycles(lengths)[0]).z
+        z = edge_vectors(realize_two_cycles(two_cycles(), lengths)[0])
         analytic = jacobian_z(bundle, z)
         numeric = fd_jacobian(lambda v: eval_F_z(bundle, v, check=False), z.ravel())
         scale = np.max(np.abs(analytic))

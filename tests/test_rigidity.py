@@ -9,6 +9,7 @@ from formation_forge.numkernel import kron_I2, rank_tol
 from formation_forge.rigidity import (
     Framework,
     TargetLengths,
+    edge_block_rows,
     edge_errors,
     edge_vectors,
     edges_aligned,
@@ -43,38 +44,38 @@ def rotate_translate(fw, theta, t):
 class TestEdgeVectors:
     def test_explicit_square_layout(self):
         fw = framework([(0, 0), (1, 0), (0, 1), (-1, 0)])
-        z = edge_vectors(fw).z
+        z = edge_vectors(fw)
         expected = [(1, 0), (-1, 1), (0, -1), (1, 1), (-1, 0)]
         assert np.array_equal(z, np.asarray(expected, float))
 
     def test_superposed_agents_give_zero_vectors(self):
         fw = framework(np.ones((4, 2)))
-        assert np.array_equal(edge_vectors(fw).z, np.zeros((5, 2)))
+        assert np.array_equal(edge_vectors(fw), np.zeros((5, 2)))
 
     def test_translation_invariance(self):
         fw = framework([(0, 0), (1, 0), (0, 1), (-1, 0)])
         shifted = fw.with_positions(fw.x + np.array([5.0, 7.0]))
-        assert np.array_equal(edge_vectors(fw).z, edge_vectors(shifted).z)
+        assert np.array_equal(edge_vectors(fw), edge_vectors(shifted))
 
     def test_matches_doubled_incidence_product(self):
         rng = np.random.default_rng(0)
         for _ in range(50):
             fw = random_framework(rng)
             stacked = kron_I2(mixed_adjacency(fw.graph)) @ fw.x.ravel()
-            assert np.max(np.abs(edge_vectors(fw).z.ravel() - stacked)) <= 1e-14
+            assert np.max(np.abs(edge_vectors(fw).ravel() - stacked)) <= 1e-14
 
     def test_block_row_matrix_projects_onto_edges(self):
         rng = np.random.default_rng(1)
         fw = random_framework(rng)
-        ev = edge_vectors(fw)
+        z = edge_vectors(fw)
         w = rng.normal(size=(5, 2))
-        assert np.allclose(ev.Dz @ w.ravel(), np.sum(ev.z * w, axis=1))
+        assert np.allclose(edge_block_rows(z) @ w.ravel(), np.sum(z * w, axis=1))
 
 
 class TestEdgeErrors:
     def test_vanish_on_design_frameworks(self):
         lengths = TargetLengths(d=BENCHMARK_SQUARED)
-        for fw in realize_two_cycles(lengths):
+        for fw in realize_two_cycles(two_cycles(), lengths):
             assert np.max(np.abs(edge_errors(fw, lengths))) <= 1e-12
 
     def test_unit_edge_zero_error(self):
@@ -122,7 +123,7 @@ class TestRigidityMatrix:
     def test_row_sign_layout(self):
         fw = framework([(0, 0), (1, 0), (0, 1), (-1, 0)])
         r = rigidity_matrix(fw)
-        z = edge_vectors(fw).z
+        z = edge_vectors(fw)
         for i, (o, t) in enumerate(fw.graph.edges):
             row = np.zeros(8)
             row[2 * o : 2 * o + 2] = -z[i]
@@ -133,8 +134,7 @@ class TestRigidityMatrix:
         rng = np.random.default_rng(3)
         for _ in range(100):
             fw = random_framework(rng)
-            ev = edge_vectors(fw)
-            product = ev.Dz @ kron_I2(mixed_adjacency(fw.graph))
+            product = edge_block_rows(edge_vectors(fw)) @ kron_I2(mixed_adjacency(fw.graph))
             assert np.max(np.abs(rigidity_matrix(fw) - product)) <= 1e-12
 
     def test_collinear_framework_drops_rank(self):
@@ -152,7 +152,7 @@ class TestRigidityMatrix:
 
 class TestRigidityPredicates:
     def test_generic_framework_is_rigid(self):
-        fw = realize_two_cycles(TargetLengths(d=BENCHMARK_SQUARED))[0]
+        fw = realize_two_cycles(two_cycles(), TargetLengths(d=BENCHMARK_SQUARED))[0]
         assert is_infinitesimally_rigid(fw)
 
     def test_parallel_edge_witness_is_rigid(self):
@@ -164,11 +164,11 @@ class TestRigidityPredicates:
         assert not is_infinitesimally_rigid(fw)
 
     def test_two_cycles_is_minimally_rigid(self):
-        fw = realize_two_cycles(TargetLengths(d=BENCHMARK_SQUARED))[0]
+        fw = realize_two_cycles(two_cycles(), TargetLengths(d=BENCHMARK_SQUARED))[0]
         assert is_minimally_rigid(fw)
 
     def test_redundant_edge_breaks_minimality(self):
-        base = realize_two_cycles(TargetLengths(d=BENCHMARK_SQUARED))[0]
+        base = realize_two_cycles(two_cycles(), TargetLengths(d=BENCHMARK_SQUARED))[0]
         g = FormationGraph(n=4, edges=base.graph.edges + ((1, 3),))
         fw = Framework(graph=g, x=base.x)
         assert is_infinitesimally_rigid(fw)
@@ -182,7 +182,7 @@ class TestRigidityPredicates:
 
 class TestRealization:
     def test_generic_lengths_give_four_frameworks(self):
-        frameworks = realize_two_cycles(TargetLengths(d=BENCHMARK_SQUARED))
+        frameworks = realize_two_cycles(two_cycles(), TargetLengths(d=BENCHMARK_SQUARED))
         assert len(frameworks) == 4
         for fw in frameworks:
             assert np.array_equal(fw.x[0], [0.0, 0.0])
@@ -191,24 +191,28 @@ class TestRealization:
     def test_infeasible_triangle_names_edges(self):
         lengths = TargetLengths(d=(1.0, 25.0, 4.0, 8.0, 4.0))
         with pytest.raises(InfeasibleLengthsError, match="edges 1, 2, 3"):
-            realize_two_cycles(lengths)
+            realize_two_cycles(two_cycles(), lengths)
 
     def test_second_triangle_infeasibility_names_edges(self):
         lengths = TargetLengths(d=(1.0, 5.0, 4.0, 100.0, 4.0))
         with pytest.raises(InfeasibleLengthsError, match="edges 3, 4, 5"):
-            realize_two_cycles(lengths)
+            realize_two_cycles(two_cycles(), lengths)
 
     def test_rejects_other_graphs(self):
         g = FormationGraph(n=3, edges=((0, 1), (1, 2), (2, 0)))
         with pytest.raises(ConfigurationError):
-            realize_two_cycles(TargetLengths(d=(1.0, 1.0, 1.0)), g)
+            realize_two_cycles(g, TargetLengths(d=(1.0, 1.0, 1.0)))
+        # the two-cycles edges with a fifth, idle agent are another graph
+        g = FormationGraph(n=5, edges=two_cycles().edges)
+        with pytest.raises(ConfigurationError, match="two-cycles graph"):
+            realize_two_cycles(g, TargetLengths(d=(1.0,) * 5))
 
 
 class TestSingularLengths:
     def test_canonical_construction(self):
         out = make_singular_lengths(1.0, 5.0, 4.0, 2.0)
         assert out.lengths.d == (1.0, 5.0, 4.0, 8.0, 4.0)
-        z = edge_vectors(out.witness).z
+        z = edge_vectors(out.witness)
         assert abs(planar_cross(z[0], z[4])) <= 1e-12
         assert np.max(np.abs(edge_errors(out.witness, out.lengths))) <= 1e-12
         assert not out.coincident_agents
@@ -263,7 +267,7 @@ class TestSingularSet:
         hits = singular_witnesses(out.lengths)
         assert hits
         for fw in hits:
-            z = edge_vectors(fw).z
+            z = edge_vectors(fw)
             n1, n5 = np.hypot(*z[0]), np.hypot(*z[4])
             assert abs(planar_cross(z[0], z[4])) <= 1e-9 * n1 * n5
 
@@ -299,11 +303,11 @@ class TestBlockRowRank:
     def test_full_row_rank_without_zero_edges(self):
         rng = np.random.default_rng(7)
         fw = random_framework(rng)
-        assert rank_tol(edge_vectors(fw).Dz, 1e-9) == 5
+        assert rank_tol(edge_block_rows(edge_vectors(fw)), 1e-9) == 5
 
     def test_zero_edge_drops_row_rank(self):
         # Superposing the first two agents kills the first edge vector.
         fw = framework([(0, 0), (0, 0), (0.4, 1.1), (-0.9, 0.2)])
-        ev = edge_vectors(fw)
-        assert np.max(np.abs(ev.z[0])) == 0.0
-        assert rank_tol(ev.Dz, 1e-9) == 4
+        z = edge_vectors(fw)
+        assert np.max(np.abs(z[0])) == 0.0
+        assert rank_tol(edge_block_rows(z), 1e-9) == 4
