@@ -25,7 +25,7 @@ from .equilibria import (
     solve_ancillary_aligned,
 )
 from .errors import ConfigurationError, FormulaDomainError, InfeasibleLengthsError
-from .graph import graph_matrices, two_cycles
+from .graph import two_cycles
 from .numkernel import Spectrum, eigenvalues, fd_jacobian, fd_second_directional
 from .rigidity import Framework, edge_vectors, realize_two_cycles, singular_witnesses
 
@@ -187,7 +187,7 @@ def gauge_slice_z_basis(b: VectorFieldBundle, witness: Framework):
     removing.
     """
     z0 = edge_vectors(witness)
-    cycles = graph_matrices(b.graph)["cycles"]
+    cycles = b.matrices["cycles"]
     rows = [np.kron(cycles.T, np.eye(2))] if cycles.shape[1] else []
     rotation = np.column_stack([-z0[:, 1], z0[:, 0]]).ravel()
     rows.append(rotation[None, :])

@@ -21,7 +21,7 @@ from pathlib import Path
 import numpy as np
 
 from .bifurcation import mu_sweep, sotomayor_at_witness, transcritical_detect
-from .dynamics import VectorFieldBundle, builtin_law, eval_F_x
+from .dynamics import VectorFieldBundle, builtin_law
 from .equilibria import census, classify_kind, equilibrium_record, solve_ancillary_aligned
 from .errors import ConfigurationError, FormationForgeError, FormulaDomainError, ScenarioError
 from .graph import FormationGraph, two_cycles
@@ -476,7 +476,7 @@ def _run_simulate(sc, bundle, out, tol):
         rng = np.random.default_rng(sc.seed)
         span = 2.0 * float(np.max(np.sqrt(bundle.lengths.as_array())))
         x0 = rng.uniform(-span, span, (bundle.graph.n, 2))
-    traj = integrate_ode(lambda x: eval_F_x(bundle, x), x0.ravel(), t_end, step=step)
+    traj = integrate_ode(bundle.flow, x0.ravel(), t_end, step=step)
 
     indices = list(range(0, len(traj.times), stride))
     if indices[-1] != len(traj.times) - 1:

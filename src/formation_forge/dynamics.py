@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -239,6 +240,28 @@ class VectorFieldBundle:
     def with_lengths(self, lengths: TargetLengths):
         return VectorFieldBundle(graph=self.graph, law=self.law, lengths=lengths)
 
+    @cached_property
+    def matrices(self):
+        """The graph's :func:`~.graph.graph_matrices`, looked up once per bundle."""
+        return graph_matrices(self.graph)
+
+    def flow(self, xs):
+        """Agent velocities on Python floats: a list of 2n floats in, 2n out.
+
+        Gathers the flat edge vectors, weighs them with :func:`edge_weights`
+        and adds each ``u_k z_k`` into its origin agent in edge order from
+        0.0; at a formation's few agents NumPy would cost more in call
+        overhead than in arithmetic. :func:`eval_F_x` is its array form and
+        checks the size, which this leaves to its caller.
+        """
+        mats = self.matrices
+        z = [xs[j] - xs[i] for i, j in mats["gather"]]
+        u = edge_weights(self, z)
+        xdot = [0.0] * len(xs)
+        for i, k, j in mats["scatter"]:
+            xdot[i] += u[k] * z[j]
+        return xdot
+
 
 def _edge_state(b, z):
     arr = np.asarray(z, dtype=float)
@@ -251,8 +274,8 @@ def edge_weights(b: VectorFieldBundle, z):
     """Per-edge feedback weights as a list, in one loop over the graph's agents.
 
     ``z`` is a list of floats holding the edge vectors stacked flat (2m),
-    as :func:`eval_F_x` gathers them. A lone edge gets ``law.weight``, a
-    two-coleader pair ``law.pair_weights``.
+    as :meth:`VectorFieldBundle.flow` gathers them. A lone edge gets
+    ``law.weight``, a two-coleader pair ``law.pair_weights``.
     A coupled pair's inner product is numpy's dot, which may fuse the
     multiply-add and so differ from float arithmetic in the last bit; it
     is how coupled weights have always been computed. A separable law
@@ -260,7 +283,7 @@ def edge_weights(b: VectorFieldBundle, z):
     """
     law = b.law
     d = b.lengths.d
-    mats = graph_matrices(b.graph)
+    mats = b.matrices
     u = [0.0] * len(d)
     for k in mats["singles"]:
         zx, zy = z[2 * k], z[2 * k + 1]
@@ -281,28 +304,16 @@ def eval_F_x(b: VectorFieldBundle, x):
     """Agent velocities: each agent moves along its outgoing edge vectors.
 
     Decentralization is structural here, an agent's velocity only reads
-    the relative positions of the agents it observes. One pass over the
-    graph's edge list on Python floats gathers the flat edge vectors,
-    :func:`edge_weights` weighs them, and each ``u_k z_k`` is added into
-    its origin agent in edge order; at a formation's few agents NumPy
-    would cost more in call overhead than in arithmetic. ``x`` may be flat
-    (2n) or rows (n, 2), and the result is an array of the same layout.
+    the relative positions of the agents it observes. This is the array
+    form of :meth:`VectorFieldBundle.flow`, with its bits: ``x`` may be
+    flat (2n) or rows (n, 2), the result is an array of the same layout,
+    and any other coordinate count is a :class:`DimensionError`.
     """
     arr = np.asarray(x, dtype=float)
     xs = arr.ravel().tolist()
     if len(xs) != 2 * b.graph.n:
         raise DimensionError(f"{len(xs)} coordinates for {b.graph.n} planar agents")
-    edges = b.graph.edges
-    z = []
-    for o, t in edges:
-        z.append(xs[2 * t] - xs[2 * o])
-        z.append(xs[2 * t + 1] - xs[2 * o + 1])
-    u = edge_weights(b, z)
-    xdot = [0.0] * len(xs)
-    for k, (o, _) in enumerate(edges):
-        xdot[2 * o] += u[k] * z[2 * k]
-        xdot[2 * o + 1] += u[k] * z[2 * k + 1]
-    out = np.array(xdot)
+    out = np.array(b.flow(xs))
     return out if arr.ndim == 1 else out.reshape(b.graph.n, 2)
 
 
@@ -365,7 +376,7 @@ def eval_F_z(b: VectorFieldBundle, z, check=True):
     constraint surface.
     """
     zz, flat = _edge_state(b, z)
-    mats = graph_matrices(b.graph)
+    mats = b.matrices
     if check and mats["cycles"].shape[1]:
         sums = mats["cycles"].T @ zz
         scale = max(1.0, float(np.max(np.abs(zz))))
@@ -400,7 +411,7 @@ def zprime_vectors(b: VectorFieldBundle, z):
     d = b.lengths.d
     zp = np.array([2.0 * b.law.weight_dlen(dk, s) for dk, s in zip(d, s2)])[:, None] * zz
     if not b.law.separable:
-        for i, j in graph_matrices(b.graph)["pairs"]:
+        for i, j in b.matrices["pairs"]:
             s = float(zz[i] @ zz[j])
             cij, cji = b.law.pair_cross((d[i], d[j]), (s2[i], s2[j]), s)
             zp[i] = zp[i] + 2.0 * cij * zz[j]
@@ -429,7 +440,7 @@ def jacobian_z(b: VectorFieldBundle, z):
     """
     zz, _ = _edge_state(b, z)
     _require_design_point(b, zz, "the analytic Jacobian in z")
-    mats = graph_matrices(b.graph)
+    mats = b.matrices
     dz = edge_block_rows(zz)
     dzp = edge_block_rows(zprime_vectors(b, zz))
     return mats["edge_adj2"] @ dzp.T @ dz
@@ -439,7 +450,7 @@ def jacobian_d(b: VectorFieldBundle, z):
     """Closed-form derivative in the stored squared targets, at a design point."""
     zz, _ = _edge_state(b, z)
     _require_design_point(b, zz, "the analytic Jacobian in d")
-    mats = graph_matrices(b.graph)
+    mats = b.matrices
     dzpp = edge_block_rows(zdprime_vectors(b, zz))
     return mats["edge_adj2"] @ dzpp.T
 
@@ -453,7 +464,7 @@ def reduced_J(b: VectorFieldBundle, z):
     question to an m-dimensional computation.
     """
     zz, _ = _edge_state(b, z)
-    mats = graph_matrices(b.graph)
+    mats = b.matrices
     zp = zprime_vectors(b, zz)
     return (zz @ zp.T) * mats["edge_adj"]
 

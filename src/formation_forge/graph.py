@@ -115,7 +115,9 @@ def graph_matrices(g: FormationGraph):
 
     ``singles`` and ``pairs`` group the edges by origin agent: the edge of
     each agent that observes one other, and the two edges of each
-    two-coleader agent. The arrays are read-only because every caller of
+    two-coleader agent. ``gather`` pairs ``(2o+c, 2t+c)`` and ``scatter``
+    triples ``(2o+c, k, 2k+c)`` index the flat coordinates of the float
+    flow, edge by edge. The arrays are read-only because every caller of
     the graph shares them.
     """
     edge_adj = edge_adjacency(g)
@@ -128,6 +130,10 @@ def graph_matrices(g: FormationGraph):
         "cycles": left_nullspace(mixed_adjacency(g), 1e-12),
         "singles": tuple(ks[0] for ks in by_origin.values() if len(ks) == 1),
         "pairs": tuple(tuple(ks) for ks in by_origin.values() if len(ks) == 2),
+        "gather": tuple((2 * o + c, 2 * t + c) for o, t in g.edges for c in (0, 1)),
+        "scatter": tuple(
+            (2 * o + c, k, 2 * k + c) for k, (o, _) in enumerate(g.edges) for c in (0, 1)
+        ),
     }
     for value in mats.values():
         if isinstance(value, np.ndarray):

@@ -240,16 +240,18 @@ def integrate_ode(f, x0, t_end, step=1e-3):
 
     Only the classical 4th-order scheme is provided; the fixed step keeps
     trajectories deterministic so they can serve as golden fixtures. The
-    state is ``x0`` flattened, and ``f`` maps it as a 1-d array. Between
-    the calls of ``f`` the stages are Python floats, in the expression
-    order of the array form and with its bits, at a fraction of its call
-    overhead. The final state's vector-field norm is reported on the
-    result. A non-finite state aborts with :class:`BlowUpError` carrying
-    the time; the overflow on the way there raises no floating-point
-    warning, so the error is the only report of it. Times and states are
-    written into arrays allocated once for the whole run. A non-finite
-    ``t_end`` or ``step``, a step that is not positive, or a step count
-    that cannot index an array is a :class:`ConfigurationError`.
+    state is ``x0`` flattened into a list of Python floats, and ``f`` maps
+    such a list to a sequence of as many floats, as
+    :meth:`~.dynamics.VectorFieldBundle.flow` does. No array is built
+    between the calls of ``f``; the stages keep the expression order of
+    the array form and its bits. The final state's vector-field norm is
+    reported on the result. A non-finite state aborts with
+    :class:`BlowUpError` carrying the time; the overflow on the way there
+    raises no floating-point warning, so the error is the only report of
+    it. Times and states are written into arrays allocated once for the
+    whole run. A non-finite ``t_end`` or ``step``, a step that is not
+    positive, or a step count that cannot index an array is a
+    :class:`ConfigurationError`.
     """
     t_end, step = float(t_end), float(step)
     if not (math.isfinite(t_end) and math.isfinite(step)):
@@ -264,10 +266,6 @@ def integrate_ode(f, x0, t_end, step=1e-3):
             f"{n_full:.3g} integration steps cannot index an array; use a larger step"
         )
     x = np.asarray(x0, dtype=float).ravel().tolist()
-
-    def fun(v):
-        return np.asarray(f(np.array(v)), dtype=float).ravel().tolist()
-
     steps = [step] * int(n_full)
     if rem > 1e-12 * max(1.0, abs(t_end)):
         steps.append(rem)
@@ -279,10 +277,10 @@ def integrate_ode(f, x0, t_end, step=1e-3):
     with np.errstate(over="ignore", invalid="ignore"):
         for i, h in enumerate(steps, 1):
             half, sixth = 0.5 * h, h / 6.0
-            k1 = fun(x)
-            k2 = fun([a + half * k for a, k in zip(x, k1)])
-            k3 = fun([a + half * k for a, k in zip(x, k2)])
-            k4 = fun([a + h * k for a, k in zip(x, k3)])
+            k1 = f(x)
+            k2 = f([a + half * k for a, k in zip(x, k1)])
+            k3 = f([a + half * k for a, k in zip(x, k2)])
+            k4 = f([a + h * k for a, k in zip(x, k3)])
             x = [
                 a + sixth * (((p + 2.0 * q) + 2.0 * r) + w)
                 for a, p, q, r, w in zip(x, k1, k2, k3, k4)
@@ -292,7 +290,7 @@ def integrate_ode(f, x0, t_end, step=1e-3):
                 raise BlowUpError(f"trajectory left the finite range at t={t:.6g}", time=t)
             times[i] = t
             states[i] = x
-        final_residual = float(np.max(np.abs(fun(x))))
+        final_residual = float(np.max(np.abs(f(x))))
     return Trajectory(times=times, states=states, final_residual=final_residual)
 
 

@@ -27,7 +27,7 @@ from formation_forge.errors import (
     InconsistentStateError,
     UnknownLawError,
 )
-from formation_forge.graph import mixed_adjacency, two_cycles
+from formation_forge.graph import FormationGraph, graph_matrices, mixed_adjacency, two_cycles
 from formation_forge.numkernel import (
     eigenvalues,
     fd_jacobian,
@@ -207,6 +207,78 @@ class TestAgentField:
             t = rng.normal(size=2)
             moved = eval_F_x(b, x @ rot.T + t)
             assert np.max(np.abs(moved - eval_F_x(b, x) @ rot.T)) <= 1e-12
+
+
+def gather_scatter_field(b, x):
+    """The agent field as a gather, :func:`edge_weights` and a scatter.
+
+    The flat edge vectors are gathered edge by edge, and each ``u_k z_k``
+    is added into its origin agent in edge order from 0.0, as a list of
+    floats. ``VectorFieldBundle.flow`` must match it bit for bit.
+    """
+    xs = np.asarray(x, dtype=float).ravel().tolist()
+    z = []
+    for o, t in b.graph.edges:
+        z.append(xs[2 * t] - xs[2 * o])
+        z.append(xs[2 * t + 1] - xs[2 * o + 1])
+    u = edge_weights(b, z)
+    xdot = [0.0] * len(xs)
+    for k, (o, _) in enumerate(b.graph.edges):
+        xdot[2 * o] += u[k] * z[2 * k]
+        xdot[2 * o + 1] += u[k] * z[2 * k + 1]
+    return xdot
+
+
+def coupled_pair(d_pair, s2_pair, s):
+    """tests/test_kernel.py's two-coleader law that reads the pair's inner product."""
+    return (s2_pair[0] - d_pair[0] + 0.1 * s, s2_pair[1] - d_pair[1] - 0.2 * s)
+
+
+FLOW_LAWS = {
+    **{name: builtin_law(name) for name in BUILTIN_LAW_NAMES},
+    "separable": CustomLaw(lambda d, s2: (s2 - d) * (1.0 + 0.5 * s2), name="separable"),
+    "pair": CustomLaw(lambda d, s2: s2 - d, name="pair", pair_func=coupled_pair),
+}
+# Agent 1 (1-based) observes two others, agents 2 and 4 one each, and agent 3
+# observes nobody, so its velocity stays 0.0.
+IDLE_AGENT = FormationGraph(n=4, edges=((0, 1), (0, 2), (1, 2), (3, 1)))
+
+
+def same_bits(a, b):
+    return np.asarray(a, dtype=float).tobytes() == np.asarray(b, dtype=float).tobytes()
+
+
+class TestFloatFlow:
+    @settings(max_examples=80, deadline=None)
+    @given(
+        law_name=st.sampled_from(sorted(FLOW_LAWS)),
+        graph=st.sampled_from((two_cycles(), IDLE_AGENT)),
+        coords=st.lists(st.floats(-5.0, 5.0), min_size=8, max_size=8),
+        collapse=st.one_of(st.none(), st.integers(0, 4)),
+    )
+    def test_matches_the_gather_scatter_oracle_bit_for_bit(
+        self, law_name, graph, coords, collapse
+    ):
+        law = FLOW_LAWS[law_name]
+        values = (2.0, 2.6, 2.0, 3.3, 1.4)[: graph.m]
+        b = VectorFieldBundle(
+            graph=graph, law=law, lengths=TargetLengths.from_values(values, law.convention)
+        )
+        if collapse is not None:
+            # Coincident agents give the edge between them zero length.
+            o, t = graph.edges[collapse % graph.m]
+            coords[2 * t : 2 * t + 2] = coords[2 * o : 2 * o + 2]
+        expected = gather_scatter_field(b, coords)
+        flow = b.flow(list(coords))
+        assert all(type(v) is float for v in flow)
+        assert same_bits(flow, expected)
+        assert same_bits(eval_F_x(b, np.array(coords)), expected)
+        rows = eval_F_x(b, np.array(coords).reshape(4, 2))
+        assert rows.shape == (4, 2) and same_bits(rows.ravel(), expected)
+
+    def test_bundle_reads_the_graph_cache(self):
+        b = squared_bundle(BENCHMARK_SQUARED)
+        assert b.matrices is graph_matrices(b.graph) is b.matrices
 
 
 class TestEdgeField:

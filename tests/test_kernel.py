@@ -294,7 +294,7 @@ def pinned_trajectory(law_name):
         lengths=TargetLengths.from_values(PLAIN_VALUES[:5], law.convention),
     )
     x0 = [0.1, -0.2, 1.7, 0.3, 0.9, 1.6, -1.2, 1.1]
-    return integrate_ode(lambda x: eval_F_x(b, x), x0, 2.0, step=1e-2)
+    return integrate_ode(b.flow, x0, 2.0, step=1e-2)
 
 
 class TestIntegrator:
@@ -305,7 +305,7 @@ class TestIntegrator:
         assert np.array_equal(traj.final_state, traj.states[-1])
 
     def test_remainder_step_adds_a_row(self):
-        traj = integrate_ode(lambda x: -x, [1.0, 2.0], 0.25, step=0.1)
+        traj = integrate_ode(lambda x: [-v for v in x], [1.0, 2.0], 0.25, step=0.1)
         assert traj.states.shape == (4, 2)
         assert traj.times[-1] == pytest.approx(0.25)
 
@@ -321,7 +321,7 @@ class TestIntegrator:
         )
         x0 = 2.0 * np.array([0.1, -0.2, 1.7, 0.3, 0.9, 1.6, -1.2, 1.1])
         with pytest.raises(BlowUpError) as info:
-            integrate_ode(lambda x: eval_F_x(b, x), x0, 20.0, step=1e-3)
+            integrate_ode(b.flow, x0, 20.0, step=1e-3)
         assert info.value.time == 0.23600000000000018
 
     @pytest.mark.parametrize("law_name", BUILTIN_LAW_NAMES)

@@ -262,11 +262,11 @@ class TestNewton:
 
 class TestIntegrate:
     def test_linear_decay(self):
-        traj = integrate_ode(lambda x: -x, 1.0, 1.0, step=1e-3)
+        traj = integrate_ode(lambda x: [-v for v in x], 1.0, 1.0, step=1e-3)
         assert abs(traj.final_state[0] - np.exp(-1.0)) <= 1e-6
 
     def test_logistic_settles_at_carrying_capacity(self):
-        traj = integrate_ode(lambda x: x * (1.0 - x), 0.5, 25.0, step=1e-3)
+        traj = integrate_ode(lambda x: [v * (1.0 - v) for v in x], 0.5, 25.0, step=1e-3)
         assert abs(traj.final_state[0] - 1.0) <= 1e-6
 
     def test_formation_flow_reaches_design_shape(self):
@@ -292,7 +292,7 @@ class TestIntegrate:
 
     def test_blow_up_is_reported_with_time(self):
         with pytest.raises(BlowUpError) as info, np.errstate(over="ignore"):
-            integrate_ode(lambda x: x * x, 2.0, 10.0, step=1e-2)
+            integrate_ode(lambda x: [v * v for v in x], 2.0, 10.0, step=1e-2)
         assert info.value.time is not None
 
     @pytest.mark.parametrize(
@@ -310,7 +310,7 @@ class TestIntegrate:
     )
     def test_unusable_time_grid_is_a_configuration_error(self, t_end, step):
         with pytest.raises(ConfigurationError):
-            integrate_ode(lambda x: -x, 1.0, t_end, step=step)
+            integrate_ode(lambda x: [-v for v in x], 1.0, t_end, step=step)
 
 
 class TestFiniteDifferences:
