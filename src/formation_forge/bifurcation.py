@@ -110,7 +110,7 @@ def sotomayor_check(family, x0, mu0, tol_nondegen=1e-3):
     mu0 = float(mu0)
 
     def f(x, mu):
-        return np.atleast_1d(np.asarray(family(x, mu), dtype=float))
+        return np.atleast_1d(np.asarray(family(np.asarray(x, dtype=float), mu), dtype=float))
 
     f0 = f(x0, mu0)
     residual = float(np.max(np.abs(f0)))

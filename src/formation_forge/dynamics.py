@@ -340,13 +340,12 @@ def jacobian_x(b: VectorFieldBundle, x):
     per-edge blocks, so non-separable laws fall back to central
     differences of the field.
     """
-    arr = np.asarray(x, dtype=float).ravel()
+    xs = np.asarray(x, dtype=float).ravel().tolist()
     n2 = 2 * b.graph.n
-    if arr.size != n2:
-        raise DimensionError(f"{arr.size} coordinates for {b.graph.n} planar agents")
+    if len(xs) != n2:
+        raise DimensionError(f"{len(xs)} coordinates for {b.graph.n} planar agents")
     if not b.law.separable:
-        return fd_jacobian(lambda v: eval_F_x(b, v), arr)
-    xs = arr.tolist()
+        return fd_jacobian(b.flow, xs)
     edges = b.graph.edges
     z = [(xs[2 * t] - xs[2 * o], xs[2 * t + 1] - xs[2 * o + 1]) for o, t in edges]
     s2 = [zx * zx + zy * zy for zx, zy in z]

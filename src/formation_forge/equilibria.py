@@ -158,7 +158,7 @@ def _gauge_jacobian(b: VectorFieldBundle, f: Framework):
         raise FormulaDomainError(
             f"gauge-fixed linearization requires an equilibrium; residual {residual:.3e}"
         )
-    jac = fd_jacobian(lambda v: eval_F_x(b, v), f.x.ravel())
+    jac = fd_jacobian(b.flow, f.x.ravel())
     basis = gauge_slice_basis(f.x)
     return basis.T @ jac @ basis, residual
 
@@ -171,8 +171,8 @@ def gauge_fixed_spectrum(b: VectorFieldBundle, f: Framework):
     zeros; restricting first avoids having to tell a genuinely small
     eigenvalue apart from a symmetry zero.
 
-    The linearization is a central difference of :func:`eval_F_x`, not
-    the closed form :func:`jacobian_x` the solvers use. The two differ
+    The linearization is :func:`fd_jacobian` of :meth:`VectorFieldBundle.flow`,
+    not the closed form :func:`jacobian_x` the solvers use. The two differ
     by about 1e-9 relative, enough to move printed spectra past their
     pinned tolerance; where two agents coincide, the difference quotient
     straddles the kink of a zero-length plain-law edge and is off by its
@@ -265,8 +265,8 @@ def _aligned_system(law, d, a, bb, sigma):
     for bit under every law. The closed-form Jacobian in ``(a, b)`` is
     returned for separable laws and None for coupled pairs. With
     ``beta^2 = d_3 - alpha^2`` the fourth length is ``b^2 - 2 alpha b + d_3``,
-    which depends on ``a`` only through ``alpha(a)``. Returns None where
-    agent 3 cannot be placed.
+    which depends on ``a`` only through ``alpha(a)``. The residual is a
+    pair of floats; None is returned where agent 3 cannot be placed.
     """
     triangle = _aligned_triangle(d, a)
     if triangle is None:
@@ -276,7 +276,7 @@ def _aligned_system(law, d, a, bb, sigma):
     s2 = [a * a, gap * gap + beta * beta, bb * bb]
     u1, u5 = law.pair_weights((d[0], d[4]), (s2[0], s2[2]), a * bb)
     u4 = law.weight(d[3], s2[1])
-    res = np.array([u4, u1 * a + u5 * bb])
+    res = (u4, u1 * a + u5 * bb)
     if not law.separable:
         return res, None
     du = weight_slopes(law, [d[0], d[3], d[4]], s2)
@@ -301,15 +301,12 @@ def aligned_root_near(b, a0, b0, sigma):
     d = b.lengths.d
 
     def system(v):
-        found = _aligned_system(b.law, d, float(v[0]), float(v[1]), sigma)
-        return found or (np.full(2, np.nan), None)
+        return _aligned_system(b.law, d, v[0], v[1], sigma) or ((math.nan, math.nan), None)
 
     jac = (lambda v: system(v)[1]) if b.law.separable else None
     try:
-        root = newton_root(
-            lambda v: system(v)[0], np.array([a0, b0], dtype=float),
-            max_iter=CENSUS_MAX_ITER, tol=NEWTON_TOL, jac=jac,
-        ).x
+        root = newton_root(lambda v: system(v)[0], [a0, b0], max_iter=CENSUS_MAX_ITER,
+                           tol=NEWTON_TOL, jac=jac).x
     except ConvergenceError:
         return None
     # a finite converged residual puts the root inside the domain
@@ -401,12 +398,12 @@ def census(b: VectorFieldBundle, n_random=200, seed=0, dedupe_tol=1e-6):
     On two-cycles the closed-form design realizations and every aligned
     equilibrium (:func:`solve_ancillary_aligned`) enter as built, designs
     first; a design whose field residual exceeds ``RESIDUAL_TOL`` is
-    counted as dropped. Then Newton runs from ``n_random`` frameworks drawn
-    uniformly from a square sized to the targets, the first draws of
-    ``default_rng(seed)``; its roots enter in canonical gauge, and a
-    non-convergent draw is counted, not raised. A record within
-    ``dedupe_tol`` of an earlier one is skipped. Identical seeds and
-    tolerances give an identical report.
+    counted as dropped. Then Newton runs on :meth:`VectorFieldBundle.flow`
+    with :func:`jacobian_x` from ``n_random`` frameworks drawn uniformly from
+    a square sized to the targets, the first draws of ``default_rng(seed)``;
+    its roots enter in canonical gauge, and a non-convergent draw is
+    counted, not raised. A record within ``dedupe_tol`` of an earlier one
+    is skipped. Identical seeds and tolerances give an identical report.
     """
     records = []
     dropped = 0
@@ -432,7 +429,7 @@ def census(b: VectorFieldBundle, n_random=200, seed=0, dedupe_tol=1e-6):
     for _ in range(n_random):
         try:
             root = newton_root(
-                lambda v: eval_F_x(b, v), rng.uniform(-span, span, (b.graph.n, 2)).ravel(),
+                b.flow, rng.uniform(-span, span, (b.graph.n, 2)).ravel(),
                 max_iter=CENSUS_MAX_ITER, tol=NEWTON_TOL, jac=lambda v: jacobian_x(b, v),
             ).x
         except ConvergenceError:

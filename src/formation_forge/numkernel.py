@@ -1,8 +1,9 @@
 """Dense linear algebra and small-scale numerics.
 
-Everything in this module operates on plain ``numpy`` arrays a few dozen
-entries across. The heavy lifting (eigenvalues, singular values, least
-squares) is delegated to LAPACK through numpy; this module pins down the
+Everything here works on ``numpy`` arrays a few dozen entries across, or
+on lists of Python floats where that is cheaper (Newton, finite
+differences, the integrator). LAPACK does the heavy lifting (eigenvalues,
+singular values, least squares) through numpy; this module pins down the
 conventions the rest of the package relies on: eigenvalue ordering,
 rank/null-space tolerances, finite-difference step policies, and a
 fixed-step integrator whose output is bit-reproducible.
@@ -170,6 +171,11 @@ class NewtonResult:
     residual: float
 
 
+def _max_abs(values):
+    """``np.max(np.abs(values))`` on floats; a NaN anywhere wins, as in NumPy."""
+    return math.nan if any(map(math.isnan, values)) else max(map(abs, values))
+
+
 def newton_root(f, x0, max_iter=50, tol=1e-12, jac=None):
     """Damped Newton iteration for ``f(x) = 0`` with least-squares steps.
 
@@ -179,36 +185,39 @@ def newton_root(f, x0, max_iter=50, tol=1e-12, jac=None):
     singular values below ``1e-8`` of the largest, so on systems with a
     continuous symmetry (the formation field is translation invariant) the
     step stays orthogonal to the numerical kernel instead of blowing the
-    iterate up without changing the residual. The Jacobian comes from
-    central finite differences unless an analytic ``jac`` is supplied.
-    ``x0`` is a vector, and ``f`` maps a vector to a vector.
+    iterate up without changing the residual. The iterate is ``x0`` as a
+    flat list of Python floats, which ``f`` maps to a sequence of floats,
+    as :meth:`~.dynamics.VectorFieldBundle.flow` does; the Jacobian is
+    :func:`fd_jacobian` of ``f`` unless an analytic ``jac`` is supplied.
 
     Returns a :class:`NewtonResult`; raises :class:`ConvergenceError`
     carrying the last iterate when the residual, Jacobian or step is not
     finite, no halving decreases the residual (stagnation), or the
-    residual misses ``tol`` within ``max_iter`` steps.
+    residual misses ``tol`` within ``max_iter`` steps. Both hold arrays.
     """
-    x = np.array(x0, dtype=float)
+    x = np.asarray(x0, dtype=float).ravel().tolist()
 
     def fail(reason, it):
-        return ConvergenceError(f"newton iteration {reason}", last_iterate=x, iterations=it)
+        return ConvergenceError(
+            f"newton iteration {reason}", last_iterate=np.array(x), iterations=it
+        )
 
-    fx = np.asarray(f(x), dtype=float)
-    res = float(np.max(np.abs(fx)))
+    fx = f(x)
+    res = _max_abs(fx)
     for it in range(max_iter):
         if res <= tol:
             break
         jx = fd_jacobian(f, x) if jac is None else jac(x)
         if not (math.isfinite(res) and np.isfinite(jx).all()):
             raise fail("met a non-finite residual or Jacobian", it)
-        step, *_ = np.linalg.lstsq(jx, -fx, rcond=1e-8)
-        if not np.isfinite(step).all():
+        step = np.linalg.lstsq(jx, -np.asarray(fx, dtype=float), rcond=1e-8)[0].tolist()
+        if not all(map(math.isfinite, step)):
             raise fail("took a non-finite step", it)
         alpha = 1.0
         for _ in range(25):
-            xn = x + alpha * step
-            fn = np.asarray(f(xn), dtype=float)
-            rn = float(np.max(np.abs(fn))) if np.all(np.isfinite(fn)) else np.inf
+            xn = [a + alpha * s for a, s in zip(x, step)]
+            fn = f(xn)
+            rn = _max_abs(fn)  # a NaN or inf never decreases the residual
             if rn < res:
                 break
             alpha *= 0.5
@@ -221,7 +230,7 @@ def newton_root(f, x0, max_iter=50, tol=1e-12, jac=None):
             raise fail(
                 f"did not reach tol={tol:g} in {max_iter} steps (residual {res:.3e})", it
             )
-    return NewtonResult(x=x, iterations=it, residual=res)
+    return NewtonResult(x=np.array(x), iterations=it, residual=float(res))
 
 
 @dataclass(frozen=True)
@@ -294,25 +303,20 @@ def integrate_ode(f, x0, t_end, step=1e-3):
     return Trajectory(times=times, states=states, final_residual=final_residual)
 
 
-def fd_steps(x, h):
-    """Per-coordinate central-difference steps, scaled by coordinate size."""
-    return h * np.maximum(1.0, np.abs(x))
-
-
 def fd_jacobian(f, x, h=1e-6):
-    """Central-difference Jacobian with coordinate-scaled steps."""
-    x = np.atleast_1d(np.asarray(x, dtype=float))
-    steps = fd_steps(x, h)
+    """Central-difference Jacobian with coordinate-scaled steps, as an array.
+
+    ``x`` is flattened into a list of Python floats, which ``f`` maps to a
+    sequence of floats.
+    """
+    xs = np.asarray(x, dtype=float).ravel().tolist()
     cols = []
-    for j in range(x.size):
-        xp = x.copy()
-        xm = x.copy()
-        xp[j] += steps[j]
-        xm[j] -= steps[j]
-        fp = np.atleast_1d(np.asarray(f(xp), dtype=float))
-        fm = np.atleast_1d(np.asarray(f(xm), dtype=float))
-        cols.append((fp - fm) / (2.0 * steps[j]))
-    return np.column_stack(cols)
+    for j, xj in enumerate(xs):
+        step = h * max(abs(xj), 1.0)  # NaN at a NaN coordinate, as np.maximum gives
+        xp, xm = xs.copy(), xs.copy()
+        xp[j], xm[j] = xj + step, xj - step
+        cols.append([(p - m) / (2.0 * step) for p, m in zip(f(xp), f(xm))])
+    return np.array(cols).T.copy()
 
 
 def fd_second_directional(f, x, v, h=1e-4):

@@ -55,6 +55,7 @@ from formation_forge.rigidity import (
     singular_witnesses,
 )
 from test_kernel import make_law
+from test_numkernel import array_newton_root
 
 BENCHMARK_SQUARED = (4.0, 6.76, 4.0, 10.89, 1.96)
 
@@ -597,6 +598,25 @@ def fig2_bundle(law_name):
 def test_fig2_census_is_pinned(law_name):
     report = census(fig2_bundle(law_name), n_random=60, seed=7)
     assert (census_digest(report), report.dropped_seeds) == FIG2_CENSUS_PINS[law_name]
+
+
+@pytest.mark.parametrize("law_name", sorted(FIG2_CENSUS_PINS))
+def test_fig2_census_matches_the_array_newton_oracle(monkeypatch, law_name):
+    # Newton on floats must reach every random root of the array form, bit
+    # for bit, and drop the same seeds.
+    b = fig2_bundle(law_name)
+    reports = [census(b, n_random=60, seed=seed) for seed in range(10)]
+
+    def oracle(f, x0, **options):
+        return array_newton_root(lambda v: np.array(f(v.tolist())), x0, **options)
+
+    monkeypatch.setattr(equilibria, "newton_root", oracle)
+    for seed, report in enumerate(reports):
+        expected = census(b, n_random=60, seed=seed)
+        assert report.dropped_seeds == expected.dropped_seeds
+        assert len(report.records) == len(expected.records)
+        for rec, other in zip(report.records, expected.records):
+            assert_same_record(rec, other)
 
 
 def assert_same_record(rec, other):

@@ -1,9 +1,13 @@
 """Tests for the dense linear-algebra and numerics kernel."""
 
+import math
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from formation_forge.dynamics import VectorFieldBundle, builtin_law, eval_F_x
+from formation_forge.dynamics import VectorFieldBundle, builtin_law, eval_F_x, jacobian_x
 from formation_forge.errors import (
     BlowUpError,
     ConfigurationError,
@@ -12,6 +16,7 @@ from formation_forge.errors import (
 )
 from formation_forge.graph import mixed_adjacency, two_cycles
 from formation_forge.numkernel import (
+    NewtonResult,
     Spectrum,
     eigenvalues,
     fd_jacobian,
@@ -28,6 +33,69 @@ from formation_forge.rigidity import (
     realize_two_cycles,
     rigidity_matrix,
 )
+from test_dynamics import FLOW_LAWS, IDLE_AGENT, same_bits
+
+
+def array_fd_jacobian(f, x, h=1e-6):
+    """Central differences on arrays, the oracle of :func:`fd_jacobian`.
+
+    ``f`` maps an array to an array; each coordinate's column is stacked
+    with ``np.column_stack``. The float form must match it bit for bit.
+    """
+    x = np.atleast_1d(np.asarray(x, dtype=float))
+    steps = h * np.maximum(1.0, np.abs(x))
+    cols = []
+    for j in range(x.size):
+        xp = x.copy()
+        xm = x.copy()
+        xp[j] += steps[j]
+        xm[j] -= steps[j]
+        fp = np.atleast_1d(np.asarray(f(xp), dtype=float))
+        fm = np.atleast_1d(np.asarray(f(xm), dtype=float))
+        cols.append((fp - fm) / (2.0 * steps[j]))
+    return np.column_stack(cols)
+
+
+def array_newton_root(f, x0, max_iter=50, tol=1e-12, jac=None):
+    """Damped Newton on arrays, the oracle of :func:`newton_root`.
+
+    ``f`` and ``jac`` take an array. The float form must reach the same
+    iterates, bit for bit, and fail where this fails.
+    """
+    x = np.array(x0, dtype=float)
+
+    def fail(reason, it):
+        return ConvergenceError(f"newton iteration {reason}", last_iterate=x, iterations=it)
+
+    fx = np.asarray(f(x), dtype=float)
+    res = float(np.max(np.abs(fx)))
+    for it in range(max_iter):
+        if res <= tol:
+            break
+        jx = array_fd_jacobian(f, x) if jac is None else jac(x)
+        if not (math.isfinite(res) and np.isfinite(jx).all()):
+            raise fail("met a non-finite residual or Jacobian", it)
+        step, *_ = np.linalg.lstsq(jx, -fx, rcond=1e-8)
+        if not np.isfinite(step).all():
+            raise fail("took a non-finite step", it)
+        alpha = 1.0
+        for _ in range(25):
+            xn = x + alpha * step
+            fn = np.asarray(f(xn), dtype=float)
+            rn = float(np.max(np.abs(fn))) if np.all(np.isfinite(fn)) else np.inf
+            if rn < res:
+                break
+            alpha *= 0.5
+        else:
+            raise fail(f"stagnated at residual {res:.3e}", it)
+        x, fx, res = xn, fn, rn
+    else:
+        it = max_iter
+        if res > tol:
+            raise fail(
+                f"did not reach tol={tol:g} in {max_iter} steps (residual {res:.3e})", it
+            )
+    return NewtonResult(x=x, iterations=it, residual=res)
 
 
 def spectra_close(a, b, tol):
@@ -194,14 +262,14 @@ class TestKron:
 class TestNewton:
     # A scalar equation is solved as a 1-vector one.
     def test_scalar_quadratic(self):
-        result = newton_root(lambda x: x * x - 4.0, [3.0], tol=1e-12)
+        result = newton_root(lambda x: [v * v - 4.0 for v in x], [3.0], tol=1e-12)
         assert result.x.shape == (1,)
         assert abs(result.x[0] - 2.0) <= 1e-10
         assert result.residual <= 1e-12
         assert result.iterations >= 1
 
     def test_scalar_cubic(self):
-        result = newton_root(lambda x: x * (1.0 - x * x), [0.8], tol=1e-12)
+        result = newton_root(lambda x: [v * (1.0 - v * v) for v in x], [0.8], tol=1e-12)
         assert abs(result.x[0] - 1.0) <= 1e-10
 
     def test_circle_intersection_matches_closed_form(self):
@@ -212,12 +280,9 @@ class TestNewton:
         x2 = fw.x[1]
 
         def f(p):
-            return np.array(
-                [
-                    p @ p - lengths.d[2],
-                    (p - x2) @ (p - x2) - lengths.d[1],
-                ]
-            )
+            px, py = p
+            qx, qy = px - x2[0], py - x2[1]
+            return [px * px + py * py - lengths.d[2], qx * qx + qy * qy - lengths.d[1]]
 
         seed = fw.x[2] + np.array([0.05, -0.08])
         result = newton_root(f, seed, tol=1e-13)
@@ -226,7 +291,7 @@ class TestNewton:
     def test_failure_carries_last_iterate(self):
         # x^2 + 1 has no real root; the iteration must fail loudly.
         with pytest.raises(ConvergenceError) as info:
-            newton_root(lambda x: x * x + 1.0, [0.5], max_iter=30)
+            newton_root(lambda x: [v * v + 1.0 for v in x], [0.5], max_iter=30)
         assert info.value.last_iterate is not None
         assert info.value.iterations is not None
         assert "stagnated" in str(info.value)
@@ -248,14 +313,26 @@ class TestNewton:
             newton_root(lambda x: np.array([np.inf * x[0], x[1]]), [1.0, 1.0],
                         jac=lambda x: np.eye(2))
 
+    @pytest.mark.parametrize("position", [0, 1])
+    def test_nan_anywhere_in_the_initial_residual_is_refused(self, position):
+        # Python's max drops a NaN that sits after a number; np.max never does.
+        def f(x):
+            out = [x[0] - 1.0, x[1] - 2.0]
+            out[position] = math.nan
+            return out
+
+        with pytest.raises(ConvergenceError, match="non-finite residual or Jacobian") as info:
+            newton_root(f, [0.5, 0.5], jac=lambda x: np.eye(2))
+        assert isinstance(info.value.last_iterate, np.ndarray)
+
     def test_analytic_jacobian_is_used(self):
         calls = []
 
         def jac(x):
             calls.append(x)
-            return np.diag(2.0 * x)
+            return np.diag([2.0 * v for v in x])
 
-        result = newton_root(lambda x: x * x - 4.0, [3.0], jac=jac)
+        result = newton_root(lambda x: [v * v - 4.0 for v in x], [3.0], jac=jac)
         assert abs(result.x[0] - 2.0) <= 1e-12
         assert len(calls) == result.iterations
 
@@ -322,7 +399,7 @@ class TestFiniteDifferences:
             assert np.max(np.abs(jac - a)) <= 1e-9
 
     def test_logistic_derivative_vanishes_at_origin(self):
-        jac = fd_jacobian(lambda x: x * (0.0 - x), np.array([0.0]))
+        jac = fd_jacobian(lambda x: [v * (0.0 - v) for v in x], np.array([0.0]))
         assert abs(jac[0, 0]) <= 1e-9
 
     def test_matches_analytic_formation_jacobian(self):
@@ -338,6 +415,33 @@ class TestFiniteDifferences:
         numeric = fd_jacobian(lambda v: eval_F_z(bundle, v, check=False), z.ravel())
         scale = np.max(np.abs(analytic))
         assert np.max(np.abs(analytic - numeric)) <= 1e-5 * scale
+
+    @settings(max_examples=80, deadline=None)
+    @given(
+        law_name=st.sampled_from(sorted(FLOW_LAWS)),
+        graph=st.sampled_from((two_cycles(), IDLE_AGENT)),
+        coords=st.lists(st.floats(-5.0, 5.0), min_size=8, max_size=8),
+        collapse=st.one_of(st.none(), st.integers(0, 4)),
+    )
+    def test_flow_differences_match_the_array_oracle_bit_for_bit(
+        self, law_name, graph, coords, collapse
+    ):
+        law = FLOW_LAWS[law_name]
+        values = (2.0, 2.6, 2.0, 3.3, 1.4)[: graph.m]
+        b = VectorFieldBundle(
+            graph=graph, law=law, lengths=TargetLengths.from_values(values, law.convention)
+        )
+        if collapse is not None:
+            # Coincident agents put a zero-length edge inside the stencil.
+            o, t = graph.edges[collapse % graph.m]
+            coords[2 * t : 2 * t + 2] = coords[2 * o : 2 * o + 2]
+        expected = array_fd_jacobian(lambda v: eval_F_x(b, v), np.array(coords))
+        jac = fd_jacobian(b.flow, coords)
+        assert jac.flags.c_contiguous and jac.shape == expected.shape
+        assert same_bits(jac, expected)
+        if not law.separable:
+            # jacobian_x's coupled-pair fallback is the same difference.
+            assert same_bits(jacobian_x(b, coords), expected)
 
     def test_second_directional_scalar_square(self):
         out = fd_second_directional(lambda x: x * x, np.array([0.3]), np.array([1.0]))
