@@ -1,11 +1,12 @@
 """Transcritical bifurcation analysis along one target-length parameter.
 
-Perturbing the third stored squared target by mu moves the design
-equilibria and the aligned ancillary equilibria along two branches that
-meet at a singular target vector. This module sweeps the branches,
-detects the exchange of stability between them, and runs the Sotomayor
-nondegeneracy test that certifies the crossing is a genuine
-transcritical bifurcation and not something more degenerate.
+Perturbing the swept stored squared target ``mu_edge`` (the third by
+default) by mu moves the design equilibria and the aligned ancillary
+equilibria along two branches that meet at a singular target vector. This
+module sweeps the branches, detects the exchange of stability between
+them, and runs the Sotomayor nondegeneracy test that certifies the
+crossing is a genuine transcritical bifurcation and not something more
+degenerate.
 """
 
 from __future__ import annotations
@@ -14,13 +15,12 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .dynamics import VectorFieldBundle, eval_F_x, eval_F_z
+from .dynamics import VectorFieldBundle, eval_F_z
 from .equilibria import (
     RESIDUAL_TOL,
     TOL_ZERO,
     aligned_parameters,
     aligned_root_near,
-    canonical_gauge,
     gauge_fixed_spectrum,
     solve_ancillary_aligned,
 )
@@ -32,7 +32,6 @@ from .rigidity import Framework, edge_vectors, realize_two_cycles, singular_witn
 DEFAULT_SWEEP_HALF_WIDTH = 0.2
 
 # The settings of every Sotomayor test; only its nondegeneracy bound is an option.
-SOTOMAYOR_TOL_EQ = 1e-9  # largest family residual accepted as an equilibrium
 SOTOMAYOR_STATE_STEP = 1e-4  # central-difference step in the state
 SOTOMAYOR_PARAM_STEP = 1e-7  # central-difference step in the parameter
 
@@ -104,7 +103,7 @@ def sotomayor_check(family, x0, mu0, tol_nondegen=1e-3):
     ``TOL_ZERO`` times the parameter-derivative norm, and both ``t_quad``
     and ``t_mixed`` clear ``tol_nondegen``.
     """
-    tol_eq, tol_zero = SOTOMAYOR_TOL_EQ, TOL_ZERO
+    tol_eq, tol_zero = RESIDUAL_TOL, TOL_ZERO
     h, k = SOTOMAYOR_STATE_STEP, SOTOMAYOR_PARAM_STEP
     x0 = np.atleast_1d(np.asarray(x0, dtype=float))
     mu0 = float(mu0)
@@ -235,8 +234,9 @@ def _follow_branch(grid, center, branch, start, step):
 
     At each sample ``step(bundle, previous)`` continues the branch from the
     framework found last, ``start`` at the centre. A sample where it
-    returns None, or a framework whose field residual exceeds
-    ``RESIDUAL_TOL``, is left out: a gap in the branch.
+    returns None, or a framework whose gauge spectrum is refused because
+    its field residual exceeds ``RESIDUAL_TOL``, is left out: a gap in the
+    branch.
     """
     points = {}
     for indices in (range(center, len(grid)), range(center - 1, -1, -1)):
@@ -244,10 +244,11 @@ def _follow_branch(grid, center, branch, start, step):
         for idx in indices:
             mu, bundle = grid[idx]
             fw = step(bundle, previous)
-            if fw is None or float(np.max(np.abs(eval_F_x(bundle, fw.x)))) > RESIDUAL_TOL:
-                continue
-            points[idx] = _branch_point(bundle, mu, branch, fw)
-            previous = fw
+            try:
+                if fw is not None:
+                    points[idx], previous = _branch_point(bundle, mu, branch, fw), fw
+            except FormulaDomainError:
+                pass
     return [points[i] for i in sorted(points)]
 
 
@@ -261,14 +262,14 @@ def mu_sweep(b: VectorFieldBundle, eps=DEFAULT_SWEEP_HALF_WIDTH, samples=21, mu_
     continuing from the framework found last; a sample whose step finds
     nothing, or finds a framework that is not an equilibrium of the flow,
     is omitted, leaving a gap. When the base targets sit in the singular
-    set both branches start at the witness in canonical gauge, so they
-    meet there. Otherwise the design branch starts at the first design
-    realization of the base targets and the aligned branch at the first
-    stable (else first) aligned equilibrium of the centre sample; the
-    detector is then expected to report no crossing. The design step picks
-    the closed-form realization nearest the last one. The aligned step is
-    :func:`aligned_root_near` from the last root's ``(a, b)``, on the
-    mirror of the branch start.
+    set both branches start at the witness, so they meet there. Otherwise
+    the design branch starts at the first design realization of the base
+    targets and the aligned branch at the first stable (else first) aligned
+    equilibrium of the centre sample; the detector is then expected to
+    report no crossing. The design step picks the closed-form realization
+    nearest the last one, in the canonical gauge it comes in. The aligned
+    step is :func:`aligned_root_near` from the last root's ``(a, b)``, on
+    the mirror of the branch start.
     """
     if b.graph != two_cycles():
         raise ConfigurationError("the branch sweep is specific to the two-cycles graph")
@@ -288,11 +289,10 @@ def mu_sweep(b: VectorFieldBundle, eps=DEFAULT_SWEEP_HALF_WIDTH, samples=21, mu_
             frameworks = realize_two_cycles(bundle.graph, bundle.lengths)
         except InfeasibleLengthsError:
             return None
-        gauged = [canonical_gauge(fw) for fw in frameworks]
-        return min(gauged, key=lambda g: float(np.max(np.abs(g.x - previous.x))))
+        return min(frameworks, key=lambda g: float(np.max(np.abs(g.x - previous.x))))
 
     witnesses = singular_witnesses(base)
-    start = canonical_gauge(witnesses[0] if witnesses else realize_two_cycles(b.graph, base)[0])
+    start = witnesses[0] if witnesses else realize_two_cycles(b.graph, base)[0]
     points = _follow_branch(grid, center, "design", start, design_step)
     if not witnesses:
         records = solve_ancillary_aligned(grid[center][1])

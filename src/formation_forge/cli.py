@@ -25,7 +25,7 @@ from .dynamics import VectorFieldBundle, builtin_law
 from .equilibria import census, classify_kind, equilibrium_record, solve_ancillary_aligned
 from .errors import ConfigurationError, FormationForgeError, FormulaDomainError, ScenarioError
 from .graph import FormationGraph, two_cycles
-from .numkernel import integrate_ode, rank_tol
+from .numkernel import DEFAULT_RANK_TOL, integrate_ode, rank_tol
 from .rigidity import (
     Framework,
     TargetLengths,
@@ -51,7 +51,6 @@ class Scenario:
     length_convention: str
     law_name: str
     law_gain: float
-    law_sign_corrected: bool
     experiment: str
     params: dict
     seed: int
@@ -195,15 +194,9 @@ def load_scenario(path):
         )
 
     law_raw = _require(raw, "law", dict, p.name)
-    _refuse_unknown(law_raw, ("name", "gain", "sign_corrected"), "law", "law")
+    _refuse_unknown(law_raw, ("name", "gain"), "law", "law")
     law_name = _require(law_raw, "name", str, "law")
     gain = _checked(law_raw.get("gain", 1.0), "gain", float, *_POSITIVE, "law", graph.m)
-    sign_corrected = law_raw.get("sign_corrected", False)
-    if not isinstance(sign_corrected, bool):
-        raise ScenarioError(
-            f"key 'sign_corrected' must be true or false, got {sign_corrected!r}",
-            position="law",
-        )
 
     exp_raw = _require(raw, "experiment", dict, p.name)
     experiment = _require(exp_raw, "kind", str, "experiment")
@@ -248,7 +241,6 @@ def load_scenario(path):
         length_convention=convention,
         law_name=law_name,
         law_gain=float(gain),
-        law_sign_corrected=sign_corrected,
         experiment=experiment,
         params=params,
         seed=seed,
@@ -263,7 +255,7 @@ def _build_bundle(sc: Scenario):
     lengths get squared for storage); the error convention the flow uses
     is the law's own.
     """
-    law = builtin_law(sc.law_name, sc.law_gain, sign_corrected=sc.law_sign_corrected)
+    law = builtin_law(sc.law_name, sc.law_gain)
     stored = TargetLengths.from_values(sc.length_values, sc.length_convention).d
     lengths = TargetLengths(d=stored, convention=law.convention)
     return VectorFieldBundle(graph=sc.graph, law=law, lengths=lengths)
@@ -509,7 +501,7 @@ def _run_rigidity(sc, bundle, out, tol):
     fw = realize_two_cycles(bundle.graph, bundle.lengths)[0]
     r = rigidity_matrix(fw)
     rows = r.shape[0]
-    rank_tolerance = tol if tol is not None else 1e-9
+    rank_tolerance = tol if tol is not None else DEFAULT_RANK_TOL
     rank = rank_tol(r, rank_tolerance)
     rigid = is_infinitesimally_rigid(fw, rank_tolerance)
     minimal = is_minimally_rigid(fw, rank_tolerance)

@@ -24,12 +24,11 @@ from .errors import (
     UnknownLawError,
 )
 from .graph import FormationGraph, graph_matrices
-from .numkernel import fd_jacobian
-from .rigidity import TargetLengths, edge_block_rows, length_errors
+from .numkernel import FD_STEP, fd_jacobian
+from .rigidity import TargetLengths, edge_block_rows, length_errors, within_design_tol
 
 BUILTIN_LAW_NAMES = ("gradient_squared", "gradient_plain", "eq1_plain")
 
-_EQUILIBRIUM_ERROR_TOL = 1e-8
 _CYCLE_TOL = 1e-6
 
 
@@ -112,54 +111,47 @@ class GradientPlainLaw(ControlLaw):
 
     name = "gradient_plain"
     convention = "plain"
-
-    def __init__(self, gain=1.0, sign=1.0):
-        super().__init__(gain)
-        self._sign = float(sign)
+    sign = 1.0
 
     def weight(self, d, s2):
-        return self._sign * self.gain * (math.sqrt(s2) - math.sqrt(d))
+        return self.sign * self.gain * (math.sqrt(s2) - math.sqrt(d))
 
     def weight_dlen(self, d, s2):
-        return self._sign * self.gain / (2.0 * math.sqrt(s2))
+        return self.sign * self.gain / (2.0 * math.sqrt(s2))
 
     def weight_dtarget(self, d, s2):
-        return -self._sign * self.gain / (2.0 * math.sqrt(d))
+        return -self.sign * self.gain / (2.0 * math.sqrt(d))
 
     def weight_dlen2(self, d, s2):
-        return -self._sign * self.gain / (4.0 * s2 * math.sqrt(s2))
+        return -self.sign * self.gain / (4.0 * s2 * math.sqrt(s2))
 
 
 class Eq1PlainLaw(GradientPlainLaw):
     """Literal transcription of the plain-error law with its printed sign.
 
     As printed the coefficient pushes agents away from their targets, so
-    every design equilibrium repels; the ``sign_corrected`` toggle flips
-    the orientation, after which the law coincides with
-    :class:`GradientPlainLaw`. Both variants are kept so the published
-    form stays reproducible exactly as stated.
+    every design equilibrium repels: the weight is exactly the negative of
+    :class:`GradientPlainLaw`'s. The sign-corrected form is that law, so
+    only the published form is kept here, reproducible exactly as stated.
     """
 
     name = "eq1_plain"
-    convention = "plain"
-
-    def __init__(self, gain=1.0, sign_corrected=False):
-        super().__init__(gain, sign=1.0 if sign_corrected else -1.0)
-        self.sign_corrected = bool(sign_corrected)
+    sign = -1.0
 
 
 class CustomLaw(ControlLaw):
     """User-supplied weight function with finite-difference derivatives.
 
-    ``func(d, s2)`` must return the scalar weight. Derivative hooks fall
-    back to central differences with the shared step policy, which is
-    accurate enough for the second-derivative quantities the bifurcation
-    tests need. An optional ``pair_func(d_pair, s2_pair, s)`` makes the
-    law non-separable; its cross derivatives are also finite differences.
+    ``func(d, s2)`` must return the scalar weight, any gain included: no
+    hook reads ``gain``. Derivative hooks are central differences, with
+    ``fd_jacobian``'s scaled ``FD_STEP`` (1e-4 for the second derivative),
+    accurate enough for the second-derivative quantities the tests need.
+    An optional ``pair_func(d_pair, s2_pair, s)`` makes the law
+    non-separable; its cross derivatives are also finite differences.
     """
 
-    def __init__(self, func, name="custom", gain=1.0, convention="squared", pair_func=None):
-        super().__init__(gain)
+    def __init__(self, func, name="custom", convention="squared", pair_func=None):
+        super().__init__()
         if convention not in ("squared", "plain"):
             raise ConfigurationError(f"unknown law convention {convention!r}")
         self.name = name
@@ -172,7 +164,7 @@ class CustomLaw(ControlLaw):
         return float(self._func(d, s2))
 
     def _step(self, v):
-        return 1e-6 * max(1.0, abs(float(v)))
+        return FD_STEP * max(1.0, abs(float(v)))
 
     def weight_dlen(self, d, s2):
         h = self._step(s2)
@@ -205,14 +197,11 @@ class CustomLaw(ControlLaw):
         return ((up - um) / (2.0 * ha), (vp - vm) / (2.0 * hb))
 
 
-def builtin_law(name, gain=1.0, sign_corrected=False):
+def builtin_law(name, gain=1.0):
     """Construct one of the built-in laws by name."""
-    if name == "gradient_squared":
-        return GradientSquaredLaw(gain)
-    if name == "gradient_plain":
-        return GradientPlainLaw(gain)
-    if name == "eq1_plain":
-        return Eq1PlainLaw(gain, sign_corrected=sign_corrected)
+    for law in (GradientSquaredLaw, GradientPlainLaw, Eq1PlainLaw):
+        if law.name == name:
+            return law(gain)
     raise UnknownLawError(
         f"unknown control law {name!r}; built-ins are {', '.join(BUILTIN_LAW_NAMES)}"
     )
@@ -390,11 +379,11 @@ def eval_F_z(b: VectorFieldBundle, z, check=True):
 
 
 def _require_design_point(b, zz, what):
-    err = np.max(np.abs(length_errors(zz, b.lengths)))
-    if err > _EQUILIBRIUM_ERROR_TOL:
+    errs = length_errors(zz, b.lengths)
+    if not within_design_tol(errs):
         raise FormulaDomainError(
             f"{what} is only valid at design equilibria where every edge error "
-            f"vanishes; max |e| = {err:.3e}"
+            f"vanishes; max |e| = {np.max(np.abs(errs)):.3e}"
         )
 
 
@@ -468,19 +457,19 @@ def reduced_J(b: VectorFieldBundle, z):
     return (zz @ zp.T) * mats["edge_adj"]
 
 
-def verify_compatibility(law: ControlLaw, d_samples, s_samples=(0.0, 1.0, -2.5)):
+def verify_compatibility(law: ControlLaw, d_samples):
     """Check the defining property of admissible laws on sample targets.
 
     The weight must vanish exactly at zero edge error, and a coupled pair
-    must vanish at zero errors for every value of the inner product.
-    Returns the largest violation found.
+    must vanish at zero errors for every value of the inner product
+    (sampled at 0, 1 and -2.5). Returns the largest violation found.
     """
     worst = 0.0
     for d in d_samples:
         d = float(d)
         worst = max(worst, abs(law.weight(d, d)))
         for d2 in d_samples:
-            for s in s_samples:
+            for s in (0.0, 1.0, -2.5):
                 ua, ub = law.pair_weights((d, float(d2)), (d, float(d2)), float(s))
                 worst = max(worst, abs(ua), abs(ub))
     return worst

@@ -33,24 +33,27 @@ from .errors import (
 from .graph import two_cycles
 from .numkernel import Spectrum, eigenvalues, fd_jacobian, left_nullspace, newton_root
 from .rigidity import (
+    DESIGN_TOL,
     Framework,
     TargetLengths,
     edge_errors,
     edge_vectors,
     edges_aligned,
     realize_two_cycles,
+    within_design_tol,
 )
 
 RECORD_KINDS = ("design", "ancillary_aligned", "ancillary_collinear", "ancillary_other")
 
 # The settings every classification and solve in this module runs with.
 TOL_ZERO = 1e-6  # stability margin, relative to the spectral radius
-DESIGN_TOL = 1e-8  # edge-error, collinearity and alignment tolerance of classify_kind
 RESIDUAL_TOL = 1e-9  # largest field residual accepted as an equilibrium
 NEWTON_TOL = 1e-11  # residual at which the census and aligned solves stop
 CENSUS_MAX_ITER = 80
 ALIGNED_SCAN_STEPS = 64  # scan steps along each aligned path; even, so the top is a sample
+ALIGNED_MIN_GAP = 1e-9  # agent 2's abscissa must exceed this on an aligned path
 SCALAR_SEEDS = 41
+CONVENTION_TOL = 0.15  # largest spectrum deviation of a quantitative convention match
 
 BENCHMARK_LENGTHS = (2.0, 2.6, 2.0, 1.4, 3.3)
 """Plain-length values of the reference census the test suite reproduces."""
@@ -152,6 +155,7 @@ def gauge_slice_basis(x):
 
 
 def _gauge_jacobian(b: VectorFieldBundle, f: Framework):
+    # the package's one equilibrium test; callers that skip non-equilibria catch its error
     fx = eval_F_x(b, f.x.ravel())
     residual = float(np.max(np.abs(fx)))
     if residual > RESIDUAL_TOL:
@@ -196,7 +200,7 @@ def poincare_index(b: VectorFieldBundle, f: Framework):
 def classify_kind(b: VectorFieldBundle, f: Framework):
     """Assign a census kind by priority: design, collinear, aligned, other."""
     errs = edge_errors(f, b.lengths)
-    if float(np.max(np.abs(errs))) <= DESIGN_TOL:
+    if within_design_tol(errs):
         return "design"
     z = edge_vectors(f)
     svals = np.linalg.svd(z, compute_uv=False)
@@ -205,7 +209,7 @@ def classify_kind(b: VectorFieldBundle, f: Framework):
     if (
         z.shape[0] >= 5
         and edges_aligned(z[0], z[4], DESIGN_TOL)
-        and float(np.max(np.abs(errs[1:4]))) <= DESIGN_TOL
+        and within_design_tol(errs[1:4])
     ):
         return "ancillary_aligned"
     return "ancillary_other"
@@ -233,11 +237,11 @@ def equilibrium_record(b: VectorFieldBundle, f: Framework):
 def _aligned_triangle(d, a):
     """Agent 3's abscissa and height with agents 1 and 2 at 0 and ``a``.
 
-    This is the domain of :func:`aligned_root_near`: None where ``a <= 1e-9``
-    (the scan's bound too) or the circles of radii ``sqrt(d3)`` and
-    ``sqrt(d2)`` about them do not meet.
+    This is the domain of :func:`aligned_root_near`: None where ``a`` is at
+    most ``ALIGNED_MIN_GAP`` (the scan's bound too) or the circles of radii
+    ``sqrt(d3)`` and ``sqrt(d2)`` about them do not meet.
     """
-    if a <= 1e-9:
+    if a <= ALIGNED_MIN_GAP:
         return None
     alpha = (a * a + d[2] - d[1]) / (2.0 * a)
     beta_sq = d[2] - alpha * alpha
@@ -382,13 +386,15 @@ def solve_ancillary_aligned(b: VectorFieldBundle):
                     phi = min(lo, hi, key=lambda pg: abs(pg[1]))[0]
                     roots.append(place(phi, signs))
     # dict.fromkeys: paths whose top legs tie share their top sample
-    kept = [root for root in dict.fromkeys(roots) if root[0] > 1e-9]
+    kept = [root for root in dict.fromkeys(roots) if root[0] > ALIGNED_MIN_GAP]
     records = []
     for mirror in (1.0, -1.0):
         for a, alpha, h, bb in kept:
             x = np.array([[0.0, 0.0], [a, 0.0], [alpha, mirror * h], [bb, 0.0]])
-            if float(np.max(np.abs(eval_F_x(b, x)))) <= RESIDUAL_TOL:
+            try:
                 records.append(equilibrium_record(b, Framework(graph=b.graph, x=x)))
+            except FormulaDomainError:  # not an equilibrium of the full flow
+                pass
     return records
 
 
@@ -417,11 +423,13 @@ def census(b: VectorFieldBundle, n_random=200, seed=0, dedupe_tol=1e-6):
         except InfeasibleLengthsError:
             designs = []
         for fw in designs:
-            # at large targets rounding can leave a realization short of RESIDUAL_TOL
-            if float(np.max(np.abs(eval_F_x(b, fw.x)))) > RESIDUAL_TOL:
+            try:  # at large targets rounding can leave a realization short of RESIDUAL_TOL
+                rec = equilibrium_record(b, fw)
+            except FormulaDomainError:
                 dropped += 1
-            elif is_new(fw.x):
-                records.append(equilibrium_record(b, fw))
+                continue
+            if is_new(fw.x):
+                records.append(rec)
         records.extend(rec for rec in solve_ancillary_aligned(b) if is_new(rec.framework.x))
 
     rng = np.random.default_rng(seed)
@@ -522,7 +530,7 @@ class ConventionReport:
     best: ConventionCandidate
 
 
-def identify_convention(values=BENCHMARK_LENGTHS, published=None, tol=0.15):
+def identify_convention(values=BENCHMARK_LENGTHS, published=None):
     """Score every built-in convention against reference spectra.
 
     The reference data pins neither the error convention (plain or
@@ -534,7 +542,7 @@ def identify_convention(values=BENCHMARK_LENGTHS, published=None, tol=0.15):
     evaluated: design classes and aligned equilibria are computed, matched
     against the references as multisets, and scored by worst absolute
     deviation. A candidate passes quantitatively when every deviation is
-    within ``tol`` and qualitatively when the stability pattern matches
+    within ``CONVENTION_TOL`` and qualitatively when the stability pattern matches
     the references (one stable design class, one design class with exactly
     one unstable direction, a stable aligned equilibrium).
 
@@ -555,8 +563,7 @@ def identify_convention(values=BENCHMARK_LENGTHS, published=None, tol=0.15):
                 if leg_order == "swapped_pair":
                     d[3], d[4] = d[4], d[3]
                 candidates.append(
-                    _score_candidate(graph, law, law_name, interpretation, leg_order, d,
-                                     published, tol)
+                    _score_candidate(graph, law, law_name, interpretation, leg_order, d, published)
                 )
     ranked = sorted(
         candidates,
@@ -565,7 +572,7 @@ def identify_convention(values=BENCHMARK_LENGTHS, published=None, tol=0.15):
     return ConventionReport(candidates=tuple(candidates), best=ranked[0])
 
 
-def _score_candidate(graph, law, law_name, interpretation, leg_order, d, published, tol):
+def _score_candidate(graph, law, law_name, interpretation, leg_order, d, published):
     inf = float("inf")
     try:
         lengths = TargetLengths(d=tuple(d), convention=law.convention)
@@ -608,7 +615,7 @@ def _score_candidate(graph, law, law_name, interpretation, leg_order, d, publish
             aligned_stable = rec.stable
 
     deviations = {"design_stable": dev_s, "design_unstable": dev_u, "aligned": dev_a}
-    quantitative_ok = all(v <= tol for v in deviations.values())
+    quantitative_ok = all(v <= CONVENTION_TOL for v in deviations.values())
     qual_stable = classes[i_st].is_stable(TOL_ZERO)
     qual_unstable = classes[i_un].unstable_count(TOL_ZERO) == 1
     qualitative_ok = bool(qual_stable and qual_unstable and aligned_stable)

@@ -26,6 +26,7 @@ from .errors import (
 
 MAX_DIM = 64
 DEFAULT_RANK_TOL = 1e-9
+FD_STEP = 1e-6  # central-difference step of fd_jacobian, scaled by the coordinate
 _CONJUGATE_TOL = 1e-9
 
 
@@ -258,17 +259,17 @@ def integrate_ode(f, x0, t_end, step=1e-3):
     :class:`BlowUpError` carrying the time; the overflow on the way there
     raises no floating-point warning, so the error is the only report of
     it. Times and states are written into arrays allocated once for the
-    whole run. A non-finite ``t_end`` or ``step``, a step that is not
-    positive, or a step count that cannot index an array is a
-    :class:`ConfigurationError`.
+    whole run. A non-finite ``t_end`` or ``step``, a negative ``t_end``, a
+    step that is not positive, or a step count that cannot index an array
+    is a :class:`ConfigurationError`.
     """
     t_end, step = float(t_end), float(step)
     if not (math.isfinite(t_end) and math.isfinite(step)):
         raise ConfigurationError(
             f"integration end time and step must be finite, got {t_end!r} and {step!r}"
         )
-    if step <= 0:
-        raise ConfigurationError("integration step must be positive")
+    if step <= 0 or t_end < 0:
+        raise ConfigurationError("integration step must be positive and end time not negative")
     n_full, rem = divmod(t_end, step)
     if n_full >= sys.maxsize:
         raise ConfigurationError(
@@ -303,16 +304,16 @@ def integrate_ode(f, x0, t_end, step=1e-3):
     return Trajectory(times=times, states=states, final_residual=final_residual)
 
 
-def fd_jacobian(f, x, h=1e-6):
-    """Central-difference Jacobian with coordinate-scaled steps, as an array.
+def fd_jacobian(f, x):
+    """Central-difference Jacobian with steps ``FD_STEP`` times ``max(|x_j|, 1)``.
 
     ``x`` is flattened into a list of Python floats, which ``f`` maps to a
-    sequence of floats.
+    sequence of floats; the result is an array.
     """
     xs = np.asarray(x, dtype=float).ravel().tolist()
     cols = []
     for j, xj in enumerate(xs):
-        step = h * max(abs(xj), 1.0)  # NaN at a NaN coordinate, as np.maximum gives
+        step = FD_STEP * max(abs(xj), 1.0)  # NaN at a NaN coordinate, as np.maximum gives
         xp, xm = xs.copy(), xs.copy()
         xp[j], xm[j] = xj + step, xj - step
         cols.append([(p - m) / (2.0 * step) for p, m in zip(f(xp), f(xm))])

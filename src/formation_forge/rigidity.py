@@ -16,9 +16,10 @@ import numpy as np
 
 from .errors import ConfigurationError, FormationForgeError, InfeasibleLengthsError
 from .graph import FormationGraph, mixed_adjacency, two_cycles
-from .numkernel import kron_I2, rank_tol, squared_lengths
+from .numkernel import DEFAULT_RANK_TOL, kron_I2, rank_tol, squared_lengths
 
 CONVENTIONS = ("squared", "plain")
+DESIGN_TOL = 1e-8  # largest edge error of a design point; also classify_kind's tolerance
 
 
 @dataclass(frozen=True, eq=False)
@@ -133,6 +134,11 @@ def length_errors(z, lengths: TargetLengths):
     return s2 - d
 
 
+def within_design_tol(errors):
+    """The design test: every edge error within ``DESIGN_TOL``; a NaN is not."""
+    return bool(np.max(np.abs(errors)) <= DESIGN_TOL)
+
+
 def rigidity_matrix(f: Framework):
     """Jacobian of the squared-length map, factored as ``D(z) @ A_m^(2)``.
 
@@ -142,12 +148,12 @@ def rigidity_matrix(f: Framework):
     return edge_block_rows(edge_vectors(f)) @ kron_I2(mixed_adjacency(f.graph))
 
 
-def is_infinitesimally_rigid(f: Framework, tol=1e-9):
+def is_infinitesimally_rigid(f: Framework, tol=DEFAULT_RANK_TOL):
     """True when the rigidity matrix reaches rank ``2n - 3``."""
     return rank_tol(rigidity_matrix(f), tol) == 2 * f.graph.n - 3
 
 
-def is_minimally_rigid(f: Framework, tol=1e-9):
+def is_minimally_rigid(f: Framework, tol=DEFAULT_RANK_TOL):
     """True when rigid and no single edge can be removed without losing rigidity."""
     if not is_infinitesimally_rigid(f, tol):
         return False
@@ -223,7 +229,8 @@ def realize_two_cycles(graph: FormationGraph, lengths: TargetLengths):
         alpha4, beta4 = _circle_intersection_height(r[2], r[4], r[3], (3, 4, 5))
         for s4 in (1.0, -1.0):
             x4 = alpha4 * u_hat + s4 * beta4 * u_perp
-            fw = Framework(graph=graph, x=np.vstack([x1, x2, x3, x4]))
+            # + 0.0 turns a -0.0 into 0.0, as canonical_gauge would
+            fw = Framework(graph=graph, x=np.vstack([x1, x2, x3, x4]) + 0.0)
             if not any(np.max(np.abs(fw.x - other.x)) <= 1e-12 for other in frameworks):
                 frameworks.append(fw)
     for fw in frameworks:

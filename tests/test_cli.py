@@ -482,16 +482,14 @@ class TestErrorPaths:
              "key 'gain' must be finite and positive, got inf"),
             ({"name": "gradient_squared", "gain": 0},
              "key 'gain' must be finite and positive, got 0"),
-            ({"name": "eq1_plain", "sign_corrected": "false"},
-             "key 'sign_corrected' must be true or false, got 'false'"),
-            ({"name": "eq1_plain", "sign_corrected": 0},
-             "key 'sign_corrected' must be true or false, got 0"),
+            # the corrected literal law is gradient_plain, so there is no toggle
+            ({"name": "eq1_plain", "sign_corrected": True},
+             "unknown law keys: sign_corrected"),
         ],
     )
     def test_unusable_law_section_exits_2(self, tmp_path, capsys, law, message):
-        # Unchecked, a NaN gain gives a NaN report with exit 0, an infinite
-        # one puts NumPy warnings on stderr, and the string "false" reads
-        # as true.
+        # Unchecked, a NaN gain gives a NaN report with exit 0, and an
+        # infinite one puts NumPy warnings on stderr.
         path = write_scenario(tmp_path, {"law": law})
         status = run_scenario(path, out_dir=tmp_path / "out")
         record, out_text = read_stderr_record(capsys)

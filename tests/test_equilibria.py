@@ -5,7 +5,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from formation_forge import equilibria
@@ -39,6 +39,7 @@ from formation_forge.equilibria import (
     solve_ancillary_aligned,
 )
 from formation_forge.errors import (
+    FormationForgeError,
     FormulaDomainError,
     InfeasibleLengthsError,
     SingularityError,
@@ -162,6 +163,24 @@ class TestCanonicalGauge:
         x = np.full((4, 2), 7.5)
         gauged = canonical_gauge(Framework(graph=two_cycles(), x=x))
         assert np.max(np.abs(gauged.x)) == 0.0
+
+    @settings(max_examples=300, deadline=None)
+    @given(points=st.lists(st.floats(-5.0, 5.0), min_size=8, max_size=8))
+    # all four agents on a line: the realizer once put a -0.0 where the gauge has 0.0
+    @example(points=[0.0, 0.0, 0.5, 0.0, -0.5, 0.0, 0.5, 0.0])
+    def test_realizations_are_fixed_points_byte_for_byte(self, points):
+        # The sweep's design step relies on this and does not re-gauge them.
+        # canonical_gauge's axis is the first edge longer than 1e-12, the
+        # realizer's always the first edge, so the two agree above that.
+        z = edge_vectors(Framework(graph=two_cycles(), x=np.reshape(points, (4, 2))))
+        d = tuple(np.sum(z * z, axis=1))
+        assume(min(d) > 0.0 and d[0] > 1e-24)
+        try:
+            frameworks = realize_two_cycles(two_cycles(), TargetLengths(d=d))
+        except FormationForgeError:  # refused: a flat triangle or a failed verification
+            assume(False)
+        for fw in frameworks:
+            assert canonical_gauge(fw).x.tobytes() == fw.x.tobytes()
 
 
 class TestGaugeSliceBasis:

@@ -383,6 +383,9 @@ class TestIntegrate:
             (1.0, -1e-3),
             # 1e303 steps: more than an array index can count.
             (1e300, 1e-3),
+            # a negative end time once stepped forward, or returned the start
+            (-0.0015, 1e-3),
+            (-1.0, 1e-3),
         ],
     )
     def test_unusable_time_grid_is_a_configuration_error(self, t_end, step):
