@@ -8,6 +8,8 @@ transcritical bifurcation analysis along a target-length parameter, and
 a scenario-driven command line front end.
 """
 
+import types
+
 from .bifurcation import (
     BranchPoint,
     SotomayorReport,
@@ -121,104 +123,9 @@ from .rigidity import (
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "BENCHMARK_LENGTHS",
-    "BENCHMARK_SPECTRA",
-    "BUILTIN_LAW_NAMES",
-    "BlowUpError",
-    "BranchPoint",
-    "CensusReport",
-    "ConfigurationError",
-    "ControlLaw",
-    "ConvergenceError",
-    "ConventionCandidate",
-    "ConventionReport",
-    "CustomLaw",
-    "DimensionError",
-    "Eq1PlainLaw",
-    "EquilibriumRecord",
-    "FormationForgeError",
-    "FormationGraph",
-    "Framework",
-    "FormulaDomainError",
-    "GradientPlainLaw",
-    "GradientSquaredLaw",
-    "InconsistentStateError",
-    "InfeasibleLengthsError",
-    "NewtonResult",
-    "Scenario",
-    "ScenarioError",
-    "SingularLengths",
-    "SingularityError",
-    "SotomayorReport",
-    "Spectrum",
-    "TargetLengths",
-    "Trajectory",
-    "TranscriticalReport",
-    "UnknownLawError",
-    "VectorFieldBundle",
-    "aligned_parameters",
-    "builtin_law",
-    "canonical_gauge",
-    "census",
-    "classify_kind",
-    "contains_subformation",
-    "edge_adjacency",
-    "edge_block_rows",
-    "edge_errors",
-    "edge_vectors",
-    "edges_aligned",
-    "edge_weights",
-    "eigenvalues",
-    "equilibrium_record",
-    "eval_F_x",
-    "eval_F_z",
-    "fd_jacobian",
-    "fd_second_directional",
-    "formation_family",
-    "gauge_fixed_spectrum",
-    "gauge_slice_basis",
-    "gauge_slice_z_basis",
-    "graph_matrices",
-    "identify_convention",
-    "in_singular_set",
-    "integrate_ode",
-    "is_infinitesimally_rigid",
-    "is_minimally_rigid",
-    "jacobian_d",
-    "jacobian_x",
-    "jacobian_z",
-    "kron_I2",
-    "left_nullspace",
-    "length_errors",
-    "load_scenario",
-    "logistic_equilibria",
-    "logistic_family",
-    "logistic_reference",
-    "main",
-    "make_singular_lengths",
-    "mixed_adjacency",
-    "mu_sweep",
-    "newton_root",
-    "outvalence",
-    "planar_cross",
-    "poincare_index",
-    "rank_tol",
-    "realize_two_cycles",
-    "reduced_J",
-    "rigidity_matrix",
-    "run_scenario",
-    "scalar_census",
-    "singular_witnesses",
-    "solve_ancillary_aligned",
-    "sotomayor_at_witness",
-    "sotomayor_check",
-    "squared_lengths",
-    "transcritical_detect",
-    "two_cycles",
-    "verify_compatibility",
-    "weight_slopes",
-    "within_design_tol",
-    "zdprime_vectors",
-    "zprime_vectors",
-]
+# Every public name imported above; the submodules, also globals here, are not listed.
+__all__ = sorted(
+    name
+    for name, value in globals().items()
+    if not name.startswith("_") and not isinstance(value, types.ModuleType)
+)

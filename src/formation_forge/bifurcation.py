@@ -26,14 +26,13 @@ from .equilibria import (
 )
 from .errors import ConfigurationError, FormulaDomainError, InfeasibleLengthsError
 from .graph import two_cycles
-from .numkernel import Spectrum, eigenvalues, fd_jacobian, fd_second_directional
+from .numkernel import FD_SECOND_STEP, Spectrum, eigenvalues, fd_jacobian, fd_second_directional
 from .rigidity import Framework, edge_vectors, realize_two_cycles, singular_witnesses
 
 DEFAULT_SWEEP_HALF_WIDTH = 0.2
 
 # The settings of every Sotomayor test; only its nondegeneracy bound is an option.
-SOTOMAYOR_STATE_STEP = 1e-4  # central-difference step in the state
-SOTOMAYOR_PARAM_STEP = 1e-7  # central-difference step in the parameter
+SOTOMAYOR_PARAM_STEP = 1e-7  # central-difference step in the parameter (FD_SECOND_STEP in x)
 
 
 @dataclass(frozen=True, eq=False)
@@ -94,9 +93,10 @@ def sotomayor_check(family, x0, mu0, tol_nondegen=1e-3):
     The family must already be free of structural kernel directions
     (for formation flows, use the gauge-reduced family from
     :func:`formation_family`), so a unique zero eigenvalue is meaningful.
-    All derivatives are central finite differences;
-    ``SOTOMAYOR_STATE_STEP`` steps the state, ``SOTOMAYOR_PARAM_STEP`` the
-    parameter.
+    All derivatives are central finite differences: the state steps are
+    ``fd_second_directional``'s (``FD_SECOND_STEP`` scaled by ``x0``), the
+    parameter step is ``SOTOMAYOR_PARAM_STEP``. A residual at ``(x0, mu0)``
+    above ``RESIDUAL_TOL``, NaN included, is a :class:`FormulaDomainError`.
 
     The verdict is true exactly when the zero eigenvalue is unique, the
     remaining eigenvalues have negative real part, ``|t_mu|`` is below
@@ -104,7 +104,7 @@ def sotomayor_check(family, x0, mu0, tol_nondegen=1e-3):
     and ``t_mixed`` clear ``tol_nondegen``.
     """
     tol_eq, tol_zero = RESIDUAL_TOL, TOL_ZERO
-    h, k = SOTOMAYOR_STATE_STEP, SOTOMAYOR_PARAM_STEP
+    h, k = FD_SECOND_STEP, SOTOMAYOR_PARAM_STEP
     x0 = np.atleast_1d(np.asarray(x0, dtype=float))
     mu0 = float(mu0)
 
@@ -113,7 +113,7 @@ def sotomayor_check(family, x0, mu0, tol_nondegen=1e-3):
 
     f0 = f(x0, mu0)
     residual = float(np.max(np.abs(f0)))
-    if residual > tol_eq:
+    if not residual <= tol_eq:  # a NaN residual is no equilibrium either
         raise FormulaDomainError(
             f"sotomayor analysis requires an equilibrium of the family; "
             f"residual {residual:.3e} exceeds {tol_eq:g}"
@@ -138,7 +138,7 @@ def sotomayor_check(family, x0, mu0, tol_nondegen=1e-3):
     fmu_norm = float(np.linalg.norm(fmu))
     t_mu = float(w @ fmu)
 
-    t_quad = float(w @ fd_second_directional(lambda x: f(x, mu0), x0, v, h))
+    t_quad = float(w @ fd_second_directional(lambda x: f(x, mu0), x0, v))
     hs = h * max(1.0, float(np.max(np.abs(x0))))
 
     def dir_deriv(mu):

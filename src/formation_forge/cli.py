@@ -27,6 +27,7 @@ from .errors import ConfigurationError, FormationForgeError, FormulaDomainError,
 from .graph import FormationGraph, two_cycles
 from .numkernel import DEFAULT_RANK_TOL, integrate_ode, rank_tol
 from .rigidity import (
+    CONVENTIONS,
     Framework,
     TargetLengths,
     edge_errors,
@@ -59,18 +60,21 @@ class Scenario:
 
 # A bound is a test of a value against the graph's edge count m and the
 # wording when it fails. JSON as Python reads it admits Infinity and NaN,
-# which no bound lets through to the integrator's step count or the sweep.
+# which no bound lets through to the integrator, the sweep or the census.
 _POSITIVE = (
     lambda v, m: math.isfinite(v) and v > 0, "must be finite and positive, got {v!r}"
 )
 _NON_NEGATIVE = (lambda v, m: v >= 0, "must not be negative, got {v!r}")
+_FINITE_NON_NEGATIVE = (
+    lambda v, m: 0 <= v < math.inf, "must not be negative or infinite, got {v!r}"
+)
 _AT_LEAST_ONE = (lambda v, m: v >= 1, "must be at least 1, got {v!r}")
 
 # Every experiment parameter: its type, its default and its bound. Any
 # experiment may carry any of these keys; each reads its own.
 _PARAMS = {
     "n_random": (int, 200, *_NON_NEGATIVE),
-    "dedupe_tol": (float, 1e-6, *_NON_NEGATIVE),
+    "dedupe_tol": (float, 1e-6, *_FINITE_NON_NEGATIVE),
     "eps": (float, 0.2, *_POSITIVE),
     "samples": (int, 21, *_AT_LEAST_ONE),
     "mu_edge": (int, 3, lambda v, m: 1 <= v <= m, "must name an edge from 1 to {m}"),
@@ -183,7 +187,7 @@ def load_scenario(path):
         for i, v in enumerate(_require(lengths_raw, "values", list, "lengths"))
     )
     convention = lengths_raw.get("convention", "squared")
-    if convention not in ("squared", "plain"):
+    if convention not in CONVENTIONS:
         raise ScenarioError(
             f"unknown length convention {convention!r}", position="lengths"
         )
@@ -538,8 +542,8 @@ def run_scenario(path, out_dir=None, seed=None, tol=None):
     saved as report.txt next to the CSV artifacts.
     """
     try:
-        if tol is not None and not tol > 0:
-            raise ScenarioError(f"--tol must be positive, got {tol!r}")
+        if tol is not None and not 0 < tol < math.inf:
+            raise ScenarioError(f"--tol must be positive and finite, got {tol!r}")
         if seed is not None and seed < 0:
             raise ScenarioError(f"--seed must not be negative, got {seed!r}")
         sc = load_scenario(path)

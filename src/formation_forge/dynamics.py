@@ -24,10 +24,8 @@ from .errors import (
     UnknownLawError,
 )
 from .graph import FormationGraph, graph_matrices
-from .numkernel import FD_STEP, fd_jacobian
-from .rigidity import TargetLengths, edge_block_rows, length_errors, within_design_tol
-
-BUILTIN_LAW_NAMES = ("gradient_squared", "gradient_plain", "eq1_plain")
+from .numkernel import fd_jacobian, fd_second_directional
+from .rigidity import CONVENTIONS, TargetLengths, edge_block_rows, length_errors, within_design_tol
 
 _CYCLE_TOL = 1e-6
 
@@ -143,16 +141,17 @@ class CustomLaw(ControlLaw):
     """User-supplied weight function with finite-difference derivatives.
 
     ``func(d, s2)`` must return the scalar weight, any gain included: no
-    hook reads ``gain``. Derivative hooks are central differences, with
-    ``fd_jacobian``'s scaled ``FD_STEP`` (1e-4 for the second derivative),
-    accurate enough for the second-derivative quantities the tests need.
-    An optional ``pair_func(d_pair, s2_pair, s)`` makes the law
-    non-separable; its cross derivatives are also finite differences.
+    hook reads ``gain``. The hooks difference ``func`` with the kernel's
+    stencils and step rules: :func:`~.numkernel.fd_jacobian` gives the
+    first derivatives and :func:`~.numkernel.fd_second_directional` the
+    second, accurate enough for the quantities the tests need. An optional
+    ``pair_func(d_pair, s2_pair, s)`` makes the law non-separable; its
+    cross derivatives are ``fd_jacobian`` entries too.
     """
 
     def __init__(self, func, name="custom", convention="squared", pair_func=None):
         super().__init__()
-        if convention not in ("squared", "plain"):
+        if convention not in CONVENTIONS:
             raise ConfigurationError(f"unknown law convention {convention!r}")
         self.name = name
         self.convention = convention
@@ -163,21 +162,14 @@ class CustomLaw(ControlLaw):
     def weight(self, d, s2):
         return float(self._func(d, s2))
 
-    def _step(self, v):
-        return FD_STEP * max(1.0, abs(float(v)))
-
     def weight_dlen(self, d, s2):
-        h = self._step(s2)
-        return (self._func(d, s2 + h) - self._func(d, s2 - h)) / (2.0 * h)
+        return float(fd_jacobian(lambda v: [self._func(d, v[0])], [s2])[0, 0])
 
     def weight_dtarget(self, d, s2):
-        h = self._step(d)
-        return (self._func(d + h, s2) - self._func(d - h, s2)) / (2.0 * h)
+        return float(fd_jacobian(lambda v: [self._func(v[0], s2)], [d])[0, 0])
 
     def weight_dlen2(self, d, s2):
-        h = 1e-4 * max(1.0, abs(float(s2)))
-        f = self._func
-        return (f(d, s2 + h) - 2.0 * f(d, s2) + f(d, s2 - h)) / (h * h)
+        return float(fd_second_directional(lambda v: self._func(d, float(v[0])), s2, 1.0)[0])
 
     def pair_weights(self, d_pair, s2_pair, s):
         if self._pair is None:
@@ -188,18 +180,17 @@ class CustomLaw(ControlLaw):
     def pair_cross(self, d_pair, s2_pair, s):
         if self._pair is None:
             return (0.0, 0.0)
-        ha = self._step(s2_pair[1])
-        hb = self._step(s2_pair[0])
-        up = self._pair(d_pair, (s2_pair[0], s2_pair[1] + ha), s)[0]
-        um = self._pair(d_pair, (s2_pair[0], s2_pair[1] - ha), s)[0]
-        vp = self._pair(d_pair, (s2_pair[0] + hb, s2_pair[1]), s)[1]
-        vm = self._pair(d_pair, (s2_pair[0] - hb, s2_pair[1]), s)[1]
-        return ((up - um) / (2.0 * ha), (vp - vm) / (2.0 * hb))
+        jac = fd_jacobian(lambda v: self._pair(d_pair, tuple(v), s), s2_pair)
+        return (float(jac[0, 1]), float(jac[1, 0]))
+
+
+_BUILTIN_LAWS = (GradientSquaredLaw, GradientPlainLaw, Eq1PlainLaw)
+BUILTIN_LAW_NAMES = tuple(law.name for law in _BUILTIN_LAWS)
 
 
 def builtin_law(name, gain=1.0):
     """Construct one of the built-in laws by name."""
-    for law in (GradientSquaredLaw, GradientPlainLaw, Eq1PlainLaw):
+    for law in _BUILTIN_LAWS:
         if law.name == name:
             return law(gain)
     raise UnknownLawError(

@@ -17,6 +17,7 @@ from itertools import permutations
 import numpy as np
 
 from .dynamics import (
+    BUILTIN_LAW_NAMES,
     VectorFieldBundle,
     builtin_law,
     eval_F_x,
@@ -158,7 +159,7 @@ def _gauge_jacobian(b: VectorFieldBundle, f: Framework):
     # the package's one equilibrium test; callers that skip non-equilibria catch its error
     fx = eval_F_x(b, f.x.ravel())
     residual = float(np.max(np.abs(fx)))
-    if residual > RESIDUAL_TOL:
+    if not residual <= RESIDUAL_TOL:  # a NaN residual is no equilibrium either
         raise FormulaDomainError(
             f"gauge-fixed linearization requires an equilibrium; residual {residual:.3e}"
         )
@@ -461,10 +462,14 @@ def scalar_census(f, design_values, fprime=None):
     """
     design = [float(v) for v in design_values]
     scale = max([1.0] + [abs(v) for v in design])
+
+    def f_vec(v):
+        return [f(v[0])]
+
     roots = []
     for x0 in np.linspace(-2.5 * scale, 2.5 * scale, SCALAR_SEEDS):
         try:
-            root = float(newton_root(lambda v: [f(v[0])], [x0], max_iter=60, tol=1e-12).x[0])
+            root = float(newton_root(f_vec, [x0], max_iter=60, tol=1e-12).x[0])
         except ConvergenceError:
             continue
         if any(abs(root - r) <= 1e-8 * max(1.0, abs(r)) for r in roots):
@@ -472,11 +477,7 @@ def scalar_census(f, design_values, fprime=None):
         roots.append(root)
     records = []
     for root in sorted(roots):
-        if fprime is not None:
-            slope = float(fprime(root))
-        else:
-            h = 1e-6 * max(1.0, abs(root))
-            slope = (f(root + h) - f(root - h)) / (2.0 * h)
+        slope = float(fprime(root) if fprime is not None else fd_jacobian(f_vec, [root])[0, 0])
         hyperbolic = abs(slope) > 1e-9
         is_design = any(abs(root - v) <= 1e-8 * max(1.0, abs(v)) for v in design)
         records.append(
@@ -553,7 +554,7 @@ def identify_convention(values=BENCHMARK_LENGTHS, published=None):
         published = BENCHMARK_SPECTRA
     graph = two_cycles()
     candidates = []
-    for law_name in ("gradient_squared", "gradient_plain", "eq1_plain"):
+    for law_name in BUILTIN_LAW_NAMES:
         law = builtin_law(law_name, 1.0)
         for interpretation in ("plain_values", "squared_values"):
             base = [float(v) for v in values]

@@ -27,6 +27,7 @@ from .errors import (
 MAX_DIM = 64
 DEFAULT_RANK_TOL = 1e-9
 FD_STEP = 1e-6  # central-difference step of fd_jacobian, scaled by the coordinate
+FD_SECOND_STEP = 1e-4  # step of fd_second_directional, scaled by the largest coordinate
 _CONJUGATE_TOL = 1e-9
 
 
@@ -320,17 +321,19 @@ def fd_jacobian(f, x):
     return np.array(cols).T.copy()
 
 
-def fd_second_directional(f, x, v, h=1e-4):
+def fd_second_directional(f, x, v):
     """Second directional derivative ``d^2/dt^2 f(x + t v)`` at ``t = 0``.
 
-    ``v`` should be unit length; the step is scaled by the largest
-    coordinate of ``x`` so the stencil stays well conditioned on states
-    that are not order one.
+    ``v`` should be unit length; the step is ``FD_SECOND_STEP`` times the
+    largest coordinate of ``x`` (at least 1), so the stencil stays well
+    conditioned on states that are not order one. The result is
+    ``(f(x + h v) - 2 f(x) + f(x - h v)) / h^2``, as an array.
     """
     x = np.atleast_1d(np.asarray(x, dtype=float))
     v = np.atleast_1d(np.asarray(v, dtype=float))
-    hh = h * max(1.0, float(np.max(np.abs(x))))
+    hh = FD_SECOND_STEP * max(1.0, float(np.max(np.abs(x))))
     f0 = np.atleast_1d(np.asarray(f(x), dtype=float))
     fp = np.atleast_1d(np.asarray(f(x + hh * v), dtype=float))
     fm = np.atleast_1d(np.asarray(f(x - hh * v), dtype=float))
-    return (fp - 2.0 * f0 + fm) / (hh * hh)
+    with np.errstate(over="ignore", invalid="ignore"):  # inf - inf is NaN, silently, as on floats
+        return (fp - 2.0 * f0 + fm) / (hh * hh)

@@ -73,6 +73,13 @@ class TestSotomayorNormalForm:
         with pytest.raises(FormulaDomainError, match="equilibrium"):
             sotomayor_check(logistic_family, 0.5, 0.0)
 
+    def test_nan_residual_is_refused(self):
+        def family(x, mu):
+            return np.full_like(np.asarray(x, dtype=float), np.nan)
+
+        with pytest.raises(FormulaDomainError, match="residual nan"):
+            sotomayor_check(family, np.zeros(2), 0.0)
+
     def test_double_zero_is_degenerate(self):
         def family(x, mu):
             x = np.asarray(x, dtype=float)

@@ -363,6 +363,7 @@ class TestErrorPaths:
             {"experiment": {"kind": "simulate", "t_end": 0.0}},
             {"experiment": {"kind": "simulate", "stride": -4}},
             {"experiment": {"kind": "simulate", "stride": 0}},
+            {"experiment": {"kind": "census", "dedupe_tol": float("inf")}},
         ],
     )
     def test_other_malformed_fields_exit_2(self, tmp_path, capsys, overrides):
@@ -580,7 +581,7 @@ class TestErrorPaths:
         assert out_text == ""
         assert record == {"error": "scenario", "message": message}
 
-    @pytest.mark.parametrize("tol", ["-1", "0", "nan"])
+    @pytest.mark.parametrize("tol", ["-1", "0", "nan", "inf"])
     def test_nonpositive_tol_exits_2(self, tmp_path, capsys, tol):
         out = tmp_path / "out"
         status = main(["run", str(SCENARIO_DIR / "fig2.json"), "--out", str(out), "--tol", tol])

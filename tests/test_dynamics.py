@@ -1,5 +1,7 @@
 """Tests for the control laws, the formation flow, and its factorizations."""
 
+import math
+
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
@@ -21,6 +23,7 @@ from formation_forge.dynamics import (
     zdprime_vectors,
     zprime_vectors,
 )
+from formation_forge.equilibria import scalar_census
 from formation_forge.errors import (
     ConfigurationError,
     FormulaDomainError,
@@ -123,6 +126,105 @@ class TestControlLaws:
         cab, cba = law.pair_cross(d_pair, s2_pair, 0.4)
         assert cab == pytest.approx(0.1 * (s2_pair[0] - d_pair[0]), abs=1e-8)
         assert cba == pytest.approx(-0.2 * (s2_pair[1] - d_pair[1]), abs=1e-8)
+
+
+# The central differences CustomLaw and scalar_census wrote out by hand
+# before they called fd_jacobian and fd_second_directional, kept as the
+# oracle that the move changed no bit.
+def quotient_step(v):
+    return 1e-6 * max(1.0, abs(float(v)))
+
+
+def quotient_dlen(f, d, s2):
+    h = quotient_step(s2)
+    return (f(d, s2 + h) - f(d, s2 - h)) / (2.0 * h)
+
+
+def quotient_dtarget(f, d, s2):
+    h = quotient_step(d)
+    return (f(d + h, s2) - f(d - h, s2)) / (2.0 * h)
+
+
+def quotient_dlen2(f, d, s2):
+    h = 1e-4 * max(1.0, abs(float(s2)))
+    return (f(d, s2 + h) - 2.0 * f(d, s2) + f(d, s2 - h)) / (h * h)
+
+
+def quotient_pair_cross(pair, d_pair, s2_pair, s):
+    ha = quotient_step(s2_pair[1])
+    hb = quotient_step(s2_pair[0])
+    up = pair(d_pair, (s2_pair[0], s2_pair[1] + ha), s)[0]
+    um = pair(d_pair, (s2_pair[0], s2_pair[1] - ha), s)[0]
+    vp = pair(d_pair, (s2_pair[0] + hb, s2_pair[1]), s)[1]
+    vm = pair(d_pair, (s2_pair[0] - hb, s2_pair[1]), s)[1]
+    return ((up - um) / (2.0 * ha), (vp - vm) / (2.0 * hb))
+
+
+def quotient_slope(f, x):
+    h = 1e-6 * max(1.0, abs(x))
+    return (f(x + h) - f(x - h)) / (2.0 * h)
+
+
+QUOTIENT_WEIGHTS = (
+    lambda d, s2: (s2 - d) * (1.0 + 0.5 * s2),
+    lambda d, s2: math.sqrt(s2) - math.sqrt(d),
+    lambda d, s2: math.tanh(s2 - d) * d,
+)
+
+
+def curved_pair(d_pair, s2_pair, s):
+    """A two-coleader law whose weights curve in both squared lengths."""
+    ea, eb = s2_pair[0] - d_pair[0], s2_pair[1] - d_pair[1]
+    ua = ea * (1.0 + 0.1 * s2_pair[1] ** 2) + 0.1 * s
+    return ua, eb * math.exp(-0.2 * s2_pair[0]) - 0.2 * s
+
+
+class TestCustomLawStencils:
+    @settings(max_examples=100, deadline=None)
+    @given(
+        k=st.integers(0, len(QUOTIENT_WEIGHTS) - 1),
+        d=st.floats(1e-3, 1e3),
+        s2=st.floats(1e-3, 1e3),
+        d2=st.floats(1e-3, 30.0),
+        s22=st.floats(1e-3, 30.0),
+        s=st.floats(-20.0, 20.0),
+    )
+    def test_hooks_match_the_hand_written_quotients(self, k, d, s2, d2, s22, s):
+        f = QUOTIENT_WEIGHTS[k]
+        law = CustomLaw(f, name="oracle", pair_func=curved_pair)
+        s2_small = min(s2, 30.0)
+        assert same_bits(law.weight_dlen(d, s2), quotient_dlen(f, d, s2))
+        assert same_bits(law.weight_dtarget(d, s2), quotient_dtarget(f, d, s2))
+        assert same_bits(law.weight_dlen2(d, s2), quotient_dlen2(f, d, s2))
+        pair_args = ((min(d, 30.0), d2), (s2_small, s22), s)
+        assert same_bits(
+            law.pair_cross(*pair_args), quotient_pair_cross(curved_pair, *pair_args)
+        )
+
+    def test_overflowing_weight_differences_to_nan_without_a_warning(self):
+        # The float quotients turned inf - inf into NaN silently; so must the
+        # array stencil, or the RuntimeWarning filter of the suite trips.
+        law = CustomLaw(lambda d, s2: s2 * s2 * 1e300, name="overflow")
+        assert math.isnan(law.weight_dlen2(1.0, 1e10))
+        assert math.isnan(quotient_dlen2(law.weight, 1.0, 1e10))
+
+    @settings(max_examples=40, deadline=None)
+    @given(roots=st.lists(st.floats(-5.0, 5.0), min_size=3, max_size=3))
+    def test_scalar_census_slope_matches_the_hand_written_quotient(self, roots):
+        a, b, c = roots
+        calls = []
+
+        def f(x):
+            calls.append(x)
+            return -(x - a) * (x - b) * (x - c)
+
+        report = scalar_census(f, [a])
+        assert report.records
+        # Each record ends with f at its root + h and root - h (the slope),
+        # then at the root itself (the residual).
+        tail = calls[-3 * len(report.records):]
+        for rec, root in zip(report.records, tail[2::3]):
+            assert same_bits(rec.spectrum_gauge.values[0].real, quotient_slope(f, root))
 
 
 class TestBundle:

@@ -230,6 +230,20 @@ class TestGaugeFixedSpectrum:
         with pytest.raises(FormulaDomainError, match="equilibrium"):
             gauge_fixed_spectrum(b, off)
 
+    def test_nan_residual_is_refused(self):
+        # Agents near 1e155 overflow the squared-law field to inf and NaN;
+        # a NaN residual must fail the equilibrium test, not pass it.
+        b = VectorFieldBundle(
+            two_cycles(),
+            builtin_law("gradient_squared"),
+            TargetLengths(d=(1.0, 5.0, 4.0, 8.0, 4.0), convention="squared"),
+        )
+        x = np.array([[0.0, 0.0], [1e155, 0.0], [0.0, 1e155], [1e155, 1e155]])
+        fw = Framework(b.graph, x)
+        assert np.isnan(eval_F_x(b, fw.x)).any()
+        with pytest.raises(FormulaDomainError, match="residual nan"):
+            equilibrium_record(b, fw)
+
 
 class TestPoincareIndex:
     def test_benchmark_design_indices(self):
