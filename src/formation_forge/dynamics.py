@@ -225,22 +225,28 @@ class VectorFieldBundle:
         """The graph's :func:`~.graph.graph_matrices`, looked up once per bundle."""
         return graph_matrices(self.graph)
 
+    @cached_property
+    def _kernel(self):
+        """The graph's compiled ``weights`` and ``jacobian``, bound to this law and targets."""
+        law = self.law
+        return self.matrices["bind"](
+            law.weight, law.pair_weights, law.weight_dlen, self.lengths.d, law.separable
+        )
+
     def flow(self, xs):
         """Agent velocities on Python floats: a list of 2n floats in, 2n out.
 
-        Gathers the flat edge vectors, weighs them with :func:`edge_weights`
-        and adds each ``u_k z_k`` into its origin agent in edge order from
-        0.0; at a formation's few agents NumPy would cost more in call
-        overhead than in arithmetic. :func:`eval_F_x` is its array form and
-        checks the size, which this leaves to its caller.
+        The graph's compiled ``gather`` writes out the flat edge vectors,
+        :func:`edge_weights` weighs them, and the compiled ``scatter`` adds
+        each ``u_k z_k`` into its origin agent in edge order from 0.0, all
+        straight-line code from :func:`~.graph.graph_matrices`; at a
+        formation's few agents NumPy would cost more in call overhead than
+        in arithmetic. :func:`eval_F_x` is its array form and checks the
+        size, which this leaves to its caller.
         """
         mats = self.matrices
-        z = [xs[j] - xs[i] for i, j in mats["gather"]]
-        u = edge_weights(self, z)
-        xdot = [0.0] * len(xs)
-        for i, k, j in mats["scatter"]:
-            xdot[i] += u[k] * z[j]
-        return xdot
+        z = mats["gather"](xs)
+        return mats["scatter"](edge_weights(self, z), z)
 
 
 def _edge_state(b, z):
@@ -251,33 +257,18 @@ def _edge_state(b, z):
 
 
 def edge_weights(b: VectorFieldBundle, z):
-    """Per-edge feedback weights as a list, in one loop over the graph's agents.
+    """Per-edge feedback weights as a list, written out edge by edge.
 
     ``z`` is a list of floats holding the edge vectors stacked flat (2m),
-    as :meth:`VectorFieldBundle.flow` gathers them. A lone edge gets
-    ``law.weight``, a two-coleader pair ``law.pair_weights``.
+    as :meth:`VectorFieldBundle.flow` gathers them. The bundle's compiled
+    ``weights`` gives each lone edge ``law.weight`` and then each
+    two-coleader pair ``law.pair_weights``.
     A coupled pair's inner product is numpy's dot, which may fuse the
     multiply-add and so differ from float arithmetic in the last bit; it
     is how coupled weights have always been computed. A separable law
     ignores the product, which is then summed in floats, at no numpy cost.
     """
-    law = b.law
-    d = b.lengths.d
-    mats = b.matrices
-    u = [0.0] * len(d)
-    for k in mats["singles"]:
-        zx, zy = z[2 * k], z[2 * k + 1]
-        u[k] = law.weight(d[k], zx * zx + zy * zy)
-    for i, j in mats["pairs"]:
-        zix, ziy, zjx, zjy = z[2 * i], z[2 * i + 1], z[2 * j], z[2 * j + 1]
-        if law.separable:
-            s = zix * zjx + ziy * zjy
-        else:
-            s = float(np.dot((zix, ziy), (zjx, zjy)))
-        u[i], u[j] = law.pair_weights(
-            (d[i], d[j]), (zix * zix + ziy * ziy, zjx * zjx + zjy * zjy), s
-        )
-    return u
+    return b._kernel["weights"](z)
 
 
 def eval_F_x(b: VectorFieldBundle, x):
@@ -313,36 +304,23 @@ def jacobian_x(b: VectorFieldBundle, x):
 
     Edge ``k`` from ``o`` to ``t`` adds ``M_k = u_k I + 2 u'_k z_k z_k^T``
     at block ``(o, t)`` and ``-M_k`` at block ``(o, o)``, where ``u'`` is
-    the weight's derivative in the squared length. The blocks are summed
-    in one loop over the edge list on Python floats, like
-    :func:`eval_F_x`. Unlike :func:`jacobian_z` this holds away from
+    the weight's derivative in the squared length (zero on a zero-length
+    edge, as :func:`weight_slopes` gives it). The bundle's compiled
+    ``jacobian`` writes every entry out, summed in edge order from 0.0 on
+    Python floats like :meth:`VectorFieldBundle.flow`. A list is taken as
+    the flat list of floats that Newton iterates on; any other ``x`` is
+    flattened through NumPy. Unlike :func:`jacobian_z` this holds away from
     equilibria too. A law that couples a two-coleader pair has no such
     per-edge blocks, so non-separable laws fall back to central
     differences of the field.
     """
-    xs = np.asarray(x, dtype=float).ravel().tolist()
+    xs = x if type(x) is list else np.asarray(x, dtype=float).ravel().tolist()
     n2 = 2 * b.graph.n
     if len(xs) != n2:
         raise DimensionError(f"{len(xs)} coordinates for {b.graph.n} planar agents")
     if not b.law.separable:
         return fd_jacobian(b.flow, xs)
-    edges = b.graph.edges
-    z = [(xs[2 * t] - xs[2 * o], xs[2 * t + 1] - xs[2 * o + 1]) for o, t in edges]
-    s2 = [zx * zx + zy * zy for zx, zy in z]
-    d = b.lengths.d
-    slopes = weight_slopes(b.law, d, s2)
-    jac = [[0.0] * n2 for _ in range(n2)]
-    for k, (o, t) in enumerate(edges):
-        zx, zy = z[k]
-        u = b.law.weight(d[k], s2[k])
-        w = 2.0 * slopes[k]
-        rows = ((w * zx) * zx + u, (w * zx) * zy), ((w * zy) * zx, (w * zy) * zy + u)
-        for row, (mx, my) in zip((jac[2 * o], jac[2 * o + 1]), rows):
-            row[2 * t] += mx
-            row[2 * t + 1] += my
-            row[2 * o] -= mx
-            row[2 * o + 1] -= my
-    return np.array(jac)
+    return np.array(b._kernel["jacobian"](xs)).reshape(n2, n2)
 
 
 def eval_F_z(b: VectorFieldBundle, z, check=True):

@@ -406,7 +406,8 @@ def census(b: VectorFieldBundle, n_random=200, seed=0, dedupe_tol=1e-6):
     equilibrium (:func:`solve_ancillary_aligned`) enter as built, designs
     first; a design whose field residual exceeds ``RESIDUAL_TOL`` is
     counted as dropped. Then Newton runs on :meth:`VectorFieldBundle.flow`
-    with :func:`jacobian_x` from ``n_random`` frameworks drawn uniformly from
+    with :func:`jacobian_x`, the graph's compiled kernel on Python floats,
+    from ``n_random`` frameworks drawn uniformly from
     a square sized to the targets, the first draws of ``default_rng(seed)``;
     its roots enter in canonical gauge, and a non-convergent draw is
     counted, not raised. A record within ``dedupe_tol`` of an earlier one

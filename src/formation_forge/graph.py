@@ -109,31 +109,118 @@ def outvalence(g: FormationGraph, v: int):
     return sum(1 for o, _ in g.edges if o == v)
 
 
+def _sum_source(terms, sign):
+    """``0.0`` with each term added (``sign`` "+") or subtracted, left to right."""
+    return " ".join(["0.0", *(f"{sign} {term}" for term in terms)])
+
+
+def _kernel_source(g, by_origin):
+    """The float flow kernel of ``g`` as Python source, written out edge by edge.
+
+    ``gather(xs)`` returns the flat edge vectors ``z`` of a list of 2n
+    coordinates, and ``scatter(u, z)`` adds each ``u_k z_k`` into its
+    origin agent in edge order from 0.0. ``bind(weight, pair_weights,
+    weight_dlen, d, separable)`` returns the closures ``weights(z)``, in
+    which each lone edge gets ``weight`` and then each two-coleader pair
+    ``pair_weights``, and ``jacobian(xs)``, the agent Jacobian's entries
+    row by row for a separable law: edge ``k`` from ``o`` to ``t`` adds
+    ``M_k = u_k I + 2 u'_k z_k z_k^T`` at block ``(o, t)`` and subtracts it
+    at block ``(o, o)``, each entry summed in edge order from 0.0. The text
+    holds integer indices and fixed names only.
+    """
+    n2 = 2 * g.n
+    z = [f"xs[{2 * t + c}] - xs[{2 * o + c}]" for o, t in g.edges for c in (0, 1)]
+    xdot = [
+        _sum_source([f"u[{k}] * z[{2 * k + c}]" for k in by_origin.get(a, ())], "+")
+        for a in range(g.n)
+        for c in (0, 1)
+    ]
+
+    def s2(k):
+        return f"z[{2 * k}] * z[{2 * k}] + z[{2 * k + 1}] * z[{2 * k + 1}]"
+
+    singles = [ks[0] for ks in by_origin.values() if len(ks) == 1]
+    weighs = [f"u{k} = weight(d[{k}], {s2(k)})" for k in singles]
+    for i, j in (ks for ks in by_origin.values() if len(ks) == 2):
+        zi, zj = f"(z[{2 * i}], z[{2 * i + 1}])", f"(z[{2 * j}], z[{2 * j + 1}])"
+        inner = f"z[{2 * i}] * z[{2 * j}] + z[{2 * i + 1}] * z[{2 * j + 1}]"
+        weighs.append(
+            f"u{i}, u{j} = pair_weights((d[{i}], d[{j}]), ({s2(i)}, {s2(j)}), "
+            f"{inner} if separable else float(np.dot({zi}, {zj})))"
+        )
+
+    jac = []
+    edges = range(g.m)
+    for k in edges:
+        jac += [f"x{k} = {z[2 * k]}", f"y{k} = {z[2 * k + 1]}"]
+        jac.append(f"q{k} = x{k} * x{k} + y{k} * y{k}")
+    jac += [f"w{k} = 2.0 * (0.0 if q{k} == 0.0 else weight_dlen(d[{k}], q{k}))" for k in edges]
+    jac += [f"u{k} = weight(d[{k}], q{k})" for k in edges]
+    jac.append(f"jac = [0.0] * {n2 * n2}")
+    diagonal = {}
+    for k, (o, t) in enumerate(g.edges):
+        entries = (f"xx{k}", f"xy{k}", f"yx{k}", f"yy{k}")
+        jac += [
+            f"xx{k} = w{k} * x{k} * x{k} + u{k}",
+            f"xy{k} = w{k} * x{k} * y{k}",
+            f"yx{k} = w{k} * y{k} * x{k}",
+            f"yy{k} = w{k} * y{k} * y{k} + u{k}",
+        ]
+        for r in (0, 1):
+            row = (2 * o + r) * n2
+            for c in (0, 1):
+                jac.append(f"jac[{row + 2 * t + c}] = 0.0 + {entries[2 * r + c]}")
+                diagonal.setdefault(row + 2 * o + c, []).append(entries[2 * r + c])
+    jac += [f"jac[{at}] = {_sum_source(terms, '-')}" for at, terms in diagonal.items()]
+
+    body = "\n        ".join
+    return f"""\
+def gather(xs):
+    return [{", ".join(z)}]
+
+
+def scatter(u, z):
+    return [{", ".join(xdot)}]
+
+
+def bind(weight, pair_weights, weight_dlen, d, separable):
+    def weights(z):
+        {body(weighs)}
+        return [{", ".join(f"u{k}" for k in range(g.m))}]
+
+    def jacobian(xs):
+        {body(jac)}
+        return jac
+
+    return {{"weights": weights, "jacobian": jacobian}}
+"""
+
+
 @lru_cache(maxsize=32)
 def graph_matrices(g: FormationGraph):
     """Every matrix and index set the flow needs for ``g``, built once per graph.
 
-    ``singles`` and ``pairs`` group the edges by origin agent: the edge of
-    each agent that observes one other, and the two edges of each
-    two-coleader agent. ``gather`` pairs ``(2o+c, 2t+c)`` and ``scatter``
-    triples ``(2o+c, k, 2k+c)`` index the flat coordinates of the float
-    flow, edge by edge. The arrays are read-only because every caller of
-    the graph shares them.
+    ``pairs`` holds the two edges of each two-coleader agent. ``gather``,
+    ``scatter`` and ``bind`` are the graph's float flow kernel, compiled
+    here once from straight-line source (see :func:`_kernel_source`):
+    each bundle binds its law's hooks and targets with ``bind`` and reads
+    the rest as they are. The arrays are read-only because every caller
+    of the graph shares them.
     """
     edge_adj = edge_adjacency(g)
     by_origin = {}
     for k, (o, _) in enumerate(g.edges):
         by_origin.setdefault(o, []).append(k)
+    kernel = {"np": np}
+    exec(compile(_kernel_source(g, by_origin), "<flow kernel>", "exec"), kernel)
     mats = {
         "edge_adj": edge_adj,
         "edge_adj2": kron_I2(edge_adj),
         "cycles": left_nullspace(mixed_adjacency(g), 1e-12),
-        "singles": tuple(ks[0] for ks in by_origin.values() if len(ks) == 1),
         "pairs": tuple(tuple(ks) for ks in by_origin.values() if len(ks) == 2),
-        "gather": tuple((2 * o + c, 2 * t + c) for o, t in g.edges for c in (0, 1)),
-        "scatter": tuple(
-            (2 * o + c, k, 2 * k + c) for k, (o, _) in enumerate(g.edges) for c in (0, 1)
-        ),
+        "gather": kernel["gather"],
+        "scatter": kernel["scatter"],
+        "bind": kernel["bind"],
     }
     for value in mats.values():
         if isinstance(value, np.ndarray):

@@ -189,8 +189,10 @@ def newton_root(f, x0, max_iter=50, tol=1e-12, jac=None):
     step stays orthogonal to the numerical kernel instead of blowing the
     iterate up without changing the residual. The iterate is ``x0`` as a
     flat list of Python floats, which ``f`` maps to a sequence of floats,
-    as :meth:`~.dynamics.VectorFieldBundle.flow` does; the Jacobian is
-    :func:`fd_jacobian` of ``f`` unless an analytic ``jac`` is supplied.
+    as :meth:`~.dynamics.VectorFieldBundle.flow`'s compiled kernel does;
+    the Jacobian is :func:`fd_jacobian` of ``f`` unless an analytic ``jac``
+    is supplied, such as :func:`~.dynamics.jacobian_x`, which takes the
+    list as it is.
 
     Returns a :class:`NewtonResult`; raises :class:`ConvergenceError`
     carrying the last iterate when the residual, Jacobian or step is not
@@ -253,14 +255,17 @@ def integrate_ode(f, x0, t_end, step=1e-3):
     trajectories deterministic so they can serve as golden fixtures. The
     state is ``x0`` flattened into a list of Python floats, and ``f`` maps
     such a list to a sequence of as many floats, as
-    :meth:`~.dynamics.VectorFieldBundle.flow` does. No array is built
-    between the calls of ``f``; the stages keep the expression order of
-    the array form and its bits. The final state's vector-field norm is
-    reported on the result. A non-finite state aborts with
-    :class:`BlowUpError` carrying the time; the overflow on the way there
-    raises no floating-point warning, so the error is the only report of
-    it. Times and states are written into arrays allocated once for the
-    whole run. A non-finite ``t_end`` or ``step``, a negative ``t_end``, a
+    :meth:`~.dynamics.VectorFieldBundle.flow`'s compiled kernel does. No
+    array is built between the calls of ``f``; the stages keep the
+    expression order of the array form and its bits. ``f`` is evaluated
+    once per state: the value is the next step's first stage, and at the
+    final state its norm is reported on the result. ``f`` is checked once,
+    at the start: an ``IndexError`` from it, or a value of another length
+    than the state, is a :class:`DimensionError`. A non-finite state
+    aborts with :class:`BlowUpError` carrying the time; the overflow on
+    the way there raises no floating-point warning, so the error is the
+    only report of it. Times and states are written into arrays allocated
+    once for the whole run. A non-finite ``t_end`` or ``step``, a negative ``t_end``, a
     step that is not positive, or a step count that cannot index an array
     is a :class:`ConfigurationError`.
     """
@@ -286,9 +291,14 @@ def integrate_ode(f, x0, t_end, step=1e-3):
     states[0] = x
     t = 0.0
     with np.errstate(over="ignore", invalid="ignore"):
+        try:
+            k1 = f(x)
+        except IndexError as exc:
+            raise DimensionError(f"the field cannot read a state of {len(x)} coordinates") from exc
+        if len(k1) != len(x):
+            raise DimensionError(f"the field maps {len(x)} coordinates to {len(k1)}")
         for i, h in enumerate(steps, 1):
             half, sixth = 0.5 * h, h / 6.0
-            k1 = f(x)
             k2 = f([a + half * k for a, k in zip(x, k1)])
             k3 = f([a + half * k for a, k in zip(x, k2)])
             k4 = f([a + h * k for a, k in zip(x, k3)])
@@ -301,7 +311,8 @@ def integrate_ode(f, x0, t_end, step=1e-3):
                 raise BlowUpError(f"trajectory left the finite range at t={t:.6g}", time=t)
             times[i] = t
             states[i] = x
-        final_residual = float(np.max(np.abs(f(x))))
+            k1 = f(x)
+        final_residual = float(np.max(np.abs(k1)))
     return Trajectory(times=times, states=states, final_residual=final_residual)
 
 

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 from formation_forge.dynamics import (
     BUILTIN_LAW_NAMES,
+    ControlLaw,
     CustomLaw,
     VectorFieldBundle,
     builtin_law,
@@ -309,8 +310,36 @@ class TestAgentField:
             assert np.max(np.abs(moved - eval_F_x(b, x) @ rot.T)) <= 1e-12
 
 
+def loop_weights(b, z):
+    """Per-edge weights of the flat edge vectors ``z``, one law call per origin agent.
+
+    A lone edge gets ``law.weight``; a two-coleader pair gets
+    ``law.pair_weights`` with its inner product summed in floats, or as
+    numpy's dot for a law that couples the pair.
+    """
+    law, d = b.law, b.lengths.d
+    by_origin = {}
+    for k, (o, _) in enumerate(b.graph.edges):
+        by_origin.setdefault(o, []).append(k)
+    u = [0.0] * b.graph.m
+    for ks in by_origin.values():
+        if len(ks) == 1:
+            (k,) = ks
+            u[k] = law.weight(d[k], z[2 * k] * z[2 * k] + z[2 * k + 1] * z[2 * k + 1])
+            continue
+        i, j = ks
+        zi, zj = (z[2 * i], z[2 * i + 1]), (z[2 * j], z[2 * j + 1])
+        if law.separable:
+            s = zi[0] * zj[0] + zi[1] * zj[1]
+        else:
+            s = float(np.dot(zi, zj))
+        s2 = (zi[0] * zi[0] + zi[1] * zi[1], zj[0] * zj[0] + zj[1] * zj[1])
+        u[i], u[j] = law.pair_weights((d[i], d[j]), s2, s)
+    return u
+
+
 def gather_scatter_field(b, x):
-    """The agent field as a gather, :func:`edge_weights` and a scatter.
+    """The agent field as a gather, :func:`loop_weights` and a scatter.
 
     The flat edge vectors are gathered edge by edge, and each ``u_k z_k``
     is added into its origin agent in edge order from 0.0, as a list of
@@ -321,7 +350,7 @@ def gather_scatter_field(b, x):
     for o, t in b.graph.edges:
         z.append(xs[2 * t] - xs[2 * o])
         z.append(xs[2 * t + 1] - xs[2 * o + 1])
-    u = edge_weights(b, z)
+    u = loop_weights(b, z)
     xdot = [0.0] * len(xs)
     for k, (o, _) in enumerate(b.graph.edges):
         xdot[2 * o] += u[k] * z[2 * k]
@@ -334,14 +363,49 @@ def coupled_pair(d_pair, s2_pair, s):
     return (s2_pair[0] - d_pair[0] + 0.1 * s, s2_pair[1] - d_pair[1] - 0.2 * s)
 
 
+class PairOverrideLaw(ControlLaw):
+    """tests/test_kernel.py's separable law with its own ``pair_weights``.
+
+    The pair's weights ``1.3 s2 - 1.3 d`` round differently from
+    ``weight``'s ``1.3 (s2 - d)``, so weighing a pair with ``weight``
+    would move bits.
+    """
+
+    name = "pair_override"
+
+    def weight(self, d, s2):
+        return 1.3 * (s2 - d)
+
+    def weight_dlen(self, d, s2):
+        return 1.3
+
+    def pair_weights(self, d_pair, s2_pair, s):
+        return 1.3 * s2_pair[0] - 1.3 * d_pair[0], 1.3 * s2_pair[1] - 1.3 * d_pair[1]
+
+
 FLOW_LAWS = {
     **{name: builtin_law(name) for name in BUILTIN_LAW_NAMES},
     "separable": CustomLaw(lambda d, s2: (s2 - d) * (1.0 + 0.5 * s2), name="separable"),
     "pair": CustomLaw(lambda d, s2: s2 - d, name="pair", pair_func=coupled_pair),
+    "pair_override": PairOverrideLaw(),
 }
 # Agent 1 (1-based) observes two others, agents 2 and 4 one each, and agent 3
 # observes nobody, so its velocity stays 0.0.
 IDLE_AGENT = FormationGraph(n=4, edges=((0, 1), (0, 2), (1, 2), (3, 1)))
+# Two-cycles plus followers: agent 5 observes 1 and 2, agent 6 observes 5
+# and 3, so three agents are two-coleader agents.
+TWO_CYCLES_FOLLOWERS = FormationGraph(
+    n=6, edges=two_cycles().edges + ((4, 0), (4, 1), (5, 4), (5, 2))
+)
+# Every agent observes at most one other: no two-coleader pair at all.
+CHAIN = FormationGraph(n=4, edges=((0, 1), (1, 2), (2, 3)))
+FLOW_GRAPHS = (two_cycles(), IDLE_AGENT, TWO_CYCLES_FOLLOWERS, CHAIN)
+FLOW_VALUES = (2.0, 2.6, 2.0, 3.3, 1.4, 1.7, 2.2, 1.9, 3.1)
+
+
+def flow_bundle(graph, law):
+    lengths = TargetLengths.from_values(FLOW_VALUES[: graph.m], law.convention)
+    return VectorFieldBundle(graph=graph, law=law, lengths=lengths)
 
 
 def same_bits(a, b):
@@ -349,21 +413,18 @@ def same_bits(a, b):
 
 
 class TestFloatFlow:
-    @settings(max_examples=80, deadline=None)
+    @settings(max_examples=120, deadline=None)
     @given(
         law_name=st.sampled_from(sorted(FLOW_LAWS)),
-        graph=st.sampled_from((two_cycles(), IDLE_AGENT)),
-        coords=st.lists(st.floats(-5.0, 5.0), min_size=8, max_size=8),
-        collapse=st.one_of(st.none(), st.integers(0, 4)),
+        graph=st.sampled_from(FLOW_GRAPHS),
+        coords=st.lists(st.floats(-5.0, 5.0), min_size=12, max_size=12),
+        collapse=st.one_of(st.none(), st.integers(0, 8)),
     )
     def test_matches_the_gather_scatter_oracle_bit_for_bit(
         self, law_name, graph, coords, collapse
     ):
-        law = FLOW_LAWS[law_name]
-        values = (2.0, 2.6, 2.0, 3.3, 1.4)[: graph.m]
-        b = VectorFieldBundle(
-            graph=graph, law=law, lengths=TargetLengths.from_values(values, law.convention)
-        )
+        b = flow_bundle(graph, FLOW_LAWS[law_name])
+        coords = coords[: 2 * graph.n]
         if collapse is not None:
             # Coincident agents give the edge between them zero length.
             o, t = graph.edges[collapse % graph.m]
@@ -373,12 +434,39 @@ class TestFloatFlow:
         assert all(type(v) is float for v in flow)
         assert same_bits(flow, expected)
         assert same_bits(eval_F_x(b, np.array(coords)), expected)
-        rows = eval_F_x(b, np.array(coords).reshape(4, 2))
-        assert rows.shape == (4, 2) and same_bits(rows.ravel(), expected)
+        rows = eval_F_x(b, np.array(coords).reshape(graph.n, 2))
+        assert rows.shape == (graph.n, 2) and same_bits(rows.ravel(), expected)
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        graph=st.sampled_from(FLOW_GRAPHS),
+        states=st.lists(
+            st.lists(st.floats(-5.0, 5.0), min_size=12, max_size=12), min_size=1, max_size=16
+        ),
+        collapse=st.one_of(st.none(), st.integers(0, 8)),
+    )
+    def test_coordinate_arrays_give_the_per_state_bits(self, graph, states, collapse):
+        # flow is plain arithmetic over the law's hooks, so under
+        # gradient_squared it runs on one NumPy array per coordinate.
+        b = flow_bundle(graph, builtin_law("gradient_squared"))
+        pts = np.array(states)[:, : 2 * graph.n]
+        if collapse is not None:
+            o, t = graph.edges[collapse % graph.m]
+            pts[:, 2 * t : 2 * t + 2] = pts[:, 2 * o : 2 * o + 2]
+        columns = b.flow(list(pts.T))
+        # An agent that observes nobody gets the scalar 0.0 for every state.
+        stacked = np.array([np.broadcast_to(v, len(pts)) for v in columns]).T
+        assert same_bits(stacked, [b.flow(row) for row in pts.tolist()])
 
     def test_bundle_reads_the_graph_cache(self):
         b = squared_bundle(BENCHMARK_SQUARED)
         assert b.matrices is graph_matrices(b.graph) is b.matrices
+        # The kernel is compiled once per graph; each bundle binds its own targets.
+        other = b.with_lengths(TargetLengths(d=(1.0,) * 5))
+        assert other.matrices["bind"] is b.matrices["bind"]
+        x = [0.0, 0.0, 1.0, 0.1, 0.5, 1.0, -1.0, 0.3]
+        assert same_bits(other.flow(x), gather_scatter_field(other, x))
+        assert not same_bits(other.flow(x), b.flow(x))
 
 
 class TestEdgeField:

@@ -18,6 +18,7 @@ from hypothesis import strategies as st
 
 from formation_forge.dynamics import (
     BUILTIN_LAW_NAMES,
+    ControlLaw,
     CustomLaw,
     VectorFieldBundle,
     builtin_law,
@@ -26,7 +27,7 @@ from formation_forge.dynamics import (
     eval_F_z,
     jacobian_x,
 )
-from formation_forge.errors import BlowUpError
+from formation_forge.errors import BlowUpError, DimensionError
 from formation_forge.graph import FormationGraph, graph_matrices, two_cycles
 from formation_forge.numkernel import integrate_ode, squared_lengths
 from formation_forge.rigidity import TargetLengths
@@ -38,7 +39,9 @@ LEADER_FOLLOWER = FormationGraph(n=3, edges=((0, 1), (0, 2), (1, 2)))
 TWO_CYCLES_FOLLOWERS = FormationGraph(
     n=6, edges=two_cycles().edges + ((4, 0), (4, 1), (5, 4), (5, 2))
 )
-GRAPHS = (two_cycles(), LEADER_FOLLOWER, TWO_CYCLES_FOLLOWERS)
+# Every agent observes at most one other: no two-coleader pair at all.
+CHAIN = FormationGraph(n=4, edges=((0, 1), (1, 2), (2, 3)))
+GRAPHS = (two_cycles(), LEADER_FOLLOWER, TWO_CYCLES_FOLLOWERS, CHAIN)
 
 PLAIN_VALUES = (2.0, 2.6, 2.0, 3.3, 1.4, 1.7, 2.2, 1.9, 3.1)
 
@@ -48,9 +51,31 @@ def coupled_pair(d_pair, s2_pair, s):
     return (s2_pair[0] - d_pair[0] + 0.1 * s, s2_pair[1] - d_pair[1] - 0.2 * s)
 
 
+class PairOverrideLaw(ControlLaw):
+    """A separable law with its own ``pair_weights``.
+
+    The pair's weights ``1.3 s2 - 1.3 d`` round differently from
+    ``weight``'s ``1.3 (s2 - d)``, so weighing a pair with ``weight``
+    would move bits.
+    """
+
+    name = "pair_override"
+
+    def weight(self, d, s2):
+        return 1.3 * (s2 - d)
+
+    def weight_dlen(self, d, s2):
+        return 1.3
+
+    def pair_weights(self, d_pair, s2_pair, s):
+        return 1.3 * s2_pair[0] - 1.3 * d_pair[0], 1.3 * s2_pair[1] - 1.3 * d_pair[1]
+
+
 def make_law(name):
     if name == "pair":
         return CustomLaw(lambda d, s2: s2 - d, name="pair", pair_func=coupled_pair)
+    if name == "pair_override":
+        return PairOverrideLaw()
     return builtin_law(name)
 
 
@@ -95,7 +120,8 @@ def einsum_jacobian(b, x):
 
     ``incidence[k] = e_o (e_t - e_o)^T`` places edge ``k``'s block in the
     agent Jacobian. The weight and slope of each edge come from the law's
-    hooks, with slope zero on a zero-length edge.
+    ``weight`` and ``weight_dlen`` hooks, with slope zero on a zero-length
+    edge.
     """
     g = b.graph
     pts = np.asarray(x, dtype=float).reshape(g.n, 2)
@@ -119,11 +145,16 @@ def einsum_jacobian(b, x):
 coordinates = st.floats(-5.0, 5.0, allow_nan=False, allow_infinity=False)
 
 
+def same_bits(a, b):
+    """Equal bytes, so a signed zero or a NaN payload counts."""
+    return np.float64(a).tobytes() == np.float64(b).tobytes()
+
+
 class TestAgentField:
     @settings(max_examples=60, deadline=None)
     @given(
         graph_index=st.integers(0, len(GRAPHS) - 1),
-        law_name=st.sampled_from(BUILTIN_LAW_NAMES + ("pair",)),
+        law_name=st.sampled_from(BUILTIN_LAW_NAMES + ("pair", "pair_override")),
         coords=st.lists(coordinates, min_size=12, max_size=12),
         collapse=st.one_of(st.none(), st.integers(0, 8)),
     )
@@ -194,10 +225,10 @@ class TestEdgeWeights:
 
 
 class TestJacobianX:
-    @settings(max_examples=150, deadline=None)
+    @settings(max_examples=200, deadline=None)
     @given(
-        graph=st.sampled_from((two_cycles(), TWO_CYCLES_FOLLOWERS)),
-        law_name=st.sampled_from(BUILTIN_LAW_NAMES),
+        graph=st.sampled_from((two_cycles(), TWO_CYCLES_FOLLOWERS, CHAIN)),
+        law_name=st.sampled_from(BUILTIN_LAW_NAMES + ("pair_override",)),
         coords=st.lists(coordinates, min_size=12, max_size=12),
         collapse=st.one_of(st.none(), st.integers(0, 8)),
     )
@@ -208,12 +239,10 @@ class TestJacobianX:
             o, t = graph.edges[collapse % graph.m]
             pts[t] = pts[o]
         expected = einsum_jacobian(b, pts)
-        assert np.array_equal(jacobian_x(b, pts), expected)
-        assert np.array_equal(jacobian_x(b, pts.ravel()), expected)
-
-
-def same_bits(a, b):
-    return np.float64(a).tobytes() == np.float64(b).tobytes()
+        assert same_bits(jacobian_x(b, pts), expected)
+        assert same_bits(jacobian_x(b, pts.ravel()), expected)
+        # Newton's iterate, a list of floats, is read as it is.
+        assert same_bits(jacobian_x(b, pts.ravel().tolist()), expected)
 
 
 HOOK_LAWS = BUILTIN_LAW_NAMES + ("custom",)
@@ -303,6 +332,24 @@ class TestIntegrator:
         assert isinstance(traj.states, np.ndarray) and isinstance(traj.times, np.ndarray)
         assert traj.states.shape == (201, 8) and traj.times.shape == (201,)
         assert np.array_equal(traj.final_state, traj.states[-1])
+
+    @pytest.mark.parametrize("size", [24, 6])
+    def test_a_state_of_another_size_is_refused(self, size):
+        # Two-cycles reads 8 coordinates: 24 would leave 16 unmoved, 6 cannot be read.
+        b = make_bundle(two_cycles(), "gradient_squared")
+        with pytest.raises(DimensionError, match=rf"\b{size} coordinates"):
+            integrate_ode(b.flow, [0.1 * i for i in range(size)], 0.01)
+
+    def test_the_field_is_evaluated_four_times_per_step_and_once_at_the_end(self):
+        calls = []
+
+        def f(x):
+            calls.append(x)
+            return [-v for v in x]
+
+        traj = integrate_ode(f, [1.0, 2.0], 0.3, step=0.1)
+        assert len(calls) == 4 * 3 + 1 and calls[0] == [1.0, 2.0]
+        assert calls[-1] == traj.states[-1].tolist()
 
     def test_remainder_step_adds_a_row(self):
         traj = integrate_ode(lambda x: [-v for v in x], [1.0, 2.0], 0.25, step=0.1)
