@@ -39,16 +39,15 @@ class ControlLaw:
     ``s2 = z.z`` uniform across conventions. Compatibility requires the
     weight to vanish exactly when the edge error does.
 
-    Two-coleader agents evaluate their pair of weights through
-    ``pair_weights``, which also receives the inner product of the two
-    edge vectors so laws may couple the pair. The built-in laws are
-    separable (each weight depends on its own edge only), which is also
-    the regime where the analytic Jacobian factorizations are exact.
+    A two-coleader agent is the one place where a law may couple two edges:
+    a law that replaces ``pair_weights``, which also reads the inner product
+    of the pair's edge vectors, is coupled. Every other law is separable
+    (each weight reads its own edge, and the analytic Jacobians are exact);
+    ``separable`` is derived from that and cannot be set.
     """
 
     name = "abstract"
     convention = "squared"
-    separable = True
 
     def __init__(self, gain=1.0):
         if not (math.isfinite(gain) and gain > 0):
@@ -69,6 +68,10 @@ class ControlLaw:
     def weight_dlen2(self, d, s2):
         """Second derivative of the weight in the squared current length."""
         raise NotImplementedError
+
+    @property
+    def separable(self):
+        return getattr(self.pair_weights, "__func__", None) is ControlLaw.pair_weights
 
     def pair_weights(self, d_pair, s2_pair, s):
         return self.weight(d_pair[0], s2_pair[0]), self.weight(d_pair[1], s2_pair[1])
@@ -144,9 +147,9 @@ class CustomLaw(ControlLaw):
     hook reads ``gain``. The hooks difference ``func`` with the kernel's
     stencils and step rules: :func:`~.numkernel.fd_jacobian` gives the
     first derivatives and :func:`~.numkernel.fd_second_directional` the
-    second, accurate enough for the quantities the tests need. An optional
-    ``pair_func(d_pair, s2_pair, s)`` makes the law non-separable; its
-    cross derivatives are ``fd_jacobian`` entries too.
+    second, accurate enough for the quantities the tests need. A
+    ``pair_func(d_pair, s2_pair, s)`` replaces ``pair_weights``, so the law
+    is coupled; its cross derivatives are ``fd_jacobian`` entries too.
     """
 
     def __init__(self, func, name="custom", convention="squared", pair_func=None):
@@ -156,8 +159,8 @@ class CustomLaw(ControlLaw):
         self.name = name
         self.convention = convention
         self._func = func
-        self._pair = pair_func
-        self.separable = pair_func is None
+        if pair_func is not None:
+            self.pair_weights = lambda *args: tuple(float(u) for u in pair_func(*args))
 
     def weight(self, d, s2):
         return float(self._func(d, s2))
@@ -171,16 +174,10 @@ class CustomLaw(ControlLaw):
     def weight_dlen2(self, d, s2):
         return float(fd_second_directional(lambda v: self._func(d, float(v[0])), s2, 1.0)[0])
 
-    def pair_weights(self, d_pair, s2_pair, s):
-        if self._pair is None:
-            return super().pair_weights(d_pair, s2_pair, s)
-        ua, ub = self._pair(d_pair, s2_pair, s)
-        return float(ua), float(ub)
-
     def pair_cross(self, d_pair, s2_pair, s):
-        if self._pair is None:
+        if self.separable:
             return (0.0, 0.0)
-        jac = fd_jacobian(lambda v: self._pair(d_pair, tuple(v), s), s2_pair)
+        jac = fd_jacobian(lambda v: self.pair_weights(d_pair, tuple(v), s), s2_pair)
         return (float(jac[0, 1]), float(jac[1, 0]))
 
 
@@ -229,9 +226,8 @@ class VectorFieldBundle:
     def _kernel(self):
         """The graph's compiled ``weights`` and ``jacobian``, bound to this law and targets."""
         law = self.law
-        return self.matrices["bind"](
-            law.weight, law.pair_weights, law.weight_dlen, self.lengths.d, law.separable
-        )
+        pair_weights = None if law.separable else law.pair_weights
+        return self.matrices["bind"](law.weight, pair_weights, law.weight_dlen, self.lengths.d)
 
     def flow(self, xs):
         """Agent velocities on Python floats: a list of 2n floats in, 2n out.
@@ -261,12 +257,10 @@ def edge_weights(b: VectorFieldBundle, z):
 
     ``z`` is a list of floats holding the edge vectors stacked flat (2m),
     as :meth:`VectorFieldBundle.flow` gathers them. The bundle's compiled
-    ``weights`` gives each lone edge ``law.weight`` and then each
-    two-coleader pair ``law.pair_weights``.
-    A coupled pair's inner product is numpy's dot, which may fuse the
-    multiply-add and so differ from float arithmetic in the last bit; it
-    is how coupled weights have always been computed. A separable law
-    ignores the product, which is then summed in floats, at no numpy cost.
+    ``weights`` makes one ``law.weight`` call per edge for a separable law.
+    A coupled law's lone edges get ``law.weight`` too, and each
+    two-coleader pair one ``law.pair_weights`` call with its inner product
+    summed in floats, ``zix*zjx + ziy*zjy``.
     """
     return b._kernel["weights"](z)
 
@@ -310,17 +304,18 @@ def jacobian_x(b: VectorFieldBundle, x):
     Python floats like :meth:`VectorFieldBundle.flow`. A list is taken as
     the flat list of floats that Newton iterates on; any other ``x`` is
     flattened through NumPy. Unlike :func:`jacobian_z` this holds away from
-    equilibria too. A law that couples a two-coleader pair has no such
-    per-edge blocks, so non-separable laws fall back to central
-    differences of the field.
+    equilibria too. A coupled law, one that replaces ``pair_weights``, has
+    no such per-edge blocks, so it gets :func:`~.numkernel.fd_jacobian` of
+    the flow instead.
     """
     xs = x if type(x) is list else np.asarray(x, dtype=float).ravel().tolist()
     n2 = 2 * b.graph.n
     if len(xs) != n2:
         raise DimensionError(f"{len(xs)} coordinates for {b.graph.n} planar agents")
-    if not b.law.separable:
+    jacobian = b._kernel["jacobian"]
+    if jacobian is None:  # a coupled law
         return fd_jacobian(b.flow, xs)
-    return np.array(b._kernel["jacobian"](xs)).reshape(n2, n2)
+    return np.fromiter(jacobian(xs), float, n2 * n2).reshape(n2, n2)
 
 
 def eval_F_z(b: VectorFieldBundle, z, check=True):
@@ -359,17 +354,18 @@ def _require_design_point(b, zz, what):
 def zprime_vectors(b: VectorFieldBundle, z):
     """First-order response vectors: ``z'_i = 2 u_x z_i`` plus pair coupling.
 
-    ``u_x`` is the weight's derivative in the squared edge length. For a
-    coupled two-coleader pair the partner edge contributes through the
-    cross derivative, which is zero for all built-in laws.
+    ``u_x`` is the weight's derivative in the squared edge length, zero on
+    a zero-length edge as :func:`weight_slopes` gives it. For a coupled
+    two-coleader pair the partner edge contributes through the cross
+    derivative, at the pair's inner product summed as the flow sums it.
     """
     zz, _ = _edge_state(b, z)
     s2 = [zx * zx + zy * zy for zx, zy in zz.tolist()]
     d = b.lengths.d
-    zp = np.array([2.0 * b.law.weight_dlen(dk, s) for dk, s in zip(d, s2)])[:, None] * zz
+    zp = np.array([2.0 * slope for slope in weight_slopes(b.law, d, s2)])[:, None] * zz
     if not b.law.separable:
         for i, j in b.matrices["pairs"]:
-            s = float(zz[i] @ zz[j])
+            s = float(zz[i, 0] * zz[j, 0] + zz[i, 1] * zz[j, 1])
             cij, cji = b.law.pair_cross((d[i], d[j]), (s2[i], s2[j]), s)
             zp[i] = zp[i] + 2.0 * cij * zz[j]
             zp[j] = zp[j] + 2.0 * cji * zz[i]

@@ -120,13 +120,13 @@ def _kernel_source(g, by_origin):
     ``gather(xs)`` returns the flat edge vectors ``z`` of a list of 2n
     coordinates, and ``scatter(u, z)`` adds each ``u_k z_k`` into its
     origin agent in edge order from 0.0. ``bind(weight, pair_weights,
-    weight_dlen, d, separable)`` returns the closures ``weights(z)``, in
-    which each lone edge gets ``weight`` and then each two-coleader pair
-    ``pair_weights``, and ``jacobian(xs)``, the agent Jacobian's entries
-    row by row for a separable law: edge ``k`` from ``o`` to ``t`` adds
-    ``M_k = u_k I + 2 u'_k z_k z_k^T`` at block ``(o, t)`` and subtracts it
-    at block ``(o, o)``, each entry summed in edge order from 0.0. The text
-    holds integer indices and fixed names only.
+    weight_dlen, d)`` returns ``weights(z)``, one ``weight`` call per edge,
+    but a coupled law's ``pair_weights`` (None if separable) weighs each
+    two-coleader pair at its float inner product; and ``jacobian(xs)``
+    from ``gather`` and ``weights``, None if coupled: edge ``k`` from ``o``
+    to ``t`` adds ``M_k = u_k I + 2 u'_k z_k z_k^T`` at block ``(o, t)`` and
+    subtracts it at block ``(o, o)``, each entry summed in edge order from
+    0.0. The text holds integer indices and fixed names only.
     """
     n2 = 2 * g.n
     z = [f"xs[{2 * t + c}] - xs[{2 * o + c}]" for o, t in g.edges for c in (0, 1)]
@@ -139,23 +139,20 @@ def _kernel_source(g, by_origin):
     def s2(k):
         return f"z[{2 * k}] * z[{2 * k}] + z[{2 * k + 1}] * z[{2 * k + 1}]"
 
-    singles = [ks[0] for ks in by_origin.values() if len(ks) == 1]
-    weighs = [f"u{k} = weight(d[{k}], {s2(k)})" for k in singles]
+    each = [f"weight(d[{k}], {s2(k)})" for k in range(g.m)]
+    weighs = [f"u{ks[0]} = {each[ks[0]]}" for ks in by_origin.values() if len(ks) == 1]
     for i, j in (ks for ks in by_origin.values() if len(ks) == 2):
-        zi, zj = f"(z[{2 * i}], z[{2 * i + 1}])", f"(z[{2 * j}], z[{2 * j + 1}])"
         inner = f"z[{2 * i}] * z[{2 * j}] + z[{2 * i + 1}] * z[{2 * j + 1}]"
         weighs.append(
-            f"u{i}, u{j} = pair_weights((d[{i}], d[{j}]), ({s2(i)}, {s2(j)}), "
-            f"{inner} if separable else float(np.dot({zi}, {zj})))"
+            f"u{i}, u{j} = ({each[i]}, {each[j]}) if pair_weights is None else "
+            f"pair_weights((d[{i}], d[{j}]), ({s2(i)}, {s2(j)}), {inner})"
         )
 
-    jac = []
     edges = range(g.m)
-    for k in edges:
-        jac += [f"x{k} = {z[2 * k]}", f"y{k} = {z[2 * k + 1]}"]
-        jac.append(f"q{k} = x{k} * x{k} + y{k} * y{k}")
+    u, xy = ", ".join(f"u{k}" for k in edges), ", ".join(f"x{k}, y{k}" for k in edges)
+    jac = ["z = gather(xs)", f"[{xy}] = z", f"[{u}] = weights(z)"]
+    jac += [f"q{k} = x{k} * x{k} + y{k} * y{k}" for k in edges]
     jac += [f"w{k} = 2.0 * (0.0 if q{k} == 0.0 else weight_dlen(d[{k}], q{k}))" for k in edges]
-    jac += [f"u{k} = weight(d[{k}], q{k})" for k in edges]
     jac.append(f"jac = [0.0] * {n2 * n2}")
     diagonal = {}
     for k, (o, t) in enumerate(g.edges):
@@ -183,16 +180,16 @@ def scatter(u, z):
     return [{", ".join(xdot)}]
 
 
-def bind(weight, pair_weights, weight_dlen, d, separable):
+def bind(weight, pair_weights, weight_dlen, d):
     def weights(z):
         {body(weighs)}
-        return [{", ".join(f"u{k}" for k in range(g.m))}]
+        return [{u}]
 
     def jacobian(xs):
         {body(jac)}
         return jac
 
-    return {{"weights": weights, "jacobian": jacobian}}
+    return {{"weights": weights, "jacobian": jacobian if pair_weights is None else None}}
 """
 
 
@@ -202,16 +199,16 @@ def graph_matrices(g: FormationGraph):
 
     ``pairs`` holds the two edges of each two-coleader agent. ``gather``,
     ``scatter`` and ``bind`` are the graph's float flow kernel, compiled
-    here once from straight-line source (see :func:`_kernel_source`):
-    each bundle binds its law's hooks and targets with ``bind`` and reads
-    the rest as they are. The arrays are read-only because every caller
-    of the graph shares them.
+    here once from straight-line source (see :func:`_kernel_source`) in
+    a namespace that holds no module: each bundle binds its law's hooks
+    and targets with ``bind`` and reads the rest as they are. The arrays
+    are read-only because every caller of the graph shares them.
     """
     edge_adj = edge_adjacency(g)
     by_origin = {}
     for k, (o, _) in enumerate(g.edges):
         by_origin.setdefault(o, []).append(k)
-    kernel = {"np": np}
+    kernel = {}
     exec(compile(_kernel_source(g, by_origin), "<flow kernel>", "exec"), kernel)
     mats = {
         "edge_adj": edge_adj,

@@ -178,6 +178,17 @@ def _max_abs(values):
     return math.nan if any(map(math.isnan, values)) else max(map(abs, values))
 
 
+def _first_value(f, x):
+    """``f(x)``; an ``IndexError`` from ``f`` or a value of another length is a DimensionError."""
+    try:
+        fx = f(x)
+    except IndexError as exc:
+        raise DimensionError(f"the field cannot read a state of {len(x)} coordinates") from exc
+    if len(fx) != len(x):
+        raise DimensionError(f"the field maps {len(x)} coordinates to {len(fx)}")
+    return fx
+
+
 def newton_root(f, x0, max_iter=50, tol=1e-12, jac=None):
     """Damped Newton iteration for ``f(x) = 0`` with least-squares steps.
 
@@ -192,7 +203,7 @@ def newton_root(f, x0, max_iter=50, tol=1e-12, jac=None):
     as :meth:`~.dynamics.VectorFieldBundle.flow`'s compiled kernel does;
     the Jacobian is :func:`fd_jacobian` of ``f`` unless an analytic ``jac``
     is supplied, such as :func:`~.dynamics.jacobian_x`, which takes the
-    list as it is.
+    list as it is. ``f`` is checked at ``x0`` as in :func:`integrate_ode`.
 
     Returns a :class:`NewtonResult`; raises :class:`ConvergenceError`
     carrying the last iterate when the residual, Jacobian or step is not
@@ -206,7 +217,7 @@ def newton_root(f, x0, max_iter=50, tol=1e-12, jac=None):
             f"newton iteration {reason}", last_iterate=np.array(x), iterations=it
         )
 
-    fx = f(x)
+    fx = _first_value(f, x)
     res = _max_abs(fx)
     for it in range(max_iter):
         if res <= tol:
@@ -291,12 +302,7 @@ def integrate_ode(f, x0, t_end, step=1e-3):
     states[0] = x
     t = 0.0
     with np.errstate(over="ignore", invalid="ignore"):
-        try:
-            k1 = f(x)
-        except IndexError as exc:
-            raise DimensionError(f"the field cannot read a state of {len(x)} coordinates") from exc
-        if len(k1) != len(x):
-            raise DimensionError(f"the field maps {len(x)} coordinates to {len(k1)}")
+        k1 = _first_value(f, x)
         for i, h in enumerate(steps, 1):
             half, sixth = 0.5 * h, h / 6.0
             k2 = f([a + half * k for a, k in zip(x, k1)])

@@ -1,6 +1,7 @@
 """Tests for the control laws, the formation flow, and its factorizations."""
 
 import math
+import types
 
 import numpy as np
 import pytest
@@ -11,6 +12,7 @@ from formation_forge.dynamics import (
     BUILTIN_LAW_NAMES,
     ControlLaw,
     CustomLaw,
+    GradientSquaredLaw,
     VectorFieldBundle,
     builtin_law,
     edge_weights,
@@ -314,8 +316,8 @@ def loop_weights(b, z):
     """Per-edge weights of the flat edge vectors ``z``, one law call per origin agent.
 
     A lone edge gets ``law.weight``; a two-coleader pair gets
-    ``law.pair_weights`` with its inner product summed in floats, or as
-    numpy's dot for a law that couples the pair.
+    ``law.pair_weights`` with its inner product summed in floats, for
+    every law: a separable law's is ``law.weight`` of each edge.
     """
     law, d = b.law, b.lengths.d
     by_origin = {}
@@ -329,10 +331,7 @@ def loop_weights(b, z):
             continue
         i, j = ks
         zi, zj = (z[2 * i], z[2 * i + 1]), (z[2 * j], z[2 * j + 1])
-        if law.separable:
-            s = zi[0] * zj[0] + zi[1] * zj[1]
-        else:
-            s = float(np.dot(zi, zj))
+        s = zi[0] * zj[0] + zi[1] * zj[1]
         s2 = (zi[0] * zi[0] + zi[1] * zi[1], zj[0] * zj[0] + zj[1] * zj[1])
         u[i], u[j] = law.pair_weights((d[i], d[j]), s2, s)
     return u
@@ -364,11 +363,11 @@ def coupled_pair(d_pair, s2_pair, s):
 
 
 class PairOverrideLaw(ControlLaw):
-    """tests/test_kernel.py's separable law with its own ``pair_weights``.
+    """tests/test_kernel.py's law with its own ``pair_weights``, so a coupled one.
 
-    The pair's weights ``1.3 s2 - 1.3 d`` round differently from
-    ``weight``'s ``1.3 (s2 - d)``, so weighing a pair with ``weight``
-    would move bits.
+    The pair's weights ``1.3 s2 - 1.3 d`` ignore the inner product but
+    round differently from ``weight``'s ``1.3 (s2 - d)``, so weighing a
+    pair with ``weight`` would move bits.
     """
 
     name = "pair_override"
@@ -467,6 +466,9 @@ class TestFloatFlow:
         x = [0.0, 0.0, 1.0, 0.1, 0.5, 1.0, -1.0, 0.3]
         assert same_bits(other.flow(x), gather_scatter_field(other, x))
         assert not same_bits(other.flow(x), b.flow(x))
+        # The kernel reads floats and the law's hooks only: its namespace holds no module.
+        namespace = b.matrices["bind"].__globals__.values()
+        assert not any(isinstance(value, types.ModuleType) for value in namespace)
 
 
 class TestEdgeField:
@@ -662,6 +664,59 @@ class TestJacobianX:
         assert np.array_equal(jacobian_x(b, x), numeric)
 
 
+class DoubledPairLaw(GradientSquaredLaw):
+    """gradient_squared with each two-coleader pair's weights doubled."""
+
+    def pair_weights(self, d_pair, s2_pair, s):
+        ua, ub = super().pair_weights(d_pair, s2_pair, s)
+        return 2.0 * ua, 2.0 * ub
+
+
+class TestCoupling:
+    def test_a_law_that_replaces_pair_weights_is_coupled(self):
+        law = DoubledPairLaw()
+        assert not law.separable
+        b = VectorFieldBundle(
+            graph=two_cycles(), law=law, lengths=TargetLengths(d=(1.0, 5.0, 4.0, 8.0, 4.0))
+        )
+        x = [0.0, 0.0, 2.1, 0.1, 0.9, 1.8, -1.0, 0.3]
+        assert np.array_equal(jacobian_x(b, x), fd_jacobian(b.flow, x))
+
+    def test_separable_is_derived_and_cannot_be_set(self):
+        laws = (
+            builtin_law("gradient_plain"),
+            CustomLaw(lambda d, s2: s2 - d),
+            CustomLaw(lambda d, s2: s2 - d, pair_func=lambda d, s2, s: (s2[0], s2[1])),
+        )
+        assert [law.separable for law in laws] == [True, True, False]
+        for law in laws:
+            with pytest.raises(AttributeError):
+                law.separable = True
+
+    def test_a_separable_law_makes_no_pair_weights_call(self, monkeypatch):
+        def refuse(self, d_pair, s2_pair, s):
+            raise AssertionError("a separable law's pair was weighed with pair_weights")
+
+        x = [0.1, -0.2, 1.7, 0.3, 0.9, 1.6, -1.2, 1.1, 0.4, 2.2, -0.7, -1.5]
+        names = BUILTIN_LAW_NAMES + ("separable",)
+        bundles = [
+            VectorFieldBundle(
+                graph=TWO_CYCLES_FOLLOWERS,
+                law=FLOW_LAWS[name],
+                lengths=TargetLengths.from_values(
+                    (2.0, 2.6, 2.0, 3.3, 1.4, 1.7, 2.2, 1.9, 3.1), FLOW_LAWS[name].convention
+                ),
+            )
+            for name in names
+        ]
+        expected = [gather_scatter_field(b, x) for b in bundles]
+        # A CustomLaw without a pair_func inherits this one, as the built-in laws do.
+        monkeypatch.setattr(ControlLaw, "pair_weights", refuse)
+        for b, xdot in zip(bundles, expected):
+            assert b.law.separable
+            assert b.flow(x) == xdot
+
+
 class TestJacobianD:
     def test_matches_finite_differences_in_targets(self):
         rng = np.random.default_rng(12)
@@ -716,6 +771,24 @@ class TestReducedJacobian:
         b = squared_bundle((1.0, 1.0, 1.0, 4.0, 4.0))
         z = np.array([(1, 0), (-1, 0), (0, 0), (-2, 0), (2, 0)], dtype=float)
         assert rank_tol(reduced_J(b, z), 1e-9) == 3
+
+    def test_zero_length_edge_gets_slope_zero(self):
+        # gradient_plain's slope divides by the length; on a zero-length edge
+        # the response vector takes weight_slopes' zero, as jacobian_x does.
+        law = builtin_law("gradient_plain")
+        b = VectorFieldBundle(
+            graph=two_cycles(),
+            law=law,
+            lengths=TargetLengths.from_values((1.0, 1.0, 1.0, 2.0, 2.0), "plain"),
+        )
+        z = np.array([(1, 0), (-1, 0), (0, 0), (-2, 0), (2, 0)], dtype=float)
+        zp = zprime_vectors(b, z)
+        assert np.array_equal(zp[2], [0.0, 0.0])
+        for k in (0, 1, 3, 4):
+            slope = law.weight_dlen(b.lengths.d[k], float(z[k] @ z[k]))
+            assert np.array_equal(zp[k], 2.0 * slope * z[k])
+        reduced = reduced_J(b, z)
+        assert np.isfinite(reduced).all() and np.array_equal(reduced[:, 2], np.zeros(5))
 
     def test_entry_formula(self):
         rng = np.random.default_rng(13)

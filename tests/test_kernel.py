@@ -52,11 +52,11 @@ def coupled_pair(d_pair, s2_pair, s):
 
 
 class PairOverrideLaw(ControlLaw):
-    """A separable law with its own ``pair_weights``.
+    """A law with its own ``pair_weights``, so a coupled one.
 
-    The pair's weights ``1.3 s2 - 1.3 d`` round differently from
-    ``weight``'s ``1.3 (s2 - d)``, so weighing a pair with ``weight``
-    would move bits.
+    The pair's weights ``1.3 s2 - 1.3 d`` ignore the inner product but
+    round differently from ``weight``'s ``1.3 (s2 - d)``, so weighing a
+    pair with ``weight`` would move bits.
     """
 
     name = "pair_override"
@@ -88,7 +88,11 @@ def make_bundle(graph, law_name):
 
 
 def reference_weights(b, z):
-    """Per-edge weights of edge-vector rows ``z``, gathered by origin agent."""
+    """Per-edge weights of edge-vector rows ``z``, gathered by origin agent.
+
+    A two-coleader pair gets ``pair_weights`` at its inner product summed
+    in floats, for every law: a separable law's is ``weight`` of each edge.
+    """
     s2 = np.sum(z * z, axis=1)
     d = b.lengths.as_array()
     by_origin = {}
@@ -100,7 +104,7 @@ def reference_weights(b, z):
             u[ks[0]] = float(b.law.weight(d[ks[0]], s2[ks[0]]))
         else:
             i, j = ks
-            s = float(z[i] @ z[j])
+            s = float(z[i, 0] * z[j, 0] + z[i, 1] * z[j, 1])
             u[i], u[j] = b.law.pair_weights((d[i], d[j]), (s2[i], s2[j]), s)
     return u
 
@@ -182,13 +186,23 @@ class TestAgentField:
         assert np.array_equal(xdot[4:], [0.0, 0.0])
         assert np.array_equal(xdot, add_at_field(b, x).ravel())
 
-    def test_coupled_pair_reads_numpy_dot_of_its_edges(self):
+    def test_coupled_pair_reads_the_float_sum_of_its_edges(self):
         # Where BLAS fuses a multiply into the add, numpy's dot of edges 1
         # and 5 here is 11.899500000000002 while the float sum
-        # z1x*z5x + z1y*z5y is 11.8995, and the coupled field would differ.
-        b = make_bundle(two_cycles(), "pair")
+        # z1x*z5x + z1y*z5y is 11.8995; the coupled pair reads the sum.
+        seen = []
+
+        def pair(d_pair, s2_pair, s):
+            seen.append(s)
+            return coupled_pair(d_pair, s2_pair, s)
+
+        law = CustomLaw(lambda d, s2: s2 - d, name="pair", pair_func=pair)
+        b = VectorFieldBundle(
+            graph=two_cycles(), law=law, lengths=TargetLengths.from_values(PLAIN_VALUES[:5])
+        )
         x = np.array([-2.04, 2.98, -0.24, 1.15, -2.67, -2.8, 2.08, 0.53])
         assert np.array_equal(eval_F_x(b, x), add_at_field(b, x).ravel())
+        assert seen[0] == 11.8995
 
     @pytest.mark.parametrize("law_name", BUILTIN_LAW_NAMES + ("pair",))
     def test_zero_length_edge(self, law_name):
@@ -228,7 +242,7 @@ class TestJacobianX:
     @settings(max_examples=200, deadline=None)
     @given(
         graph=st.sampled_from((two_cycles(), TWO_CYCLES_FOLLOWERS, CHAIN)),
-        law_name=st.sampled_from(BUILTIN_LAW_NAMES + ("pair_override",)),
+        law_name=st.sampled_from(BUILTIN_LAW_NAMES),
         coords=st.lists(coordinates, min_size=12, max_size=12),
         collapse=st.one_of(st.none(), st.integers(0, 8)),
     )

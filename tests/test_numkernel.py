@@ -325,6 +325,17 @@ class TestNewton:
             newton_root(f, [0.5, 0.5], jac=lambda x: np.eye(2))
         assert isinstance(info.value.last_iterate, np.ndarray)
 
+    @pytest.mark.parametrize("size", [24, 6])
+    def test_a_state_of_another_size_is_refused(self, size):
+        # Two-cycles reads 8 coordinates: 24 would leave 16 unread, 6 cannot be read.
+        b = VectorFieldBundle(
+            graph=two_cycles(),
+            law=builtin_law("gradient_squared"),
+            lengths=TargetLengths(d=(1.0, 5.0, 4.0, 8.0, 4.0)),
+        )
+        with pytest.raises(DimensionError, match=rf"\b{size} coordinates"):
+            newton_root(b.flow, [0.1 * i for i in range(size)])
+
     def test_analytic_jacobian_is_used(self):
         calls = []
 
