@@ -43,11 +43,19 @@ class ControlLaw:
     a law that replaces ``pair_weights``, which also reads the inner product
     of the pair's edge vectors, is coupled. Every other law is separable
     (each weight reads its own edge, and the analytic Jacobians are exact);
-    ``separable`` is derived from that and cannot be set.
+    ``separable`` is derived from that and cannot be set, nor defined by a
+    subclass.
     """
 
     name = "abstract"
     convention = "squared"
+
+    def __init_subclass__(cls, **kwargs):
+        super().__init_subclass__(**kwargs)
+        if "separable" in vars(cls):
+            raise ConfigurationError(
+                f"{cls.__name__} defines separable; it is derived from pair_weights"
+            )
 
     def __init__(self, gain=1.0):
         if not (math.isfinite(gain) and gain > 0):
@@ -77,8 +85,16 @@ class ControlLaw:
         return self.weight(d_pair[0], s2_pair[0]), self.weight(d_pair[1], s2_pair[1])
 
     def pair_cross(self, d_pair, s2_pair, s):
-        """Cross derivatives (du_a/ds2_b, du_b/ds2_a) for a coupled pair."""
-        return (0.0, 0.0)
+        """Cross derivatives (du_a/ds2_b, du_b/ds2_a) of a two-coleader pair.
+
+        Zero for a separable law; for a coupled one, the off-diagonal
+        entries of :func:`~.numkernel.fd_jacobian` of ``pair_weights`` in
+        the pair's squared lengths.
+        """
+        if self.separable:
+            return (0.0, 0.0)
+        jac = fd_jacobian(lambda v: self.pair_weights(d_pair, tuple(v), s), s2_pair)
+        return (float(jac[0, 1]), float(jac[1, 0]))
 
     def __repr__(self):
         return f"{type(self).__name__}(gain={self.gain})"
@@ -149,7 +165,7 @@ class CustomLaw(ControlLaw):
     first derivatives and :func:`~.numkernel.fd_second_directional` the
     second, accurate enough for the quantities the tests need. A
     ``pair_func(d_pair, s2_pair, s)`` replaces ``pair_weights``, so the law
-    is coupled; its cross derivatives are ``fd_jacobian`` entries too.
+    is coupled, and :meth:`ControlLaw.pair_cross` differences it.
     """
 
     def __init__(self, func, name="custom", convention="squared", pair_func=None):
@@ -172,13 +188,7 @@ class CustomLaw(ControlLaw):
         return float(fd_jacobian(lambda v: [self._func(v[0], s2)], [d])[0, 0])
 
     def weight_dlen2(self, d, s2):
-        return float(fd_second_directional(lambda v: self._func(d, float(v[0])), s2, 1.0)[0])
-
-    def pair_cross(self, d_pair, s2_pair, s):
-        if self.separable:
-            return (0.0, 0.0)
-        jac = fd_jacobian(lambda v: self.pair_weights(d_pair, tuple(v), s), s2_pair)
-        return (float(jac[0, 1]), float(jac[1, 0]))
+        return float(fd_second_directional(lambda v: [self._func(d, v[0])], [s2], [1.0])[0])
 
 
 _BUILTIN_LAWS = (GradientSquaredLaw, GradientPlainLaw, Eq1PlainLaw)
@@ -224,25 +234,24 @@ class VectorFieldBundle:
 
     @cached_property
     def _kernel(self):
-        """The graph's compiled ``weights`` and ``jacobian``, bound to this law and targets."""
+        """The graph's compiled ``weights``, ``flow`` and ``jacobian``, bound to law and targets."""
         law = self.law
         pair_weights = None if law.separable else law.pair_weights
         return self.matrices["bind"](law.weight, pair_weights, law.weight_dlen, self.lengths.d)
 
-    def flow(self, xs):
-        """Agent velocities on Python floats: a list of 2n floats in, 2n out.
+    @cached_property
+    def flow(self):
+        """Agent velocities on Python floats: ``flow(xs)`` maps a list of 2n floats to 2n.
 
-        The graph's compiled ``gather`` writes out the flat edge vectors,
-        :func:`edge_weights` weighs them, and the compiled ``scatter`` adds
-        each ``u_k z_k`` into its origin agent in edge order from 0.0, all
-        straight-line code from :func:`~.graph.graph_matrices`; at a
-        formation's few agents NumPy would cost more in call overhead than
-        in arithmetic. :func:`eval_F_x` is its array form and checks the
-        size, which this leaves to its caller.
+        This is the graph's compiled ``flow`` bound to the law and targets,
+        one straight-line function from :func:`~.graph.graph_matrices` that
+        gathers the flat edge vectors, weighs them as :func:`edge_weights`
+        does, and adds each ``u_k z_k`` into its origin agent in edge order
+        from 0.0; at a formation's few agents NumPy would cost more in call
+        overhead than in arithmetic. :func:`eval_F_x` is its array form and
+        checks the size, which this leaves to its caller.
         """
-        mats = self.matrices
-        z = mats["gather"](xs)
-        return mats["scatter"](edge_weights(self, z), z)
+        return self._kernel["flow"]
 
 
 def _edge_state(b, z):
@@ -256,11 +265,12 @@ def edge_weights(b: VectorFieldBundle, z):
     """Per-edge feedback weights as a list, written out edge by edge.
 
     ``z`` is a list of floats holding the edge vectors stacked flat (2m),
-    as :meth:`VectorFieldBundle.flow` gathers them. The bundle's compiled
+    as the graph's compiled ``gather`` writes them. The bundle's compiled
     ``weights`` makes one ``law.weight`` call per edge for a separable law.
     A coupled law's lone edges get ``law.weight`` too, and each
     two-coleader pair one ``law.pair_weights`` call with its inner product
-    summed in floats, ``zix*zjx + ziy*zjy``.
+    summed in floats, ``zix*zjx + ziy*zjy``. :attr:`VectorFieldBundle.flow`
+    runs the same weight lines inline, without calling this.
     """
     return b._kernel["weights"](z)
 
@@ -270,15 +280,21 @@ def eval_F_x(b: VectorFieldBundle, x):
 
     Decentralization is structural here, an agent's velocity only reads
     the relative positions of the agents it observes. This is the array
-    form of :meth:`VectorFieldBundle.flow`, with its bits: ``x`` may be
+    form of :attr:`VectorFieldBundle.flow`, with its bits: ``x`` may be
     flat (2n) or rows (n, 2), the result is an array of the same layout,
-    and any other coordinate count is a :class:`DimensionError`.
+    and any other coordinate count is a :class:`DimensionError`. It
+    composes the graph's compiled ``gather``, :func:`edge_weights` and
+    the compiled ``scatter`` explicitly rather than calling the bound
+    ``flow``, so that the weights stay a call of their own, one
+    ``edge_weights`` per field evaluation, that a profiler can time.
     """
     arr = np.asarray(x, dtype=float)
     xs = arr.ravel().tolist()
     if len(xs) != 2 * b.graph.n:
         raise DimensionError(f"{len(xs)} coordinates for {b.graph.n} planar agents")
-    out = np.array(b.flow(xs))
+    mats = b.matrices
+    z = mats["gather"](xs)
+    out = np.array(mats["scatter"](edge_weights(b, z), z))
     return out if arr.ndim == 1 else out.reshape(b.graph.n, 2)
 
 
@@ -301,7 +317,7 @@ def jacobian_x(b: VectorFieldBundle, x):
     the weight's derivative in the squared length (zero on a zero-length
     edge, as :func:`weight_slopes` gives it). The bundle's compiled
     ``jacobian`` writes every entry out, summed in edge order from 0.0 on
-    Python floats like :meth:`VectorFieldBundle.flow`. A list is taken as
+    Python floats like :attr:`VectorFieldBundle.flow`. A list is taken as
     the flat list of floats that Newton iterates on; any other ``x`` is
     flattened through NumPy. Unlike :func:`jacobian_z` this holds away from
     equilibria too. A coupled law, one that replaces ``pair_weights``, has

@@ -176,7 +176,7 @@ def gauge_fixed_spectrum(b: VectorFieldBundle, f: Framework):
     zeros; restricting first avoids having to tell a genuinely small
     eigenvalue apart from a symmetry zero.
 
-    The linearization is :func:`fd_jacobian` of :meth:`VectorFieldBundle.flow`,
+    The linearization is :func:`fd_jacobian` of :attr:`VectorFieldBundle.flow`,
     not the closed form :func:`jacobian_x` the solvers use. The two differ
     by about 1e-9 relative, enough to move printed spectra past their
     pinned tolerance; where two agents coincide, the difference quotient
@@ -405,7 +405,7 @@ def census(b: VectorFieldBundle, n_random=200, seed=0, dedupe_tol=1e-6):
     On two-cycles the closed-form design realizations and every aligned
     equilibrium (:func:`solve_ancillary_aligned`) enter as built, designs
     first; a design whose field residual exceeds ``RESIDUAL_TOL`` is
-    counted as dropped. Then Newton runs on :meth:`VectorFieldBundle.flow`
+    counted as dropped. Then Newton runs on :attr:`VectorFieldBundle.flow`
     with :func:`jacobian_x`, the graph's compiled kernel on Python floats,
     from ``n_random`` frameworks drawn uniformly from
     a square sized to the targets, the first draws of ``default_rng(seed)``;

@@ -120,18 +120,23 @@ def _kernel_source(g, by_origin):
     ``gather(xs)`` returns the flat edge vectors ``z`` of a list of 2n
     coordinates, and ``scatter(u, z)`` adds each ``u_k z_k`` into its
     origin agent in edge order from 0.0. ``bind(weight, pair_weights,
-    weight_dlen, d)`` returns ``weights(z)``, one ``weight`` call per edge,
-    but a coupled law's ``pair_weights`` (None if separable) weighs each
-    two-coleader pair at its float inner product; and ``jacobian(xs)``
-    from ``gather`` and ``weights``, None if coupled: edge ``k`` from ``o``
-    to ``t`` adds ``M_k = u_k I + 2 u'_k z_k z_k^T`` at block ``(o, t)`` and
-    subtracts it at block ``(o, o)``, each entry summed in edge order from
-    0.0. The text holds integer indices and fixed names only.
+    weight_dlen, d)`` returns three functions bound to a law and targets.
+    ``weights(z)`` makes one ``weight`` call per edge, but a coupled law's
+    ``pair_weights`` (None if separable) weighs each two-coleader pair at
+    its float inner product. ``flow(xs)`` is the gather list, those weight
+    lines and the scatter sums in one straight-line function, so it equals
+    ``scatter(weights(z), z)`` at ``z = gather(xs)`` bit for bit without a
+    nested call. ``jacobian(xs)``, None if coupled, starts from ``gather``
+    and ``weights``: edge ``k`` from ``o`` to ``t`` adds
+    ``M_k = u_k I + 2 u'_k z_k z_k^T`` at block ``(o, t)`` and subtracts it
+    at block ``(o, o)``, each entry summed in edge order from 0.0. Each
+    expression is written once, in one list that every function using it
+    is written from. The text holds integer indices and fixed names only.
     """
     n2 = 2 * g.n
     z = [f"xs[{2 * t + c}] - xs[{2 * o + c}]" for o, t in g.edges for c in (0, 1)]
     xdot = [
-        _sum_source([f"u[{k}] * z[{2 * k + c}]" for k in by_origin.get(a, ())], "+")
+        _sum_source([f"u{k} * z[{2 * k + c}]" for k in by_origin.get(a, ())], "+")
         for a in range(g.n)
         for c in (0, 1)
     ]
@@ -177,6 +182,7 @@ def gather(xs):
 
 
 def scatter(u, z):
+    [{u}] = u
     return [{", ".join(xdot)}]
 
 
@@ -185,11 +191,20 @@ def bind(weight, pair_weights, weight_dlen, d):
         {body(weighs)}
         return [{u}]
 
+    def flow(xs):
+        z = [{", ".join(z)}]
+        {body(weighs)}
+        return [{", ".join(xdot)}]
+
     def jacobian(xs):
         {body(jac)}
         return jac
 
-    return {{"weights": weights, "jacobian": jacobian if pair_weights is None else None}}
+    return {{
+        "weights": weights,
+        "flow": flow,
+        "jacobian": jacobian if pair_weights is None else None,
+    }}
 """
 
 
@@ -200,9 +215,11 @@ def graph_matrices(g: FormationGraph):
     ``pairs`` holds the two edges of each two-coleader agent. ``gather``,
     ``scatter`` and ``bind`` are the graph's float flow kernel, compiled
     here once from straight-line source (see :func:`_kernel_source`) in
-    a namespace that holds no module: each bundle binds its law's hooks
-    and targets with ``bind`` and reads the rest as they are. The arrays
-    are read-only because every caller of the graph shares them.
+    a namespace that holds no module. Each bundle binds its law's hooks
+    and targets with ``bind``, whose ``flow`` is the bundle's flow, and
+    :func:`~.dynamics.eval_F_x` composes ``gather`` and ``scatter`` around
+    :func:`~.dynamics.edge_weights` as they are. Binding compiles nothing.
+    The arrays are read-only because every caller of the graph shares them.
     """
     edge_adj = edge_adjacency(g)
     by_origin = {}

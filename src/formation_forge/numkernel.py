@@ -14,6 +14,7 @@ from __future__ import annotations
 import math
 import sys
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -200,7 +201,7 @@ def newton_root(f, x0, max_iter=50, tol=1e-12, jac=None):
     step stays orthogonal to the numerical kernel instead of blowing the
     iterate up without changing the residual. The iterate is ``x0`` as a
     flat list of Python floats, which ``f`` maps to a sequence of floats,
-    as :meth:`~.dynamics.VectorFieldBundle.flow`'s compiled kernel does;
+    as the bound :attr:`~.dynamics.VectorFieldBundle.flow` does;
     the Jacobian is :func:`fd_jacobian` of ``f`` unless an analytic ``jac``
     is supplied, such as :func:`~.dynamics.jacobian_x`, which takes the
     list as it is. ``f`` is checked at ``x0`` as in :func:`integrate_ode`.
@@ -259,24 +260,55 @@ class Trajectory:
         return self.states[-1]
 
 
+@lru_cache(maxsize=16)
+def _rk4_step(n):
+    """The classical RK4 step on ``n`` floats, compiled from straight-line source.
+
+    ``step(f, x, k1, h)`` unpacks the state ``x`` and its field value ``k1``
+    into locals, makes the three further ``f`` calls on literal lists and
+    returns the next state as a list, each coordinate in the parenthesization
+    ``a + h/6 * (((p + 2q) + 2r) + w)``. The text holds integer indices and
+    fixed names only, and reads no global.
+    """
+
+    def each(form):
+        return ", ".join(form.format(i=i) for i in range(n))
+
+    source = f"""\
+def step(f, x, k1, h):
+    half, sixth = 0.5 * h, h / 6.0
+    [{each("a{i}")}] = x
+    [{each("p{i}")}] = k1
+    [{each("q{i}")}] = f([{each("a{i} + half * p{i}")}])
+    [{each("r{i}")}] = f([{each("a{i} + half * q{i}")}])
+    [{each("w{i}")}] = f([{each("a{i} + h * r{i}")}])
+    return [{each("a{i} + sixth * (((p{i} + 2.0 * q{i}) + 2.0 * r{i}) + w{i})")}]
+"""
+    namespace = {}
+    exec(compile(source, "<rk4 step>", "exec"), namespace)
+    return namespace["step"]
+
+
 def integrate_ode(f, x0, t_end, step=1e-3):
     """Fixed-step integration of ``xdot = f(x)`` from 0 to ``t_end``.
 
     Only the classical 4th-order scheme is provided; the fixed step keeps
     trajectories deterministic so they can serve as golden fixtures. The
     state is ``x0`` flattened into a list of Python floats, and ``f`` maps
-    such a list to a sequence of as many floats, as
-    :meth:`~.dynamics.VectorFieldBundle.flow`'s compiled kernel does. No
-    array is built between the calls of ``f``; the stages keep the
-    expression order of the array form and its bits. ``f`` is evaluated
-    once per state: the value is the next step's first stage, and at the
-    final state its norm is reported on the result. ``f`` is checked once,
-    at the start: an ``IndexError`` from it, or a value of another length
-    than the state, is a :class:`DimensionError`. A non-finite state
-    aborts with :class:`BlowUpError` carrying the time; the overflow on
-    the way there raises no floating-point warning, so the error is the
-    only report of it. Times and states are written into arrays allocated
-    once for the whole run. A non-finite ``t_end`` or ``step``, a negative ``t_end``, a
+    such a list to a sequence of as many floats, as the bound
+    :attr:`~.dynamics.VectorFieldBundle.flow` does. Each step is one call
+    of a straight-line RK4 step compiled once per state length (any ``f``
+    will do), so no array and no intermediate list is built between the
+    calls of ``f``; the stages keep the expression order of the array form
+    and its bits. ``f`` is evaluated once per state: the value is the next
+    step's first stage, and at the final state its norm is reported on the
+    result. ``f`` is checked once, at the start: an ``IndexError`` from it,
+    or a value of another length than the state, is a
+    :class:`DimensionError`. A non-finite state aborts with
+    :class:`BlowUpError` carrying the time; the overflow on the way there
+    raises no floating-point warning, so the error is the only report of
+    it. Times and states are written into arrays allocated once for the
+    whole run. A non-finite ``t_end`` or ``step``, a negative ``t_end``, a
     step that is not positive, or a step count that cannot index an array
     is a :class:`ConfigurationError`.
     """
@@ -303,15 +335,9 @@ def integrate_ode(f, x0, t_end, step=1e-3):
     t = 0.0
     with np.errstate(over="ignore", invalid="ignore"):
         k1 = _first_value(f, x)
+        rk4 = _rk4_step(len(x))
         for i, h in enumerate(steps, 1):
-            half, sixth = 0.5 * h, h / 6.0
-            k2 = f([a + half * k for a, k in zip(x, k1)])
-            k3 = f([a + half * k for a, k in zip(x, k2)])
-            k4 = f([a + h * k for a, k in zip(x, k3)])
-            x = [
-                a + sixth * (((p + 2.0 * q) + 2.0 * r) + w)
-                for a, p, q, r, w in zip(x, k1, k2, k3, k4)
-            ]
+            x = rk4(f, x, k1, h)
             t += h
             if not all(map(math.isfinite, x)):
                 raise BlowUpError(f"trajectory left the finite range at t={t:.6g}", time=t)
@@ -341,16 +367,19 @@ def fd_jacobian(f, x):
 def fd_second_directional(f, x, v):
     """Second directional derivative ``d^2/dt^2 f(x + t v)`` at ``t = 0``.
 
-    ``v`` should be unit length; the step is ``FD_SECOND_STEP`` times the
-    largest coordinate of ``x`` (at least 1), so the stencil stays well
-    conditioned on states that are not order one. The result is
-    ``(f(x + h v) - 2 f(x) + f(x - h v)) / h^2``, as an array.
+    ``x`` and ``v`` are flattened into lists of Python floats, which ``f``
+    maps to a sequence of values, as in :func:`fd_jacobian`; the result is
+    an array. ``v`` should be unit length; the step ``h`` is
+    ``FD_SECOND_STEP`` times the largest coordinate of ``x`` (at least 1),
+    so the stencil stays well conditioned on states that are not order one.
+    The result is ``(f(x + h v) - 2 f(x) + f(x - h v)) / h^2``, computed on
+    ``f``'s values converted to floats, so an overflow gives inf or NaN
+    without a floating-point warning.
     """
-    x = np.atleast_1d(np.asarray(x, dtype=float))
-    v = np.atleast_1d(np.asarray(v, dtype=float))
-    hh = FD_SECOND_STEP * max(1.0, float(np.max(np.abs(x))))
-    f0 = np.atleast_1d(np.asarray(f(x), dtype=float))
-    fp = np.atleast_1d(np.asarray(f(x + hh * v), dtype=float))
-    fm = np.atleast_1d(np.asarray(f(x - hh * v), dtype=float))
-    with np.errstate(over="ignore", invalid="ignore"):  # inf - inf is NaN, silently, as on floats
-        return (fp - 2.0 * f0 + fm) / (hh * hh)
+    xs = np.asarray(x, dtype=float).ravel().tolist()
+    vs = np.asarray(v, dtype=float).ravel().tolist()
+    hh = FD_SECOND_STEP * max(1.0, _max_abs(xs))
+    f0 = [float(u) for u in f(xs)]
+    fp = [float(u) for u in f([a + hh * b for a, b in zip(xs, vs)])]
+    fm = [float(u) for u in f([a - hh * b for a, b in zip(xs, vs)])]
+    return np.array([(p - 2.0 * c + m) / (hh * hh) for p, c, m in zip(fp, f0, fm)])

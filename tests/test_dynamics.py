@@ -672,7 +672,43 @@ class DoubledPairLaw(GradientSquaredLaw):
         return 2.0 * ua, 2.0 * ub
 
 
+def cross_pair(d_pair, s2_pair, s):
+    """u_a = (s2_a - d_a)(1 + 0.1 s2_b), u_b = (s2_b - d_b)(1 - 0.2 s2_a)."""
+    ea, eb = s2_pair[0] - d_pair[0], s2_pair[1] - d_pair[1]
+    return ea * (1.0 + 0.1 * s2_pair[1]), eb * (1.0 - 0.2 * s2_pair[0])
+
+
+class CrossPairLaw(GradientSquaredLaw):
+    """gradient_squared with :func:`cross_pair` for each two-coleader pair."""
+
+    def pair_weights(self, d_pair, s2_pair, s):
+        return cross_pair(d_pair, s2_pair, s)
+
+
 class TestCoupling:
+    def test_a_subclass_cannot_define_separable(self):
+        with pytest.raises(ConfigurationError, match="DeclaredSeparable defines separable"):
+
+            class DeclaredSeparable(DoubledPairLaw):
+                separable = True
+
+    def test_a_coupled_subclass_differences_its_pair_weights(self):
+        # Without its own pair_cross, a subclass that replaces pair_weights
+        # gets the cross derivatives a CustomLaw with the same pair gets.
+        d = TargetLengths(d=(1.0, 5.0, 4.0, 8.0, 4.0))
+        sub = VectorFieldBundle(graph=two_cycles(), law=CrossPairLaw(), lengths=d)
+        custom = VectorFieldBundle(
+            graph=two_cycles(),
+            law=CustomLaw(lambda d, s2: s2 - d, pair_func=cross_pair),
+            lengths=d,
+        )
+        pair_args = ((1.0, 4.0), (2.3, 3.1), 0.4)
+        assert sub.law.pair_cross(*pair_args) == custom.law.pair_cross(*pair_args)
+        assert sub.law.pair_cross(*pair_args) == pytest.approx((0.13, 0.18), abs=1e-8)
+        x = np.random.default_rng(4).normal(size=(4, 2))
+        z = edge_vectors(Framework(graph=two_cycles(), x=x))
+        assert np.max(np.abs(reduced_J(sub, z) - reduced_J(custom, z))) <= 1e-8
+
     def test_a_law_that_replaces_pair_weights_is_coupled(self):
         law = DoubledPairLaw()
         assert not law.separable

@@ -5,11 +5,13 @@ The agent field is checked bit for bit against an accumulation per agent
 with ``np.add.at`` over edge origins, and ``jacobian_x`` against an
 ``einsum`` of its edge blocks over the graph's incidence; both stay here
 as references. The trajectory hashes were recorded with the reference
-field, so any change to a bit of a trajectory fails them.
+field, so any change to a bit of a trajectory fails them, and the compiled
+RK4 step is checked against the ``zip`` loop it replaced, kept here too.
 """
 
 import hashlib
 import math
+import types
 
 import numpy as np
 import pytest
@@ -42,6 +44,8 @@ TWO_CYCLES_FOLLOWERS = FormationGraph(
 # Every agent observes at most one other: no two-coleader pair at all.
 CHAIN = FormationGraph(n=4, edges=((0, 1), (1, 2), (2, 3)))
 GRAPHS = (two_cycles(), LEADER_FOLLOWER, TWO_CYCLES_FOLLOWERS, CHAIN)
+# A directed 3-cycle: every agent observes one other.
+TRIANGLE = FormationGraph(n=3, edges=((0, 1), (1, 2), (2, 0)))
 
 PLAIN_VALUES = (2.0, 2.6, 2.0, 3.3, 1.4, 1.7, 2.2, 1.9, 3.1)
 
@@ -72,6 +76,8 @@ class PairOverrideLaw(ControlLaw):
 
 
 def make_law(name):
+    if name == "separable":
+        return CustomLaw(lambda d, s2: (s2 - d) * (1.0 + 0.5 * s2), name="separable")
     if name == "pair":
         return CustomLaw(lambda d, s2: s2 - d, name="pair", pair_func=coupled_pair)
     if name == "pair_override":
@@ -177,6 +183,27 @@ class TestAgentField:
         assert flat.shape == (2 * graph.n,) and rows.shape == (graph.n, 2)
         assert np.array_equal(flat, expected.ravel())
         assert np.array_equal(rows, expected)
+
+    @settings(max_examples=80, deadline=None)
+    @given(
+        graph=st.sampled_from((two_cycles(), TWO_CYCLES_FOLLOWERS, TRIANGLE)),
+        law_name=st.sampled_from(BUILTIN_LAW_NAMES + ("separable", "pair")),
+        coords=st.lists(coordinates, min_size=12, max_size=12),
+        collapse=st.one_of(st.none(), st.integers(0, 8)),
+    )
+    def test_the_bound_flow_matches_eval_F_x_bit_for_bit(self, graph, law_name, coords, collapse):
+        # The bundle's flow is one compiled function; eval_F_x composes the
+        # compiled gather, edge_weights and the compiled scatter.
+        b = make_bundle(graph, law_name)
+        xs = coords[: 2 * graph.n]
+        if collapse is not None:
+            # Coincident agents give the edge between them zero length.
+            o, t = graph.edges[collapse % graph.m]
+            xs[2 * t : 2 * t + 2] = xs[2 * o : 2 * o + 2]
+        assert type(b.flow) is types.FunctionType and b.flow is b.flow
+        flow = b.flow(list(xs))
+        assert all(type(v) is float for v in flow)
+        assert np.array(flow).tobytes() == eval_F_x(b, np.array(xs)).tobytes()
 
     @pytest.mark.parametrize("law_name", BUILTIN_LAW_NAMES + ("pair",))
     def test_observer_free_agent_stays_put(self, law_name):
@@ -329,6 +356,60 @@ PINNED_STATES_SHA256 = {
 }
 
 
+def zip_rk4(f, x0, t_end, step):
+    """The RK4 loop as it was written before its step was compiled, kept as an oracle.
+
+    Each stage is a ``zip`` comprehension over lists of floats. Returns the
+    times, the states and the final residual, or raises ``BlowUpError``.
+    """
+    x = np.asarray(x0, dtype=float).ravel().tolist()
+    n_full, rem = divmod(t_end, step)
+    steps = [step] * int(n_full)
+    if rem > 1e-12 * max(1.0, abs(t_end)):
+        steps.append(rem)
+    times, states, t = [0.0], [x], 0.0
+    with np.errstate(over="ignore", invalid="ignore"):
+        k1 = f(x)
+        for h in steps:
+            half, sixth = 0.5 * h, h / 6.0
+            k2 = f([a + half * k for a, k in zip(x, k1)])
+            k3 = f([a + half * k for a, k in zip(x, k2)])
+            k4 = f([a + h * k for a, k in zip(x, k3)])
+            x = [
+                a + sixth * (((p + 2.0 * q) + 2.0 * r) + w)
+                for a, p, q, r, w in zip(x, k1, k2, k3, k4)
+            ]
+            t += h
+            if not all(map(math.isfinite, x)):
+                raise BlowUpError(f"trajectory left the finite range at t={t:.6g}", time=t)
+            times.append(t)
+            states.append(x)
+            k1 = f(x)
+        return np.array(times), np.array(states), float(np.max(np.abs(k1)))
+
+
+def lorenz(x):
+    """The Lorenz field, chaotic, so a moved bit grows along the run."""
+    u, v, w = x
+    return [10.0 * (v - u), u * (28.0 - w) - v, u * v - 8.0 / 3.0 * w]
+
+
+# State length -> (field, start); 8 and 12 are flows of two-cycles and of
+# two-cycles plus followers.
+RK4_FIELDS = {
+    1: (lambda x: [x[0] - x[0] * x[0] * x[0]], [0.3]),
+    3: (lorenz, [1.0, 1.0, 1.0]),
+    8: (
+        make_bundle(two_cycles(), "gradient_plain").flow,
+        [0.1, -0.2, 1.7, 0.3, 0.9, 1.6, -1.2, 1.1],
+    ),
+    12: (
+        make_bundle(TWO_CYCLES_FOLLOWERS, "pair").flow,
+        [0.1, -0.2, 1.7, 0.3, 0.9, 1.6, -1.2, 1.1, 0.4, 2.2, -0.7, -1.5],
+    ),
+}
+
+
 def pinned_trajectory(law_name):
     law = builtin_law(law_name)
     b = VectorFieldBundle(
@@ -351,8 +432,32 @@ class TestIntegrator:
     def test_a_state_of_another_size_is_refused(self, size):
         # Two-cycles reads 8 coordinates: 24 would leave 16 unmoved, 6 cannot be read.
         b = make_bundle(two_cycles(), "gradient_squared")
-        with pytest.raises(DimensionError, match=rf"\b{size} coordinates"):
+        message = {
+            24: "the field maps 24 coordinates to 8",
+            6: "the field cannot read a state of 6 coordinates",
+        }[size]
+        with pytest.raises(DimensionError, match=rf"^{message}$"):
             integrate_ode(b.flow, [0.1 * i for i in range(size)], 0.01)
+
+    @pytest.mark.parametrize("size", sorted(RK4_FIELDS))
+    def test_the_compiled_step_matches_the_zip_loop_bit_for_bit(self, size):
+        f, x0 = RK4_FIELDS[size]
+        # 0.505 = 50 steps of 0.01 and a remainder step.
+        traj = integrate_ode(f, x0, 0.505, step=0.01)
+        times, states, final_residual = zip_rk4(f, x0, 0.505, 0.01)
+        assert traj.states.shape == (52, size)
+        assert traj.times.tobytes() == times.tobytes()
+        assert traj.states.tobytes() == states.tobytes()
+        assert same_bits(traj.final_residual, final_residual)
+
+    def test_the_compiled_step_blows_up_where_the_zip_loop_does(self):
+        b = make_bundle(two_cycles(), "eq1_plain")
+        x0 = 2.0 * np.array([0.1, -0.2, 1.7, 0.3, 0.9, 1.6, -1.2, 1.1])
+        with pytest.raises(BlowUpError) as oracle:
+            zip_rk4(b.flow, x0, 20.0, 1e-3)
+        with pytest.raises(BlowUpError) as info:
+            integrate_ode(b.flow, x0, 20.0, step=1e-3)
+        assert info.value.time == oracle.value.time == 0.23600000000000018
 
     def test_the_field_is_evaluated_four_times_per_step_and_once_at_the_end(self):
         calls = []

@@ -458,14 +458,27 @@ class TestFiniteDifferences:
             assert same_bits(jacobian_x(b, coords), expected)
 
     def test_second_directional_scalar_square(self):
-        out = fd_second_directional(lambda x: x * x, np.array([0.3]), np.array([1.0]))
+        out = fd_second_directional(lambda x: [v * v for v in x], np.array([0.3]), np.array([1.0]))
         assert abs(out[0] - 2.0) <= 1e-6
 
     def test_second_directional_logistic(self):
         out = fd_second_directional(
-            lambda x: x * (0.7 - x), np.array([0.0]), np.array([1.0])
+            lambda x: [v * (0.7 - v) for v in x], np.array([0.0]), np.array([1.0])
         )
         assert abs(out[0] + 2.0) <= 1e-6
+
+    def test_second_directional_reads_lists_of_floats(self):
+        # As fd_jacobian's, its field takes lists of Python floats; NumPy
+        # values are floats before the quotient, so an overflow warns nothing.
+        seen = []
+
+        def f(x):
+            seen.append(x)
+            return [np.float64(1e308), np.float64(x[1])]
+
+        out = fd_second_directional(f, np.array([2.0, 0.5]), (1.0, 0.0))
+        assert all(type(x) is list and all(type(v) is float for v in x) for x in seen)
+        assert type(out) is np.ndarray and out[0] == -math.inf and out[1] == 0.0
 
     def test_second_directional_quadratic_form(self):
         rng = np.random.default_rng(9)
@@ -474,5 +487,5 @@ class TestFiniteDifferences:
         x = rng.normal(size=4)
         v = rng.normal(size=4)
         v /= np.linalg.norm(v)
-        out = fd_second_directional(lambda y: 0.5 * y @ q @ y, x, v)
+        out = fd_second_directional(lambda y: [0.5 * (y @ q @ y)], x, v)
         assert abs(out[0] - v @ q @ v) <= 1e-5 * max(1.0, abs(v @ q @ v))
