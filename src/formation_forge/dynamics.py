@@ -37,14 +37,17 @@ class ControlLaw:
     squared current length ``s2`` come in as floats and a float goes out.
     Working in squared quantities keeps the chain rule through
     ``s2 = z.z`` uniform across conventions. Compatibility requires the
-    weight to vanish exactly when the edge error does.
+    weight to vanish exactly when the edge error does. A derivative hook
+    that a subclass leaves unwritten takes central differences of ``weight``
+    (:func:`~.numkernel.fd_jacobian`, :func:`~.numkernel.fd_second_directional`).
 
     A two-coleader agent is the one place where a law may couple two edges:
     a law that replaces ``pair_weights``, which also reads the inner product
     of the pair's edge vectors, is coupled. Every other law is separable
     (each weight reads its own edge, and the analytic Jacobians are exact);
     ``separable`` is derived from that and cannot be set, nor defined by a
-    subclass.
+    subclass. A coupled law has no per-edge slope: the Jacobians difference
+    the field instead, and the response vectors refuse it.
     """
 
     name = "abstract"
@@ -67,15 +70,15 @@ class ControlLaw:
 
     def weight_dlen(self, d, s2):
         """Derivative of the weight in the squared current length."""
-        raise NotImplementedError
+        return float(fd_jacobian(lambda v: [self.weight(d, v[0])], [s2])[0, 0])
 
     def weight_dtarget(self, d, s2):
         """Derivative of the weight in the stored squared target."""
-        raise NotImplementedError
+        return float(fd_jacobian(lambda v: [self.weight(v[0], s2)], [d])[0, 0])
 
     def weight_dlen2(self, d, s2):
         """Second derivative of the weight in the squared current length."""
-        raise NotImplementedError
+        return float(fd_second_directional(lambda v: [self.weight(d, v[0])], [s2], [1.0])[0])
 
     @property
     def separable(self):
@@ -83,18 +86,6 @@ class ControlLaw:
 
     def pair_weights(self, d_pair, s2_pair, s):
         return self.weight(d_pair[0], s2_pair[0]), self.weight(d_pair[1], s2_pair[1])
-
-    def pair_cross(self, d_pair, s2_pair, s):
-        """Cross derivatives (du_a/ds2_b, du_b/ds2_a) of a two-coleader pair.
-
-        Zero for a separable law; for a coupled one, the off-diagonal
-        entries of :func:`~.numkernel.fd_jacobian` of ``pair_weights`` in
-        the pair's squared lengths.
-        """
-        if self.separable:
-            return (0.0, 0.0)
-        jac = fd_jacobian(lambda v: self.pair_weights(d_pair, tuple(v), s), s2_pair)
-        return (float(jac[0, 1]), float(jac[1, 0]))
 
     def __repr__(self):
         return f"{type(self).__name__}(gain={self.gain})"
@@ -160,12 +151,10 @@ class CustomLaw(ControlLaw):
     """User-supplied weight function with finite-difference derivatives.
 
     ``func(d, s2)`` must return the scalar weight, any gain included: no
-    hook reads ``gain``. The hooks difference ``func`` with the kernel's
-    stencils and step rules: :func:`~.numkernel.fd_jacobian` gives the
-    first derivatives and :func:`~.numkernel.fd_second_directional` the
-    second, accurate enough for the quantities the tests need. A
-    ``pair_func(d_pair, s2_pair, s)`` replaces ``pair_weights``, so the law
-    is coupled, and :meth:`ControlLaw.pair_cross` differences it.
+    hook reads ``gain``. The derivative hooks are :class:`ControlLaw`'s
+    central differences of ``weight``, accurate enough for the quantities
+    the tests need. A ``pair_func(d_pair, s2_pair, s)`` replaces
+    ``pair_weights``, so the law is coupled.
     """
 
     def __init__(self, func, name="custom", convention="squared", pair_func=None):
@@ -180,15 +169,6 @@ class CustomLaw(ControlLaw):
 
     def weight(self, d, s2):
         return float(self._func(d, s2))
-
-    def weight_dlen(self, d, s2):
-        return float(fd_jacobian(lambda v: [self._func(d, v[0])], [s2])[0, 0])
-
-    def weight_dtarget(self, d, s2):
-        return float(fd_jacobian(lambda v: [self._func(v[0], s2)], [d])[0, 0])
-
-    def weight_dlen2(self, d, s2):
-        return float(fd_second_directional(lambda v: [self._func(d, v[0])], [s2], [1.0])[0])
 
 
 _BUILTIN_LAWS = (GradientSquaredLaw, GradientPlainLaw, Eq1PlainLaw)
@@ -367,33 +347,35 @@ def _require_design_point(b, zz, what):
         )
 
 
+def _require_separable(b, what):
+    if not b.law.separable:
+        raise FormulaDomainError(f"{what} needs a separable law, not the coupled {b.law.name!r}")
+
+
 def zprime_vectors(b: VectorFieldBundle, z):
-    """First-order response vectors: ``z'_i = 2 u_x z_i`` plus pair coupling.
+    """First-order response vectors: ``z'_i = 2 u_x z_i``.
 
     ``u_x`` is the weight's derivative in the squared edge length, zero on
-    a zero-length edge as :func:`weight_slopes` gives it. For a coupled
-    two-coleader pair the partner edge contributes through the cross
-    derivative, at the pair's inner product summed as the flow sums it.
+    a zero-length edge as :func:`weight_slopes` gives it. A coupled law is
+    refused with a :class:`FormulaDomainError`: its pair's cross slopes
+    belong in the off-diagonal block of the Jacobian, which no per-edge
+    vector can carry.
     """
+    _require_separable(b, "zprime_vectors")
     zz, _ = _edge_state(b, z)
     s2 = [zx * zx + zy * zy for zx, zy in zz.tolist()]
-    d = b.lengths.d
-    zp = np.array([2.0 * slope for slope in weight_slopes(b.law, d, s2)])[:, None] * zz
-    if not b.law.separable:
-        for i, j in b.matrices["pairs"]:
-            s = float(zz[i, 0] * zz[j, 0] + zz[i, 1] * zz[j, 1])
-            cij, cji = b.law.pair_cross((d[i], d[j]), (s2[i], s2[j]), s)
-            zp[i] = zp[i] + 2.0 * cij * zz[j]
-            zp[j] = zp[j] + 2.0 * cji * zz[i]
-    return zp
+    return np.array([2.0 * u for u in weight_slopes(b.law, b.lengths.d, s2)])[:, None] * zz
 
 
 def zdprime_vectors(b: VectorFieldBundle, z):
     """Target-sensitivity vectors: ``z''_i = (du_i/dd_i) z_i``.
 
     These are the columns of the derivative of the flow in the stored
-    squared targets, up to the edge adjacency factor.
+    squared targets, up to the edge adjacency factor. A coupled law, whose
+    pair weight may read its partner's target, is refused with a
+    :class:`FormulaDomainError`.
     """
+    _require_separable(b, "zdprime_vectors")
     zz, _ = _edge_state(b, z)
     s2 = [zx * zx + zy * zy for zx, zy in zz.tolist()]
     c = [b.law.weight_dtarget(dk, s) for dk, s in zip(b.lengths.d, s2)]
@@ -401,27 +383,41 @@ def zdprime_vectors(b: VectorFieldBundle, z):
 
 
 def jacobian_z(b: VectorFieldBundle, z):
-    """Closed-form edge-coordinate Jacobian at a design equilibrium.
+    """Edge-coordinate Jacobian at a design equilibrium, in closed form.
 
     Away from design equilibria the derivation's dropped terms (the
     weight itself and its inner-product derivative) do not vanish, so the
-    product is refused there rather than silently returned.
+    product is refused there rather than silently returned. A coupled law
+    has no per-edge response vectors, so it gets
+    :func:`~.numkernel.fd_jacobian` of :func:`eval_F_z` (unchecked) in the
+    edge vectors instead, at design equilibria only too.
     """
     zz, _ = _edge_state(b, z)
     _require_design_point(b, zz, "the analytic Jacobian in z")
-    mats = b.matrices
+    if not b.law.separable:
+        return fd_jacobian(lambda v: eval_F_z(b, v, check=False), zz.ravel())
     dz = edge_block_rows(zz)
     dzp = edge_block_rows(zprime_vectors(b, zz))
-    return mats["edge_adj2"] @ dzp.T @ dz
+    return b.matrices["edge_adj2"] @ dzp.T @ dz
 
 
 def jacobian_d(b: VectorFieldBundle, z):
-    """Closed-form derivative in the stored squared targets, at a design point."""
+    """Derivative in the stored squared targets at a design point, in closed form.
+
+    A coupled law gets :func:`~.numkernel.fd_jacobian` of :func:`eval_F_z`
+    in the targets instead, whose :class:`~.rigidity.TargetLengths` refuses
+    a stored target within one ``fd_jacobian`` step of zero.
+    """
     zz, _ = _edge_state(b, z)
     _require_design_point(b, zz, "the analytic Jacobian in d")
-    mats = b.matrices
+    if not b.law.separable:
+        conv, flat = b.lengths.convention, zz.ravel()
+        return fd_jacobian(
+            lambda dv: eval_F_z(b.with_lengths(TargetLengths(dv, conv)), flat, check=False),
+            b.lengths.d,
+        )
     dzpp = edge_block_rows(zdprime_vectors(b, zz))
-    return mats["edge_adj2"] @ dzpp.T
+    return b.matrices["edge_adj2"] @ dzpp.T
 
 
 def reduced_J(b: VectorFieldBundle, z):
@@ -430,12 +426,12 @@ def reduced_J(b: VectorFieldBundle, z):
     Its entry ``(i, j)`` is ``A_e[i, j] * (z_i . z'_j)``. At design
     equilibria its spectrum is exactly the nonzero part of the full
     edge-coordinate Jacobian's spectrum, which collapses the stability
-    question to an m-dimensional computation.
+    question to an m-dimensional computation. It is built from
+    :func:`zprime_vectors`, so a coupled law is refused with a
+    :class:`FormulaDomainError`; its :func:`jacobian_z` holds the spectrum.
     """
     zz, _ = _edge_state(b, z)
-    mats = b.matrices
-    zp = zprime_vectors(b, zz)
-    return (zz @ zp.T) * mats["edge_adj"]
+    return (zz @ zprime_vectors(b, zz).T) * b.matrices["edge_adj"]
 
 
 def verify_compatibility(law: ControlLaw, d_samples):

@@ -259,7 +259,7 @@ def _aligned_positions(d, a, bb, sigma):
     return np.array([[0.0, 0.0], [a, 0.0], [alpha, sigma * beta], [bb, 0.0]])
 
 
-def _aligned_system(law, d, a, bb, sigma):
+def _aligned_system(law, d, a, bb):
     """The fourth edge's weight and the force balance on agent 1, with their Jacobian.
 
     Evaluated straight from the parameters: only edges 1, 4 and 5 enter,
@@ -306,7 +306,7 @@ def aligned_root_near(b, a0, b0, sigma):
     d = b.lengths.d
 
     def system(v):
-        return _aligned_system(b.law, d, v[0], v[1], sigma) or ((math.nan, math.nan), None)
+        return _aligned_system(b.law, d, v[0], v[1]) or ((math.nan, math.nan), None)
 
     jac = (lambda v: system(v)[1]) if b.law.separable else None
     try:

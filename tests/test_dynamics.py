@@ -26,7 +26,7 @@ from formation_forge.dynamics import (
     zdprime_vectors,
     zprime_vectors,
 )
-from formation_forge.equilibria import scalar_census
+from formation_forge.equilibria import gauge_fixed_spectrum, scalar_census
 from formation_forge.errors import (
     ConfigurationError,
     FormulaDomainError,
@@ -51,6 +51,7 @@ from formation_forge.rigidity import (
 )
 
 BENCHMARK_SQUARED = (4.0, 6.76, 4.0, 10.89, 1.96)
+SQUARED = builtin_law("gradient_squared")
 
 
 def squared_bundle(d, gain=1.0):
@@ -61,12 +62,12 @@ def squared_bundle(d, gain=1.0):
     )
 
 
-def random_design_point(rng):
-    """A random framework together with the bundle it is an equilibrium of."""
+def random_design_point(rng, law=SQUARED):
+    """A random two-cycles framework, and the bundle whose targets are its squared lengths."""
     fw = Framework(graph=two_cycles(), x=rng.normal(size=(4, 2)))
     z = edge_vectors(fw)
-    d = tuple(np.sum(z * z, axis=1))
-    return fw, z, squared_bundle(d)
+    lengths = TargetLengths(d=tuple(np.sum(z * z, axis=1)), convention=law.convention)
+    return fw, z, VectorFieldBundle(graph=two_cycles(), law=law, lengths=lengths)
 
 
 class TestControlLaws:
@@ -118,17 +119,12 @@ class TestControlLaws:
         assert law.weight_dlen2(d, s2) == pytest.approx(0.6, abs=1e-5)
 
     def test_custom_pair_law_cross_derivatives(self):
-        def pair(d_pair, s2_pair, s):
-            ea = s2_pair[0] - d_pair[0]
-            eb = s2_pair[1] - d_pair[1]
-            return ea * (1.0 + 0.1 * s2_pair[1]), eb * (1.0 - 0.2 * s2_pair[0])
-
-        law = CustomLaw(lambda d, s2: s2 - d, name="coupled", pair_func=pair)
+        # The pair's slopes in both squared lengths reach jacobian_z through
+        # the field's finite differences, so its spectrum is the gauge one.
+        law = CustomLaw(lambda d, s2: s2 - d, name="coupled", pair_func=cross_pair)
         assert not law.separable
-        d_pair, s2_pair = (1.0, 2.0), (1.5, 2.5)
-        cab, cba = law.pair_cross(d_pair, s2_pair, 0.4)
-        assert cab == pytest.approx(0.1 * (s2_pair[0] - d_pair[0]), abs=1e-8)
-        assert cba == pytest.approx(-0.2 * (s2_pair[1] - d_pair[1]), abs=1e-8)
+        fw, z, b = random_design_point(np.random.default_rng(21), law)
+        assert spectrum_gap(fw, z, b) <= 1e-7
 
 
 # The central differences CustomLaw and scalar_census wrote out by hand
@@ -151,16 +147,6 @@ def quotient_dtarget(f, d, s2):
 def quotient_dlen2(f, d, s2):
     h = 1e-4 * max(1.0, abs(float(s2)))
     return (f(d, s2 + h) - 2.0 * f(d, s2) + f(d, s2 - h)) / (h * h)
-
-
-def quotient_pair_cross(pair, d_pair, s2_pair, s):
-    ha = quotient_step(s2_pair[1])
-    hb = quotient_step(s2_pair[0])
-    up = pair(d_pair, (s2_pair[0], s2_pair[1] + ha), s)[0]
-    um = pair(d_pair, (s2_pair[0], s2_pair[1] - ha), s)[0]
-    vp = pair(d_pair, (s2_pair[0] + hb, s2_pair[1]), s)[1]
-    vm = pair(d_pair, (s2_pair[0] - hb, s2_pair[1]), s)[1]
-    return ((up - um) / (2.0 * ha), (vp - vm) / (2.0 * hb))
 
 
 def quotient_slope(f, x):
@@ -188,21 +174,15 @@ class TestCustomLawStencils:
         k=st.integers(0, len(QUOTIENT_WEIGHTS) - 1),
         d=st.floats(1e-3, 1e3),
         s2=st.floats(1e-3, 1e3),
-        d2=st.floats(1e-3, 30.0),
-        s22=st.floats(1e-3, 30.0),
-        s=st.floats(-20.0, 20.0),
     )
-    def test_hooks_match_the_hand_written_quotients(self, k, d, s2, d2, s22, s):
+    def test_hooks_match_the_hand_written_quotients(self, k, d, s2):
+        # ControlLaw's default hooks, which CustomLaw inherits; a pair_func
+        # leaves the single-edge hooks alone.
         f = QUOTIENT_WEIGHTS[k]
         law = CustomLaw(f, name="oracle", pair_func=curved_pair)
-        s2_small = min(s2, 30.0)
         assert same_bits(law.weight_dlen(d, s2), quotient_dlen(f, d, s2))
         assert same_bits(law.weight_dtarget(d, s2), quotient_dtarget(f, d, s2))
         assert same_bits(law.weight_dlen2(d, s2), quotient_dlen2(f, d, s2))
-        pair_args = ((min(d, 30.0), d2), (s2_small, s22), s)
-        assert same_bits(
-            law.pair_cross(*pair_args), quotient_pair_cross(curved_pair, *pair_args)
-        )
 
     def test_overflowing_weight_differences_to_nan_without_a_warning(self):
         # The float quotients turned inf - inf into NaN silently; so must the
@@ -529,31 +509,21 @@ class TestResponseVectors:
         b = squared_bundle(BENCHMARK_SQUARED, gain=1.25)
         assert np.array_equal(zdprime_vectors(b, z), -1.25 * z)
 
-    def test_pair_coupling_enters_zprime(self):
+    def test_pair_coupling_is_refused_by_zprime(self):
+        # A pair_func makes a law coupled even when it weighs the pair as
+        # gradient_squared does; the separable law keeps its vectors.
         def pair(d_pair, s2_pair, s):
             return (s2_pair[0] - d_pair[0], s2_pair[1] - d_pair[1])
 
-        def cross_pair(d_pair, s2_pair, s):
-            ea = s2_pair[0] - d_pair[0]
-            eb = s2_pair[1] - d_pair[1]
-            return ea + 0.1 * s2_pair[1] * ea, eb
-
-        plain = CustomLaw(lambda d, s2: s2 - d, name="sep", pair_func=pair)
-        coupled = CustomLaw(lambda d, s2: s2 - d, name="cross", pair_func=cross_pair)
-        rng = np.random.default_rng(7)
-        z = rng.normal(size=(5, 2))
-        b0 = VectorFieldBundle(
-            graph=two_cycles(), law=plain, lengths=TargetLengths(d=BENCHMARK_SQUARED)
+        coupled = VectorFieldBundle(
+            graph=two_cycles(),
+            law=CustomLaw(lambda d, s2: s2 - d, name="cross", pair_func=pair),
+            lengths=TargetLengths(d=BENCHMARK_SQUARED),
         )
-        b1 = VectorFieldBundle(
-            graph=two_cycles(), law=coupled, lengths=TargetLengths(d=BENCHMARK_SQUARED)
-        )
-        zp0 = zprime_vectors(b0, z)
-        zp1 = zprime_vectors(b1, z)
-        # Vertex 1 originates edges 1 and 5; only those rows pick up the
-        # partner term, and the coupled row mixes in the partner edge.
-        assert np.array_equal(zp0[1:4], zp1[1:4])
-        assert not np.allclose(zp0[0], zp1[0])
+        z = np.random.default_rng(7).normal(size=(5, 2))
+        with pytest.raises(FormulaDomainError, match="separable law"):
+            zprime_vectors(coupled, z)
+        assert np.array_equal(zprime_vectors(squared_bundle(BENCHMARK_SQUARED), z), 2.0 * z)
 
 
 class TestJacobianZ:
@@ -685,6 +655,84 @@ class CrossPairLaw(GradientSquaredLaw):
         return cross_pair(d_pair, s2_pair, s)
 
 
+def target_reading_pair(d_pair, s2_pair, s):
+    """u_a = s2_a - d_a, u_b = (s2_b - d_b)(1 + 0.1 d_a): u_b reads d_a."""
+    ea, eb = s2_pair[0] - d_pair[0], s2_pair[1] - d_pair[1]
+    return ea, eb * (1.0 + 0.1 * d_pair[0])
+
+
+def joint_pair(d_pair, s2_pair, s):
+    """u_a = e_a + 0.3 e_b, u_b = e_b - 0.2 e_a: zero only where both errors are."""
+    ea, eb = s2_pair[0] - d_pair[0], s2_pair[1] - d_pair[1]
+    return ea + 0.3 * eb, eb - 0.2 * ea
+
+
+COUPLED_LAWS = {
+    "doubled": DoubledPairLaw,
+    "cross": CrossPairLaw,
+    "target_reading": lambda: CustomLaw(lambda d, s2: s2 - d, pair_func=target_reading_pair),
+    "joint": lambda: CustomLaw(lambda d, s2: s2 - d, pair_func=joint_pair),
+}
+RULE_LAWS = {
+    **COUPLED_LAWS, **{name: lambda name=name: builtin_law(name) for name in BUILTIN_LAW_NAMES}
+}
+
+
+def spectrum_gap(fw, z, b):
+    """Relative gap between jacobian_z's 5 nonzero eigenvalues and the gauge spectrum."""
+    full = np.array(eigenvalues(jacobian_z(b, z)).values)
+    nonzero = np.sort_complex(full[np.argsort(np.abs(full))[5:]])
+    gauge = np.sort_complex(np.array(gauge_fixed_spectrum(b, fw).values))
+    return float(np.max(np.abs(nonzero - gauge))) / float(np.max(np.abs(gauge)))
+
+
+def target_gap(fw, z, b):
+    """Relative gap between jacobian_d and the x-form's differences in the targets."""
+    conv, x = b.lengths.convention, fw.x.ravel()
+    in_x = fd_jacobian(lambda v: eval_F_x(b.with_lengths(TargetLengths(v, conv)), x), b.lengths.d)
+    expected = kron_I2(mixed_adjacency(b.graph)) @ in_x
+    return float(np.max(np.abs(jacobian_d(b, z) - expected))) / float(np.max(np.abs(expected)))
+
+
+class WeightOnlyLaw(ControlLaw):
+    """A law that writes ``weight`` and no derivative hook."""
+
+    name = "weight_only"
+
+    def weight(self, d, s2):
+        return QUOTIENT_WEIGHTS[0](d, s2)
+
+
+class TestDerivativeRule:
+    """A law's closed-form hook where it writes one, else a finite difference."""
+
+    @pytest.mark.parametrize("name", sorted(RULE_LAWS))
+    def test_jacobian_z_holds_the_gauge_spectrum(self, name):
+        rng = np.random.default_rng(20)
+        for _ in range(10):
+            assert spectrum_gap(*random_design_point(rng, RULE_LAWS[name]())) <= 1e-7
+
+    @pytest.mark.parametrize("name", sorted(RULE_LAWS))
+    def test_jacobian_d_matches_the_x_form_in_the_targets(self, name):
+        rng = np.random.default_rng(22)
+        for _ in range(10):
+            assert target_gap(*random_design_point(rng, RULE_LAWS[name]())) <= 1e-7
+
+    @pytest.mark.parametrize("name", sorted(COUPLED_LAWS))
+    def test_response_vectors_refuse_a_coupled_law(self, name):
+        _, z, b = random_design_point(np.random.default_rng(23), COUPLED_LAWS[name]())
+        for route in (zprime_vectors, zdprime_vectors, reduced_J):
+            with pytest.raises(FormulaDomainError, match="separable law"):
+                route(b, z)
+
+    @settings(max_examples=60, deadline=None)
+    @given(d=st.floats(1e-3, 1e3), s2=st.floats(1e-3, 1e3))
+    def test_unwritten_hooks_are_custom_law_differences(self, d, s2):
+        law, custom = WeightOnlyLaw(), CustomLaw(QUOTIENT_WEIGHTS[0])
+        for hook in ("weight_dlen", "weight_dtarget", "weight_dlen2"):
+            assert same_bits(getattr(law, hook)(d, s2), getattr(custom, hook)(d, s2))
+
+
 class TestCoupling:
     def test_a_subclass_cannot_define_separable(self):
         with pytest.raises(ConfigurationError, match="DeclaredSeparable defines separable"):
@@ -693,21 +741,16 @@ class TestCoupling:
                 separable = True
 
     def test_a_coupled_subclass_differences_its_pair_weights(self):
-        # Without its own pair_cross, a subclass that replaces pair_weights
-        # gets the cross derivatives a CustomLaw with the same pair gets.
-        d = TargetLengths(d=(1.0, 5.0, 4.0, 8.0, 4.0))
-        sub = VectorFieldBundle(graph=two_cycles(), law=CrossPairLaw(), lengths=d)
+        # A subclass that replaces pair_weights gets the field's finite
+        # differences, as a CustomLaw with the same pair does.
+        _, z, sub = random_design_point(np.random.default_rng(4), CrossPairLaw())
         custom = VectorFieldBundle(
             graph=two_cycles(),
             law=CustomLaw(lambda d, s2: s2 - d, pair_func=cross_pair),
-            lengths=d,
+            lengths=sub.lengths,
         )
-        pair_args = ((1.0, 4.0), (2.3, 3.1), 0.4)
-        assert sub.law.pair_cross(*pair_args) == custom.law.pair_cross(*pair_args)
-        assert sub.law.pair_cross(*pair_args) == pytest.approx((0.13, 0.18), abs=1e-8)
-        x = np.random.default_rng(4).normal(size=(4, 2))
-        z = edge_vectors(Framework(graph=two_cycles(), x=x))
-        assert np.max(np.abs(reduced_J(sub, z) - reduced_J(custom, z))) <= 1e-8
+        assert np.array_equal(jacobian_z(sub, z), jacobian_z(custom, z))
+        assert np.array_equal(jacobian_d(sub, z), jacobian_d(custom, z))
 
     def test_a_law_that_replaces_pair_weights_is_coupled(self):
         law = DoubledPairLaw()

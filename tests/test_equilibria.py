@@ -460,7 +460,7 @@ class TestAlignedJacobian:
             lengths=TargetLengths(d=BENCHMARK_SQUARED, convention=law.convention),
         )
         d = b.lengths.as_array()
-        system = _aligned_system(law, d, a, bb, sigma)
+        system = _aligned_system(law, d, a, bb)
         assume(system is not None)
         res, jac = system
         # Straight from the parameters, the residual keeps the rounding of
@@ -495,7 +495,7 @@ class TestAlignedJacobian:
             graph=two_cycles(), law=law, lengths=TargetLengths(d=BENCHMARK_SQUARED)
         )
         d = b.lengths.as_array()
-        system = _aligned_system(law, d, a, bb, sigma)
+        system = _aligned_system(law, d, a, bb)
         assume(system is not None)
         res, jac = system
         assert np.array_equal(res, aligned_residual(b, d, a, bb, sigma))
@@ -508,7 +508,7 @@ class TestAlignedJacobian:
         b = benchmark_bundle()
         d = b.lengths.as_array()
         assert np.isnan(aligned_residual(b, d, 0.1, 1.0, 1.0)).all()
-        assert _aligned_system(b.law, d, 0.1, 1.0, 1.0) is None
+        assert _aligned_system(b.law, d, 0.1, 1.0) is None
 
 
 @pytest.fixture(scope="module")
