@@ -303,36 +303,24 @@ def _yesno(v):
     return "yes" if v else "no"
 
 
-def _write_csv(path, header, rows):
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(header)
-        writer.writerows(rows)
-
-
-def _records_out(path, records):
-    """Write records sorted by kind, then leading eigenvalue; returns their table."""
+def _records_table(records):
+    """Records sorted by kind, then leading eigenvalue: their CSV table and report lines."""
 
     def key(r):
         eigs = tuple((v.real, v.imag) for v in r.spectrum_gauge.values)
-        pos = tuple(r.framework.x.ravel()) if r.framework is not None else ()
-        return (r.kind, r.leading_real, eigs, pos)
+        return (r.kind, r.leading_real, eigs, tuple(r.framework.x.ravel()))
 
     rows = sorted(records, key=key)
-    _write_csv(
-        path,
-        ["kind", "stable", "index", "eigenvalues", "positions"],
+    table = [
         [
-            [
-                r.kind,
-                _bool_cell(r.stable),
-                "" if r.index is None else str(r.index),
-                _eig_cell(r.spectrum_gauge.values),
-                _positions_cell(r.framework.x) if r.framework is not None else "",
-            ]
-            for r in rows
-        ],
-    )
+            r.kind,
+            _bool_cell(r.stable),
+            "" if r.index is None else str(r.index),
+            _eig_cell(r.spectrum_gauge.values),
+            _positions_cell(r.framework.x),
+        ]
+        for r in rows
+    ]
     lines = [
         f"equilibria: {len(rows)}",
         "kind                 stable  index  leading      eigenvalues",
@@ -344,21 +332,23 @@ def _records_out(path, records):
             f"{r.kind:<20} {_yesno(r.stable):<7} {index:<6} "
             f"{_fmt(r.leading_real):<12} {eigs}"
         )
-    return lines
+    return ["kind", "stable", "index", "eigenvalues", "positions"], table, lines
 
 
-# Each runner writes its experiment's CSV into ``out`` and returns its
-# report lines; ``tol`` is the --tol override or None.
+# Each runner computes its experiment and returns the CSV header, the CSV
+# rows and the report lines; run_scenario writes them. ``tol`` is the
+# --tol override or None.
 
 
-def _run_census(sc, bundle, out, tol):
+def _run_census(sc, bundle, tol):
     report = census(
         bundle,
         n_random=_param(sc, "n_random"),
         seed=sc.seed,
         dedupe_tol=tol if tol is not None else _param(sc, "dedupe_tol"),
     )
-    return _records_out(out / "census.csv", report.records) + [
+    header, rows, lines = _records_table(report.records)
+    return header, rows, lines + [
         f"dropped seeds: {report.dropped_seeds}",
         f"feasible: {_yesno(report.feasible)}",
         f"almost surely stable: {_yesno(report.almost_surely_stable)}",
@@ -366,13 +356,13 @@ def _run_census(sc, bundle, out, tol):
     ]
 
 
-def _run_spectrum(sc, bundle, out, tol):
+def _run_spectrum(sc, bundle, tol):
     records = [
         equilibrium_record(bundle, fw)
         for fw in realize_two_cycles(bundle.graph, bundle.lengths)
     ]
     records.extend(solve_ancillary_aligned(bundle))
-    return _records_out(out / "spectrum.csv", records)
+    return _records_table(records)
 
 
 def _sweep_lines(points):
@@ -404,7 +394,7 @@ def _sweep_lines(points):
     return lines
 
 
-def _run_sweep(sc, bundle, out, tol):
+def _run_sweep(sc, bundle, tol):
     mu_edge = _param(sc, "mu_edge") - 1
     points = mu_sweep(
         bundle, eps=_param(sc, "eps"), samples=_param(sc, "samples"), mu_edge=mu_edge
@@ -420,11 +410,10 @@ def _run_sweep(sc, bundle, out, tol):
         )
     header = ["mu", "branch", "leading_real", "stable"]
     header += [f"e{i + 1}" for i in range(bundle.graph.m)] + ["positions"]
-    _write_csv(out / "sweep.csv", header, rows)
-    return _sweep_lines(points)
+    return header, rows, _sweep_lines(points)
 
 
-def _run_sotomayor(sc, bundle, out, tol):
+def _run_sotomayor(sc, bundle, tol):
     if bundle.graph != two_cycles():
         raise ConfigurationError("the sotomayor experiment is specific to the two-cycles graph")
     witnesses = singular_witnesses(bundle.lengths)
@@ -437,20 +426,17 @@ def _run_sotomayor(sc, bundle, out, tol):
     report = sotomayor_at_witness(
         bundle, witnesses[0], mu_edge=_param(sc, "mu_edge") - 1, **kwargs
     )
-    _write_csv(
-        out / "sotomayor.csv",
-        [
-            "t_mu", "t_quad", "t_mixed", "verdict", "zero_eig_unique",
-            "others_negative", "degenerate", "fmu_norm", "slice_spectrum",
-        ],
-        [[
-            _num(report.t_mu), _num(report.t_quad), _num(report.t_mixed),
-            _bool_cell(report.verdict), _bool_cell(report.zero_eig_unique),
-            _bool_cell(report.others_negative), _bool_cell(report.degenerate),
-            _num(report.fmu_norm), _eig_cell(report.slice_spectrum.values),
-        ]],
-    )
-    return [
+    header = [
+        "t_mu", "t_quad", "t_mixed", "verdict", "zero_eig_unique",
+        "others_negative", "degenerate", "fmu_norm", "slice_spectrum",
+    ]
+    row = [
+        _num(report.t_mu), _num(report.t_quad), _num(report.t_mixed),
+        _bool_cell(report.verdict), _bool_cell(report.zero_eig_unique),
+        _bool_cell(report.others_negative), _bool_cell(report.degenerate),
+        _num(report.fmu_norm), _eig_cell(report.slice_spectrum.values),
+    ]
+    return header, [row], [
         f"zero eigenvalue unique: {_yesno(report.zero_eig_unique)}",
         f"other eigenvalues negative: {_yesno(report.others_negative)}",
         f"degenerate: {_yesno(report.degenerate)}",
@@ -462,7 +448,7 @@ def _run_sotomayor(sc, bundle, out, tol):
     ]
 
 
-def _run_simulate(sc, bundle, out, tol):
+def _run_simulate(sc, bundle, tol):
     t_end = _param(sc, "t_end")
     step = _param(sc, "step")
     stride = _param(sc, "stride")
@@ -488,20 +474,19 @@ def _run_simulate(sc, bundle, out, tol):
     for i in range(bundle.graph.n):
         header += [f"x{i + 1}", f"y{i + 1}"]
     header += [f"e{i + 1}" for i in range(bundle.graph.m)]
-    _write_csv(out / "simulate.csv", header, rows)
 
     final = Framework(graph=bundle.graph, x=traj.final_state.reshape(bundle.graph.n, 2))
-    return [
+    return header, rows, [
         f"t_end: {_fmt(t_end)}  step: {_fmt(step)}",
         f"final residual: {_fmt(traj.final_residual)}",
-        "final edge errors: "
-        + ", ".join(_fmt(e) for e in edge_errors(final, bundle.lengths)),
+        # the stride keeps the last state, so the last row's errors are the final ones
+        "final edge errors: " + ", ".join(_fmt(e) for e in errors[-1]),
         f"settled: {_yesno(traj.final_residual <= 1e-6)}",
         f"final kind: {classify_kind(bundle, final)}",
     ]
 
 
-def _run_rigidity(sc, bundle, out, tol):
+def _run_rigidity(sc, bundle, tol):
     fw = realize_two_cycles(bundle.graph, bundle.lengths)[0]
     r = rigidity_matrix(fw)
     rows = r.shape[0]
@@ -509,18 +494,15 @@ def _run_rigidity(sc, bundle, out, tol):
     rank = rank_tol(r, rank_tolerance)
     rigid = is_infinitesimally_rigid(fw, rank_tolerance)
     minimal = is_minimally_rigid(fw, rank_tolerance)
-    _write_csv(
-        out / "rigidity.csv",
-        ["rank", "rows", "infinitesimally_rigid", "minimally_rigid"],
-        [[str(rank), str(rows), _bool_cell(rigid), _bool_cell(minimal)]],
-    )
+    header = ["rank", "rows", "infinitesimally_rigid", "minimally_rigid"]
+    row = [str(rank), str(rows), _bool_cell(rigid), _bool_cell(minimal)]
     if not rigid:
         quals = "not infinitesimally rigid"
     elif minimal:
         quals = "infinitesimally rigid, minimally rigid"
     else:
         quals = "infinitesimally rigid, not minimally rigid"
-    return [f"rank {rank} of {rows} ({quals})"]
+    return header, [row], [f"rank {rank} of {rows} ({quals})"]
 
 
 _RUNNERS = {
@@ -536,10 +518,11 @@ _RUNNERS = {
 def run_scenario(path, out_dir=None, seed=None, tol=None):
     """Run one scenario file; returns the process exit status.
 
-    Artifacts are written to ``out_dir``, the scenario's ``out`` field, or
-    the working directory, in that precedence. The report, the scenario
-    header followed by the experiment's lines, is printed to stdout and
-    saved as report.txt next to the CSV artifacts.
+    The experiment's table is written as ``<kind>.csv`` to ``out_dir``,
+    the scenario's ``out`` field, or the working directory, in that
+    precedence. The report, the scenario header followed by the
+    experiment's lines, is printed to stdout and saved as report.txt next
+    to the CSV.
     """
     try:
         if tol is not None and not 0 < tol < math.inf:
@@ -555,7 +538,11 @@ def run_scenario(path, out_dir=None, seed=None, tol=None):
             out.mkdir(parents=True, exist_ok=True)
         except OSError as exc:
             raise ScenarioError(f"cannot create output directory: {exc}")
-        lines = _RUNNERS[sc.experiment](sc, bundle, out, tol)
+        header, rows, lines = _RUNNERS[sc.experiment](sc, bundle, tol)
+        with open(out / f"{sc.experiment}.csv", "w", newline="") as fh:
+            writer = csv.writer(fh, lineterminator="\n")
+            writer.writerow(header)
+            writer.writerows(rows)
         text = "\n".join([
             f"scenario: {sc.name}",
             f"experiment: {sc.experiment}",
@@ -595,10 +582,7 @@ def main(argv=None):
         "(census dedupe, rigidity rank, sotomayor nondegeneracy)",
     )
     args = parser.parse_args(argv)
-    if args.command == "run":
-        return run_scenario(args.scenario, out_dir=args.out, seed=args.seed, tol=args.tol)
-    parser.error(f"unknown command {args.command!r}")
-    return 2
+    return run_scenario(args.scenario, out_dir=args.out, seed=args.seed, tol=args.tol)
 
 
 if __name__ == "__main__":

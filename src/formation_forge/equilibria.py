@@ -217,12 +217,18 @@ def classify_kind(b: VectorFieldBundle, f: Framework):
 
 
 def equilibrium_record(b: VectorFieldBundle, f: Framework):
-    """Classify an equilibrium and attach its gauge-fixed spectrum and index."""
+    """Classify an equilibrium and attach its gauge-fixed spectrum and index.
+
+    The index of a hyperbolic equilibrium is the sign of the gauge
+    matrix's determinant, read off its spectrum: conjugate pairs multiply
+    to a positive number, so the sign is -1 to the number of real
+    negative eigenvalues.
+    """
     m, residual = _gauge_jacobian(b, f)
     spec = eigenvalues(m)
     if spec.is_hyperbolic(TOL_ZERO):
-        sign, _ = np.linalg.slogdet(m)
-        index = int(round(sign))
+        negative = sum(1 for v in spec.values if v.imag == 0.0 and v.real < 0.0)
+        index = (-1) ** negative
     else:
         index = None
     return EquilibriumRecord(

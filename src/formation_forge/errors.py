@@ -17,7 +17,7 @@ class FormationForgeError(Exception):
 
 
 class DimensionError(FormationForgeError):
-    """A matrix or vector has the wrong shape or an unsupported size."""
+    """A matrix or vector has the wrong shape or size."""
 
     code = "dimension"
     exit_status = 2

@@ -25,7 +25,6 @@ from .errors import (
     DimensionError,
 )
 
-MAX_DIM = 64
 DEFAULT_RANK_TOL = 1e-9
 FD_STEP = 1e-6  # central-difference step of fd_jacobian, scaled by the coordinate
 FD_SECOND_STEP = 1e-4  # step of fd_second_directional, scaled by the largest coordinate
@@ -110,15 +109,14 @@ def _as_matrix(m):
 
 
 def eigenvalues(m):
-    """All eigenvalues of a square matrix, as a :class:`Spectrum`."""
+    """All eigenvalues of a square matrix of any size, as a :class:`Spectrum`.
+
+    A 0 x 0 matrix has the empty spectrum.
+    """
     a = _as_matrix(m)
     rows, cols = a.shape
     if rows != cols:
         raise DimensionError(f"eigenvalues requires a square matrix, got {rows}x{cols}")
-    if rows > MAX_DIM:
-        raise DimensionError(f"matrix dimension {rows} exceeds the supported {MAX_DIM}")
-    if rows == 0:
-        return Spectrum(())
     return Spectrum.from_values(np.linalg.eigvals(a))
 
 

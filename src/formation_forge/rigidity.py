@@ -188,7 +188,10 @@ def _circle_intersection_height(center_dist, r_near, r_far, edge_names):
     Centers sit ``center_dist`` apart on a local axis; the first circle has
     radius ``r_near`` about the axis origin and the second radius ``r_far``
     about the far center. Raises when the circles do not meet, naming the
-    edge triple whose triangle inequality failed.
+    edge triple whose triangle inequality failed. A triangle flat within
+    the rounding tolerance, whose abscissa overshoots ``r_near``, puts the
+    apex on the axis at distance ``r_near`` on the abscissa's side, so the
+    near edge keeps its length.
     """
     alpha = (center_dist**2 + r_near**2 - r_far**2) / (2.0 * center_dist)
     beta_sq = r_near**2 - alpha**2
@@ -199,7 +202,9 @@ def _circle_intersection_height(center_dist, r_near, r_far, edge_names):
             f"circles of radii {r_near:.6g} and {r_far:.6g} with centers "
             f"{center_dist:.6g} apart do not intersect"
         )
-    return alpha, math.sqrt(max(beta_sq, 0.0))
+    if beta_sq < 0.0:
+        return math.copysign(r_near, alpha), 0.0
+    return alpha, math.sqrt(beta_sq)
 
 
 def realize_two_cycles(graph: FormationGraph, lengths: TargetLengths):

@@ -672,6 +672,14 @@ CLI_OUTPUT_SHA256 = {
         "census.csv": "86808b7b34082ca61e72897be3d6e4dd3fd03b42d8b82d698c321aa589314cbf",
         "report.txt": "22660183cbe3d92f6e436af93c25aa88ec4d71eead151a57652523d3d467c1a0",
     },
+    ("fig2.json", "rigidity"): {
+        "report.txt": "e0c01ac9b12745e53e87c2b917a2a56f0f6537fb86e58564f6c2bb4d3242a030",
+        "rigidity.csv": "a426aaa6109fb6068407b00a645b70a433eab4c77732a1acce557c76ba237c0f",
+    },
+    ("fig2.json", "simulate"): {
+        "report.txt": "ed2d5d70cac46cdb09476a70d94ad548fcc0163a6aadf282c68fc842f67645bc",
+        "simulate.csv": "79faeabef5dcf69837ebb09c8bd544490b620b5129229bcae76ccea6d5812d66",
+    },
     ("fig2.json", "spectrum"): {
         "report.txt": "df2cbf6fc19abddcb6d9e0899d0d0c3fe24c6fd46f5232f36975cb16b833ff8f",
         "spectrum.csv": "f7cab7148454a09f81ee6ff22b0db0a7040c72ea8731a0958995d53ffd7403ab",

@@ -39,12 +39,11 @@ from formation_forge.equilibria import (
     solve_ancillary_aligned,
 )
 from formation_forge.errors import (
-    FormationForgeError,
     FormulaDomainError,
     InfeasibleLengthsError,
     SingularityError,
 )
-from formation_forge.graph import two_cycles
+from formation_forge.graph import FormationGraph, two_cycles
 from formation_forge.numkernel import eigenvalues, fd_jacobian
 from formation_forge.rigidity import (
     Framework,
@@ -168,6 +167,9 @@ class TestCanonicalGauge:
     @given(points=st.lists(st.floats(-5.0, 5.0), min_size=8, max_size=8))
     # all four agents on a line: the realizer once put a -0.0 where the gauge has 0.0
     @example(points=[0.0, 0.0, 0.5, 0.0, -0.5, 0.0, 0.5, 0.0])
+    # agent 3 within 6e-16 of agent 1: a triangle flat within rounding, whose
+    # clamped apex must still sit at its length
+    @example(points=[0.0, 0.0, 1.0, 1.0, 3.9e-16, 3.9e-16, 0.0, 1.0])
     def test_realizations_are_fixed_points_byte_for_byte(self, points):
         # The sweep's design step relies on this and does not re-gauge them.
         # canonical_gauge's axis is the first edge longer than 1e-12, the
@@ -177,7 +179,7 @@ class TestCanonicalGauge:
         assume(min(d) > 0.0 and d[0] > 1e-24)
         try:
             frameworks = realize_two_cycles(two_cycles(), TargetLengths(d=d))
-        except FormationForgeError:  # refused: a flat triangle or a failed verification
+        except InfeasibleLengthsError:  # refused: a triangle that does not close
             assume(False)
         for fw in frameworks:
             assert canonical_gauge(fw).x.tobytes() == fw.x.tobytes()
@@ -253,6 +255,31 @@ class TestPoincareIndex:
             expected = -1 if spec.is_stable(0.0) else 1
             assert poincare_index(b, fw) == expected
 
+    @pytest.mark.parametrize("law_name", ("gradient_squared", "gradient_plain", "eq1_plain"))
+    def test_index_from_the_spectrum_matches_the_determinant_sign(self, law_name):
+        # The record reads the index off its spectrum; slogdet's sign of the
+        # same gauge matrix is the oracle: fig2's census under the two
+        # gradient laws, then seeded random target sets under every law.
+        law = builtin_law(law_name)
+        bundles = [fig2_bundle(law_name)] if law_name != "eq1_plain" else []
+        rng = np.random.default_rng(5)
+        for _ in range(4):
+            d = tuple(rng.uniform(0.25, 40.0, 5))
+            lengths = TargetLengths(d=d, convention=law.convention)
+            bundles.append(VectorFieldBundle(graph=two_cycles(), law=law, lengths=lengths))
+        seen = set()
+        for b in bundles:
+            for rec in census(b, n_random=20, seed=7).records:
+                x = rec.framework.x
+                basis = gauge_slice_basis(x)
+                m = basis.T @ fd_jacobian(b.flow, x.ravel()) @ basis
+                assert eigenvalues(m) == rec.spectrum_gauge
+                if rec.index is not None:
+                    sign, _ = np.linalg.slogdet(m)
+                    assert rec.index == int(sign)
+                    seen.add(rec.index)
+        assert seen == {-1, 1}
+
     def test_undefined_at_a_singular_witness(self):
         out = make_singular_lengths(1.0, 5.0, 4.0, 2.0)
         b = benchmark_bundle().with_lengths(out.lengths)
@@ -306,8 +333,6 @@ class TestAlignedSolver:
         assert leads == [-1.7676, -0.5983]
 
     def test_aligned_only_supports_two_cycles(self):
-        from formation_forge.graph import FormationGraph
-
         g = FormationGraph(n=3, edges=((0, 1), (1, 2), (2, 0)))
         b = VectorFieldBundle(
             graph=g,
@@ -590,6 +615,15 @@ class TestCensus:
                 chebyshev(partners[0].spectrum_gauge.values, rec.spectrum_gauge.values)
                 <= 1e-8
             )
+
+    def test_a_34_agent_chain_runs(self):
+        # 68 coordinates less 3 rigid directions: a 65 x 65 gauge matrix,
+        # which no size cap may refuse
+        g = FormationGraph(n=34, edges=tuple((k + 1, k) for k in range(33)))
+        b = VectorFieldBundle(
+            graph=g, law=builtin_law("gradient_squared"), lengths=TargetLengths(d=(1.0,) * 33)
+        )
+        assert census(b, n_random=3, seed=0).records
 
 
 # The plain lengths of the bundled fig2.json census, in its edge order.

@@ -131,9 +131,10 @@ class TestEigenvalues:
         with pytest.raises(DimensionError):
             eigenvalues(np.ones((2, 3)))
 
-    def test_rejects_oversized(self):
-        with pytest.raises(DimensionError):
-            eigenvalues(np.eye(65))
+    def test_takes_matrices_of_any_size(self):
+        # no size cap: a 34-agent census needs a 65 x 65 gauge matrix
+        spec = eigenvalues(np.diag(np.arange(1.0, 66.0)))
+        assert spec.values == tuple(complex(v) for v in range(65, 0, -1))
 
 
 class TestSpectrum:
