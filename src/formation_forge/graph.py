@@ -15,7 +15,7 @@ from itertools import permutations
 import numpy as np
 
 from .errors import ConfigurationError
-from .numkernel import kron_I2, left_nullspace
+from .numkernel import kron_I2, left_nullspace, rk4_loop
 
 
 @dataclass(frozen=True)
@@ -117,44 +117,60 @@ def _sum_source(terms, sign):
 def _kernel_source(g, by_origin):
     """The float flow kernel of ``g`` as Python source, written out edge by edge.
 
-    ``gather(xs)`` returns the flat edge vectors ``z`` of a list of 2n
-    coordinates, and ``scatter(u, z)`` adds each ``u_k z_k`` into its
-    origin agent in edge order from 0.0. ``bind(weight, pair_weights,
-    weight_dlen, d)`` returns three functions bound to a law and targets.
-    ``weights(z)`` makes one ``weight`` call per edge, but a coupled law's
-    ``pair_weights`` (None if separable) weighs each two-coleader pair at
-    its float inner product. ``flow(xs)`` is the gather list, those weight
-    lines and the scatter sums in one straight-line function, so it equals
-    ``scatter(weights(z), z)`` at ``z = gather(xs)`` bit for bit without a
-    nested call. ``jacobian(xs)``, None if coupled, starts from ``gather``
-    and ``weights``: edge ``k`` from ``o`` to ``t`` adds
-    ``M_k = u_k I + 2 u'_k z_k z_k^T`` at block ``(o, t)`` and subtracts it
-    at block ``(o, o)``, each entry summed in edge order from 0.0. Each
-    expression is written once, in one list that every function using it
-    is written from. The text holds integer indices and fixed names only.
+    Returns the source and the flow as a ``field(xs, out)`` of
+    :func:`~.numkernel.rk4_loop`. ``gather(xs)`` returns the flat edge
+    vectors ``z`` of a list of 2n coordinates, and ``scatter(u, z)`` adds
+    each ``u_k z_k`` into its origin agent in edge order from 0.0.
+    ``bind(weight, pair_weights, weight_dlen, d)`` returns three functions
+    bound to a law and targets. ``weights(z)`` makes one ``weight`` call
+    per edge, but a coupled law's ``pair_weights`` (None if separable)
+    weighs each two-coleader pair at its float inner product. ``flow(xs)``
+    is the gather lines, those weight lines and the scatter sums in one
+    straight-line function, so it equals ``scatter(weights(z), z)`` at
+    ``z = gather(xs)`` bit for bit without a nested call. ``field`` writes
+    the same three parts on named coordinates, and ``bind`` sets
+    ``flow.rk4_loop`` to the RK4 loop with them inlined, bound to the
+    law's hooks and targets: the kernel's global ``integrate``, which
+    :func:`graph_matrices` compiles on its first call. ``jacobian(xs)``,
+    None if coupled, starts from ``gather`` and ``weights``: edge ``k``
+    from ``o`` to ``t`` adds ``M_k = u_k I + 2 u'_k z_k z_k^T`` at block
+    ``(o, t)`` and subtracts it at block ``(o, o)``, each entry summed in
+    edge order from 0.0. Each expression is written once, in one list that
+    every function using it is written from. The text holds integer
+    indices and fixed names only.
     """
     n2 = 2 * g.n
-    z = [f"xs[{2 * t + c}] - xs[{2 * o + c}]" for o, t in g.edges for c in (0, 1)]
+
+    def gather(xs):
+        return [f"{xs[2 * t + c]} - {xs[2 * o + c]}" for o, t in g.edges for c in (0, 1)]
+
     xdot = [
-        _sum_source([f"u{k} * z[{2 * k + c}]" for k in by_origin.get(a, ())], "+")
+        _sum_source([f"u{k} * z{2 * k + c}" for k in by_origin.get(a, ())], "+")
         for a in range(g.n)
         for c in (0, 1)
     ]
 
     def s2(k):
-        return f"z[{2 * k}] * z[{2 * k}] + z[{2 * k + 1}] * z[{2 * k + 1}]"
+        return f"z{2 * k} * z{2 * k} + z{2 * k + 1} * z{2 * k + 1}"
 
     each = [f"weight(d[{k}], {s2(k)})" for k in range(g.m)]
     weighs = [f"u{ks[0]} = {each[ks[0]]}" for ks in by_origin.values() if len(ks) == 1]
     for i, j in (ks for ks in by_origin.values() if len(ks) == 2):
-        inner = f"z[{2 * i}] * z[{2 * j}] + z[{2 * i + 1}] * z[{2 * j + 1}]"
+        inner = f"z{2 * i} * z{2 * j} + z{2 * i + 1} * z{2 * j + 1}"
         weighs.append(
             f"u{i}, u{j} = ({each[i]}, {each[j]}) if pair_weights is None else "
             f"pair_weights((d[{i}], d[{j}]), ({s2(i)}, {s2(j)}), {inner})"
         )
 
+    def weighed(xs):
+        return [f"z{j} = {zj}" for j, zj in enumerate(gather(xs))] + weighs
+
+    def field(xs, out):
+        return weighed(xs) + [f"{v} = {vdot}" for v, vdot in zip(out, xdot)]
+
     edges = range(g.m)
     u, xy = ", ".join(f"u{k}" for k in edges), ", ".join(f"x{k}, y{k}" for k in edges)
+    z = ", ".join(f"z{j}" for j in range(2 * g.m))
     jac = ["z = gather(xs)", f"[{xy}] = z", f"[{u}] = weights(z)"]
     jac += [f"q{k} = x{k} * x{k} + y{k} * y{k}" for k in edges]
     jac += [f"w{k} = 2.0 * (0.0 if q{k} == 0.0 else weight_dlen(d[{k}], q{k}))" for k in edges]
@@ -175,37 +191,44 @@ def _kernel_source(g, by_origin):
                 diagonal.setdefault(row + 2 * o + c, []).append(entries[2 * r + c])
     jac += [f"jac[{at}] = {_sum_source(terms, '-')}" for at, terms in diagonal.items()]
 
+    xs = [f"xs[{i}]" for i in range(n2)]
     body = "\n        ".join
-    return f"""\
+    source = f"""\
 def gather(xs):
-    return [{", ".join(z)}]
+    return [{", ".join(gather(xs))}]
 
 
 def scatter(u, z):
     [{u}] = u
+    [{z}] = z
     return [{", ".join(xdot)}]
 
 
 def bind(weight, pair_weights, weight_dlen, d):
     def weights(z):
+        [{z}] = z
         {body(weighs)}
         return [{u}]
 
     def flow(xs):
-        z = [{", ".join(z)}]
-        {body(weighs)}
+        {body(weighed(xs))}
         return [{", ".join(xdot)}]
+
+    def rk4_loop(x, k1, plan, times, store):
+        return integrate(weight, pair_weights, d, x, k1, plan, times, store)
 
     def jacobian(xs):
         {body(jac)}
         return jac
 
+    flow.rk4_loop = rk4_loop
     return {{
         "weights": weights,
         "flow": flow,
         "jacobian": jacobian if pair_weights is None else None,
     }}
 """
+    return source, field
 
 
 @lru_cache(maxsize=32)
@@ -219,14 +242,24 @@ def graph_matrices(g: FormationGraph):
     and targets with ``bind``, whose ``flow`` is the bundle's flow, and
     :func:`~.dynamics.eval_F_x` composes ``gather`` and ``scatter`` around
     :func:`~.dynamics.edge_weights` as they are. Binding compiles nothing.
-    The arrays are read-only because every caller of the graph shares them.
+    The flow's RK4 loop, :func:`~.numkernel.rk4_loop` with the flow's
+    lines inlined, is compiled into the same namespace on the first
+    integration with any bundle of ``g``, so a process that never
+    integrates never compiles it. The arrays are read-only because every
+    caller of the graph shares them.
     """
     edge_adj = edge_adjacency(g)
     by_origin = {}
     for k, (o, _) in enumerate(g.edges):
         by_origin.setdefault(o, []).append(k)
-    kernel = {}
-    exec(compile(_kernel_source(g, by_origin), "<flow kernel>", "exec"), kernel)
+    source, field = _kernel_source(g, by_origin)
+
+    def integrate(*run):  # replaces itself with the compiled loop on the first run
+        kernel["integrate"] = rk4_loop(2 * g.n, "weight, pair_weights, d", field)
+        return kernel["integrate"](*run)
+
+    kernel = {"integrate": integrate}
+    exec(compile(source, "<flow kernel>", "exec"), kernel)
     mats = {
         "edge_adj": edge_adj,
         "edge_adj2": kron_I2(edge_adj),

@@ -12,9 +12,9 @@ fixed-step integrator whose output is bit-reproducible.
 from __future__ import annotations
 
 import math
-import sys
+import struct
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import lru_cache, partial
 
 import numpy as np
 
@@ -258,33 +258,70 @@ class Trajectory:
         return self.states[-1]
 
 
-@lru_cache(maxsize=16)
-def _rk4_step(n):
-    """The classical RK4 step on ``n`` floats, compiled from straight-line source.
+def rk4_loop(n, params, field):
+    """The classical RK4 integration loop on ``n`` floats, compiled around ``field``.
 
-    ``step(f, x, k1, h)`` unpacks the state ``x`` and its field value ``k1``
-    into locals, makes the three further ``f`` calls on literal lists and
-    returns the next state as a list, each coordinate in the parenthesization
-    ``a + h/6 * (((p + 2q) + 2r) + w)``. The text holds integer indices and
-    fixed names only, and reads no global.
+    ``field(xs, out)`` writes the field as lines of source that read the
+    ``n`` local names ``xs`` and assign its value to the names ``out``.
+    Those lines may read the names in ``params`` and assign any local the
+    loop leaves alone: the loop's own are ``a``, ``p``, ``q``, ``r``,
+    ``s`` and ``w`` followed by an index, and ``x``, ``k1``, ``plan``,
+    ``times``, ``store``, ``t``, ``h``, ``half``, ``sixth``, ``i`` and
+    ``rows``. The loop is compiled into
+    ``integrate(<params>, x, k1, plan, times, store)``. It unpacks the
+    state ``x`` and its field value ``k1`` into locals and, for each
+    ``(h, rows)`` of ``plan``, takes one step of size ``h`` per row index
+    ``i`` in ``rows``. Each stage assigns its input, ``a + half*p`` (or
+    ``a + h*r``) per coordinate, to locals and runs the field lines on
+    them; the new state is ``a + h/6 * (((p + 2q) + 2r) + w)``. After a
+    step, ``t`` is advanced by ``h`` and written to ``times[i]``, the state
+    goes to ``store(8 n i, *state)``, which packs it into row ``i`` of the
+    states, and the field runs once at the new state for the next step's
+    first stage. A state that is not finite ends the loop with
+    ``(t, None)`` before it is stored; otherwise the loop returns ``t``
+    and the field value at the last state, as a list. The text holds
+    integer indices and fixed names only, and reads no global.
     """
+    a, p, q, r, s, w = ([f"{c}{i}" for i in range(n)] for c in "apqrsw")
 
-    def each(form):
-        return ", ".join(form.format(i=i) for i in range(n))
+    def stage(out, form):
+        inputs = [f"s{i} = {form.format(i=i)}" for i in range(n)]
+        return inputs + field(s, out)
 
+    finite = " + ".join(f"(a{i} - a{i})" for i in range(n)) or "0.0"
+    step = [
+        *stage(q, "a{i} + half * p{i}"),
+        *stage(r, "a{i} + half * q{i}"),
+        *stage(w, "a{i} + h * r{i}"),
+        *(f"a{i} = a{i} + sixth * (((p{i} + 2.0 * q{i}) + 2.0 * r{i}) + w{i})" for i in range(n)),
+        "t += h",
+        f"if {finite} != 0.0:",  # inf - inf and NaN - NaN are NaN
+        "    return t, None",
+        "times[i] = t",
+        f"store({8 * n} * i, {', '.join(a)})",
+        *field(a, p),
+    ]
+    body = "\n            ".join
     source = f"""\
-def step(f, x, k1, h):
-    half, sixth = 0.5 * h, h / 6.0
-    [{each("a{i}")}] = x
-    [{each("p{i}")}] = k1
-    [{each("q{i}")}] = f([{each("a{i} + half * p{i}")}])
-    [{each("r{i}")}] = f([{each("a{i} + half * q{i}")}])
-    [{each("w{i}")}] = f([{each("a{i} + h * r{i}")}])
-    return [{each("a{i} + sixth * (((p{i} + 2.0 * q{i}) + 2.0 * r{i}) + w{i})")}]
+def integrate({params}, x, k1, plan, times, store):
+    [{", ".join(a)}] = x
+    [{", ".join(p)}] = k1
+    t = 0.0
+    for h, rows in plan:
+        half, sixth = 0.5 * h, h / 6.0
+        for i in rows:
+            {body(step)}
+    return t, [{", ".join(p)}]
 """
     namespace = {}
-    exec(compile(source, "<rk4 step>", "exec"), namespace)
-    return namespace["step"]
+    exec(compile(source, "<rk4 loop>", "exec"), namespace)
+    return namespace["integrate"]
+
+
+@lru_cache(maxsize=16)
+def _call_loop(n):
+    """:func:`rk4_loop` on ``n`` floats for a field ``f`` called on a list of them."""
+    return rk4_loop(n, "f", lambda xs, out: [f"[{', '.join(out)}] = f([{', '.join(xs)}])"])
 
 
 def integrate_ode(f, x0, t_end, step=1e-3):
@@ -294,21 +331,23 @@ def integrate_ode(f, x0, t_end, step=1e-3):
     trajectories deterministic so they can serve as golden fixtures. The
     state is ``x0`` flattened into a list of Python floats, and ``f`` maps
     such a list to a sequence of as many floats, as the bound
-    :attr:`~.dynamics.VectorFieldBundle.flow` does. Each step is one call
-    of a straight-line RK4 step compiled once per state length (any ``f``
-    will do), so no array and no intermediate list is built between the
-    calls of ``f``; the stages keep the expression order of the array form
-    and its bits. ``f`` is evaluated once per state: the value is the next
-    step's first stage, and at the final state its norm is reported on the
-    result. ``f`` is checked once, at the start: an ``IndexError`` from it,
-    or a value of another length than the state, is a
-    :class:`DimensionError`. A non-finite state aborts with
+    :attr:`~.dynamics.VectorFieldBundle.flow` does. The whole run is one
+    call of a straight-line RK4 loop from :func:`rk4_loop`, which keeps
+    the state and the stages in locals from step to step; the stages keep
+    the expression order of the array form and its bits. A bundle's flow
+    carries its own loop, with the flow's lines inlined, as its
+    ``rk4_loop`` attribute; any other ``f`` is called from a loop
+    compiled once per state length. ``f`` is evaluated once per state: the
+    value is the next step's first stage, and at the final state its norm
+    is reported on the result. ``f`` is checked once, at the start: an
+    ``IndexError`` from it, or a value of another length than the state,
+    is a :class:`DimensionError`. A non-finite state aborts with
     :class:`BlowUpError` carrying the time; the overflow on the way there
     raises no floating-point warning, so the error is the only report of
     it. Times and states are written into arrays allocated once for the
     whole run. A non-finite ``t_end`` or ``step``, a negative ``t_end``, a
-    step that is not positive, or a step count that cannot index an array
-    is a :class:`ConfigurationError`.
+    step that is not positive, or a step count whose arrays cannot be
+    allocated is a :class:`ConfigurationError`.
     """
     t_end, step = float(t_end), float(step)
     if not (math.isfinite(t_end) and math.isfinite(step)):
@@ -318,30 +357,28 @@ def integrate_ode(f, x0, t_end, step=1e-3):
     if step <= 0 or t_end < 0:
         raise ConfigurationError("integration step must be positive and end time not negative")
     n_full, rem = divmod(t_end, step)
-    if n_full >= sys.maxsize:
+    rows = int(n_full) + 1
+    plan = [(step, range(1, rows))]
+    if rem > 1e-12 * max(1.0, abs(t_end)):
+        plan.append((rem, range(rows, rows + 1)))
+        rows += 1
+    x = np.asarray(x0, dtype=float).ravel().tolist()
+    try:
+        times = np.empty(rows)
+        states = np.empty((rows, len(x)))
+    except (MemoryError, ValueError):  # ValueError: more bytes than an index can count
         raise ConfigurationError(
             f"{n_full:.3g} integration steps cannot index an array; use a larger step"
-        )
-    x = np.asarray(x0, dtype=float).ravel().tolist()
-    steps = [step] * int(n_full)
-    if rem > 1e-12 * max(1.0, abs(t_end)):
-        steps.append(rem)
-    times = np.empty(len(steps) + 1)
-    states = np.empty((len(steps) + 1, len(x)))
+        ) from None
     times[0] = 0.0
     states[0] = x
-    t = 0.0
     with np.errstate(over="ignore", invalid="ignore"):
         k1 = _first_value(f, x)
-        rk4 = _rk4_step(len(x))
-        for i, h in enumerate(steps, 1):
-            x = rk4(f, x, k1, h)
-            t += h
-            if not all(map(math.isfinite, x)):
-                raise BlowUpError(f"trajectory left the finite range at t={t:.6g}", time=t)
-            times[i] = t
-            states[i] = x
-            k1 = f(x)
+        loop = getattr(f, "rk4_loop", None) or partial(_call_loop(len(x)), f)
+        store = partial(struct.Struct(f"{len(x)}d").pack_into, memoryview(states))
+        t, k1 = loop(x, k1, plan, memoryview(times), store)
+        if k1 is None:
+            raise BlowUpError(f"trajectory left the finite range at t={t:.6g}", time=t)
         final_residual = float(np.max(np.abs(k1)))
     return Trajectory(times=times, states=states, final_residual=final_residual)
 

@@ -403,6 +403,20 @@ class TestErrorPaths:
                 "message": f"experiment: key {key!r} must be finite and positive, got {value!r}",
             }
 
+    def test_a_simulate_run_too_long_to_store_exits_2(self, tmp_path, capsys):
+        # Every scenario bound holds, but 1e18 rows of states cannot be allocated.
+        path = write_scenario(
+            tmp_path, {"experiment": {"kind": "simulate", "t_end": 1e9, "step": 1e-9}}
+        )
+        status = run_scenario(path, out_dir=tmp_path / "out")
+        record, out_text = read_stderr_record(capsys)
+        assert status == 2
+        assert out_text == ""
+        assert record == {
+            "error": "configuration",
+            "message": "1e+18 integration steps cannot index an array; use a larger step",
+        }
+
     @pytest.mark.parametrize(
         "key, value, wording",
         [

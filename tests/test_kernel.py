@@ -6,22 +6,25 @@ with ``np.add.at`` over edge origins, and ``jacobian_x`` against an
 ``einsum`` of its edge blocks over the graph's incidence; both stay here
 as references. The trajectory hashes were recorded with the reference
 field, so any change to a bit of a trajectory fails them, and the compiled
-RK4 step is checked against the ``zip`` loop it replaced, kept here too.
+RK4 loop, the generic one and each bundle's with its flow inlined, is
+checked against the ``zip`` loop it replaced, kept here too.
 """
 
+import builtins
 import hashlib
 import math
 import types
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from formation_forge.dynamics import (
     BUILTIN_LAW_NAMES,
     ControlLaw,
     CustomLaw,
+    GradientSquaredLaw,
     VectorFieldBundle,
     builtin_law,
     edge_weights,
@@ -495,3 +498,96 @@ class TestIntegrator:
         states = pinned_trajectory(law_name).states
         digest = hashlib.sha256(np.ascontiguousarray(states).tobytes()).hexdigest()
         assert digest == PINNED_STATES_SHA256[law_name]
+
+
+# The pinned start, spread out; eq1_plain on two-cycles blows up from it.
+SPREAD_START = [0.2, -0.4, 3.4, 0.6, 1.8, 3.2, -2.4, 2.2, 0.8, 4.4, -1.4, -3.0]
+
+
+class HalvedSquaredLaw(GradientSquaredLaw):
+    """gradient_squared with its own ``weight``: half the squared-length error."""
+
+    name = "halved_squared"
+
+    def weight(self, d, s2):
+        return 0.5 * (s2 - d)
+
+
+class TestInlinedLoop:
+    """A bundle's flow carries the RK4 loop with the flow's own lines inlined."""
+
+    @settings(max_examples=120, deadline=None)
+    @given(
+        graph=st.sampled_from(GRAPHS),
+        law_name=st.sampled_from(BUILTIN_LAW_NAMES + ("separable", "pair")),
+        coords=st.lists(st.floats(-3.0, 3.0), min_size=12, max_size=12),
+        collapse=st.one_of(st.none(), st.integers(0, 8)),
+        t_end=st.sampled_from((0.305, 1.005)),
+    )
+    @example(two_cycles(), "eq1_plain", SPREAD_START, None, 1.005)
+    @example(LEADER_FOLLOWER, "gradient_plain", SPREAD_START, 1, 0.305)
+    def test_the_inlined_loop_matches_the_zip_loop_bit_for_bit(
+        self, graph, law_name, coords, collapse, t_end
+    ):
+        # 0.305 and 1.005 end in a remainder step of 0.005 after steps of
+        # 0.01; eq1_plain blows up from most of these starts.
+        b = make_bundle(graph, law_name)
+        xs = coords[: 2 * graph.n]
+        if collapse is not None:
+            # Coincident agents give the edge between them zero length.
+            o, t = graph.edges[collapse % graph.m]
+            xs[2 * t : 2 * t + 2] = xs[2 * o : 2 * o + 2]
+        try:
+            times, states, final_residual = zip_rk4(b.flow, xs, t_end, 0.01)
+        except BlowUpError as oracle:
+            with pytest.raises(BlowUpError) as info:
+                integrate_ode(b.flow, xs, t_end, step=0.01)
+            assert info.value.time == oracle.time
+            return
+        traj = integrate_ode(b.flow, xs, t_end, step=0.01)
+        assert traj.times.tobytes() == times.tobytes()
+        assert traj.states.tobytes() == states.tobytes()
+        assert same_bits(traj.final_residual, final_residual)
+
+    def test_the_loop_calls_the_bundles_own_weight(self):
+        law = HalvedSquaredLaw()
+        b = VectorFieldBundle(
+            graph=TWO_CYCLES_FOLLOWERS,
+            law=law,
+            lengths=TargetLengths.from_values(PLAIN_VALUES, law.convention),
+        )
+        x0 = SPREAD_START[:6] + [0.4, 2.2, -0.7, -1.5, 0.9, 0.1]
+        traj = integrate_ode(b.flow, x0, 0.505, step=0.01)
+        # The reference field reads law.weight, the override, at every edge.
+        _, states, _ = zip_rk4(lambda x: add_at_field(b, x).ravel().tolist(), x0, 0.505, 0.01)
+        assert traj.states.tobytes() == states.tobytes()
+        base = make_bundle(TWO_CYCLES_FOLLOWERS, "gradient_squared")
+        assert not np.array_equal(integrate_ode(base.flow, x0, 0.505, step=0.01).states, states)
+
+    def test_bundles_of_one_graph_share_one_loop_compiled_on_the_first_run(self, monkeypatch):
+        # No other test builds this graph, so its kernel is compiled here.
+        graph = FormationGraph(n=5, edges=((0, 1), (1, 2), (2, 0), (3, 2), (0, 3), (4, 1)))
+        sources = []
+
+        def compile_logged(source, *args, **kwargs):
+            sources.append(source)
+            return compile_builtin(source, *args, **kwargs)
+
+        compile_builtin = builtins.compile
+        monkeypatch.setattr(builtins, "compile", compile_logged)
+        first = make_bundle(graph, "gradient_squared")
+        second = make_bundle(graph, "gradient_plain")
+        x0 = [0.1, -0.2, 1.7, 0.3, 0.9, 1.6, -1.2, 1.1, 0.4, 2.2]
+        # Building bundles, their flows and Jacobians compiles the graph's kernel only.
+        jacobian_x(first, x0)
+        eval_F_x(second, x0)
+        assert len(sources) == 1 and second.matrices["bind"] is first.matrices["bind"]
+        for b in (first, second, first):
+            integrate_ode(b.flow, x0, 0.105, step=0.01)
+        assert len(sources) == 2 and "def integrate(weight, pair_weights, d, " in sources[1]
+        kernel = first.matrices["bind"].__globals__
+        loop = kernel["integrate"]
+        assert loop.__code__.co_filename == "<rk4 loop>"
+        # Neither namespace holds a module: the loop reads locals only.
+        for namespace in (kernel, loop.__globals__):
+            assert not any(isinstance(value, types.ModuleType) for value in namespace.values())

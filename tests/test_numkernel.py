@@ -404,6 +404,12 @@ class TestIntegrate:
         with pytest.raises(ConfigurationError):
             integrate_ode(lambda x: [-v for v in x], 1.0, t_end, step=step)
 
+    def test_a_step_count_no_array_can_hold_is_a_configuration_error(self):
+        # 1e18 steps fit an array index, but 1e18 rows of floats are more
+        # bytes than the address space, so their allocation fails at once.
+        with pytest.raises(ConfigurationError, match=r"^1e\+18 integration steps cannot index"):
+            integrate_ode(lambda x: [-v for v in x], [1.0, 2.0], 1e9, step=1e-9)
+
 
 class TestFiniteDifferences:
     def test_linear_map_is_exact(self):
