@@ -149,7 +149,6 @@ def sotomayor_check(family, x0, mu0, tol_nondegen=1e-3):
     verdict = bool(
         zero_eig_unique
         and others_negative
-        and not degenerate
         and abs(t_mu) <= tol_zero * fmu_norm
         and abs(t_quad) >= tol_nondegen
         and abs(t_mixed) >= tol_nondegen

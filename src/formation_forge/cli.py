@@ -270,13 +270,13 @@ def _num(v):
     return "%.12g" % float(v)
 
 
+def _complex(c, num, unit):
+    c = complex(c)
+    return f"{num(c.real)}{'+' if c.imag >= 0 else '-'}{num(abs(c.imag))}{unit}"
+
+
 def _eig_cell(values):
-    parts = []
-    for c in values:
-        c = complex(c)
-        sign = "+" if c.imag >= 0 else "-"
-        parts.append(f"{_num(c.real)}{sign}{_num(abs(c.imag))}j")
-    return ";".join(parts)
+    return ";".join(_complex(c, _num, "j") for c in values)
 
 
 def _positions_cell(x):
@@ -292,11 +292,7 @@ def _fmt(v):
 
 
 def _fmt_eig(c):
-    c = complex(c)
-    if abs(c.imag) < 1e-12:
-        return _fmt(c.real)
-    sign = "+" if c.imag >= 0 else "-"
-    return f"{_fmt(c.real)}{sign}{_fmt(abs(c.imag))}i"
+    return _fmt(c.real) if abs(c.imag) < 1e-12 else _complex(c, _fmt, "i")
 
 
 def _yesno(v):
@@ -538,7 +534,8 @@ def run_scenario(path, out_dir=None, seed=None, tol=None):
             out.mkdir(parents=True, exist_ok=True)
         except OSError as exc:
             raise ScenarioError(f"cannot create output directory: {exc}")
-        header, rows, lines = _RUNNERS[sc.experiment](sc, bundle, tol)
+        with np.errstate(all="ignore"):  # the package's finite checks report, not NumPy
+            header, rows, lines = _RUNNERS[sc.experiment](sc, bundle, tol)
         with open(out / f"{sc.experiment}.csv", "w", newline="") as fh:
             writer = csv.writer(fh, lineterminator="\n")
             writer.writerow(header)

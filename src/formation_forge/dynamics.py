@@ -24,7 +24,7 @@ from .errors import (
     UnknownLawError,
 )
 from .graph import FormationGraph, graph_matrices
-from .numkernel import fd_jacobian, fd_second_directional
+from .numkernel import fd_jacobian, fd_second_directional, squared_lengths
 from .rigidity import CONVENTIONS, TargetLengths, edge_block_rows, length_errors, within_design_tol
 
 _CYCLE_TOL = 1e-6
@@ -235,10 +235,7 @@ class VectorFieldBundle:
 
 
 def _edge_state(b, z):
-    arr = np.asarray(z, dtype=float)
-    flat = arr.ndim == 1
-    zz = arr.reshape(b.graph.m, 2)
-    return zz, flat
+    return np.asarray(z, dtype=float).reshape(b.graph.m, 2)
 
 
 def edge_weights(b: VectorFieldBundle, z):
@@ -323,7 +320,7 @@ def eval_F_z(b: VectorFieldBundle, z, check=True):
     difference probes need because their perturbations leave the
     constraint surface.
     """
-    zz, flat = _edge_state(b, z)
+    zz = _edge_state(b, z)
     mats = b.matrices
     if check and mats["cycles"].shape[1]:
         sums = mats["cycles"].T @ zz
@@ -335,7 +332,7 @@ def eval_F_z(b: VectorFieldBundle, z, check=True):
             )
     u = np.array(edge_weights(b, zz.ravel().tolist()))
     zdot = mats["edge_adj"] @ (u[:, None] * zz)
-    return zdot.ravel() if flat else zdot
+    return zdot.ravel() if np.ndim(z) == 1 else zdot
 
 
 def _require_design_point(b, zz, what):
@@ -362,8 +359,8 @@ def zprime_vectors(b: VectorFieldBundle, z):
     vector can carry.
     """
     _require_separable(b, "zprime_vectors")
-    zz, _ = _edge_state(b, z)
-    s2 = [zx * zx + zy * zy for zx, zy in zz.tolist()]
+    zz = _edge_state(b, z)
+    s2 = squared_lengths(zz).tolist()
     return np.array([2.0 * u for u in weight_slopes(b.law, b.lengths.d, s2)])[:, None] * zz
 
 
@@ -376,8 +373,8 @@ def zdprime_vectors(b: VectorFieldBundle, z):
     :class:`FormulaDomainError`.
     """
     _require_separable(b, "zdprime_vectors")
-    zz, _ = _edge_state(b, z)
-    s2 = [zx * zx + zy * zy for zx, zy in zz.tolist()]
+    zz = _edge_state(b, z)
+    s2 = squared_lengths(zz).tolist()
     c = [b.law.weight_dtarget(dk, s) for dk, s in zip(b.lengths.d, s2)]
     return np.array(c)[:, None] * zz
 
@@ -392,7 +389,7 @@ def jacobian_z(b: VectorFieldBundle, z):
     :func:`~.numkernel.fd_jacobian` of :func:`eval_F_z` (unchecked) in the
     edge vectors instead, at design equilibria only too.
     """
-    zz, _ = _edge_state(b, z)
+    zz = _edge_state(b, z)
     _require_design_point(b, zz, "the analytic Jacobian in z")
     if not b.law.separable:
         return fd_jacobian(lambda v: eval_F_z(b, v, check=False), zz.ravel())
@@ -408,7 +405,7 @@ def jacobian_d(b: VectorFieldBundle, z):
     in the targets instead, whose :class:`~.rigidity.TargetLengths` refuses
     a stored target within one ``fd_jacobian`` step of zero.
     """
-    zz, _ = _edge_state(b, z)
+    zz = _edge_state(b, z)
     _require_design_point(b, zz, "the analytic Jacobian in d")
     if not b.law.separable:
         conv, flat = b.lengths.convention, zz.ravel()
@@ -430,7 +427,7 @@ def reduced_J(b: VectorFieldBundle, z):
     :func:`zprime_vectors`, so a coupled law is refused with a
     :class:`FormulaDomainError`; its :func:`jacobian_z` holds the spectrum.
     """
-    zz, _ = _edge_state(b, z)
+    zz = _edge_state(b, z)
     return (zz @ zprime_vectors(b, zz).T) * b.matrices["edge_adj"]
 
 

@@ -11,7 +11,7 @@ targets realizable at all, and is every stable equilibrium a design one.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from itertools import permutations
 
 import numpy as np
@@ -199,7 +199,11 @@ def poincare_index(b: VectorFieldBundle, f: Framework):
 
 
 def classify_kind(b: VectorFieldBundle, f: Framework):
-    """Assign a census kind by priority: design, collinear, aligned, other."""
+    """Assign a census kind by priority: design, collinear, aligned, other.
+
+    Aligned: some pair of the graph's ``pairs`` is parallel and every other edge meets
+    its target (never an empty set: an aligned pair that is every edge is collinear).
+    """
     errs = edge_errors(f, b.lengths)
     if within_design_tol(errs):
         return "design"
@@ -207,12 +211,9 @@ def classify_kind(b: VectorFieldBundle, f: Framework):
     svals = np.linalg.svd(z, compute_uv=False)
     if svals[0] <= DESIGN_TOL or (len(svals) > 1 and svals[1] <= DESIGN_TOL * svals[0]):
         return "ancillary_collinear"
-    if (
-        z.shape[0] >= 5
-        and edges_aligned(z[0], z[4], DESIGN_TOL)
-        and within_design_tol(errs[1:4])
-    ):
-        return "ancillary_aligned"
+    for i, j in b.matrices["pairs"]:
+        if edges_aligned(z[i], z[j], DESIGN_TOL) and within_design_tol(np.delete(errs, (i, j))):
+            return "ancillary_aligned"
     return "ancillary_other"
 
 
@@ -257,12 +258,9 @@ def _aligned_triangle(d, a):
     return alpha, math.sqrt(beta_sq)
 
 
-def _aligned_positions(d, a, bb, sigma):
-    triangle = _aligned_triangle(d, a)
-    if triangle is None:
-        return None
-    alpha, beta = triangle
-    return np.array([[0.0, 0.0], [a, 0.0], [alpha, sigma * beta], [bb, 0.0]])
+def aligned_framework(graph, a, alpha, h, bb):
+    """Agents 1, 2 and 4 at 0, ``a`` and ``bb`` on the x axis, agent 3 at ``(alpha, h)``."""
+    return Framework(graph=graph, x=np.array([[0.0, 0.0], [a, 0.0], [alpha, h], [bb, 0.0]]))
 
 
 def _aligned_system(law, d, a, bb):
@@ -316,12 +314,12 @@ def aligned_root_near(b, a0, b0, sigma):
 
     jac = (lambda v: system(v)[1]) if b.law.separable else None
     try:
-        root = newton_root(lambda v: system(v)[0], [a0, b0], max_iter=CENSUS_MAX_ITER,
-                           tol=NEWTON_TOL, jac=jac).x
+        a, bb = newton_root(lambda v: system(v)[0], [a0, b0], max_iter=CENSUS_MAX_ITER,
+                            tol=NEWTON_TOL, jac=jac).x.tolist()
     except ConvergenceError:
         return None
-    # a finite converged residual puts the root inside the domain
-    return Framework(graph=b.graph, x=_aligned_positions(d, float(root[0]), float(root[1]), sigma))
+    alpha, beta = _aligned_triangle(d, a)  # a finite converged residual puts a inside the domain
+    return aligned_framework(b.graph, a, alpha, sigma * beta, bb)
 
 
 def aligned_parameters(f: Framework):
@@ -397,9 +395,9 @@ def solve_ancillary_aligned(b: VectorFieldBundle):
     records = []
     for mirror in (1.0, -1.0):
         for a, alpha, h, bb in kept:
-            x = np.array([[0.0, 0.0], [a, 0.0], [alpha, mirror * h], [bb, 0.0]])
             try:
-                records.append(equilibrium_record(b, Framework(graph=b.graph, x=x)))
+                fw = aligned_framework(b.graph, a, alpha, mirror * h, bb)
+                records.append(equilibrium_record(b, fw))
             except FormulaDomainError:  # not an equilibrium of the full flow
                 pass
     return records
@@ -520,16 +518,15 @@ class ConventionCandidate:
     law_name: str
     interpretation: str
     leg_order: str
-    feasible: bool
-    deviations: dict
-    quantitative_ok: bool
-    qualitative_ok: bool
-    spectra: dict
+    feasible: bool = False
+    deviations: dict = field(default_factory=dict)
+    quantitative_ok: bool = False
+    qualitative_ok: bool = False
+    spectra: dict = field(default_factory=dict)
 
     @property
     def worst_deviation(self):
-        vals = [v for v in self.deviations.values()]
-        return max(vals) if vals else float("inf")
+        return max(self.deviations.values(), default=float("inf"))
 
 
 @dataclass(frozen=True, eq=False)
@@ -581,17 +578,12 @@ def identify_convention(values=BENCHMARK_LENGTHS, published=None):
 
 
 def _score_candidate(graph, law, law_name, interpretation, leg_order, d, published):
-    inf = float("inf")
     try:
         lengths = TargetLengths(d=tuple(d), convention=law.convention)
         bundle = VectorFieldBundle(graph=graph, law=law, lengths=lengths)
         frameworks = realize_two_cycles(graph, lengths)
     except (InfeasibleLengthsError, ConfigurationError):
-        return ConventionCandidate(
-            law_name=law_name, interpretation=interpretation, leg_order=leg_order,
-            feasible=False, deviations={}, quantitative_ok=False, qualitative_ok=False,
-            spectra={},
-        )
+        return ConventionCandidate(law_name, interpretation, leg_order)
     specs = [gauge_fixed_spectrum(bundle, fw) for fw in frameworks]
     classes = []
     for spec in specs:
@@ -612,9 +604,7 @@ def _score_candidate(graph, law, law_name, interpretation, leg_order, d, publish
             best_assign = (key, i_st, i_un, dev_s, dev_u)
     _, i_st, i_un, dev_s, dev_u = best_assign
 
-    dev_a = inf
-    aligned_spec = None
-    aligned_stable = False
+    dev_a, aligned_spec, aligned_stable = float("inf"), None, False
     for rec in aligned:
         dev = _chebyshev_multiset(rec.spectrum_gauge.values, published["aligned"])
         if dev < dev_a or (dev == dev_a and rec.stable and not aligned_stable):

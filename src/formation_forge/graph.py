@@ -235,7 +235,8 @@ def bind(weight, pair_weights, weight_dlen, d):
 def graph_matrices(g: FormationGraph):
     """Every matrix and index set the flow needs for ``g``, built once per graph.
 
-    ``pairs`` holds the two edges of each two-coleader agent. ``gather``,
+    ``pairs`` holds the two edges of each two-coleader agent, which
+    :func:`~.equilibria.classify_kind` tests for alignment. ``gather``,
     ``scatter`` and ``bind`` are the graph's float flow kernel, compiled
     here once from straight-line source (see :func:`_kernel_source`) in
     a namespace that holds no module. Each bundle binds its law's hooks

@@ -9,6 +9,7 @@ import pkgutil
 import re
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -402,6 +403,33 @@ class TestErrorPaths:
                 "error": "scenario",
                 "message": f"experiment: key {key!r} must be finite and positive, got {value!r}",
             }
+
+    @pytest.mark.parametrize(
+        "value, kind, error",
+        [
+            (1e150, "census", "dimension"),
+            (1e154, "census", "dimension"),
+            (1e150, "sotomayor", "formula-domain"),
+        ],
+    )
+    def test_huge_targets_give_one_error_line_and_no_numpy_warning(
+        self, tmp_path, capsys, value, kind, error
+    ):
+        # The fields overflow to inf and NaN. NumPy's warnings stay inside
+        # the run, even when warnings are errors, and the package's own
+        # finite checks report, as one stderr line.
+        experiment = {"kind": kind, "n_random": 5} if kind == "census" else {"kind": kind}
+        path = write_scenario(
+            tmp_path,
+            {"lengths": {"values": [value] * 5, "convention": "plain"}, "experiment": experiment},
+        )
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            status = run_scenario(path, out_dir=tmp_path / "out")
+        record, out_text = read_stderr_record(capsys)
+        assert status == 2
+        assert out_text == ""
+        assert record["error"] == error
 
     def test_a_simulate_run_too_long_to_store_exits_2(self, tmp_path, capsys):
         # Every scenario bound holds, but 1e18 rows of states cannot be allocated.

@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 
 from formation_forge import equilibria
 from formation_forge.dynamics import (
+    BUILTIN_LAW_NAMES,
     CustomLaw,
     VectorFieldBundle,
     builtin_law,
@@ -23,8 +24,9 @@ from formation_forge.equilibria import (
     RECORD_KINDS,
     RESIDUAL_TOL,
     CensusReport,
-    _aligned_positions,
     _aligned_system,
+    _aligned_triangle,
+    aligned_framework,
     aligned_parameters,
     aligned_root_near,
     canonical_gauge,
@@ -46,13 +48,17 @@ from formation_forge.errors import (
 from formation_forge.graph import FormationGraph, two_cycles
 from formation_forge.numkernel import eigenvalues, fd_jacobian
 from formation_forge.rigidity import (
+    DESIGN_TOL,
     Framework,
     TargetLengths,
+    edge_errors,
     edge_vectors,
+    edges_aligned,
     make_singular_lengths,
     planar_cross,
     realize_two_cycles,
     singular_witnesses,
+    within_design_tol,
 )
 from test_kernel import make_law
 from test_numkernel import array_newton_root
@@ -66,9 +72,11 @@ def aligned_residual(b, d, a, bb, sigma):
     The oracle of ``_aligned_system``: the fourth edge's weight and the
     force balance on agent 1, from :func:`edge_weights` on the placed agents.
     """
-    x = _aligned_positions(d, a, bb, sigma)
-    if x is None:
+    triangle = _aligned_triangle(d, a)
+    if triangle is None:
         return np.full(2, np.nan)
+    alpha, beta = triangle
+    x = aligned_framework(b.graph, a, alpha, sigma * beta, bb).x
     # x_target - x_origin over the two-cycles edges, as edge_vectors computes it
     u = edge_weights(b, (x[[1, 2, 0, 2, 3]] - x[[0, 1, 2, 3, 0]]).ravel().tolist())
     return np.array([u[3], u[0] * a + u[4] * bb])
@@ -308,6 +316,85 @@ class TestClassifyKind:
         rng = np.random.default_rng(4)
         x = rng.normal(size=(4, 2)) * 3.0
         assert classify_kind(b, Framework(graph=b.graph, x=x)) == "ancillary_other"
+
+    def test_an_aligned_chain_without_pairs_is_other(self):
+        # A chain has no two-coleader agent, so no pair to align: edges 1
+        # and 5 parallel with the middle edges at target is an equilibrium
+        # (edge 6 collapsed) of no aligned kind.
+        g = FormationGraph(n=7, edges=tuple((k + 1, k) for k in range(6)))
+        b = VectorFieldBundle(
+            graph=g, law=builtin_law("gradient_squared"), lengths=TargetLengths(d=(1.0,) * 6)
+        )
+        x = np.array([[0, 0], [1, 0], [1, 1], [2, 1], [2, 2], [3, 2], [3, 2]], dtype=float)
+        fw = Framework(graph=g, x=x)
+        assert b.matrices["pairs"] == ()
+        assert float(np.max(np.abs(eval_F_x(b, x)))) == 0.0
+        assert classify_kind(b, fw) == "ancillary_other"
+
+    def test_a_followers_aligned_pair_is_aligned(self):
+        # Two-cycles plus followers: agent 5 (0-based 4) observes agents 1
+        # and 2 on their line, agent 6 observes agents 5 and 3. Every edge
+        # but agent 5's two is at its target, and agent 5's weights balance
+        # along the line, so the framework is an aligned equilibrium.
+        g = FormationGraph(
+            n=6, edges=two_cycles().edges + ((4, 0), (4, 1), (5, 4), (5, 2))
+        )
+        core = realize_two_cycles(two_cycles(), TargetLengths(d=BENCHMARK_SQUARED))[0].x
+        x = np.vstack([core, core[0] + 2.5 * (core[1] - core[0]), core[2] + [1.3, -0.7]])
+        s2 = np.sum(edge_vectors(Framework(graph=g, x=x)) ** 2, axis=1)
+        d = s2.copy()
+        d[5] -= 1.0  # u5 = 1 on z5 = (5/3) z6, so u6 = -5/3
+        d[6] += 5.0 / 3.0
+        b = VectorFieldBundle(
+            graph=g, law=builtin_law("gradient_squared"), lengths=TargetLengths(d=tuple(d))
+        )
+        assert b.matrices["pairs"] == ((0, 4), (5, 6), (7, 8))
+        rec = equilibrium_record(b, Framework(graph=g, x=x))
+        assert rec.kind == "ancillary_aligned"
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        law_name=st.sampled_from(BUILTIN_LAW_NAMES),
+        shape=st.sampled_from(("random", "aligned", "collinear", "design")),
+        coords=st.lists(st.floats(-4.0, 4.0), min_size=8, max_size=8),
+        theta=st.floats(0.0, 2.0 * math.pi),
+        offsets=st.lists(st.floats(0.5, 2.0), min_size=5, max_size=5),
+    )
+    def test_two_cycles_kinds_match_the_edge_slot_rule(
+        self, law_name, shape, coords, theta, offsets
+    ):
+        # On two-cycles the graph's one pair is edges 1 and 5, so the pair
+        # rule decides as the slot rule it replaced, kept here as the oracle.
+        def slot_rule_kind(b, f):
+            errs = edge_errors(f, b.lengths)
+            if within_design_tol(errs):
+                return "design"
+            z = edge_vectors(f)
+            svals = np.linalg.svd(z, compute_uv=False)
+            if svals[0] <= DESIGN_TOL or svals[1] <= DESIGN_TOL * svals[0]:
+                return "ancillary_collinear"
+            if edges_aligned(z[0], z[4], DESIGN_TOL) and within_design_tol(errs[1:4]):
+                return "ancillary_aligned"
+            return "ancillary_other"
+
+        x = np.array(coords).reshape(4, 2)
+        if shape == "collinear":
+            x[:, 1] = 0.0
+        elif shape == "aligned":  # agents 1, 2 and 4 on the x axis
+            x[[0, 1, 3], 1] = 0.0
+        rot = np.array([[math.cos(theta), -math.sin(theta)], [math.sin(theta), math.cos(theta)]])
+        fw = Framework(graph=two_cycles(), x=x @ rot.T + offsets[:2])
+        s2 = np.sum(edge_vectors(fw) ** 2, axis=1)
+        assume(np.all(s2 > 1e-6))
+        # aligned frameworks keep the middle targets, designs keep every one
+        keep = {"aligned": (1, 2, 3), "design": range(5)}.get(shape, ())
+        d = [s2[k] if k in keep else s2[k] + offsets[k] for k in range(5)]
+        law = builtin_law(law_name)
+        b = VectorFieldBundle(
+            graph=two_cycles(), law=law,
+            lengths=TargetLengths(d=tuple(d), convention=law.convention),
+        )
+        assert classify_kind(b, fw) == slot_rule_kind(b, fw)
 
     def test_all_kinds_are_known(self):
         assert set(RECORD_KINDS) == {
