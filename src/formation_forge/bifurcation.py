@@ -256,7 +256,8 @@ def mu_sweep(b: VectorFieldBundle, eps=DEFAULT_SWEEP_HALF_WIDTH, samples=21, mu_
 
     ``b`` gives the graph, the law and the base targets; the stored
     squared target of ``mu_edge`` is shifted by each mu. Both grid
-    endpoints must be realizable. Both branches follow one rule: walk
+    endpoints must be realizable; a grid that cannot be allocated is a
+    :class:`ConfigurationError`. Both branches follow one rule: walk
     outward from the sample nearest mu = 0 in both directions, each sample
     continuing from the framework found last; a sample whose step finds
     nothing, or finds a framework that is not an equilibrium of the flow,
@@ -276,7 +277,10 @@ def mu_sweep(b: VectorFieldBundle, eps=DEFAULT_SWEEP_HALF_WIDTH, samples=21, mu_
     samples = int(samples)
     if samples < 1:
         raise ConfigurationError("a sweep needs at least one sample")
-    mus = np.linspace(-float(eps), float(eps), samples)
+    try:
+        mus = np.linspace(-float(eps), float(eps), samples)
+    except (MemoryError, ValueError):  # ValueError: more samples than an index can count
+        raise ConfigurationError(f"{samples} sweep samples cannot be allocated") from None
     for end in (float(mus[0]), float(mus[-1])):
         realize_two_cycles(b.graph, base.perturbed(mu_edge, end))
 

@@ -509,6 +509,7 @@ _RUNNERS = {
     "simulate": _run_simulate,
     "rigidity": _run_rigidity,
 }
+_TOL_READERS = ("census", "rigidity", "sotomayor")  # the runners that read --tol
 
 
 def run_scenario(path, out_dir=None, seed=None, tol=None):
@@ -528,6 +529,9 @@ def run_scenario(path, out_dir=None, seed=None, tol=None):
         sc = load_scenario(path)
         if seed is not None:
             sc = dataclasses.replace(sc, seed=int(seed))
+        if tol is not None and sc.experiment not in _TOL_READERS:
+            raise ScenarioError(f"--tol selects nothing on a {sc.experiment} run; "
+                                f"only {', '.join(_TOL_READERS)} read it")
         bundle = _build_bundle(sc)
         out = Path(out_dir or sc.out or ".")
         try:

@@ -37,6 +37,7 @@ from .rigidity import (
     DESIGN_TOL,
     Framework,
     TargetLengths,
+    aligned_framework,
     edge_errors,
     edge_vectors,
     edges_aligned,
@@ -256,11 +257,6 @@ def _aligned_triangle(d, a):
     if beta_sq < 0.0:
         return None
     return alpha, math.sqrt(beta_sq)
-
-
-def aligned_framework(graph, a, alpha, h, bb):
-    """Agents 1, 2 and 4 at 0, ``a`` and ``bb`` on the x axis, agent 3 at ``(alpha, h)``."""
-    return Framework(graph=graph, x=np.array([[0.0, 0.0], [a, 0.0], [alpha, h], [bb, 0.0]]))
 
 
 def _aligned_system(law, d, a, bb):

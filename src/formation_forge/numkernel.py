@@ -37,12 +37,6 @@ class Spectrum:
 
     values: tuple[complex, ...]
 
-    def __len__(self):
-        return len(self.values)
-
-    def __iter__(self):
-        return iter(self.values)
-
     @property
     def real_parts(self):
         return tuple(v.real for v in self.values)
@@ -121,15 +115,13 @@ def eigenvalues(m):
 
 
 def rank_tol(m, tol=DEFAULT_RANK_TOL):
-    """Numerical rank: singular values above ``tol`` times the largest one."""
+    """Numerical rank: singular values above ``tol`` times the largest one (none if it is 0)."""
     if tol <= 0:
         raise ConfigurationError("rank tolerance must be positive")
     a = _as_matrix(m)
     if a.size == 0:
         return 0
     s = np.linalg.svd(a, compute_uv=False)
-    if s[0] == 0.0:
-        return 0
     return int(np.sum(s > tol * s[0]))
 
 
@@ -137,14 +129,14 @@ def left_nullspace(m, tol=DEFAULT_RANK_TOL):
     """Orthonormal basis of the left null space, returned as matrix columns.
 
     The basis ``B`` satisfies ``||B.T @ m|| <= tol * ||m||`` and has
-    ``rows - rank`` columns.
+    ``rows - rank`` columns, the rank counted as in :func:`rank_tol`; a
+    zero matrix's basis spans the whole space.
     """
     if tol <= 0:
         raise ConfigurationError("null-space tolerance must be positive")
     a = _as_matrix(m)
     u, s, _ = np.linalg.svd(a)
-    smax = s[0] if s.size else 0.0
-    rank = int(np.sum(s > tol * smax)) if smax > 0 else 0
+    rank = int(np.sum(s > tol * s[0])) if s.size else 0
     return u[:, rank:].copy()
 
 

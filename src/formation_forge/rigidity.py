@@ -45,6 +45,14 @@ class Framework:
         return Framework(graph=self.graph, x=x)
 
 
+def aligned_framework(graph, a, alpha, h, bb):
+    """Agents 1, 2 and 4 at 0, ``a`` and ``bb`` on the x axis, agent 3 at ``(alpha, h)``.
+
+    The one aligned placement, of the aligned solver and the singular witness.
+    """
+    return Framework(graph=graph, x=np.array([[0.0, 0.0], [a, 0.0], [alpha, h], [bb, 0.0]]))
+
+
 def edge_block_rows(z):
     """The m-by-2m matrix ``D(z)`` whose i-th row carries ``z_i`` in pair i.
 
@@ -154,17 +162,12 @@ def is_infinitesimally_rigid(f: Framework, tol=DEFAULT_RANK_TOL):
 
 
 def is_minimally_rigid(f: Framework, tol=DEFAULT_RANK_TOL):
-    """True when rigid and no single edge can be removed without losing rigidity."""
-    if not is_infinitesimally_rigid(f, tol):
-        return False
-    full_rank = 2 * f.graph.n - 3
-    g = f.graph
-    for k in range(g.m):
-        reduced = FormationGraph(n=g.n, edges=g.edges[:k] + g.edges[k + 1 :])
-        sub = Framework(graph=reduced, x=f.x)
-        if rank_tol(rigidity_matrix(sub), tol) >= full_rank:
-            return False
-    return True
+    """True when rigid and no single edge can be removed without losing rigidity.
+
+    Rigid rows span rank ``2n - 3``: exactly that many are independent, each
+    needed, while any further row lies in the others' span and can go.
+    """
+    return is_infinitesimally_rigid(f, tol) and f.graph.m == 2 * f.graph.n - 3
 
 
 def planar_cross(u, v):
@@ -284,15 +287,8 @@ def make_singular_lengths(d1, d2, d3, signed_z5_length):
             )
     alpha = (d1 + d3 - d2) / (2.0 * r1)
     beta = math.sqrt(d3 - alpha * alpha)
-    x = np.array(
-        [
-            [0.0, 0.0],
-            [r1, 0.0],
-            [alpha, -beta],
-            [-s, 0.0],
-        ]
-    )
-    witness = Framework(graph=two_cycles(), x=x)
+    witness = aligned_framework(two_cycles(), r1, alpha, -beta, -s)
+    x = witness.x
     d4 = float(np.sum((x[2] - x[3]) ** 2))
     d5 = s * s
     lengths = TargetLengths(d=(float(d1), float(d2), float(d3), d4, d5))

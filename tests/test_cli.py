@@ -220,6 +220,29 @@ class TestOtherRuns:
             "5,5,true,true",
         ]
 
+    def test_rigidity_at_a_flat_triangle_is_not_infinitesimally_rigid(self, tmp_path, capsys):
+        # Plain lengths 1, 1, 2 put agents 1, 2 and 3 on one line.
+        out = tmp_path / "out"
+        lengths = {"values": [1.0, 1.0, 2.0, 1.5, 1.5], "convention": "plain"}
+        path = write_scenario(tmp_path, {"lengths": lengths, "experiment": {"kind": "rigidity"}})
+        assert run_scenario(path, out_dir=out) == 0
+        capsys.readouterr()
+        assert "rank 4 of 5 (not infinitesimally rigid)" in (out / "report.txt").read_text()
+        assert (out / "rigidity.csv").read_text().splitlines()[1] == "4,5,false,false"
+
+    def test_simulate_stride_that_does_not_divide_keeps_the_last_row(self, tmp_path, capsys):
+        # 11 states at stride 3: rows 0, 3, 6 and 9, then the final state.
+        out = tmp_path / "out"
+        path = write_scenario(
+            tmp_path, {"experiment": {"kind": "simulate", "t_end": 0.01, "stride": 3}}
+        )
+        assert run_scenario(path, out_dir=out) == 0
+        capsys.readouterr()
+        rows = [line.split(",") for line in (out / "simulate.csv").read_text().splitlines()[1:]]
+        assert [float(r[0]) for r in rows] == pytest.approx([0.0, 0.003, 0.006, 0.009, 0.01])
+        final = "final edge errors: " + ", ".join(f"{float(e):.6g}" for e in rows[-1][9:])
+        assert final in (out / "report.txt").read_text()
+
     def test_sotomayor_verdict_on_singular_targets(self, tmp_path, capsys):
         out = tmp_path / "out"
         path = write_scenario(
@@ -467,6 +490,55 @@ class TestErrorPaths:
         assert record == {
             "error": "scenario",
             "message": f"experiment: key {key!r} {wording}, got {value!r}",
+        }
+
+    def test_a_sweep_grid_too_large_to_allocate_exits_2(self, tmp_path, capsys):
+        # 1e30 samples pass the scenario bound; NumPy refuses the grid before allocating.
+        path = write_scenario(tmp_path, {"experiment": {"kind": "sweep", "samples": 10**30}})
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            status = run_scenario(path, out_dir=tmp_path / "out")
+        record, out_text = read_stderr_record(capsys)
+        assert status == 2
+        assert out_text == ""
+        assert record == {
+            "error": "configuration",
+            "message": f"{10**30} sweep samples cannot be allocated",
+        }
+
+    @pytest.mark.parametrize("kind", ["spectrum", "sweep", "simulate"])
+    def test_tol_on_a_kind_that_reads_none_exits_2(self, tmp_path, capsys, kind):
+        out = tmp_path / "out"
+        path = write_scenario(tmp_path, {"experiment": {"kind": kind}})
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            status = main(["run", str(path), "--out", str(out), "--tol", "1e-3"])
+        record, out_text = read_stderr_record(capsys)
+        assert status == 2
+        assert out_text == ""
+        assert record["error"] == "scenario"
+        assert f"--tol selects nothing on a {kind} run" in record["message"]
+        assert not out.exists()
+
+    def test_scenario_root_must_be_an_object(self, tmp_path, capsys):
+        path = tmp_path / "case.json"
+        path.write_text("[1, 2]")
+        status = run_scenario(path, out_dir=tmp_path / "out")
+        record, out_text = read_stderr_record(capsys)
+        assert status == 2
+        assert out_text == ""
+        assert record == {
+            "error": "scenario", "message": "case.json: scenario root must be an object"
+        }
+
+    def test_out_must_be_a_string(self, tmp_path, capsys):
+        path = write_scenario(tmp_path, {"out": 3})
+        status = run_scenario(path)
+        record, out_text = read_stderr_record(capsys)
+        assert status == 2
+        assert out_text == ""
+        assert record == {
+            "error": "scenario", "message": "case.json: key 'out' must be of type str"
         }
 
     def test_negative_seed_in_the_file_exits_2(self, tmp_path, capsys):
@@ -725,6 +797,10 @@ CLI_OUTPUT_SHA256 = {
     ("fig2.json", "spectrum"): {
         "report.txt": "df2cbf6fc19abddcb6d9e0899d0d0c3fe24c6fd46f5232f36975cb16b833ff8f",
         "spectrum.csv": "f7cab7148454a09f81ee6ff22b0db0a7040c72ea8731a0958995d53ffd7403ab",
+    },
+    ("fig2.json", "sweep"): {
+        "report.txt": "37b2efc2058409b4895e826e877090b2885bc8e7ed9f54b1ef95e88b06e62f6c",
+        "sweep.csv": "62241bd074be500ece11c206a50dc9781e535e7180c9b64b52ed87474446ad83",
     },
     ("sweep_s0.json", "sweep"): {
         "report.txt": "0fe3432e93129a8ffcef83c9c5a0fc9e3ce61f8a4890d20cea0d9cadd1013bb2",

@@ -29,6 +29,7 @@ from formation_forge.dynamics import (
 from formation_forge.equilibria import gauge_fixed_spectrum, scalar_census
 from formation_forge.errors import (
     ConfigurationError,
+    DimensionError,
     FormulaDomainError,
     InconsistentStateError,
     UnknownLawError,
@@ -105,6 +106,28 @@ class TestControlLaws:
     def test_nonfinite_gain_rejected(self, gain):
         with pytest.raises(ConfigurationError, match="finite and positive"):
             builtin_law("gradient_squared", gain=gain)
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        name=st.sampled_from(BUILTIN_LAW_NAMES),
+        gain=st.floats(0.1, 10.0),
+        d=st.floats(1e-2, 1e2),
+        s2=st.floats(1e-2, 1e2),
+    )
+    def test_builtin_hooks_match_the_central_difference_defaults(self, name, gain, d, s2):
+        law = builtin_law(name, gain=gain)
+        for hook, rel, scale in (
+            ("weight_dlen", 1e-6, gain / math.sqrt(s2)),
+            ("weight_dtarget", 1e-6, gain / math.sqrt(d)),
+            ("weight_dlen2", 1e-3, gain / s2),
+        ):
+            closed = getattr(law, hook)(d, s2)
+            differenced = getattr(ControlLaw, hook)(law, d, s2)
+            assert abs(closed - differenced) <= rel * scale
+
+    def test_custom_law_refuses_an_unknown_convention(self):
+        with pytest.raises(ConfigurationError, match="unknown law convention 'cubed'"):
+            CustomLaw(lambda d, s2: s2 - d, convention="cubed")
 
     def test_custom_law_finite_difference_hooks(self):
         law = CustomLaw(
@@ -252,6 +275,12 @@ class TestAgentField:
         flat = eval_F_x(b, x.ravel())
         assert flat.shape == (8,)
         assert np.array_equal(flat, eval_F_x(b, x).ravel())
+
+    @pytest.mark.parametrize("route", [eval_F_x, jacobian_x])
+    def test_wrong_coordinate_count_is_a_dimension_error(self, route):
+        b = squared_bundle(BENCHMARK_SQUARED)
+        with pytest.raises(DimensionError, match="6 coordinates for 4 planar agents"):
+            route(b, np.zeros(6))
 
     def test_velocity_reads_only_observed_agents(self):
         # Edges run 1->2, 2->3, 3->1, 4->3, 1->4. Moving agent 2 leaves

@@ -86,6 +86,10 @@ class TestConstruction:
         with pytest.raises(ConfigurationError, match="duplicates"):
             FormationGraph(n=3, edges=((0, 1), (0, 1)))
 
+    def test_no_vertices_rejected(self):
+        with pytest.raises(ConfigurationError, match="vertex count must be positive"):
+            FormationGraph(n=0, edges=())
+
     def test_outvalence_cap(self):
         with pytest.raises(ConfigurationError, match="outvalence"):
             FormationGraph(n=4, edges=((0, 1), (0, 2), (0, 3)))

@@ -314,6 +314,12 @@ class TestNewton:
             newton_root(lambda x: np.array([np.inf * x[0], x[1]]), [1.0, 1.0],
                         jac=lambda x: np.eye(2))
 
+    def test_non_finite_step_is_a_convergence_error(self):
+        # A finite residual over a finite but tiny slope overflows the step.
+        with pytest.raises(ConvergenceError, match="took a non-finite step") as info:
+            newton_root(lambda x: [1e300], [0.0], jac=lambda x: np.array([[1e-300]]))
+        assert info.value.iterations == 0
+
     @pytest.mark.parametrize("position", [0, 1])
     def test_nan_anywhere_in_the_initial_residual_is_refused(self, position):
         # Python's max drops a NaN that sits after a number; np.max never does.

@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from formation_forge.errors import ConfigurationError, InfeasibleLengthsError
 from formation_forge.graph import FormationGraph, mixed_adjacency, two_cycles
@@ -39,6 +41,43 @@ def rotate_translate(fw, theta, t):
     c, s = np.cos(theta), np.sin(theta)
     rot = np.array([[c, -s], [s, c]])
     return fw.with_positions(fw.x @ rot.T + np.asarray(t))
+
+
+def edge_deletion_minimally_rigid(f, tol):
+    """The former rule, kept as the oracle: rigid, and every edge deletion loses the rank."""
+    g = f.graph
+    if rank_tol(rigidity_matrix(f), tol) != 2 * g.n - 3:
+        return False
+    for k in range(g.m):
+        reduced = FormationGraph(n=g.n, edges=g.edges[:k] + g.edges[k + 1 :])
+        if rank_tol(rigidity_matrix(Framework(graph=reduced, x=f.x)), tol) >= 2 * g.n - 3:
+            return False
+    return True
+
+
+def random_outvalence_graph(rng, n, m):
+    """``m`` distinct edges on ``n`` vertices, each vertex observing at most two."""
+    pairs = [(o, t) for o in range(n) for t in range(n) if o != t]
+    rng.shuffle(pairs)
+    edges, counts = [], [0] * n
+    for o, t in pairs:
+        if len(edges) < m and counts[o] < 2:
+            edges.append((o, t))
+            counts[o] += 1
+    return FormationGraph(n=n, edges=tuple(edges))
+
+
+class TestFramework:
+    def test_wrong_shape_rejected(self):
+        with pytest.raises(ConfigurationError, match=r"expected 4 planar points, got .* \(3, 2\)"):
+            Framework(graph=two_cycles(), x=np.zeros((3, 2)))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_entry_rejected(self, bad):
+        x = np.zeros((4, 2))
+        x[2, 1] = bad
+        with pytest.raises(ConfigurationError, match="framework coordinates must be finite"):
+            Framework(graph=two_cycles(), x=x)
 
 
 class TestEdgeVectors:
@@ -105,6 +144,11 @@ class TestTargetLengths:
         lengths = TargetLengths.from_values((2.0, 3.0), convention="plain")
         assert lengths.d == (4.0, 9.0)
         assert lengths.values == (2.0, 3.0)
+
+    @pytest.mark.parametrize("value", [0.0, -2.0])
+    def test_nonpositive_plain_value_rejected(self, value):
+        with pytest.raises(InfeasibleLengthsError, match="plain lengths must be positive"):
+            TargetLengths.from_values((1.0, value), convention="plain")
 
     def test_nonpositive_rejected(self):
         with pytest.raises(InfeasibleLengthsError):
@@ -178,6 +222,24 @@ class TestRigidityPredicates:
         g = FormationGraph(n=3, edges=((0, 1), (1, 2), (2, 0)))
         fw = Framework(graph=g, x=np.array([[0.0, 0.0], [1.0, 0.0], [0.3, 0.8]]))
         assert is_minimally_rigid(fw)
+
+
+class TestMinimalRigidityRule:
+    @settings(max_examples=150, deadline=None)
+    @given(data=st.data())
+    def test_rank_count_matches_the_edge_deletion_rule(self, data):
+        n = data.draw(st.integers(3, 6))
+        m = data.draw(st.integers(2 * n - 4, 2 * n))
+        rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+        fw = Framework(graph=random_outvalence_graph(rng, n, m), x=rng.normal(size=(n, 2)))
+        assert is_minimally_rigid(fw) == edge_deletion_minimally_rigid(fw, 1e-9)
+
+    @pytest.mark.parametrize("n", range(1, 8))
+    def test_zero_tolerance_refused_on_every_size(self, n):
+        graph = FormationGraph(n=n, edges=tuple((k + 1, k) for k in range(n - 1)))
+        fw = Framework(graph=graph, x=np.random.default_rng(n).normal(size=(n, 2)))
+        with pytest.raises(ConfigurationError, match="rank tolerance must be positive"):
+            is_minimally_rigid(fw, 0.0)
 
 
 class TestRealization:
