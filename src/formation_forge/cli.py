@@ -41,8 +41,6 @@ from .rigidity import (
 
 SCENARIO_FORMAT = 1
 
-_TOP_KEYS = {"format", "name", "graph", "lengths", "law", "experiment", "seed", "out"}
-
 
 @dataclass(frozen=True, eq=False)
 class Scenario:
@@ -59,16 +57,25 @@ class Scenario:
 
 
 # A bound is a test of a value against the graph's edge count m and the
-# wording when it fails. JSON as Python reads it admits Infinity and NaN,
-# which no bound lets through to the integrator, the sweep or the census.
+# error message when it fails, formatted with the key k, the value v and m.
+# JSON as Python reads it admits Infinity and NaN, which no bound lets
+# through to the integrator, the sweep or the census.
 _POSITIVE = (
-    lambda v, m: math.isfinite(v) and v > 0, "must be finite and positive, got {v!r}"
+    lambda v, m: math.isfinite(v) and v > 0,
+    "key {k!r} must be finite and positive, got {v!r}",
 )
-_NON_NEGATIVE = (lambda v, m: v >= 0, "must not be negative, got {v!r}")
+_NON_NEGATIVE = (lambda v, m: v >= 0, "key {k!r} must not be negative, got {v!r}")
 _FINITE_NON_NEGATIVE = (
-    lambda v, m: 0 <= v < math.inf, "must not be negative or infinite, got {v!r}"
+    lambda v, m: 0 <= v < math.inf, "key {k!r} must not be negative or infinite, got {v!r}"
 )
-_AT_LEAST_ONE = (lambda v, m: v >= 1, "must be at least 1, got {v!r}")
+_AT_LEAST_ONE = (lambda v, m: v >= 1, "key {k!r} must be at least 1, got {v!r}")
+
+# A name or output directory must be text a run can write: UTF-8 (no lone
+# surrogate, which a JSON escape can spell) and no NUL, which no path holds.
+_TEXT = (
+    lambda v, m: v is None or not any(c == "\0" or "\ud800" <= c <= "\udfff" for c in v),
+    "key {k!r} must not hold a NUL or a lone surrogate, got {v!r}",
+)
 
 # Every experiment parameter: its type, its default and its bound. Any
 # experiment may carry any of these keys; each reads its own.
@@ -77,7 +84,9 @@ _PARAMS = {
     "dedupe_tol": (float, 1e-6, *_FINITE_NON_NEGATIVE),
     "eps": (float, 0.2, *_POSITIVE),
     "samples": (int, 21, *_AT_LEAST_ONE),
-    "mu_edge": (int, 3, lambda v, m: 1 <= v <= m, "must name an edge from 1 to {m}"),
+    "mu_edge": (
+        int, 3, lambda v, m: 1 <= v <= m, "key {k!r} must name an edge from 1 to {m}"
+    ),
     "t_end": (float, 10.0, *_POSITIVE),
     "step": (float, 1e-3, *_POSITIVE),
     "stride": (int, 50, *_AT_LEAST_ONE),
@@ -112,144 +121,6 @@ def _fits_float(value):
     except OverflowError:
         return False
     return True
-
-
-def _checked(value, key, kind, within, wording, where, m):
-    """``value`` of key ``key``, refused unless of ``kind`` and ``within(value, m)``."""
-    _check_type(value, kind, f"key {key!r}", where)
-    if not within(value, m):
-        raise ScenarioError(f"key {key!r} " + wording.format(v=value, m=m), position=where)
-    return value
-
-
-def _require(raw, key, kind, where):
-    """The required key's value, of type ``kind`` (never a JSON boolean)."""
-    if key not in raw:
-        raise ScenarioError(f"missing required key {key!r}", position=where)
-    value = raw[key]
-    if isinstance(value, bool) or not isinstance(value, kind):
-        raise ScenarioError(f"key {key!r} must be of type {kind.__name__}", position=where)
-    return value
-
-
-def _refuse_unknown(raw, known, noun, where):
-    unknown = sorted(set(raw) - set(known))
-    if unknown:
-        raise ScenarioError(f"unknown {noun} keys: {', '.join(unknown)}", position=where)
-
-
-def load_scenario(path):
-    """Parse and validate a scenario file into a :class:`Scenario`."""
-    p = Path(path)
-    try:
-        text = p.read_text()
-    except OSError as exc:
-        raise ScenarioError(f"cannot read scenario file: {exc}")
-    try:
-        raw = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise ScenarioError(
-            exc.msg, position=f"{p.name}: line {exc.lineno} column {exc.colno}"
-        )
-    except ValueError as exc:  # an integer past Python's digit limit for int()
-        raise ScenarioError(str(exc), position=p.name)
-    if not isinstance(raw, dict):
-        raise ScenarioError("scenario root must be an object", position=p.name)
-    _refuse_unknown(raw, _TOP_KEYS, "scenario", p.name)
-    fmt = _require(raw, "format", int, p.name)
-    if fmt != SCENARIO_FORMAT:
-        raise ScenarioError(
-            f"unsupported scenario format {fmt!r}; this build reads format {SCENARIO_FORMAT}",
-            position=p.name,
-        )
-
-    graph_raw = _require(raw, "graph", dict, p.name)
-    _refuse_unknown(graph_raw, ("vertices", "edges"), "graph", "graph")
-    vertices = _require(graph_raw, "vertices", int, "graph")
-    edges_raw = _require(graph_raw, "edges", list, "graph")
-    edges = []
-    for i, pair in enumerate(edges_raw):
-        if not isinstance(pair, (list, tuple)) or len(pair) != 2:
-            raise ScenarioError(
-                f"edge {i + 1} must be a pair of 1-indexed vertices", position="graph"
-            )
-        for v in pair:
-            _check_type(v, int, f"edge {i + 1} vertex", "graph")
-        edges.append((pair[0] - 1, pair[1] - 1))
-    if not edges:
-        raise ScenarioError("a formation graph needs at least one edge", position="graph")
-    graph = FormationGraph(n=vertices, edges=tuple(edges))
-
-    lengths_raw = _require(raw, "lengths", dict, p.name)
-    _refuse_unknown(lengths_raw, ("values", "convention"), "lengths", "lengths")
-    values = tuple(
-        float(_check_type(v, float, f"length value {i + 1}", "lengths"))
-        for i, v in enumerate(_require(lengths_raw, "values", list, "lengths"))
-    )
-    convention = lengths_raw.get("convention", "squared")
-    if convention not in CONVENTIONS:
-        raise ScenarioError(
-            f"unknown length convention {convention!r}", position="lengths"
-        )
-    if len(values) != graph.m:
-        raise ScenarioError(
-            f"{len(values)} length values for a graph with {graph.m} edges",
-            position="lengths",
-        )
-
-    law_raw = _require(raw, "law", dict, p.name)
-    _refuse_unknown(law_raw, ("name", "gain"), "law", "law")
-    law_name = _require(law_raw, "name", str, "law")
-    gain = _checked(law_raw.get("gain", 1.0), "gain", float, *_POSITIVE, "law", graph.m)
-
-    exp_raw = _require(raw, "experiment", dict, p.name)
-    experiment = _require(exp_raw, "kind", str, "experiment")
-    if experiment not in _RUNNERS:
-        raise ScenarioError(
-            f"unknown experiment {experiment!r}; one of {', '.join(_RUNNERS)}",
-            position="experiment",
-        )
-    _refuse_unknown(exp_raw, ["kind", "initial", *_PARAMS], "experiment", "experiment")
-    params = {k: v for k, v in exp_raw.items() if k != "kind"}
-    for key, value in params.items():
-        if key != "initial":
-            kind, _, within, wording = _PARAMS[key]
-            _checked(value, key, kind, within, wording, "experiment", graph.m)
-    if "initial" in params:
-        # JSON numbers only: a boolean is no coordinate, though numpy reads it as one
-        entries = np.asarray(params["initial"], dtype=object).ravel().tolist()
-        if len(entries) != 2 * graph.n or not all(
-            isinstance(v, (int, float)) and not isinstance(v, bool) for v in entries
-        ):
-            raise ScenarioError(
-                f"key 'initial' must hold {2 * graph.n} numbers, two per agent",
-                position="experiment",
-            )
-        if not all(_fits_float(v) and math.isfinite(v) for v in entries):
-            raise ScenarioError(
-                f"key 'initial' must hold {2 * graph.n} finite numbers",
-                position="experiment",
-            )
-    seed = _checked(raw.get("seed", 0), "seed", int, *_NON_NEGATIVE, p.name, graph.m)
-    name = raw.get("name", p.stem)
-    if not isinstance(name, str):
-        raise ScenarioError("key 'name' must be of type str", position=p.name)
-    out = raw.get("out")
-    if out is not None and not isinstance(out, str):
-        raise ScenarioError("key 'out' must be of type str", position=p.name)
-
-    return Scenario(
-        name=name,
-        graph=graph,
-        length_values=values,
-        length_convention=convention,
-        law_name=law_name,
-        law_gain=float(gain),
-        experiment=experiment,
-        params=params,
-        seed=seed,
-        out=out,
-    )
 
 
 def _build_bundle(sc: Scenario):
@@ -422,17 +293,18 @@ def _run_sotomayor(sc, bundle, tol):
     report = sotomayor_at_witness(
         bundle, witnesses[0], mu_edge=_param(sc, "mu_edge") - 1, **kwargs
     )
-    header = [
-        "t_mu", "t_quad", "t_mixed", "verdict", "zero_eig_unique",
-        "others_negative", "degenerate", "fmu_norm", "slice_spectrum",
-    ]
-    row = [
-        _num(report.t_mu), _num(report.t_quad), _num(report.t_mixed),
-        _bool_cell(report.verdict), _bool_cell(report.zero_eig_unique),
-        _bool_cell(report.others_negative), _bool_cell(report.degenerate),
-        _num(report.fmu_norm), _eig_cell(report.slice_spectrum.values),
-    ]
-    return header, [row], [
+    cells = {
+        "t_mu": _num(report.t_mu),
+        "t_quad": _num(report.t_quad),
+        "t_mixed": _num(report.t_mixed),
+        "verdict": _bool_cell(report.verdict),
+        "zero_eig_unique": _bool_cell(report.zero_eig_unique),
+        "others_negative": _bool_cell(report.others_negative),
+        "degenerate": _bool_cell(report.degenerate),
+        "fmu_norm": _num(report.fmu_norm),
+        "slice_spectrum": _eig_cell(report.slice_spectrum.values),
+    }
+    return list(cells), [list(cells.values())], [
         f"zero eigenvalue unique: {_yesno(report.zero_eig_unique)}",
         f"other eigenvalues negative: {_yesno(report.others_negative)}",
         f"degenerate: {_yesno(report.degenerate)}",
@@ -485,20 +357,18 @@ def _run_simulate(sc, bundle, tol):
 def _run_rigidity(sc, bundle, tol):
     fw = realize_two_cycles(bundle.graph, bundle.lengths)[0]
     r = rigidity_matrix(fw)
-    rows = r.shape[0]
     rank_tolerance = tol if tol is not None else DEFAULT_RANK_TOL
     rank = rank_tol(r, rank_tolerance)
     rigid = is_infinitesimally_rigid(fw, rank_tolerance)
-    minimal = is_minimally_rigid(fw, rank_tolerance)
-    header = ["rank", "rows", "infinitesimally_rigid", "minimally_rigid"]
-    row = [str(rank), str(rows), _bool_cell(rigid), _bool_cell(minimal)]
-    if not rigid:
-        quals = "not infinitesimally rigid"
-    elif minimal:
-        quals = "infinitesimally rigid, minimally rigid"
-    else:
-        quals = "infinitesimally rigid, not minimally rigid"
-    return header, [row], [f"rank {rank} of {rows} ({quals})"]
+    cells = {
+        "rank": str(rank),
+        "rows": str(r.shape[0]),
+        "infinitesimally_rigid": _bool_cell(rigid),
+        "minimally_rigid": _bool_cell(is_minimally_rigid(fw, rank_tolerance)),
+    }
+    # two-cycles has 2n - 3 edges, so a rigid realization is minimally rigid
+    quals = "infinitesimally rigid, minimally rigid" if rigid else "not infinitesimally rigid"
+    return list(cells), [list(cells.values())], [f"rank {rank} of {r.shape[0]} ({quals})"]
 
 
 _RUNNERS = {
@@ -510,6 +380,152 @@ _RUNNERS = {
     "rigidity": _run_rigidity,
 }
 _TOL_READERS = ("census", "rigidity", "sotomayor")  # the runners that read --tol
+
+
+_REQUIRED = object()  # the default of a key that every scenario file gives
+
+# Each section's keys: type, default (or _REQUIRED) and an optional bound.
+# The type int or float is a JSON number, checked by _check_type; a tuple
+# holds the Python types the value may have (never a JSON boolean); None
+# admits any value, which load_scenario checks entry by entry.
+_SCENARIO = {
+    "format": ((int,), _REQUIRED, lambda v, m: v == SCENARIO_FORMAT,
+               f"unsupported scenario format {{v!r}}; this build reads format {SCENARIO_FORMAT}"),
+    "name": ((str,), None, *_TEXT),  # None: the file's stem
+    "graph": ((dict,), _REQUIRED),
+    "lengths": ((dict,), _REQUIRED),
+    "law": ((dict,), _REQUIRED),
+    "experiment": ((dict,), _REQUIRED),
+    "seed": (int, 0, *_NON_NEGATIVE),
+    "out": ((str, type(None)), None, *_TEXT),
+}
+_GRAPH = {"vertices": ((int,), _REQUIRED), "edges": ((list,), _REQUIRED)}
+_LENGTHS = {
+    "values": ((list,), _REQUIRED),
+    "convention": (None, "squared", lambda v, m: v in CONVENTIONS,
+                   "unknown length convention {v!r}"),
+}
+_LAW = {"name": ((str,), _REQUIRED), "gain": (float, 1.0, *_POSITIVE)}
+_EXPERIMENT = {
+    "kind": ((str,), _REQUIRED, lambda v, m: v in _RUNNERS,
+             "unknown experiment {v!r}; one of " + ", ".join(_RUNNERS)),
+    "initial": (None, None),
+    **_PARAMS,
+}
+
+
+def _reader(raw, table, noun, where, m):
+    """Refuse the keys of section ``raw`` outside ``table``; return its reader.
+
+    ``read(key)`` checks the key against its row, so errors come in the order
+    of the reads, and returns its value or default. A bound sees the edge count ``m``.
+    """
+    unknown = sorted(set(raw) - set(table))
+    if unknown:
+        raise ScenarioError(f"unknown {noun} keys: {', '.join(unknown)}", position=where)
+
+    def read(key):
+        kind, default, *bound = table[key]
+        if key not in raw:
+            if default is _REQUIRED:
+                raise ScenarioError(f"missing required key {key!r}", position=where)
+            return default
+        value = raw[key]
+        if kind in (int, float):
+            _check_type(value, kind, f"key {key!r}", where)
+        elif kind is not None and (isinstance(value, bool) or not isinstance(value, kind)):
+            raise ScenarioError(f"key {key!r} must be of type {kind[0].__name__}", position=where)
+        if bound and not bound[0](value, m):
+            raise ScenarioError(bound[1].format(k=key, v=value, m=m), position=where)
+        return value
+
+    return read
+
+
+def load_scenario(path):
+    """Parse and validate a scenario file into a :class:`Scenario`."""
+    p = Path(path)
+    try:
+        data = p.read_bytes()
+    except OSError as exc:
+        raise ScenarioError(f"cannot read scenario file: {exc}")
+    try:
+        raw = json.loads(data.decode("utf-8"))
+    except json.JSONDecodeError as exc:
+        raise ScenarioError(
+            exc.msg, position=f"{p.name}: line {exc.lineno} column {exc.colno}"
+        )
+    except ValueError as exc:  # bytes that are not UTF-8, or an integer past int()'s digit limit
+        raise ScenarioError(str(exc), position=p.name)
+    if not isinstance(raw, dict):
+        raise ScenarioError("scenario root must be an object", position=p.name)
+    top = _reader(raw, _SCENARIO, "scenario", p.name, None)
+    top("format")
+
+    graph_in = _reader(top("graph"), _GRAPH, "graph", "graph", None)
+    vertices = graph_in("vertices")
+    edges = []
+    for i, pair in enumerate(graph_in("edges")):
+        if not isinstance(pair, (list, tuple)) or len(pair) != 2:
+            raise ScenarioError(
+                f"edge {i + 1} must be a pair of 1-indexed vertices", position="graph"
+            )
+        for v in pair:
+            _check_type(v, int, f"edge {i + 1} vertex", "graph")
+        edges.append((pair[0] - 1, pair[1] - 1))
+    if not edges:
+        raise ScenarioError("a formation graph needs at least one edge", position="graph")
+    graph = FormationGraph(n=vertices, edges=tuple(edges))
+    # m edges name at most 2m agents; more would make a run's work grow with one number
+    if graph.n > 2 * graph.m:
+        raise ScenarioError(f"key 'vertices' must be at most {2 * graph.m}, two per edge, "
+                            f"got {graph.n}", position="graph")
+
+    lengths_in = _reader(top("lengths"), _LENGTHS, "lengths", "lengths", graph.m)
+    values = tuple(
+        float(_check_type(v, float, f"length value {i + 1}", "lengths"))
+        for i, v in enumerate(lengths_in("values"))
+    )
+    convention = lengths_in("convention")
+    if len(values) != graph.m:
+        raise ScenarioError(
+            f"{len(values)} length values for a graph with {graph.m} edges",
+            position="lengths",
+        )
+
+    law_in = _reader(top("law"), _LAW, "law", "law", graph.m)
+    law_name = law_in("name")
+    gain = law_in("gain")
+
+    exp_raw = top("experiment")
+    exp_in = _reader(exp_raw, _EXPERIMENT, "experiment", "experiment", graph.m)
+    experiment = exp_in("kind")
+    params = {key: exp_in(key) for key in exp_raw if key != "kind"}
+    if "initial" in params:
+        # JSON numbers only: a boolean is no coordinate, though numpy reads it as one
+        entries = np.asarray(params["initial"], dtype=object).ravel().tolist()
+        numbers = len(entries) == 2 * graph.n and all(
+            isinstance(v, (int, float)) and not isinstance(v, bool) for v in entries
+        )
+        if not numbers or not all(_fits_float(v) and math.isfinite(v) for v in entries):
+            what = "finite numbers" if numbers else "numbers, two per agent"
+            raise ScenarioError(f"key 'initial' must hold {2 * graph.n} {what}",
+                                position="experiment")
+    seed = top("seed")
+    name = top("name")
+
+    return Scenario(
+        name=p.stem if name is None else name,
+        graph=graph,
+        length_values=values,
+        length_convention=convention,
+        law_name=law_name,
+        law_gain=float(gain),
+        experiment=experiment,
+        params=params,
+        seed=seed,
+        out=top("out"),
+    )
 
 
 def run_scenario(path, out_dir=None, seed=None, tol=None):
@@ -536,11 +552,11 @@ def run_scenario(path, out_dir=None, seed=None, tol=None):
         out = Path(out_dir or sc.out or ".")
         try:
             out.mkdir(parents=True, exist_ok=True)
-        except OSError as exc:
+        except (OSError, ValueError) as exc:  # ValueError: a NUL or a lone surrogate
             raise ScenarioError(f"cannot create output directory: {exc}")
         with np.errstate(all="ignore"):  # the package's finite checks report, not NumPy
             header, rows, lines = _RUNNERS[sc.experiment](sc, bundle, tol)
-        with open(out / f"{sc.experiment}.csv", "w", newline="") as fh:
+        with open(out / f"{sc.experiment}.csv", "w", newline="", encoding="utf-8") as fh:
             writer = csv.writer(fh, lineterminator="\n")
             writer.writerow(header)
             writer.writerows(rows)
@@ -554,7 +570,8 @@ def run_scenario(path, out_dir=None, seed=None, tol=None):
             f"seed: {sc.seed}",
             *lines,
         ]) + "\n"
-        (out / "report.txt").write_text(text)
+        # surrogateescape gives back the bytes of a file name the locale could not decode
+        (out / "report.txt").write_text(text, encoding="utf-8", errors="surrogateescape")
     except FormationForgeError as exc:
         record = {"error": exc.code, "message": str(exc)}
         sys.stderr.write(json.dumps(record, sort_keys=True) + "\n")
@@ -563,7 +580,9 @@ def run_scenario(path, out_dir=None, seed=None, tol=None):
         record = {"error": "internal", "message": f"{type(exc).__name__}: {exc}"}
         sys.stderr.write(json.dumps(record, sort_keys=True) + "\n")
         return 3
-    sys.stdout.write(text)
+    # The files are UTF-8; the echo takes what the terminal encodes and escapes the rest.
+    encoding = sys.stdout.encoding or "utf-8"
+    sys.stdout.write(text.encode(encoding, "backslashreplace").decode(encoding))
     return 0
 
 

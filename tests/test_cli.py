@@ -762,6 +762,46 @@ class TestErrorPaths:
             assert str(out) in record["message"]
             assert stdout == ""
 
+    @pytest.mark.parametrize(
+        "overrides, message",
+        [
+            ({"out": "x\u0000y"},
+             "case.json: key 'out' must not hold a NUL or a lone surrogate, got 'x\\x00y'"),
+            ({"name": "a\ud800b"},
+             "case.json: key 'name' must not hold a NUL or a lone surrogate, got 'a\\ud800b'"),
+            # m edges name at most 2m agents; the kernel source grew with the count
+            ({"graph": dict(BASE["graph"], vertices=10**12)},
+             "graph: key 'vertices' must be at most 10, two per edge, got 1000000000000"),
+            (b'\xff\xfe{"format": 1}',
+             "case.json: 'utf-8' codec can't decode byte 0xff in position 0: invalid start byte"),
+        ],
+        ids=["out-nul", "name-surrogate", "vertices", "not-utf8"],
+    )
+    def test_a_file_no_run_can_use_exits_2_before_writing(self, tmp_path, overrides, message):
+        # In a fresh interpreter with a time limit: the vertex count used to hang the census.
+        if isinstance(overrides, bytes):
+            path = tmp_path / "case.json"
+            path.write_bytes(overrides)
+        else:
+            path = write_scenario(tmp_path, overrides)
+        work = tmp_path / "work"
+        work.mkdir()
+        proc = run_cli(["run", str(path)], work, {})
+        assert proc.returncode == 2
+        assert proc.stdout == ""
+        assert [json.loads(line) for line in proc.stderr.splitlines()] == [
+            {"error": "scenario", "message": message}
+        ]
+        assert list(work.iterdir()) == []
+
+    def test_an_output_directory_no_path_can_hold_exits_2(self, tmp_path, capsys):
+        path = write_scenario(tmp_path, {"experiment": {"kind": "rigidity"}})
+        assert run_scenario(path, out_dir=tmp_path / "x\0y") == 2
+        record, out_text = read_stderr_record(capsys)
+        assert out_text == ""
+        assert record["error"] == "scenario"
+        assert "cannot create output directory" in record["message"]
+
     def test_numerical_blow_up_exits_three(self, tmp_path, capsys):
         path = write_scenario(
             tmp_path,
@@ -882,6 +922,55 @@ def run_fresh(command, tmp_path):
     )
 
 
+def run_cli(args, cwd, env_overrides):
+    """Run the command line in a fresh interpreter in ``cwd``; returns the process."""
+    env = dict(os.environ)
+    env.pop("PYTHONIOENCODING", None)
+    src = str(Path(formation_forge.__file__).resolve().parents[1])
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    env.update(env_overrides)
+    return subprocess.run(
+        [sys.executable, "-m", "formation_forge", *args],
+        cwd=cwd,
+        capture_output=True,
+        encoding="utf-8",
+        errors="backslashreplace",
+        env=env,
+        timeout=60,
+    )
+
+
+class TestLocale:
+    # The scenario's name from its "name" key, or from the stem of its file name.
+    @pytest.mark.parametrize("from_key", [True, False], ids=["name-key", "file-name"])
+    def test_a_utf8_name_runs_under_an_ascii_locale(self, tmp_path, capsys, from_key):
+        # The scenario is read and the files are written as UTF-8 whatever the
+        # locale; the echo on an ASCII stdout escapes what it cannot encode.
+        raw = json.loads((SCENARIO_DIR / "fig2.json").read_text(encoding="utf-8"))
+        raw["experiment"] = {"kind": "rigidity"}
+        if from_key:
+            raw["name"] = "formaci\u00f3n"
+            path = tmp_path / "case.json"
+        else:
+            del raw["name"]
+            # the locale's spelling of a UTF-8 file name, which an ASCII locale escapes
+            path = tmp_path / os.fsdecode("formaci\u00f3n.json".encode("utf-8"))
+        path.write_text(json.dumps(raw, ensure_ascii=False), encoding="utf-8")
+        ascii_locale = {"LC_ALL": "C", "PYTHONUTF8": "0", "PYTHONCOERCECLOCALE": "0"}
+        proc = run_cli(["run", str(path), "--out", str(tmp_path / "ascii")], tmp_path, ascii_locale)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stderr == ""
+        assert proc.stdout.startswith("scenario: formaci\\")
+        assert run_scenario(path, out_dir=tmp_path / "here") == 0
+        capsys.readouterr()
+        files = sorted(f.name for f in (tmp_path / "here").iterdir())
+        assert files == ["report.txt", "rigidity.csv"]
+        for name in files:
+            assert (tmp_path / "ascii" / name).read_bytes() == (tmp_path / "here" / name).read_bytes()
+        report = (tmp_path / "here" / "report.txt").read_bytes()
+        assert report.startswith("scenario: formaci\u00f3n\n".encode("utf-8"))
+
+
 class TestStderrContract:
     def assert_one_blow_up_record(self, proc):
         assert proc.returncode == 3
@@ -907,7 +996,7 @@ class TestStderrContract:
 class TestReadme:
     def test_scenario_example_loads(self, tmp_path):
         readme = Path(__file__).resolve().parents[1] / "README.md"
-        block = re.search(r"```json\n(.*?)```", readme.read_text(), re.S)
+        block = re.search(r"```json\n(.*?)```", readme.read_text(encoding="utf-8"), re.S)
         assert block is not None
         path = tmp_path / "readme.json"
         path.write_text(block.group(1))
@@ -917,7 +1006,7 @@ class TestReadme:
 
     def test_named_constants_exist(self):
         readme = Path(__file__).resolve().parents[1] / "README.md"
-        names = set(re.findall(r"`([A-Z][A-Z0-9_]+)`", readme.read_text()))
+        names = set(re.findall(r"`([A-Z][A-Z0-9_]+)`", readme.read_text(encoding="utf-8")))
         assert names
         modules = [formation_forge] + [
             importlib.import_module(f"formation_forge.{info.name}")
@@ -930,7 +1019,7 @@ class TestReadme:
         readme = Path(__file__).resolve().parents[1] / "README.md"
         # | `key` | read by | type | default | bound |
         row = r"^\| `(\w+)` \| [^|]+ \| ([^|]+) \| ([^|]+) \|"
-        rows = re.findall(row, readme.read_text(), re.M)
+        rows = re.findall(row, readme.read_text(encoding="utf-8"), re.M)
         table = {key: (kind.strip(), default.strip()) for key, kind, default in rows}
         assert set(table) == set(_PARAMS) | {"initial"}
         for key, (kind, default, _, _) in _PARAMS.items():

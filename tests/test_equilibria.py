@@ -885,6 +885,12 @@ class TestScalarCensus:
         assert all(rec.framework is None for rec in report.records)
         assert report.almost_surely_stable
 
+    def test_seeds_whose_newton_fails_are_skipped(self):
+        # x^2 + 1 has no real root, so Newton fails from every seed.
+        report = scalar_census(lambda x: x * x + 1.0, design_values=(0.0,))
+        assert report.records == ()
+        assert not report.feasible
+
 
 class TestIdentifyConvention:
     @pytest.fixture
@@ -914,6 +920,18 @@ class TestIdentifyConvention:
         assert again.best.leg_order == report.best.leg_order
         assert again.best.quantitative_ok
         assert again.best.worst_deviation <= 1e-9
+
+    def test_tangent_targets_give_one_design_class(self):
+        # Squared targets (1, 5, 4, 1, 1) make agent 4's circles tangent, so both
+        # realizations share one spectrum; read as plain lengths, the triangle
+        # (1, 5, 4) is flat. References of one value pair with no spectrum.
+        one_value = {key: [-1.0] for key in BENCHMARK_SPECTRA}
+        report = identify_convention((1.0, 5.0, 4.0, 1.0, 1.0), published=one_value)
+        for c in report.candidates:
+            assert c.feasible == (c.interpretation == "squared_values")
+            if c.feasible:
+                assert c.spectra["design_stable"] is c.spectra["design_unstable"]
+                assert c.worst_deviation == math.inf
 
     def test_reference_spectra_shape(self):
         assert set(BENCHMARK_SPECTRA) == {"design_stable", "design_unstable", "aligned"}

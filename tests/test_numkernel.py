@@ -131,6 +131,10 @@ class TestEigenvalues:
         with pytest.raises(DimensionError):
             eigenvalues(np.ones((2, 3)))
 
+    def test_rejects_a_vector(self):
+        with pytest.raises(DimensionError, match="expected a 2-d matrix, got ndim=1"):
+            eigenvalues(np.ones(3))
+
     def test_takes_matrices_of_any_size(self):
         # no size cap: a 34-agent census needs a 65 x 65 gauge matrix
         spec = eigenvalues(np.diag(np.arange(1.0, 66.0)))
@@ -193,6 +197,10 @@ class TestRank:
     def test_zero_matrix(self):
         assert rank_tol(np.zeros((3, 3)), 1e-9) == 0
 
+    @pytest.mark.parametrize("shape", [(0, 0), (0, 3), (3, 0)])
+    def test_empty_matrix_has_rank_zero(self, shape):
+        assert rank_tol(np.zeros(shape), 1e-9) == 0
+
     def test_two_cycles_incidence_rank(self):
         assert rank_tol(mixed_adjacency(two_cycles()), 1e-9) == 3
 
@@ -214,6 +222,11 @@ class TestRank:
 
 
 class TestLeftNullspace:
+    @pytest.mark.parametrize("tol", [0.0, -1e-9])
+    def test_rejects_nonpositive_tolerance(self, tol):
+        with pytest.raises(ConfigurationError, match="null-space tolerance must be positive"):
+            left_nullspace(np.eye(2), tol)
+
     def test_two_cycles_cokernel(self):
         basis = left_nullspace(mixed_adjacency(two_cycles()), 1e-9)
         assert basis.shape == (5, 2)

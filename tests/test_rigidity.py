@@ -145,6 +145,11 @@ class TestTargetLengths:
         assert lengths.d == (4.0, 9.0)
         assert lengths.values == (2.0, 3.0)
 
+    def test_squared_values_are_stored_as_given(self):
+        lengths = TargetLengths.from_values((2.0, 3.0), convention="squared")
+        assert lengths.d == (2.0, 3.0)
+        assert lengths.values == (2.0, 3.0)
+
     @pytest.mark.parametrize("value", [0.0, -2.0])
     def test_nonpositive_plain_value_rejected(self, value):
         with pytest.raises(InfeasibleLengthsError, match="plain lengths must be positive"):
@@ -269,6 +274,11 @@ class TestRealization:
         with pytest.raises(ConfigurationError, match="two-cycles graph"):
             realize_two_cycles(g, TargetLengths(d=(1.0,) * 5))
 
+    @pytest.mark.parametrize("count", [4, 6])
+    def test_rejects_a_target_count_other_than_five(self, count):
+        with pytest.raises(ConfigurationError, match=f"needs 5 target lengths, got {count}"):
+            realize_two_cycles(two_cycles(), TargetLengths(d=(1.0,) * count))
+
 
 class TestSingularLengths:
     def test_canonical_construction(self):
@@ -291,6 +301,13 @@ class TestSingularLengths:
     def test_zero_offset_is_rejected(self):
         with pytest.raises(InfeasibleLengthsError):
             make_singular_lengths(1.0, 5.0, 4.0, 0.0)
+
+    @pytest.mark.parametrize(
+        "d, name", [((0.0, 5.0, 4.0), "d1"), ((1.0, -5.0, 4.0), "d2"), ((1.0, 5.0, 0.0), "d3")]
+    )
+    def test_nonpositive_triangle_target_is_rejected(self, d, name):
+        with pytest.raises(InfeasibleLengthsError, match=f"{name} must be positive"):
+            make_singular_lengths(*d, 2.0)
 
 
 class TestSingularSet:
