@@ -449,8 +449,17 @@ def load_scenario(path):
         data = p.read_bytes()
     except OSError as exc:
         raise ScenarioError(f"cannot read scenario file: {exc}")
+
+    def unique(pairs):  # json.loads alone would keep a repeated key's last value
+        section = {}
+        for key, value in pairs:
+            if key in section:
+                raise ScenarioError(f"repeated key {key!r}", position=p.name)
+            section[key] = value
+        return section
+
     try:
-        raw = json.loads(data.decode("utf-8"))
+        raw = json.loads(data.decode("utf-8"), object_pairs_hook=unique)
     except json.JSONDecodeError as exc:
         raise ScenarioError(
             exc.msg, position=f"{p.name}: line {exc.lineno} column {exc.colno}"

@@ -48,10 +48,18 @@ class ControlLaw:
     ``separable`` is derived from that and cannot be set, nor defined by a
     subclass. A coupled law has no per-edge slope: the Jacobians difference
     the field instead, and the response vectors refuse it.
+
+    ``weight`` and ``weight_dlen`` may carry their value as a source
+    expression, their ``source`` attribute, over ``d``, ``s2``, ``sqrt``
+    (``math.sqrt``) and the law constant ``c``, with the hook's bits. The
+    graph kernel writes it inline at every edge. A hook without one, such
+    as :class:`CustomLaw`'s ``weight`` or a subclass's replacement of an
+    inherited hook, is called there instead, as ``pair_weights`` always is.
     """
 
     name = "abstract"
     convention = "squared"
+    c = None
 
     def __init_subclass__(cls, **kwargs):
         super().__init_subclass__(**kwargs)
@@ -96,12 +104,16 @@ class GradientSquaredLaw(ControlLaw):
 
     name = "gradient_squared"
     convention = "squared"
+    c = property(lambda self: self.gain)
 
     def weight(self, d, s2):
         return self.gain * (s2 - d)
 
     def weight_dlen(self, d, s2):
         return self.gain
+
+    weight.source = "c * (s2 - d)"
+    weight_dlen.source = "c"
 
     def weight_dtarget(self, d, s2):
         return -self.gain
@@ -120,12 +132,17 @@ class GradientPlainLaw(ControlLaw):
     name = "gradient_plain"
     convention = "plain"
     sign = 1.0
+    c = property(lambda self: self.sign * self.gain)
 
     def weight(self, d, s2):
         return self.sign * self.gain * (math.sqrt(s2) - math.sqrt(d))
 
     def weight_dlen(self, d, s2):
         return self.sign * self.gain / (2.0 * math.sqrt(s2))
+
+    # ``sign * gain * (...)`` multiplies ``sign * gain`` first, so ``c`` keeps the bits.
+    weight.source = "c * (sqrt(s2) - sqrt(d))"
+    weight_dlen.source = "c / (2.0 * sqrt(s2))"
 
     def weight_dtarget(self, d, s2):
         return -self.sign * self.gain / (2.0 * math.sqrt(d))
@@ -214,10 +231,13 @@ class VectorFieldBundle:
 
     @cached_property
     def _kernel(self):
-        """The graph's compiled ``weights``, ``flow`` and ``jacobian``, bound to law and targets."""
+        """The graph's kernel for the law's expressions, bound to law and targets."""
         law = self.law
+        sources = (getattr(law.weight, "source", "weight(d, s2)"),
+                   getattr(law.weight_dlen, "source", "weight_dlen(d, s2)"))
+        bind = self.matrices["kernel"](*sources)
         pair_weights = None if law.separable else law.pair_weights
-        return self.matrices["bind"](law.weight, pair_weights, law.weight_dlen, self.lengths.d)
+        return bind(law.weight, pair_weights, law.weight_dlen, law.c, self.lengths.d)
 
     @cached_property
     def flow(self):
@@ -226,10 +246,11 @@ class VectorFieldBundle:
         This is the graph's compiled ``flow`` bound to the law and targets,
         one straight-line function from :func:`~.graph.graph_matrices` that
         gathers the flat edge vectors, weighs them as :func:`edge_weights`
-        does, and adds each ``u_k z_k`` into its origin agent in edge order
-        from 0.0; at a formation's few agents NumPy would cost more in call
-        overhead than in arithmetic. :func:`eval_F_x` is its array form and
-        checks the size, which this leaves to its caller.
+        does, with a built-in law's weight expression written inline and no
+        ``weight`` call, and adds each ``u_k z_k`` into its origin agent in
+        edge order from 0.0; at a formation's few agents NumPy would cost
+        more in call overhead than in arithmetic. :func:`eval_F_x` is its
+        array form and checks the size, which this leaves to its caller.
         """
         return self._kernel["flow"]
 
@@ -243,11 +264,13 @@ def edge_weights(b: VectorFieldBundle, z):
 
     ``z`` is a list of floats holding the edge vectors stacked flat (2m),
     as the graph's compiled ``gather`` writes them. The bundle's compiled
-    ``weights`` makes one ``law.weight`` call per edge for a separable law.
-    A coupled law's lone edges get ``law.weight`` too, and each
-    two-coleader pair one ``law.pair_weights`` call with its inner product
-    summed in floats, ``zix*zjx + ziy*zjy``. :attr:`VectorFieldBundle.flow`
-    runs the same weight lines inline, without calling this.
+    ``weights`` evaluates the law's weight expression inline at each edge,
+    or makes one ``law.weight`` call per edge for a law without one (see
+    :class:`ControlLaw`). A coupled law's lone edges get the weight too,
+    and each two-coleader pair one ``law.pair_weights`` call with its inner
+    product summed in floats, ``zix*zjx + ziy*zjy``.
+    :attr:`VectorFieldBundle.flow` runs the same weight lines inline,
+    without calling this.
     """
     return b._kernel["weights"](z)
 
@@ -260,7 +283,7 @@ def eval_F_x(b: VectorFieldBundle, x):
     form of :attr:`VectorFieldBundle.flow`, with its bits: ``x`` may be
     flat (2n) or rows (n, 2), the result is an array of the same layout,
     and any other coordinate count is a :class:`DimensionError`. It
-    composes the graph's compiled ``gather``, :func:`edge_weights` and
+    composes the bundle's compiled ``gather``, :func:`edge_weights` and
     the compiled ``scatter`` explicitly rather than calling the bound
     ``flow``, so that the weights stay a call of their own, one
     ``edge_weights`` per field evaluation, that a profiler can time.
@@ -269,9 +292,9 @@ def eval_F_x(b: VectorFieldBundle, x):
     xs = arr.ravel().tolist()
     if len(xs) != 2 * b.graph.n:
         raise DimensionError(f"{len(xs)} coordinates for {b.graph.n} planar agents")
-    mats = b.matrices
-    z = mats["gather"](xs)
-    out = np.array(mats["scatter"](edge_weights(b, z), z))
+    kernel = b._kernel
+    z = kernel["gather"](xs)
+    out = np.array(kernel["scatter"](edge_weights(b, z), z))
     return out if arr.ndim == 1 else out.reshape(b.graph.n, 2)
 
 

@@ -8,6 +8,8 @@ matrix built here indexes edges by their slot in the edge list.
 
 from __future__ import annotations
 
+import math
+import re
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import permutations
@@ -114,32 +116,46 @@ def _sum_source(terms, sign):
     return " ".join(["0.0", *(f"{sign} {term}" for term in terms)])
 
 
-def _kernel_source(g, by_origin):
-    """The float flow kernel of ``g`` as Python source, written out edge by edge.
+def _at_edge(expression, k, s2):
+    """A law expression at edge ``k``: ``sqrt(d)`` and ``d`` read its bound constants."""
+    names = {"sqrt(d)": f"root{k}", "d": f"d{k}", "s2": f"({s2})"}
+    return re.sub(r"\bsqrt\(d\)|\bd\b|\bs2\b", lambda name: names[name[0]], expression)
 
-    Returns the source and the flow as a ``field(xs, out)`` of
-    :func:`~.numkernel.rk4_loop`. ``gather(xs)`` returns the flat edge
-    vectors ``z`` of a list of 2n coordinates, and ``scatter(u, z)`` adds
-    each ``u_k z_k`` into its origin agent in edge order from 0.0.
-    ``bind(weight, pair_weights, weight_dlen, d)`` returns three functions
-    bound to a law and targets. ``weights(z)`` makes one ``weight`` call
-    per edge, but a coupled law's ``pair_weights`` (None if separable)
-    weighs each two-coleader pair at its float inner product. ``flow(xs)``
-    is the gather lines, those weight lines and the scatter sums in one
-    straight-line function, so it equals ``scatter(weights(z), z)`` at
-    ``z = gather(xs)`` bit for bit without a nested call. ``field`` writes
-    the same three parts on named coordinates, and ``bind`` sets
-    ``flow.rk4_loop`` to the RK4 loop with them inlined, bound to the
-    law's hooks and targets: the kernel's global ``integrate``, which
-    :func:`graph_matrices` compiles on its first call. ``jacobian(xs)``,
-    None if coupled, starts from ``gather`` and ``weights``: edge ``k``
-    from ``o`` to ``t`` adds ``M_k = u_k I + 2 u'_k z_k z_k^T`` at block
-    ``(o, t)`` and subtracts it at block ``(o, o)``, each entry summed in
-    edge order from 0.0. Each expression is written once, in one list that
-    every function using it is written from. The text holds integer
-    indices and fixed names only.
+
+def _kernel_source(g, by_origin, weight, weight_dlen):
+    """The float flow kernel of ``g`` under one law's expressions, as Python source.
+
+    ``weight`` and ``weight_dlen`` are a law's hooks as expressions over
+    ``d``, ``s2``, ``sqrt`` and the law constant ``c``, or the calls
+    ``weight(d, s2)`` and ``weight_dlen(d, s2)`` (see
+    :class:`~.dynamics.ControlLaw`), and are written out at every edge.
+    Returns the source, the flow as a ``field(xs, out)`` of
+    :func:`~.numkernel.rk4_loop`, and the parameters of its loop.
+    ``bind(weight, pair_weights, weight_dlen, c, d)`` binds a law's hooks,
+    its constant and the targets, which it unpacks once into ``d0, d1, ...``
+    with their square roots ``root0, root1, ...``, and returns five
+    functions. ``gather(xs)`` returns the flat edge vectors ``z`` of a
+    list of 2n coordinates, and ``scatter(u, z)`` adds each ``u_k z_k``
+    into its origin agent in edge order from 0.0. ``weights(z)`` writes
+    the weight per edge, but a coupled law's ``pair_weights`` (None if
+    separable) weighs each two-coleader pair at its float inner product.
+    ``flow(xs)`` is the gather lines, those weight lines and the scatter
+    sums in one straight-line function, so it equals
+    ``scatter(weights(z), z)`` at ``z = gather(xs)`` bit for bit without a
+    nested call. ``field`` writes the same three parts on named
+    coordinates, and ``bind`` sets ``flow.rk4_loop`` to the RK4 loop with
+    them inlined, bound to the hooks and constants: the kernel's global
+    ``integrate``, which :func:`graph_matrices` compiles on its first call.
+    ``jacobian(xs)``, None if coupled, starts from ``gather`` and
+    ``weights``: edge ``k`` from ``o`` to ``t`` adds ``M_k = u_k I + 2
+    u'_k z_k z_k^T`` at block ``(o, t)`` and subtracts it at block ``(o,
+    o)``, each entry summed in edge order from 0.0, ``u'_k`` the
+    ``weight_dlen`` (0.0 on a zero-length edge). Each expression is written
+    once, in one list that every function using it is written from. The
+    text holds integer indices and fixed names only.
     """
     n2 = 2 * g.n
+    edges = range(g.m)
 
     def gather(xs):
         return [f"{xs[2 * t + c]} - {xs[2 * o + c]}" for o, t in g.edges for c in (0, 1)]
@@ -153,13 +169,13 @@ def _kernel_source(g, by_origin):
     def s2(k):
         return f"z{2 * k} * z{2 * k} + z{2 * k + 1} * z{2 * k + 1}"
 
-    each = [f"weight(d[{k}], {s2(k)})" for k in range(g.m)]
+    each = [_at_edge(weight, k, s2(k)) for k in edges]
     weighs = [f"u{ks[0]} = {each[ks[0]]}" for ks in by_origin.values() if len(ks) == 1]
     for i, j in (ks for ks in by_origin.values() if len(ks) == 2):
         inner = f"z{2 * i} * z{2 * j} + z{2 * i + 1} * z{2 * j + 1}"
         weighs.append(
             f"u{i}, u{j} = ({each[i]}, {each[j]}) if pair_weights is None else "
-            f"pair_weights((d[{i}], d[{j}]), ({s2(i)}, {s2(j)}), {inner})"
+            f"pair_weights((d{i}, d{j}), ({s2(i)}, {s2(j)}), {inner})"
         )
 
     def weighed(xs):
@@ -168,12 +184,16 @@ def _kernel_source(g, by_origin):
     def field(xs, out):
         return weighed(xs) + [f"{v} = {vdot}" for v, vdot in zip(out, xdot)]
 
-    edges = range(g.m)
+    ds, roots = ([f"{name}{k}" for k in edges] for name in ("d", "root"))
+    params = ", ".join(["weight, pair_weights, c, sqrt", *ds, *roots])
     u, xy = ", ".join(f"u{k}" for k in edges), ", ".join(f"x{k}, y{k}" for k in edges)
     z = ", ".join(f"z{j}" for j in range(2 * g.m))
     jac = ["z = gather(xs)", f"[{xy}] = z", f"[{u}] = weights(z)"]
     jac += [f"q{k} = x{k} * x{k} + y{k} * y{k}" for k in edges]
-    jac += [f"w{k} = 2.0 * (0.0 if q{k} == 0.0 else weight_dlen(d[{k}], q{k}))" for k in edges]
+    jac += [
+        f"w{k} = 2.0 * (0.0 if q{k} == 0.0 else {_at_edge(weight_dlen, k, f'q{k}')})"
+        for k in edges
+    ]
     jac.append(f"jac = [0.0] * {n2 * n2}")
     diagonal = {}
     for k, (o, t) in enumerate(g.edges):
@@ -204,7 +224,10 @@ def scatter(u, z):
     return [{", ".join(xdot)}]
 
 
-def bind(weight, pair_weights, weight_dlen, d):
+def bind(weight, pair_weights, weight_dlen, c, d):
+    [{", ".join(ds)}] = d
+    [{", ".join(roots)}] = map(sqrt, d)
+
     def weights(z):
         [{z}] = z
         {body(weighs)}
@@ -215,7 +238,7 @@ def bind(weight, pair_weights, weight_dlen, d):
         return [{", ".join(xdot)}]
 
     def rk4_loop(x, k1, plan, times, store):
-        return integrate(weight, pair_weights, d, x, k1, plan, times, store)
+        return integrate({params}, x, k1, plan, times, store)
 
     def jacobian(xs):
         {body(jac)}
@@ -223,12 +246,14 @@ def bind(weight, pair_weights, weight_dlen, d):
 
     flow.rk4_loop = rk4_loop
     return {{
+        "gather": gather,
+        "scatter": scatter,
         "weights": weights,
         "flow": flow,
         "jacobian": jacobian if pair_weights is None else None,
     }}
 """
-    return source, field
+    return source, field, params
 
 
 @lru_cache(maxsize=32)
@@ -236,39 +261,42 @@ def graph_matrices(g: FormationGraph):
     """Every matrix and index set the flow needs for ``g``, built once per graph.
 
     ``pairs`` holds the two edges of each two-coleader agent, which
-    :func:`~.equilibria.classify_kind` tests for alignment. ``gather``,
-    ``scatter`` and ``bind`` are the graph's float flow kernel, compiled
-    here once from straight-line source (see :func:`_kernel_source`) in
-    a namespace that holds no module. Each bundle binds its law's hooks
-    and targets with ``bind``, whose ``flow`` is the bundle's flow, and
-    :func:`~.dynamics.eval_F_x` composes ``gather`` and ``scatter`` around
-    :func:`~.dynamics.edge_weights` as they are. Binding compiles nothing.
-    The flow's RK4 loop, :func:`~.numkernel.rk4_loop` with the flow's
-    lines inlined, is compiled into the same namespace on the first
-    integration with any bundle of ``g``, so a process that never
-    integrates never compiles it. The arrays are read-only because every
-    caller of the graph shares them.
+    :func:`~.equilibria.classify_kind` tests for alignment.
+    ``kernel(weight, weight_dlen)`` returns the ``bind`` of the graph's
+    float flow kernel under one pair of law expressions (see
+    :func:`_kernel_source`), compiled on the first call with that pair and
+    kept, in a namespace that holds no module and whose ``sqrt`` is
+    ``math.sqrt``, which is correctly rounded. Each bundle binds its law's
+    hooks, constant and targets with it, which compiles nothing. The
+    flow's RK4 loop, :func:`~.numkernel.rk4_loop` with the flow's lines
+    inlined, is compiled into that namespace on the first integration with
+    any bundle bound to it, so a process that never integrates never
+    compiles it. The arrays are read-only because every caller of the
+    graph shares them.
     """
     edge_adj = edge_adjacency(g)
     by_origin = {}
     for k, (o, _) in enumerate(g.edges):
         by_origin.setdefault(o, []).append(k)
-    source, field = _kernel_source(g, by_origin)
 
-    def integrate(*run):  # replaces itself with the compiled loop on the first run
-        kernel["integrate"] = rk4_loop(2 * g.n, "weight, pair_weights, d", field)
-        return kernel["integrate"](*run)
+    @lru_cache(maxsize=None)
+    def kernel(weight, weight_dlen):
+        source, field, params = _kernel_source(g, by_origin, weight, weight_dlen)
 
-    kernel = {"integrate": integrate}
-    exec(compile(source, "<flow kernel>", "exec"), kernel)
+        def integrate(*run):  # replaces itself with the compiled loop on the first run
+            namespace["integrate"] = rk4_loop(2 * g.n, params, field)
+            return namespace["integrate"](*run)
+
+        namespace = {"sqrt": math.sqrt, "integrate": integrate}
+        exec(compile(source, "<flow kernel>", "exec"), namespace)
+        return namespace["bind"]
+
     mats = {
         "edge_adj": edge_adj,
         "edge_adj2": kron_I2(edge_adj),
         "cycles": left_nullspace(mixed_adjacency(g), 1e-12),
         "pairs": tuple(tuple(ks) for ks in by_origin.values() if len(ks) == 2),
-        "gather": kernel["gather"],
-        "scatter": kernel["scatter"],
-        "bind": kernel["bind"],
+        "kernel": kernel,
     }
     for value in mats.values():
         if isinstance(value, np.ndarray):

@@ -652,6 +652,26 @@ class TestErrorPaths:
         assert record["error"] == "scenario"
 
     @pytest.mark.parametrize(
+        "old, new, key",
+        [
+            ('"seed": 7', '"seed": 3, "seed": -1, "seed": 5', "seed"),
+            ('"n_random": 60', '"n_random": 60, "n_random": 2', "n_random"),
+        ],
+    )
+    def test_a_repeated_key_exits_2(self, tmp_path, capsys, old, new, key):
+        # json.loads keeps a repeated key's last value, so fig2 with seed 3,
+        # -1 and 5 ran with seed 5 and exited 0.
+        path = tmp_path / "repeated.json"
+        text = (SCENARIO_DIR / "fig2.json").read_text(encoding="utf-8")
+        path.write_text(text.replace(old, new), encoding="utf-8")
+        status = run_scenario(path, out_dir=tmp_path / "out")
+        record, out_text = read_stderr_record(capsys)
+        assert status == 2
+        assert out_text == ""
+        assert record == {"error": "scenario", "message": f"repeated.json: repeated key {key!r}"}
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize(
         "overrides, message",
         [
             (

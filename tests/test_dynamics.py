@@ -469,14 +469,15 @@ class TestFloatFlow:
     def test_bundle_reads_the_graph_cache(self):
         b = squared_bundle(BENCHMARK_SQUARED)
         assert b.matrices is graph_matrices(b.graph) is b.matrices
-        # The kernel is compiled once per graph; each bundle binds its own targets.
+        # The kernel is compiled once per graph and law expression; each bundle
+        # binds its own targets.
         other = b.with_lengths(TargetLengths(d=(1.0,) * 5))
-        assert other.matrices["bind"] is b.matrices["bind"]
+        assert other.flow.__globals__ is b.flow.__globals__
         x = [0.0, 0.0, 1.0, 0.1, 0.5, 1.0, -1.0, 0.3]
         assert same_bits(other.flow(x), gather_scatter_field(other, x))
         assert not same_bits(other.flow(x), b.flow(x))
         # The kernel reads floats and the law's hooks only: its namespace holds no module.
-        namespace = b.matrices["bind"].__globals__.values()
+        namespace = b.flow.__globals__.values()
         assert not any(isinstance(value, types.ModuleType) for value in namespace)
 
 

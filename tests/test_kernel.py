@@ -24,6 +24,7 @@ from formation_forge.dynamics import (
     BUILTIN_LAW_NAMES,
     ControlLaw,
     CustomLaw,
+    GradientPlainLaw,
     GradientSquaredLaw,
     VectorFieldBundle,
     builtin_law,
@@ -78,18 +79,19 @@ class PairOverrideLaw(ControlLaw):
         return 1.3 * s2_pair[0] - 1.3 * d_pair[0], 1.3 * s2_pair[1] - 1.3 * d_pair[1]
 
 
-def make_law(name):
+def make_law(name, gain=1.0):
+    """A built-in law with ``gain``, or one of this module's laws, which read no gain."""
     if name == "separable":
         return CustomLaw(lambda d, s2: (s2 - d) * (1.0 + 0.5 * s2), name="separable")
     if name == "pair":
         return CustomLaw(lambda d, s2: s2 - d, name="pair", pair_func=coupled_pair)
     if name == "pair_override":
         return PairOverrideLaw()
-    return builtin_law(name)
+    return builtin_law(name, gain)
 
 
-def make_bundle(graph, law_name):
-    law = make_law(law_name)
+def make_bundle(graph, law_name, gain=1.0):
+    law = make_law(law_name, gain)
     values = PLAIN_VALUES[: graph.m]
     return VectorFieldBundle(
         graph=graph, law=law, lengths=TargetLengths.from_values(values, law.convention)
@@ -156,6 +158,8 @@ def einsum_jacobian(b, x):
 
 
 coordinates = st.floats(-5.0, 5.0, allow_nan=False, allow_infinity=False)
+# Gains other than 1 give each built-in law's constant ``c`` bits of its own.
+gains = st.sampled_from((1.0, 0.37, 1.7, 3.0))
 
 
 def same_bits(a, b):
@@ -168,14 +172,17 @@ class TestAgentField:
     @given(
         graph_index=st.integers(0, len(GRAPHS) - 1),
         law_name=st.sampled_from(BUILTIN_LAW_NAMES + ("pair", "pair_override")),
+        gain=gains,
         coords=st.lists(coordinates, min_size=12, max_size=12),
         collapse=st.one_of(st.none(), st.integers(0, 8)),
     )
     def test_matches_the_add_at_reference_bit_for_bit(
-        self, graph_index, law_name, coords, collapse
+        self, graph_index, law_name, gain, coords, collapse
     ):
+        # The reference reads law.weight, so a built-in law's inlined
+        # expression is checked against its hook.
         graph = GRAPHS[graph_index]
-        b = make_bundle(graph, law_name)
+        b = make_bundle(graph, law_name, gain)
         pts = np.asarray(coords[: 2 * graph.n]).reshape(graph.n, 2)
         if collapse is not None:
             o, t = graph.edges[collapse % graph.m]
@@ -273,11 +280,16 @@ class TestJacobianX:
     @given(
         graph=st.sampled_from((two_cycles(), TWO_CYCLES_FOLLOWERS, CHAIN)),
         law_name=st.sampled_from(BUILTIN_LAW_NAMES),
+        gain=gains,
         coords=st.lists(coordinates, min_size=12, max_size=12),
         collapse=st.one_of(st.none(), st.integers(0, 8)),
     )
-    def test_matches_the_einsum_reference_bit_for_bit(self, graph, law_name, coords, collapse):
-        b = make_bundle(graph, law_name)
+    def test_matches_the_einsum_reference_bit_for_bit(
+        self, graph, law_name, gain, coords, collapse
+    ):
+        # The reference reads law.weight and law.weight_dlen, so the
+        # inlined expressions are checked against the hooks.
+        b = make_bundle(graph, law_name, gain)
         pts = np.asarray(coords[: 2 * graph.n]).reshape(graph.n, 2)
         if collapse is not None:
             o, t = graph.edges[collapse % graph.m]
@@ -287,6 +299,41 @@ class TestJacobianX:
         assert same_bits(jacobian_x(b, pts.ravel()), expected)
         # Newton's iterate, a list of floats, is read as it is.
         assert same_bits(jacobian_x(b, pts.ravel().tolist()), expected)
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        graph=st.sampled_from((two_cycles(), TWO_CYCLES_FOLLOWERS, CHAIN)),
+        gain=gains,
+        coords=st.lists(coordinates, min_size=12, max_size=12),
+        collapse=st.one_of(st.none(), st.integers(0, 8)),
+    )
+    def test_a_subclass_slope_is_called(self, graph, gain, coords, collapse):
+        # SteeperPlainLaw replaces weight_dlen only: the kernel keeps the
+        # plain weight expression and calls the subclass's slope.
+        law = SteeperPlainLaw(gain)
+        lengths = TargetLengths.from_values(PLAIN_VALUES[: graph.m], "plain")
+        b = VectorFieldBundle(graph=graph, law=law, lengths=lengths)
+        pts = np.asarray(coords[: 2 * graph.n]).reshape(graph.n, 2)
+        if collapse is not None:
+            o, t = graph.edges[collapse % graph.m]
+            pts[t] = pts[o]
+        expected = einsum_jacobian(b, pts)
+        assert same_bits(jacobian_x(b, pts), expected)
+        assert np.array_equal(eval_F_x(b, pts), add_at_field(b, pts))
+        # At a spread-out state the slope moves the Jacobian, not the flow.
+        plain = VectorFieldBundle(graph=graph, law=GradientPlainLaw(gain), lengths=b.lengths)
+        xs = SPREAD_START[: 2 * graph.n]
+        assert not np.array_equal(jacobian_x(b, xs), jacobian_x(plain, xs))
+        assert b.flow(xs) == plain.flow(xs)
+
+
+class SteeperPlainLaw(GradientPlainLaw):
+    """gradient_plain with its own ``weight_dlen``: twice the plain slope."""
+
+    name = "steeper_plain"
+
+    def weight_dlen(self, d, s2):
+        return self.sign * self.gain / math.sqrt(s2)
 
 
 HOOK_LAWS = BUILTIN_LAW_NAMES + ("custom",)
@@ -549,6 +596,44 @@ class TestInlinedLoop:
         assert traj.states.tobytes() == states.tobytes()
         assert same_bits(traj.final_residual, final_residual)
 
+    @settings(max_examples=60, deadline=None)
+    @given(
+        graph=st.sampled_from(GRAPHS),
+        law_name=st.sampled_from(BUILTIN_LAW_NAMES),
+        gain=gains,
+        coords=st.lists(st.floats(-3.0, 3.0), min_size=12, max_size=12),
+        collapse=st.one_of(st.none(), st.integers(0, 8)),
+        t_end=st.sampled_from((0.305, 1.005)),
+    )
+    @example(two_cycles(), "eq1_plain", 1.7, SPREAD_START, None, 1.005)
+    @example(TWO_CYCLES_FOLLOWERS, "gradient_plain", 0.37, SPREAD_START, 4, 0.305)
+    def test_the_inlined_loop_matches_the_hooks_trajectory_bit_for_bit(
+        self, graph, law_name, gain, coords, collapse, t_end
+    ):
+        # The oracle field reads law.weight at every edge, so the loop's
+        # inlined weight expressions are checked against the hooks along a
+        # whole trajectory, blow-up time included.
+        b = make_bundle(graph, law_name, gain)
+        xs = coords[: 2 * graph.n]
+        if collapse is not None:
+            o, t = graph.edges[collapse % graph.m]
+            xs[2 * t : 2 * t + 2] = xs[2 * o : 2 * o + 2]
+
+        def hooks_field(x):
+            return add_at_field(b, x).ravel().tolist()
+
+        try:
+            times, states, final_residual = zip_rk4(hooks_field, xs, t_end, 0.01)
+        except BlowUpError as oracle:
+            with pytest.raises(BlowUpError) as info:
+                integrate_ode(b.flow, xs, t_end, step=0.01)
+            assert info.value.time == oracle.time
+            return
+        traj = integrate_ode(b.flow, xs, t_end, step=0.01)
+        assert traj.times.tobytes() == times.tobytes()
+        assert traj.states.tobytes() == states.tobytes()
+        assert same_bits(traj.final_residual, final_residual)
+
     def test_the_loop_calls_the_bundles_own_weight(self):
         law = HalvedSquaredLaw()
         b = VectorFieldBundle(
@@ -565,7 +650,7 @@ class TestInlinedLoop:
         assert not np.array_equal(integrate_ode(base.flow, x0, 0.505, step=0.01).states, states)
 
     def test_bundles_of_one_graph_share_one_loop_compiled_on_the_first_run(self, monkeypatch):
-        # No other test builds this graph, so its kernel is compiled here.
+        # No other test builds this graph, so its kernels are compiled here.
         graph = FormationGraph(n=5, edges=((0, 1), (1, 2), (2, 0), (3, 2), (0, 3), (4, 1)))
         sources = []
 
@@ -577,17 +662,30 @@ class TestInlinedLoop:
         monkeypatch.setattr(builtins, "compile", compile_logged)
         first = make_bundle(graph, "gradient_squared")
         second = make_bundle(graph, "gradient_plain")
+        third = first.with_lengths(TargetLengths(d=(1.0,) * graph.m))
         x0 = [0.1, -0.2, 1.7, 0.3, 0.9, 1.6, -1.2, 1.1, 0.4, 2.2]
-        # Building bundles, their flows and Jacobians compiles the graph's kernel only.
+        assert sources == []  # building bundles compiles nothing
+        # Flows and Jacobians compile one kernel per law expression of the graph.
         jacobian_x(first, x0)
         eval_F_x(second, x0)
-        assert len(sources) == 1 and second.matrices["bind"] is first.matrices["bind"]
-        for b in (first, second, first):
+        eval_F_x(third, x0)
+        assert len(sources) == 2 and all("def bind(weight, " in source for source in sources)
+        # The built-in laws' weights are written inline, with no hook call.
+        assert "u1 = c * ((z2 * z2 + z3 * z3) - d1)" in sources[0]
+        assert "u1 = c * (sqrt((z2 * z2 + z3 * z3)) - root1)" in sources[1]
+        assert not any("weight(d" in source for source in sources)
+        # Bundles of one law share one bind, each with its own targets.
+        assert third.flow.__globals__ is first.flow.__globals__
+        assert second.flow.__globals__ is not first.flow.__globals__
+        for b in (first, second, first, third):
             integrate_ode(b.flow, x0, 0.105, step=0.01)
-        assert len(sources) == 2 and "def integrate(weight, pair_weights, d, " in sources[1]
-        kernel = first.matrices["bind"].__globals__
-        loop = kernel["integrate"]
-        assert loop.__code__.co_filename == "<rk4 loop>"
-        # Neither namespace holds a module: the loop reads locals only.
-        for namespace in (kernel, loop.__globals__):
-            assert not any(isinstance(value, types.ModuleType) for value in namespace.values())
+        assert len(sources) == 4
+        assert "def integrate(weight, pair_weights, c, sqrt, d0, " in sources[2]
+        assert "root5, x, k1, plan, times, store):" in sources[3]
+        for b in (first, second):
+            kernel = b.flow.__globals__
+            loop = kernel["integrate"]
+            assert loop.__code__.co_filename == "<rk4 loop>"
+            # Neither namespace holds a module: the loop reads locals only.
+            for namespace in (kernel, loop.__globals__):
+                assert not any(isinstance(v, types.ModuleType) for v in namespace.values())
