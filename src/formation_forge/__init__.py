@@ -16,9 +16,6 @@ from .bifurcation import (
     TranscriticalReport,
     formation_family,
     gauge_slice_z_basis,
-    logistic_equilibria,
-    logistic_family,
-    logistic_reference,
     mu_sweep,
     sotomayor_at_witness,
     sotomayor_check,
@@ -61,8 +58,6 @@ from .equilibria import (
     gauge_fixed_spectrum,
     gauge_slice_basis,
     identify_convention,
-    poincare_index,
-    scalar_census,
     solve_ancillary_aligned,
 )
 from .errors import (
@@ -75,7 +70,6 @@ from .errors import (
     InconsistentStateError,
     InfeasibleLengthsError,
     ScenarioError,
-    SingularityError,
     UnknownLawError,
 )
 from .graph import (
@@ -84,7 +78,6 @@ from .graph import (
     edge_adjacency,
     graph_matrices,
     mixed_adjacency,
-    outvalence,
     two_cycles,
 )
 from .numkernel import (

@@ -65,7 +65,7 @@ class BranchPoint:
 
     mu: float
     branch: str
-    framework: Framework | None
+    framework: Framework
     leading_real: float
     stable: bool
 
@@ -384,42 +384,3 @@ def transcritical_detect(points):
     return TranscriticalReport(
         detected=True, crossings=crossings, orientation=orientation, grid_step=grid_step,
     )
-
-
-def logistic_family(x, mu):
-    """The transcritical normal form ``xdot = x (mu - x)``."""
-    x = np.asarray(x, dtype=float)
-    return x * (mu - x)
-
-
-def logistic_equilibria(mu):
-    """Equilibria of the normal form with stability labels, as a dict.
-
-    At mu = 0 the two equilibria coalesce into a single degenerate one.
-    """
-    mu = float(mu)
-    out = {0.0: mu < 0.0}
-    if mu != 0.0:
-        out[mu] = mu > 0.0
-    return out
-
-
-def logistic_reference(mu_range=DEFAULT_SWEEP_HALF_WIDTH, samples=21):
-    """Bifurcation diagram rows for the normal form, as branch points.
-
-    The zero branch sits at x = 0 with eigenvalue mu; the carrying branch
-    sits at x = mu with eigenvalue -mu. Feeding these rows to
-    :func:`transcritical_detect` exercises the detector on the textbook
-    exchange the formation sweep is compared against.
-    """
-    rows = []
-    for branch in ("zero", "carrying"):
-        for mu in np.linspace(-float(mu_range), float(mu_range), int(samples)):
-            lr = float(mu) if branch == "zero" else -float(mu)
-            rows.append(
-                BranchPoint(
-                    mu=float(mu), branch=branch, framework=None,
-                    leading_real=lr, stable=lr < 0.0,
-                )
-            )
-    return rows

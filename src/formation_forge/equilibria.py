@@ -29,7 +29,6 @@ from .errors import (
     ConvergenceError,
     FormulaDomainError,
     InfeasibleLengthsError,
-    SingularityError,
 )
 from .graph import two_cycles
 from .numkernel import Spectrum, eigenvalues, fd_jacobian, left_nullspace, newton_root
@@ -54,7 +53,6 @@ NEWTON_TOL = 1e-11  # residual at which the census and aligned solves stop
 CENSUS_MAX_ITER = 80
 ALIGNED_SCAN_STEPS = 64  # scan steps along each aligned path; even, so the top is a sample
 ALIGNED_MIN_GAP = 1e-9  # agent 2's abscissa must exceed this on an aligned path
-SCALAR_SEEDS = 41
 CONVENTION_TOL = 0.15  # largest spectrum deviation of a quantitative convention match
 
 BENCHMARK_LENGTHS = (2.0, 2.6, 2.0, 1.4, 3.3)
@@ -75,11 +73,10 @@ class EquilibriumRecord:
     """One equilibrium with its classification and linearization data.
 
     ``index`` is None when the gauge Jacobian is not hyperbolic, where the
-    sign of the determinant carries no topological meaning. ``framework``
-    is None only for records produced by :func:`scalar_census`.
+    sign of the determinant carries no topological meaning.
     """
 
-    framework: Framework | None
+    framework: Framework
     kind: str
     spectrum_gauge: Spectrum
     index: int | None
@@ -186,17 +183,6 @@ def gauge_fixed_spectrum(b: VectorFieldBundle, f: Framework):
     """
     m, _ = _gauge_jacobian(b, f)
     return eigenvalues(m)
-
-
-def poincare_index(b: VectorFieldBundle, f: Framework):
-    """Sign of the gauge-slice Jacobian determinant at a hyperbolic equilibrium."""
-    index = equilibrium_record(b, f).index
-    if index is None:
-        raise SingularityError(
-            "poincare index is undefined at a non-hyperbolic equilibrium "
-            f"(an eigenvalue real part is within {TOL_ZERO:g} of zero, relative)"
-        )
-    return index
 
 
 def classify_kind(b: VectorFieldBundle, f: Framework):
@@ -449,49 +435,6 @@ def census(b: VectorFieldBundle, n_random=200, seed=0, dedupe_tol=1e-6):
         if is_new(gauged.x):
             records.append(equilibrium_record(b, gauged))
     return CensusReport(records=tuple(records), dropped_seeds=dropped)
-
-
-def scalar_census(f, design_values, fprime=None):
-    """Census of a one-dimensional flow ``xdot = f(x)``.
-
-    The taxonomy and verdicts match the planar census: ``design_values``
-    play the role of the target configurations, every other root is
-    ancillary, and the almost-sure-stability verdict asks whether every
-    stable root is a design one. Newton runs from ``SCALAR_SEEDS`` evenly
-    spaced seeds on 2.5 times the largest design value (at least 1) either
-    side of zero.
-    """
-    design = [float(v) for v in design_values]
-    scale = max([1.0] + [abs(v) for v in design])
-
-    def f_vec(v):
-        return [f(v[0])]
-
-    roots = []
-    for x0 in np.linspace(-2.5 * scale, 2.5 * scale, SCALAR_SEEDS):
-        try:
-            root = float(newton_root(f_vec, [x0], max_iter=60, tol=1e-12).x[0])
-        except ConvergenceError:
-            continue
-        if any(abs(root - r) <= 1e-8 * max(1.0, abs(r)) for r in roots):
-            continue
-        roots.append(root)
-    records = []
-    for root in sorted(roots):
-        slope = float(fprime(root) if fprime is not None else fd_jacobian(f_vec, [root])[0, 0])
-        hyperbolic = abs(slope) > 1e-9
-        is_design = any(abs(root - v) <= 1e-8 * max(1.0, abs(v)) for v in design)
-        records.append(
-            EquilibriumRecord(
-                framework=None,
-                kind="design" if is_design else "ancillary_other",
-                spectrum_gauge=Spectrum.from_values([slope]),
-                index=(1 if slope > 0 else -1) if hyperbolic else None,
-                stable=slope < 0,
-                residual=abs(float(f(root))),
-            )
-        )
-    return CensusReport(records=tuple(records))
 
 
 def _chebyshev_multiset(computed, reference):

@@ -101,10 +101,3 @@ class BlowUpError(FormationForgeError):
     def __init__(self, message, time=None):
         super().__init__(message)
         self.time = time
-
-
-class SingularityError(FormationForgeError):
-    """A quantity that requires hyperbolicity met a near-zero eigenvalue."""
-
-    code = "singularity"
-    exit_status = 3

@@ -104,13 +104,6 @@ def edge_adjacency(g: FormationGraph):
     return a
 
 
-def outvalence(g: FormationGraph, v: int):
-    """Number of edges leaving vertex ``v``."""
-    if not 0 <= v < g.n:
-        raise ConfigurationError(f"vertex {v + 1} of {g.n} does not exist")
-    return sum(1 for o, _ in g.edges if o == v)
-
-
 def _sum_source(terms, sign):
     """``0.0`` with each term added (``sign`` "+") or subtracted, left to right."""
     return " ".join(["0.0", *(f"{sign} {term}" for term in terms)])

@@ -28,7 +28,6 @@ from .errors import (
 DEFAULT_RANK_TOL = 1e-9
 FD_STEP = 1e-6  # central-difference step of fd_jacobian, scaled by the coordinate
 FD_SECOND_STEP = 1e-4  # step of fd_second_directional, scaled by the largest coordinate
-_CONJUGATE_TOL = 1e-9
 
 
 @dataclass(frozen=True)
@@ -71,26 +70,7 @@ class Spectrum:
     def from_values(cls, values):
         vals = [complex(v) for v in values]
         vals.sort(key=lambda c: (-c.real, -c.imag))
-        spec = cls(tuple(vals))
-        spec._check_conjugate_pairing()
-        return spec
-
-    def _check_conjugate_pairing(self):
-        scale = max(1.0, max((abs(v) for v in self.values), default=0.0))
-        tol = _CONJUGATE_TOL * scale
-        unmatched = [v for v in self.values if abs(v.imag) > tol]
-        while unmatched:
-            v = unmatched.pop()
-            best = None
-            for i, w in enumerate(unmatched):
-                if abs(w - v.conjugate()) <= tol:
-                    best = i
-                    break
-            if best is None:
-                raise ConvergenceError(
-                    f"complex eigenvalue {v} lacks a conjugate partner within {tol:g}"
-                )
-            unmatched.pop(best)
+        return cls(tuple(vals))
 
 
 def _as_matrix(m):

@@ -10,8 +10,6 @@ import numpy as np
 import pytest
 
 from formation_forge.bifurcation import (
-    logistic_family,
-    logistic_reference,
     mu_sweep,
     sotomayor_at_witness,
     sotomayor_check,
@@ -29,10 +27,9 @@ from formation_forge.dynamics import (
 from formation_forge.equilibria import (
     BENCHMARK_SPECTRA,
     census,
+    equilibrium_record,
     gauge_fixed_spectrum,
     identify_convention,
-    poincare_index,
-    scalar_census,
 )
 from formation_forge.graph import edge_adjacency, mixed_adjacency, two_cycles
 from formation_forge.numkernel import (
@@ -53,6 +50,7 @@ from formation_forge.rigidity import (
     rigidity_matrix,
     singular_witnesses,
 )
+from normal_forms import logistic_family, logistic_reference, scalar_census
 
 REFERENCE_LENGTHS = (2.0, 2.6, 2.0, 1.4, 3.3)
 
@@ -317,5 +315,5 @@ def test_symmetry_and_index_properties():
     for rec in stable:
         assert len(rec.spectrum_gauge.values) == 5
         assert rec.index == -1
-        assert poincare_index(b, rec.framework) == -1
+        assert equilibrium_record(b, rec.framework).index == -1
     print("mirror spectra, rigid-motion equivariance, stable indices: PASS")

@@ -6,9 +6,6 @@ import pytest
 from formation_forge.bifurcation import (
     BranchPoint,
     gauge_slice_z_basis,
-    logistic_equilibria,
-    logistic_family,
-    logistic_reference,
     mu_sweep,
     sotomayor_at_witness,
     sotomayor_check,
@@ -32,6 +29,7 @@ from formation_forge.rigidity import (
     planar_cross,
     singular_witnesses,
 )
+from normal_forms import logistic_equilibria, logistic_family, logistic_reference
 from test_kernel import make_law
 
 PROOF_LENGTHS = (5.0, 8.0, 1.0, 0.8125, 0.3125)

@@ -16,6 +16,7 @@ import numpy as np
 import pytest
 
 import formation_forge
+from formation_forge import errors
 from formation_forge.cli import (
     _PARAMS,
     _sweep_lines,
@@ -1045,3 +1046,19 @@ class TestReadme:
         for key, (kind, default, _, _) in _PARAMS.items():
             assert table[key][0] == ("integer" if kind is int else "number")
             assert float(table[key][1]) == default
+
+    def test_exit_codes_name_every_error_class(self):
+        # "`a`, `b` and `c` exit 2;": each error code with its exit status
+        readme = Path(__file__).resolve().parents[1] / "README.md"
+        text = readme.read_text(encoding="utf-8")
+        paragraph = re.search(r"^Exit codes:.*?(?=\n\n)", text, re.S | re.M).group(0)
+        listed = {
+            code: int(status)
+            for codes, status in re.findall(r"((?:`[a-z-]+`,?\s+(?:and\s+)?)+)exit ([0-9])", paragraph)
+            for code in re.findall(r"`([a-z-]+)`", codes)
+        }
+        classes = [
+            cls for cls in vars(errors).values()
+            if isinstance(cls, type) and issubclass(cls, errors.FormationForgeError)
+        ]
+        assert listed == {cls.code: cls.exit_status for cls in classes}

@@ -26,7 +26,7 @@ from formation_forge.dynamics import (
     zdprime_vectors,
     zprime_vectors,
 )
-from formation_forge.equilibria import gauge_fixed_spectrum, scalar_census
+from formation_forge.equilibria import gauge_fixed_spectrum
 from formation_forge.errors import (
     ConfigurationError,
     DimensionError,
@@ -50,6 +50,7 @@ from formation_forge.rigidity import (
     make_singular_lengths,
     realize_two_cycles,
 )
+from normal_forms import scalar_census
 
 BENCHMARK_SQUARED = (4.0, 6.76, 4.0, 10.89, 1.96)
 SQUARED = builtin_law("gradient_squared")
@@ -150,9 +151,9 @@ class TestControlLaws:
         assert spectrum_gap(fw, z, b) <= 1e-7
 
 
-# The central differences CustomLaw and scalar_census wrote out by hand
-# before they called fd_jacobian and fd_second_directional, kept as the
-# oracle that the move changed no bit.
+# The central differences CustomLaw and the scalar census of the tests'
+# normal_forms wrote out by hand before they called fd_jacobian and
+# fd_second_directional, kept as the oracle that the move changed no bit.
 def quotient_step(v):
     return 1e-6 * max(1.0, abs(float(v)))
 

@@ -36,14 +36,11 @@ from formation_forge.equilibria import (
     gauge_fixed_spectrum,
     gauge_slice_basis,
     identify_convention,
-    poincare_index,
-    scalar_census,
     solve_ancillary_aligned,
 )
 from formation_forge.errors import (
     FormulaDomainError,
     InfeasibleLengthsError,
-    SingularityError,
 )
 from formation_forge.graph import FormationGraph, two_cycles
 from formation_forge.numkernel import eigenvalues, fd_jacobian
@@ -60,6 +57,7 @@ from formation_forge.rigidity import (
     singular_witnesses,
     within_design_tol,
 )
+from normal_forms import scalar_census
 from test_kernel import make_law
 from test_numkernel import array_newton_root
 
@@ -261,7 +259,7 @@ class TestPoincareIndex:
         for fw in realize_two_cycles(b.graph, b.lengths):
             spec = gauge_fixed_spectrum(b, fw)
             expected = -1 if spec.is_stable(0.0) else 1
-            assert poincare_index(b, fw) == expected
+            assert equilibrium_record(b, fw).index == expected
 
     @pytest.mark.parametrize("law_name", ("gradient_squared", "gradient_plain", "eq1_plain"))
     def test_index_from_the_spectrum_matches_the_determinant_sign(self, law_name):
@@ -291,8 +289,7 @@ class TestPoincareIndex:
     def test_undefined_at_a_singular_witness(self):
         out = make_singular_lengths(1.0, 5.0, 4.0, 2.0)
         b = benchmark_bundle().with_lengths(out.lengths)
-        with pytest.raises(SingularityError, match="non-hyperbolic"):
-            poincare_index(b, canonical_gauge(out.witness))
+        assert equilibrium_record(b, canonical_gauge(out.witness)).index is None
 
 
 class TestClassifyKind:

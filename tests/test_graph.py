@@ -10,7 +10,6 @@ from formation_forge.graph import (
     edge_adjacency,
     graph_matrices,
     mixed_adjacency,
-    outvalence,
     two_cycles,
 )
 from formation_forge.numkernel import kron_I2
@@ -148,22 +147,6 @@ class TestEdgeAdjacency:
         mats = graph_matrices(g)
         assert np.array_equal(mats["edge_adj"], edge_adjacency(g))
         assert np.array_equal(mats["edge_adj2"], kron_I2(edge_adjacency(g)))
-
-
-class TestOutvalence:
-    def test_two_coleader_agent(self):
-        assert outvalence(two_cycles(), 0) == 2
-
-    def test_single_coleader_agent(self):
-        assert outvalence(two_cycles(), 1) == 1
-
-    def test_isolated_vertex(self):
-        g = FormationGraph(n=3, edges=((0, 1),))
-        assert outvalence(g, 2) == 0
-
-    def test_unknown_vertex(self):
-        with pytest.raises(ConfigurationError):
-            outvalence(two_cycles(), 9)
 
 
 class TestSubformation:

@@ -3,7 +3,9 @@
 A module's underscore names are its own: another module of the package
 that needs one should use, or ask for, a public name instead. And a
 private helper is there for its module: one its module never names is
-dead, however many tests still import it.
+dead, however many tests still import it. A public name that no other
+module of the package uses is an entry point, listed below with its
+reason; code that only the tests use lives under ``tests/``.
 """
 
 import ast
@@ -14,6 +16,19 @@ import formation_forge
 PACKAGE = "formation_forge"
 PACKAGE_DIR = Path(formation_forge.__file__).resolve().parent
 MODULE_NAMES = {path.stem for path in PACKAGE_DIR.glob("*.py")}
+
+# Public names that no module of the package but __init__ names, and why each is public.
+ENTRY_POINTS = {
+    "CustomLaw": "a control law from the user's own weight function",
+    "contains_subformation": "the subformation test on formation graphs",
+    "identify_convention": "scores the built-in conventions against the reference spectra",
+    "in_singular_set": "membership of the singular target set; the bench tests call it",
+    "jacobian_d": "the paper's factorization: the derivative in the targets",
+    "jacobian_z": "the paper's factorization: the edge-coordinate Jacobian",
+    "reduced_J": "the paper's factorization: the reduced Jacobian D(z) A_e D(z')^T",
+    "make_singular_lengths": "builds a singular target set with its witness framework",
+    "verify_compatibility": "checks the defining property of a law on sample targets",
+}
 
 
 def is_private(name):
@@ -137,3 +152,26 @@ def test_all_lists_exactly_the_imported_public_names():
     assert len(imported) == len(set(imported))
     assert sorted(formation_forge.__all__) == sorted(imported)
     assert len(formation_forge.__all__) == len(set(formation_forge.__all__))
+
+
+def named_in(source):
+    """Every name ``source`` reads, takes as an attribute or imports."""
+    found = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Name):
+            found.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            found.add(node.attr)
+        elif isinstance(node, ast.alias):
+            found.add(node.asname or node.name)
+    return found
+
+
+def test_every_public_name_is_used_in_the_package_or_a_listed_entry_point():
+    used = set().union(*(
+        named_in(path.read_text())
+        for path in PACKAGE_DIR.glob("*.py")
+        if path.name != "__init__.py"
+    ))
+    unused = set(formation_forge.__all__) - used
+    assert unused == set(ENTRY_POINTS)

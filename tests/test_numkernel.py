@@ -1,6 +1,7 @@
 """Tests for the dense linear-algebra and numerics kernel."""
 
 import math
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -188,9 +189,26 @@ class TestSpectrum:
         assert spec.is_hyperbolic(tol)
         assert spec.unstable_count(tol) == 0
 
-    def test_unpaired_complex_value_is_rejected(self):
-        with pytest.raises(ConvergenceError):
-            Spectrum.from_values([1.0 + 1.0j, 2.0])
+    @settings(max_examples=200, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        n=st.integers(2, 29),
+        exponent=st.integers(-8, 8),
+        shape=st.sampled_from(("dense", "near_defective", "rounded")),
+    )
+    def test_complex_eigenvalues_come_in_exact_conjugate_pairs(self, seed, n, exponent, shape):
+        # The index rule, (-1) to the number of real negative eigenvalues,
+        # assumes LAPACK returns each non-real eigenvalue of a real matrix
+        # with its exact conjugate, equally often; Spectrum does not check it.
+        rng = np.random.default_rng(seed)
+        m = rng.normal(size=(n, n))
+        if shape == "near_defective":  # a Jordan-like block, perturbed below the diagonal
+            m = np.triu(m, 1) + m[0, 0] * np.eye(n) + 1e-9 * np.tril(m, -1)
+        elif shape == "rounded":
+            m = np.round(4.0 * m) / 4.0
+        values = eigenvalues(m * 10.0**exponent).values
+        nonreal = Counter(v for v in values if v.imag != 0.0)
+        assert nonreal == Counter(v.conjugate() for v in nonreal.elements())
 
 
 class TestRank:
