@@ -267,9 +267,10 @@ def mu_sweep(b: VectorFieldBundle, eps=DEFAULT_SWEEP_HALF_WIDTH, samples=21, mu_
     targets and the aligned branch at the first stable (else first) aligned
     equilibrium of the centre sample; the detector is then expected to
     report no crossing. The design step picks the closed-form realization
-    nearest the last one, in the canonical gauge it comes in. The aligned
-    step is :func:`aligned_root_near` from the last root's ``(a, b)``, on
-    the mirror of the branch start.
+    nearest the last one by the largest coordinate difference, in the
+    canonical gauge it comes in. The aligned step is
+    :func:`aligned_root_near` from the last root's ``(a, b)``, on the
+    mirror of the branch start.
     """
     if b.graph != two_cycles():
         raise ConfigurationError("the branch sweep is specific to the two-cycles graph")
@@ -292,7 +293,11 @@ def mu_sweep(b: VectorFieldBundle, eps=DEFAULT_SWEEP_HALF_WIDTH, samples=21, mu_
             frameworks = realize_two_cycles(bundle.graph, bundle.lengths)
         except InfeasibleLengthsError:
             return None
-        return min(frameworks, key=lambda g: float(np.max(np.abs(g.x - previous.x))))
+        last = previous.x.ravel().tolist()
+        return min(
+            frameworks,
+            key=lambda g: max(abs(p - q) for p, q in zip(g.x.ravel().tolist(), last)),
+        )
 
     witnesses = singular_witnesses(base)
     start = witnesses[0] if witnesses else realize_two_cycles(b.graph, base)[0]

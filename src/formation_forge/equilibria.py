@@ -52,7 +52,10 @@ RESIDUAL_TOL = 1e-9  # largest field residual accepted as an equilibrium
 NEWTON_TOL = 1e-11  # residual at which the census and aligned solves stop
 CENSUS_MAX_ITER = 80
 ALIGNED_SCAN_STEPS = 64  # scan steps along each aligned path; even, so the top is a sample
-ALIGNED_MIN_GAP = 1e-9  # agent 2's abscissa must exceed this on an aligned path
+# Agent 2's abscissa a must exceed this on an aligned path. a is the first
+# edge's length and divides agent 3's abscissa (a^2 + d3 - d2) / (2 a), so
+# the bound keeps agents 1 and 2 apart and agent 2 on the gauge's +x side.
+ALIGNED_MIN_GAP = 1e-9
 CONVENTION_TOL = 0.15  # largest spectrum deviation of a quantitative convention match
 
 BENCHMARK_LENGTHS = (2.0, 2.6, 2.0, 1.4, 3.3)
@@ -146,11 +149,17 @@ def gauge_slice_basis(x):
     and the infinitesimal rotation about the origin; their span can drop
     below three dimensions for degenerate configurations (all agents
     superposed), in which case the slice is correspondingly larger.
+
+    The 2n-by-3 matrix of those directions, rows ``(1, 0, -y_k)`` and
+    ``(0, 1, x_k)`` for agent k, is written from Python floats in one
+    ``np.array`` call. It is bit for bit the matrix that ``np.tile`` and
+    ``np.column_stack`` stack from the same directions, so its SVD and the
+    basis are too.
     """
-    pts = np.asarray(x, dtype=float).reshape(-1, 2)
-    translations = np.tile(np.eye(2), (pts.shape[0], 1))
-    rot = np.column_stack([-pts[:, 1], pts[:, 0]]).ravel()
-    return left_nullspace(np.column_stack([translations, rot]), 1e-12)
+    rows = []
+    for px, py in np.asarray(x, dtype=float).reshape(-1, 2).tolist():
+        rows += ((1.0, 0.0, -py), (0.0, 1.0, px))
+    return left_nullspace(np.array(rows).reshape(-1, 3), 1e-12)
 
 
 def _gauge_jacobian(b: VectorFieldBundle, f: Framework):
@@ -245,19 +254,33 @@ def _aligned_triangle(d, a):
     return alpha, math.sqrt(beta_sq)
 
 
-def _aligned_system(law, d, a, bb):
-    """The fourth edge's weight and the force balance on agent 1, with their Jacobian.
+def _aligned_residual(law, d, a, bb):
+    """The fourth edge's weight and the force balance on agent 1, or None.
 
     Evaluated straight from the parameters: only edges 1, 4 and 5 enter,
     with squared lengths ``a^2``, ``(alpha - b)^2 + beta^2`` and ``b^2``
     summed as the edge vectors' components would be, and agent 1's pair
     read through ``law.pair_weights`` at ``s = a b`` as :func:`edge_weights`
     reads it, so the residual matches the route through the framework bit
-    for bit under every law. The closed-form Jacobian in ``(a, b)`` is
-    returned for separable laws and None for coupled pairs. With
-    ``beta^2 = d_3 - alpha^2`` the fourth length is ``b^2 - 2 alpha b + d_3``,
-    which depends on ``a`` only through ``alpha(a)``. The residual is a
-    pair of floats; None is returned where agent 3 cannot be placed.
+    for bit under every law. The residual is a pair of floats; None is
+    returned where agent 3 cannot be placed.
+    """
+    triangle = _aligned_triangle(d, a)
+    if triangle is None:
+        return None
+    alpha, beta = triangle
+    gap = alpha - bb
+    u1, u5 = law.pair_weights((d[0], d[4]), (a * a, bb * bb), a * bb)
+    return law.weight(d[3], gap * gap + beta * beta), u1 * a + u5 * bb
+
+
+def _aligned_jacobian(law, d, a, bb):
+    """The closed-form Jacobian of :func:`_aligned_residual` in ``(a, b)``.
+
+    Only for separable laws. With ``beta^2 = d_3 - alpha^2`` the fourth
+    length is ``b^2 - 2 alpha b + d_3``, which depends on ``a`` only through
+    ``alpha(a)``. None where agent 3 cannot be placed, where the residual
+    is NaN and Newton stops before reading it.
     """
     triangle = _aligned_triangle(d, a)
     if triangle is None:
@@ -266,17 +289,12 @@ def _aligned_system(law, d, a, bb):
     gap = alpha - bb
     s2 = [a * a, gap * gap + beta * beta, bb * bb]
     u1, u5 = law.pair_weights((d[0], d[4]), (s2[0], s2[2]), a * bb)
-    u4 = law.weight(d[3], s2[1])
-    res = (u4, u1 * a + u5 * bb)
-    if not law.separable:
-        return res, None
     du = weight_slopes(law, [d[0], d[3], d[4]], s2)
     dalpha = 0.5 - (d[2] - d[1]) / (2.0 * a * a)
-    jac = np.array([
+    return np.array([
         [-2.0 * bb * dalpha * du[1], 2.0 * (bb - alpha) * du[1]],
         [u1 + 2.0 * s2[0] * du[0], u5 + 2.0 * s2[2] * du[2]],
     ])
-    return res, jac
 
 
 def aligned_root_near(b, a0, b0, sigma):
@@ -284,19 +302,21 @@ def aligned_root_near(b, a0, b0, sigma):
 
     The unknowns are agent 2's and agent 4's positions on the line through
     agent 1, agent 3 on mirror ``sigma``; the residual is
-    :func:`_aligned_system`'s, the fourth edge's weight and agent 1's
-    balance, for every law. Its closed-form Jacobian serves separable
-    laws, and coupled pairs get newton_root's central differences. Whether
-    the root is an equilibrium of the full flow is left to the caller.
+    :func:`_aligned_residual`'s, the fourth edge's weight and agent 1's
+    balance, for every law. Newton's line search evaluates only the
+    residual; separable laws get :func:`_aligned_jacobian` at each step,
+    and coupled pairs get newton_root's central differences of the
+    residual. Whether the root is an equilibrium of the full flow is left
+    to the caller.
     """
-    d = b.lengths.d
+    law, d = b.law, b.lengths.d
 
-    def system(v):
-        return _aligned_system(b.law, d, v[0], v[1]) or ((math.nan, math.nan), None)
+    def residual(v):
+        return _aligned_residual(law, d, v[0], v[1]) or (math.nan, math.nan)
 
-    jac = (lambda v: system(v)[1]) if b.law.separable else None
+    jac = (lambda v: _aligned_jacobian(law, d, v[0], v[1])) if law.separable else None
     try:
-        a, bb = newton_root(lambda v: system(v)[0], [a0, b0], max_iter=CENSUS_MAX_ITER,
+        a, bb = newton_root(residual, [a0, b0], max_iter=CENSUS_MAX_ITER,
                             tol=NEWTON_TOL, jac=jac).x.tolist()
     except ConvergenceError:
         return None

@@ -197,7 +197,10 @@ def _circle_intersection_height(center_dist, r_near, r_far, edge_names):
     near edge keeps its length.
     """
     alpha = (center_dist**2 + r_near**2 - r_far**2) / (2.0 * center_dist)
-    beta_sq = r_near**2 - alpha**2
+    try:
+        beta_sq = r_near**2 - alpha**2
+    except OverflowError:  # alpha's square is past the float range: no intersection
+        beta_sq = -math.inf
     if beta_sq < -1e-12 * max(1.0, r_near**2):
         e1, e2, e3 = edge_names
         raise InfeasibleLengthsError(
@@ -219,31 +222,42 @@ def realize_two_cycles(graph: FormationGraph, lengths: TargetLengths):
     so fewer may be returned. Infeasible lengths raise, naming the violated
     triangle. Each framework is verified to meet its squared-length targets
     to 1e-12 relative to the largest (at least 1).
+
+    The construction, the deduplication and the verification run on Python
+    floats. They perform the IEEE operations of the same construction on
+    NumPy arrays (``np.sqrt`` of the targets, (4, 2) position rows,
+    ``squared_lengths(edge_vectors(f))``) in the same order, so every
+    framework, refusal and message matches that construction bit for bit;
+    ``tests/normal_forms.py`` keeps it as the oracle.
     """
     if graph != two_cycles():
         raise ConfigurationError("realization is implemented for the two-cycles graph")
-    d = lengths.as_array()
-    if d.size != 5:
-        raise ConfigurationError(f"two-cycles needs 5 target lengths, got {d.size}")
-    r = np.sqrt(d)
-    x1 = np.zeros(2)
-    x2 = np.array([r[0], 0.0])
+    d = lengths.d
+    if len(d) != 5:
+        raise ConfigurationError(f"two-cycles needs 5 target lengths, got {len(d)}")
+    r = [math.sqrt(v) for v in d]
     alpha3, beta3 = _circle_intersection_height(r[0], r[2], r[1], (1, 2, 3))
-    frameworks = []
+    alpha4, beta4 = _circle_intersection_height(r[2], r[4], r[3], (3, 4, 5))
+    frameworks, placed = [], []
     for s3 in (1.0, -1.0):
-        x3 = np.array([alpha3, s3 * beta3])
-        u_hat = x3 / r[2]
-        u_perp = np.array([-u_hat[1], u_hat[0]])
-        alpha4, beta4 = _circle_intersection_height(r[2], r[4], r[3], (3, 4, 5))
+        h3 = s3 * beta3
+        ux, uy = alpha3 / r[2], h3 / r[2]  # agent 3's unit direction
         for s4 in (1.0, -1.0):
-            x4 = alpha4 * u_hat + s4 * beta4 * u_perp
+            w = s4 * beta4
             # + 0.0 turns a -0.0 into 0.0, as canonical_gauge would
-            fw = Framework(graph=graph, x=np.vstack([x1, x2, x3, x4]) + 0.0)
-            if not any(np.max(np.abs(fw.x - other.x)) <= 1e-12 for other in frameworks):
+            x = [0.0, 0.0, r[0] + 0.0, 0.0, alpha3 + 0.0, h3 + 0.0,
+                 alpha4 * ux + w * -uy + 0.0, alpha4 * uy + w * ux + 0.0]
+            fw = Framework(graph=graph, x=np.array(x).reshape(4, 2))
+            if not any(all(abs(p - q) <= 1e-12 for p, q in zip(x, other)) for other in placed):
                 frameworks.append(fw)
-    for fw in frameworks:
-        err = float(np.max(np.abs(squared_lengths(edge_vectors(fw)) - d)))
-        if err > 1e-12 * max(1.0, float(np.max(d))):
+                placed.append(x)
+    tol = 1e-12 * max(1.0, max(d))
+    for x in placed:
+        err = 0.0
+        for (o, t), dk in zip(graph.edges, d):
+            zx, zy = x[2 * t] - x[2 * o], x[2 * t + 1] - x[2 * o + 1]
+            err = max(err, abs(zx * zx + zy * zy - dk))
+        if err > tol:
             raise FormationForgeError(
                 f"design realization failed its length verification (error {err:.3e})"
             )

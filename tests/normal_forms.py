@@ -1,17 +1,27 @@
-"""One-dimensional reference flows the tests compare the package against.
+"""Reference constructions the tests compare the package against.
 
-A scalar census with the planar census's taxonomy and verdicts, and the
+A scalar census with the planar census's taxonomy and verdicts, the
 transcritical normal form ``xdot = x (mu - x)`` with its closed-form
-equilibria and bifurcation diagram. Nothing in the package calls them;
-they are test fixtures built from the package's public pieces.
+equilibria and bifurcation diagram, and the two-cycles realizer on NumPy
+arrays. Nothing in the package calls them; they are test fixtures built
+from the package's public pieces.
 """
+
+import math
 
 import numpy as np
 
 from formation_forge.bifurcation import DEFAULT_SWEEP_HALF_WIDTH, BranchPoint
 from formation_forge.equilibria import CensusReport, EquilibriumRecord
-from formation_forge.errors import ConvergenceError
-from formation_forge.numkernel import Spectrum, fd_jacobian, newton_root
+from formation_forge.errors import (
+    ConfigurationError,
+    ConvergenceError,
+    FormationForgeError,
+    InfeasibleLengthsError,
+)
+from formation_forge.graph import FormationGraph, two_cycles
+from formation_forge.numkernel import Spectrum, fd_jacobian, newton_root, squared_lengths
+from formation_forge.rigidity import Framework, TargetLengths, edge_vectors
 
 SCALAR_SEEDS = 41
 
@@ -97,3 +107,72 @@ def logistic_reference(mu_range=DEFAULT_SWEEP_HALF_WIDTH, samples=21):
                 )
             )
     return rows
+
+
+def array_circle_intersection_height(center_dist, r_near, r_far, edge_names):
+    """Abscissa and height of the intersection of two circles.
+
+    Centers sit ``center_dist`` apart on a local axis; the first circle has
+    radius ``r_near`` about the axis origin and the second radius ``r_far``
+    about the far center. Raises when the circles do not meet, naming the
+    edge triple whose triangle inequality failed. A triangle flat within
+    the rounding tolerance, whose abscissa overshoots ``r_near``, puts the
+    apex on the axis at distance ``r_near`` on the abscissa's side, so the
+    near edge keeps its length.
+    """
+    alpha = (center_dist**2 + r_near**2 - r_far**2) / (2.0 * center_dist)
+    beta_sq = r_near**2 - alpha**2
+    if beta_sq < -1e-12 * max(1.0, r_near**2):
+        e1, e2, e3 = edge_names
+        raise InfeasibleLengthsError(
+            f"edges {e1}, {e2}, {e3} violate the triangle inequality: "
+            f"circles of radii {r_near:.6g} and {r_far:.6g} with centers "
+            f"{center_dist:.6g} apart do not intersect"
+        )
+    if beta_sq < 0.0:
+        return math.copysign(r_near, alpha), 0.0
+    return alpha, math.sqrt(beta_sq)
+
+
+def array_realize_two_cycles(graph: FormationGraph, lengths: TargetLengths):
+    """All planar realizations of two-cycles target lengths, in canonical gauge.
+
+    The oracle of :func:`~formation_forge.rigidity.realize_two_cycles`: the
+    same construction on NumPy arrays and NumPy scalars.
+
+    The gauge pins ``x1`` at the origin and the first edge along the
+    positive x axis. Generic lengths give four frameworks (two mirror
+    pairs); tangency of either circle pair collapses coincident solutions,
+    so fewer may be returned. Infeasible lengths raise, naming the violated
+    triangle. Each framework is verified to meet its squared-length targets
+    to 1e-12 relative to the largest (at least 1).
+    """
+    if graph != two_cycles():
+        raise ConfigurationError("realization is implemented for the two-cycles graph")
+    d = lengths.as_array()
+    if d.size != 5:
+        raise ConfigurationError(f"two-cycles needs 5 target lengths, got {d.size}")
+    r = np.sqrt(d)
+    x1 = np.zeros(2)
+    x2 = np.array([r[0], 0.0])
+    alpha3, beta3 = array_circle_intersection_height(r[0], r[2], r[1], (1, 2, 3))
+    frameworks = []
+    for s3 in (1.0, -1.0):
+        x3 = np.array([alpha3, s3 * beta3])
+        u_hat = x3 / r[2]
+        u_perp = np.array([-u_hat[1], u_hat[0]])
+        alpha4, beta4 = array_circle_intersection_height(r[2], r[4], r[3], (3, 4, 5))
+        for s4 in (1.0, -1.0):
+            x4 = alpha4 * u_hat + s4 * beta4 * u_perp
+            # + 0.0 turns a -0.0 into 0.0, as canonical_gauge would
+            fw = Framework(graph=graph, x=np.vstack([x1, x2, x3, x4]) + 0.0)
+            if not any(np.max(np.abs(fw.x - other.x)) <= 1e-12 for other in frameworks):
+                frameworks.append(fw)
+    for fw in frameworks:
+        err = float(np.max(np.abs(squared_lengths(edge_vectors(fw)) - d)))
+        if err > 1e-12 * max(1.0, float(np.max(d))):
+            raise FormationForgeError(
+                f"design realization failed its length verification (error {err:.3e})"
+            )
+    return frameworks
+

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from formation_forge import equilibria
+from formation_forge import bifurcation, equilibria
 from formation_forge.dynamics import (
     BUILTIN_LAW_NAMES,
     CustomLaw,
@@ -17,14 +17,19 @@ from formation_forge.dynamics import (
     edge_weights,
     eval_F_x,
     reduced_J,
+    weight_slopes,
 )
 from formation_forge.equilibria import (
     BENCHMARK_LENGTHS,
     BENCHMARK_SPECTRA,
     RECORD_KINDS,
+    ALIGNED_MIN_GAP,
+    CENSUS_MAX_ITER,
+    NEWTON_TOL,
     RESIDUAL_TOL,
     CensusReport,
-    _aligned_system,
+    _aligned_jacobian,
+    _aligned_residual,
     _aligned_triangle,
     aligned_framework,
     aligned_parameters,
@@ -39,11 +44,12 @@ from formation_forge.equilibria import (
     solve_ancillary_aligned,
 )
 from formation_forge.errors import (
+    ConvergenceError,
     FormulaDomainError,
     InfeasibleLengthsError,
 )
 from formation_forge.graph import FormationGraph, two_cycles
-from formation_forge.numkernel import eigenvalues, fd_jacobian
+from formation_forge.numkernel import eigenvalues, fd_jacobian, left_nullspace, newton_root
 from formation_forge.rigidity import (
     DESIGN_TOL,
     Framework,
@@ -67,7 +73,7 @@ BENCHMARK_SQUARED = (4.0, 6.76, 4.0, 10.89, 1.96)
 def aligned_residual(b, d, a, bb, sigma):
     """The aligned residual through the framework's edge vectors; NaN off-domain.
 
-    The oracle of ``_aligned_system``: the fourth edge's weight and the
+    The oracle of ``_aligned_residual``: the fourth edge's weight and the
     force balance on agent 1, from :func:`edge_weights` on the placed agents.
     """
     triangle = _aligned_triangle(d, a)
@@ -210,6 +216,22 @@ class TestGaugeSliceBasis:
         # directions, so the complement gains a dimension.
         basis = gauge_slice_basis(np.full((4, 2), 2.0))
         assert basis.shape == (8, 6)
+
+    def test_matches_the_stacked_array_form_bit_for_bit(self):
+        # The constraint matrix written from floats is the one np.tile and
+        # np.column_stack built, so the SVD returns the same basis.
+        rng = np.random.default_rng(11)
+        cases = [rng.normal(size=(4, 2)) * 10.0 ** rng.uniform(-8.0, 8.0) for _ in range(40)]
+        cases += [fw.x for fw in realize_two_cycles(two_cycles(), TargetLengths(d=BENCHMARK_SQUARED))]
+        cases += [np.full((4, 2), 2.0), np.zeros((4, 2)), [[0.0, -0.0]], np.zeros((0, 2)),
+                  rng.normal(size=(7, 2)), rng.normal(size=8)]
+        for x in cases:
+            pts = np.asarray(x, dtype=float).reshape(-1, 2)
+            translations = np.tile(np.eye(2), (pts.shape[0], 1))
+            rot = np.column_stack([-pts[:, 1], pts[:, 0]]).ravel()
+            want = left_nullspace(np.column_stack([translations, rot]), 1e-12)
+            got = gauge_slice_basis(x)
+            assert got.shape == want.shape and got.tobytes() == want.tobytes()
 
 
 class TestGaugeFixedSpectrum:
@@ -569,9 +591,9 @@ class TestAlignedJacobian:
             lengths=TargetLengths(d=BENCHMARK_SQUARED, convention=law.convention),
         )
         d = b.lengths.as_array()
-        system = _aligned_system(law, d, a, bb)
-        assume(system is not None)
-        res, jac = system
+        res = _aligned_residual(law, d, a, bb)
+        assume(res is not None)
+        jac = _aligned_jacobian(law, d, a, bb)
         # Straight from the parameters, the residual keeps the rounding of
         # the route through the framework's edge vectors.
         assert np.array_equal(res, aligned_residual(b, d, a, bb, sigma))
@@ -600,24 +622,160 @@ class TestAlignedJacobian:
         # A coupled pair reads s = a b through pair_weights as edge_weights
         # does; its Jacobian is left to newton_root's central differences.
         law = make_law("pair")
+        assert not law.separable
         b = VectorFieldBundle(
             graph=two_cycles(), law=law, lengths=TargetLengths(d=BENCHMARK_SQUARED)
         )
         d = b.lengths.as_array()
-        system = _aligned_system(law, d, a, bb)
-        assume(system is not None)
-        res, jac = system
+        res = _aligned_residual(law, d, a, bb)
+        assume(res is not None)
         assert np.array_equal(res, aligned_residual(b, d, a, bb, sigma))
-        assert jac is None
 
     def test_residual_is_nan_off_domain(self):
         # Agent 3 cannot be placed when a is too small for the triangle. The
-        # oracle returns NaN there, and _aligned_system None, which
-        # aligned_root_near turns into the NaN that newton_root rejects.
+        # oracle returns NaN there, and _aligned_residual None, which
+        # aligned_root_near turns into the NaN that newton_root rejects
+        # before it reads the Jacobian, None there too.
         b = benchmark_bundle()
         d = b.lengths.as_array()
         assert np.isnan(aligned_residual(b, d, 0.1, 1.0, 1.0)).all()
-        assert _aligned_system(b.law, d, 0.1, 1.0) is None
+        assert _aligned_residual(b.law, d, 0.1, 1.0) is None
+        assert _aligned_jacobian(b.law, d, 0.1, 1.0) is None
+
+
+def combined_aligned_system(law, d, a, bb):
+    """The aligned residual and its Jacobian in one evaluation, as one system.
+
+    The oracle of the split into ``_aligned_residual`` and ``_aligned_jacobian``:
+    the residual and, for separable laws, the closed-form Jacobian, or None
+    where agent 3 cannot be placed.
+    """
+    triangle = _aligned_triangle(d, a)
+    if triangle is None:
+        return None
+    alpha, beta = triangle
+    gap = alpha - bb
+    s2 = [a * a, gap * gap + beta * beta, bb * bb]
+    u1, u5 = law.pair_weights((d[0], d[4]), (s2[0], s2[2]), a * bb)
+    u4 = law.weight(d[3], s2[1])
+    res = (u4, u1 * a + u5 * bb)
+    if not law.separable:
+        return res, None
+    du = weight_slopes(law, [d[0], d[3], d[4]], s2)
+    dalpha = 0.5 - (d[2] - d[1]) / (2.0 * a * a)
+    jac = np.array([
+        [-2.0 * bb * dalpha * du[1], 2.0 * (bb - alpha) * du[1]],
+        [u1 + 2.0 * s2[0] * du[0], u5 + 2.0 * s2[2] * du[2]],
+    ])
+    return res, jac
+
+
+def combined_aligned_root_near(b, a0, b0, sigma):
+    """``aligned_root_near`` on :func:`combined_aligned_system`, whose line search builds Jacobians."""
+    d = b.lengths.d
+
+    def system(v):
+        return combined_aligned_system(b.law, d, v[0], v[1]) or ((math.nan, math.nan), None)
+
+    jac = (lambda v: system(v)[1]) if b.law.separable else None
+    try:
+        a, bb = newton_root(lambda v: system(v)[0], [a0, b0], max_iter=CENSUS_MAX_ITER,
+                            tol=NEWTON_TOL, jac=jac).x.tolist()
+    except ConvergenceError:
+        return None
+    alpha, beta = _aligned_triangle(d, a)
+    return aligned_framework(b.graph, a, alpha, sigma * beta, bb)
+
+
+def singular_members(count, seed=0):
+    """sweep_s0's targets, then ``count`` singular targets drawn as the sweep benchmark draws them.
+
+    Triangle sides and the fifth length uniform on [0.5, 6.6], the fifth
+    length's sign a coin flip; kept when ``mu_sweep`` accepts both ends of
+    its default grid.
+    """
+    members = [(1.0, 5.0, 4.0, 8.0, 4.0)]
+    rng = np.random.default_rng(seed)
+    while len(members) <= count:
+        r1, r2, r3, z5 = rng.uniform(0.5, 6.6, 4)
+        signed_z5 = rng.choice((-1.0, 1.0)) * z5
+        try:
+            d = make_singular_lengths(r1 * r1, r2 * r2, r3 * r3, signed_z5).lengths.d
+            for end in (-bifurcation.DEFAULT_SWEEP_HALF_WIDTH, bifurcation.DEFAULT_SWEEP_HALF_WIDTH):
+                realize_two_cycles(two_cycles(), TargetLengths(d=d).perturbed(2, end))
+        except InfeasibleLengthsError:
+            continue
+        members.append(d)
+    return members
+
+
+@pytest.mark.parametrize("law_name", BUILTIN_LAW_NAMES + ("pair",))
+def test_aligned_split_reaches_the_combined_systems_roots(monkeypatch, law_name):
+    # Every aligned continuation step of a sweep, at sweep_s0 and at 20
+    # singular members, and the same steps from a nudged start: the split
+    # residual and Jacobian reach the combined system's root bit for bit,
+    # or both reach none.
+    law = make_law(law_name)
+    calls = []
+
+    def recording(bundle, a0, b0, sigma):
+        calls.append((bundle, a0, b0, sigma))
+        return aligned_root_near(bundle, a0, b0, sigma)
+
+    monkeypatch.setattr(bifurcation, "aligned_root_near", recording)
+    for d in singular_members(20):
+        lengths = TargetLengths(d=d, convention=law.convention)
+        bifurcation.mu_sweep(VectorFieldBundle(graph=two_cycles(), law=law, lengths=lengths))
+    assert len(calls) >= 21 * 20
+    found = 0
+    for bundle, a0, b0, sigma in calls:
+        for start in ((a0, b0), (1.05 * a0, b0 - 0.05)):
+            got = aligned_root_near(bundle, *start, sigma)
+            want = combined_aligned_root_near(bundle, *start, sigma)
+            assert (got is None) == (want is None)
+            if got is not None:
+                assert got.x.tobytes() == want.x.tobytes()
+                found += 1
+    assert found
+
+
+def gap_bundle(a):
+    """gradient_squared targets with an aligned equilibrium at agent 2's abscissa ``a``.
+
+    Agents 1, 2 and 4 at 0, ``a`` and 2 on the x axis, agent 3 at (0.3, 1);
+    edges 2 to 4 at their targets, the first edge's target 1, and the
+    fifth's set so that agent 1's forces balance.
+    """
+    d = (1.0, (0.3 - a) ** 2 + 1.0, 1.09, 3.89, 4.0 - a / 2.0)
+    return VectorFieldBundle(
+        graph=two_cycles(), law=builtin_law("gradient_squared"), lengths=TargetLengths(d=d)
+    )
+
+
+class TestAlignedMinGap:
+    # ALIGNED_MIN_GAP bounds agent 2's abscissa a on every aligned path. A
+    # root 1e-8 from agent 1 lies above it, one 1e-10 away below it.
+    def test_a_root_above_the_gap_is_found(self):
+        assert 1e-8 > ALIGNED_MIN_GAP
+        b = gap_bundle(1e-8)
+        fw = aligned_root_near(b, 1e-8, 2.0, 1.0)
+        assert fw is not None and abs(fw.x[1, 0] - 1e-8) <= 1e-15
+        near = [r for r in solve_ancillary_aligned(b) if r.framework.x[1, 0] < 1e-6]
+        assert len(near) == 2
+        for rec in near:
+            assert abs(rec.framework.x[1, 0] - 1e-8) <= 1e-15
+            assert rec.kind == "ancillary_aligned"
+
+    def test_a_root_below_the_gap_is_left_out(self):
+        # The same construction 1e-10 from agent 1 is an equilibrium of the
+        # flow, but the solver and the continuation do not return it.
+        assert 1e-10 < ALIGNED_MIN_GAP
+        b = gap_bundle(1e-10)
+        a, bb, h = 1e-10, 2.0, 1.0
+        x = aligned_framework(b.graph, a, 0.3, h, bb).x
+        assert np.max(np.abs(eval_F_x(b, x.ravel()))) <= RESIDUAL_TOL
+        assert aligned_root_near(b, a, bb, 1.0) is None
+        assert all(r.framework.x[1, 0] > 1e-6 for r in solve_ancillary_aligned(b))
 
 
 @pytest.fixture(scope="module")

@@ -1,11 +1,17 @@
 """Tests for frameworks, rigidity predicates, and the singular length set."""
 
+import math
+
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from formation_forge.errors import ConfigurationError, InfeasibleLengthsError
+from formation_forge.errors import (
+    ConfigurationError,
+    FormationForgeError,
+    InfeasibleLengthsError,
+)
 from formation_forge.graph import FormationGraph, mixed_adjacency, two_cycles
 from formation_forge.numkernel import kron_I2, rank_tol
 from formation_forge.rigidity import (
@@ -24,6 +30,7 @@ from formation_forge.rigidity import (
     rigidity_matrix,
     singular_witnesses,
 )
+from normal_forms import array_realize_two_cycles
 
 BENCHMARK_SQUARED = (4.0, 6.76, 4.0, 10.89, 1.96)
 
@@ -278,6 +285,78 @@ class TestRealization:
     def test_rejects_a_target_count_other_than_five(self, count):
         with pytest.raises(ConfigurationError, match=f"needs 5 target lengths, got {count}"):
             realize_two_cycles(two_cycles(), TargetLengths(d=(1.0,) * count))
+
+
+def squared_edge_lengths(points):
+    """The two-cycles squared edge lengths of four agents given as eight coordinates."""
+    x = np.reshape(np.asarray(points, dtype=float), (4, 2))
+    z = x[[1, 2, 0, 2, 3]] - x[[0, 1, 2, 3, 0]]
+    return tuple(float(v) for v in np.sum(z * z, axis=1))
+
+
+coordinates = st.floats(-5.0, 5.0)
+
+
+@st.composite
+def near_flat_targets(draw):
+    """Agents within 1e-13 of a line, targets shifted by up to 1e-13 relative: flat and tangent triangles."""
+    xs = draw(st.lists(coordinates, min_size=4, max_size=4))
+    ys = draw(st.lists(st.floats(-1e-13, 1e-13), min_size=4, max_size=4))
+    shifts = draw(st.lists(st.floats(-1e-13, 1e-13), min_size=5, max_size=5))
+    d = squared_edge_lengths([v for pair in zip(xs, ys) for v in pair])
+    return tuple(v * (1.0 + t) for v, t in zip(d, shifts))
+
+
+@st.composite
+def scaled_targets(draw):
+    """Targets read off random agents whose coordinates are scaled by 1e-20 to 1e20."""
+    points = draw(st.lists(coordinates, min_size=8, max_size=8))
+    scale = 10.0 ** draw(st.floats(-20.0, 20.0))
+    return squared_edge_lengths([scale * v for v in points])
+
+
+@st.composite
+def vanishing_third_edge_targets(draw):
+    """Agent 3 within 1e-14 of agent 1: a triangle flat within rounding, its apex clamped to the axis."""
+    e = 10.0 ** draw(st.floats(-17.0, -14.0))
+    tilt = draw(st.floats(0.5, 1.5))
+    x4 = draw(coordinates)
+    return squared_edge_lengths([0.0, 0.0, 1.0, 1.0, e, e * tilt, x4, 1.0])
+
+
+realizer_targets = st.one_of(
+    st.tuples(*[st.floats(0.01, 100.0)] * 5),  # generic, feasible or not
+    st.lists(coordinates, min_size=8, max_size=8).map(squared_edge_lengths),
+    near_flat_targets(),
+    scaled_targets(),
+    vanishing_third_edge_targets(),
+    # mixed magnitudes, where the circle abscissa's square can pass the float range
+    st.tuples(*[st.floats(-300.0, 300.0).map(lambda k: 10.0**k)] * 5),
+)
+
+
+def realization_outcome(realize, d):
+    """Each framework's bytes, or the refusal's class and message."""
+    try:
+        # NumPy's overflow gives inf, as under run_scenario
+        with np.errstate(all="ignore"):
+            frameworks = realize(two_cycles(), TargetLengths(d=d))
+    except FormationForgeError as exc:
+        return type(exc), str(exc)
+    return [fw.x.tobytes() for fw in frameworks]
+
+
+class TestRealizationOnFloats:
+    @settings(max_examples=600, deadline=None)
+    @given(d=realizer_targets)
+    @example(d=squared_edge_lengths([0.0, 0.0, 1.0, 1.0, 3.9e-16, 3.9e-16, 0.0, 1.0]))
+    @example(d=(1e-300, 1.0, 1e10, 1.0, 1.0))  # the first abscissa's square overflows
+    @example(d=(1.0, 1.0, 1.0, 1.0, 1.0))  # agents 2 and 4 coincide in one realization
+    def test_matches_the_array_realizer_bit_for_bit(self, d):
+        assume(all(math.isfinite(v) and v > 0.0 for v in d))
+        assert realization_outcome(realize_two_cycles, d) == realization_outcome(
+            array_realize_two_cycles, d
+        )
 
 
 class TestSingularLengths:
