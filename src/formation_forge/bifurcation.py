@@ -26,7 +26,14 @@ from .equilibria import (
 )
 from .errors import ConfigurationError, FormulaDomainError, InfeasibleLengthsError
 from .graph import two_cycles
-from .numkernel import FD_SECOND_STEP, Spectrum, eigenvalues, fd_jacobian, fd_second_directional
+from .numkernel import (
+    FD_SECOND_STEP,
+    Spectrum,
+    eigenvalues,
+    fd_jacobian,
+    fd_second_directional,
+    kron_I2,
+)
 from .rigidity import Framework, edge_vectors, realize_two_cycles, singular_witnesses
 
 DEFAULT_SWEEP_HALF_WIDTH = 0.2
@@ -186,7 +193,7 @@ def gauge_slice_z_basis(b: VectorFieldBundle, witness: Framework):
     """
     z0 = edge_vectors(witness)
     cycles = b.matrices["cycles"]
-    rows = [np.kron(cycles.T, np.eye(2))] if cycles.shape[1] else []
+    rows = [kron_I2(cycles.T)] if cycles.shape[1] else []
     rotation = np.column_stack([-z0[:, 1], z0[:, 0]]).ravel()
     rows.append(rotation[None, :])
     constraints = np.vstack(rows)

@@ -51,15 +51,15 @@ class ControlLaw:
 
     ``weight`` and ``weight_dlen`` may carry their value as a source
     expression, their ``source`` attribute, over ``d``, ``s2``, ``sqrt``
-    (``math.sqrt``) and the law constant ``c``, with the hook's bits. The
-    graph kernel writes it inline at every edge. A hook without one, such
-    as :class:`CustomLaw`'s ``weight`` or a subclass's replacement of an
+    (``math.sqrt``) and the law constant ``c = sign * gain``, with the hook's
+    bits; the graph kernel writes it inline at every edge. A hook without one,
+    such as :class:`CustomLaw`'s ``weight`` or a subclass's replacement of an
     inherited hook, is called there instead, as ``pair_weights`` always is.
     """
 
     name = "abstract"
     convention = "squared"
-    c = None
+    sign = 1.0
 
     def __init_subclass__(cls, **kwargs):
         super().__init_subclass__(**kwargs)
@@ -72,6 +72,7 @@ class ControlLaw:
         if not (math.isfinite(gain) and gain > 0):
             raise ConfigurationError(f"law gain must be finite and positive, got {gain!r}")
         self.gain = float(gain)
+        self.c = self.sign * self.gain
 
     def weight(self, d, s2):
         raise NotImplementedError
@@ -99,27 +100,23 @@ class ControlLaw:
         return f"{type(self).__name__}(gain={self.gain})"
 
 
+def _law_hooks(*sources):
+    """The four hooks compiled from their expressions, each carrying its own as ``source``."""
+    hooks = ("weight", "weight_dlen", "weight_dtarget", "weight_dlen2")
+    namespace = {"sqrt": math.sqrt}
+    for hook, source in zip(hooks, sources):
+        code = f"def {hook}(self, d, s2):\n    c = self.c\n    return {source}\n"
+        exec(compile(code, "<law hooks>", "exec"), namespace)
+        namespace[hook].source = source
+    return [namespace[hook] for hook in hooks]
+
+
 class GradientSquaredLaw(ControlLaw):
     """Weight equal to the squared-length error: ``u = gain * (|z|^2 - d)``."""
 
     name = "gradient_squared"
     convention = "squared"
-    c = property(lambda self: self.gain)
-
-    def weight(self, d, s2):
-        return self.gain * (s2 - d)
-
-    def weight_dlen(self, d, s2):
-        return self.gain
-
-    weight.source = "c * (s2 - d)"
-    weight_dlen.source = "c"
-
-    def weight_dtarget(self, d, s2):
-        return -self.gain
-
-    def weight_dlen2(self, d, s2):
-        return 0.0
+    weight, weight_dlen, weight_dtarget, weight_dlen2 = _law_hooks("c * (s2 - d)", "c", "-c", "0.0")
 
 
 class GradientPlainLaw(ControlLaw):
@@ -131,24 +128,12 @@ class GradientPlainLaw(ControlLaw):
 
     name = "gradient_plain"
     convention = "plain"
-    sign = 1.0
-    c = property(lambda self: self.sign * self.gain)
-
-    def weight(self, d, s2):
-        return self.sign * self.gain * (math.sqrt(s2) - math.sqrt(d))
-
-    def weight_dlen(self, d, s2):
-        return self.sign * self.gain / (2.0 * math.sqrt(s2))
-
-    # ``sign * gain * (...)`` multiplies ``sign * gain`` first, so ``c`` keeps the bits.
-    weight.source = "c * (sqrt(s2) - sqrt(d))"
-    weight_dlen.source = "c / (2.0 * sqrt(s2))"
-
-    def weight_dtarget(self, d, s2):
-        return -self.sign * self.gain / (2.0 * math.sqrt(d))
-
-    def weight_dlen2(self, d, s2):
-        return -self.sign * self.gain / (4.0 * s2 * math.sqrt(s2))
+    weight, weight_dlen, weight_dtarget, weight_dlen2 = _law_hooks(
+        "c * (sqrt(s2) - sqrt(d))",
+        "c / (2.0 * sqrt(s2))",
+        "-c / (2.0 * sqrt(d))",
+        "-c / (4.0 * s2 * sqrt(s2))",
+    )
 
 
 class Eq1PlainLaw(GradientPlainLaw):
@@ -256,7 +241,10 @@ class VectorFieldBundle:
 
 
 def _edge_state(b, z):
-    return np.asarray(z, dtype=float).reshape(b.graph.m, 2)
+    zz = np.asarray(z, dtype=float)
+    if zz.size != 2 * b.graph.m:
+        raise DimensionError(f"{zz.size} coordinates for {b.graph.m} planar edge vectors")
+    return zz.reshape(b.graph.m, 2)
 
 
 def edge_weights(b: VectorFieldBundle, z):

@@ -254,6 +254,12 @@ def _aligned_triangle(d, a):
     return alpha, math.sqrt(beta_sq)
 
 
+def _agent1_pair(law, d, a, bb):
+    """Agent 1's ``law.pair_weights`` at ``s = a b`` and its balance ``u1 a + u5 b``."""
+    u1, u5 = law.pair_weights((d[0], d[4]), (a * a, bb * bb), a * bb)
+    return u1, u5, u1 * a + u5 * bb
+
+
 def _aligned_residual(law, d, a, bb):
     """The fourth edge's weight and the force balance on agent 1, or None.
 
@@ -270,8 +276,7 @@ def _aligned_residual(law, d, a, bb):
         return None
     alpha, beta = triangle
     gap = alpha - bb
-    u1, u5 = law.pair_weights((d[0], d[4]), (a * a, bb * bb), a * bb)
-    return law.weight(d[3], gap * gap + beta * beta), u1 * a + u5 * bb
+    return law.weight(d[3], gap * gap + beta * beta), _agent1_pair(law, d, a, bb)[2]
 
 
 def _aligned_jacobian(law, d, a, bb):
@@ -288,7 +293,7 @@ def _aligned_jacobian(law, d, a, bb):
     alpha, beta = triangle
     gap = alpha - bb
     s2 = [a * a, gap * gap + beta * beta, bb * bb]
-    u1, u5 = law.pair_weights((d[0], d[4]), (s2[0], s2[2]), a * bb)
+    u1, u5, _ = _agent1_pair(law, d, a, bb)
     du = weight_slopes(law, [d[0], d[3], d[4]], s2)
     dalpha = 0.5 - (d[2] - d[1]) / (2.0 * a * a)
     return np.array([
@@ -367,9 +372,7 @@ def solve_ancillary_aligned(b: VectorFieldBundle):
         return w[1] + w[0], w[1], r * math.cos(phi), w[1] + w[2]
 
     def balance(point):
-        a, _, _, bb = point
-        u1, u5 = b.law.pair_weights((d[0], d[4]), (a * a, bb * bb), a * bb)
-        return u1 * a + u5 * bb
+        return _agent1_pair(b.law, d, point[0], point[3])[2]
 
     phis = [math.pi * (j / ALIGNED_SCAN_STEPS - 0.5) for j in range(ALIGNED_SCAN_STEPS + 1)]
     roots = []

@@ -94,15 +94,16 @@ def eigenvalues(m):
     return Spectrum.from_values(np.linalg.eigvals(a))
 
 
+def _rank(s, tol):
+    """The count of singular values ``s`` (descending) above ``tol`` times the largest."""
+    return int(np.sum(s > tol * s[0])) if s.size else 0
+
+
 def rank_tol(m, tol=DEFAULT_RANK_TOL):
     """Numerical rank: singular values above ``tol`` times the largest one (none if it is 0)."""
     if tol <= 0:
         raise ConfigurationError("rank tolerance must be positive")
-    a = _as_matrix(m)
-    if a.size == 0:
-        return 0
-    s = np.linalg.svd(a, compute_uv=False)
-    return int(np.sum(s > tol * s[0]))
+    return _rank(np.linalg.svd(_as_matrix(m), compute_uv=False), tol)
 
 
 def left_nullspace(m, tol=DEFAULT_RANK_TOL):
@@ -114,10 +115,8 @@ def left_nullspace(m, tol=DEFAULT_RANK_TOL):
     """
     if tol <= 0:
         raise ConfigurationError("null-space tolerance must be positive")
-    a = _as_matrix(m)
-    u, s, _ = np.linalg.svd(a)
-    rank = int(np.sum(s > tol * s[0])) if s.size else 0
-    return u[:, rank:].copy()
+    u, s, _ = np.linalg.svd(_as_matrix(m))
+    return u[:, _rank(s, tol):].copy()
 
 
 def kron_I2(m):

@@ -113,7 +113,9 @@ class TargetLengths:
         return np.asarray(self.d, dtype=float)
 
     def perturbed(self, edge, delta):
-        """A copy with the stored squared length of one edge shifted by ``delta``."""
+        """A copy with the stored squared length of edge ``0 <= edge < m`` shifted by ``delta``."""
+        if not 0 <= edge < len(self.d):
+            raise ConfigurationError(f"edge index {edge} outside 0..{len(self.d) - 1}")
         d = list(self.d)
         d[edge] += delta
         return TargetLengths(d=tuple(d), convention=self.convention)

@@ -250,6 +250,15 @@ class TestMuSweep:
         with pytest.raises(InfeasibleLengthsError):
             mu_sweep(bundle, eps=5.0)
 
+    @pytest.mark.parametrize("mu_edge", [-1, 5])
+    def test_a_swept_edge_outside_the_graph_is_refused(self, mu_edge):
+        # -1 swept the fifth edge, as 4 does; 5 ended in a bare IndexError.
+        out, bundle = singular_setup()
+        with pytest.raises(ConfigurationError, match=f"edge index {mu_edge} outside 0..4"):
+            mu_sweep(bundle, mu_edge=mu_edge)
+        with pytest.raises(ConfigurationError, match=f"edge index {mu_edge} outside 0..4"):
+            sotomayor_at_witness(bundle, out.witness, mu_edge=mu_edge)
+
 
 class TestTranscriticalDetect:
     def test_canonical_sweep_is_detected(self, canonical_sweep):

@@ -505,6 +505,16 @@ class TestEdgeField:
         with pytest.raises(InconsistentStateError, match="cycle"):
             eval_F_z(b, z)
 
+    @pytest.mark.parametrize(
+        "route", [eval_F_z, zprime_vectors, zdprime_vectors, jacobian_z, jacobian_d, reduced_J]
+    )
+    def test_wrong_coordinate_count_is_a_dimension_error(self, route):
+        # Nine numbers are no state of two-cycles' five edge vectors; NumPy's
+        # reshape raised a bare ValueError here.
+        b = squared_bundle(BENCHMARK_SQUARED)
+        with pytest.raises(DimensionError, match="9 coordinates for 5 planar edge vectors"):
+            route(b, np.zeros(9))
+
     def test_check_flag_admits_off_surface_states(self):
         b = squared_bundle(BENCHMARK_SQUARED)
         z = edge_vectors(realize_two_cycles(two_cycles(), b.lengths)[0]).copy()

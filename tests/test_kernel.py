@@ -7,7 +7,9 @@ with ``np.add.at`` over edge origins, and ``jacobian_x`` against an
 as references. The trajectory hashes were recorded with the reference
 field, so any change to a bit of a trajectory fails them, and the compiled
 RK4 loop, the generic one and each bundle's with its flow inlined, is
-checked against the ``zip`` loop it replaced, kept here too.
+checked against the ``zip`` loop it replaced, kept here too. The built-in
+laws' hand-written hook bodies stay here as the oracles of the expressions
+their hooks are now compiled from.
 """
 
 import builtins
@@ -395,6 +397,84 @@ class TestFloatWeightHook:
             assert math.sqrt(s2) == float(np.sqrt(s2))
         # A hook written with ``** 0.5`` would break bit-identity with the arrays.
         assert any(s2**0.5 != math.sqrt(s2) for s2 in self.POW_MISSES)
+
+
+class HandSquaredLaw(ControlLaw):
+    """gradient_squared's hooks as they were written by hand, kept as an oracle."""
+
+    def weight(self, d, s2):
+        return self.gain * (s2 - d)
+
+    def weight_dlen(self, d, s2):
+        return self.gain
+
+    def weight_dtarget(self, d, s2):
+        return -self.gain
+
+    def weight_dlen2(self, d, s2):
+        return 0.0
+
+
+class HandPlainLaw(ControlLaw):
+    """gradient_plain's and eq1_plain's hooks as they were written by hand, kept as an oracle."""
+
+    sign = 1.0
+
+    def weight(self, d, s2):
+        return self.sign * self.gain * (math.sqrt(s2) - math.sqrt(d))
+
+    def weight_dlen(self, d, s2):
+        return self.sign * self.gain / (2.0 * math.sqrt(s2))
+
+    def weight_dtarget(self, d, s2):
+        return -self.sign * self.gain / (2.0 * math.sqrt(d))
+
+    def weight_dlen2(self, d, s2):
+        return -self.sign * self.gain / (4.0 * s2 * math.sqrt(s2))
+
+
+class HandEq1PlainLaw(HandPlainLaw):
+    sign = -1.0
+
+
+HAND_WRITTEN_LAWS = {
+    "gradient_squared": HandSquaredLaw,
+    "gradient_plain": HandPlainLaw,
+    "eq1_plain": HandEq1PlainLaw,
+}
+HOOKS = ("weight", "weight_dlen", "weight_dtarget", "weight_dlen2")
+hook_values = st.floats(1e-8, 1e8)
+
+
+class TestExpressionHooks:
+    """Each built-in hook is compiled from its expression, with the hand-written body's bits."""
+
+    @settings(max_examples=400, deadline=None)
+    @given(
+        law_name=st.sampled_from(BUILTIN_LAW_NAMES),
+        gain=st.one_of(gains, st.floats(0.01, 100.0)),
+        d=hook_values,
+        s2=st.one_of(hook_values, st.sampled_from(TestFloatWeightHook.POW_MISSES)),
+        at_target=st.booleans(),
+    )
+    @example("gradient_plain", 0.37, 4.0, TestFloatWeightHook.POW_MISSES[0], False)
+    @example("eq1_plain", 1.7, 1e-8, 1.0, True)
+    @example("gradient_squared", 3.0, 1e8, 1e-8, False)
+    def test_each_hook_matches_its_hand_written_body_bit_for_bit(
+        self, law_name, gain, d, s2, at_target
+    ):
+        s2 = d if at_target else s2
+        law, oracle = builtin_law(law_name, gain), HAND_WRITTEN_LAWS[law_name](gain)
+        for hook in HOOKS:
+            got = getattr(law, hook)(d, s2)
+            assert type(got) is float
+            assert same_bits(got, getattr(oracle, hook)(d, s2)), hook
+            assert isinstance(getattr(law, hook).source, str)
+
+    def test_the_law_constant_is_an_instance_attribute(self):
+        # A property would add a call to every hook call.
+        for law_name, c in zip(BUILTIN_LAW_NAMES, (1.7, 1.7, -1.7)):
+            assert vars(builtin_law(law_name, 1.7))["c"] == c
 
 
 # sha256 of ``states.tobytes()`` for the trajectory in ``pinned_trajectory``,

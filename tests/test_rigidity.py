@@ -174,6 +174,12 @@ class TestTargetLengths:
         lengths = TargetLengths(d=(1.0, 2.0, 3.0))
         assert lengths.perturbed(1, 0.5).d == (1.0, 2.5, 3.0)
 
+    @pytest.mark.parametrize("edge", [-1, 3])
+    def test_perturbed_refuses_an_edge_outside_the_graph(self, edge):
+        # -1 would wrap around to the last edge, 3 would be a bare IndexError.
+        with pytest.raises(ConfigurationError, match=f"edge index {edge} outside 0..2"):
+            TargetLengths(d=(1.0, 2.0, 3.0)).perturbed(edge, 0.5)
+
 
 class TestRigidityMatrix:
     def test_row_sign_layout(self):
