@@ -131,8 +131,7 @@ def _build_bundle(sc: Scenario):
     is the law's own.
     """
     law = builtin_law(sc.law_name, sc.law_gain)
-    stored = TargetLengths.from_values(sc.length_values, sc.length_convention).d
-    lengths = TargetLengths(d=stored, convention=law.convention)
+    lengths = TargetLengths.from_values(sc.length_values, sc.length_convention)
     return VectorFieldBundle(graph=sc.graph, law=law, lengths=lengths)
 
 
@@ -269,7 +268,7 @@ def _run_sweep(sc, bundle, tol):
     rows = []
     for p in points:
         lengths_mu = bundle.lengths.perturbed(mu_edge, p.mu)
-        errs = edge_errors(p.framework, lengths_mu)
+        errs = edge_errors(p.framework, lengths_mu, bundle.law.convention)
         rows.append(
             [_num(p.mu), p.branch, _num(p.leading_real), _bool_cell(p.stable)]
             + [_num(e) for e in errs]
@@ -333,7 +332,7 @@ def _run_simulate(sc, bundle, tol):
         indices.append(len(traj.times) - 1)
     pts = traj.states[indices].reshape(len(indices), bundle.graph.n, 2)
     z = pts[:, bundle.graph.targets()] - pts[:, bundle.graph.origins()]
-    errors = length_errors(z, bundle.lengths)
+    errors = length_errors(z, bundle.lengths, bundle.law.convention)
     rows = [
         [_num(traj.times[i])] + [_num(v) for v in traj.states[i]] + [_num(e) for e in errs]
         for i, errs in zip(indices, errors)

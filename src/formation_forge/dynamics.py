@@ -200,11 +200,6 @@ class VectorFieldBundle:
             raise ConfigurationError(
                 f"{len(self.lengths.d)} target lengths for {self.graph.m} edges"
             )
-        if self.law.convention != self.lengths.convention:
-            raise ConfigurationError(
-                f"law convention {self.law.convention!r} does not match "
-                f"lengths convention {self.lengths.convention!r}"
-            )
 
     def with_lengths(self, lengths: TargetLengths):
         return VectorFieldBundle(graph=self.graph, law=self.law, lengths=lengths)
@@ -347,7 +342,7 @@ def eval_F_z(b: VectorFieldBundle, z, check=True):
 
 
 def _require_design_point(b, zz, what):
-    errs = length_errors(zz, b.lengths)
+    errs = length_errors(zz, b.lengths, b.law.convention)
     if not within_design_tol(errs):
         raise FormulaDomainError(
             f"{what} is only valid at design equilibria where every edge error "
@@ -419,9 +414,9 @@ def jacobian_d(b: VectorFieldBundle, z):
     zz = _edge_state(b, z)
     _require_design_point(b, zz, "the analytic Jacobian in d")
     if not b.law.separable:
-        conv, flat = b.lengths.convention, zz.ravel()
+        flat = zz.ravel()
         return fd_jacobian(
-            lambda dv: eval_F_z(b.with_lengths(TargetLengths(dv, conv)), flat, check=False),
+            lambda dv: eval_F_z(b.with_lengths(TargetLengths(dv)), flat, check=False),
             b.lengths.d,
         )
     dzpp = edge_block_rows(zdprime_vectors(b, zz))

@@ -113,9 +113,6 @@ class CensusReport:
         """Sum of the indices of the hyperbolic equilibria."""
         return sum(r.index for r in self.records if r.index is not None)
 
-    def by_kind(self, kind):
-        return [r for r in self.records if r.kind == kind]
-
 
 def canonical_gauge(f: Framework):
     """Translate the first agent to the origin and rotate the first edge to +x.
@@ -200,7 +197,7 @@ def classify_kind(b: VectorFieldBundle, f: Framework):
     Aligned: some pair of the graph's ``pairs`` is parallel and every other edge meets
     its target (never an empty set: an aligned pair that is every edge is collinear).
     """
-    errs = edge_errors(f, b.lengths)
+    errs = edge_errors(f, b.lengths, b.law.convention)
     if within_design_tol(errs):
         return "design"
     z = edge_vectors(f)
@@ -541,7 +538,7 @@ def identify_convention(values=BENCHMARK_LENGTHS, published=None):
 
 def _score_candidate(graph, law, law_name, interpretation, leg_order, d, published):
     try:
-        lengths = TargetLengths(d=tuple(d), convention=law.convention)
+        lengths = TargetLengths(d=tuple(d))
         bundle = VectorFieldBundle(graph=graph, law=law, lengths=lengths)
         frameworks = realize_two_cycles(graph, lengths)
     except (InfeasibleLengthsError, ConfigurationError):

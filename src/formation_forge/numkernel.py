@@ -37,10 +37,6 @@ class Spectrum:
     values: tuple[complex, ...]
 
     @property
-    def real_parts(self):
-        return tuple(v.real for v in self.values)
-
-    @property
     def leading_real(self):
         """Largest real part; the decisive quantity for linear stability."""
         return max(v.real for v in self.values)

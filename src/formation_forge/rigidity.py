@@ -1,10 +1,9 @@
 """Frameworks, target lengths, rigidity predicates, and the singular set.
 
 A framework places a graph's vertices in the plane. Target lengths are
-stored as squared distances regardless of how the user supplied them; a
-``convention`` tag records whether edge errors compare squared lengths or
-plain lengths, because the two choices produce genuinely different
-dynamics away from equilibrium.
+stored as squared distances regardless of how the user supplied them.
+Whether edge errors compare squared or plain lengths is the control law's
+convention, which the error functions take as an argument.
 """
 
 from __future__ import annotations
@@ -15,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigurationError, FormationForgeError, InfeasibleLengthsError
-from .graph import FormationGraph, mixed_adjacency, two_cycles
+from .graph import FormationGraph, graph_matrices, mixed_adjacency, two_cycles
 from .numkernel import DEFAULT_RANK_TOL, kron_I2, rank_tol, squared_lengths
 
 CONVENTIONS = ("squared", "plain")
@@ -73,41 +72,29 @@ def edge_vectors(f: Framework):
 
 @dataclass(frozen=True)
 class TargetLengths:
-    """Squared target lengths plus the error convention they drive.
-
-    ``d`` always holds squared lengths. Under the ``squared`` convention
-    the edge error is ``|z|^2 - d``; under ``plain`` it is ``|z| - sqrt(d)``.
-    """
+    """Squared target lengths ``d``, each positive and finite."""
 
     d: tuple[float, ...]
-    convention: str = "squared"
 
     def __post_init__(self):
         d = tuple(float(v) for v in self.d)
         object.__setattr__(self, "d", d)
-        if self.convention not in CONVENTIONS:
-            raise ConfigurationError(
-                f"unknown length convention {self.convention!r}; expected one of {CONVENTIONS}"
-            )
         if any(not math.isfinite(v) or v <= 0 for v in d):
             raise InfeasibleLengthsError("target lengths must be positive and finite")
 
     @classmethod
-    def from_values(cls, values, convention="squared"):
-        """Build from user-facing values: plain lengths get squared for storage."""
+    def from_values(cls, values, convention):
+        """Build from user-facing values in ``convention``: plain lengths get squared."""
+        if convention not in CONVENTIONS:
+            raise ConfigurationError(
+                f"unknown length convention {convention!r}; expected one of {CONVENTIONS}"
+            )
         vals = [float(v) for v in values]
         if convention == "plain":
             if any(v <= 0 for v in vals):
                 raise InfeasibleLengthsError("plain lengths must be positive")
-            return cls(d=tuple(v * v for v in vals), convention="plain")
-        return cls(d=tuple(vals), convention=convention)
-
-    @property
-    def values(self):
-        """User-facing values: square roots under the plain convention."""
-        if self.convention == "plain":
-            return tuple(math.sqrt(v) for v in self.d)
-        return self.d
+            vals = [v * v for v in vals]
+        return cls(d=tuple(vals))
 
     def as_array(self):
         return np.asarray(self.d, dtype=float)
@@ -118,20 +105,20 @@ class TargetLengths:
             raise ConfigurationError(f"edge index {edge} outside 0..{len(self.d) - 1}")
         d = list(self.d)
         d[edge] += delta
-        return TargetLengths(d=tuple(d), convention=self.convention)
+        return TargetLengths(d=tuple(d))
 
 
-def edge_errors(f: Framework, lengths: TargetLengths):
-    """Per-edge length errors under the convention carried by ``lengths``."""
+def edge_errors(f: Framework, lengths: TargetLengths, convention):
+    """Per-edge length errors of a framework under the error ``convention``."""
     if len(lengths.d) != f.graph.m:
         raise ConfigurationError(
             f"{len(lengths.d)} target lengths for a graph with {f.graph.m} edges"
         )
-    return length_errors(edge_vectors(f), lengths)
+    return length_errors(edge_vectors(f), lengths, convention)
 
 
-def length_errors(z, lengths: TargetLengths):
-    """Per-edge errors of edge vectors ``z`` against ``lengths``.
+def length_errors(z, lengths: TargetLengths, convention):
+    """Per-edge errors of edge vectors ``z``: ``|z|^2 - d``, or ``|z| - sqrt(d)`` if plain.
 
     ``z`` is flat (2m), rows (m, 2), or a stack of rows (..., m, 2), whose
     errors come back with the stack's leading shape.
@@ -139,7 +126,7 @@ def length_errors(z, lengths: TargetLengths):
     z = np.asarray(z, dtype=float)
     s2 = squared_lengths(z).reshape(z.shape[:-2] + (-1,))
     d = lengths.as_array()
-    if lengths.convention == "plain":
+    if convention == "plain":
         return np.sqrt(s2) - np.sqrt(d)
     return s2 - d
 
@@ -196,15 +183,22 @@ def _circle_intersection_height(center_dist, r_near, r_far, edge_names):
     edge triple whose triangle inequality failed. A triangle flat within
     the rounding tolerance, whose abscissa overshoots ``r_near``, puts the
     apex on the axis at distance ``r_near`` on the abscissa's side, so the
-    near edge keeps its length.
+    near edge keeps its length. Squares that sum past the float range raise.
     """
-    alpha = (center_dist**2 + r_near**2 - r_far**2) / (2.0 * center_dist)
+    e1, e2, e3 = edge_names
+    numerator = center_dist**2 + r_near**2 - r_far**2
+    if not math.isfinite(numerator):
+        raise ConfigurationError(
+            f"edges {e1}, {e2}, {e3} overflow the float range: the squares of circle "
+            f"radii {r_near:.6g} and {r_far:.6g} and of their centers' distance "
+            f"{center_dist:.6g} sum past the largest float"
+        )
+    alpha = numerator / (2.0 * center_dist)
     try:
         beta_sq = r_near**2 - alpha**2
     except OverflowError:  # alpha's square is past the float range: no intersection
         beta_sq = -math.inf
     if beta_sq < -1e-12 * max(1.0, r_near**2):
-        e1, e2, e3 = edge_names
         raise InfeasibleLengthsError(
             f"edges {e1}, {e2}, {e3} violate the triangle inequality: "
             f"circles of radii {r_near:.6g} and {r_far:.6g} with centers "
@@ -322,8 +316,10 @@ def in_singular_set(lengths: TargetLengths, tol=1e-9):
 
 
 def singular_witnesses(lengths: TargetLengths, tol=1e-9):
-    """Realizations of ``lengths`` whose first and fifth edges are aligned."""
+    """Realizations of ``lengths`` in which a two-coleader pair of edges is aligned."""
+    graph = two_cycles()
+    pairs = graph_matrices(graph)["pairs"]
     return [
-        fw for fw in realize_two_cycles(two_cycles(), lengths)
-        if edges_aligned(*edge_vectors(fw)[[0, 4]], tol)
+        fw for fw in realize_two_cycles(graph, lengths)
+        if any(edges_aligned(*edge_vectors(fw)[list(pair)], tol) for pair in pairs)
     ]

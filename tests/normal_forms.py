@@ -118,12 +118,19 @@ def array_circle_intersection_height(center_dist, r_near, r_far, edge_names):
     edge triple whose triangle inequality failed. A triangle flat within
     the rounding tolerance, whose abscissa overshoots ``r_near``, puts the
     apex on the axis at distance ``r_near`` on the abscissa's side, so the
-    near edge keeps its length.
+    near edge keeps its length. Squares that sum past the float range raise.
     """
-    alpha = (center_dist**2 + r_near**2 - r_far**2) / (2.0 * center_dist)
+    e1, e2, e3 = edge_names
+    numerator = center_dist**2 + r_near**2 - r_far**2
+    if not math.isfinite(numerator):
+        raise ConfigurationError(
+            f"edges {e1}, {e2}, {e3} overflow the float range: the squares of circle "
+            f"radii {r_near:.6g} and {r_far:.6g} and of their centers' distance "
+            f"{center_dist:.6g} sum past the largest float"
+        )
+    alpha = numerator / (2.0 * center_dist)
     beta_sq = r_near**2 - alpha**2
     if beta_sq < -1e-12 * max(1.0, r_near**2):
-        e1, e2, e3 = edge_names
         raise InfeasibleLengthsError(
             f"edges {e1}, {e2}, {e3} violate the triangle inequality: "
             f"circles of radii {r_near:.6g} and {r_far:.6g} with centers "

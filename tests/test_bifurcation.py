@@ -167,7 +167,7 @@ class TestMuSweep:
             if p.branch != "design":
                 continue
             lengths = out.lengths.perturbed(2, p.mu)
-            assert np.max(np.abs(edge_errors(p.framework, lengths))) <= 1e-9
+            assert np.max(np.abs(edge_errors(p.framework, lengths, "squared"))) <= 1e-9
 
     def test_aligned_branch_meets_middle_targets_only(self, canonical_sweep):
         out, _ = singular_setup()
@@ -175,7 +175,7 @@ class TestMuSweep:
             if p.branch != "ancillary_aligned":
                 continue
             lengths = out.lengths.perturbed(2, p.mu)
-            errs = edge_errors(p.framework, lengths)
+            errs = edge_errors(p.framework, lengths, "squared")
             assert np.max(np.abs(errs[1:4])) <= 1e-9
             z = edge_vectors(p.framework)
             n1, n5 = np.hypot(*z[0]), np.hypot(*z[4])

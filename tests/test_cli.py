@@ -432,16 +432,17 @@ class TestErrorPaths:
         "value, kind, error",
         [
             (1e150, "census", "dimension"),
-            (1e154, "census", "dimension"),
+            (1e154, "census", "configuration"),
             (1e150, "sotomayor", "formula-domain"),
         ],
     )
     def test_huge_targets_give_one_error_line_and_no_numpy_warning(
         self, tmp_path, capsys, value, kind, error
     ):
-        # The fields overflow to inf and NaN. NumPy's warnings stay inside
-        # the run, even when warnings are errors, and the package's own
-        # finite checks report, as one stderr line.
+        # The fields overflow to inf and NaN, or at 1e154 the realizer's sums
+        # of squares do. NumPy's warnings stay inside the run, even when
+        # warnings are errors, and the package's own finite checks report,
+        # as one stderr line.
         experiment = {"kind": kind, "n_random": 5} if kind == "census" else {"kind": kind}
         path = write_scenario(
             tmp_path,
@@ -454,6 +455,23 @@ class TestErrorPaths:
         assert status == 2
         assert out_text == ""
         assert record["error"] == error
+
+    @pytest.mark.parametrize("value, convention", [(1e154, "plain"), (1e308, "squared")])
+    def test_targets_whose_squares_overflow_are_refused_as_an_overflow(
+        self, tmp_path, capsys, value, convention
+    ):
+        # Equilateral targets of 1e308 squared are feasible, but the
+        # realizer's sums of squares pass the float range.
+        path = write_scenario(tmp_path, {
+            "lengths": {"values": [value] * 5, "convention": convention},
+            "experiment": {"kind": "rigidity"},
+        })
+        status = run_scenario(path, out_dir=tmp_path / "out")
+        record, out_text = read_stderr_record(capsys)
+        assert status == 2
+        assert out_text == ""
+        assert record["error"] == "configuration"
+        assert record["message"].startswith("edges 1, 2, 3 overflow the float range")
 
     def test_a_simulate_run_too_long_to_store_exits_2(self, tmp_path, capsys):
         # Every scenario bound holds, but 1e18 rows of states cannot be allocated.
@@ -885,6 +903,28 @@ def test_bundled_scenario_outputs_are_pinned(tmp_path, capsys, scenario, kind):
     capsys.readouterr()
     digests = {f.name: hashlib.sha256(f.read_bytes()).hexdigest() for f in out.iterdir()}
     assert digests == CLI_OUTPUT_SHA256[(scenario, kind)]
+
+
+@pytest.mark.parametrize("law", formation_forge.BUILTIN_LAW_NAMES)
+@pytest.mark.parametrize("kind", ["census", "spectrum"])
+def test_squared_values_give_the_plain_values_csv(tmp_path, capsys, law, kind):
+    # fig2's plain values and the same targets written squared (json writes
+    # repr(v * v)) give the same stored targets, so the same CSV bytes under
+    # every law: the values' convention only says how to read the file.
+    raw = json.loads((SCENARIO_DIR / "fig2.json").read_text())
+    raw["law"]["name"] = law
+    raw["experiment"]["kind"] = kind
+    plain = raw["lengths"]["values"]
+    csvs = []
+    for convention, values in (("plain", plain), ("squared", [v * v for v in plain])):
+        raw["lengths"] = {"values": values, "convention": convention}
+        path = tmp_path / f"{convention}.json"
+        path.write_text(json.dumps(raw))
+        out = tmp_path / convention
+        assert run_scenario(path, out_dir=out) == 0
+        csvs.append((out / f"{kind}.csv").read_bytes())
+    capsys.readouterr()
+    assert csvs[0] == csvs[1]
 
 
 class TestMain:

@@ -266,7 +266,7 @@ class TestGaugeFixedSpectrum:
         b = VectorFieldBundle(
             two_cycles(),
             builtin_law("gradient_squared"),
-            TargetLengths(d=(1.0, 5.0, 4.0, 8.0, 4.0), convention="squared"),
+            TargetLengths(d=(1.0, 5.0, 4.0, 8.0, 4.0)),
         )
         x = np.array([[0.0, 0.0], [1e155, 0.0], [0.0, 1e155], [1e155, 1e155]])
         fw = Framework(b.graph, x)
@@ -293,7 +293,7 @@ class TestPoincareIndex:
         rng = np.random.default_rng(5)
         for _ in range(4):
             d = tuple(rng.uniform(0.25, 40.0, 5))
-            lengths = TargetLengths(d=d, convention=law.convention)
+            lengths = TargetLengths(d=d)
             bundles.append(VectorFieldBundle(graph=two_cycles(), law=law, lengths=lengths))
         seen = set()
         for b in bundles:
@@ -385,7 +385,7 @@ class TestClassifyKind:
         # On two-cycles the graph's one pair is edges 1 and 5, so the pair
         # rule decides as the slot rule it replaced, kept here as the oracle.
         def slot_rule_kind(b, f):
-            errs = edge_errors(f, b.lengths)
+            errs = edge_errors(f, b.lengths, b.law.convention)
             if within_design_tol(errs):
                 return "design"
             z = edge_vectors(f)
@@ -411,7 +411,7 @@ class TestClassifyKind:
         law = builtin_law(law_name)
         b = VectorFieldBundle(
             graph=two_cycles(), law=law,
-            lengths=TargetLengths(d=tuple(d), convention=law.convention),
+            lengths=TargetLengths(d=tuple(d)),
         )
         assert classify_kind(b, fw) == slot_rule_kind(b, fw)
 
@@ -483,7 +483,7 @@ class TestAlignedSolver:
         from formation_forge.rigidity import edge_errors
 
         for rec in solve_ancillary_aligned(b):
-            errs = edge_errors(rec.framework, b.lengths)
+            errs = edge_errors(rec.framework, b.lengths, b.law.convention)
             assert abs(errs[0]) > 1e-3 and abs(errs[4]) > 1e-3
             assert np.max(np.abs(errs[1:4])) <= 1e-9
 
@@ -565,7 +565,7 @@ def test_aligned_mirror_pairs_have_identical_spectra(law_name):
     law = builtin_law(law_name)
     b = VectorFieldBundle(
         graph=two_cycles(), law=law,
-        lengths=TargetLengths(d=tuple(v * v for v in FIG2_PLAIN), convention=law.convention),
+        lengths=TargetLengths(d=tuple(v * v for v in FIG2_PLAIN)),
     )
     records = solve_ancillary_aligned(b)
     assert len(records) == 4
@@ -588,7 +588,7 @@ class TestAlignedJacobian:
         law = builtin_law(law_name)
         b = VectorFieldBundle(
             graph=two_cycles(), law=law,
-            lengths=TargetLengths(d=BENCHMARK_SQUARED, convention=law.convention),
+            lengths=TargetLengths(d=BENCHMARK_SQUARED),
         )
         d = b.lengths.as_array()
         res = _aligned_residual(law, d, a, bb)
@@ -724,7 +724,7 @@ def test_aligned_split_reaches_the_combined_systems_roots(monkeypatch, law_name)
 
     monkeypatch.setattr(bifurcation, "aligned_root_near", recording)
     for d in singular_members(20):
-        lengths = TargetLengths(d=d, convention=law.convention)
+        lengths = TargetLengths(d=d)
         bifurcation.mu_sweep(VectorFieldBundle(graph=two_cycles(), law=law, lengths=lengths))
     assert len(calls) >= 21 * 20
     found = 0
@@ -796,9 +796,9 @@ class TestCensus:
     def test_benchmark_population(self, report):
         assert report.feasible
         assert not report.almost_surely_stable
-        assert len(report.by_kind("design")) == 4
-        assert len(report.by_kind("ancillary_aligned")) == 4
-        stable_design = [r for r in report.by_kind("design") if r.stable]
+        assert len([r for r in report.records if r.kind == "design"]) == 4
+        assert len([r for r in report.records if r.kind == "ancillary_aligned"]) == 4
+        stable_design = [r for r in report.records if r.kind == "design" and r.stable]
         assert len(stable_design) == 2
 
     def test_stable_records_have_index_minus_one(self, report):
@@ -843,14 +843,15 @@ class TestCensus:
 
     def test_mirror_pairs_share_spectra(self, report):
         flip = np.array([1.0, -1.0])
-        for rec in report.by_kind("design"):
+        for rec in [r for r in report.records if r.kind == "design"]:
             mirrored = canonical_gauge(
                 rec.framework.with_positions(rec.framework.x * flip)
             )
             partners = [
                 other
-                for other in report.by_kind("design")
-                if np.max(np.abs(other.framework.x - mirrored.x)) <= 1e-6
+                for other in report.records
+                if other.kind == "design"
+                and np.max(np.abs(other.framework.x - mirrored.x)) <= 1e-6
             ]
             assert len(partners) == 1
             assert (
@@ -899,7 +900,7 @@ def fig2_bundle(law_name):
     return VectorFieldBundle(
         graph=two_cycles(),
         law=law,
-        lengths=TargetLengths(d=tuple(v * v for v in FIG2_PLAIN), convention=law.convention),
+        lengths=TargetLengths(d=tuple(v * v for v in FIG2_PLAIN)),
     )
 
 
@@ -977,7 +978,7 @@ class TestCensusTakesStructuralRecordsAsBuilt:
         assert 0 < short < len(residuals)
         report = census(b, n_random=0, seed=0)
         assert report.dropped_seeds == short
-        assert len(report.by_kind("design")) == len(residuals) - short
+        assert len([r for r in report.records if r.kind == "design"]) == len(residuals) - short
 
     def test_singular_witness_is_one_design_record(self):
         lengths = TargetLengths(d=(1.0, 5.0, 4.0, 8.0, 4.0))

@@ -237,7 +237,7 @@ class TestAgentField:
 
         law = CustomLaw(lambda d, s2: s2 - d, name="pair", pair_func=pair)
         b = VectorFieldBundle(
-            graph=two_cycles(), law=law, lengths=TargetLengths.from_values(PLAIN_VALUES[:5])
+            graph=two_cycles(), law=law, lengths=TargetLengths.from_values(PLAIN_VALUES[:5], "squared")
         )
         x = np.array([-2.04, 2.98, -0.24, 1.15, -2.67, -2.8, 2.08, 0.53])
         assert np.array_equal(eval_F_x(b, x), add_at_field(b, x).ravel())

@@ -5,7 +5,8 @@ that needs one should use, or ask for, a public name instead. And a
 private helper is there for its module: one its module never names is
 dead, however many tests still import it. A public name that no other
 module of the package uses is an entry point, listed below with its
-reason; code that only the tests use lives under ``tests/``.
+reason, and so is a public method or property of a package class that no
+module names; code that only the tests use lives under ``tests/``.
 """
 
 import ast
@@ -28,6 +29,12 @@ ENTRY_POINTS = {
     "reduced_J": "the paper's factorization: the reduced Jacobian D(z) A_e D(z')^T",
     "make_singular_lengths": "builds a singular target set with its witness framework",
     "verify_compatibility": "checks the defining property of a law on sample targets",
+}
+
+# Public methods and properties that no package module names, and why each stays.
+UNCALLED_MEMBERS = {
+    "ControlLaw.weight_dlen2": "one of the four hooks each law writes as one expression; "
+    "ROADMAP item 10's closed-form D^2F is its first caller",
 }
 
 
@@ -158,7 +165,7 @@ def named_in(source):
     """Every name ``source`` reads, takes as an attribute or imports."""
     found = set()
     for node in ast.walk(ast.parse(source)):
-        if isinstance(node, ast.Name):
+        if isinstance(node, ast.Name) and not isinstance(node.ctx, ast.Store):
             found.add(node.id)
         elif isinstance(node, ast.Attribute):
             found.add(node.attr)
@@ -175,3 +182,51 @@ def test_every_public_name_is_used_in_the_package_or_a_listed_entry_point():
     ))
     unused = set(formation_forge.__all__) - used
     assert unused == set(ENTRY_POINTS)
+
+
+def public_members(source):
+    """``Class.member`` for each public method or property a public class of ``source`` defines."""
+    return [
+        f"{node.name}.{item.name}"
+        for node in ast.parse(source).body
+        if isinstance(node, ast.ClassDef) and not is_private(node.name)
+        for item in node.body
+        if isinstance(item, (ast.FunctionDef, ast.AsyncFunctionDef))
+        and not item.name.startswith("_")
+    ]
+
+
+def test_every_public_member_is_named_in_the_package_or_listed():
+    sources = [path.read_text() for path in PACKAGE_DIR.glob("*.py")]
+    used = set().union(*map(named_in, sources))
+    uncalled = {
+        member
+        for source in sources
+        for member in public_members(source)
+        if member.split(".")[1] not in used
+    }
+    assert uncalled == set(UNCALLED_MEMBERS)
+
+
+def test_the_member_check_sees_definitions_and_uses():
+    source = (
+        "class Law:\n"
+        "    def used(self):\n"
+        "        return self.helper\n"
+        "    @property\n"
+        "    def helper(self):\n"
+        "        return 1\n"
+        "    def _private(self):\n"
+        "        return 2\n"
+        "    def unused(self):\n"
+        "        return 3\n"
+        "    stored = 4\n"
+        "class _Hidden:\n"
+        "    def method(self):\n"
+        "        return 5\n"
+        "Law().used()\n"
+    )
+    assert public_members(source) == ["Law.used", "Law.helper", "Law.unused"]
+    named = named_in(source)
+    assert {"used", "helper"} <= named
+    assert not {"unused", "stored"} & named

@@ -122,40 +122,38 @@ class TestEdgeErrors:
     def test_vanish_on_design_frameworks(self):
         lengths = TargetLengths(d=BENCHMARK_SQUARED)
         for fw in realize_two_cycles(two_cycles(), lengths):
-            assert np.max(np.abs(edge_errors(fw, lengths))) <= 1e-12
+            assert np.max(np.abs(edge_errors(fw, lengths, "squared"))) <= 1e-12
 
     def test_unit_edge_zero_error(self):
         g = FormationGraph(n=2, edges=((0, 1),))
         fw = Framework(graph=g, x=np.array([[0.0, 0.0], [1.0, 0.0]]))
-        assert edge_errors(fw, TargetLengths(d=(1.0,)))[0] == 0.0
+        assert edge_errors(fw, TargetLengths(d=(1.0,)), "squared")[0] == 0.0
 
     def test_squared_convention_value(self):
         g = FormationGraph(n=2, edges=((0, 1),))
         fw = Framework(graph=g, x=np.array([[0.0, 0.0], [2.0, 0.0]]))
-        assert edge_errors(fw, TargetLengths(d=(1.0,)))[0] == 3.0
+        assert edge_errors(fw, TargetLengths(d=(1.0,)), "squared")[0] == 3.0
 
     def test_plain_convention_value(self):
         g = FormationGraph(n=2, edges=((0, 1),))
         fw = Framework(graph=g, x=np.array([[0.0, 0.0], [2.0, 0.0]]))
-        lengths = TargetLengths(d=(1.0,), convention="plain")
-        assert edge_errors(fw, lengths)[0] == 1.0
+        assert edge_errors(fw, TargetLengths(d=(1.0,)), "plain")[0] == 1.0
 
     def test_length_count_mismatch(self):
         fw = framework(np.zeros((4, 2)))
         with pytest.raises(ConfigurationError):
-            edge_errors(fw, TargetLengths(d=(1.0, 1.0)))
+            edge_errors(fw, TargetLengths(d=(1.0, 1.0)), "squared")
 
 
 class TestTargetLengths:
     def test_plain_values_are_squared_for_storage(self):
         lengths = TargetLengths.from_values((2.0, 3.0), convention="plain")
         assert lengths.d == (4.0, 9.0)
-        assert lengths.values == (2.0, 3.0)
+        assert tuple(math.sqrt(v) for v in lengths.d) == (2.0, 3.0)
 
     def test_squared_values_are_stored_as_given(self):
         lengths = TargetLengths.from_values((2.0, 3.0), convention="squared")
         assert lengths.d == (2.0, 3.0)
-        assert lengths.values == (2.0, 3.0)
 
     @pytest.mark.parametrize("value", [0.0, -2.0])
     def test_nonpositive_plain_value_rejected(self, value):
@@ -168,7 +166,7 @@ class TestTargetLengths:
 
     def test_unknown_convention_rejected(self):
         with pytest.raises(ConfigurationError):
-            TargetLengths(d=(1.0,), convention="cubed")
+            TargetLengths.from_values((1.0,), "cubed")
 
     def test_perturbed_shifts_one_entry(self):
         lengths = TargetLengths(d=(1.0, 2.0, 3.0))
@@ -273,6 +271,14 @@ class TestRealization:
         with pytest.raises(InfeasibleLengthsError, match="edges 1, 2, 3"):
             realize_two_cycles(two_cycles(), lengths)
 
+    def test_squares_past_the_float_range_are_refused_as_an_overflow(self):
+        # Equilateral targets of 1e308 are feasible, but the sum of two
+        # squared radii is inf: the refusal names the overflow, not the
+        # triangle inequality.
+        lengths = TargetLengths(d=(1e308,) * 5)
+        with pytest.raises(ConfigurationError, match="edges 1, 2, 3 overflow the float range"):
+            realize_two_cycles(two_cycles(), lengths)
+
     def test_second_triangle_infeasibility_names_edges(self):
         lengths = TargetLengths(d=(1.0, 5.0, 4.0, 100.0, 4.0))
         with pytest.raises(InfeasibleLengthsError, match="edges 3, 4, 5"):
@@ -358,6 +364,7 @@ class TestRealizationOnFloats:
     @example(d=squared_edge_lengths([0.0, 0.0, 1.0, 1.0, 3.9e-16, 3.9e-16, 0.0, 1.0]))
     @example(d=(1e-300, 1.0, 1e10, 1.0, 1.0))  # the first abscissa's square overflows
     @example(d=(1.0, 1.0, 1.0, 1.0, 1.0))  # agents 2 and 4 coincide in one realization
+    @example(d=(1e308,) * 5)  # the circle abscissa's numerator overflows
     def test_matches_the_array_realizer_bit_for_bit(self, d):
         assume(all(math.isfinite(v) and v > 0.0 for v in d))
         assert realization_outcome(realize_two_cycles, d) == realization_outcome(
@@ -371,7 +378,7 @@ class TestSingularLengths:
         assert out.lengths.d == (1.0, 5.0, 4.0, 8.0, 4.0)
         z = edge_vectors(out.witness)
         assert abs(planar_cross(z[0], z[4])) <= 1e-12
-        assert np.max(np.abs(edge_errors(out.witness, out.lengths))) <= 1e-12
+        assert np.max(np.abs(edge_errors(out.witness, out.lengths, "squared"))) <= 1e-12
         assert not out.coincident_agents
 
     def test_negative_offset_lands_on_second_agent(self):
@@ -409,7 +416,7 @@ class TestSingularSet:
 
     def test_benchmark_lengths_are_not_members(self):
         lengths = TargetLengths.from_values((2.0, 2.6, 2.0, 1.4, 3.3), convention="plain")
-        assert not in_singular_set(TargetLengths(d=lengths.d), 1e-6)
+        assert not in_singular_set(lengths, 1e-6)
 
     def test_equilateral_lengths_are_members_via_coincident_agents(self):
         # Two of the four realizations place agent 4 on top of agent 2, which
