@@ -1,12 +1,11 @@
 """Transcritical bifurcation analysis along one target-length parameter.
 
-Perturbing the swept stored squared target ``mu_edge`` (the third by
-default) by mu moves the design equilibria and the aligned ancillary
-equilibria along two branches that meet at a singular target vector. This
-module sweeps the branches, detects the exchange of stability between
-them, and runs the Sotomayor nondegeneracy test that certifies the
-crossing is a genuine transcritical bifurcation and not something more
-degenerate.
+Perturbing the stored squared target of edge ``mu_edge`` (0-based) by mu
+moves the design equilibria and the aligned ancillary equilibria along
+two branches that meet at a singular target vector. This module sweeps
+the branches, detects the exchange of stability between them, and runs
+the Sotomayor nondegeneracy test that certifies the crossing is a
+genuine transcritical bifurcation and not something more degenerate.
 """
 
 from __future__ import annotations
@@ -35,8 +34,6 @@ from .numkernel import (
     kron_I2,
 )
 from .rigidity import Framework, edge_vectors, realize_two_cycles, singular_witnesses
-
-DEFAULT_SWEEP_HALF_WIDTH = 0.2
 
 # The settings of every Sotomayor test; only its nondegeneracy bound is an option.
 SOTOMAYOR_PARAM_STEP = 1e-7  # central-difference step in the parameter (FD_SECOND_STEP in x)
@@ -202,7 +199,7 @@ def gauge_slice_z_basis(b: VectorFieldBundle, witness: Framework):
     return vt[rank:].T
 
 
-def formation_family(b: VectorFieldBundle, witness: Framework, mu_edge=2):
+def formation_family(b: VectorFieldBundle, witness: Framework, mu_edge):
     """The gauge-reduced one-parameter family at a witness framework.
 
     Returns ``(family, q0)`` where ``family(q, mu)`` evaluates the edge
@@ -221,7 +218,7 @@ def formation_family(b: VectorFieldBundle, witness: Framework, mu_edge=2):
     return family, np.zeros(basis.shape[1])
 
 
-def sotomayor_at_witness(b: VectorFieldBundle, witness: Framework, mu_edge=2, **kwargs):
+def sotomayor_at_witness(b: VectorFieldBundle, witness: Framework, mu_edge, **kwargs):
     """Run the transcritical test on the formation family at a witness."""
     family, q0 = formation_family(b, witness, mu_edge)
     return sotomayor_check(family, q0, 0.0, **kwargs)
@@ -258,7 +255,7 @@ def _follow_branch(grid, center, branch, start, step):
     return [points[i] for i in sorted(points)]
 
 
-def mu_sweep(b: VectorFieldBundle, eps=DEFAULT_SWEEP_HALF_WIDTH, samples=21, mu_edge=2):
+def mu_sweep(b: VectorFieldBundle, eps, samples, mu_edge):
     """Sweep the design and aligned branches over a symmetric mu grid.
 
     ``b`` gives the graph, the law and the base targets; the stored

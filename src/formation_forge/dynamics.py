@@ -27,6 +27,8 @@ from .graph import FormationGraph, graph_matrices
 from .numkernel import fd_jacobian, fd_second_directional, squared_lengths
 from .rigidity import CONVENTIONS, TargetLengths, edge_block_rows, length_errors, within_design_tol
 
+# Cycle sums an edge state may keep, per unit of its largest coordinate (at least 1):
+# a framework's sum to rounding, and an edge-coordinate integration drifts 1e-8 in 5 s.
 _CYCLE_TOL = 1e-6
 
 

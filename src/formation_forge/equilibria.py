@@ -405,7 +405,7 @@ def solve_ancillary_aligned(b: VectorFieldBundle):
     return records
 
 
-def census(b: VectorFieldBundle, n_random=200, seed=0, dedupe_tol=1e-6):
+def census(b: VectorFieldBundle, n_random, seed, dedupe_tol):
     """Gather, deduplicate and classify the flow's equilibria.
 
     On two-cycles the closed-form design realizations and every aligned
@@ -417,8 +417,13 @@ def census(b: VectorFieldBundle, n_random=200, seed=0, dedupe_tol=1e-6):
     a square sized to the targets, the first draws of ``default_rng(seed)``;
     its roots enter in canonical gauge, and a non-convergent draw is
     counted, not raised. A record within ``dedupe_tol`` of an earlier one
-    is skipped. Identical seeds and tolerances give an identical report.
+    is skipped, and a negative or non-finite ``dedupe_tol`` is refused.
+    Identical seeds and tolerances give an identical report.
     """
+    if not 0 <= dedupe_tol < math.inf:
+        raise ConfigurationError(
+            f"dedupe tolerance must not be negative or infinite, got {dedupe_tol!r}"
+        )
     records = []
     dropped = 0
 

@@ -25,6 +25,8 @@ from .errors import (
     DimensionError,
 )
 
+# The rigidity run's rank tolerance without --tol: a flat triangle's smallest singular
+# value ratio, 3e-17, is rounding, and the 7e-9 of one an ulp short of flat is rank.
 DEFAULT_RANK_TOL = 1e-9
 FD_STEP = 1e-6  # central-difference step of fd_jacobian, scaled by the coordinate
 FD_SECOND_STEP = 1e-4  # step of fd_second_directional, scaled by the largest coordinate
@@ -95,22 +97,22 @@ def _rank(s, tol):
     return int(np.sum(s > tol * s[0])) if s.size else 0
 
 
-def rank_tol(m, tol=DEFAULT_RANK_TOL):
+def rank_tol(m, tol):
     """Numerical rank: singular values above ``tol`` times the largest one (none if it is 0)."""
-    if tol <= 0:
-        raise ConfigurationError("rank tolerance must be positive")
+    if not 0 < tol < math.inf:
+        raise ConfigurationError(f"rank tolerance must be positive and finite, got {tol!r}")
     return _rank(np.linalg.svd(_as_matrix(m), compute_uv=False), tol)
 
 
-def left_nullspace(m, tol=DEFAULT_RANK_TOL):
+def left_nullspace(m, tol):
     """Orthonormal basis of the left null space, returned as matrix columns.
 
     The basis ``B`` satisfies ``||B.T @ m|| <= tol * ||m||`` and has
     ``rows - rank`` columns, the rank counted as in :func:`rank_tol`; a
     zero matrix's basis spans the whole space.
     """
-    if tol <= 0:
-        raise ConfigurationError("null-space tolerance must be positive")
+    if not 0 < tol < math.inf:
+        raise ConfigurationError(f"null-space tolerance must be positive and finite, got {tol!r}")
     u, s, _ = np.linalg.svd(_as_matrix(m))
     return u[:, _rank(s, tol):].copy()
 
@@ -155,7 +157,7 @@ def _first_value(f, x):
     return fx
 
 
-def newton_root(f, x0, max_iter=50, tol=1e-12, jac=None):
+def newton_root(f, x0, max_iter, tol, jac):
     """Damped Newton iteration for ``f(x) = 0`` with least-squares steps.
 
     The plain iteration overshoots badly on the cubic formation field from
@@ -167,9 +169,9 @@ def newton_root(f, x0, max_iter=50, tol=1e-12, jac=None):
     iterate up without changing the residual. The iterate is ``x0`` as a
     flat list of Python floats, which ``f`` maps to a sequence of floats,
     as the bound :attr:`~.dynamics.VectorFieldBundle.flow` does;
-    the Jacobian is :func:`fd_jacobian` of ``f`` unless an analytic ``jac``
-    is supplied, such as :func:`~.dynamics.jacobian_x`, which takes the
-    list as it is. ``f`` is checked at ``x0`` as in :func:`integrate_ode`.
+    the Jacobian is :func:`fd_jacobian` of ``f`` when ``jac`` is None,
+    else the analytic ``jac``, such as :func:`~.dynamics.jacobian_x`, which
+    takes the list as it is. ``f`` is checked at ``x0`` as in :func:`integrate_ode`.
 
     Returns a :class:`NewtonResult`; raises :class:`ConvergenceError`
     carrying the last iterate when the residual, Jacobian or step is not
@@ -291,7 +293,7 @@ def _call_loop(n):
     return rk4_loop(n, "f", lambda xs, out: [f"[{', '.join(out)}] = f([{', '.join(xs)}])"])
 
 
-def integrate_ode(f, x0, t_end, step=1e-3):
+def integrate_ode(f, x0, t_end, step):
     """Fixed-step integration of ``xdot = f(x)`` from 0 to ``t_end``.
 
     Only the classical 4th-order scheme is provided; the fixed step keeps

@@ -15,7 +15,7 @@ import numpy as np
 
 from .errors import ConfigurationError, FormationForgeError, InfeasibleLengthsError
 from .graph import FormationGraph, graph_matrices, mixed_adjacency, two_cycles
-from .numkernel import DEFAULT_RANK_TOL, kron_I2, rank_tol, squared_lengths
+from .numkernel import kron_I2, rank_tol, squared_lengths
 
 CONVENTIONS = ("squared", "plain")
 DESIGN_TOL = 1e-8  # largest edge error of a design point; also classify_kind's tolerance
@@ -93,6 +93,11 @@ class TargetLengths:
         if convention == "plain":
             if any(v <= 0 for v in vals):
                 raise InfeasibleLengthsError("plain lengths must be positive")
+            for i, v in enumerate(vals, 1):
+                if math.isfinite(v) and not math.isfinite(v * v):
+                    raise ConfigurationError(
+                        f"edge {i}'s plain length {v:.6g} overflows the float range when squared"
+                    )
             vals = [v * v for v in vals]
         return cls(d=tuple(vals))
 
@@ -145,12 +150,12 @@ def rigidity_matrix(f: Framework):
     return edge_block_rows(edge_vectors(f)) @ kron_I2(mixed_adjacency(f.graph))
 
 
-def is_infinitesimally_rigid(f: Framework, tol=DEFAULT_RANK_TOL):
+def is_infinitesimally_rigid(f: Framework, tol):
     """True when the rigidity matrix reaches rank ``2n - 3``."""
     return rank_tol(rigidity_matrix(f), tol) == 2 * f.graph.n - 3
 
 
-def is_minimally_rigid(f: Framework, tol=DEFAULT_RANK_TOL):
+def is_minimally_rigid(f: Framework, tol):
     """True when rigid and no single edge can be removed without losing rigidity.
 
     Rigid rows span rank ``2n - 3``: exactly that many are independent, each

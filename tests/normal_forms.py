@@ -11,7 +11,7 @@ import math
 
 import numpy as np
 
-from formation_forge.bifurcation import DEFAULT_SWEEP_HALF_WIDTH, BranchPoint
+from formation_forge.bifurcation import BranchPoint
 from formation_forge.equilibria import CensusReport, EquilibriumRecord
 from formation_forge.errors import (
     ConfigurationError,
@@ -45,7 +45,7 @@ def scalar_census(f, design_values, fprime=None):
     roots = []
     for x0 in np.linspace(-2.5 * scale, 2.5 * scale, SCALAR_SEEDS):
         try:
-            root = float(newton_root(f_vec, [x0], max_iter=60, tol=1e-12).x[0])
+            root = float(newton_root(f_vec, [x0], max_iter=60, tol=1e-12, jac=None).x[0])
         except ConvergenceError:
             continue
         if any(abs(root - r) <= 1e-8 * max(1.0, abs(r)) for r in roots):
@@ -87,7 +87,7 @@ def logistic_equilibria(mu):
     return out
 
 
-def logistic_reference(mu_range=DEFAULT_SWEEP_HALF_WIDTH, samples=21):
+def logistic_reference(mu_range, samples):
     """Bifurcation diagram rows for the normal form, as branch points.
 
     The zero branch sits at x = 0 with eigenvalue mu; the carrying branch

@@ -49,7 +49,7 @@ def singular_setup():
 @pytest.fixture(scope="module")
 def canonical_sweep():
     _, bundle = singular_setup()
-    return mu_sweep(bundle)
+    return mu_sweep(bundle, eps=0.2, samples=21, mu_edge=2)
 
 
 class TestSotomayorNormalForm:
@@ -96,7 +96,7 @@ class TestSotomayorNormalForm:
 class TestSotomayorAtWitness:
     def test_constructed_singular_targets_pass(self):
         out, bundle = singular_setup()
-        report = sotomayor_at_witness(bundle, out.witness)
+        report = sotomayor_at_witness(bundle, out.witness, mu_edge=2)
         assert report.verdict
         assert report.zero_eig_unique
         assert report.others_negative
@@ -115,7 +115,7 @@ class TestSotomayorAtWitness:
             graph=two_cycles(), law=builtin_law("gradient_squared"), lengths=lengths
         )
         witness = singular_witnesses(lengths)[0]
-        report = sotomayor_at_witness(bundle, witness)
+        report = sotomayor_at_witness(bundle, witness, mu_edge=2)
         assert report.zero_eig_unique
         assert report.others_negative
         assert abs(report.t_mu) <= 1e-6 * report.fmu_norm
@@ -197,7 +197,7 @@ class TestMuSweep:
         # the continuation finds no root, and the scan's nearest aligned
         # equilibrium at the next sample is about 2 away, on another branch.
         out = make_singular_lengths(1.0, 1.0, 2.0, -2.0)
-        points = mu_sweep(squared_bundle(out.lengths))
+        points = mu_sweep(squared_bundle(out.lengths), eps=0.2, samples=21, mu_edge=2)
         mus = np.linspace(-0.2, 0.2, 21)
         design = [p for p in points if p.branch == "design"]
         aligned = [p for p in points if p.branch == "ancillary_aligned"]
@@ -215,7 +215,8 @@ class TestMuSweep:
         # the targets, so no design realization is an equilibrium of the flow.
         _, bundle = singular_setup()
         points = mu_sweep(
-            VectorFieldBundle(graph=bundle.graph, law=make_law("pair"), lengths=bundle.lengths)
+            VectorFieldBundle(graph=bundle.graph, law=make_law("pair"), lengths=bundle.lengths),
+            eps=0.2, samples=21, mu_edge=2,
         )
         assert not [p for p in points if p.branch == "design"]
         report = transcritical_detect(points)
@@ -224,7 +225,7 @@ class TestMuSweep:
     def test_rejects_empty_grids(self):
         _, bundle = singular_setup()
         with pytest.raises(ConfigurationError):
-            mu_sweep(bundle, samples=0)
+            mu_sweep(bundle, eps=0.2, samples=0, mu_edge=2)
 
     def test_rejects_other_graphs(self):
         from formation_forge.graph import FormationGraph
@@ -243,19 +244,19 @@ class TestMuSweep:
         )
         for bundle in (triangle, idle):
             with pytest.raises(ConfigurationError, match="two-cycles"):
-                mu_sweep(bundle)
+                mu_sweep(bundle, eps=0.2, samples=21, mu_edge=2)
 
     def test_infeasible_endpoint_raises(self):
         _, bundle = singular_setup()
         with pytest.raises(InfeasibleLengthsError):
-            mu_sweep(bundle, eps=5.0)
+            mu_sweep(bundle, eps=5.0, samples=21, mu_edge=2)
 
     @pytest.mark.parametrize("mu_edge", [-1, 5])
     def test_a_swept_edge_outside_the_graph_is_refused(self, mu_edge):
         # -1 swept the fifth edge, as 4 does; 5 ended in a bare IndexError.
         out, bundle = singular_setup()
         with pytest.raises(ConfigurationError, match=f"edge index {mu_edge} outside 0..4"):
-            mu_sweep(bundle, mu_edge=mu_edge)
+            mu_sweep(bundle, eps=0.2, samples=21, mu_edge=mu_edge)
         with pytest.raises(ConfigurationError, match=f"edge index {mu_edge} outside 0..4"):
             sotomayor_at_witness(bundle, out.witness, mu_edge=mu_edge)
 
@@ -274,7 +275,8 @@ class TestTranscriticalDetect:
         )
 
     def test_generic_targets_show_no_crossing(self):
-        points = mu_sweep(squared_bundle(TargetLengths(d=(4.0, 6.76, 4.0, 10.89, 1.96))))
+        bundle = squared_bundle(TargetLengths(d=(4.0, 6.76, 4.0, 10.89, 1.96)))
+        points = mu_sweep(bundle, eps=0.2, samples=21, mu_edge=2)
         report = transcritical_detect(points)
         assert not report.detected
         assert not report.indeterminate
@@ -282,7 +284,7 @@ class TestTranscriticalDetect:
 
     def test_single_sample_sweep_is_indeterminate(self):
         _, bundle = singular_setup()
-        report = transcritical_detect(mu_sweep(bundle, samples=1))
+        report = transcritical_detect(mu_sweep(bundle, eps=0.2, samples=1, mu_edge=2))
         assert report.indeterminate
         assert "fewer than two sweep points" in report.reason
 
@@ -356,7 +358,7 @@ class TestLogisticReference:
         assert logistic_equilibria(0.0) == {0.0: False}
 
     def test_reference_rows_drive_the_detector(self):
-        rows = logistic_reference()
+        rows = logistic_reference(mu_range=0.2, samples=21)
         report = transcritical_detect(rows)
         assert report.detected
         assert report.crossings["zero"] == pytest.approx(0.0, abs=1e-12)

@@ -4,6 +4,7 @@ import dataclasses
 import hashlib
 import importlib
 import json
+import math
 import os
 import pkgutil
 import re
@@ -230,6 +231,18 @@ class TestOtherRuns:
         capsys.readouterr()
         assert "rank 4 of 5 (not infinitesimally rigid)" in (out / "report.txt").read_text()
         assert (out / "rigidity.csv").read_text().splitlines()[1] == "4,5,false,false"
+
+    def test_rigidity_one_ulp_short_of_the_flat_triangle_is_rigid(self, tmp_path, capsys):
+        # The flat triangle above keeps a smallest singular value 3e-17 of
+        # the largest and this one 7e-9, the nearest to flat that doubles
+        # near 2 can state; the default rank tolerance, 1e-9, parts them.
+        out = tmp_path / "out"
+        values = [1.0, 1.0, math.nextafter(2.0, 0.0), 1.5, 1.5]
+        lengths = {"values": values, "convention": "plain"}
+        path = write_scenario(tmp_path, {"lengths": lengths, "experiment": {"kind": "rigidity"}})
+        assert run_scenario(path, out_dir=out) == 0
+        capsys.readouterr()
+        assert (out / "rigidity.csv").read_text().splitlines()[1] == "5,5,true,true"
 
     def test_simulate_stride_that_does_not_divide_keeps_the_last_row(self, tmp_path, capsys):
         # 11 states at stride 3: rows 0, 3, 6 and 9, then the final state.
@@ -472,6 +485,21 @@ class TestErrorPaths:
         assert out_text == ""
         assert record["error"] == "configuration"
         assert record["message"].startswith("edges 1, 2, 3 overflow the float range")
+
+    def test_plain_lengths_whose_squares_overflow_name_the_overflow(self, tmp_path, capsys):
+        # Each value is positive and finite; the refusal used to say otherwise.
+        path = write_scenario(tmp_path, {
+            "lengths": {"values": [1e155] * 5, "convention": "plain"},
+            "experiment": {"kind": "rigidity"},
+        })
+        status = run_scenario(path, out_dir=tmp_path / "out")
+        record, out_text = read_stderr_record(capsys)
+        assert status == 2
+        assert out_text == ""
+        assert record == {
+            "error": "configuration",
+            "message": "edge 1's plain length 1e+155 overflows the float range when squared",
+        }
 
     def test_a_simulate_run_too_long_to_store_exits_2(self, tmp_path, capsys):
         # Every scenario bound holds, but 1e18 rows of states cannot be allocated.

@@ -514,6 +514,23 @@ class TestEdgeField:
         with pytest.raises(DimensionError, match="9 coordinates for 5 planar edge vectors"):
             route(b, np.zeros(9))
 
+    @pytest.mark.parametrize("factor", [1e-3, 1.0, 1e3])
+    @pytest.mark.parametrize("share, refused", [(0.5, False), (2.0, True)])
+    def test_cycle_sums_are_checked_at_1e_6_of_the_largest_coordinate(
+        self, factor, share, refused
+    ):
+        # A cycle sum of half the bound passes and one of twice it is refused,
+        # the bound being 1e-6 times the largest coordinate, at least 1.
+        b = squared_bundle(BENCHMARK_SQUARED)
+        z = factor * edge_vectors(realize_two_cycles(two_cycles(), b.lengths)[0])
+        cycle = left_nullspace(mixed_adjacency(b.graph), 1e-12)[:, 0]
+        z[:, 0] += share * 1e-6 * max(1.0, float(np.max(np.abs(z)))) * cycle
+        if refused:
+            with pytest.raises(InconsistentStateError, match="cycle"):
+                eval_F_z(b, z)
+        else:
+            assert eval_F_z(b, z).shape == (5, 2)
+
     def test_check_flag_admits_off_surface_states(self):
         b = squared_bundle(BENCHMARK_SQUARED)
         z = edge_vectors(realize_two_cycles(two_cycles(), b.lengths)[0]).copy()

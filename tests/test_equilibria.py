@@ -44,6 +44,7 @@ from formation_forge.equilibria import (
     solve_ancillary_aligned,
 )
 from formation_forge.errors import (
+    ConfigurationError,
     ConvergenceError,
     FormulaDomainError,
     InfeasibleLengthsError,
@@ -297,7 +298,7 @@ class TestPoincareIndex:
             bundles.append(VectorFieldBundle(graph=two_cycles(), law=law, lengths=lengths))
         seen = set()
         for b in bundles:
-            for rec in census(b, n_random=20, seed=7).records:
+            for rec in census(b, n_random=20, seed=7, dedupe_tol=1e-6).records:
                 x = rec.framework.x
                 basis = gauge_slice_basis(x)
                 m = basis.T @ fd_jacobian(b.flow, x.ravel()) @ basis
@@ -692,7 +693,7 @@ def singular_members(count, seed=0):
 
     Triangle sides and the fifth length uniform on [0.5, 6.6], the fifth
     length's sign a coin flip; kept when ``mu_sweep`` accepts both ends of
-    its default grid.
+    the CLI's default grid, mu from -0.2 to 0.2 on the third edge.
     """
     members = [(1.0, 5.0, 4.0, 8.0, 4.0)]
     rng = np.random.default_rng(seed)
@@ -701,7 +702,7 @@ def singular_members(count, seed=0):
         signed_z5 = rng.choice((-1.0, 1.0)) * z5
         try:
             d = make_singular_lengths(r1 * r1, r2 * r2, r3 * r3, signed_z5).lengths.d
-            for end in (-bifurcation.DEFAULT_SWEEP_HALF_WIDTH, bifurcation.DEFAULT_SWEEP_HALF_WIDTH):
+            for end in (-0.2, 0.2):
                 realize_two_cycles(two_cycles(), TargetLengths(d=d).perturbed(2, end))
         except InfeasibleLengthsError:
             continue
@@ -725,7 +726,8 @@ def test_aligned_split_reaches_the_combined_systems_roots(monkeypatch, law_name)
     monkeypatch.setattr(bifurcation, "aligned_root_near", recording)
     for d in singular_members(20):
         lengths = TargetLengths(d=d)
-        bifurcation.mu_sweep(VectorFieldBundle(graph=two_cycles(), law=law, lengths=lengths))
+        bundle = VectorFieldBundle(graph=two_cycles(), law=law, lengths=lengths)
+        bifurcation.mu_sweep(bundle, eps=0.2, samples=21, mu_edge=2)
     assert len(calls) >= 21 * 20
     found = 0
     for bundle, a0, b0, sigma in calls:
@@ -780,7 +782,7 @@ class TestAlignedMinGap:
 
 @pytest.fixture(scope="module")
 def census_report():
-    return census(benchmark_bundle(), n_random=60, seed=7)
+    return census(benchmark_bundle(), n_random=60, seed=7, dedupe_tol=1e-6)
 
 
 @pytest.fixture(scope="module")
@@ -832,7 +834,7 @@ class TestCensus:
             assert chebyshev(rest, rec.spectrum_gauge.values) <= 1e-4 * radius
 
     def test_identical_inputs_give_identical_reports(self, report):
-        again = census(benchmark_bundle(), n_random=60, seed=7)
+        again = census(benchmark_bundle(), n_random=60, seed=7, dedupe_tol=1e-6)
         assert len(again.records) == len(report.records)
         assert again.dropped_seeds == report.dropped_seeds
         assert again.index_sum == report.index_sum
@@ -866,7 +868,14 @@ class TestCensus:
         b = VectorFieldBundle(
             graph=g, law=builtin_law("gradient_squared"), lengths=TargetLengths(d=(1.0,) * 33)
         )
-        assert census(b, n_random=3, seed=0).records
+        assert census(b, n_random=3, seed=0, dedupe_tol=1e-6).records
+
+    @pytest.mark.parametrize("dedupe_tol", [-1e-6, math.nan, math.inf])
+    def test_a_negative_or_non_finite_dedupe_tolerance_is_refused(self, dedupe_tol):
+        # NaN and inf each kept 1 of the 8 records that 1e-6 keeps here, a
+        # negative tolerance merges nothing, and the CLI refuses all three.
+        with pytest.raises(ConfigurationError, match="dedupe tolerance"):
+            census(benchmark_bundle(), n_random=0, seed=0, dedupe_tol=dedupe_tol)
 
 
 # The plain lengths of the bundled fig2.json census, in its edge order.
@@ -906,7 +915,7 @@ def fig2_bundle(law_name):
 
 @pytest.mark.parametrize("law_name", sorted(FIG2_CENSUS_PINS))
 def test_fig2_census_is_pinned(law_name):
-    report = census(fig2_bundle(law_name), n_random=60, seed=7)
+    report = census(fig2_bundle(law_name), n_random=60, seed=7, dedupe_tol=1e-6)
     assert (census_digest(report), report.dropped_seeds) == FIG2_CENSUS_PINS[law_name]
 
 
@@ -915,14 +924,14 @@ def test_fig2_census_matches_the_array_newton_oracle(monkeypatch, law_name):
     # Newton on floats must reach every random root of the array form, bit
     # for bit, and drop the same seeds.
     b = fig2_bundle(law_name)
-    reports = [census(b, n_random=60, seed=seed) for seed in range(10)]
+    reports = [census(b, n_random=60, seed=seed, dedupe_tol=1e-6) for seed in range(10)]
 
     def oracle(f, x0, **options):
         return array_newton_root(lambda v: np.array(f(v.tolist())), x0, **options)
 
     monkeypatch.setattr(equilibria, "newton_root", oracle)
     for seed, report in enumerate(reports):
-        expected = census(b, n_random=60, seed=seed)
+        expected = census(b, n_random=60, seed=seed, dedupe_tol=1e-6)
         assert report.dropped_seeds == expected.dropped_seeds
         assert len(report.records) == len(expected.records)
         for rec, other in zip(report.records, expected.records):
@@ -949,14 +958,14 @@ class TestCensusTakesStructuralRecordsAsBuilt:
             return original(bundle, fw)
 
         monkeypatch.setattr(equilibria, "equilibrium_record", counted)
-        report = census(b, n_random=60, seed=7)
+        report = census(b, n_random=60, seed=7, dedupe_tol=1e-6)
         assert len(report.records) == 10
         assert len(calls) == 10
 
     @pytest.mark.parametrize("law_name", sorted(FIG2_CENSUS_PINS))
     def test_design_and_aligned_records_are_bit_identical(self, law_name):
         b = fig2_bundle(law_name)
-        report = census(b, n_random=60, seed=7)
+        report = census(b, n_random=60, seed=7, dedupe_tol=1e-6)
         built = [equilibrium_record(b, fw) for fw in realize_two_cycles(b.graph, b.lengths)]
         built += solve_ancillary_aligned(b)
         assert [r.kind for r in built] == ["design"] * 4 + ["ancillary_aligned"] * 4
@@ -976,7 +985,7 @@ class TestCensusTakesStructuralRecordsAsBuilt:
         ]
         short = sum(r > RESIDUAL_TOL for r in residuals)
         assert 0 < short < len(residuals)
-        report = census(b, n_random=0, seed=0)
+        report = census(b, n_random=0, seed=0, dedupe_tol=1e-6)
         assert report.dropped_seeds == short
         assert len([r for r in report.records if r.kind == "design"]) == len(residuals) - short
 
@@ -987,7 +996,7 @@ class TestCensusTakesStructuralRecordsAsBuilt:
         witnesses = singular_witnesses(lengths)
         assert witnesses
         aligned = solve_ancillary_aligned(b)
-        report = census(b, n_random=10, seed=0)
+        report = census(b, n_random=10, seed=0, dedupe_tol=1e-6)
 
         def near(records, fw):
             return [r for r in records if np.max(np.abs(r.framework.x - fw.x)) <= 1e-6]

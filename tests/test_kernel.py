@@ -567,7 +567,7 @@ class TestIntegrator:
             6: "the field cannot read a state of 6 coordinates",
         }[size]
         with pytest.raises(DimensionError, match=rf"^{message}$"):
-            integrate_ode(b.flow, [0.1 * i for i in range(size)], 0.01)
+            integrate_ode(b.flow, [0.1 * i for i in range(size)], 0.01, step=1e-3)
 
     @pytest.mark.parametrize("size", sorted(RK4_FIELDS))
     def test_the_compiled_step_matches_the_zip_loop_bit_for_bit(self, size):

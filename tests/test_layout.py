@@ -6,7 +6,9 @@ private helper is there for its module: one its module never names is
 dead, however many tests still import it. A public name that no other
 module of the package uses is an entry point, listed below with its
 reason, and so is a public method or property of a package class that no
-module names; code that only the tests use lives under ``tests/``.
+module names; code that only the tests use lives under ``tests/``. A
+keyword default is there for a caller that leaves it out: one that every
+package caller passes states a value twice, unless it is listed.
 """
 
 import ast
@@ -35,6 +37,16 @@ ENTRY_POINTS = {
 UNCALLED_MEMBERS = {
     "ControlLaw.weight_dlen2": "one of the four hooks each law writes as one expression; "
     "ROADMAP item 10's closed-form D^2F is its first caller",
+}
+
+# Keyword defaults of module-level functions that every call in the package
+# passes anyway, and why each stays.
+KEPT_DEFAULTS = {
+    "run_scenario.out_dir": "the tests call run_scenario(path) as a scenario file's one run",
+    "run_scenario.seed": "the tests call run_scenario(path) as a scenario file's one run",
+    "run_scenario.tol": "the tests call run_scenario(path) as a scenario file's one run",
+    "builtin_law.gain": 'bench/tests calls builtin_law("gradient_squared")',
+    "eval_F_z.check": "it validates the state of a direct caller",
 }
 
 
@@ -230,3 +242,81 @@ def test_the_member_check_sees_definitions_and_uses():
     named = named_in(source)
     assert {"used", "helper"} <= named
     assert not {"unused", "stored"} & named
+
+
+def defaults_every_caller_passes(sources):
+    """``function.parameter`` for each keyword default that every call passes.
+
+    The functions are the module-level ones of ``sources``, and so are the
+    calls, by name or as ``module.name``. A call leaves unset each argument
+    it does not name or reach by position; ``*args`` and ``**kwargs`` set
+    nothing, and nor does a reference to the function that is not a call,
+    since its callers are unknown. A function no call names is an entry
+    point and is skipped.
+    """
+    trees = [ast.parse(source) for source in sources]
+    defaults = {}
+    for tree in trees:
+        for node in tree.body:
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                args = node.args
+                positional = [a.arg for a in args.posonlyargs + args.args]
+                named = positional[len(positional) - len(args.defaults):] + [
+                    a.arg for a, d in zip(args.kwonlyargs, args.kw_defaults) if d is not None
+                ]
+                if named:
+                    defaults[node.name] = (positional, set(named))
+    passed = {}
+    for tree in trees:
+        callees = set()
+        for node in ast.walk(tree):
+            if not isinstance(node, ast.Call):
+                continue
+            func = node.func
+            if isinstance(func, ast.Attribute) and isinstance(func.value, ast.Name):
+                name = func.attr if func.value.id in MODULE_NAMES else None
+            else:
+                name = func.id if isinstance(func, ast.Name) else None
+            if name not in defaults:
+                continue
+            callees.add(func)
+            positional, named = defaults[name]
+            reached = []
+            for arg in node.args:
+                if isinstance(arg, ast.Starred):
+                    break
+                reached.append(arg)
+            given = set(positional[: len(reached)]) | {kw.arg for kw in node.keywords}
+            passed[name] = passed.get(name, named) & given
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name) and node.id in defaults and node not in callees:
+                if isinstance(node.ctx, ast.Load):
+                    passed[node.id] = set()
+    return {f"{name}.{param}" for name, params in passed.items() for param in params}
+
+
+def test_no_keyword_default_is_one_every_package_caller_passes():
+    sources = [path.read_text() for path in PACKAGE_DIR.glob("*.py")]
+    assert defaults_every_caller_passes(sources) == set(KEPT_DEFAULTS)
+
+
+def test_the_default_check_sees_calls_that_pass_or_leave_an_argument():
+    source = (
+        "import numkernel\n"
+        "def solve(f, tol=1e-9, budget=50, *, jac=None):\n"
+        "    return f\n"
+        "def entry(x=1):\n"
+        "    return x\n"
+        "def hook(y=2):\n"
+        "    return y\n"
+        "def step(h=0.1):\n"
+        "    return h\n"
+        "def run(options, args):\n"
+        "    solve(1, 1e-6, budget=3, jac=None)\n"
+        "    numkernel.solve(2, tol=1e-6, **options)\n"
+        "    solve(*args, tol=1e-6, budget=3)\n"
+        "    hook(y=3)\n"
+        "    step(0.2)\n"
+        "    return [hook]\n"
+    )
+    assert defaults_every_caller_passes([source]) == {"solve.tol", "step.h"}

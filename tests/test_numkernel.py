@@ -17,6 +17,7 @@ from formation_forge.errors import (
 )
 from formation_forge.graph import mixed_adjacency, two_cycles
 from formation_forge.numkernel import (
+    DEFAULT_RANK_TOL,
     NewtonResult,
     Spectrum,
     eigenvalues,
@@ -57,7 +58,7 @@ def array_fd_jacobian(f, x, h=1e-6):
     return np.column_stack(cols)
 
 
-def array_newton_root(f, x0, max_iter=50, tol=1e-12, jac=None):
+def array_newton_root(f, x0, max_iter, tol, jac):
     """Damped Newton on arrays, the oracle of :func:`newton_root`.
 
     ``f`` and ``jac`` take an array. The float form must reach the same
@@ -232,17 +233,35 @@ class TestRank:
         for _ in range(100):
             rows, cols, inner = rng.integers(1, 6, size=3)
             m = rng.normal(size=(rows, inner)) @ rng.normal(size=(inner, cols))
-            assert rank_tol(kron_I2(m)) == 2 * rank_tol(m)
+            assert rank_tol(kron_I2(m), 1e-9) == 2 * rank_tol(m, 1e-9)
 
     def test_rejects_nonpositive_tolerance(self):
         with pytest.raises(ConfigurationError):
             rank_tol(np.eye(2), 0.0)
+
+    @pytest.mark.parametrize("tol", [math.nan, math.inf])
+    def test_rejects_a_tolerance_that_is_not_finite(self, tol):
+        # Both counted no singular value of the identity.
+        with pytest.raises(ConfigurationError, match="rank tolerance must be positive and finite"):
+            rank_tol(np.eye(3), tol)
+
+    @pytest.mark.parametrize("ratio, rank", [(1e-7, 2), (1e-11, 1)])
+    def test_default_tolerance_splits_singular_value_ratios_at_1e_9(self, ratio, rank):
+        # 1e-7 counts and 1e-11 does not: scaling the default by 1e3 or by
+        # 1e-3 moves one of them across.
+        assert rank_tol(np.diag([1.0, ratio]), DEFAULT_RANK_TOL) == rank
 
 
 class TestLeftNullspace:
     @pytest.mark.parametrize("tol", [0.0, -1e-9])
     def test_rejects_nonpositive_tolerance(self, tol):
         with pytest.raises(ConfigurationError, match="null-space tolerance must be positive"):
+            left_nullspace(np.eye(2), tol)
+
+    @pytest.mark.parametrize("tol", [math.nan, math.inf])
+    def test_rejects_a_tolerance_that_is_not_finite(self, tol):
+        # NaN gave the whole space as the null space of the identity.
+        with pytest.raises(ConfigurationError, match="positive and finite"):
             left_nullspace(np.eye(2), tol)
 
     def test_two_cycles_cokernel(self):
@@ -275,7 +294,7 @@ class TestLeftNullspace:
                 assert np.max(np.abs(basis.T @ m)) <= 1e-9 * np.linalg.norm(m)
                 gram = basis.T @ basis
                 assert np.max(np.abs(gram - np.eye(basis.shape[1]))) <= 1e-12
-            assert basis.shape[1] == rows - rank_tol(m)
+            assert basis.shape[1] == rows - rank_tol(m, 1e-9)
 
 
 class TestKron:
@@ -294,14 +313,18 @@ class TestKron:
 class TestNewton:
     # A scalar equation is solved as a 1-vector one.
     def test_scalar_quadratic(self):
-        result = newton_root(lambda x: [v * v - 4.0 for v in x], [3.0], tol=1e-12)
+        result = newton_root(
+            lambda x: [v * v - 4.0 for v in x], [3.0], max_iter=50, tol=1e-12, jac=None
+        )
         assert result.x.shape == (1,)
         assert abs(result.x[0] - 2.0) <= 1e-10
         assert result.residual <= 1e-12
         assert result.iterations >= 1
 
     def test_scalar_cubic(self):
-        result = newton_root(lambda x: [v * (1.0 - v * v) for v in x], [0.8], tol=1e-12)
+        result = newton_root(
+            lambda x: [v * (1.0 - v * v) for v in x], [0.8], max_iter=50, tol=1e-12, jac=None
+        )
         assert abs(result.x[0] - 1.0) <= 1e-10
 
     def test_circle_intersection_matches_closed_form(self):
@@ -317,13 +340,15 @@ class TestNewton:
             return [px * px + py * py - lengths.d[2], qx * qx + qy * qy - lengths.d[1]]
 
         seed = fw.x[2] + np.array([0.05, -0.08])
-        result = newton_root(f, seed, tol=1e-13)
+        result = newton_root(f, seed, max_iter=50, tol=1e-13, jac=None)
         assert np.max(np.abs(result.x - fw.x[2])) <= 1e-10
 
     def test_failure_carries_last_iterate(self):
         # x^2 + 1 has no real root; the iteration must fail loudly.
         with pytest.raises(ConvergenceError) as info:
-            newton_root(lambda x: [v * v + 1.0 for v in x], [0.5], max_iter=30)
+            newton_root(
+                lambda x: [v * v + 1.0 for v in x], [0.5], max_iter=30, tol=1e-12, jac=None
+            )
         assert info.value.last_iterate is not None
         assert info.value.iterations is not None
         assert "stagnated" in str(info.value)
@@ -331,24 +356,25 @@ class TestNewton:
     def test_damped_steps_converge_from_far_out(self):
         # The undamped iteration on arctan diverges from |x0| > 1.39;
         # halving the step until the residual falls brings it home.
-        result = newton_root(np.arctan, [3.0])
+        result = newton_root(np.arctan, [3.0], max_iter=50, tol=1e-12, jac=None)
         assert abs(result.x[0]) <= 1e-12
         assert result.residual <= 1e-12
 
     def test_budget_exhaustion_is_reported(self):
         with pytest.raises(ConvergenceError, match="did not reach") as info:
-            newton_root(np.arctan, [3.0], max_iter=2)
+            newton_root(np.arctan, [3.0], max_iter=2, tol=1e-12, jac=None)
         assert info.value.iterations == 2
 
     def test_non_finite_seed_is_a_convergence_error(self):
         with pytest.raises(ConvergenceError, match="non-finite"):
             newton_root(lambda x: np.array([np.inf * x[0], x[1]]), [1.0, 1.0],
-                        jac=lambda x: np.eye(2))
+                        max_iter=50, tol=1e-12, jac=lambda x: np.eye(2))
 
     def test_non_finite_step_is_a_convergence_error(self):
         # A finite residual over a finite but tiny slope overflows the step.
         with pytest.raises(ConvergenceError, match="took a non-finite step") as info:
-            newton_root(lambda x: [1e300], [0.0], jac=lambda x: np.array([[1e-300]]))
+            newton_root(lambda x: [1e300], [0.0], max_iter=50, tol=1e-12,
+                        jac=lambda x: np.array([[1e-300]]))
         assert info.value.iterations == 0
 
     @pytest.mark.parametrize("position", [0, 1])
@@ -360,7 +386,7 @@ class TestNewton:
             return out
 
         with pytest.raises(ConvergenceError, match="non-finite residual or Jacobian") as info:
-            newton_root(f, [0.5, 0.5], jac=lambda x: np.eye(2))
+            newton_root(f, [0.5, 0.5], max_iter=50, tol=1e-12, jac=lambda x: np.eye(2))
         assert isinstance(info.value.last_iterate, np.ndarray)
 
     @pytest.mark.parametrize("size", [24, 6])
@@ -372,7 +398,7 @@ class TestNewton:
             lengths=TargetLengths(d=(1.0, 5.0, 4.0, 8.0, 4.0)),
         )
         with pytest.raises(DimensionError, match=rf"\b{size} coordinates"):
-            newton_root(b.flow, [0.1 * i for i in range(size)])
+            newton_root(b.flow, [0.1 * i for i in range(size)], max_iter=50, tol=1e-12, jac=None)
 
     def test_analytic_jacobian_is_used(self):
         calls = []
@@ -381,7 +407,9 @@ class TestNewton:
             calls.append(x)
             return np.diag([2.0 * v for v in x])
 
-        result = newton_root(lambda x: [v * v - 4.0 for v in x], [3.0], jac=jac)
+        result = newton_root(
+            lambda x: [v * v - 4.0 for v in x], [3.0], max_iter=50, tol=1e-12, jac=jac
+        )
         assert abs(result.x[0] - 2.0) <= 1e-12
         assert len(calls) == result.iterations
 

@@ -164,6 +164,19 @@ class TestTargetLengths:
         with pytest.raises(InfeasibleLengthsError):
             TargetLengths(d=(1.0, 0.0))
 
+    def test_a_plain_value_whose_square_overflows_is_named(self):
+        with pytest.raises(ConfigurationError) as info:
+            TargetLengths.from_values((1.0, 1e155), convention="plain")
+        assert str(info.value) == (
+            "edge 2's plain length 1e+155 overflows the float range when squared"
+        )
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf])
+    def test_a_plain_value_that_is_not_finite_keeps_its_message(self, value):
+        message = "^target lengths must be positive and finite$"
+        with pytest.raises(InfeasibleLengthsError, match=message):
+            TargetLengths.from_values((1.0, value), convention="plain")
+
     def test_unknown_convention_rejected(self):
         with pytest.raises(ConfigurationError):
             TargetLengths.from_values((1.0,), "cubed")
@@ -213,31 +226,31 @@ class TestRigidityMatrix:
 class TestRigidityPredicates:
     def test_generic_framework_is_rigid(self):
         fw = realize_two_cycles(two_cycles(), TargetLengths(d=BENCHMARK_SQUARED))[0]
-        assert is_infinitesimally_rigid(fw)
+        assert is_infinitesimally_rigid(fw, 1e-9)
 
     def test_parallel_edge_witness_is_rigid(self):
         out = make_singular_lengths(1.0, 5.0, 4.0, 2.0)
-        assert is_infinitesimally_rigid(out.witness)
+        assert is_infinitesimally_rigid(out.witness, 1e-9)
 
     def test_collinear_framework_is_not_rigid(self):
         fw = framework([(0, 0), (1, 0), (2, 0), (3, 0)])
-        assert not is_infinitesimally_rigid(fw)
+        assert not is_infinitesimally_rigid(fw, 1e-9)
 
     def test_two_cycles_is_minimally_rigid(self):
         fw = realize_two_cycles(two_cycles(), TargetLengths(d=BENCHMARK_SQUARED))[0]
-        assert is_minimally_rigid(fw)
+        assert is_minimally_rigid(fw, 1e-9)
 
     def test_redundant_edge_breaks_minimality(self):
         base = realize_two_cycles(two_cycles(), TargetLengths(d=BENCHMARK_SQUARED))[0]
         g = FormationGraph(n=4, edges=base.graph.edges + ((1, 3),))
         fw = Framework(graph=g, x=base.x)
-        assert is_infinitesimally_rigid(fw)
-        assert not is_minimally_rigid(fw)
+        assert is_infinitesimally_rigid(fw, 1e-9)
+        assert not is_minimally_rigid(fw, 1e-9)
 
     def test_triangle_is_minimally_rigid(self):
         g = FormationGraph(n=3, edges=((0, 1), (1, 2), (2, 0)))
         fw = Framework(graph=g, x=np.array([[0.0, 0.0], [1.0, 0.0], [0.3, 0.8]]))
-        assert is_minimally_rigid(fw)
+        assert is_minimally_rigid(fw, 1e-9)
 
 
 class TestMinimalRigidityRule:
@@ -248,7 +261,7 @@ class TestMinimalRigidityRule:
         m = data.draw(st.integers(2 * n - 4, 2 * n))
         rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
         fw = Framework(graph=random_outvalence_graph(rng, n, m), x=rng.normal(size=(n, 2)))
-        assert is_minimally_rigid(fw) == edge_deletion_minimally_rigid(fw, 1e-9)
+        assert is_minimally_rigid(fw, 1e-9) == edge_deletion_minimally_rigid(fw, 1e-9)
 
     @pytest.mark.parametrize("n", range(1, 8))
     def test_zero_tolerance_refused_on_every_size(self, n):
