@@ -11,6 +11,8 @@ genuine transcritical bifurcation and not something more degenerate.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import lru_cache
+from operator import sub
 
 import numpy as np
 
@@ -210,8 +212,12 @@ def formation_family(b: VectorFieldBundle, witness: Framework, mu_edge):
     basis = gauge_slice_z_basis(b, witness)
     z0 = edge_vectors(witness).ravel()
 
+    @lru_cache(maxsize=None)
+    def bundle_at(mu):  # one bundle, and one bound kernel, per distinct mu
+        return b.with_lengths(b.lengths.perturbed(mu_edge, mu))
+
     def family(q, mu):
-        bundle = b.with_lengths(b.lengths.perturbed(mu_edge, float(mu)))
+        bundle = bundle_at(float(mu))
         z = z0 + basis @ np.asarray(q, dtype=float)
         return basis.T @ eval_F_z(bundle, z, check=False)
 
@@ -260,12 +266,13 @@ def mu_sweep(b: VectorFieldBundle, eps, samples, mu_edge):
 
     ``b`` gives the graph, the law and the base targets; the stored
     squared target of ``mu_edge`` is shifted by each mu. Both grid
-    endpoints must be realizable; a grid that cannot be allocated is a
-    :class:`ConfigurationError`. Both branches follow one rule: walk
-    outward from the sample nearest mu = 0 in both directions, each sample
-    continuing from the framework found last; a sample whose step finds
-    nothing, or finds a framework that is not an equilibrium of the flow,
-    is omitted, leaving a gap. When the base targets sit in the singular
+    endpoints must be realizable, and an end that shifts the target out of
+    the positive range is refused naming that end and the edge; a grid
+    that cannot be allocated is a :class:`ConfigurationError`. Both
+    branches follow one rule: walk outward from the sample nearest mu = 0
+    in both directions, each sample continuing from the framework found
+    last; a sample whose step finds nothing, or finds a framework that is
+    not an equilibrium of the flow, is omitted, leaving a gap. When the base targets sit in the singular
     set both branches start at the witness, so they meet there. Otherwise
     the design branch starts at the first design realization of the base
     targets and the aligned branch at the first stable (else first) aligned
@@ -287,7 +294,14 @@ def mu_sweep(b: VectorFieldBundle, eps, samples, mu_edge):
     except (MemoryError, ValueError):  # ValueError: more samples than an index can count
         raise ConfigurationError(f"{samples} sweep samples cannot be allocated") from None
     for end in (float(mus[0]), float(mus[-1])):
-        realize_two_cycles(b.graph, base.perturbed(mu_edge, end))
+        try:
+            lengths = base.perturbed(mu_edge, end)
+        except InfeasibleLengthsError:
+            raise InfeasibleLengthsError(
+                f"the sweep's end mu = {end:.6g} takes edge {mu_edge + 1}'s squared target "
+                f"{base.d[mu_edge]:.6g} to {base.d[mu_edge] + end:.6g}, outside the positive range"
+            ) from None
+        realize_two_cycles(b.graph, lengths)
 
     grid = [(float(mu), b.with_lengths(base.perturbed(mu_edge, float(mu)))) for mu in mus]
     center = int(np.argmin(np.abs(mus)))
@@ -298,10 +312,7 @@ def mu_sweep(b: VectorFieldBundle, eps, samples, mu_edge):
         except InfeasibleLengthsError:
             return None
         last = previous.x.ravel().tolist()
-        return min(
-            frameworks,
-            key=lambda g: max(abs(p - q) for p, q in zip(g.x.ravel().tolist(), last)),
-        )
+        return min(frameworks, key=lambda g: max(map(abs, map(sub, g.x.ravel().tolist(), last))))
 
     witnesses = singular_witnesses(base)
     start = witnesses[0] if witnesses else realize_two_cycles(b.graph, base)[0]

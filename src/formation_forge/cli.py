@@ -150,7 +150,8 @@ def _eig_cell(values):
 
 
 def _positions_cell(x):
-    return ";".join(f"{_num(px)} {_num(py)}" for px, py in np.asarray(x).reshape(-1, 2))
+    rows = np.asarray(x).reshape(-1, 2).tolist()
+    return ";".join(f"{_num(px)} {_num(py)}" for px, py in rows)
 
 
 def _bool_cell(v):
@@ -271,7 +272,7 @@ def _run_sweep(sc, bundle, tol):
         errs = edge_errors(p.framework, lengths_mu, bundle.law.convention)
         rows.append(
             [_num(p.mu), p.branch, _num(p.leading_real), _bool_cell(p.stable)]
-            + [_num(e) for e in errs]
+            + [_num(e) for e in errs.tolist()]
             + [_positions_cell(p.framework.x)]
         )
     header = ["mu", "branch", "leading_real", "stable"]

@@ -148,26 +148,26 @@ def gauge_slice_basis(x):
     superposed), in which case the slice is correspondingly larger.
 
     The 2n-by-3 matrix of those directions, rows ``(1, 0, -y_k)`` and
-    ``(0, 1, x_k)`` for agent k, is written from Python floats in one
-    ``np.array`` call. It is bit for bit the matrix that ``np.tile`` and
-    ``np.column_stack`` stack from the same directions, so its SVD and the
-    basis are too.
+    ``(0, 1, x_k)`` for agent k, is written from a flat list of Python
+    floats in one ``np.array`` call. It is bit for bit the matrix that
+    ``np.tile`` and ``np.column_stack`` stack from the same directions, so
+    its SVD and the basis are too.
     """
     rows = []
     for px, py in np.asarray(x, dtype=float).reshape(-1, 2).tolist():
-        rows += ((1.0, 0.0, -py), (0.0, 1.0, px))
+        rows += (1.0, 0.0, -py, 0.0, 1.0, px)
     return left_nullspace(np.array(rows).reshape(-1, 3), 1e-12)
 
 
 def _gauge_jacobian(b: VectorFieldBundle, f: Framework):
     # the package's one equilibrium test; callers that skip non-equilibria catch its error
-    fx = eval_F_x(b, f.x.ravel())
-    residual = float(np.max(np.abs(fx)))
+    xs = f.x.ravel()
+    residual = float(np.abs(eval_F_x(b, xs)).max())
     if not residual <= RESIDUAL_TOL:  # a NaN residual is no equilibrium either
         raise FormulaDomainError(
             f"gauge-fixed linearization requires an equilibrium; residual {residual:.3e}"
         )
-    jac = fd_jacobian(b.flow, f.x.ravel())
+    jac = fd_jacobian(b.flow, xs)
     basis = gauge_slice_basis(f.x)
     return basis.T @ jac @ basis, residual
 
@@ -361,15 +361,22 @@ def solve_ancillary_aligned(b: VectorFieldBundle):
     r = math.sqrt(legs[top])
     rest = [leg - legs[top] for leg in legs]
 
-    def place(phi, signs):
-        """``(a, alpha, h, b)``: agents 2, 3 and 4 at ``phi`` on one path."""
+    def spans(phi, signs):
+        """The legs' spans ``w`` along the line at ``phi`` on one path."""
         w_top = r * math.sin(phi)
         w = [s * math.sqrt(extra + w_top * w_top) for s, extra in zip(signs, rest)]
         w[top] = w_top
+        return w
+
+    def place(phi, signs):
+        """``(a, alpha, h, b)``: agents 2, 3 and 4 at ``phi`` on one path."""
+        w = spans(phi, signs)
         return w[1] + w[0], w[1], r * math.cos(phi), w[1] + w[2]
 
-    def balance(point):
-        return _agent1_pair(b.law, d, point[0], point[3])[2]
+    def balance(phi, signs):
+        """Agent 1's balance at ``phi``, from ``a`` and ``b`` alone."""
+        w = spans(phi, signs)
+        return _agent1_pair(b.law, d, w[1] + w[0], w[1] + w[2])[2]
 
     phis = [math.pi * (j / ALIGNED_SCAN_STEPS - 0.5) for j in range(ALIGNED_SCAN_STEPS + 1)]
     roots = []
@@ -377,7 +384,7 @@ def solve_ancillary_aligned(b: VectorFieldBundle):
         for s2 in (1.0, -1.0):
             signs = [s1, s2]
             signs.insert(top, 1.0)
-            g = [balance(place(phi, signs)) for phi in phis]
+            g = [balance(phi, signs) for phi in phis]
             for j in range(ALIGNED_SCAN_STEPS):
                 if g[j] == 0.0:
                     if j > 0:  # phi = -pi/2 puts agent 3 on the line
@@ -385,7 +392,7 @@ def solve_ancillary_aligned(b: VectorFieldBundle):
                 elif g[j + 1] != 0.0 and (g[j] < 0.0) != (g[j + 1] < 0.0):
                     lo, hi = (phis[j], g[j]), (phis[j + 1], g[j + 1])
                     while lo[0] < (mid := 0.5 * (lo[0] + hi[0])) < hi[0]:
-                        g_mid = balance(place(mid, signs))
+                        g_mid = balance(mid, signs)
                         if (g_mid < 0.0) == (lo[1] < 0.0):
                             lo = (mid, g_mid)
                         else:

@@ -60,19 +60,25 @@ class FormationGraph:
         return len(self.edges)
 
     def origins(self):
-        return np.array([o for o, _ in self.edges], dtype=int)
+        """Each edge's origin vertex, a read-only array shared by every caller."""
+        return graph_matrices(self)["origins"]
 
     def targets(self):
-        return np.array([t for _, t in self.edges], dtype=int)
+        """Each edge's target vertex, a read-only array shared by every caller."""
+        return graph_matrices(self)["targets"]
+
+
+_TWO_CYCLES = FormationGraph(n=4, edges=((0, 1), (1, 2), (2, 0), (3, 2), (0, 3)))
 
 
 def two_cycles():
     """The canonical 4-agent, 5-edge graph made of two directed 3-cycles.
 
     Edge order: (1,2), (2,3), (3,1), (4,3), (1,4) in 1-based labels.
-    Vertex 1 is the only two-coleader agent.
+    Vertex 1 is the only two-coleader agent. Every call returns the same
+    frozen instance.
     """
-    return FormationGraph(n=4, edges=((0, 1), (1, 2), (2, 0), (3, 2), (0, 3)))
+    return _TWO_CYCLES
 
 
 def mixed_adjacency(g: FormationGraph):
@@ -253,6 +259,8 @@ def bind(weight, pair_weights, weight_dlen, c, d):
 def graph_matrices(g: FormationGraph):
     """Every matrix and index set the flow needs for ``g``, built once per graph.
 
+    ``origins`` and ``targets`` hold each edge's end vertices, which
+    :meth:`FormationGraph.origins` and :meth:`FormationGraph.targets` return.
     ``pairs`` holds the two edges of each two-coleader agent, which
     :func:`~.equilibria.classify_kind` tests for alignment.
     ``kernel(weight, weight_dlen)`` returns the ``bind`` of the graph's
@@ -285,6 +293,8 @@ def graph_matrices(g: FormationGraph):
         return namespace["bind"]
 
     mats = {
+        "origins": np.array([o for o, _ in g.edges], dtype=int),
+        "targets": np.array([t for _, t in g.edges], dtype=int),
         "edge_adj": edge_adj,
         "edge_adj2": kron_I2(edge_adj),
         "cycles": left_nullspace(mixed_adjacency(g), 1e-12),

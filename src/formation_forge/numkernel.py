@@ -66,7 +66,8 @@ class Spectrum:
 
     @classmethod
     def from_values(cls, values):
-        vals = [complex(v) for v in values]
+        """Sort ``values``, a sequence or an array, read as Python complex numbers."""
+        vals = [complex(v) for v in np.asarray(values).tolist()]
         vals.sort(key=lambda c: (-c.real, -c.imag))
         return cls(tuple(vals))
 
@@ -75,7 +76,7 @@ def _as_matrix(m):
     a = np.asarray(m, dtype=float)
     if a.ndim != 2:
         raise DimensionError(f"expected a 2-d matrix, got ndim={a.ndim}")
-    if not np.all(np.isfinite(a)):
+    if not np.isfinite(a).all():
         raise DimensionError("matrix entries must be finite")
     return a
 
@@ -94,7 +95,9 @@ def eigenvalues(m):
 
 def _rank(s, tol):
     """The count of singular values ``s`` (descending) above ``tol`` times the largest."""
-    return int(np.sum(s > tol * s[0])) if s.size else 0
+    values = s.tolist()
+    bound = tol * values[0] if values else 0.0
+    return sum(v > bound for v in values)
 
 
 def rank_tol(m, tol):
@@ -362,9 +365,10 @@ def fd_jacobian(f, x):
     cols = []
     for j, xj in enumerate(xs):
         step = FD_STEP * max(abs(xj), 1.0)  # NaN at a NaN coordinate, as np.maximum gives
+        width = 2.0 * step
         xp, xm = xs.copy(), xs.copy()
         xp[j], xm[j] = xj + step, xj - step
-        cols.append([(p - m) / (2.0 * step) for p, m in zip(f(xp), f(xm))])
+        cols.append([(p - m) / width for p, m in zip(f(xp), f(xm))])
     return np.array(cols).T.copy()
 
 

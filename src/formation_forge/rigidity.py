@@ -29,14 +29,13 @@ class Framework:
     x: np.ndarray
 
     def __post_init__(self):
-        pts = np.asarray(self.x, dtype=float)
+        pts = np.array(self.x, dtype=float, order="C")  # the one copy, whatever the input
         if pts.shape != (self.graph.n, 2):
             raise ConfigurationError(
                 f"expected {self.graph.n} planar points, got array of shape {pts.shape}"
             )
-        if not np.all(np.isfinite(pts)):
+        if not np.isfinite(pts).all():
             raise ConfigurationError("framework coordinates must be finite")
-        pts = pts.copy()
         pts.flags.writeable = False
         object.__setattr__(self, "x", pts)
 
@@ -97,6 +96,10 @@ class TargetLengths:
                 if math.isfinite(v) and not math.isfinite(v * v):
                     raise ConfigurationError(
                         f"edge {i}'s plain length {v:.6g} overflows the float range when squared"
+                    )
+                if v * v == 0.0:
+                    raise ConfigurationError(
+                        f"edge {i}'s plain length {v:.6g} underflows to zero when squared"
                     )
             vals = [v * v for v in vals]
         return cls(d=tuple(vals))
@@ -239,7 +242,7 @@ def realize_two_cycles(graph: FormationGraph, lengths: TargetLengths):
     r = [math.sqrt(v) for v in d]
     alpha3, beta3 = _circle_intersection_height(r[0], r[2], r[1], (1, 2, 3))
     alpha4, beta4 = _circle_intersection_height(r[2], r[4], r[3], (3, 4, 5))
-    frameworks, placed = [], []
+    placed = []
     for s3 in (1.0, -1.0):
         h3 = s3 * beta3
         ux, uy = alpha3 / r[2], h3 / r[2]  # agent 3's unit direction
@@ -248,10 +251,10 @@ def realize_two_cycles(graph: FormationGraph, lengths: TargetLengths):
             # + 0.0 turns a -0.0 into 0.0, as canonical_gauge would
             x = [0.0, 0.0, r[0] + 0.0, 0.0, alpha3 + 0.0, h3 + 0.0,
                  alpha4 * ux + w * -uy + 0.0, alpha4 * uy + w * ux + 0.0]
-            fw = Framework(graph=graph, x=np.array(x).reshape(4, 2))
             if not any(all(abs(p - q) <= 1e-12 for p, q in zip(x, other)) for other in placed):
-                frameworks.append(fw)
                 placed.append(x)
+    # a non-finite placement lies within 1e-12 of no other, so it is kept and refused here
+    frameworks = [Framework(graph=graph, x=p) for p in np.array(placed).reshape(-1, 4, 2)]
     tol = 1e-12 * max(1.0, max(d))
     for x in placed:
         err = 0.0

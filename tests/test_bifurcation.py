@@ -251,6 +251,21 @@ class TestMuSweep:
         with pytest.raises(InfeasibleLengthsError):
             mu_sweep(bundle, eps=5.0, samples=21, mu_edge=2)
 
+    def test_an_end_outside_the_positive_range_names_the_end_and_the_edge(self):
+        # sweep_s0's third target is 4: mu = -5 takes it to -1.
+        _, bundle = singular_setup()
+        message = (
+            "^the sweep's end mu = -5 takes edge 3's squared target 4 to -1, "
+            "outside the positive range$"
+        )
+        with pytest.raises(InfeasibleLengthsError, match=message):
+            mu_sweep(bundle, eps=5.0, samples=21, mu_edge=2)
+
+    def test_a_positive_end_that_breaks_a_triangle_names_the_triangle(self):
+        _, bundle = singular_setup()
+        with pytest.raises(InfeasibleLengthsError, match="violate the triangle inequality"):
+            mu_sweep(bundle, eps=3.9, samples=21, mu_edge=2)
+
     @pytest.mark.parametrize("mu_edge", [-1, 5])
     def test_a_swept_edge_outside_the_graph_is_refused(self, mu_edge):
         # -1 swept the fifth edge, as 4 does; 5 ended in a bare IndexError.

@@ -501,6 +501,38 @@ class TestErrorPaths:
             "message": "edge 1's plain length 1e+155 overflows the float range when squared",
         }
 
+    def test_plain_lengths_whose_squares_underflow_name_the_underflow(self, tmp_path, capsys):
+        # Each value is positive and finite; the refusal used to say otherwise.
+        path = write_scenario(tmp_path, {
+            "lengths": {"values": [1e-200] * 5, "convention": "plain"},
+            "experiment": {"kind": "rigidity"},
+        })
+        status = run_scenario(path, out_dir=tmp_path / "out")
+        record, out_text = read_stderr_record(capsys)
+        assert status == 2
+        assert out_text == ""
+        assert record == {
+            "error": "configuration",
+            "message": "edge 1's plain length 1e-200 underflows to zero when squared",
+        }
+
+    def test_a_sweep_end_outside_the_positive_range_names_the_end_and_the_edge(
+        self, tmp_path, capsys
+    ):
+        raw = json.loads((SCENARIO_DIR / "sweep_s0.json").read_text())
+        raw["experiment"]["eps"] = 1e300
+        path = tmp_path / "sweep.json"
+        path.write_text(json.dumps(raw))
+        status = run_scenario(path, out_dir=tmp_path / "out")
+        record, out_text = read_stderr_record(capsys)
+        assert status == 2
+        assert out_text == ""
+        assert record == {
+            "error": "infeasible-lengths",
+            "message": "the sweep's end mu = -1e+300 takes edge 3's squared target 4 "
+                       "to -1e+300, outside the positive range",
+        }
+
     def test_a_simulate_run_too_long_to_store_exits_2(self, tmp_path, capsys):
         # Every scenario bound holds, but 1e18 rows of states cannot be allocated.
         path = write_scenario(

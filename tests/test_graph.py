@@ -124,6 +124,19 @@ class TestMixedAdjacency:
             assert np.max(np.abs(stacked - direct)) <= 1e-14
 
 
+class TestSharedGraphData:
+    def test_two_cycles_is_one_instance(self):
+        assert two_cycles() is two_cycles()
+
+    @pytest.mark.parametrize("graph", [two_cycles(), triangle()])
+    def test_index_arrays_are_built_once_and_refuse_writes(self, graph):
+        for indices, ends in ((graph.origins, 0), (graph.targets, 1)):
+            assert indices() is indices()
+            assert indices().tolist() == [edge[ends] for edge in graph.edges]
+            with pytest.raises(ValueError):
+                indices()[0] = 1
+
+
 class TestEdgeAdjacency:
     def test_two_cycles_fixture(self):
         assert np.array_equal(edge_adjacency(two_cycles()), TWO_CYCLES_EDGE)

@@ -471,6 +471,24 @@ class TestExpressionHooks:
             assert same_bits(got, getattr(oracle, hook)(d, s2)), hook
             assert isinstance(getattr(law, hook).source, str)
 
+    @pytest.mark.parametrize("law_name", BUILTIN_LAW_NAMES)
+    def test_each_derivative_expression_is_the_derivative_of_the_weight(self, law_name):
+        # Proved symbolically: weight_dlen and weight_dlen2 are the first and
+        # second derivatives of weight in s2, weight_dtarget its derivative in d.
+        sympy = pytest.importorskip("sympy")
+        d, s2 = sympy.symbols("d s2", positive=True)
+        names = {"d": d, "s2": s2, "c": sympy.Symbol("c"), "sqrt": sympy.sqrt}
+        law = builtin_law(law_name)
+        weight, dlen, dtarget, dlen2 = (
+            sympy.sympify(getattr(law, hook).source, locals=names) for hook in HOOKS
+        )
+        for derivative, written in (
+            (sympy.diff(weight, s2), dlen),
+            (sympy.diff(weight, d), dtarget),
+            (sympy.diff(weight, s2, 2), dlen2),
+        ):
+            assert sympy.simplify(sympy.nsimplify(derivative - written)) == 0
+
     def test_the_law_constant_is_an_instance_attribute(self):
         # A property would add a call to every hook call.
         for law_name, c in zip(BUILTIN_LAW_NAMES, (1.7, 1.7, -1.7)):

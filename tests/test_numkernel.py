@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from formation_forge import numkernel
 from formation_forge.dynamics import VectorFieldBundle, builtin_law, eval_F_x, jacobian_x
 from formation_forge.errors import (
     BlowUpError,
@@ -183,6 +184,15 @@ class TestSpectrum:
         assert not spec.is_hyperbolic(1e-6)
         assert spec.unstable_count(1e-6) == 0
 
+    @pytest.mark.parametrize(
+        "values",
+        [np.array([-1.0, 2.5, 0.0]), np.array([1.0 + 2.0j, 1.0 - 2.0j, -3.0]), np.zeros(0)],
+    )
+    def test_an_array_and_its_list_give_one_spectrum(self, values):
+        from_array, from_list = Spectrum.from_values(values), Spectrum.from_values(list(values))
+        assert from_array == from_list
+        assert all(type(v) is complex for v in from_array.values)
+
     @pytest.mark.parametrize("tol", [0.0, 1e-6])
     def test_empty_spectrum(self, tol):
         spec = eigenvalues(np.zeros((0, 0)))
@@ -244,6 +254,19 @@ class TestRank:
         # Both counted no singular value of the identity.
         with pytest.raises(ConfigurationError, match="rank tolerance must be positive and finite"):
             rank_tol(np.eye(3), tol)
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        s=st.lists(
+            st.one_of(st.floats(0.0, 1e300), st.just(0.0), st.just(math.nan)), max_size=8
+        ).map(lambda v: np.array(sorted(v, reverse=True), dtype=float)),
+        tol=st.floats(1e-15, 1.0),
+    )
+    def test_the_rank_count_is_numpys(self, s, tol):
+        # Counted on Python floats, the same decisions as the array comparison,
+        # with zeros, NaN (which no comparison passes) and no values at all.
+        expected = int(np.sum(s > tol * s[0])) if s.size else 0
+        assert numkernel._rank(s, tol) == expected
 
     @pytest.mark.parametrize("ratio, rank", [(1e-7, 2), (1e-11, 1)])
     def test_default_tolerance_splits_singular_value_ratios_at_1e_9(self, ratio, rank):

@@ -87,6 +87,21 @@ class TestFramework:
             Framework(graph=two_cycles(), x=x)
 
 
+    def test_later_writes_to_the_input_do_not_reach_the_framework(self):
+        x = np.arange(8.0).reshape(4, 2)
+        fw = Framework(graph=two_cycles(), x=x)
+        x[1, 0] = 99.0
+        assert fw.x.tolist() == np.arange(8.0).reshape(4, 2).tolist()
+
+    def test_a_fortran_ordered_input_gives_a_c_contiguous_read_only_copy(self):
+        x = np.asfortranarray(np.arange(8.0).reshape(4, 2))
+        fw = Framework(graph=two_cycles(), x=x)
+        assert fw.x.flags.c_contiguous and not fw.x.flags.writeable
+        assert np.array_equal(fw.x, x)
+        with pytest.raises(ValueError):
+            fw.x[0, 0] = 1.0
+
+
 class TestEdgeVectors:
     def test_explicit_square_layout(self):
         fw = framework([(0, 0), (1, 0), (0, 1), (-1, 0)])
@@ -170,6 +185,13 @@ class TestTargetLengths:
         assert str(info.value) == (
             "edge 2's plain length 1e+155 overflows the float range when squared"
         )
+
+    def test_a_plain_value_whose_square_underflows_is_named(self):
+        # 1e-200 is positive and finite, but its square rounds to zero.
+        with pytest.raises(ConfigurationError) as info:
+            TargetLengths.from_values((1.0, 1e-200), convention="plain")
+        assert str(info.value) == "edge 2's plain length 1e-200 underflows to zero when squared"
+        assert TargetLengths.from_values((1e-160,), convention="plain").d[0] > 0.0  # subnormal
 
     @pytest.mark.parametrize("value", [math.nan, math.inf])
     def test_a_plain_value_that_is_not_finite_keeps_its_message(self, value):
