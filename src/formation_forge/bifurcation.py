@@ -268,11 +268,12 @@ def mu_sweep(b: VectorFieldBundle, eps, samples, mu_edge):
     squared target of ``mu_edge`` is shifted by each mu. Both grid
     endpoints must be realizable, and an end that shifts the target out of
     the positive range is refused naming that end and the edge; a grid
-    that cannot be allocated is a :class:`ConfigurationError`. Both
-    branches follow one rule: walk outward from the sample nearest mu = 0
-    in both directions, each sample continuing from the framework found
-    last; a sample whose step finds nothing, or finds a framework that is
-    not an equilibrium of the flow, is omitted, leaving a gap. When the base targets sit in the singular
+    that cannot be allocated, or whose width passes the float range, is a
+    :class:`ConfigurationError`. Both branches follow one rule: walk
+    outward from the sample nearest mu = 0 in both directions, each sample
+    continuing from the framework found last; a sample whose step finds
+    nothing, or finds a framework that is not an equilibrium of the flow,
+    is omitted, leaving a gap. When the base targets sit in the singular
     set both branches start at the witness, so they meet there. Otherwise
     the design branch starts at the first design realization of the base
     targets and the aligned branch at the first stable (else first) aligned
@@ -289,6 +290,8 @@ def mu_sweep(b: VectorFieldBundle, eps, samples, mu_edge):
     samples = int(samples)
     if samples < 1:
         raise ConfigurationError("a sweep needs at least one sample")
+    if not np.isfinite(2.0 * float(eps)):  # the grid's width, which np.linspace computes
+        raise ConfigurationError(f"a sweep of half-width {float(eps):.6g} passes the float range")
     try:
         mus = np.linspace(-float(eps), float(eps), samples)
     except (MemoryError, ValueError):  # ValueError: more samples than an index can count

@@ -365,10 +365,9 @@ def fd_jacobian(f, x):
     cols = []
     for j, xj in enumerate(xs):
         step = FD_STEP * max(abs(xj), 1.0)  # NaN at a NaN coordinate, as np.maximum gives
-        width = 2.0 * step
         xp, xm = xs.copy(), xs.copy()
         xp[j], xm[j] = xj + step, xj - step
-        cols.append([(p - m) / width for p, m in zip(f(xp), f(xm))])
+        cols.append([(p - m) / (2.0 * step) for p, m in zip(f(xp), f(xm))])
     return np.array(cols).T.copy()
 
 

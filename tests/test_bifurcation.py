@@ -247,12 +247,7 @@ class TestMuSweep:
                 mu_sweep(bundle, eps=0.2, samples=21, mu_edge=2)
 
     def test_infeasible_endpoint_raises(self):
-        _, bundle = singular_setup()
-        with pytest.raises(InfeasibleLengthsError):
-            mu_sweep(bundle, eps=5.0, samples=21, mu_edge=2)
-
-    def test_an_end_outside_the_positive_range_names_the_end_and_the_edge(self):
-        # sweep_s0's third target is 4: mu = -5 takes it to -1.
+        # sweep_s0's third target is 4: mu = -5 takes it to -1, and the refusal says so.
         _, bundle = singular_setup()
         message = (
             "^the sweep's end mu = -5 takes edge 3's squared target 4 to -1, "
@@ -260,6 +255,12 @@ class TestMuSweep:
         )
         with pytest.raises(InfeasibleLengthsError, match=message):
             mu_sweep(bundle, eps=5.0, samples=21, mu_edge=2)
+
+    def test_a_grid_wider_than_the_float_range_is_refused_before_numpy_sees_it(self):
+        # np.linspace overflowed on the width with a RuntimeWarning and gave NaN ends.
+        _, bundle = singular_setup()
+        with pytest.raises(ConfigurationError, match="half-width 1e\\+308 passes the float range"):
+            mu_sweep(bundle, eps=1e308, samples=21, mu_edge=2)
 
     def test_a_positive_end_that_breaks_a_triangle_names_the_triangle(self):
         _, bundle = singular_setup()

@@ -516,22 +516,28 @@ class TestErrorPaths:
             "message": "edge 1's plain length 1e-200 underflows to zero when squared",
         }
 
-    def test_a_sweep_end_outside_the_positive_range_names_the_end_and_the_edge(
-        self, tmp_path, capsys
+    @pytest.mark.parametrize(
+        "eps, error, message",
+        [
+            # mu = -1e300 takes the third target, 4, below zero
+            (1e300, "infeasible-lengths", "the sweep's end mu = -1e+300 takes edge 3's squared "
+                                          "target 4 to -1e+300, outside the positive range"),
+            # the grid's width, 2e308, overflows, and np.linspace gave NaN ends
+            (1e308, "configuration", "a sweep of half-width 1e+308 passes the float range"),
+        ],
+    )
+    def test_a_sweep_grid_past_its_range_names_the_sweep(
+        self, tmp_path, capsys, eps, error, message
     ):
         raw = json.loads((SCENARIO_DIR / "sweep_s0.json").read_text())
-        raw["experiment"]["eps"] = 1e300
+        raw["experiment"]["eps"] = eps
         path = tmp_path / "sweep.json"
         path.write_text(json.dumps(raw))
         status = run_scenario(path, out_dir=tmp_path / "out")
         record, out_text = read_stderr_record(capsys)
         assert status == 2
         assert out_text == ""
-        assert record == {
-            "error": "infeasible-lengths",
-            "message": "the sweep's end mu = -1e+300 takes edge 3's squared target 4 "
-                       "to -1e+300, outside the positive range",
-        }
+        assert record == {"error": error, "message": message}
 
     def test_a_simulate_run_too_long_to_store_exits_2(self, tmp_path, capsys):
         # Every scenario bound holds, but 1e18 rows of states cannot be allocated.

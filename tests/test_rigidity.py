@@ -86,7 +86,6 @@ class TestFramework:
         with pytest.raises(ConfigurationError, match="framework coordinates must be finite"):
             Framework(graph=two_cycles(), x=x)
 
-
     def test_later_writes_to_the_input_do_not_reach_the_framework(self):
         x = np.arange(8.0).reshape(4, 2)
         fw = Framework(graph=two_cycles(), x=x)
