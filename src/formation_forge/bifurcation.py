@@ -35,10 +35,13 @@ from .numkernel import (
     fd_second_directional,
     kron_I2,
 )
-from .rigidity import Framework, edge_vectors, realize_two_cycles, singular_witnesses
+from .rigidity import (
+    Framework, TargetLengths, edge_vectors, realize_two_cycles, singular_witnesses,
+)
 
 # The settings of every Sotomayor test; only its nondegeneracy bound is an option.
 SOTOMAYOR_PARAM_STEP = 1e-7  # central-difference step in the parameter (FD_SECOND_STEP in x)
+DEFAULT_NONDEGEN_TOL = 1e-3  # the sotomayor run's nondegeneracy bound when --tol is not given
 
 
 @dataclass(frozen=True, eq=False)
@@ -62,16 +65,16 @@ class SotomayorReport:
     degenerate: bool
     slice_spectrum: Spectrum
     fmu_norm: float
-    tolerances: dict = field(default_factory=dict)
 
 
 @dataclass(frozen=True, eq=False)
 class BranchPoint:
-    """One sweep sample: a branch equilibrium and its leading eigenvalue."""
+    """One sweep sample: a branch equilibrium, its targets and its leading eigenvalue."""
 
     mu: float
     branch: str
     framework: Framework
+    lengths: TargetLengths  # the sample's targets
     leading_real: float
     stable: bool
 
@@ -93,7 +96,7 @@ def _normalize_sign(vec):
     return -vec if vec[idx] < 0 else vec
 
 
-def sotomayor_check(family, x0, mu0, tol_nondegen=1e-3):
+def sotomayor_check(family, x0, mu0, tol_nondegen):
     """Evaluate the transcritical conditions for ``xdot = family(x, mu)``.
 
     The family must already be free of structural kernel directions
@@ -109,8 +112,7 @@ def sotomayor_check(family, x0, mu0, tol_nondegen=1e-3):
     ``TOL_ZERO`` times the parameter-derivative norm, and both ``t_quad``
     and ``t_mixed`` clear ``tol_nondegen``.
     """
-    tol_eq, tol_zero = RESIDUAL_TOL, TOL_ZERO
-    h, k = FD_SECOND_STEP, SOTOMAYOR_PARAM_STEP
+    k = SOTOMAYOR_PARAM_STEP
     x0 = np.atleast_1d(np.asarray(x0, dtype=float))
     mu0 = float(mu0)
 
@@ -119,16 +121,16 @@ def sotomayor_check(family, x0, mu0, tol_nondegen=1e-3):
 
     f0 = f(x0, mu0)
     residual = float(np.max(np.abs(f0)))
-    if not residual <= tol_eq:  # a NaN residual is no equilibrium either
+    if not residual <= RESIDUAL_TOL:  # a NaN residual is no equilibrium either
         raise FormulaDomainError(
             f"sotomayor analysis requires an equilibrium of the family; "
-            f"residual {residual:.3e} exceeds {tol_eq:g}"
+            f"residual {residual:.3e} exceeds {RESIDUAL_TOL:g}"
         )
 
     jac = fd_jacobian(lambda x: f(x, mu0), x0)
     spec = eigenvalues(jac)
     radius = max(spec.spectral_radius, 0.0)
-    zero_scale = tol_zero * max(1.0, radius)
+    zero_scale = TOL_ZERO * max(1.0, radius)
     n_zero = sum(1 for lam in spec.values if abs(lam) <= zero_scale)
     zero_eig_unique = n_zero == 1
     degenerate = n_zero >= 2
@@ -145,7 +147,7 @@ def sotomayor_check(family, x0, mu0, tol_nondegen=1e-3):
     t_mu = float(w @ fmu)
 
     t_quad = float(w @ fd_second_directional(lambda x: f(x, mu0), x0, v))
-    hs = h * max(1.0, float(np.max(np.abs(x0))))
+    hs = FD_SECOND_STEP * max(1.0, float(np.max(np.abs(x0))))
 
     def dir_deriv(mu):
         return (f(x0 + hs * v, mu) - f(x0 - hs * v, mu)) / (2.0 * hs)
@@ -155,7 +157,7 @@ def sotomayor_check(family, x0, mu0, tol_nondegen=1e-3):
     verdict = bool(
         zero_eig_unique
         and others_negative
-        and abs(t_mu) <= tol_zero * fmu_norm
+        and abs(t_mu) <= TOL_ZERO * fmu_norm
         and abs(t_quad) >= tol_nondegen
         and abs(t_mixed) >= tol_nondegen
     )
@@ -171,13 +173,6 @@ def sotomayor_check(family, x0, mu0, tol_nondegen=1e-3):
         degenerate=degenerate,
         slice_spectrum=spec,
         fmu_norm=fmu_norm,
-        tolerances={
-            "tol_eq": tol_eq,
-            "tol_zero": tol_zero,
-            "tol_nondegen": tol_nondegen,
-            "h": h,
-            "k": k,
-        },
     )
 
 
@@ -224,16 +219,16 @@ def formation_family(b: VectorFieldBundle, witness: Framework, mu_edge):
     return family, np.zeros(basis.shape[1])
 
 
-def sotomayor_at_witness(b: VectorFieldBundle, witness: Framework, mu_edge, **kwargs):
+def sotomayor_at_witness(b: VectorFieldBundle, witness: Framework, mu_edge, tol_nondegen):
     """Run the transcritical test on the formation family at a witness."""
     family, q0 = formation_family(b, witness, mu_edge)
-    return sotomayor_check(family, q0, 0.0, **kwargs)
+    return sotomayor_check(family, q0, 0.0, tol_nondegen)
 
 
 def _branch_point(bundle, mu, branch, fw):
     spec = gauge_fixed_spectrum(bundle, fw)
     return BranchPoint(
-        mu=mu, branch=branch, framework=fw,
+        mu=mu, branch=branch, framework=fw, lengths=bundle.lengths,
         leading_real=spec.leading_real, stable=spec.is_stable(TOL_ZERO),
     )
 

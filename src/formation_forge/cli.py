@@ -20,7 +20,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .bifurcation import mu_sweep, sotomayor_at_witness, transcritical_detect
+from .bifurcation import DEFAULT_NONDEGEN_TOL, mu_sweep, sotomayor_at_witness, transcritical_detect
 from .dynamics import VectorFieldBundle, builtin_law
 from .equilibria import census, classify_kind, equilibrium_record, solve_ancillary_aligned
 from .errors import ConfigurationError, FormationForgeError, FormulaDomainError, ScenarioError
@@ -262,14 +262,13 @@ def _sweep_lines(points):
 
 
 def _run_sweep(sc, bundle, tol):
-    mu_edge = _param(sc, "mu_edge") - 1
     points = mu_sweep(
-        bundle, eps=_param(sc, "eps"), samples=_param(sc, "samples"), mu_edge=mu_edge
+        bundle, eps=_param(sc, "eps"), samples=_param(sc, "samples"),
+        mu_edge=_param(sc, "mu_edge") - 1,
     )
     rows = []
     for p in points:
-        lengths_mu = bundle.lengths.perturbed(mu_edge, p.mu)
-        errs = edge_errors(p.framework, lengths_mu, bundle.law.convention)
+        errs = edge_errors(p.framework, p.lengths, bundle.law.convention)
         rows.append(
             [_num(p.mu), p.branch, _num(p.leading_real), _bool_cell(p.stable)]
             + [_num(e) for e in errs.tolist()]
@@ -289,9 +288,9 @@ def _run_sotomayor(sc, bundle, tol):
             "the sotomayor experiment needs targets in the singular set "
             "(no realization has its first and fifth edges parallel)"
         )
-    kwargs = {} if tol is None else {"tol_nondegen": tol}
     report = sotomayor_at_witness(
-        bundle, witnesses[0], mu_edge=_param(sc, "mu_edge") - 1, **kwargs
+        bundle, witnesses[0], mu_edge=_param(sc, "mu_edge") - 1,
+        tol_nondegen=tol if tol is not None else DEFAULT_NONDEGEN_TOL,
     )
     cells = {
         "t_mu": _num(report.t_mu),

@@ -63,8 +63,8 @@ class ControlLaw:
     convention = "squared"
     sign = 1.0
 
-    def __init_subclass__(cls, **kwargs):
-        super().__init_subclass__(**kwargs)
+    def __init_subclass__(cls):
+        super().__init_subclass__()
         if "separable" in vars(cls):
             raise ConfigurationError(
                 f"{cls.__name__} defines separable; it is derived from pair_weights"
@@ -352,9 +352,12 @@ def _require_design_point(b, zz, what):
         )
 
 
-def _require_separable(b, what):
+def _response_vectors(b, z, what, coefficients):
+    """Each ``z_i`` times entry i of ``coefficients(d, s2)``; a coupled law is refused."""
     if not b.law.separable:
         raise FormulaDomainError(f"{what} needs a separable law, not the coupled {b.law.name!r}")
+    zz = _edge_state(b, z)
+    return np.array(coefficients(b.lengths.d, squared_lengths(zz).tolist()))[:, None] * zz
 
 
 def zprime_vectors(b: VectorFieldBundle, z):
@@ -366,10 +369,9 @@ def zprime_vectors(b: VectorFieldBundle, z):
     belong in the off-diagonal block of the Jacobian, which no per-edge
     vector can carry.
     """
-    _require_separable(b, "zprime_vectors")
-    zz = _edge_state(b, z)
-    s2 = squared_lengths(zz).tolist()
-    return np.array([2.0 * u for u in weight_slopes(b.law, b.lengths.d, s2)])[:, None] * zz
+    return _response_vectors(
+        b, z, "zprime_vectors", lambda d, s2: [2.0 * u for u in weight_slopes(b.law, d, s2)]
+    )
 
 
 def zdprime_vectors(b: VectorFieldBundle, z):
@@ -380,11 +382,9 @@ def zdprime_vectors(b: VectorFieldBundle, z):
     pair weight may read its partner's target, is refused with a
     :class:`FormulaDomainError`.
     """
-    _require_separable(b, "zdprime_vectors")
-    zz = _edge_state(b, z)
-    s2 = squared_lengths(zz).tolist()
-    c = [b.law.weight_dtarget(dk, s) for dk, s in zip(b.lengths.d, s2)]
-    return np.array(c)[:, None] * zz
+    return _response_vectors(
+        b, z, "zdprime_vectors", lambda d, s2: list(map(b.law.weight_dtarget, d, s2))
+    )
 
 
 def jacobian_z(b: VectorFieldBundle, z):

@@ -47,7 +47,10 @@ from .rigidity import (
 RECORD_KINDS = ("design", "ancillary_aligned", "ancillary_collinear", "ancillary_other")
 
 # The settings every classification and solve in this module runs with.
-TOL_ZERO = 1e-6  # stability margin, relative to the spectral radius
+# Stability margin relative to the spectral radius: a leading real part within it of
+# zero, as beside the singular set, is not stable. A drawn singular member's sweep puts
+# design points at ratios -7.8e-7 and -1.05e-6, one on each side.
+TOL_ZERO = 1e-6
 RESIDUAL_TOL = 1e-9  # largest field residual accepted as an equilibrium
 NEWTON_TOL = 1e-11  # residual at which the census and aligned solves stop
 CENSUS_MAX_ITER = 80

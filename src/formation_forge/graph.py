@@ -145,8 +145,8 @@ def _kernel_source(g, by_origin, weight, weight_dlen):
     coordinates, and ``bind`` sets ``flow.rk4_loop`` to the RK4 loop with
     them inlined, bound to the hooks and constants: the kernel's global
     ``integrate``, which :func:`graph_matrices` compiles on its first call.
-    ``jacobian(xs)``, None if coupled, starts from ``gather`` and
-    ``weights``: edge ``k`` from ``o`` to ``t`` adds ``M_k = u_k I + 2
+    ``jacobian(xs)``, None if coupled, starts from the flow's gather and
+    weight lines: edge ``k`` from ``o`` to ``t`` adds ``M_k = u_k I + 2
     u'_k z_k z_k^T`` at block ``(o, t)`` and subtracts it at block ``(o,
     o)``, each entry summed in edge order from 0.0, ``u'_k`` the
     ``weight_dlen`` (0.0 on a zero-length edge). Each expression is written
@@ -185,10 +185,10 @@ def _kernel_source(g, by_origin, weight, weight_dlen):
 
     ds, roots = ([f"{name}{k}" for k in edges] for name in ("d", "root"))
     params = ", ".join(["weight, pair_weights, c, sqrt", *ds, *roots])
-    u, xy = ", ".join(f"u{k}" for k in edges), ", ".join(f"x{k}, y{k}" for k in edges)
+    u = ", ".join(f"u{k}" for k in edges)
     z = ", ".join(f"z{j}" for j in range(2 * g.m))
-    jac = ["z = gather(xs)", f"[{xy}] = z", f"[{u}] = weights(z)"]
-    jac += [f"q{k} = x{k} * x{k} + y{k} * y{k}" for k in edges]
+    xs = [f"xs[{i}]" for i in range(n2)]
+    jac = weighed(xs) + [f"q{k} = {s2(k)}" for k in edges]
     jac += [
         f"w{k} = 2.0 * (0.0 if q{k} == 0.0 else {_at_edge(weight_dlen, k, f'q{k}')})"
         for k in edges
@@ -196,12 +196,13 @@ def _kernel_source(g, by_origin, weight, weight_dlen):
     jac.append(f"jac = [0.0] * {n2 * n2}")
     diagonal = {}
     for k, (o, t) in enumerate(g.edges):
+        x, y = f"z{2 * k}", f"z{2 * k + 1}"
         entries = (f"xx{k}", f"xy{k}", f"yx{k}", f"yy{k}")
         jac += [
-            f"xx{k} = w{k} * x{k} * x{k} + u{k}",
-            f"xy{k} = w{k} * x{k} * y{k}",
-            f"yx{k} = w{k} * y{k} * x{k}",
-            f"yy{k} = w{k} * y{k} * y{k} + u{k}",
+            f"xx{k} = w{k} * {x} * {x} + u{k}",
+            f"xy{k} = w{k} * {x} * {y}",
+            f"yx{k} = w{k} * {y} * {x}",
+            f"yy{k} = w{k} * {y} * {y} + u{k}",
         ]
         for r in (0, 1):
             row = (2 * o + r) * n2
@@ -210,7 +211,6 @@ def _kernel_source(g, by_origin, weight, weight_dlen):
                 diagonal.setdefault(row + 2 * o + c, []).append(entries[2 * r + c])
     jac += [f"jac[{at}] = {_sum_source(terms, '-')}" for at, terms in diagonal.items()]
 
-    xs = [f"xs[{i}]" for i in range(n2)]
     body = "\n        ".join
     source = f"""\
 def gather(xs):

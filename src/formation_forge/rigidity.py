@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigurationError, FormationForgeError, InfeasibleLengthsError
+from .errors import ConfigurationError, InfeasibleLengthsError
 from .graph import FormationGraph, graph_matrices, mixed_adjacency, two_cycles
 from .numkernel import kron_I2, rank_tol, squared_lengths
 
@@ -225,7 +225,8 @@ def realize_two_cycles(graph: FormationGraph, lengths: TargetLengths):
     pairs); tangency of either circle pair collapses coincident solutions,
     so fewer may be returned. Infeasible lengths raise, naming the violated
     triangle. Each framework is verified to meet its squared-length targets
-    to 1e-12 relative to the largest (at least 1).
+    to 1e-12 relative to the largest (at least 1); a triangle flat within
+    rounding whose apex misses that bound is infeasible too, and named.
 
     The construction, the deduplication and the verification run on Python
     floats. They perform the IEEE operations of the same construction on
@@ -257,14 +258,14 @@ def realize_two_cycles(graph: FormationGraph, lengths: TargetLengths):
     frameworks = [Framework(graph=graph, x=p) for p in np.array(placed).reshape(-1, 4, 2)]
     tol = 1e-12 * max(1.0, max(d))
     for x in placed:
-        err = 0.0
-        for (o, t), dk in zip(graph.edges, d):
+        for k, ((o, t), dk) in enumerate(zip(graph.edges, d)):
             zx, zy = x[2 * t] - x[2 * o], x[2 * t + 1] - x[2 * o + 1]
-            err = max(err, abs(zx * zx + zy * zy - dk))
-        if err > tol:
-            raise FormationForgeError(
-                f"design realization failed its length verification (error {err:.3e})"
-            )
+            miss = abs(zx * zx + zy * zy - dk)
+            if miss > tol:
+                raise InfeasibleLengthsError(
+                    f"edges {'1, 2, 3' if k < 3 else '3, 4, 5'} are too near flat to realize: "
+                    f"edge {k + 1} misses its squared target by {miss:.3e}, above {tol:.3e}"
+                )
     return frameworks
 
 

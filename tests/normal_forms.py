@@ -16,7 +16,6 @@ from formation_forge.equilibria import CensusReport, EquilibriumRecord
 from formation_forge.errors import (
     ConfigurationError,
     ConvergenceError,
-    FormationForgeError,
     InfeasibleLengthsError,
 )
 from formation_forge.graph import FormationGraph, two_cycles
@@ -94,7 +93,7 @@ def logistic_reference(mu_range, samples):
     sits at x = mu with eigenvalue -mu. Feeding these rows to
     ``transcritical_detect`` exercises the detector on the textbook
     exchange the formation sweep is compared against. The rows carry no
-    framework.
+    framework and no targets.
     """
     rows = []
     for branch in ("zero", "carrying"):
@@ -102,7 +101,7 @@ def logistic_reference(mu_range, samples):
             lr = float(mu) if branch == "zero" else -float(mu)
             rows.append(
                 BranchPoint(
-                    mu=float(mu), branch=branch, framework=None,
+                    mu=float(mu), branch=branch, framework=None, lengths=None,
                     leading_real=lr, stable=lr < 0.0,
                 )
             )
@@ -152,7 +151,8 @@ def array_realize_two_cycles(graph: FormationGraph, lengths: TargetLengths):
     pairs); tangency of either circle pair collapses coincident solutions,
     so fewer may be returned. Infeasible lengths raise, naming the violated
     triangle. Each framework is verified to meet its squared-length targets
-    to 1e-12 relative to the largest (at least 1).
+    to 1e-12 relative to the largest (at least 1); a triangle flat within
+    rounding whose apex misses that bound is infeasible too, and named.
     """
     if graph != two_cycles():
         raise ConfigurationError("realization is implemented for the two-cycles graph")
@@ -175,11 +175,14 @@ def array_realize_two_cycles(graph: FormationGraph, lengths: TargetLengths):
             fw = Framework(graph=graph, x=np.vstack([x1, x2, x3, x4]) + 0.0)
             if not any(np.max(np.abs(fw.x - other.x)) <= 1e-12 for other in frameworks):
                 frameworks.append(fw)
+    tol = 1e-12 * max(1.0, float(np.max(d)))
     for fw in frameworks:
-        err = float(np.max(np.abs(squared_lengths(edge_vectors(fw)) - d)))
-        if err > 1e-12 * max(1.0, float(np.max(d))):
-            raise FormationForgeError(
-                f"design realization failed its length verification (error {err:.3e})"
+        misses = np.abs(squared_lengths(edge_vectors(fw)) - d)
+        if float(np.max(misses)) > tol:
+            k = int(np.argmax(misses > tol))  # the first edge that misses
+            raise InfeasibleLengthsError(
+                f"edges {'1, 2, 3' if k < 3 else '3, 4, 5'} are too near flat to realize: "
+                f"edge {k + 1} misses its squared target by {misses[k]:.3e}, above {tol:.3e}"
             )
     return frameworks
 

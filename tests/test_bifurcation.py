@@ -30,6 +30,7 @@ from formation_forge.rigidity import (
     singular_witnesses,
 )
 from normal_forms import logistic_equilibria, logistic_family, logistic_reference
+from test_equilibria import singular_members
 from test_kernel import make_law
 
 PROOF_LENGTHS = (5.0, 8.0, 1.0, 0.8125, 0.3125)
@@ -54,7 +55,7 @@ def canonical_sweep():
 
 class TestSotomayorNormalForm:
     def test_logistic_scalars_are_exact(self):
-        report = sotomayor_check(logistic_family, 0.0, 0.0)
+        report = sotomayor_check(logistic_family, 0.0, 0.0, tol_nondegen=1e-3)
         assert report.verdict
         assert report.zero_eig_unique
         assert not report.degenerate
@@ -63,40 +64,41 @@ class TestSotomayorNormalForm:
         assert report.t_mixed == pytest.approx(1.0, abs=1e-6)
 
     def test_saddle_node_fails_the_parameter_condition(self):
-        report = sotomayor_check(lambda x, mu: mu - x * x, 0.0, 0.0)
+        report = sotomayor_check(lambda x, mu: mu - x * x, 0.0, 0.0, tol_nondegen=1e-3)
         assert not report.verdict
         assert abs(report.t_mu) == pytest.approx(1.0, abs=1e-6)
 
     def test_rejected_away_from_equilibria(self):
         with pytest.raises(FormulaDomainError, match="equilibrium"):
-            sotomayor_check(logistic_family, 0.5, 0.0)
+            sotomayor_check(logistic_family, 0.5, 0.0, tol_nondegen=1e-3)
 
     def test_nan_residual_is_refused(self):
         def family(x, mu):
             return np.full_like(np.asarray(x, dtype=float), np.nan)
 
         with pytest.raises(FormulaDomainError, match="residual nan"):
-            sotomayor_check(family, np.zeros(2), 0.0)
+            sotomayor_check(family, np.zeros(2), 0.0, tol_nondegen=1e-3)
 
     def test_double_zero_is_degenerate(self):
         def family(x, mu):
             x = np.asarray(x, dtype=float)
             return mu * x - x**3
 
-        report = sotomayor_check(family, np.zeros(2), 0.0)
+        report = sotomayor_check(family, np.zeros(2), 0.0, tol_nondegen=1e-3)
         assert report.degenerate
         assert not report.zero_eig_unique
         assert not report.verdict
 
-    def test_tolerances_are_recorded(self):
-        report = sotomayor_check(logistic_family, 0.0, 0.0, tol_nondegen=5e-3)
-        assert report.tolerances["tol_nondegen"] == 5e-3
+    def test_the_nondegeneracy_bound_decides_the_verdict(self):
+        # The logistic form's mixed scalar is 1 and its quadratic one -2.
+        assert sotomayor_check(logistic_family, 0.0, 0.0, tol_nondegen=0.99).verdict
+        assert not sotomayor_check(logistic_family, 0.0, 0.0, tol_nondegen=1.01).verdict
 
 
 class TestSotomayorAtWitness:
     def test_constructed_singular_targets_pass(self):
         out, bundle = singular_setup()
-        report = sotomayor_at_witness(bundle, out.witness, mu_edge=2)
+        report = sotomayor_at_witness(bundle, out.witness, mu_edge=2, tol_nondegen=1e-3)
         assert report.verdict
         assert report.zero_eig_unique
         assert report.others_negative
@@ -115,7 +117,7 @@ class TestSotomayorAtWitness:
             graph=two_cycles(), law=builtin_law("gradient_squared"), lengths=lengths
         )
         witness = singular_witnesses(lengths)[0]
-        report = sotomayor_at_witness(bundle, witness, mu_edge=2)
+        report = sotomayor_at_witness(bundle, witness, mu_edge=2, tol_nondegen=1e-3)
         assert report.zero_eig_unique
         assert report.others_negative
         assert abs(report.t_mu) <= 1e-6 * report.fmu_norm
@@ -168,6 +170,25 @@ class TestMuSweep:
                 continue
             lengths = out.lengths.perturbed(2, p.mu)
             assert np.max(np.abs(edge_errors(p.framework, lengths, "squared"))) <= 1e-9
+
+    def test_each_point_carries_its_samples_targets(self, canonical_sweep):
+        out, _ = singular_setup()
+        for p in canonical_sweep:
+            assert p.lengths.d == out.lengths.perturbed(2, p.mu).d
+
+    def test_stability_reads_the_leading_real_part_relative_to_tol_zero(self):
+        # Two design points of one drawn singular member, both with a negative
+        # leading real part against a spectral radius of 69.39: the ratio
+        # -7.8e-7 is within TOL_ZERO (1e-6) of zero, so not stable, and
+        # -1.05e-6 is past it. TOL_ZERO 1e-3 times smaller calls the first
+        # stable, 1e3 times larger the second not stable.
+        d = singular_members(1, seed=1)[1]  # the first of the twelve that the sample pins draw
+        points = mu_sweep(squared_bundle(TargetLengths(d=d)), eps=0.2, samples=21, mu_edge=2)
+        design = {round(p.mu, 12): p for p in points if p.branch == "design"}
+        assert design[0.06].leading_real == pytest.approx(-5.40e-5, rel=1e-2)
+        assert not design[0.06].stable
+        assert design[0.08].leading_real == pytest.approx(-7.29e-5, rel=1e-2)
+        assert design[0.08].stable
 
     def test_aligned_branch_meets_middle_targets_only(self, canonical_sweep):
         out, _ = singular_setup()
@@ -274,7 +295,7 @@ class TestMuSweep:
         with pytest.raises(ConfigurationError, match=f"edge index {mu_edge} outside 0..4"):
             mu_sweep(bundle, eps=0.2, samples=21, mu_edge=mu_edge)
         with pytest.raises(ConfigurationError, match=f"edge index {mu_edge} outside 0..4"):
-            sotomayor_at_witness(bundle, out.witness, mu_edge=mu_edge)
+            sotomayor_at_witness(bundle, out.witness, mu_edge=mu_edge, tol_nondegen=1e-3)
 
 
 class TestTranscriticalDetect:
@@ -313,7 +334,7 @@ class TestTranscriticalDetect:
     def _points(branch, mus, leads):
         return [
             BranchPoint(
-                mu=float(m), branch=branch, framework=None,
+                mu=float(m), branch=branch, framework=None, lengths=None,
                 leading_real=float(lr), stable=lr < 0,
             )
             for m, lr in zip(mus, leads)

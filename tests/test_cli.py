@@ -20,6 +20,7 @@ import formation_forge
 from formation_forge import errors
 from formation_forge.cli import (
     _PARAMS,
+    _RUNNERS,
     _sweep_lines,
     load_scenario,
     main,
@@ -850,6 +851,48 @@ class TestErrorPaths:
                 "experiment": {"kind": "census", "n_random": 10},
             },
         )
+        out = tmp_path / "out"
+        assert run_scenario(path, out_dir=out) == 0
+        capsys.readouterr()
+        assert "feasible: no" in (out / "report.txt").read_text()
+
+    # The first triangle is flat within the clamp's rounding, but its edge 3
+    # is short, so the clamped apex leaves edge 2 outside the length check.
+    FLAT_WITHIN_ROUNDING = [6.031488263166337, 6.658104267921951, 0.015480688925320526,
+                            3.544476758474448, 4.028448395448576]
+
+    @pytest.mark.parametrize("kind", ["rigidity", "spectrum", "sotomayor"])
+    def test_targets_flat_within_rounding_are_infeasible(self, tmp_path, capsys, kind):
+        # These exited 3 as an internal error when the realizer's length check failed.
+        path = write_scenario(tmp_path, {
+            "lengths": {"values": self.FLAT_WITHIN_ROUNDING, "convention": "squared"},
+            "experiment": {"kind": kind},
+        })
+        status = run_scenario(path, out_dir=tmp_path / "out")
+        record, _ = read_stderr_record(capsys)
+        assert status == 2
+        assert record == {
+            "error": "infeasible-lengths",
+            "message": "edges 1, 2, 3 are too near flat to realize: edge 2 misses its "
+                       "squared target by 1.619e-11, above 6.658e-12",
+        }
+
+    def test_an_unforeseen_failure_exits_3_as_internal(self, tmp_path, capsys, monkeypatch):
+        # No package module raises the base error, so only this catch-all reports "internal".
+        def failing(sc, bundle, tol):
+            raise ZeroDivisionError("float division by zero")
+
+        monkeypatch.setitem(_RUNNERS, "rigidity", failing)
+        path = write_scenario(tmp_path, {"experiment": {"kind": "rigidity"}})
+        assert run_scenario(path, out_dir=tmp_path / "out") == 3
+        record, _ = read_stderr_record(capsys)
+        assert record == {"error": "internal", "message": "ZeroDivisionError: float division by zero"}
+
+    def test_census_reports_targets_flat_within_rounding_as_infeasible(self, tmp_path, capsys):
+        path = write_scenario(tmp_path, {
+            "lengths": {"values": self.FLAT_WITHIN_ROUNDING, "convention": "squared"},
+            "experiment": {"kind": "census", "n_random": 10},
+        })
         out = tmp_path / "out"
         assert run_scenario(path, out_dir=out) == 0
         capsys.readouterr()

@@ -15,13 +15,18 @@ their hooks are now compiled from.
 import builtins
 import hashlib
 import math
+import os
+import subprocess
+import sys
 import types
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import formation_forge
 from formation_forge.dynamics import (
     BUILTIN_LAW_NAMES,
     ControlLaw,
@@ -787,3 +792,20 @@ class TestInlinedLoop:
             # Neither namespace holds a module: the loop reads locals only.
             for namespace in (kernel, loop.__globals__):
                 assert not any(isinstance(v, types.ModuleType) for v in namespace.values())
+
+
+def test_the_kernel_cost_script_runs():
+    # CI prints this script's lines to the job summary; run here, a change to
+    # a signature it calls fails tier-1 and not only that step.
+    script = Path(__file__).with_name("kernel_costs.py")
+    src = str(Path(formation_forge.__file__).resolve().parents[1])
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    proc = subprocess.run([sys.executable, str(script)], capture_output=True, text=True,
+                          env=env, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    lines = proc.stdout.splitlines()
+    assert len(lines) == 2 * len(BUILTIN_LAW_NAMES)
+    for name, hooks, costs in zip(BUILTIN_LAW_NAMES, lines[0::2], lines[1::2]):
+        assert hooks.startswith(f"{name} hooks at gain 1 (c = ")
+        assert costs.startswith(f"{name} on two-cycles: kernel compiled in ")

@@ -8,7 +8,9 @@ module of the package uses is an entry point, listed below with its
 reason, and so is a public method or property of a package class that no
 module names; code that only the tests use lives under ``tests/``. A
 keyword default is there for a caller that leaves it out: one that every
-package caller passes states a value twice, unless it is listed.
+package caller passes states a value twice, unless it is listed. No
+function takes ``**kwargs``, and no module raises the base error class,
+whose code ``internal`` the command line keeps for unforeseen failures.
 """
 
 import ast
@@ -320,3 +322,85 @@ def test_the_default_check_sees_calls_that_pass_or_leave_an_argument():
         "    return [hook]\n"
     )
     assert defaults_every_caller_passes([source]) == {"solve.tol", "step.h"}
+
+
+def keyword_catchalls(source):
+    """``(line, function)`` for each function or lambda of ``source`` that takes ``**kwargs``.
+
+    A catch-all passes settings through unnamed, so a caller cannot see
+    which it may give; each setting is a parameter of its own.
+    """
+    return [
+        (node.lineno, getattr(node, "name", "lambda"))
+        for node in ast.walk(ast.parse(source))
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda))
+        and node.args.kwarg is not None
+    ]
+
+
+def test_no_function_takes_keyword_catchalls():
+    offenders = {
+        path.name: hits
+        for path in sorted(PACKAGE_DIR.glob("*.py"))
+        if (hits := keyword_catchalls(path.read_text()))
+    }
+    assert offenders == {}
+
+
+def test_the_catchall_check_sees_functions_and_lambdas():
+    source = (
+        "def run(b, witness, **kwargs):\n"
+        "    return check(b, **kwargs)\n"
+        "def named(b, *args, tol):\n"
+        "    return tol\n"
+        "class Law:\n"
+        "    def __init_subclass__(cls, **options):\n"
+        "        pass\n"
+        "hook = lambda **kw: kw\n"
+    )
+    assert keyword_catchalls(source) == [(1, "run"), (6, "__init_subclass__"), (8, "lambda")]
+
+
+def base_error_raises(source):
+    """Lines of ``source`` that raise ``FormationForgeError`` itself, called or bare.
+
+    The base class carries the code ``internal``, which the command line
+    gives only to a failure it did not foresee; a refusal the package
+    makes on purpose raises the subclass that names its cause.
+    """
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Raise) and node.exc is not None:
+            exc = node.exc.func if isinstance(node.exc, ast.Call) else node.exc
+            name = exc.attr if isinstance(exc, ast.Attribute) else getattr(exc, "id", None)
+            if name == "FormationForgeError":
+                found.append(node.lineno)
+    return found
+
+
+def test_no_module_raises_the_base_error():
+    offenders = {
+        path.name: lines
+        for path in sorted(PACKAGE_DIR.glob("*.py"))
+        if (lines := base_error_raises(path.read_text()))
+    }
+    assert offenders == {}
+
+
+def test_the_base_error_check_sees_each_raise_form():
+    source = (
+        "from . import errors\n"
+        "def realize(err):\n"
+        "    if err:\n"
+        "        raise FormationForgeError(f'failed ({err:.3e})')\n"
+        "    if err is None:\n"
+        "        raise errors.FormationForgeError('failed')\n"
+        "    if err < 0:\n"
+        "        raise FormationForgeError\n"
+        "    try:\n"
+        "        pass\n"
+        "    except FormationForgeError:\n"
+        "        raise\n"
+        "    raise InfeasibleLengthsError('named')\n"
+    )
+    assert base_error_raises(source) == [4, 6, 8]

@@ -77,7 +77,7 @@ def singular_digest(law_name):
         for p in mu_sweep(b, eps=0.2, samples=21, mu_edge=2):
             spec = gauge_fixed_spectrum(b.with_lengths(b.lengths.perturbed(2, p.mu)), p.framework)
             update(h, p.branch, repr(p.stable), p.mu, p.framework.x, p.leading_real, spec.values)
-        r = sotomayor_at_witness(b, singular_witnesses(b.lengths)[0], 2)
+        r = sotomayor_at_witness(b, singular_witnesses(b.lengths)[0], 2, tol_nondegen=1e-3)
         update(h, repr((r.zero_eig_unique, r.others_negative, r.verdict, r.degenerate)),
                r.w, r.v, [r.t_mu, r.t_quad, r.t_mixed, r.fmu_norm], r.slice_spectrum.values)
     return h.hexdigest()
