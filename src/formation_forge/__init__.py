@@ -103,8 +103,6 @@ from .rigidity import (
     edge_vectors,
     edges_aligned,
     in_singular_set,
-    is_infinitesimally_rigid,
-    is_minimally_rigid,
     length_errors,
     make_singular_lengths,
     planar_cross,

@@ -26,17 +26,16 @@ from .equilibria import (
     solve_ancillary_aligned,
 )
 from .errors import ConfigurationError, FormulaDomainError, InfeasibleLengthsError
-from .graph import two_cycles
 from .numkernel import (
-    FD_SECOND_STEP,
     Spectrum,
     eigenvalues,
     fd_jacobian,
     fd_second_directional,
+    fd_second_step,
     kron_I2,
 )
 from .rigidity import (
-    Framework, TargetLengths, edge_vectors, realize_two_cycles, singular_witnesses,
+    SINGULAR_TOL, Framework, TargetLengths, edge_vectors, realize_two_cycles, singular_witnesses,
 )
 
 # The settings of every Sotomayor test; only its nondegeneracy bound is an option.
@@ -102,8 +101,8 @@ def sotomayor_check(family, x0, mu0, tol_nondegen):
     The family must already be free of structural kernel directions
     (for formation flows, use the gauge-reduced family from
     :func:`formation_family`), so a unique zero eigenvalue is meaningful.
-    All derivatives are central finite differences: the state steps are
-    ``fd_second_directional``'s (``FD_SECOND_STEP`` scaled by ``x0``), the
+    All derivatives are central finite differences: the state step is
+    ``fd_second_step``'s (``FD_SECOND_STEP`` scaled by ``x0``), the
     parameter step is ``SOTOMAYOR_PARAM_STEP``. A residual at ``(x0, mu0)``
     above ``RESIDUAL_TOL``, NaN included, is a :class:`FormulaDomainError`.
 
@@ -147,7 +146,7 @@ def sotomayor_check(family, x0, mu0, tol_nondegen):
     t_mu = float(w @ fmu)
 
     t_quad = float(w @ fd_second_directional(lambda x: f(x, mu0), x0, v))
-    hs = FD_SECOND_STEP * max(1.0, float(np.max(np.abs(x0))))
+    hs = fd_second_step(x0.tolist())
 
     def dir_deriv(mu):
         return (f(x0 + hs * v, mu) - f(x0 - hs * v, mu)) / (2.0 * hs)
@@ -261,26 +260,24 @@ def mu_sweep(b: VectorFieldBundle, eps, samples, mu_edge):
 
     ``b`` gives the graph, the law and the base targets; the stored
     squared target of ``mu_edge`` is shifted by each mu. Both grid
-    endpoints must be realizable, and an end that shifts the target out of
-    the positive range is refused naming that end and the edge; a grid
-    that cannot be allocated, or whose width passes the float range, is a
+    endpoints must be realizable (the realizer refuses any graph but
+    two-cycles), and an end that shifts the target out of the positive
+    range is refused naming that end and the edge; a grid that cannot be
+    allocated, or whose width passes the float range, is a
     :class:`ConfigurationError`. Both branches follow one rule: walk
     outward from the sample nearest mu = 0 in both directions, each sample
     continuing from the framework found last; a sample whose step finds
     nothing, or finds a framework that is not an equilibrium of the flow,
-    is omitted, leaving a gap. When the base targets sit in the singular
-    set both branches start at the witness, so they meet there. Otherwise
-    the design branch starts at the first design realization of the base
-    targets and the aligned branch at the first stable (else first) aligned
-    equilibrium of the centre sample; the detector is then expected to
-    report no crossing. The design step picks the closed-form realization
-    nearest the last one by the largest coordinate difference, in the
-    canonical gauge it comes in. The aligned step is
-    :func:`aligned_root_near` from the last root's ``(a, b)``, on the
-    mirror of the branch start.
+    is omitted, leaving a gap. When a realization of the base targets is
+    a singular witness both branches start at the first, so they meet
+    there. Otherwise the design branch starts at the first realization and
+    the aligned branch at the first stable (else first) aligned equilibrium
+    of the centre sample; the detector is then expected to report no
+    crossing. The design step picks the closed-form realization nearest
+    the last one by the largest coordinate difference, in the canonical
+    gauge it comes in. The aligned step is :func:`aligned_root_near` from
+    the last root's ``(a, b)``, on the mirror of the branch start.
     """
-    if b.graph != two_cycles():
-        raise ConfigurationError("the branch sweep is specific to the two-cycles graph")
     base = b.lengths
     samples = int(samples)
     if samples < 1:
@@ -312,8 +309,9 @@ def mu_sweep(b: VectorFieldBundle, eps, samples, mu_edge):
         last = previous.x.ravel().tolist()
         return min(frameworks, key=lambda g: max(map(abs, map(sub, g.x.ravel().tolist(), last))))
 
-    witnesses = singular_witnesses(base)
-    start = witnesses[0] if witnesses else realize_two_cycles(b.graph, base)[0]
+    realized = realize_two_cycles(b.graph, base)
+    witnesses = singular_witnesses(realized, SINGULAR_TOL)
+    start = (witnesses or realized)[0]
     points = _follow_branch(grid, center, "design", start, design_step)
     if not witnesses:
         records = solve_ancillary_aligned(grid[center][1])

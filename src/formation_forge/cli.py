@@ -23,19 +23,19 @@ import numpy as np
 from .bifurcation import DEFAULT_NONDEGEN_TOL, mu_sweep, sotomayor_at_witness, transcritical_detect
 from .dynamics import VectorFieldBundle, builtin_law
 from .equilibria import census, classify_kind, equilibrium_record, solve_ancillary_aligned
-from .errors import ConfigurationError, FormationForgeError, FormulaDomainError, ScenarioError
-from .graph import FormationGraph, two_cycles
+from .errors import FormationForgeError, FormulaDomainError, ScenarioError
+from .graph import FormationGraph
 from .numkernel import DEFAULT_RANK_TOL, integrate_ode, rank_tol
 from .rigidity import (
     CONVENTIONS,
+    SINGULAR_TOL,
     Framework,
     TargetLengths,
     edge_errors,
-    is_infinitesimally_rigid,
-    is_minimally_rigid,
     length_errors,
     realize_two_cycles,
     rigidity_matrix,
+    rigidity_verdicts,
     singular_witnesses,
 )
 
@@ -280,9 +280,7 @@ def _run_sweep(sc, bundle, tol):
 
 
 def _run_sotomayor(sc, bundle, tol):
-    if bundle.graph != two_cycles():
-        raise ConfigurationError("the sotomayor experiment is specific to the two-cycles graph")
-    witnesses = singular_witnesses(bundle.lengths)
+    witnesses = singular_witnesses(realize_two_cycles(bundle.graph, bundle.lengths), SINGULAR_TOL)
     if not witnesses:
         raise FormulaDomainError(
             "the sotomayor experiment needs targets in the singular set "
@@ -356,17 +354,16 @@ def _run_simulate(sc, bundle, tol):
 def _run_rigidity(sc, bundle, tol):
     fw = realize_two_cycles(bundle.graph, bundle.lengths)[0]
     r = rigidity_matrix(fw)
-    rank_tolerance = tol if tol is not None else DEFAULT_RANK_TOL
-    rank = rank_tol(r, rank_tolerance)
-    rigid = is_infinitesimally_rigid(fw, rank_tolerance)
+    rank = rank_tol(r, tol if tol is not None else DEFAULT_RANK_TOL)
+    rigid, minimal = rigidity_verdicts(fw.graph, rank)
     cells = {
         "rank": str(rank),
         "rows": str(r.shape[0]),
         "infinitesimally_rigid": _bool_cell(rigid),
-        "minimally_rigid": _bool_cell(is_minimally_rigid(fw, rank_tolerance)),
+        "minimally_rigid": _bool_cell(minimal),
     }
-    # two-cycles has 2n - 3 edges, so a rigid realization is minimally rigid
-    quals = "infinitesimally rigid, minimally rigid" if rigid else "not infinitesimally rigid"
+    quals = "infinitesimally rigid" if rigid else "not infinitesimally rigid"
+    quals += ", minimally rigid" if minimal else ""
     return list(cells), [list(cells.values())], [f"rank {rank} of {r.shape[0]} ({quals})"]
 
 

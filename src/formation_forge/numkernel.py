@@ -29,7 +29,7 @@ from .errors import (
 # value ratio, 3e-17, is rounding, and the 7e-9 of one an ulp short of flat is rank.
 DEFAULT_RANK_TOL = 1e-9
 FD_STEP = 1e-6  # central-difference step of fd_jacobian, scaled by the coordinate
-FD_SECOND_STEP = 1e-4  # step of fd_second_directional, scaled by the largest coordinate
+FD_SECOND_STEP = 1e-4  # second-difference step, scaled by the largest coordinate
 
 
 @dataclass(frozen=True)
@@ -371,21 +371,26 @@ def fd_jacobian(f, x):
     return np.array(cols).T.copy()
 
 
+def fd_second_step(xs):
+    """``FD_SECOND_STEP`` times the largest magnitude among floats ``xs``, at least 1."""
+    return FD_SECOND_STEP * max(1.0, _max_abs(xs))
+
+
 def fd_second_directional(f, x, v):
     """Second directional derivative ``d^2/dt^2 f(x + t v)`` at ``t = 0``.
 
     ``x`` and ``v`` are flattened into lists of Python floats, which ``f``
     maps to a sequence of values, as in :func:`fd_jacobian`; the result is
     an array. ``v`` should be unit length; the step ``h`` is
-    ``FD_SECOND_STEP`` times the largest coordinate of ``x`` (at least 1),
-    so the stencil stays well conditioned on states that are not order one.
+    :func:`fd_second_step` of ``x``, scaled by its largest coordinate so
+    the stencil stays well conditioned on states that are not order one.
     The result is ``(f(x + h v) - 2 f(x) + f(x - h v)) / h^2``, computed on
     ``f``'s values converted to floats, so an overflow gives inf or NaN
     without a floating-point warning.
     """
     xs = np.asarray(x, dtype=float).ravel().tolist()
     vs = np.asarray(v, dtype=float).ravel().tolist()
-    hh = FD_SECOND_STEP * max(1.0, _max_abs(xs))
+    hh = fd_second_step(xs)
     f0 = [float(u) for u in f(xs)]
     fp = [float(u) for u in f([a + hh * b for a, b in zip(xs, vs)])]
     fm = [float(u) for u in f([a - hh * b for a, b in zip(xs, vs)])]

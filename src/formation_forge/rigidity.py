@@ -15,10 +15,11 @@ import numpy as np
 
 from .errors import ConfigurationError, InfeasibleLengthsError
 from .graph import FormationGraph, graph_matrices, mixed_adjacency, two_cycles
-from .numkernel import kron_I2, rank_tol, squared_lengths
+from .numkernel import kron_I2, squared_lengths
 
 CONVENTIONS = ("squared", "plain")
 DESIGN_TOL = 1e-8  # largest edge error of a design point; also classify_kind's tolerance
+SINGULAR_TOL = 1e-9  # alignment tolerance of a singular witness's two-coleader pair
 
 
 @dataclass(frozen=True, eq=False)
@@ -153,18 +154,10 @@ def rigidity_matrix(f: Framework):
     return edge_block_rows(edge_vectors(f)) @ kron_I2(mixed_adjacency(f.graph))
 
 
-def is_infinitesimally_rigid(f: Framework, tol):
-    """True when the rigidity matrix reaches rank ``2n - 3``."""
-    return rank_tol(rigidity_matrix(f), tol) == 2 * f.graph.n - 3
-
-
-def is_minimally_rigid(f: Framework, tol):
-    """True when rigid and no single edge can be removed without losing rigidity.
-
-    Rigid rows span rank ``2n - 3``: exactly that many are independent, each
-    needed, while any further row lies in the others' span and can go.
-    """
-    return is_infinitesimally_rigid(f, tol) and f.graph.m == 2 * f.graph.n - 3
+def rigidity_verdicts(graph: FormationGraph, rank):
+    """``(rigid, minimal)``: rigid at ``rank`` 2n - 3, minimal with 2n - 3 edges too."""
+    rigid = rank == 2 * graph.n - 3
+    return rigid, rigid and graph.m == 2 * graph.n - 3
 
 
 def planar_cross(u, v):
@@ -308,27 +301,20 @@ def make_singular_lengths(d1, d2, d3, signed_z5_length):
     beta = math.sqrt(d3 - alpha * alpha)
     witness = aligned_framework(two_cycles(), r1, alpha, -beta, -s)
     x = witness.x
-    d4 = float(np.sum((x[2] - x[3]) ** 2))
+    d4 = float(squared_lengths(x[3] - x[2])[0])
     d5 = s * s
     lengths = TargetLengths(d=(float(d1), float(d2), float(d3), d4, d5))
     coincident = bool(np.max(np.abs(x[3] - x[1])) <= 1e-12 * max(1.0, r1))
     return SingularLengths(lengths=lengths, witness=witness, coincident_agents=coincident)
 
 
-def in_singular_set(lengths: TargetLengths, tol=1e-9):
-    """Whether some realization has its first and fifth edges parallel.
-
-    Infeasible lengths raise rather than returning false, because
-    membership is only defined over realizable targets.
-    """
-    return bool(singular_witnesses(lengths, tol))
+def in_singular_set(lengths: TargetLengths):
+    """Whether some two-cycles realization aligns edges 1 and 5; infeasible ``lengths`` raise."""
+    return bool(singular_witnesses(realize_two_cycles(two_cycles(), lengths), SINGULAR_TOL))
 
 
-def singular_witnesses(lengths: TargetLengths, tol=1e-9):
-    """Realizations of ``lengths`` in which a two-coleader pair of edges is aligned."""
-    graph = two_cycles()
-    pairs = graph_matrices(graph)["pairs"]
-    return [
-        fw for fw in realize_two_cycles(graph, lengths)
-        if any(edges_aligned(*edge_vectors(fw)[list(pair)], tol) for pair in pairs)
-    ]
+def singular_witnesses(frameworks, tol):
+    """The frameworks in which a two-coleader pair of their graph's edges is aligned."""
+    return [fw for fw in frameworks if any(
+        edges_aligned(*edge_vectors(fw)[list(p)], tol) for p in graph_matrices(fw.graph)["pairs"]
+    )]

@@ -43,11 +43,12 @@ from formation_forge.rigidity import (
     Framework,
     TargetLengths,
     edge_block_rows,
+    SINGULAR_TOL,
     edge_vectors,
-    is_infinitesimally_rigid,
     make_singular_lengths,
     realize_two_cycles,
     rigidity_matrix,
+    rigidity_verdicts,
     singular_witnesses,
 )
 from normal_forms import logistic_family, logistic_reference, scalar_census
@@ -204,8 +205,9 @@ def test_singular_targets_have_corank_one_and_matched_kernels():
         s = rng.uniform(0.3, 2.5) * (1.0 if rng.uniform() < 0.5 else -1.0)
         out = make_singular_lengths(d1, d2, d3, s)
 
-        assert rank_tol(rigidity_matrix(out.witness), 1e-9) == 5
-        assert is_infinitesimally_rigid(out.witness, 1e-9)
+        rank = rank_tol(rigidity_matrix(out.witness), 1e-9)
+        assert rank == 5
+        assert rigidity_verdicts(out.witness.graph, rank) == (True, True)
 
         b = squared_bundle(out.lengths.d)
         z = edge_vectors(out.witness)
@@ -231,7 +233,7 @@ def test_stability_exchange_is_detected_and_nondegenerate():
     for mu_c in detection.crossings.values():
         assert abs(mu_c) <= detection.grid_step
 
-    witness = singular_witnesses(lengths)[0]
+    witness = singular_witnesses(realize_two_cycles(b.graph, lengths), SINGULAR_TOL)[0]
     report = sotomayor_at_witness(b, witness, mu_edge=2, tol_nondegen=1e-3)
     assert report.verdict
     assert np.linalg.norm(report.w) == pytest.approx(1.0, abs=1e-12)

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from formation_forge import bifurcation
 from formation_forge.bifurcation import (
     BranchPoint,
     gauge_slice_z_basis,
@@ -21,12 +22,14 @@ from formation_forge.errors import (
 from formation_forge.graph import mixed_adjacency, two_cycles
 from formation_forge.numkernel import kron_I2, left_nullspace
 from formation_forge.rigidity import (
+    SINGULAR_TOL,
     TargetLengths,
     edge_errors,
     edge_vectors,
     in_singular_set,
     make_singular_lengths,
     planar_cross,
+    realize_two_cycles,
     singular_witnesses,
 )
 from normal_forms import logistic_equilibria, logistic_family, logistic_reference
@@ -116,7 +119,7 @@ class TestSotomayorAtWitness:
         bundle = VectorFieldBundle(
             graph=two_cycles(), law=builtin_law("gradient_squared"), lengths=lengths
         )
-        witness = singular_witnesses(lengths)[0]
+        witness = singular_witnesses(realize_two_cycles(bundle.graph, lengths), SINGULAR_TOL)[0]
         report = sotomayor_at_witness(bundle, witness, mu_edge=2, tol_nondegen=1e-3)
         assert report.zero_eig_unique
         assert report.others_negative
@@ -230,6 +233,27 @@ class TestMuSweep:
         assert beyond
         end = aligned[-1].framework.x
         assert min(np.max(np.abs(r.framework.x - end)) for r in beyond) > 1.9
+
+    def test_a_design_sample_the_realizer_refuses_leaves_a_gap(self, monkeypatch):
+        # A realizer that refuses one interior sample's targets: the design
+        # branch has no point there, continues past it from the last point,
+        # and the detector reports the gap.
+        _, bundle = singular_setup()
+        mus = np.linspace(-0.2, 0.2, 21).tolist()
+        refused = bundle.lengths.perturbed(2, mus[15]).d
+        realize = bifurcation.realize_two_cycles
+
+        def realize_but_one(graph, lengths):
+            if lengths.d == refused:
+                raise InfeasibleLengthsError("refused at one sample")
+            return realize(graph, lengths)
+
+        monkeypatch.setattr(bifurcation, "realize_two_cycles", realize_but_one)
+        points = mu_sweep(bundle, eps=0.2, samples=21, mu_edge=2)
+        assert [p.mu for p in points if p.branch == "design"] == mus[:15] + mus[16:]
+        assert [p.mu for p in points if p.branch == "ancillary_aligned"] == mus
+        report = transcritical_detect(points)
+        assert report.indeterminate and report.reason == "branch grids differ; the sweep has gaps"
 
     def test_a_design_that_is_no_equilibrium_leaves_a_gap(self):
         # Under test_kernel's coupled pair, agent 1's weights do not vanish at

@@ -27,6 +27,8 @@ from formation_forge.cli import (
     run_scenario,
 )
 from formation_forge.errors import ScenarioError
+from formation_forge.numkernel import rank_tol
+from formation_forge.rigidity import realize_two_cycles
 
 SCENARIO_DIR = Path(formation_forge.__file__).parent / "scenarios"
 
@@ -54,6 +56,29 @@ def write_scenario(tmp_path, overrides, name="case.json"):
     path = tmp_path / name
     path.write_text(json.dumps(raw, indent=2))
     return path
+
+
+def run_bundled_as(tmp_path, scenario, kind):
+    """Run a bundled scenario with its experiment kind replaced, into ``tmp_path / "out"``."""
+    raw = json.loads((SCENARIO_DIR / scenario).read_text())
+    raw["experiment"]["kind"] = kind
+    path = tmp_path / scenario
+    path.write_text(json.dumps(raw))
+    return run_scenario(path, out_dir=tmp_path / "out")
+
+
+def count_calls(monkeypatch, fn):
+    """Count the calls of ``fn`` through every package module that binds its name."""
+    calls = []
+
+    def spy(*args):
+        calls.append(args)
+        return fn(*args)
+
+    for name, module in list(sys.modules.items()):
+        if name.split(".")[0] == "formation_forge" and getattr(module, fn.__name__, None) is fn:
+            monkeypatch.setattr(module, fn.__name__, spy)
+    return calls
 
 
 def read_stderr_record(capsys):
@@ -208,6 +233,29 @@ class TestSweepRun:
             errs = [abs(float(v)) for v in cells[4:9]]
             assert max(errs) <= 1e-9
 
+    def test_sweep_refuses_other_graphs(self, tmp_path, capsys):
+        # The realizer refuses first, with the code of the sweep's own refusal before it.
+        lengths = {"values": [1.0, 5.0, 4.0, 8.0, 4.0], "convention": "squared"}
+        for graph in (
+            {"vertices": 4, "edges": [[1, 2], [2, 3], [3, 4], [4, 1], [1, 3]]},
+            dict(BASE["graph"], vertices=5),
+        ):
+            path = write_scenario(
+                tmp_path, {"graph": graph, "lengths": lengths, "experiment": {"kind": "sweep"}}
+            )
+            assert run_scenario(path, out_dir=tmp_path / "out") == 2
+            record, _ = read_stderr_record(capsys)
+            assert record["error"] == "configuration"
+            assert "two-cycles" in record["message"]
+
+    def test_a_fig2_sweep_realizes_its_base_once(self, tmp_path, capsys, monkeypatch):
+        # Both grid ends, the base targets once for the witness test and the
+        # design start, then each of the 21 samples.
+        calls = count_calls(monkeypatch, realize_two_cycles)
+        assert run_bundled_as(tmp_path, "fig2.json", "sweep") == 0
+        capsys.readouterr()
+        assert len(calls) == 24
+
 
 class TestOtherRuns:
     def test_rigidity_line(self, tmp_path, capsys):
@@ -222,6 +270,13 @@ class TestOtherRuns:
             "rank,rows,infinitesimally_rigid,minimally_rigid",
             "5,5,true,true",
         ]
+
+    def test_a_rigidity_run_takes_one_rank(self, tmp_path, capsys, monkeypatch):
+        # One rigidity matrix, one rank, and both verdicts read off it.
+        calls = count_calls(monkeypatch, rank_tol)
+        assert run_bundled_as(tmp_path, "fig2.json", "rigidity") == 0
+        capsys.readouterr()
+        assert len(calls) == 1
 
     def test_rigidity_at_a_flat_triangle_is_not_infinitesimally_rigid(self, tmp_path, capsys):
         # Plain lengths 1, 1, 2 put agents 1, 2 and 3 on one line.
@@ -1003,13 +1058,9 @@ CLI_OUTPUT_SHA256 = {
 
 @pytest.mark.parametrize("scenario, kind", sorted(CLI_OUTPUT_SHA256))
 def test_bundled_scenario_outputs_are_pinned(tmp_path, capsys, scenario, kind):
-    raw = json.loads((SCENARIO_DIR / scenario).read_text())
-    raw["experiment"]["kind"] = kind
-    path = tmp_path / scenario
-    path.write_text(json.dumps(raw))
-    out = tmp_path / "out"
-    assert run_scenario(path, out_dir=out) == 0
+    assert run_bundled_as(tmp_path, scenario, kind) == 0
     capsys.readouterr()
+    out = tmp_path / "out"
     digests = {f.name: hashlib.sha256(f.read_bytes()).hexdigest() for f in out.iterdir()}
     assert digests == CLI_OUTPUT_SHA256[(scenario, kind)]
 

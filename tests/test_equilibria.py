@@ -53,6 +53,7 @@ from formation_forge.graph import FormationGraph, two_cycles
 from formation_forge.numkernel import eigenvalues, fd_jacobian, left_nullspace, newton_root
 from formation_forge.rigidity import (
     DESIGN_TOL,
+    SINGULAR_TOL,
     Framework,
     TargetLengths,
     edge_errors,
@@ -993,7 +994,7 @@ class TestCensusTakesStructuralRecordsAsBuilt:
         lengths = TargetLengths(d=(1.0, 5.0, 4.0, 8.0, 4.0))
         b = VectorFieldBundle(graph=two_cycles(), law=builtin_law("gradient_squared"),
                               lengths=lengths)
-        witnesses = singular_witnesses(lengths)
+        witnesses = singular_witnesses(realize_two_cycles(b.graph, lengths), SINGULAR_TOL)
         assert witnesses
         aligned = solve_ancillary_aligned(b)
         report = census(b, n_random=10, seed=0, dedupe_tol=1e-6)

@@ -10,7 +10,9 @@ module names; code that only the tests use lives under ``tests/``. A
 keyword default is there for a caller that leaves it out: one that every
 package caller passes states a value twice, unless it is listed. No
 function takes ``**kwargs``, and no module raises the base error class,
-whose code ``internal`` the command line keeps for unforeseen failures.
+whose code ``internal`` the command line keeps for unforeseen failures. A
+module reads every name it imports: an import left behind by deleted code
+is dead too (``__init__.py`` imports to re-export).
 """
 
 import ast
@@ -404,3 +406,54 @@ def test_the_base_error_check_sees_each_raise_form():
         "    raise InfeasibleLengthsError('named')\n"
     )
     assert base_error_raises(source) == [4, 6, 8]
+
+
+def unused_imports(source):
+    """``(line, name)`` for each name ``source`` imports and never reads.
+
+    A ``from __future__`` import sets a compiler flag and binds nothing
+    that is read, so it is exempt; ``import a.b`` binds ``a``.
+    """
+    tree = ast.parse(source)
+    read = {
+        node.id for node in ast.walk(tree)
+        if isinstance(node, ast.Name) and not isinstance(node.ctx, ast.Store)
+    }
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+            continue
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            for alias in node.names:
+                name = alias.asname or alias.name.split(".")[0]
+                if name not in read:
+                    found.append((node.lineno, name))
+    return sorted(found)
+
+
+def test_every_module_reads_the_names_it_imports():
+    offenders = {
+        path.name: hits
+        for path in sorted(PACKAGE_DIR.glob("*.py"))
+        if path.name != "__init__.py" and (hits := unused_imports(path.read_text()))
+    }
+    assert offenders == {}
+
+
+def test_the_import_check_sees_names_never_read():
+    source = (
+        "from __future__ import annotations\n"
+        "import math\n"
+        "import numpy as np\n"
+        "import os.path\n"
+        "from .graph import two_cycles, FormationGraph as Graph\n"
+        "from .errors import ConfigurationError\n"
+        "def f(g: Graph):\n"
+        "    import json\n"
+        "    return np.pi, os.path\n"
+        "try:\n"
+        "    pass\n"
+        "except ConfigurationError:\n"
+        "    math = 1\n"
+    )
+    assert unused_imports(source) == [(2, "math"), (5, "two_cycles"), (8, "json")]

@@ -15,6 +15,7 @@ from formation_forge.errors import (
 from formation_forge.graph import FormationGraph, mixed_adjacency, two_cycles
 from formation_forge.numkernel import kron_I2, rank_tol
 from formation_forge.rigidity import (
+    SINGULAR_TOL,
     Framework,
     TargetLengths,
     edge_block_rows,
@@ -22,12 +23,11 @@ from formation_forge.rigidity import (
     edge_vectors,
     edges_aligned,
     in_singular_set,
-    is_infinitesimally_rigid,
-    is_minimally_rigid,
     make_singular_lengths,
     planar_cross,
     realize_two_cycles,
     rigidity_matrix,
+    rigidity_verdicts,
     singular_witnesses,
 )
 from normal_forms import array_realize_two_cycles
@@ -48,6 +48,15 @@ def rotate_translate(fw, theta, t):
     c, s = np.cos(theta), np.sin(theta)
     rot = np.array([[c, -s], [s, c]])
     return fw.with_positions(fw.x @ rot.T + np.asarray(t))
+
+
+def verdicts(f, tol):
+    """Infinitesimally and minimally rigid, read off the framework's one rank."""
+    return rigidity_verdicts(f.graph, rank_tol(rigidity_matrix(f), tol))
+
+
+def two_cycles_witnesses(lengths, tol):
+    return singular_witnesses(realize_two_cycles(two_cycles(), lengths), tol)
 
 
 def edge_deletion_minimally_rigid(f, tol):
@@ -247,31 +256,30 @@ class TestRigidityMatrix:
 class TestRigidityPredicates:
     def test_generic_framework_is_rigid(self):
         fw = realize_two_cycles(two_cycles(), TargetLengths(d=BENCHMARK_SQUARED))[0]
-        assert is_infinitesimally_rigid(fw, 1e-9)
+        assert verdicts(fw, 1e-9)[0]
 
     def test_parallel_edge_witness_is_rigid(self):
         out = make_singular_lengths(1.0, 5.0, 4.0, 2.0)
-        assert is_infinitesimally_rigid(out.witness, 1e-9)
+        assert verdicts(out.witness, 1e-9)[0]
 
     def test_collinear_framework_is_not_rigid(self):
         fw = framework([(0, 0), (1, 0), (2, 0), (3, 0)])
-        assert not is_infinitesimally_rigid(fw, 1e-9)
+        assert verdicts(fw, 1e-9) == (False, False)
 
     def test_two_cycles_is_minimally_rigid(self):
         fw = realize_two_cycles(two_cycles(), TargetLengths(d=BENCHMARK_SQUARED))[0]
-        assert is_minimally_rigid(fw, 1e-9)
+        assert verdicts(fw, 1e-9) == (True, True)
 
     def test_redundant_edge_breaks_minimality(self):
         base = realize_two_cycles(two_cycles(), TargetLengths(d=BENCHMARK_SQUARED))[0]
         g = FormationGraph(n=4, edges=base.graph.edges + ((1, 3),))
         fw = Framework(graph=g, x=base.x)
-        assert is_infinitesimally_rigid(fw, 1e-9)
-        assert not is_minimally_rigid(fw, 1e-9)
+        assert verdicts(fw, 1e-9) == (True, False)
 
     def test_triangle_is_minimally_rigid(self):
         g = FormationGraph(n=3, edges=((0, 1), (1, 2), (2, 0)))
         fw = Framework(graph=g, x=np.array([[0.0, 0.0], [1.0, 0.0], [0.3, 0.8]]))
-        assert is_minimally_rigid(fw, 1e-9)
+        assert verdicts(fw, 1e-9) == (True, True)
 
 
 class TestMinimalRigidityRule:
@@ -282,14 +290,14 @@ class TestMinimalRigidityRule:
         m = data.draw(st.integers(2 * n - 4, 2 * n))
         rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
         fw = Framework(graph=random_outvalence_graph(rng, n, m), x=rng.normal(size=(n, 2)))
-        assert is_minimally_rigid(fw, 1e-9) == edge_deletion_minimally_rigid(fw, 1e-9)
+        assert verdicts(fw, 1e-9)[1] == edge_deletion_minimally_rigid(fw, 1e-9)
 
     @pytest.mark.parametrize("n", range(1, 8))
     def test_zero_tolerance_refused_on_every_size(self, n):
         graph = FormationGraph(n=n, edges=tuple((k + 1, k) for k in range(n - 1)))
         fw = Framework(graph=graph, x=np.random.default_rng(n).normal(size=(n, 2)))
         with pytest.raises(ConfigurationError, match="rank tolerance must be positive"):
-            is_minimally_rigid(fw, 0.0)
+            verdicts(fw, 0.0)
 
 
 class TestRealization:
@@ -449,11 +457,12 @@ class TestSingularSet:
             s = rng.uniform(0.3, 2.0) * (1 if rng.uniform() < 0.5 else -1)
             out = make_singular_lengths(d1, d2, d3, s)
             assert in_singular_set(out.lengths)
-            assert len(singular_witnesses(out.lengths)) >= 1
+            assert len(two_cycles_witnesses(out.lengths, SINGULAR_TOL)) >= 1
 
     def test_benchmark_lengths_are_not_members(self):
         lengths = TargetLengths.from_values((2.0, 2.6, 2.0, 1.4, 3.3), convention="plain")
-        assert not in_singular_set(lengths, 1e-6)
+        assert not in_singular_set(lengths)
+        assert not two_cycles_witnesses(lengths, 1e-6)
 
     def test_equilateral_lengths_are_members_via_coincident_agents(self):
         # Two of the four realizations place agent 4 on top of agent 2, which
@@ -462,7 +471,7 @@ class TestSingularSet:
         assert in_singular_set(lengths)
         coincident = [
             fw
-            for fw in singular_witnesses(lengths)
+            for fw in two_cycles_witnesses(lengths, SINGULAR_TOL)
             if np.max(np.abs(fw.x[3] - fw.x[1])) <= 1e-12
         ]
         assert len(coincident) == 2
@@ -472,12 +481,24 @@ class TestSingularSet:
 
     def test_witness_appears_among_realizations(self):
         out = make_singular_lengths(1.0, 5.0, 4.0, 2.0)
-        hits = singular_witnesses(out.lengths)
+        hits = two_cycles_witnesses(out.lengths, SINGULAR_TOL)
         assert hits
         for fw in hits:
             z = edge_vectors(fw)
             n1, n5 = np.hypot(*z[0]), np.hypot(*z[4])
             assert abs(planar_cross(z[0], z[4])) <= 1e-9 * n1 * n5
+
+    def test_a_pair_of_another_graph_is_found(self):
+        # Two-cycles plus agent 5 observing agents 1 and 2: its pair (edges
+        # 6 and 7) aligns when it sits on their line, the x axis, and the
+        # frameworks are tested on their own graph's pairs.
+        graph = FormationGraph(n=5, edges=two_cycles().edges + ((4, 0), (4, 1)))
+        base = realize_two_cycles(two_cycles(), TargetLengths(d=BENCHMARK_SQUARED))[0]
+        assert not singular_witnesses([base], SINGULAR_TOL)
+        on_line, off_line = (
+            Framework(graph=graph, x=np.vstack([base.x, [p]])) for p in ([3.5, 0.0], [3.5, 0.5])
+        )
+        assert singular_witnesses([off_line, on_line], SINGULAR_TOL) == [on_line]
 
 
 class TestEdgesAligned:

@@ -16,7 +16,9 @@ from formation_forge.dynamics import VectorFieldBundle, builtin_law
 from formation_forge.equilibria import census, gauge_fixed_spectrum, solve_ancillary_aligned
 from formation_forge.errors import InfeasibleLengthsError
 from formation_forge.graph import two_cycles
-from formation_forge.rigidity import TargetLengths, realize_two_cycles, singular_witnesses
+from formation_forge.rigidity import (
+    SINGULAR_TOL, TargetLengths, realize_two_cycles, singular_witnesses,
+)
 from test_equilibria import census_digest, singular_members
 
 LAWS = ("gradient_squared", "gradient_plain")
@@ -77,7 +79,8 @@ def singular_digest(law_name):
         for p in mu_sweep(b, eps=0.2, samples=21, mu_edge=2):
             spec = gauge_fixed_spectrum(b.with_lengths(b.lengths.perturbed(2, p.mu)), p.framework)
             update(h, p.branch, repr(p.stable), p.mu, p.framework.x, p.leading_real, spec.values)
-        r = sotomayor_at_witness(b, singular_witnesses(b.lengths)[0], 2, tol_nondegen=1e-3)
+        witness = singular_witnesses(realize_two_cycles(b.graph, b.lengths), SINGULAR_TOL)[0]
+        r = sotomayor_at_witness(b, witness, 2, tol_nondegen=1e-3)
         update(h, repr((r.zero_eig_unique, r.others_negative, r.verdict, r.degenerate)),
                r.w, r.v, [r.t_mu, r.t_quad, r.t_mixed, r.fmu_norm], r.slice_spectrum.values)
     return h.hexdigest()
