@@ -11,7 +11,7 @@ genuine transcritical bifurcation and not something more degenerate.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import lru_cache
+from functools import lru_cache, partial
 from operator import sub
 
 import numpy as np
@@ -19,7 +19,6 @@ import numpy as np
 from .dynamics import VectorFieldBundle, eval_F_z
 from .equilibria import (
     RESIDUAL_TOL,
-    TOL_ZERO,
     aligned_parameters,
     aligned_root_near,
     gauge_fixed_spectrum,
@@ -27,6 +26,8 @@ from .equilibria import (
 )
 from .errors import ConfigurationError, FormulaDomainError, InfeasibleLengthsError
 from .numkernel import (
+    NULLSPACE_TOL,
+    TOL_ZERO,
     Spectrum,
     eigenvalues,
     fd_jacobian,
@@ -34,9 +35,7 @@ from .numkernel import (
     fd_second_step,
     kron_I2,
 )
-from .rigidity import (
-    SINGULAR_TOL, Framework, TargetLengths, edge_vectors, realize_two_cycles, singular_witnesses,
-)
+from .rigidity import Framework, TargetLengths, edge_vectors, realize_two_cycles, singular_witnesses
 
 # The settings of every Sotomayor test; only its nondegeneracy bound is an option.
 SOTOMAYOR_PARAM_STEP = 1e-7  # central-difference step in the parameter (FD_SECOND_STEP in x)
@@ -95,15 +94,15 @@ def _normalize_sign(vec):
     return -vec if vec[idx] < 0 else vec
 
 
-def sotomayor_check(family, x0, mu0, tol_nondegen):
-    """Evaluate the transcritical conditions for ``xdot = family(x, mu)``.
+def sotomayor_check(family, x0, tol_nondegen):
+    """Evaluate the transcritical conditions for ``xdot = family(x, mu)`` at mu = 0.
 
     The family must already be free of structural kernel directions
     (for formation flows, use the gauge-reduced family from
     :func:`formation_family`), so a unique zero eigenvalue is meaningful.
     All derivatives are central finite differences: the state step is
     ``fd_second_step``'s (``FD_SECOND_STEP`` scaled by ``x0``), the
-    parameter step is ``SOTOMAYOR_PARAM_STEP``. A residual at ``(x0, mu0)``
+    parameter step is ``SOTOMAYOR_PARAM_STEP``. A residual at ``(x0, 0)``
     above ``RESIDUAL_TOL``, NaN included, is a :class:`FormulaDomainError`.
 
     The verdict is true exactly when the zero eigenvalue is unique, the
@@ -113,12 +112,11 @@ def sotomayor_check(family, x0, mu0, tol_nondegen):
     """
     k = SOTOMAYOR_PARAM_STEP
     x0 = np.atleast_1d(np.asarray(x0, dtype=float))
-    mu0 = float(mu0)
 
     def f(x, mu):
         return np.atleast_1d(np.asarray(family(np.asarray(x, dtype=float), mu), dtype=float))
 
-    f0 = f(x0, mu0)
+    f0 = f(x0, 0.0)
     residual = float(np.max(np.abs(f0)))
     if not residual <= RESIDUAL_TOL:  # a NaN residual is no equilibrium either
         raise FormulaDomainError(
@@ -126,7 +124,7 @@ def sotomayor_check(family, x0, mu0, tol_nondegen):
             f"residual {residual:.3e} exceeds {RESIDUAL_TOL:g}"
         )
 
-    jac = fd_jacobian(lambda x: f(x, mu0), x0)
+    jac = fd_jacobian(lambda x: f(x, 0.0), x0)
     spec = eigenvalues(jac)
     radius = max(spec.spectral_radius, 0.0)
     zero_scale = TOL_ZERO * max(1.0, radius)
@@ -141,17 +139,17 @@ def sotomayor_check(family, x0, mu0, tol_nondegen):
     v = _normalize_sign(vt_svd[-1].copy())
     w = _normalize_sign(u_svd[:, -1].copy())
 
-    fmu = (f(x0, mu0 + k) - f(x0, mu0 - k)) / (2.0 * k)
+    fmu = (f(x0, k) - f(x0, -k)) / (2.0 * k)
     fmu_norm = float(np.linalg.norm(fmu))
     t_mu = float(w @ fmu)
 
-    t_quad = float(w @ fd_second_directional(lambda x: f(x, mu0), x0, v))
+    t_quad = float(w @ fd_second_directional(lambda x: f(x, 0.0), x0, v))
     hs = fd_second_step(x0.tolist())
 
     def dir_deriv(mu):
         return (f(x0 + hs * v, mu) - f(x0 - hs * v, mu)) / (2.0 * hs)
 
-    t_mixed = float(w @ ((dir_deriv(mu0 + k) - dir_deriv(mu0 - k)) / (2.0 * k)))
+    t_mixed = float(w @ ((dir_deriv(k) - dir_deriv(-k)) / (2.0 * k)))
 
     verdict = bool(
         zero_eig_unique
@@ -191,7 +189,7 @@ def gauge_slice_z_basis(b: VectorFieldBundle, witness: Framework):
     rows.append(rotation[None, :])
     constraints = np.vstack(rows)
     _, s, vt = np.linalg.svd(constraints)
-    rank = int(np.sum(s > 1e-12 * s[0]))
+    rank = int(np.sum(s > NULLSPACE_TOL * s[0]))
     return vt[rank:].T
 
 
@@ -221,14 +219,14 @@ def formation_family(b: VectorFieldBundle, witness: Framework, mu_edge):
 def sotomayor_at_witness(b: VectorFieldBundle, witness: Framework, mu_edge, tol_nondegen):
     """Run the transcritical test on the formation family at a witness."""
     family, q0 = formation_family(b, witness, mu_edge)
-    return sotomayor_check(family, q0, 0.0, tol_nondegen)
+    return sotomayor_check(family, q0, tol_nondegen)
 
 
 def _branch_point(bundle, mu, branch, fw):
     spec = gauge_fixed_spectrum(bundle, fw)
     return BranchPoint(
         mu=mu, branch=branch, framework=fw, lengths=bundle.lengths,
-        leading_real=spec.leading_real, stable=spec.is_stable(TOL_ZERO),
+        leading_real=spec.leading_real, stable=spec.is_stable(),
     )
 
 
@@ -288,6 +286,7 @@ def mu_sweep(b: VectorFieldBundle, eps, samples, mu_edge):
         mus = np.linspace(-float(eps), float(eps), samples)
     except (MemoryError, ValueError):  # ValueError: more samples than an index can count
         raise ConfigurationError(f"{samples} sweep samples cannot be allocated") from None
+    realize = lru_cache(maxsize=None)(partial(realize_two_cycles, b.graph))  # once per target set
     for end in (float(mus[0]), float(mus[-1])):
         try:
             lengths = base.perturbed(mu_edge, end)
@@ -296,21 +295,21 @@ def mu_sweep(b: VectorFieldBundle, eps, samples, mu_edge):
                 f"the sweep's end mu = {end:.6g} takes edge {mu_edge + 1}'s squared target "
                 f"{base.d[mu_edge]:.6g} to {base.d[mu_edge] + end:.6g}, outside the positive range"
             ) from None
-        realize_two_cycles(b.graph, lengths)
+        realize(lengths)
 
     grid = [(float(mu), b.with_lengths(base.perturbed(mu_edge, float(mu)))) for mu in mus]
     center = int(np.argmin(np.abs(mus)))
 
     def design_step(bundle, previous):
         try:
-            frameworks = realize_two_cycles(bundle.graph, bundle.lengths)
+            frameworks = realize(bundle.lengths)
         except InfeasibleLengthsError:
             return None
         last = previous.x.ravel().tolist()
         return min(frameworks, key=lambda g: max(map(abs, map(sub, g.x.ravel().tolist(), last))))
 
-    realized = realize_two_cycles(b.graph, base)
-    witnesses = singular_witnesses(realized, SINGULAR_TOL)
+    realized = realize(base)
+    witnesses = singular_witnesses(realized)
     start = (witnesses or realized)[0]
     points = _follow_branch(grid, center, "design", start, design_step)
     if not witnesses:

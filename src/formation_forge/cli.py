@@ -28,7 +28,6 @@ from .graph import FormationGraph
 from .numkernel import DEFAULT_RANK_TOL, integrate_ode, rank_tol
 from .rigidity import (
     CONVENTIONS,
-    SINGULAR_TOL,
     Framework,
     TargetLengths,
     edge_errors,
@@ -280,7 +279,7 @@ def _run_sweep(sc, bundle, tol):
 
 
 def _run_sotomayor(sc, bundle, tol):
-    witnesses = singular_witnesses(realize_two_cycles(bundle.graph, bundle.lengths), SINGULAR_TOL)
+    witnesses = singular_witnesses(realize_two_cycles(bundle.graph, bundle.lengths))
     if not witnesses:
         raise FormulaDomainError(
             "the sotomayor experiment needs targets in the singular set "

@@ -31,7 +31,9 @@ from .errors import (
     InfeasibleLengthsError,
 )
 from .graph import two_cycles
-from .numkernel import Spectrum, eigenvalues, fd_jacobian, left_nullspace, newton_root
+from .numkernel import (
+    NULLSPACE_TOL, Spectrum, eigenvalues, fd_jacobian, left_nullspace, newton_root,
+)
 from .rigidity import (
     DESIGN_TOL,
     Framework,
@@ -47,10 +49,6 @@ from .rigidity import (
 RECORD_KINDS = ("design", "ancillary_aligned", "ancillary_collinear", "ancillary_other")
 
 # The settings every classification and solve in this module runs with.
-# Stability margin relative to the spectral radius: a leading real part within it of
-# zero, as beside the singular set, is not stable. A drawn singular member's sweep puts
-# design points at ratios -7.8e-7 and -1.05e-6, one on each side.
-TOL_ZERO = 1e-6
 RESIDUAL_TOL = 1e-9  # largest field residual accepted as an equilibrium
 NEWTON_TOL = 1e-11  # residual at which the census and aligned solves stop
 CENSUS_MAX_ITER = 80
@@ -159,7 +157,7 @@ def gauge_slice_basis(x):
     rows = []
     for px, py in np.asarray(x, dtype=float).reshape(-1, 2).tolist():
         rows += (1.0, 0.0, -py, 0.0, 1.0, px)
-    return left_nullspace(np.array(rows).reshape(-1, 3), 1e-12)
+    return left_nullspace(np.array(rows).reshape(-1, 3), NULLSPACE_TOL)
 
 
 def _gauge_jacobian(b: VectorFieldBundle, f: Framework):
@@ -223,7 +221,7 @@ def equilibrium_record(b: VectorFieldBundle, f: Framework):
     """
     m, residual = _gauge_jacobian(b, f)
     spec = eigenvalues(m)
-    if spec.is_hyperbolic(TOL_ZERO):
+    if spec.is_hyperbolic():
         negative = sum(1 for v in spec.values if v.imag == 0.0 and v.real < 0.0)
         index = (-1) ** negative
     else:
@@ -233,7 +231,7 @@ def equilibrium_record(b: VectorFieldBundle, f: Framework):
         kind=classify_kind(b, f),
         spectrum_gauge=spec,
         index=index,
-        stable=spec.is_stable(TOL_ZERO),
+        stable=spec.is_stable(),
         residual=residual,
     )
 
@@ -588,8 +586,8 @@ def _score_candidate(graph, law, law_name, interpretation, leg_order, d, publish
 
     deviations = {"design_stable": dev_s, "design_unstable": dev_u, "aligned": dev_a}
     quantitative_ok = all(v <= CONVENTION_TOL for v in deviations.values())
-    qual_stable = classes[i_st].is_stable(TOL_ZERO)
-    qual_unstable = classes[i_un].unstable_count(TOL_ZERO) == 1
+    qual_stable = classes[i_st].is_stable()
+    qual_unstable = classes[i_un].unstable_count() == 1
     qualitative_ok = bool(qual_stable and qual_unstable and aligned_stable)
     spectra = {
         "design_stable": classes[i_st],

@@ -17,7 +17,7 @@ from itertools import permutations
 import numpy as np
 
 from .errors import ConfigurationError
-from .numkernel import kron_I2, left_nullspace, rk4_loop
+from .numkernel import NULLSPACE_TOL, kron_I2, left_nullspace, rk4_loop
 
 
 @dataclass(frozen=True)
@@ -297,7 +297,7 @@ def graph_matrices(g: FormationGraph):
         "targets": np.array([t for _, t in g.edges], dtype=int),
         "edge_adj": edge_adj,
         "edge_adj2": kron_I2(edge_adj),
-        "cycles": left_nullspace(mixed_adjacency(g), 1e-12),
+        "cycles": left_nullspace(mixed_adjacency(g), NULLSPACE_TOL),
         "pairs": tuple(tuple(ks) for ks in by_origin.values() if len(ks) == 2),
         "kernel": kernel,
     }

@@ -30,6 +30,12 @@ from .errors import (
 DEFAULT_RANK_TOL = 1e-9
 FD_STEP = 1e-6  # central-difference step of fd_jacobian, scaled by the coordinate
 FD_SECOND_STEP = 1e-4  # second-difference step, scaled by the largest coordinate
+NULLSPACE_TOL = 1e-12  # the package's null-space rank cut, relative to the largest singular value
+# The package's one stability rule, Spectrum's: a real part counts as negative or positive
+# only beyond TOL_ZERO times the spectral radius (floored at 1e-300), so a leading real part
+# within it of zero, as beside the singular set, is not stable. A drawn singular member's
+# sweep puts design points at ratios -7.8e-7 and -1.05e-6, one on each side.
+TOL_ZERO = 1e-6
 
 
 @dataclass(frozen=True)
@@ -47,21 +53,19 @@ class Spectrum:
     def spectral_radius(self):
         return max((abs(v) for v in self.values), default=0.0)
 
-    # The package's one stability rule: a real part counts as negative or
-    # positive only beyond ``tol`` times the spectral radius (floored at 1e-300).
-    def _margin(self, tol):
-        return tol * max(self.spectral_radius, 1e-300)
+    def _margin(self):
+        return TOL_ZERO * max(self.spectral_radius, 1e-300)
 
-    def is_stable(self, tol):
-        margin = self._margin(tol)
+    def is_stable(self):
+        margin = self._margin()
         return all(v.real < -margin for v in self.values)
 
-    def is_hyperbolic(self, tol):
-        margin = self._margin(tol)
+    def is_hyperbolic(self):
+        margin = self._margin()
         return all(abs(v.real) > margin for v in self.values)
 
-    def unstable_count(self, tol):
-        margin = self._margin(tol)
+    def unstable_count(self):
+        margin = self._margin()
         return sum(1 for v in self.values if v.real > margin)
 
     @classmethod

@@ -310,11 +310,12 @@ def make_singular_lengths(d1, d2, d3, signed_z5_length):
 
 def in_singular_set(lengths: TargetLengths):
     """Whether some two-cycles realization aligns edges 1 and 5; infeasible ``lengths`` raise."""
-    return bool(singular_witnesses(realize_two_cycles(two_cycles(), lengths), SINGULAR_TOL))
+    return bool(singular_witnesses(realize_two_cycles(two_cycles(), lengths)))
 
 
-def singular_witnesses(frameworks, tol):
+def singular_witnesses(frameworks):
     """The frameworks in which a two-coleader pair of their graph's edges is aligned."""
     return [fw for fw in frameworks if any(
-        edges_aligned(*edge_vectors(fw)[list(p)], tol) for p in graph_matrices(fw.graph)["pairs"]
+        edges_aligned(*edge_vectors(fw)[list(p)], SINGULAR_TOL)
+        for p in graph_matrices(fw.graph)["pairs"]
     )]

@@ -43,7 +43,6 @@ from formation_forge.rigidity import (
     Framework,
     TargetLengths,
     edge_block_rows,
-    SINGULAR_TOL,
     edge_vectors,
     make_singular_lengths,
     realize_two_cycles,
@@ -233,7 +232,7 @@ def test_stability_exchange_is_detected_and_nondegenerate():
     for mu_c in detection.crossings.values():
         assert abs(mu_c) <= detection.grid_step
 
-    witness = singular_witnesses(realize_two_cycles(b.graph, lengths), SINGULAR_TOL)[0]
+    witness = singular_witnesses(realize_two_cycles(b.graph, lengths))[0]
     report = sotomayor_at_witness(b, witness, mu_edge=2, tol_nondegen=1e-3)
     assert report.verdict
     assert np.linalg.norm(report.w) == pytest.approx(1.0, abs=1e-12)
@@ -248,7 +247,7 @@ def test_stability_exchange_is_detected_and_nondegenerate():
 
 
 def test_normal_form_scalars_are_exact():
-    report = sotomayor_check(logistic_family, 0.0, 0.0, tol_nondegen=1e-3)
+    report = sotomayor_check(logistic_family, 0.0, tol_nondegen=1e-3)
     assert report.verdict
     assert report.t_quad == pytest.approx(-2.0, abs=1e-6)
     assert report.t_mixed == pytest.approx(1.0, abs=1e-6)

@@ -22,7 +22,6 @@ from formation_forge.errors import (
 from formation_forge.graph import mixed_adjacency, two_cycles
 from formation_forge.numkernel import kron_I2, left_nullspace
 from formation_forge.rigidity import (
-    SINGULAR_TOL,
     TargetLengths,
     edge_errors,
     edge_vectors,
@@ -58,7 +57,7 @@ def canonical_sweep():
 
 class TestSotomayorNormalForm:
     def test_logistic_scalars_are_exact(self):
-        report = sotomayor_check(logistic_family, 0.0, 0.0, tol_nondegen=1e-3)
+        report = sotomayor_check(logistic_family, 0.0, tol_nondegen=1e-3)
         assert report.verdict
         assert report.zero_eig_unique
         assert not report.degenerate
@@ -67,35 +66,35 @@ class TestSotomayorNormalForm:
         assert report.t_mixed == pytest.approx(1.0, abs=1e-6)
 
     def test_saddle_node_fails_the_parameter_condition(self):
-        report = sotomayor_check(lambda x, mu: mu - x * x, 0.0, 0.0, tol_nondegen=1e-3)
+        report = sotomayor_check(lambda x, mu: mu - x * x, 0.0, tol_nondegen=1e-3)
         assert not report.verdict
         assert abs(report.t_mu) == pytest.approx(1.0, abs=1e-6)
 
     def test_rejected_away_from_equilibria(self):
         with pytest.raises(FormulaDomainError, match="equilibrium"):
-            sotomayor_check(logistic_family, 0.5, 0.0, tol_nondegen=1e-3)
+            sotomayor_check(logistic_family, 0.5, tol_nondegen=1e-3)
 
     def test_nan_residual_is_refused(self):
         def family(x, mu):
             return np.full_like(np.asarray(x, dtype=float), np.nan)
 
         with pytest.raises(FormulaDomainError, match="residual nan"):
-            sotomayor_check(family, np.zeros(2), 0.0, tol_nondegen=1e-3)
+            sotomayor_check(family, np.zeros(2), tol_nondegen=1e-3)
 
     def test_double_zero_is_degenerate(self):
         def family(x, mu):
             x = np.asarray(x, dtype=float)
             return mu * x - x**3
 
-        report = sotomayor_check(family, np.zeros(2), 0.0, tol_nondegen=1e-3)
+        report = sotomayor_check(family, np.zeros(2), tol_nondegen=1e-3)
         assert report.degenerate
         assert not report.zero_eig_unique
         assert not report.verdict
 
     def test_the_nondegeneracy_bound_decides_the_verdict(self):
         # The logistic form's mixed scalar is 1 and its quadratic one -2.
-        assert sotomayor_check(logistic_family, 0.0, 0.0, tol_nondegen=0.99).verdict
-        assert not sotomayor_check(logistic_family, 0.0, 0.0, tol_nondegen=1.01).verdict
+        assert sotomayor_check(logistic_family, 0.0, tol_nondegen=0.99).verdict
+        assert not sotomayor_check(logistic_family, 0.0, tol_nondegen=1.01).verdict
 
 
 class TestSotomayorAtWitness:
@@ -119,7 +118,7 @@ class TestSotomayorAtWitness:
         bundle = VectorFieldBundle(
             graph=two_cycles(), law=builtin_law("gradient_squared"), lengths=lengths
         )
-        witness = singular_witnesses(realize_two_cycles(bundle.graph, lengths), SINGULAR_TOL)[0]
+        witness = singular_witnesses(realize_two_cycles(bundle.graph, lengths))[0]
         report = sotomayor_at_witness(bundle, witness, mu_edge=2, tol_nondegen=1e-3)
         assert report.zero_eig_unique
         assert report.others_negative

@@ -249,12 +249,13 @@ class TestSweepRun:
             assert "two-cycles" in record["message"]
 
     def test_a_fig2_sweep_realizes_its_base_once(self, tmp_path, capsys, monkeypatch):
-        # Both grid ends, the base targets once for the witness test and the
-        # design start, then each of the 21 samples.
+        # Each target set once: the 21 samples, among them both grid ends and,
+        # at mu = 0, the base targets of the witness test and the design start.
         calls = count_calls(monkeypatch, realize_two_cycles)
         assert run_bundled_as(tmp_path, "fig2.json", "sweep") == 0
         capsys.readouterr()
-        assert len(calls) == 24
+        assert len(calls) == 21
+        assert len({lengths for _, lengths in calls}) == 21
 
 
 class TestOtherRuns:

@@ -53,7 +53,6 @@ from formation_forge.graph import FormationGraph, two_cycles
 from formation_forge.numkernel import eigenvalues, fd_jacobian, left_nullspace, newton_root
 from formation_forge.rigidity import (
     DESIGN_TOL,
-    SINGULAR_TOL,
     Framework,
     TargetLengths,
     edge_errors,
@@ -240,7 +239,7 @@ class TestGaugeFixedSpectrum:
     def test_benchmark_design_classes(self):
         b = benchmark_bundle()
         frameworks = realize_two_cycles(b.graph, b.lengths)
-        stable = [fw for fw in frameworks if gauge_fixed_spectrum(b, fw).is_stable(0.0)]
+        stable = [fw for fw in frameworks if gauge_fixed_spectrum(b, fw).is_stable()]
         assert len(stable) == 2
         for fw in frameworks:
             spec = gauge_fixed_spectrum(b, fw)
@@ -282,7 +281,7 @@ class TestPoincareIndex:
         b = benchmark_bundle()
         for fw in realize_two_cycles(b.graph, b.lengths):
             spec = gauge_fixed_spectrum(b, fw)
-            expected = -1 if spec.is_stable(0.0) else 1
+            expected = -1 if spec.is_stable() else 1
             assert equilibrium_record(b, fw).index == expected
 
     @pytest.mark.parametrize("law_name", ("gradient_squared", "gradient_plain", "eq1_plain"))
@@ -994,7 +993,7 @@ class TestCensusTakesStructuralRecordsAsBuilt:
         lengths = TargetLengths(d=(1.0, 5.0, 4.0, 8.0, 4.0))
         b = VectorFieldBundle(graph=two_cycles(), law=builtin_law("gradient_squared"),
                               lengths=lengths)
-        witnesses = singular_witnesses(realize_two_cycles(b.graph, lengths), SINGULAR_TOL)
+        witnesses = singular_witnesses(realize_two_cycles(b.graph, lengths))
         assert witnesses
         aligned = solve_ancillary_aligned(b)
         report = census(b, n_random=10, seed=0, dedupe_tol=1e-6)

@@ -3,13 +3,15 @@
 A module's underscore names are its own: another module of the package
 that needs one should use, or ask for, a public name instead. And a
 private helper is there for its module: one its module never names is
-dead, however many tests still import it. A public name that no other
-module of the package uses is an entry point, listed below with its
-reason, and so is a public method or property of a package class that no
-module names; code that only the tests use lives under ``tests/``. A
+dead, however many tests still import it. A public name that no module
+of the package but ``__init__`` names is an entry point, listed below with
+its reason, and so is a public method or property of a package class that
+no module names; code that only the tests use lives under ``tests/``. A
 keyword default is there for a caller that leaves it out: one that every
-package caller passes states a value twice, unless it is listed. No
-function takes ``**kwargs``, and no module raises the base error class,
+package caller passes states a value twice, unless it is listed. So does a
+parameter without a default that every package call fills with one
+constant, unless it is listed: the function can read the constant itself.
+No function takes ``**kwargs``, and no module raises the base error class,
 whose code ``internal`` the command line keeps for unforeseen failures. A
 module reads every name it imports: an import left behind by deleted code
 is dead too (``__init__.py`` imports to re-export).
@@ -51,6 +53,14 @@ KEPT_DEFAULTS = {
     "run_scenario.tol": "the tests call run_scenario(path) as a scenario file's one run",
     "builtin_law.gain": 'bench/tests calls builtin_law("gradient_squared")',
     "eval_F_z.check": "it validates the state of a direct caller",
+}
+
+# Parameters without a default that every package call fills with one constant,
+# and why the callers state it.
+KEPT_CONSTANT_ARGUMENTS = {
+    "left_nullspace.tol": "a generic null-space routine; its callers state the rank cut they use",
+    "newton_root.max_iter": "a generic Newton solver; its callers state their iteration budget",
+    "newton_root.tol": "a generic Newton solver; its callers state the residual they stop at",
 }
 
 
@@ -248,6 +258,16 @@ def test_the_member_check_sees_definitions_and_uses():
     assert not {"unused", "stored"} & named
 
 
+def called_name(node):
+    """The function ``node`` names: ``name`` by name or as ``module.name``, else ``.method``."""
+    if isinstance(node, ast.Name):
+        return node.id
+    if isinstance(node, ast.Attribute):
+        module = isinstance(node.value, ast.Name) and node.value.id in MODULE_NAMES
+        return node.attr if module else "." + node.attr
+    return None
+
+
 def defaults_every_caller_passes(sources):
     """``function.parameter`` for each keyword default that every call passes.
 
@@ -276,14 +296,10 @@ def defaults_every_caller_passes(sources):
         for node in ast.walk(tree):
             if not isinstance(node, ast.Call):
                 continue
-            func = node.func
-            if isinstance(func, ast.Attribute) and isinstance(func.value, ast.Name):
-                name = func.attr if func.value.id in MODULE_NAMES else None
-            else:
-                name = func.id if isinstance(func, ast.Name) else None
+            name = called_name(node.func)
             if name not in defaults:
                 continue
-            callees.add(func)
+            callees.add(node.func)
             positional, named = defaults[name]
             reached = []
             for arg in node.args:
@@ -324,6 +340,128 @@ def test_the_default_check_sees_calls_that_pass_or_leave_an_argument():
         "    return [hook]\n"
     )
     assert defaults_every_caller_passes([source]) == {"solve.tol", "step.h"}
+
+
+def constant_value(node):
+    """The constant an argument states, an UPPER_CASE name or a number literal; else None."""
+    if isinstance(node, (ast.Name, ast.Attribute)):
+        name = node.id if isinstance(node, ast.Name) else node.attr
+        return ("name", name) if name.isupper() else None
+    try:
+        value = ast.literal_eval(node)
+    except ValueError:
+        return None
+    return ("literal", repr(value)) if type(value) in (int, float, complex) else None
+
+
+def constant_arguments(sources):
+    """``function.parameter`` for each parameter without a default that every call fills alike.
+
+    The functions are the module-level ones of ``sources``, named
+    ``function``, and their classes' methods other than dunders and
+    properties, named ``Class.method``; a method's ``self`` or ``cls`` is
+    not a parameter. A call is matched by name, as ``module.name`` or, for a
+    method, as any ``obj.method``. A parameter is flagged when at least one
+    call names its function and every call fills it with the same
+    UPPER_CASE name or the same number literal. A call the check cannot map
+    leaves each parameter it does not reach a value of its own: past
+    ``*args`` and not named beside ``**kwargs``. So does a reference to the
+    function that is not a call, since its callers are unknown.
+    """
+    trees = [ast.parse(source) for source in sources]
+    functions = {}  # called name -> [(qualified name, positional parameters, required ones)]
+
+    def add(called, qualified, node, skip):
+        args = node.args
+        positional = [a.arg for a in args.posonlyargs + args.args][skip:]
+        required = positional[: len(positional) - len(args.defaults)] + [
+            a.arg for a, d in zip(args.kwonlyargs, args.kw_defaults) if d is None
+        ]
+        functions.setdefault(called, []).append((qualified, positional, required))
+
+    for tree in trees:
+        for node in tree.body:
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                add(node.name, node.name, node, 0)
+            for item in node.body if isinstance(node, ast.ClassDef) else ():
+                if isinstance(item, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                    decorators = {getattr(d, "id", None) for d in item.decorator_list}
+                    if not item.name.startswith("__") and "property" not in decorators:
+                        skip = 0 if "staticmethod" in decorators else 1
+                        add("." + item.name, f"{node.name}.{item.name}", item, skip)
+    seen = {}  # function.parameter -> the values its calls fill it with
+    for tree in trees:
+        callees = set()
+        for node in ast.walk(tree):
+            if not isinstance(node, ast.Call):
+                continue
+            callees.add(node.func)
+            for qualified, positional, required in functions.get(called_name(node.func), ()):
+                filled = {}
+                for name, arg in zip(positional, node.args):
+                    if isinstance(arg, ast.Starred):
+                        break
+                    filled[name] = constant_value(arg)
+                filled.update((kw.arg, constant_value(kw.value)) for kw in node.keywords if kw.arg)
+                for name in required:
+                    seen.setdefault(f"{qualified}.{name}", set()).add(filled.get(name) or object())
+        for node in ast.walk(tree):
+            if node not in callees and isinstance(getattr(node, "ctx", None), ast.Load):
+                for qualified, _, required in functions.get(called_name(node), ()):
+                    for name in required:
+                        seen.setdefault(f"{qualified}.{name}", set()).add(object())
+    return {
+        param for param, values in seen.items()
+        if len(values) == 1 and isinstance(next(iter(values)), tuple)
+    }
+
+
+def test_no_parameter_is_filled_with_one_constant_by_every_package_call():
+    sources = [path.read_text() for path in PACKAGE_DIR.glob("*.py")]
+    assert constant_arguments(sources) == set(KEPT_CONSTANT_ARGUMENTS)
+
+
+def test_the_constant_check_sees_functions_methods_and_unmapped_calls():
+    source = (
+        "import numkernel\n"
+        "TOL = 1e-6\n"
+        "def solve(f, tol, budget, *, jac):\n"
+        "    return f\n"
+        "def scale(x, factor, shift=0.0):\n"
+        "    return x\n"
+        "def hook(y):\n"
+        "    return y\n"
+        "def spread(a, b):\n"
+        "    return a\n"
+        "class Spectrum:\n"
+        "    def is_stable(self, tol):\n"
+        "        return tol\n"
+        "    @staticmethod\n"
+        "    def margin(tol, radius):\n"
+        "        return tol\n"
+        "    def __init__(self, values):\n"
+        "        self.values = values\n"
+        "def aligned(u, tol):\n"
+        "    return u\n"
+        "def run(options, args, spec):\n"
+        "    solve(1, TOL, 50, jac=None)\n"
+        "    numkernel.solve(2, tol=TOL, budget=50, jac=options)\n"
+        "    scale(1, -2.0)\n"
+        "    scale(2, factor=-2.0, shift=1.0)\n"
+        "    hook(TOL)\n"
+        "    spread(*args, b=3)\n"
+        "    spread(1, 3)\n"
+        "    spec.is_stable(TOL)\n"
+        "    Spectrum.margin(TOL, spec.radius)\n"
+        "    Spectrum([1.0])\n"
+        "    aligned(args, TOL)\n"
+        "    aligned(args, 1e-6)\n"
+        "    return [hook]\n"
+    )
+    assert constant_arguments([source]) == {
+        "solve.tol", "solve.budget", "scale.factor", "spread.b",
+        "Spectrum.is_stable.tol", "Spectrum.margin.tol",
+    }
 
 
 def keyword_catchalls(source):

@@ -19,6 +19,7 @@ from formation_forge.errors import (
 from formation_forge.graph import mixed_adjacency, two_cycles
 from formation_forge.numkernel import (
     DEFAULT_RANK_TOL,
+    TOL_ZERO,
     NewtonResult,
     Spectrum,
     eigenvalues,
@@ -152,10 +153,10 @@ class TestSpectrum:
     def test_leading_real_and_stability(self):
         spec = Spectrum.from_values([-0.5, -2.0 + 1.0j, -2.0 - 1.0j])
         assert spec.leading_real == -0.5
-        assert spec.is_stable(0.0)
-        assert not spec.is_stable(tol=1.0)
+        assert spec.is_stable() and spec.is_hyperbolic()
+        assert spec.unstable_count() == 0
 
-    # With the dominant eigenvalue -10 and tol 1e-3, the margin is 1e-2.
+    # With the dominant eigenvalue -10, the margin is TOL_ZERO * 10.
     @pytest.mark.parametrize(
         "multiple, stable, hyperbolic, unstable",
         [
@@ -166,23 +167,16 @@ class TestSpectrum:
         ],
     )
     def test_relative_rule_margin(self, multiple, stable, hyperbolic, unstable):
-        tol = 1e-3
-        spec = Spectrum.from_values([-10.0, multiple * tol * 10.0, -3.0 + 4.0j, -3.0 - 4.0j])
-        assert spec.is_stable(tol) is stable
-        assert spec.is_hyperbolic(tol) is hyperbolic
-        assert spec.unstable_count(tol) == unstable
-
-    def test_zero_tolerance_is_the_sign(self):
-        spec = Spectrum.from_values([-1e-300, -5.0])
-        assert spec.is_stable(0.0) and spec.is_hyperbolic(0.0)
-        assert Spectrum.from_values([1e-300, -5.0]).unstable_count(0.0) == 1
-        assert not Spectrum.from_values([0.0, -5.0]).is_hyperbolic(0.0)
+        spec = Spectrum.from_values([-10.0, multiple * TOL_ZERO * 10.0, -3.0 + 4.0j, -3.0 - 4.0j])
+        assert spec.is_stable() is stable
+        assert spec.is_hyperbolic() is hyperbolic
+        assert spec.unstable_count() == unstable
 
     def test_zero_spectrum_is_neither_stable_nor_hyperbolic(self):
         spec = Spectrum.from_values([0.0, 0.0])
-        assert not spec.is_stable(1e-6)
-        assert not spec.is_hyperbolic(1e-6)
-        assert spec.unstable_count(1e-6) == 0
+        assert not spec.is_stable()
+        assert not spec.is_hyperbolic()
+        assert spec.unstable_count() == 0
 
     @pytest.mark.parametrize(
         "values",
@@ -193,12 +187,11 @@ class TestSpectrum:
         assert from_array == from_list
         assert all(type(v) is complex for v in from_array.values)
 
-    @pytest.mark.parametrize("tol", [0.0, 1e-6])
-    def test_empty_spectrum(self, tol):
+    def test_empty_spectrum(self):
         spec = eigenvalues(np.zeros((0, 0)))
-        assert spec.is_stable(tol)
-        assert spec.is_hyperbolic(tol)
-        assert spec.unstable_count(tol) == 0
+        assert spec.is_stable()
+        assert spec.is_hyperbolic()
+        assert spec.unstable_count() == 0
 
     @settings(max_examples=200, deadline=None)
     @given(

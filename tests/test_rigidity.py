@@ -15,7 +15,6 @@ from formation_forge.errors import (
 from formation_forge.graph import FormationGraph, mixed_adjacency, two_cycles
 from formation_forge.numkernel import kron_I2, rank_tol
 from formation_forge.rigidity import (
-    SINGULAR_TOL,
     Framework,
     TargetLengths,
     edge_block_rows,
@@ -55,8 +54,8 @@ def verdicts(f, tol):
     return rigidity_verdicts(f.graph, rank_tol(rigidity_matrix(f), tol))
 
 
-def two_cycles_witnesses(lengths, tol):
-    return singular_witnesses(realize_two_cycles(two_cycles(), lengths), tol)
+def two_cycles_witnesses(lengths):
+    return singular_witnesses(realize_two_cycles(two_cycles(), lengths))
 
 
 def edge_deletion_minimally_rigid(f, tol):
@@ -457,12 +456,14 @@ class TestSingularSet:
             s = rng.uniform(0.3, 2.0) * (1 if rng.uniform() < 0.5 else -1)
             out = make_singular_lengths(d1, d2, d3, s)
             assert in_singular_set(out.lengths)
-            assert len(two_cycles_witnesses(out.lengths, SINGULAR_TOL)) >= 1
+            assert len(two_cycles_witnesses(out.lengths)) >= 1
 
     def test_benchmark_lengths_are_not_members(self):
         lengths = TargetLengths.from_values((2.0, 2.6, 2.0, 1.4, 3.3), convention="plain")
         assert not in_singular_set(lengths)
-        assert not two_cycles_witnesses(lengths, 1e-6)
+        # nor within 1e-6, a thousand times SINGULAR_TOL: edges 1 and 5 are two-cycles' one pair
+        for fw in realize_two_cycles(two_cycles(), lengths):
+            assert not edges_aligned(*edge_vectors(fw)[[0, 4]], 1e-6)
 
     def test_equilateral_lengths_are_members_via_coincident_agents(self):
         # Two of the four realizations place agent 4 on top of agent 2, which
@@ -471,7 +472,7 @@ class TestSingularSet:
         assert in_singular_set(lengths)
         coincident = [
             fw
-            for fw in two_cycles_witnesses(lengths, SINGULAR_TOL)
+            for fw in two_cycles_witnesses(lengths)
             if np.max(np.abs(fw.x[3] - fw.x[1])) <= 1e-12
         ]
         assert len(coincident) == 2
@@ -481,7 +482,7 @@ class TestSingularSet:
 
     def test_witness_appears_among_realizations(self):
         out = make_singular_lengths(1.0, 5.0, 4.0, 2.0)
-        hits = two_cycles_witnesses(out.lengths, SINGULAR_TOL)
+        hits = two_cycles_witnesses(out.lengths)
         assert hits
         for fw in hits:
             z = edge_vectors(fw)
@@ -494,11 +495,11 @@ class TestSingularSet:
         # frameworks are tested on their own graph's pairs.
         graph = FormationGraph(n=5, edges=two_cycles().edges + ((4, 0), (4, 1)))
         base = realize_two_cycles(two_cycles(), TargetLengths(d=BENCHMARK_SQUARED))[0]
-        assert not singular_witnesses([base], SINGULAR_TOL)
+        assert not singular_witnesses([base])
         on_line, off_line = (
             Framework(graph=graph, x=np.vstack([base.x, [p]])) for p in ([3.5, 0.0], [3.5, 0.5])
         )
-        assert singular_witnesses([off_line, on_line], SINGULAR_TOL) == [on_line]
+        assert singular_witnesses([off_line, on_line]) == [on_line]
 
 
 class TestEdgesAligned:

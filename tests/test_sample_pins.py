@@ -17,7 +17,7 @@ from formation_forge.equilibria import census, gauge_fixed_spectrum, solve_ancil
 from formation_forge.errors import InfeasibleLengthsError
 from formation_forge.graph import two_cycles
 from formation_forge.rigidity import (
-    SINGULAR_TOL, TargetLengths, realize_two_cycles, singular_witnesses,
+    TargetLengths, realize_two_cycles, singular_witnesses,
 )
 from test_equilibria import census_digest, singular_members
 
@@ -79,7 +79,7 @@ def singular_digest(law_name):
         for p in mu_sweep(b, eps=0.2, samples=21, mu_edge=2):
             spec = gauge_fixed_spectrum(b.with_lengths(b.lengths.perturbed(2, p.mu)), p.framework)
             update(h, p.branch, repr(p.stable), p.mu, p.framework.x, p.leading_real, spec.values)
-        witness = singular_witnesses(realize_two_cycles(b.graph, b.lengths), SINGULAR_TOL)[0]
+        witness = singular_witnesses(realize_two_cycles(b.graph, b.lengths))[0]
         r = sotomayor_at_witness(b, witness, 2, tol_nondegen=1e-3)
         update(h, repr((r.zero_eig_unique, r.others_negative, r.verdict, r.degenerate)),
                r.w, r.v, [r.t_mu, r.t_quad, r.t_mixed, r.fmu_norm], r.slice_spectrum.values)
