@@ -172,6 +172,14 @@ class TestSpectrum:
         assert spec.is_hyperbolic() is hyperbolic
         assert spec.unstable_count() == unstable
 
+    # The rule reads numkernel.TOL_ZERO at each call; at a margin of 0 it is the sign.
+    def test_zero_tolerance_is_the_sign(self, monkeypatch):
+        monkeypatch.setattr(numkernel, "TOL_ZERO", 0.0)
+        spec = Spectrum.from_values([-1e-300, -5.0])
+        assert spec.is_stable() and spec.is_hyperbolic()
+        assert Spectrum.from_values([1e-300, -5.0]).unstable_count() == 1
+        assert not Spectrum.from_values([0.0, -5.0]).is_hyperbolic()
+
     def test_zero_spectrum_is_neither_stable_nor_hyperbolic(self):
         spec = Spectrum.from_values([0.0, 0.0])
         assert not spec.is_stable()
@@ -187,7 +195,9 @@ class TestSpectrum:
         assert from_array == from_list
         assert all(type(v) is complex for v in from_array.values)
 
-    def test_empty_spectrum(self):
+    @pytest.mark.parametrize("tol", [0.0, 1e-6])
+    def test_empty_spectrum(self, tol, monkeypatch):
+        monkeypatch.setattr(numkernel, "TOL_ZERO", tol)
         spec = eigenvalues(np.zeros((0, 0)))
         assert spec.is_stable()
         assert spec.is_hyperbolic()
