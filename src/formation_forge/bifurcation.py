@@ -37,9 +37,9 @@ from .numkernel import (
 )
 from .rigidity import Framework, TargetLengths, edge_vectors, realize_two_cycles, singular_witnesses
 
-# The settings of every Sotomayor test; only its nondegeneracy bound is an option.
+# The settings of every Sotomayor test.
 SOTOMAYOR_PARAM_STEP = 1e-7  # central-difference step in the parameter (FD_SECOND_STEP in x)
-DEFAULT_NONDEGEN_TOL = 1e-3  # the sotomayor run's nondegeneracy bound when --tol is not given
+NONDEGEN_TOL = 1e-3  # the least |t_quad| and |t_mixed| of a nondegenerate crossing
 
 
 @dataclass(frozen=True, eq=False)
@@ -94,7 +94,7 @@ def _normalize_sign(vec):
     return -vec if vec[idx] < 0 else vec
 
 
-def sotomayor_check(family, x0, tol_nondegen):
+def sotomayor_check(family, x0):
     """Evaluate the transcritical conditions for ``xdot = family(x, mu)`` at mu = 0.
 
     The family must already be free of structural kernel directions
@@ -108,7 +108,7 @@ def sotomayor_check(family, x0, tol_nondegen):
     The verdict is true exactly when the zero eigenvalue is unique, the
     remaining eigenvalues have negative real part, ``|t_mu|`` is below
     ``TOL_ZERO`` times the parameter-derivative norm, and both ``t_quad``
-    and ``t_mixed`` clear ``tol_nondegen``.
+    and ``t_mixed`` clear ``NONDEGEN_TOL``.
     """
     k = SOTOMAYOR_PARAM_STEP
     x0 = np.atleast_1d(np.asarray(x0, dtype=float))
@@ -155,8 +155,8 @@ def sotomayor_check(family, x0, tol_nondegen):
         zero_eig_unique
         and others_negative
         and abs(t_mu) <= TOL_ZERO * fmu_norm
-        and abs(t_quad) >= tol_nondegen
-        and abs(t_mixed) >= tol_nondegen
+        and abs(t_quad) >= NONDEGEN_TOL
+        and abs(t_mixed) >= NONDEGEN_TOL
     )
     return SotomayorReport(
         zero_eig_unique=zero_eig_unique,
@@ -216,10 +216,10 @@ def formation_family(b: VectorFieldBundle, witness: Framework, mu_edge):
     return family, np.zeros(basis.shape[1])
 
 
-def sotomayor_at_witness(b: VectorFieldBundle, witness: Framework, mu_edge, tol_nondegen):
+def sotomayor_at_witness(b: VectorFieldBundle, witness: Framework, mu_edge):
     """Run the transcritical test on the formation family at a witness."""
     family, q0 = formation_family(b, witness, mu_edge)
-    return sotomayor_check(family, q0, tol_nondegen)
+    return sotomayor_check(family, q0)
 
 
 def _branch_point(bundle, mu, branch, fw):

@@ -2,7 +2,7 @@
 
 A scenario is a small JSON file naming a graph, target lengths, a control
 law, and one experiment. Running it writes CSV artifacts plus a summary
-report; identical scenario and seed give byte-identical CSV. Every error
+report; identical scenarios give byte-identical CSV. Every error
 path exits nonzero after printing a single-line machine-readable record
 to stderr.
 """
@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import argparse
 import csv
-import dataclasses
 import json
 import math
 import sys
@@ -20,14 +19,15 @@ from pathlib import Path
 
 import numpy as np
 
-from .bifurcation import DEFAULT_NONDEGEN_TOL, mu_sweep, sotomayor_at_witness, transcritical_detect
+from .bifurcation import mu_sweep, sotomayor_at_witness, transcritical_detect
 from .dynamics import VectorFieldBundle, builtin_law
 from .equilibria import census, classify_kind, equilibrium_record, solve_ancillary_aligned
 from .errors import FormationForgeError, FormulaDomainError, ScenarioError
 from .graph import FormationGraph
-from .numkernel import DEFAULT_RANK_TOL, integrate_ode, rank_tol
+from .numkernel import integrate_ode, rank_tol
 from .rigidity import (
     CONVENTIONS,
+    RANK_TOL,
     Framework,
     TargetLengths,
     edge_errors,
@@ -202,16 +202,15 @@ def _records_table(records):
 
 
 # Each runner computes its experiment and returns the CSV header, the CSV
-# rows and the report lines; run_scenario writes them. ``tol`` is the
-# --tol override or None.
+# rows and the report lines; run_scenario writes them.
 
 
-def _run_census(sc, bundle, tol):
+def _run_census(sc, bundle):
     report = census(
         bundle,
         n_random=_param(sc, "n_random"),
         seed=sc.seed,
-        dedupe_tol=tol if tol is not None else _param(sc, "dedupe_tol"),
+        dedupe_tol=_param(sc, "dedupe_tol"),
     )
     header, rows, lines = _records_table(report.records)
     return header, rows, lines + [
@@ -222,7 +221,7 @@ def _run_census(sc, bundle, tol):
     ]
 
 
-def _run_spectrum(sc, bundle, tol):
+def _run_spectrum(sc, bundle):
     records = [
         equilibrium_record(bundle, fw)
         for fw in realize_two_cycles(bundle.graph, bundle.lengths)
@@ -260,7 +259,7 @@ def _sweep_lines(points):
     return lines
 
 
-def _run_sweep(sc, bundle, tol):
+def _run_sweep(sc, bundle):
     points = mu_sweep(
         bundle, eps=_param(sc, "eps"), samples=_param(sc, "samples"),
         mu_edge=_param(sc, "mu_edge") - 1,
@@ -278,17 +277,14 @@ def _run_sweep(sc, bundle, tol):
     return header, rows, _sweep_lines(points)
 
 
-def _run_sotomayor(sc, bundle, tol):
+def _run_sotomayor(sc, bundle):
     witnesses = singular_witnesses(realize_two_cycles(bundle.graph, bundle.lengths))
     if not witnesses:
         raise FormulaDomainError(
             "the sotomayor experiment needs targets in the singular set "
             "(no realization has its first and fifth edges parallel)"
         )
-    report = sotomayor_at_witness(
-        bundle, witnesses[0], mu_edge=_param(sc, "mu_edge") - 1,
-        tol_nondegen=tol if tol is not None else DEFAULT_NONDEGEN_TOL,
-    )
+    report = sotomayor_at_witness(bundle, witnesses[0], mu_edge=_param(sc, "mu_edge") - 1)
     cells = {
         "t_mu": _num(report.t_mu),
         "t_quad": _num(report.t_quad),
@@ -312,7 +308,7 @@ def _run_sotomayor(sc, bundle, tol):
     ]
 
 
-def _run_simulate(sc, bundle, tol):
+def _run_simulate(sc, bundle):
     t_end = _param(sc, "t_end")
     step = _param(sc, "step")
     stride = _param(sc, "stride")
@@ -350,10 +346,10 @@ def _run_simulate(sc, bundle, tol):
     ]
 
 
-def _run_rigidity(sc, bundle, tol):
+def _run_rigidity(sc, bundle):
     fw = realize_two_cycles(bundle.graph, bundle.lengths)[0]
     r = rigidity_matrix(fw)
-    rank = rank_tol(r, tol if tol is not None else DEFAULT_RANK_TOL)
+    rank = rank_tol(r, RANK_TOL)
     rigid, minimal = rigidity_verdicts(fw.graph, rank)
     cells = {
         "rank": str(rank),
@@ -374,7 +370,6 @@ _RUNNERS = {
     "simulate": _run_simulate,
     "rigidity": _run_rigidity,
 }
-_TOL_READERS = ("census", "rigidity", "sotomayor")  # the runners that read --tol
 
 
 _REQUIRED = object()  # the default of a key that every scenario file gives
@@ -532,7 +527,7 @@ def load_scenario(path):
     )
 
 
-def run_scenario(path, out_dir=None, seed=None, tol=None):
+def run_scenario(path, out_dir=None):
     """Run one scenario file; returns the process exit status.
 
     The experiment's table is written as ``<kind>.csv`` to ``out_dir``,
@@ -542,16 +537,7 @@ def run_scenario(path, out_dir=None, seed=None, tol=None):
     to the CSV.
     """
     try:
-        if tol is not None and not 0 < tol < math.inf:
-            raise ScenarioError(f"--tol must be positive and finite, got {tol!r}")
-        if seed is not None and seed < 0:
-            raise ScenarioError(f"--seed must not be negative, got {seed!r}")
         sc = load_scenario(path)
-        if seed is not None:
-            sc = dataclasses.replace(sc, seed=int(seed))
-        if tol is not None and sc.experiment not in _TOL_READERS:
-            raise ScenarioError(f"--tol selects nothing on a {sc.experiment} run; "
-                                f"only {', '.join(_TOL_READERS)} read it")
         bundle = _build_bundle(sc)
         out = Path(out_dir or sc.out or ".")
         try:
@@ -559,7 +545,7 @@ def run_scenario(path, out_dir=None, seed=None, tol=None):
         except (OSError, ValueError) as exc:  # ValueError: a NUL or a lone surrogate
             raise ScenarioError(f"cannot create output directory: {exc}")
         with np.errstate(all="ignore"):  # the package's finite checks report, not NumPy
-            header, rows, lines = _RUNNERS[sc.experiment](sc, bundle, tol)
+            header, rows, lines = _RUNNERS[sc.experiment](sc, bundle)
         with open(out / f"{sc.experiment}.csv", "w", newline="", encoding="utf-8") as fh:
             writer = csv.writer(fh, lineterminator="\n")
             writer.writerow(header)
@@ -577,21 +563,29 @@ def run_scenario(path, out_dir=None, seed=None, tol=None):
         # surrogateescape gives back the bytes of a file name the locale could not decode
         (out / "report.txt").write_text(text, encoding="utf-8", errors="surrogateescape")
     except FormationForgeError as exc:
-        record = {"error": exc.code, "message": str(exc)}
-        sys.stderr.write(json.dumps(record, sort_keys=True) + "\n")
-        return exc.exit_status
+        return _error_record(exc.code, str(exc), exc.exit_status)
     except Exception as exc:  # noqa: BLE001 - the CLI must not panic
-        record = {"error": "internal", "message": f"{type(exc).__name__}: {exc}"}
-        sys.stderr.write(json.dumps(record, sort_keys=True) + "\n")
-        return 3
+        return _error_record("internal", f"{type(exc).__name__}: {exc}", 3)
     # The files are UTF-8; the echo takes what the terminal encodes and escapes the rest.
     encoding = sys.stdout.encoding or "utf-8"
     sys.stdout.write(text.encode(encoding, "backslashreplace").decode(encoding))
     return 0
 
 
+def _error_record(code, message, status):  # every failure's one stderr line
+    sys.stderr.write(json.dumps({"error": code, "message": message}, sort_keys=True) + "\n")
+    return status
+
+
+class _Parser(argparse.ArgumentParser):
+    """An argument parser whose usage errors raise ScenarioError, not print usage text."""
+
+    def error(self, message):
+        raise ScenarioError(f"{self.prog}: {message}")
+
+
 def main(argv=None):
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="formation-forge",
         description="Formation graph rigidity, equilibrium, and bifurcation experiments",
     )
@@ -599,14 +593,11 @@ def main(argv=None):
     run = sub.add_parser("run", help="run a scenario file")
     run.add_argument("scenario", help="path to a scenario JSON file")
     run.add_argument("--out", default=None, help="directory for CSV artifacts")
-    run.add_argument("--seed", type=int, default=None, help="override the scenario seed")
-    run.add_argument(
-        "--tol", type=float, default=None,
-        help="override the experiment's main tolerance "
-        "(census dedupe, rigidity rank, sotomayor nondegeneracy)",
-    )
-    args = parser.parse_args(argv)
-    return run_scenario(args.scenario, out_dir=args.out, seed=args.seed, tol=args.tol)
+    try:
+        args = parser.parse_args(argv)
+    except ScenarioError as exc:
+        return _error_record(exc.code, str(exc), exc.exit_status)
+    return run_scenario(args.scenario, out_dir=args.out)
 
 
 if __name__ == "__main__":

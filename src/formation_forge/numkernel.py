@@ -25,9 +25,6 @@ from .errors import (
     DimensionError,
 )
 
-# The rigidity run's rank tolerance without --tol: a flat triangle's smallest singular
-# value ratio, 3e-17, is rounding, and the 7e-9 of one an ulp short of flat is rank.
-DEFAULT_RANK_TOL = 1e-9
 FD_STEP = 1e-6  # central-difference step of fd_jacobian, scaled by the coordinate
 FD_SECOND_STEP = 1e-4  # second-difference step, scaled by the largest coordinate
 NULLSPACE_TOL = 1e-12  # the package's null-space rank cut, relative to the largest singular value

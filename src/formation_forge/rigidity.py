@@ -20,6 +20,9 @@ from .numkernel import kron_I2, squared_lengths
 CONVENTIONS = ("squared", "plain")
 DESIGN_TOL = 1e-8  # largest edge error of a design point; also classify_kind's tolerance
 SINGULAR_TOL = 1e-9  # alignment tolerance of a singular witness's two-coleader pair
+# The rigidity run's rank tolerance: a flat triangle's smallest singular value
+# ratio, 3e-17, is rounding, and the 7e-9 of one an ulp short of flat is rank.
+RANK_TOL = 1e-9
 
 
 @dataclass(frozen=True, eq=False)

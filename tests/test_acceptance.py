@@ -233,7 +233,7 @@ def test_stability_exchange_is_detected_and_nondegenerate():
         assert abs(mu_c) <= detection.grid_step
 
     witness = singular_witnesses(realize_two_cycles(b.graph, lengths))[0]
-    report = sotomayor_at_witness(b, witness, mu_edge=2, tol_nondegen=1e-3)
+    report = sotomayor_at_witness(b, witness, mu_edge=2)
     assert report.verdict
     assert np.linalg.norm(report.w) == pytest.approx(1.0, abs=1e-12)
     assert np.linalg.norm(report.v) == pytest.approx(1.0, abs=1e-12)
@@ -247,7 +247,7 @@ def test_stability_exchange_is_detected_and_nondegenerate():
 
 
 def test_normal_form_scalars_are_exact():
-    report = sotomayor_check(logistic_family, 0.0, tol_nondegen=1e-3)
+    report = sotomayor_check(logistic_family, 0.0)
     assert report.verdict
     assert report.t_quad == pytest.approx(-2.0, abs=1e-6)
     assert report.t_mixed == pytest.approx(1.0, abs=1e-6)

@@ -57,7 +57,7 @@ def canonical_sweep():
 
 class TestSotomayorNormalForm:
     def test_logistic_scalars_are_exact(self):
-        report = sotomayor_check(logistic_family, 0.0, tol_nondegen=1e-3)
+        report = sotomayor_check(logistic_family, 0.0)
         assert report.verdict
         assert report.zero_eig_unique
         assert not report.degenerate
@@ -66,41 +66,43 @@ class TestSotomayorNormalForm:
         assert report.t_mixed == pytest.approx(1.0, abs=1e-6)
 
     def test_saddle_node_fails_the_parameter_condition(self):
-        report = sotomayor_check(lambda x, mu: mu - x * x, 0.0, tol_nondegen=1e-3)
+        report = sotomayor_check(lambda x, mu: mu - x * x, 0.0)
         assert not report.verdict
         assert abs(report.t_mu) == pytest.approx(1.0, abs=1e-6)
 
     def test_rejected_away_from_equilibria(self):
         with pytest.raises(FormulaDomainError, match="equilibrium"):
-            sotomayor_check(logistic_family, 0.5, tol_nondegen=1e-3)
+            sotomayor_check(logistic_family, 0.5)
 
     def test_nan_residual_is_refused(self):
         def family(x, mu):
             return np.full_like(np.asarray(x, dtype=float), np.nan)
 
         with pytest.raises(FormulaDomainError, match="residual nan"):
-            sotomayor_check(family, np.zeros(2), tol_nondegen=1e-3)
+            sotomayor_check(family, np.zeros(2))
 
     def test_double_zero_is_degenerate(self):
         def family(x, mu):
             x = np.asarray(x, dtype=float)
             return mu * x - x**3
 
-        report = sotomayor_check(family, np.zeros(2), tol_nondegen=1e-3)
+        report = sotomayor_check(family, np.zeros(2))
         assert report.degenerate
         assert not report.zero_eig_unique
         assert not report.verdict
 
-    def test_the_nondegeneracy_bound_decides_the_verdict(self):
+    def test_the_nondegeneracy_bound_decides_the_verdict(self, monkeypatch):
         # The logistic form's mixed scalar is 1 and its quadratic one -2.
-        assert sotomayor_check(logistic_family, 0.0, tol_nondegen=0.99).verdict
-        assert not sotomayor_check(logistic_family, 0.0, tol_nondegen=1.01).verdict
+        monkeypatch.setattr(bifurcation, "NONDEGEN_TOL", 0.99)
+        assert sotomayor_check(logistic_family, 0.0).verdict
+        monkeypatch.setattr(bifurcation, "NONDEGEN_TOL", 1.01)
+        assert not sotomayor_check(logistic_family, 0.0).verdict
 
 
 class TestSotomayorAtWitness:
     def test_constructed_singular_targets_pass(self):
         out, bundle = singular_setup()
-        report = sotomayor_at_witness(bundle, out.witness, mu_edge=2, tol_nondegen=1e-3)
+        report = sotomayor_at_witness(bundle, out.witness, mu_edge=2)
         assert report.verdict
         assert report.zero_eig_unique
         assert report.others_negative
@@ -119,7 +121,7 @@ class TestSotomayorAtWitness:
             graph=two_cycles(), law=builtin_law("gradient_squared"), lengths=lengths
         )
         witness = singular_witnesses(realize_two_cycles(bundle.graph, lengths))[0]
-        report = sotomayor_at_witness(bundle, witness, mu_edge=2, tol_nondegen=1e-3)
+        report = sotomayor_at_witness(bundle, witness, mu_edge=2)
         assert report.zero_eig_unique
         assert report.others_negative
         assert abs(report.t_mu) <= 1e-6 * report.fmu_norm
@@ -318,7 +320,7 @@ class TestMuSweep:
         with pytest.raises(ConfigurationError, match=f"edge index {mu_edge} outside 0..4"):
             mu_sweep(bundle, eps=0.2, samples=21, mu_edge=mu_edge)
         with pytest.raises(ConfigurationError, match=f"edge index {mu_edge} outside 0..4"):
-            sotomayor_at_witness(bundle, out.witness, mu_edge=mu_edge, tol_nondegen=1e-3)
+            sotomayor_at_witness(bundle, out.witness, mu_edge=mu_edge)
 
 
 class TestTranscriticalDetect:

@@ -49,8 +49,6 @@ UNCALLED_MEMBERS = {
 # passes anyway, and why each stays.
 KEPT_DEFAULTS = {
     "run_scenario.out_dir": "the tests call run_scenario(path) as a scenario file's one run",
-    "run_scenario.seed": "the tests call run_scenario(path) as a scenario file's one run",
-    "run_scenario.tol": "the tests call run_scenario(path) as a scenario file's one run",
     "builtin_law.gain": 'bench/tests calls builtin_law("gradient_squared")',
     "eval_F_z.check": "it validates the state of a direct caller",
 }
@@ -61,6 +59,7 @@ KEPT_CONSTANT_ARGUMENTS = {
     "left_nullspace.tol": "a generic null-space routine; its callers state the rank cut they use",
     "newton_root.max_iter": "a generic Newton solver; its callers state their iteration budget",
     "newton_root.tol": "a generic Newton solver; its callers state the residual they stop at",
+    "rank_tol.tol": "a generic rank routine; its callers state the rank cut they use",
 }
 
 

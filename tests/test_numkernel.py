@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from formation_forge import numkernel
+from formation_forge import numkernel, rigidity
 from formation_forge.dynamics import VectorFieldBundle, builtin_law, eval_F_x, jacobian_x
 from formation_forge.errors import (
     BlowUpError,
@@ -18,7 +18,6 @@ from formation_forge.errors import (
 )
 from formation_forge.graph import mixed_adjacency, two_cycles
 from formation_forge.numkernel import (
-    DEFAULT_RANK_TOL,
     TOL_ZERO,
     NewtonResult,
     Spectrum,
@@ -273,9 +272,9 @@ class TestRank:
 
     @pytest.mark.parametrize("ratio, rank", [(1e-7, 2), (1e-11, 1)])
     def test_default_tolerance_splits_singular_value_ratios_at_1e_9(self, ratio, rank):
-        # 1e-7 counts and 1e-11 does not: scaling the default by 1e3 or by
-        # 1e-3 moves one of them across.
-        assert rank_tol(np.diag([1.0, ratio]), DEFAULT_RANK_TOL) == rank
+        # 1e-7 counts and 1e-11 does not: scaling the rigidity run's RANK_TOL
+        # by 1e3 or by 1e-3 moves one of them across.
+        assert rank_tol(np.diag([1.0, ratio]), rigidity.RANK_TOL) == rank
 
 
 class TestLeftNullspace:

@@ -80,7 +80,7 @@ def singular_digest(law_name):
             spec = gauge_fixed_spectrum(b.with_lengths(b.lengths.perturbed(2, p.mu)), p.framework)
             update(h, p.branch, repr(p.stable), p.mu, p.framework.x, p.leading_real, spec.values)
         witness = singular_witnesses(realize_two_cycles(b.graph, b.lengths))[0]
-        r = sotomayor_at_witness(b, witness, 2, tol_nondegen=1e-3)
+        r = sotomayor_at_witness(b, witness, 2)
         update(h, repr((r.zero_eig_unique, r.others_negative, r.verdict, r.degenerate)),
                r.w, r.v, [r.t_mu, r.t_quad, r.t_mixed, r.fmu_norm], r.slice_spectrum.values)
     return h.hexdigest()
