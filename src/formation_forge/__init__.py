@@ -49,6 +49,7 @@ from .equilibria import (
     CensusReport,
     ConventionCandidate,
     ConventionReport,
+    EquilibriumBatch,
     EquilibriumRecord,
     aligned_parameters,
     canonical_gauge,

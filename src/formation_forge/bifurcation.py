@@ -19,9 +19,9 @@ import numpy as np
 from .dynamics import VectorFieldBundle, eval_F_z
 from .equilibria import (
     RESIDUAL_TOL,
+    EquilibriumBatch,
     aligned_parameters,
     aligned_root_near,
-    gauge_fixed_spectrum,
     solve_ancillary_aligned,
 )
 from .errors import ConfigurationError, FormulaDomainError, InfeasibleLengthsError
@@ -222,35 +222,30 @@ def sotomayor_at_witness(b: VectorFieldBundle, witness: Framework, mu_edge):
     return sotomayor_check(family, q0)
 
 
-def _branch_point(bundle, mu, branch, fw):
-    spec = gauge_fixed_spectrum(bundle, fw)
-    return BranchPoint(
-        mu=mu, branch=branch, framework=fw, lengths=bundle.lengths,
-        leading_real=spec.leading_real, stable=spec.is_stable(),
-    )
-
-
-def _follow_branch(grid, center, branch, start, step):
+def _follow_branch(batch, grid, center, start, step):
     """One branch over ``grid``'s (mu, bundle) samples, walked outward from ``center``.
 
     At each sample ``step(bundle, previous)`` continues the branch from the
-    framework found last, ``start`` at the centre. A sample where it
-    returns None, or a framework whose gauge spectrum is refused because
-    its field residual exceeds ``RESIDUAL_TOL``, is left out: a gap in the
-    branch.
+    framework found last, ``start`` at the centre, and the framework goes
+    into ``batch``. A sample where it returns None, or a framework that
+    :meth:`~.equilibria.EquilibriumBatch.add` refuses because its field
+    residual exceeds ``RESIDUAL_TOL``, is left out: a gap in the branch,
+    which the walk continues from the framework before it. Returns each
+    sample's place in ``batch``, by sample index.
     """
-    points = {}
+    found = {}
     for indices in (range(center, len(grid)), range(center - 1, -1, -1)):
         previous = start
         for idx in indices:
-            mu, bundle = grid[idx]
+            bundle = grid[idx][1]
             fw = step(bundle, previous)
             try:
                 if fw is not None:
-                    points[idx], previous = _branch_point(bundle, mu, branch, fw), fw
+                    batch.add(bundle, fw)
+                    found[idx], previous = len(batch.pairs) - 1, fw
             except FormulaDomainError:
                 pass
-    return [points[i] for i in sorted(points)]
+    return found
 
 
 def mu_sweep(b: VectorFieldBundle, eps, samples, mu_edge):
@@ -274,7 +269,10 @@ def mu_sweep(b: VectorFieldBundle, eps, samples, mu_edge):
     crossing. The design step picks the closed-form realization nearest
     the last one by the largest coordinate difference, in the canonical
     gauge it comes in. The aligned step is :func:`aligned_root_near` from
-    the last root's ``(a, b)``, on the mirror of the branch start.
+    the last root's ``(a, b)``, on the mirror of the branch start. Each
+    sample is checked as the walk reaches it, and the gauge spectra of
+    both branches are taken in one :class:`~.equilibria.EquilibriumBatch`
+    after the walks.
     """
     base = b.lengths
     samples = int(samples)
@@ -311,7 +309,8 @@ def mu_sweep(b: VectorFieldBundle, eps, samples, mu_edge):
     realized = realize(base)
     witnesses = singular_witnesses(realized)
     start = (witnesses or realized)[0]
-    points = _follow_branch(grid, center, "design", start, design_step)
+    batch = EquilibriumBatch()
+    branches = {"design": _follow_branch(batch, grid, center, start, design_step)}
     if not witnesses:
         records = solve_ancillary_aligned(grid[center][1])
         stable = [r for r in records if r.stable]
@@ -323,8 +322,17 @@ def mu_sweep(b: VectorFieldBundle, eps, samples, mu_edge):
             a, bb, _ = aligned_parameters(previous)
             return aligned_root_near(bundle, a, bb, sigma)
 
-        points += _follow_branch(grid, center, "ancillary_aligned", start, aligned_step)
-    return points
+        branches["ancillary_aligned"] = _follow_branch(batch, grid, center, start, aligned_step)
+    spectra = batch.spectra()
+    return [
+        BranchPoint(
+            mu=grid[idx][0], branch=branch, framework=batch.pairs[k][1],
+            lengths=grid[idx][1].lengths, leading_real=spectra[k].leading_real,
+            stable=spectra[k].is_stable(),
+        )
+        for branch, found in branches.items()
+        for idx, k in sorted(found.items())
+    ]
 
 
 def transcritical_detect(points):

@@ -21,7 +21,7 @@ import numpy as np
 
 from .bifurcation import mu_sweep, sotomayor_at_witness, transcritical_detect
 from .dynamics import VectorFieldBundle, builtin_law
-from .equilibria import census, classify_kind, equilibrium_record, solve_ancillary_aligned
+from .equilibria import EquilibriumBatch, census, classify_kind, solve_ancillary_aligned
 from .errors import FormationForgeError, FormulaDomainError, ScenarioError
 from .graph import FormationGraph
 from .numkernel import integrate_ode, rank_tol
@@ -30,7 +30,6 @@ from .rigidity import (
     RANK_TOL,
     Framework,
     TargetLengths,
-    edge_errors,
     length_errors,
     realize_two_cycles,
     rigidity_matrix,
@@ -222,12 +221,10 @@ def _run_census(sc, bundle):
 
 
 def _run_spectrum(sc, bundle):
-    records = [
-        equilibrium_record(bundle, fw)
-        for fw in realize_two_cycles(bundle.graph, bundle.lengths)
-    ]
-    records.extend(solve_ancillary_aligned(bundle))
-    return _records_table(records)
+    batch = EquilibriumBatch()
+    for fw in realize_two_cycles(bundle.graph, bundle.lengths):
+        batch.add(bundle, fw)
+    return _records_table(batch.records() + solve_ancillary_aligned(bundle))
 
 
 def _sweep_lines(points):
@@ -264,14 +261,19 @@ def _run_sweep(sc, bundle):
         bundle, eps=_param(sc, "eps"), samples=_param(sc, "samples"),
         mu_edge=_param(sc, "mu_edge") - 1,
     )
-    rows = []
-    for p in points:
-        errs = edge_errors(p.framework, p.lengths, bundle.law.convention)
-        rows.append(
-            [_num(p.mu), p.branch, _num(p.leading_real), _bool_cell(p.stable)]
-            + [_num(e) for e in errs.tolist()]
-            + [_positions_cell(p.framework.x)]
-        )
+    # every point's edge errors in one pass, each against its own sample's targets
+    g = bundle.graph
+    x = np.array([p.framework.x for p in points])
+    errors = length_errors(
+        x[:, g.targets()] - x[:, g.origins()], [p.lengths.d for p in points],
+        bundle.law.convention,
+    ).tolist() if points else []
+    rows = [
+        [_num(p.mu), p.branch, _num(p.leading_real), _bool_cell(p.stable)]
+        + [_num(e) for e in errs]
+        + [_positions_cell(p.framework.x)]
+        for p, errs in zip(points, errors)
+    ]
     header = ["mu", "branch", "leading_real", "stable"]
     header += [f"e{i + 1}" for i in range(bundle.graph.m)] + ["positions"]
     return header, rows, _sweep_lines(points)
@@ -325,7 +327,7 @@ def _run_simulate(sc, bundle):
         indices.append(len(traj.times) - 1)
     pts = traj.states[indices].reshape(len(indices), bundle.graph.n, 2)
     z = pts[:, bundle.graph.targets()] - pts[:, bundle.graph.origins()]
-    errors = length_errors(z, bundle.lengths, bundle.law.convention)
+    errors = length_errors(z, bundle.lengths.d, bundle.law.convention)
     rows = [
         [_num(traj.times[i])] + [_num(v) for v in traj.states[i]] + [_num(e) for e in errs]
         for i, errs in zip(indices, errors)

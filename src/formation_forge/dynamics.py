@@ -211,15 +211,38 @@ class VectorFieldBundle:
         """The graph's :func:`~.graph.graph_matrices`, looked up once per bundle."""
         return graph_matrices(self.graph)
 
-    @cached_property
-    def _kernel(self):
-        """The graph's kernel for the law's expressions, bound to law and targets."""
+    def _bind(self, sqrt, d):
+        """The graph's kernel for the law's expressions and ``sqrt``, bound to the law and ``d``."""
         law = self.law
         sources = (getattr(law.weight, "source", "weight(d, s2)"),
                    getattr(law.weight_dlen, "source", "weight_dlen(d, s2)"))
-        bind = self.matrices["kernel"](*sources)
+        bind = self.matrices["kernel"](*sources, sqrt)
         pair_weights = None if law.separable else law.pair_weights
-        return bind(law.weight, pair_weights, law.weight_dlen, law.c, self.lengths.d)
+        return bind(law.weight, pair_weights, law.weight_dlen, law.c, d)
+
+    @cached_property
+    def _kernel(self):
+        """The graph's float kernel for the law's expressions, bound to law and targets."""
+        return self._bind(math.sqrt, self.lengths.d)
+
+    def array_flow(self, d):
+        """The flow on NumPy arrays, one entry per state, or None where the law cannot take them.
+
+        ``flow(xs)`` maps a list of 2n coordinate arrays to 2n arrays, and
+        ``d`` holds the squared targets, one array (or float) per edge, so
+        each state may carry targets of its own. It is the graph's kernel
+        compiled, on the first call, with ``np.sqrt`` for ``sqrt`` and
+        bound to the law, so each state's row has the bits of
+        :attr:`flow` at that state and its targets; an agent that observes
+        nobody gets the scalar 0.0. Only a separable law whose weight is an
+        expression has such a kernel: a law whose weight is a call, such
+        as :class:`CustomLaw`'s, and a coupled law get None. Where the
+        float kernel overflows silently, NumPy warns, so a caller that wants
+        the float semantics runs it under ``np.errstate``.
+        """
+        if not (self.law.separable and hasattr(self.law.weight, "source")):
+            return None
+        return self._bind(np.sqrt, d)["flow"]
 
     @cached_property
     def flow(self):
@@ -344,7 +367,7 @@ def eval_F_z(b: VectorFieldBundle, z, check=True):
 
 
 def _require_design_point(b, zz, what):
-    errs = length_errors(zz, b.lengths, b.law.convention)
+    errs = length_errors(zz, b.lengths.d, b.law.convention)
     if not within_design_tol(errs):
         raise FormulaDomainError(
             f"{what} is only valid at design equilibria where every edge error "

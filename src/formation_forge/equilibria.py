@@ -32,7 +32,7 @@ from .errors import (
 )
 from .graph import two_cycles
 from .numkernel import (
-    NULLSPACE_TOL, Spectrum, eigenvalues, fd_jacobian, left_nullspace, newton_root,
+    FD_STEP, NULLSPACE_TOL, Spectrum, eigenvalues, left_nullspace, newton_root,
 )
 from .rigidity import (
     DESIGN_TOL,
@@ -148,29 +148,119 @@ def gauge_slice_basis(x):
     below three dimensions for degenerate configurations (all agents
     superposed), in which case the slice is correspondingly larger.
 
-    The 2n-by-3 matrix of those directions, rows ``(1, 0, -y_k)`` and
-    ``(0, 1, x_k)`` for agent k, is written from a flat list of Python
-    floats in one ``np.array`` call. It is bit for bit the matrix that
-    ``np.tile`` and ``np.column_stack`` stack from the same directions, so
-    its SVD and the basis are too.
+    The directions are the 2n-by-3 matrix with rows ``(1, 0, -y_k)`` and
+    ``(0, 1, x_k)`` for agent k. ``x`` is one state, flat (2n) or as rows
+    (n, 2); a stack of states as rows, a 3-d array, gives a list of bases
+    from one stacked SVD, each with the bits of its state's basis alone.
     """
-    rows = []
-    for px, py in np.asarray(x, dtype=float).reshape(-1, 2).tolist():
-        rows += (1.0, 0.0, -py, 0.0, 1.0, px)
-    return left_nullspace(np.array(rows).reshape(-1, 3), NULLSPACE_TOL)
+    pts = np.asarray(x, dtype=float)
+    if pts.ndim != 3:
+        return gauge_slice_basis(pts.reshape(1, -1, 2))[0]
+    rows = np.zeros(pts.shape + (3,))
+    rows[:, :, 0, 0] = rows[:, :, 1, 1] = 1.0
+    rows[:, :, 0, 2] = -pts[:, :, 1]
+    rows[:, :, 1, 2] = pts[:, :, 0]
+    return left_nullspace(rows.reshape(len(pts), -1, 3), NULLSPACE_TOL)
 
 
-def _gauge_jacobian(b: VectorFieldBundle, f: Framework):
-    # the package's one equilibrium test; callers that skip non-equilibria catch its error
-    xs = f.x.ravel()
-    residual = float(np.abs(eval_F_x(b, xs)).max())
-    if not residual <= RESIDUAL_TOL:  # a NaN residual is no equilibrium either
-        raise FormulaDomainError(
-            f"gauge-fixed linearization requires an equilibrium; residual {residual:.3e}"
-        )
-    jac = fd_jacobian(b.flow, xs)
-    basis = gauge_slice_basis(f.x)
-    return basis.T @ jac @ basis, residual
+def _flow_jacobians(pairs):
+    """Central-difference Jacobians of the flow at each pair's framework, as an (N, 2n, 2n) stack.
+
+    The pairs share one graph and law. Column j of a Jacobian is
+    :func:`~.numkernel.fd_jacobian`'s, with its step ``FD_STEP * max(|x_j|,
+    1)`` and its quotient ``(p - m) / (2 step)``, entry for entry on arrays.
+    The 2 * 2n stepped states of every framework go through one call of
+    the bundle's :meth:`~.dynamics.VectorFieldBundle.array_flow`, each
+    state with its own bundle's targets, or, for a law without an array
+    kernel, through each bundle's scalar ``flow`` one state at a time.
+    """
+    b = pairs[0][0]
+    n2 = 2 * b.graph.n
+    x = np.array([f.x for _, f in pairs]).reshape(len(pairs), n2)
+    steps = FD_STEP * np.maximum(np.abs(x), 1.0)
+    # coordinate c of the state that steps coordinate j of framework p by sign s: [c, s, p, j]
+    states = np.empty((n2, 2) + x.shape)
+    states[:] = x.T[:, None, :, None]
+    j = np.arange(n2)
+    states[j, 0, :, j] = (x + steps).T
+    states[j, 1, :, j] = (x - steps).T
+    states = states.reshape(n2, -1)
+    d = np.empty((b.graph.m, 2) + x.shape)  # each state's targets, in the same order
+    d[:] = np.array([pb.lengths.d for pb, _ in pairs]).T[:, None, :, None]
+    flow = b.array_flow(list(d.reshape(b.graph.m, -1)))
+    with np.errstate(over="ignore", invalid="ignore"):  # the float kernel's silence
+        if flow is None:
+            row_bundles = [pb for _ in (0, 1) for pb, _ in pairs for _ in j]
+            values = np.array([pb.flow(row) for pb, row in zip(row_bundles, states.T.tolist())]).T
+        else:
+            values = np.empty_like(states)
+            for row, v in zip(values, flow(list(states))):
+                row[:] = v  # v is the scalar 0.0 for an agent that observes nobody
+        plus, minus = values.reshape(n2, 2, *x.shape).transpose(1, 2, 0, 3)
+        return np.ascontiguousarray((plus - minus) / (2.0 * steps[:, None, :]))
+
+
+def _gauge_spectra(pairs):
+    """The gauge-fixed spectra of equilibria of one graph and law, in one pass.
+
+    Each framework's gauge matrix is ``basis.T @ jac @ basis``, ``jac``
+    from :func:`_flow_jacobians` and ``basis`` from one stacked
+    :func:`gauge_slice_basis`. The matrices of each slice size are
+    multiplied and their eigenvalues taken as one stack, so each
+    spectrum has the bits of the same steps on its framework alone.
+    """
+    jacs = _flow_jacobians(pairs)
+    bases = gauge_slice_basis(np.array([f.x for _, f in pairs]))
+    by_size = {}
+    for i, basis in enumerate(bases):
+        by_size.setdefault(basis.shape[1], []).append(i)
+    spectra = [None] * len(pairs)
+    for ks in by_size.values():
+        basis = np.array([bases[k] for k in ks])
+        for k, spec in zip(ks, eigenvalues(np.swapaxes(basis, 1, 2) @ jacs[ks] @ basis)):
+            spectra[k] = spec
+    return spectra
+
+
+class EquilibriumBatch:
+    """Equilibria of one graph and law, gathered for one pass of gauge-fixed spectra.
+
+    ``add(b, f)`` checks that framework ``f`` is an equilibrium of bundle
+    ``b``, the package's one equilibrium test: the largest entry of
+    :func:`eval_F_x` must be at most ``RESIDUAL_TOL`` (a NaN is not), or
+    :class:`FormulaDomainError` is raised and nothing is added. Callers
+    that skip non-equilibria catch it. ``pairs`` and ``residuals`` hold
+    what was added, in order; a bundle of another graph or law is a
+    :class:`ConfigurationError`. ``spectra()`` returns each equilibrium's
+    spectrum on the gauge slice (see :func:`gauge_fixed_spectrum`) and
+    ``records()`` its :class:`EquilibriumRecord` (see
+    :func:`equilibrium_record`), all from one batched pass whose fixed
+    cost is that of a single spectrum: gather every framework first.
+    """
+
+    def __init__(self):
+        self.pairs = []
+        self.residuals = []
+
+    def add(self, b, f):
+        if self.pairs and (b.graph, b.law) != (self.pairs[0][0].graph, self.pairs[0][0].law):
+            raise ConfigurationError("a batch holds the equilibria of one graph and one law")
+        residual = float(np.abs(eval_F_x(b, f.x.ravel())).max())
+        if not residual <= RESIDUAL_TOL:  # a NaN residual is no equilibrium either
+            raise FormulaDomainError(
+                f"gauge-fixed linearization requires an equilibrium; residual {residual:.3e}"
+            )
+        self.pairs.append((b, f))
+        self.residuals.append(residual)
+
+    def spectra(self):
+        return _gauge_spectra(self.pairs) if self.pairs else []
+
+    def records(self):
+        return [
+            _record(b, f, spec, residual)
+            for (b, f), spec, residual in zip(self.pairs, self.spectra(), self.residuals)
+        ]
 
 
 def gauge_fixed_spectrum(b: VectorFieldBundle, f: Framework):
@@ -179,17 +269,22 @@ def gauge_fixed_spectrum(b: VectorFieldBundle, f: Framework):
     The rigid directions lie in the kernel at any equilibrium, so the
     full spectrum is exactly this slice spectrum plus the structural
     zeros; restricting first avoids having to tell a genuinely small
-    eigenvalue apart from a symmetry zero.
+    eigenvalue apart from a symmetry zero. A non-equilibrium is a
+    :class:`FormulaDomainError`.
 
-    The linearization is :func:`fd_jacobian` of :attr:`VectorFieldBundle.flow`,
-    not the closed form :func:`jacobian_x` the solvers use. The two differ
-    by about 1e-9 relative, enough to move printed spectra past their
-    pinned tolerance; where two agents coincide, the difference quotient
+    The linearization is the central-difference Jacobian of
+    :attr:`VectorFieldBundle.flow`, with :func:`fd_jacobian`'s steps, not
+    the closed form :func:`jacobian_x` the solvers use. The two differ by
+    about 1e-9 relative, enough to move printed spectra past their pinned
+    tolerance; where two agents coincide, the difference quotient
     straddles the kink of a zero-length plain-law edge and is off by its
     step. Moving spectra to the closed form changes published numbers.
+    This is an :class:`EquilibriumBatch` of one, whose fixed cost a caller
+    with several frameworks pays once by batching them.
     """
-    m, _ = _gauge_jacobian(b, f)
-    return eigenvalues(m)
+    batch = EquilibriumBatch()
+    batch.add(b, f)
+    return batch.spectra()[0]
 
 
 def classify_kind(b: VectorFieldBundle, f: Framework):
@@ -211,16 +306,7 @@ def classify_kind(b: VectorFieldBundle, f: Framework):
     return "ancillary_other"
 
 
-def equilibrium_record(b: VectorFieldBundle, f: Framework):
-    """Classify an equilibrium and attach its gauge-fixed spectrum and index.
-
-    The index of a hyperbolic equilibrium is the sign of the gauge
-    matrix's determinant, read off its spectrum: conjugate pairs multiply
-    to a positive number, so the sign is -1 to the number of real
-    negative eigenvalues.
-    """
-    m, residual = _gauge_jacobian(b, f)
-    spec = eigenvalues(m)
+def _record(b, f, spec, residual):
     if spec.is_hyperbolic():
         negative = sum(1 for v in spec.values if v.imag == 0.0 and v.real < 0.0)
         index = (-1) ** negative
@@ -234,6 +320,21 @@ def equilibrium_record(b: VectorFieldBundle, f: Framework):
         stable=spec.is_stable(),
         residual=residual,
     )
+
+
+def equilibrium_record(b: VectorFieldBundle, f: Framework):
+    """Classify an equilibrium and attach its gauge-fixed spectrum and index.
+
+    The index of a hyperbolic equilibrium is the sign of the gauge
+    matrix's determinant, read off its spectrum: conjugate pairs multiply
+    to a positive number, so the sign is -1 to the number of real
+    negative eigenvalues. A non-equilibrium is a
+    :class:`FormulaDomainError`. This is an :class:`EquilibriumBatch` of
+    one; a caller with several frameworks batches them.
+    """
+    batch = EquilibriumBatch()
+    batch.add(b, f)
+    return batch.records()[0]
 
 
 def _aligned_triangle(d, a):
@@ -352,7 +453,8 @@ def solve_ancillary_aligned(b: VectorFieldBundle):
     ``ALIGNED_SCAN_STEPS + 1`` even steps of ``phi``; an inner sample with
     ``g == 0`` is a root, and each sign change is bisected to adjacent
     floats. Roots that pass the full field's residual check are returned,
-    then their mirror images, which negate agent 3's height exactly.
+    then their mirror images, which negate agent 3's height exactly, as
+    records from one :class:`EquilibriumBatch`.
     """
     if b.graph != two_cycles():
         raise ConfigurationError("the aligned solver is specific to the two-cycles graph")
@@ -402,15 +504,14 @@ def solve_ancillary_aligned(b: VectorFieldBundle):
                     roots.append(place(phi, signs))
     # dict.fromkeys: paths whose top legs tie share their top sample
     kept = [root for root in dict.fromkeys(roots) if root[0] > ALIGNED_MIN_GAP]
-    records = []
+    batch = EquilibriumBatch()
     for mirror in (1.0, -1.0):
         for a, alpha, h, bb in kept:
             try:
-                fw = aligned_framework(b.graph, a, alpha, mirror * h, bb)
-                records.append(equilibrium_record(b, fw))
+                batch.add(b, aligned_framework(b.graph, a, alpha, mirror * h, bb))
             except FormulaDomainError:  # not an equilibrium of the full flow
                 pass
-    return records
+    return batch.records()
 
 
 def census(b: VectorFieldBundle, n_random, seed, dedupe_tol):
@@ -426,17 +527,26 @@ def census(b: VectorFieldBundle, n_random, seed, dedupe_tol):
     its roots enter in canonical gauge, and a non-convergent draw is
     counted, not raised. A record within ``dedupe_tol`` of an earlier one
     is skipped, and a negative or non-finite ``dedupe_tol`` is refused.
+    The designs' and the roots' spectra come from one
+    :class:`EquilibriumBatch`, the aligned records' from the solver's.
     Identical seeds and tolerances give an identical report.
     """
     if not 0 <= dedupe_tol < math.inf:
         raise ConfigurationError(
             f"dedupe tolerance must not be negative or infinite, got {dedupe_tol!r}"
         )
-    records = []
     dropped = 0
+    batch = EquilibriumBatch()  # the designs, then the random roots
+    kept = []  # the positions of the report's records, in record order
+    designs_kept = []  # for each design in the batch, whether it is a record
+    aligned = []
 
-    def is_new(x):
-        return all(np.max(np.abs(x - r.framework.x)) > dedupe_tol for r in records)
+    def admit(x):
+        """Whether positions ``x`` are a new record, which they then are."""
+        new = all(np.max(np.abs(x - y)) > dedupe_tol for y in kept)
+        if new:
+            kept.append(x)
+        return new
 
     if b.graph == two_cycles():
         try:
@@ -445,13 +555,12 @@ def census(b: VectorFieldBundle, n_random, seed, dedupe_tol):
             designs = []
         for fw in designs:
             try:  # at large targets rounding can leave a realization short of RESIDUAL_TOL
-                rec = equilibrium_record(b, fw)
+                batch.add(b, fw)
             except FormulaDomainError:
                 dropped += 1
                 continue
-            if is_new(fw.x):
-                records.append(rec)
-        records.extend(rec for rec in solve_ancillary_aligned(b) if is_new(rec.framework.x))
+            designs_kept.append(admit(fw.x))
+        aligned = [rec for rec in solve_ancillary_aligned(b) if admit(rec.framework.x)]
 
     rng = np.random.default_rng(seed)
     span = 2.0 * float(np.max(np.sqrt(b.lengths.as_array())))
@@ -465,8 +574,11 @@ def census(b: VectorFieldBundle, n_random, seed, dedupe_tol):
             dropped += 1
             continue
         gauged = canonical_gauge(Framework(graph=b.graph, x=root.reshape(b.graph.n, 2)))
-        if is_new(gauged.x):
-            records.append(equilibrium_record(b, gauged))
+        if admit(gauged.x):
+            batch.add(b, gauged)
+    made = batch.records()
+    design_records = [rec for rec, new in zip(made, designs_kept) if new]
+    records = design_records + aligned + made[len(designs_kept):]
     return CensusReport(records=tuple(records), dropped_seeds=dropped)
 
 
@@ -556,7 +668,10 @@ def _score_candidate(graph, law, law_name, interpretation, leg_order, d, publish
         frameworks = realize_two_cycles(graph, lengths)
     except (InfeasibleLengthsError, ConfigurationError):
         return ConventionCandidate(law_name, interpretation, leg_order)
-    specs = [gauge_fixed_spectrum(bundle, fw) for fw in frameworks]
+    batch = EquilibriumBatch()
+    for fw in frameworks:
+        batch.add(bundle, fw)
+    specs = batch.spectra()
     classes = []
     for spec in specs:
         if not any(_chebyshev_multiset(spec.values, c.values) <= 1e-6 for c in classes):

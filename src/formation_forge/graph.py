@@ -8,7 +8,6 @@ matrix built here indexes edges by their slot in the edge list.
 
 from __future__ import annotations
 
-import math
 import re
 from dataclasses import dataclass
 from functools import lru_cache
@@ -122,7 +121,7 @@ def _at_edge(expression, k, s2):
 
 
 def _kernel_source(g, by_origin, weight, weight_dlen):
-    """The float flow kernel of ``g`` under one law's expressions, as Python source.
+    """The flow kernel of ``g`` under one law's expressions, as Python source.
 
     ``weight`` and ``weight_dlen`` are a law's hooks as expressions over
     ``d``, ``s2``, ``sqrt`` and the law constant ``c``, or the calls
@@ -263,12 +262,16 @@ def graph_matrices(g: FormationGraph):
     :meth:`FormationGraph.origins` and :meth:`FormationGraph.targets` return.
     ``pairs`` holds the two edges of each two-coleader agent, which
     :func:`~.equilibria.classify_kind` tests for alignment.
-    ``kernel(weight, weight_dlen)`` returns the ``bind`` of the graph's
-    float flow kernel under one pair of law expressions (see
+    ``kernel(weight, weight_dlen, sqrt)`` returns the ``bind`` of the
+    graph's flow kernel under one pair of law expressions (see
     :func:`_kernel_source`), compiled on the first call with that pair and
-    kept, in a namespace that holds no module and whose ``sqrt`` is
-    ``math.sqrt``, which is correctly rounded. Each bundle binds its law's
-    hooks, constant and targets with it, which compiles nothing. The
+    ``sqrt`` and kept, in a namespace that holds no module and whose
+    ``sqrt`` is the one given. That function sets the number type the
+    kernel runs on: ``math.sqrt``, correctly rounded, for Python floats,
+    and ``np.sqrt``, correctly rounded too, for NumPy arrays with one entry
+    per state, whose rows then carry the float kernel's bits. Each bundle
+    binds its law's hooks, constant and targets with it, which compiles
+    nothing. The
     flow's RK4 loop, :func:`~.numkernel.rk4_loop` with the flow's lines
     inlined, is compiled into that namespace on the first integration with
     any bundle bound to it, so a process that never integrates never
@@ -281,14 +284,14 @@ def graph_matrices(g: FormationGraph):
         by_origin.setdefault(o, []).append(k)
 
     @lru_cache(maxsize=None)
-    def kernel(weight, weight_dlen):
+    def kernel(weight, weight_dlen, sqrt):
         source, field, params = _kernel_source(g, by_origin, weight, weight_dlen)
 
         def integrate(*run):  # replaces itself with the compiled loop on the first run
             namespace["integrate"] = rk4_loop(2 * g.n, params, field)
             return namespace["integrate"](*run)
 
-        namespace = {"sqrt": math.sqrt, "integrate": integrate}
+        namespace = {"sqrt": sqrt, "integrate": integrate}
         exec(compile(source, "<flow kernel>", "exec"), namespace)
         return namespace["bind"]
 

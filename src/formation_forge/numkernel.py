@@ -68,44 +68,55 @@ class Spectrum:
     @classmethod
     def from_values(cls, values):
         """Sort ``values``, a sequence or an array, read as Python complex numbers."""
-        vals = [complex(v) for v in np.asarray(values).tolist()]
+        vals = [complex(v) for v in (values.tolist() if isinstance(values, np.ndarray) else values)]
         vals.sort(key=lambda c: (-c.real, -c.imag))
         return cls(tuple(vals))
+
+
+def _finite(a):
+    # count_nonzero: isfinite(a).all() makes the same decision at twice the cost
+    if np.count_nonzero(np.isfinite(a)) != a.size:
+        raise DimensionError("matrix entries must be finite")
+    return a
 
 
 def _as_matrix(m):
     a = np.asarray(m, dtype=float)
     if a.ndim != 2:
         raise DimensionError(f"expected a 2-d matrix, got ndim={a.ndim}")
-    if not np.isfinite(a).all():
-        raise DimensionError("matrix entries must be finite")
-    return a
+    return _finite(a)
 
 
 def eigenvalues(m):
     """All eigenvalues of a square matrix of any size, as a :class:`Spectrum`.
 
-    A 0 x 0 matrix has the empty spectrum.
+    A 0 x 0 matrix has the empty spectrum. A stack of matrices, a 3-d
+    array, gives a list of spectra from one ``np.linalg.eigvals`` call,
+    each with the bits of the call on its matrix alone: a matrix whose
+    eigenvalues are all real reads them as real even where another
+    matrix of the stack makes the array complex.
     """
-    a = _as_matrix(m)
-    rows, cols = a.shape
+    a = np.asarray(m, dtype=float)
+    stack = _finite(a) if a.ndim == 3 else _as_matrix(a)[None]
+    rows, cols = stack.shape[1:]
     if rows != cols:
         raise DimensionError(f"eigenvalues requires a square matrix, got {rows}x{cols}")
-    return Spectrum.from_values(np.linalg.eigvals(a))
+    w = np.linalg.eigvals(stack)
+    spectra = [Spectrum.from_values(v if is_complex else r) for v, r, is_complex in
+               zip(w.tolist(), w.real.tolist(), w.imag.any(axis=-1).tolist())]
+    return spectra if a.ndim == 3 else spectra[0]
 
 
 def _rank(s, tol):
-    """The count of singular values ``s`` (descending) above ``tol`` times the largest."""
-    values = s.tolist()
-    bound = tol * values[0] if values else 0.0
-    return sum(v > bound for v in values)
+    """The count of singular values ``s`` (descending, last axis) above ``tol`` times the largest."""
+    return np.count_nonzero(s > tol * s[..., :1], axis=-1)
 
 
 def rank_tol(m, tol):
     """Numerical rank: singular values above ``tol`` times the largest one (none if it is 0)."""
     if not 0 < tol < math.inf:
         raise ConfigurationError(f"rank tolerance must be positive and finite, got {tol!r}")
-    return _rank(np.linalg.svd(_as_matrix(m), compute_uv=False), tol)
+    return int(_rank(np.linalg.svd(_as_matrix(m), compute_uv=False), tol))
 
 
 def left_nullspace(m, tol):
@@ -113,12 +124,16 @@ def left_nullspace(m, tol):
 
     The basis ``B`` satisfies ``||B.T @ m|| <= tol * ||m||`` and has
     ``rows - rank`` columns, the rank counted as in :func:`rank_tol`; a
-    zero matrix's basis spans the whole space.
+    zero matrix's basis spans the whole space. A stack of matrices, a 3-d
+    array, gives a list of bases from one ``np.linalg.svd`` call, each
+    with the bits of the call on its matrix alone.
     """
     if not 0 < tol < math.inf:
         raise ConfigurationError(f"null-space tolerance must be positive and finite, got {tol!r}")
-    u, s, _ = np.linalg.svd(_as_matrix(m))
-    return u[:, _rank(s, tol):].copy()
+    a = np.asarray(m, dtype=float)
+    u, s, _ = np.linalg.svd(_finite(a) if a.ndim == 3 else _as_matrix(a)[None])
+    bases = [uk[:, rank:].copy() for uk, rank in zip(u, _rank(s, tol).tolist())]
+    return bases if a.ndim == 3 else bases[0]
 
 
 def kron_I2(m):
@@ -195,7 +210,7 @@ def newton_root(f, x0, max_iter, tol, jac):
         if res <= tol:
             break
         jx = fd_jacobian(f, x) if jac is None else jac(x)
-        if not (math.isfinite(res) and np.isfinite(jx).all()):
+        if not (math.isfinite(res) and np.count_nonzero(np.isfinite(jx)) == np.size(jx)):
             raise fail("met a non-finite residual or Jacobian", it)
         step = np.linalg.lstsq(jx, -np.asarray(fx, dtype=float), rcond=1e-8)[0].tolist()
         if not all(map(math.isfinite, step)):

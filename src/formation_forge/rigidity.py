@@ -38,7 +38,7 @@ class Framework:
             raise ConfigurationError(
                 f"expected {self.graph.n} planar points, got array of shape {pts.shape}"
             )
-        if not np.isfinite(pts).all():
+        if np.count_nonzero(np.isfinite(pts)) != pts.size:
             raise ConfigurationError("framework coordinates must be finite")
         pts.flags.writeable = False
         object.__setattr__(self, "x", pts)
@@ -126,18 +126,20 @@ def edge_errors(f: Framework, lengths: TargetLengths, convention):
         raise ConfigurationError(
             f"{len(lengths.d)} target lengths for a graph with {f.graph.m} edges"
         )
-    return length_errors(edge_vectors(f), lengths, convention)
+    return length_errors(edge_vectors(f), lengths.d, convention)
 
 
-def length_errors(z, lengths: TargetLengths, convention):
+def length_errors(z, d, convention):
     """Per-edge errors of edge vectors ``z``: ``|z|^2 - d``, or ``|z| - sqrt(d)`` if plain.
 
     ``z`` is flat (2m), rows (m, 2), or a stack of rows (..., m, 2), whose
-    errors come back with the stack's leading shape.
+    errors come back with the stack's leading shape. ``d`` holds the
+    squared targets, one per edge, or rows of them that broadcast against
+    the stack, so each framework of a stack may have targets of its own.
     """
     z = np.asarray(z, dtype=float)
     s2 = squared_lengths(z).reshape(z.shape[:-2] + (-1,))
-    d = lengths.as_array()
+    d = np.asarray(d, dtype=float)
     if convention == "plain":
         return np.sqrt(s2) - np.sqrt(d)
     return s2 - d

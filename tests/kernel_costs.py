@@ -2,10 +2,10 @@
 
 Run as ``PYTHONPATH=src python tests/kernel_costs.py``. For each built-in
 law it prints the four hook expressions at gain 1, so a change to a law's
-definition shows, and the time and source size of the flow kernel and the
-RK4 loop compiled afresh for the two-cycles graph, so a change that grows
-the generated source shows its cost. The hooks compile at import, before
-``compile`` is timed.
+definition shows, and the time and source size of the flow kernel, the
+RK4 loop and the flow kernel for NumPy arrays compiled afresh for the
+two-cycles graph, so a change that grows the generated source shows its
+cost. The hooks compile at import, before ``compile`` is timed.
 """
 
 import builtins
@@ -33,11 +33,15 @@ def main():
             compiled.clear()
             ff.integrate_ode(b.flow, [0.1, -0.2, 1.7, 0.3, 0.9, 1.6, -1.2, 1.1], 0.0, 1e-3)
             (kernel_s, kernel_chars), (loop_s, _) = compiled
+            compiled.clear()
+            b.array_flow(b.lengths.d)
+            [(array_s, array_chars)] = compiled
             hooks = "; ".join(f"{hook} = {getattr(law, hook).source}" for hook in
                               ("weight", "weight_dlen", "weight_dtarget", "weight_dlen2"))
             print(f"{name} hooks at gain 1 (c = {law.c}): {hooks}")
             print(f"{name} on two-cycles: kernel compiled in {1e3 * kernel_s:.2f} ms "
-                  f"({kernel_chars} characters of source), RK4 loop in {1e3 * loop_s:.2f} ms")
+                  f"({kernel_chars} characters of source), RK4 loop in {1e3 * loop_s:.2f} ms, "
+                  f"array kernel in {1e3 * array_s:.2f} ms ({array_chars} characters)")
     finally:
         builtins.compile = compile_builtin
 

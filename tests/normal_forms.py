@@ -2,9 +2,10 @@
 
 A scalar census with the planar census's taxonomy and verdicts, the
 transcritical normal form ``xdot = x (mu - x)`` with its closed-form
-equilibria and bifurcation diagram, and the two-cycles realizer on NumPy
-arrays. Nothing in the package calls them; they are test fixtures built
-from the package's public pieces.
+equilibria and bifurcation diagram, the two-cycles realizer on NumPy
+arrays, and the gauge spectrum of one framework at a time. Nothing in the
+package calls them; they are test fixtures built from the package's
+public pieces.
 """
 
 import math
@@ -12,14 +13,20 @@ import math
 import numpy as np
 
 from formation_forge.bifurcation import BranchPoint
-from formation_forge.equilibria import CensusReport, EquilibriumRecord
+from formation_forge.equilibria import CensusReport, EquilibriumRecord, gauge_slice_basis
 from formation_forge.errors import (
     ConfigurationError,
     ConvergenceError,
     InfeasibleLengthsError,
 )
 from formation_forge.graph import FormationGraph, two_cycles
-from formation_forge.numkernel import Spectrum, fd_jacobian, newton_root, squared_lengths
+from formation_forge.numkernel import (
+    Spectrum,
+    eigenvalues,
+    fd_jacobian,
+    newton_root,
+    squared_lengths,
+)
 from formation_forge.rigidity import Framework, TargetLengths, edge_vectors
 
 SCALAR_SEEDS = 41
@@ -186,3 +193,14 @@ def array_realize_two_cycles(graph: FormationGraph, lengths: TargetLengths):
             )
     return frameworks
 
+
+
+def gauge_spectrum_oracle(b, f):
+    """The gauge-fixed spectrum of equilibrium ``f`` of bundle ``b``, one framework alone.
+
+    ``eigenvalues(basis.T @ fd_jacobian(b.flow, x) @ basis)``: the scalar
+    flow differenced column by column, as the package took every spectrum
+    before it batched them. The residual is not checked.
+    """
+    basis = gauge_slice_basis(f.x)
+    return eigenvalues(basis.T @ fd_jacobian(b.flow, f.x.ravel()) @ basis)

@@ -445,26 +445,36 @@ class TestFloatFlow:
         rows = eval_F_x(b, np.array(coords).reshape(graph.n, 2))
         assert rows.shape == (graph.n, 2) and same_bits(rows.ravel(), expected)
 
-    @settings(max_examples=40, deadline=None)
+    @settings(max_examples=60, deadline=None)
     @given(
-        graph=st.sampled_from(FLOW_GRAPHS),
+        law_name=st.sampled_from(BUILTIN_LAW_NAMES),
+        graph=st.sampled_from((two_cycles(), IDLE_AGENT)),
         states=st.lists(
-            st.lists(st.floats(-5.0, 5.0), min_size=12, max_size=12), min_size=1, max_size=16
+            st.lists(st.floats(-5.0, 5.0), min_size=8, max_size=8), min_size=1, max_size=16
         ),
         collapse=st.one_of(st.none(), st.integers(0, 8)),
     )
-    def test_coordinate_arrays_give_the_per_state_bits(self, graph, states, collapse):
-        # flow is plain arithmetic over the law's hooks, so under
-        # gradient_squared it runs on one NumPy array per coordinate.
-        b = flow_bundle(graph, builtin_law("gradient_squared"))
-        pts = np.array(states)[:, : 2 * graph.n]
+    def test_coordinate_arrays_give_the_per_state_bits(self, law_name, graph, states, collapse):
+        # The graph's kernel compiled with np.sqrt runs every built-in law on
+        # one NumPy array per coordinate, with the targets one array per edge.
+        b = flow_bundle(graph, builtin_law(law_name))
+        pts = np.array(states)
         if collapse is not None:
             o, t = graph.edges[collapse % graph.m]
             pts[:, 2 * t : 2 * t + 2] = pts[:, 2 * o : 2 * o + 2]
-        columns = b.flow(list(pts.T))
-        # An agent that observes nobody gets the scalar 0.0 for every state.
+        # each state its own targets: the bundle's, scaled by 1, 1.5, 2, ...
+        scale = 1.0 + 0.5 * np.arange(len(pts))
+        columns = b.array_flow([dk * scale for dk in b.lengths.d])(list(pts.T))
+        if graph == IDLE_AGENT:  # agent 3 observes nobody: the scalar 0.0 for every state
+            assert [type(v) for v in columns[4:6]] == [float, float] and columns[4:6] == [0.0, 0.0]
         stacked = np.array([np.broadcast_to(v, len(pts)) for v in columns]).T
-        assert same_bits(stacked, [b.flow(row) for row in pts.tolist()])
+        own = [b.with_lengths(TargetLengths(d=[dk * k for dk in b.lengths.d])) for k in scale]
+        assert same_bits(stacked, [bk.flow(row) for bk, row in zip(own, pts.tolist())])
+
+    def test_no_array_flow_for_a_called_weight_or_a_coupled_law(self):
+        for name in ("separable", "pair", "pair_override"):
+            b = flow_bundle(two_cycles(), FLOW_LAWS[name])
+            assert b.array_flow(b.lengths.d) is None
 
     def test_bundle_reads_the_graph_cache(self):
         b = squared_bundle(BENCHMARK_SQUARED)

@@ -28,6 +28,7 @@ from formation_forge.equilibria import (
     NEWTON_TOL,
     RESIDUAL_TOL,
     CensusReport,
+    EquilibriumBatch,
     _aligned_jacobian,
     _aligned_residual,
     _aligned_triangle,
@@ -64,7 +65,8 @@ from formation_forge.rigidity import (
     singular_witnesses,
     within_design_tol,
 )
-from normal_forms import scalar_census
+from normal_forms import gauge_spectrum_oracle, scalar_census
+from test_dynamics import FLOW_GRAPHS
 from test_kernel import make_law
 from test_numkernel import array_newton_root
 
@@ -274,6 +276,103 @@ class TestGaugeFixedSpectrum:
         assert np.isnan(eval_F_x(b, fw.x)).any()
         with pytest.raises(FormulaDomainError, match="residual nan"):
             equilibrium_record(b, fw)
+
+
+def spectrum_bits(spec):
+    return np.array([(v.real, v.imag) for v in spec.values]).tobytes()
+
+
+# The batch's laws: the built-ins and a separable law through the array kernel,
+# a law whose weight is a call and a coupled one through the scalar flow row
+# by row. The coupled pair's weights vanish with its errors at any inner
+# product, so designs stay equilibria.
+BATCH_LAWS = {
+    **{name: builtin_law(name) for name in BUILTIN_LAW_NAMES},
+    "separable": make_law("separable"),
+    "coupled": CustomLaw(
+        lambda d, s2: s2 - d, name="coupled",
+        pair_func=lambda dp, sp, s: ((sp[0] - dp[0]) * (1.0 + 0.1 * s * s),
+                                     (sp[1] - dp[1]) * (1.0 - 0.2 * s)),
+    ),
+}
+
+
+class TestEquilibriumBatch:
+    @settings(max_examples=40, deadline=None)
+    @given(
+        law_name=st.sampled_from(sorted(BATCH_LAWS)),
+        sides=st.tuples(*[st.floats(0.5, 6.6)] * 4),
+        flip=st.booleans(),
+        mu=st.floats(-0.2, 0.2),
+    )
+    def test_singular_members_match_the_one_framework_oracle(self, law_name, sides, flip, mu):
+        # A drawn singular member's realizations, those of a shifted target
+        # set as a sweep sample, and the total collapse, whose rigid
+        # directions span two dimensions only, so its slice is larger.
+        r1, r2, r3, z5 = sides
+        try:
+            lengths = make_singular_lengths(r1 * r1, r2 * r2, r3 * r3, -z5 if flip else z5).lengths
+            shifted = lengths.perturbed(2, mu)
+            base = VectorFieldBundle(two_cycles(), BATCH_LAWS[law_name], lengths)
+            pairs = [(base, fw) for fw in realize_two_cycles(base.graph, lengths)]
+            sample = base.with_lengths(shifted)
+            pairs += [(sample, fw) for fw in realize_two_cycles(base.graph, shifted)]
+        except InfeasibleLengthsError:
+            assume(False)
+        pairs.insert(1, (base, Framework(base.graph, np.zeros((4, 2)))))
+        batch = EquilibriumBatch()
+        for b, fw in pairs:
+            batch.add(b, fw)
+        spectra = batch.spectra()
+        assert [len(spec.values) for spec in spectra[:2]] == [5, 6]
+        for (b, fw), spec in zip(pairs, spectra):
+            assert spectrum_bits(spec) == spectrum_bits(gauge_spectrum_oracle(b, fw))
+
+    @settings(max_examples=20, deadline=None)
+    @given(
+        law_name=st.sampled_from(sorted(BATCH_LAWS)),
+        graph=st.sampled_from(FLOW_GRAPHS),
+        values=st.tuples(*[st.floats(0.5, 6.0)] * 9),
+        seed=st.integers(0, 2**16),
+    )
+    def test_census_records_match_the_one_framework_oracle(self, law_name, graph, values, seed):
+        # Off two-cycles the records are Newton's roots alone; the idle-agent
+        # graph's agent 3 moves at the array flow's scalar 0.0.
+        law = BATCH_LAWS[law_name]
+        lengths = TargetLengths.from_values(values[: graph.m], "plain")
+        b = VectorFieldBundle(graph, law, lengths)
+        report = census(b, n_random=6, seed=seed, dedupe_tol=1e-6)
+        for rec in report.records:
+            assert spectrum_bits(rec.spectrum_gauge) == spectrum_bits(
+                gauge_spectrum_oracle(b, rec.framework)
+            )
+            assert rec.residual == float(np.abs(eval_F_x(b, rec.framework.x)).max())
+
+    def test_a_non_equilibrium_is_refused_and_left_out(self):
+        b = benchmark_bundle()
+        frameworks = realize_two_cycles(b.graph, b.lengths)
+        batch = EquilibriumBatch()
+        batch.add(b, frameworks[0])
+        moved = frameworks[1].with_positions(frameworks[1].x * 1.05)
+        with pytest.raises(FormulaDomainError, match="requires an equilibrium; residual"):
+            batch.add(b, moved)
+        batch.add(b, frameworks[2])
+        assert [fw for _, fw in batch.pairs] == [frameworks[0], frameworks[2]]
+        records = batch.records()
+        for rec, fw in zip(records, (frameworks[0], frameworks[2])):
+            assert_same_record(rec, equilibrium_record(b, fw))
+
+    def test_holds_one_graph_and_one_law(self):
+        b = benchmark_bundle()
+        fw = realize_two_cycles(b.graph, b.lengths)[0]
+        batch = EquilibriumBatch()
+        batch.add(b, fw)
+        # another bundle of the same law and graph may differ in its targets
+        batch.add(b.with_lengths(b.lengths), fw)
+        other = VectorFieldBundle(b.graph, builtin_law("gradient_squared"), b.lengths)
+        with pytest.raises(ConfigurationError, match="one graph and one law"):
+            batch.add(other, fw)
+        assert EquilibriumBatch().spectra() == [] and EquilibriumBatch().records() == []
 
 
 class TestPoincareIndex:
@@ -949,18 +1048,20 @@ def assert_same_record(rec, other):
 class TestCensusTakesStructuralRecordsAsBuilt:
     @pytest.mark.parametrize("law_name", sorted(FIG2_CENSUS_PINS))
     def test_one_spectrum_per_record(self, monkeypatch, law_name):
+        # Two batches, the aligned solver's and the census's own, take one
+        # spectrum per record between them.
         b = fig2_bundle(law_name)
         calls = []
-        original = equilibria.equilibrium_record
+        original = equilibria._gauge_spectra
 
-        def counted(bundle, fw):
-            calls.append(fw)
-            return original(bundle, fw)
+        def counted(pairs):
+            calls.append(len(pairs))
+            return original(pairs)
 
-        monkeypatch.setattr(equilibria, "equilibrium_record", counted)
+        monkeypatch.setattr(equilibria, "_gauge_spectra", counted)
         report = census(b, n_random=60, seed=7, dedupe_tol=1e-6)
         assert len(report.records) == 10
-        assert len(calls) == 10
+        assert len(calls) == 2 and sum(calls) == 10
 
     @pytest.mark.parametrize("law_name", sorted(FIG2_CENSUS_PINS))
     def test_design_and_aligned_records_are_bit_identical(self, law_name):
