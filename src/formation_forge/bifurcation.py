@@ -231,7 +231,7 @@ def _follow_branch(batch, grid, center, start, step):
     :meth:`~.equilibria.EquilibriumBatch.add` refuses because its field
     residual exceeds ``RESIDUAL_TOL``, is left out: a gap in the branch,
     which the walk continues from the framework before it. Returns each
-    sample's place in ``batch``, by sample index.
+    sample's index in ``batch`` and framework, by sample index.
     """
     found = {}
     for indices in (range(center, len(grid)), range(center - 1, -1, -1)):
@@ -241,8 +241,8 @@ def _follow_branch(batch, grid, center, start, step):
             fw = step(bundle, previous)
             try:
                 if fw is not None:
-                    batch.add(bundle, fw)
-                    found[idx], previous = len(batch.pairs) - 1, fw
+                    found[idx] = batch.add(bundle, fw), fw
+                    previous = fw
             except FormulaDomainError:
                 pass
     return found
@@ -326,12 +326,12 @@ def mu_sweep(b: VectorFieldBundle, eps, samples, mu_edge):
     spectra = batch.spectra()
     return [
         BranchPoint(
-            mu=grid[idx][0], branch=branch, framework=batch.pairs[k][1],
+            mu=grid[idx][0], branch=branch, framework=fw,
             lengths=grid[idx][1].lengths, leading_real=spectra[k].leading_real,
             stable=spectra[k].is_stable(),
         )
         for branch, found in branches.items()
-        for idx, k in sorted(found.items())
+        for idx, (k, fw) in sorted(found.items())
     ]
 
 

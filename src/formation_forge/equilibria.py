@@ -32,7 +32,7 @@ from .errors import (
 )
 from .graph import two_cycles
 from .numkernel import (
-    FD_STEP, NULLSPACE_TOL, Spectrum, eigenvalues, left_nullspace, newton_root,
+    FD_STEP, NULLSPACE_TOL, Spectrum, eigenvalues, fd_jacobian, left_nullspace, newton_root,
 )
 from .rigidity import (
     DESIGN_TOL,
@@ -171,12 +171,17 @@ def _flow_jacobians(pairs):
     1)`` and its quotient ``(p - m) / (2 step)``, entry for entry on arrays.
     The 2 * 2n stepped states of every framework go through one call of
     the bundle's :meth:`~.dynamics.VectorFieldBundle.array_flow`, each
-    state with its own bundle's targets, or, for a law without an array
-    kernel, through each bundle's scalar ``flow`` one state at a time.
+    state with its own bundle's targets. A law without an array kernel
+    takes :func:`~.numkernel.fd_jacobian` of each bundle's scalar ``flow``.
     """
     b = pairs[0][0]
     n2 = 2 * b.graph.n
     x = np.array([f.x for _, f in pairs]).reshape(len(pairs), n2)
+    d = np.empty((b.graph.m, 2) + x.shape)  # [edge, sign, framework, stepped coordinate]
+    d[:] = np.array([pb.lengths.d for pb, _ in pairs]).T[:, None, :, None]
+    flow = b.array_flow(list(d.reshape(b.graph.m, -1)))
+    if flow is None:
+        return np.array([fd_jacobian(pb.flow, f.x) for pb, f in pairs])
     steps = FD_STEP * np.maximum(np.abs(x), 1.0)
     # coordinate c of the state that steps coordinate j of framework p by sign s: [c, s, p, j]
     states = np.empty((n2, 2) + x.shape)
@@ -185,17 +190,10 @@ def _flow_jacobians(pairs):
     states[j, 0, :, j] = (x + steps).T
     states[j, 1, :, j] = (x - steps).T
     states = states.reshape(n2, -1)
-    d = np.empty((b.graph.m, 2) + x.shape)  # each state's targets, in the same order
-    d[:] = np.array([pb.lengths.d for pb, _ in pairs]).T[:, None, :, None]
-    flow = b.array_flow(list(d.reshape(b.graph.m, -1)))
     with np.errstate(over="ignore", invalid="ignore"):  # the float kernel's silence
-        if flow is None:
-            row_bundles = [pb for _ in (0, 1) for pb, _ in pairs for _ in j]
-            values = np.array([pb.flow(row) for pb, row in zip(row_bundles, states.T.tolist())]).T
-        else:
-            values = np.empty_like(states)
-            for row, v in zip(values, flow(list(states))):
-                row[:] = v  # v is the scalar 0.0 for an agent that observes nobody
+        values = np.empty_like(states)
+        for row, v in zip(values, flow(list(states))):
+            row[:] = v  # v is the scalar 0.0 for an agent that observes nobody
         plus, minus = values.reshape(n2, 2, *x.shape).transpose(1, 2, 0, 3)
         return np.ascontiguousarray((plus - minus) / (2.0 * steps[:, None, :]))
 
@@ -229,8 +227,9 @@ class EquilibriumBatch:
     ``b``, the package's one equilibrium test: the largest entry of
     :func:`eval_F_x` must be at most ``RESIDUAL_TOL`` (a NaN is not), or
     :class:`FormulaDomainError` is raised and nothing is added. Callers
-    that skip non-equilibria catch it. ``pairs`` and ``residuals`` hold
-    what was added, in order; a bundle of another graph or law is a
+    that skip non-equilibria catch it. ``add`` returns the equilibrium's
+    index, its place in ``pairs``, ``residuals``, ``spectra()`` and
+    ``records()``, which hold what was added, in order; a bundle of another graph or law is a
     :class:`ConfigurationError`. ``spectra()`` returns each equilibrium's
     spectrum on the gauge slice (see :func:`gauge_fixed_spectrum`) and
     ``records()`` its :class:`EquilibriumRecord` (see
@@ -252,6 +251,7 @@ class EquilibriumBatch:
             )
         self.pairs.append((b, f))
         self.residuals.append(residual)
+        return len(self.pairs) - 1
 
     def spectra(self):
         return _gauge_spectra(self.pairs) if self.pairs else []
@@ -538,7 +538,7 @@ def census(b: VectorFieldBundle, n_random, seed, dedupe_tol):
     dropped = 0
     batch = EquilibriumBatch()  # the designs, then the random roots
     kept = []  # the positions of the report's records, in record order
-    designs_kept = []  # for each design in the batch, whether it is a record
+    design_ks, root_ks = [], []  # the records' indices in the batch
     aligned = []
 
     def admit(x):
@@ -555,11 +555,12 @@ def census(b: VectorFieldBundle, n_random, seed, dedupe_tol):
             designs = []
         for fw in designs:
             try:  # at large targets rounding can leave a realization short of RESIDUAL_TOL
-                batch.add(b, fw)
+                k = batch.add(b, fw)
             except FormulaDomainError:
                 dropped += 1
                 continue
-            designs_kept.append(admit(fw.x))
+            if admit(fw.x):
+                design_ks.append(k)
         aligned = [rec for rec in solve_ancillary_aligned(b) if admit(rec.framework.x)]
 
     rng = np.random.default_rng(seed)
@@ -575,10 +576,9 @@ def census(b: VectorFieldBundle, n_random, seed, dedupe_tol):
             continue
         gauged = canonical_gauge(Framework(graph=b.graph, x=root.reshape(b.graph.n, 2)))
         if admit(gauged.x):
-            batch.add(b, gauged)
+            root_ks.append(batch.add(b, gauged))
     made = batch.records()
-    design_records = [rec for rec, new in zip(made, designs_kept) if new]
-    records = design_records + aligned + made[len(designs_kept):]
+    records = [made[k] for k in design_ks] + aligned + [made[k] for k in root_ks]
     return CensusReport(records=tuple(records), dropped_seeds=dropped)
 
 

@@ -448,9 +448,9 @@ class TestFloatFlow:
     @settings(max_examples=60, deadline=None)
     @given(
         law_name=st.sampled_from(BUILTIN_LAW_NAMES),
-        graph=st.sampled_from((two_cycles(), IDLE_AGENT)),
+        graph=st.sampled_from(FLOW_GRAPHS),
         states=st.lists(
-            st.lists(st.floats(-5.0, 5.0), min_size=8, max_size=8), min_size=1, max_size=16
+            st.lists(st.floats(-5.0, 5.0), min_size=12, max_size=12), min_size=1, max_size=16
         ),
         collapse=st.one_of(st.none(), st.integers(0, 8)),
     )
@@ -458,7 +458,7 @@ class TestFloatFlow:
         # The graph's kernel compiled with np.sqrt runs every built-in law on
         # one NumPy array per coordinate, with the targets one array per edge.
         b = flow_bundle(graph, builtin_law(law_name))
-        pts = np.array(states)
+        pts = np.array(states)[:, : 2 * graph.n]
         if collapse is not None:
             o, t = graph.edges[collapse % graph.m]
             pts[:, 2 * t : 2 * t + 2] = pts[:, 2 * o : 2 * o + 2]
