@@ -55,8 +55,6 @@ from .equilibria import (
     canonical_gauge,
     census,
     classify_kind,
-    equilibrium_record,
-    gauge_fixed_spectrum,
     gauge_slice_basis,
     identify_convention,
     solve_ancillary_aligned,

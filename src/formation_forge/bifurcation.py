@@ -126,8 +126,7 @@ def sotomayor_check(family, x0):
 
     jac = fd_jacobian(lambda x: f(x, 0.0), x0)
     spec = eigenvalues(jac)
-    radius = max(spec.spectral_radius, 0.0)
-    zero_scale = TOL_ZERO * max(1.0, radius)
+    zero_scale = TOL_ZERO * max(1.0, spec.spectral_radius)
     n_zero = sum(1 for lam in spec.values if abs(lam) <= zero_scale)
     zero_eig_unique = n_zero == 1
     degenerate = n_zero >= 2

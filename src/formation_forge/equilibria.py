@@ -198,28 +198,6 @@ def _flow_jacobians(pairs):
         return np.ascontiguousarray((plus - minus) / (2.0 * steps[:, None, :]))
 
 
-def _gauge_spectra(pairs):
-    """The gauge-fixed spectra of equilibria of one graph and law, in one pass.
-
-    Each framework's gauge matrix is ``basis.T @ jac @ basis``, ``jac``
-    from :func:`_flow_jacobians` and ``basis`` from one stacked
-    :func:`gauge_slice_basis`. The matrices of each slice size are
-    multiplied and their eigenvalues taken as one stack, so each
-    spectrum has the bits of the same steps on its framework alone.
-    """
-    jacs = _flow_jacobians(pairs)
-    bases = gauge_slice_basis(np.array([f.x for _, f in pairs]))
-    by_size = {}
-    for i, basis in enumerate(bases):
-        by_size.setdefault(basis.shape[1], []).append(i)
-    spectra = [None] * len(pairs)
-    for ks in by_size.values():
-        basis = np.array([bases[k] for k in ks])
-        for k, spec in zip(ks, eigenvalues(np.swapaxes(basis, 1, 2) @ jacs[ks] @ basis)):
-            spectra[k] = spec
-    return spectra
-
-
 class EquilibriumBatch:
     """Equilibria of one graph and law, gathered for one pass of gauge-fixed spectra.
 
@@ -229,12 +207,32 @@ class EquilibriumBatch:
     :class:`FormulaDomainError` is raised and nothing is added. Callers
     that skip non-equilibria catch it. ``add`` returns the equilibrium's
     index, its place in ``pairs``, ``residuals``, ``spectra()`` and
-    ``records()``, which hold what was added, in order; a bundle of another graph or law is a
-    :class:`ConfigurationError`. ``spectra()`` returns each equilibrium's
-    spectrum on the gauge slice (see :func:`gauge_fixed_spectrum`) and
-    ``records()`` its :class:`EquilibriumRecord` (see
-    :func:`equilibrium_record`), all from one batched pass whose fixed
-    cost is that of a single spectrum: gather every framework first.
+    ``records()``, which hold what was added, in order. A framework of
+    another graph than its bundle's, or a bundle of another graph or law
+    than the batch's, is a :class:`ConfigurationError`.
+
+    ``spectra()`` returns each equilibrium's spectrum on the gauge slice.
+    The rigid directions lie in the kernel at any equilibrium, so the full
+    spectrum is exactly the slice spectrum plus the structural zeros;
+    restricting first avoids having to tell a genuinely small eigenvalue
+    apart from a symmetry zero. Each gauge matrix is ``basis.T @ jac @
+    basis``, ``jac`` from :func:`_flow_jacobians` and ``basis`` from one
+    stacked :func:`gauge_slice_basis`; the matrices of each slice size are
+    multiplied and their eigenvalues taken as one stack, so each spectrum
+    has the bits of the same steps on its framework alone, and the pass's
+    fixed cost is that of a single spectrum: gather every framework first.
+    ``jac`` is the central-difference Jacobian with :func:`fd_jacobian`'s
+    steps, not the closed form :func:`jacobian_x` the solvers use. The two
+    differ by about 1e-9 relative, enough to move printed spectra past
+    their pinned tolerance; where two agents coincide, the difference
+    quotient straddles the kink of a zero-length plain-law edge and is off
+    by its step. Moving spectra to the closed form changes published numbers.
+
+    ``records()`` returns each equilibrium's :class:`EquilibriumRecord`.
+    The index of a hyperbolic equilibrium is the sign of the gauge matrix's
+    determinant, read off its spectrum: conjugate pairs multiply to a
+    positive number, so the sign is -1 to the number of real negative
+    eigenvalues. Off hyperbolicity it is None.
     """
 
     def __init__(self):
@@ -242,6 +240,8 @@ class EquilibriumBatch:
         self.residuals = []
 
     def add(self, b, f):
+        if f.graph != b.graph:
+            raise ConfigurationError("a framework's graph must be its bundle's")
         if self.pairs and (b.graph, b.law) != (self.pairs[0][0].graph, self.pairs[0][0].law):
             raise ConfigurationError("a batch holds the equilibria of one graph and one law")
         residual = float(np.abs(eval_F_x(b, f.x.ravel())).max())
@@ -254,37 +254,30 @@ class EquilibriumBatch:
         return len(self.pairs) - 1
 
     def spectra(self):
-        return _gauge_spectra(self.pairs) if self.pairs else []
+        if not self.pairs:
+            return []
+        jacs = _flow_jacobians(self.pairs)
+        bases = gauge_slice_basis(np.array([f.x for _, f in self.pairs]))
+        by_size = {}
+        for i, basis in enumerate(bases):
+            by_size.setdefault(basis.shape[1], []).append(i)
+        spectra = [None] * len(self.pairs)
+        for ks in by_size.values():
+            basis = np.array([bases[k] for k in ks])
+            for k, spec in zip(ks, eigenvalues(np.swapaxes(basis, 1, 2) @ jacs[ks] @ basis)):
+                spectra[k] = spec
+        return spectra
 
     def records(self):
-        return [
-            _record(b, f, spec, residual)
-            for (b, f), spec, residual in zip(self.pairs, self.spectra(), self.residuals)
-        ]
-
-
-def gauge_fixed_spectrum(b: VectorFieldBundle, f: Framework):
-    """Spectrum of the linearization restricted to the gauge slice.
-
-    The rigid directions lie in the kernel at any equilibrium, so the
-    full spectrum is exactly this slice spectrum plus the structural
-    zeros; restricting first avoids having to tell a genuinely small
-    eigenvalue apart from a symmetry zero. A non-equilibrium is a
-    :class:`FormulaDomainError`.
-
-    The linearization is the central-difference Jacobian of
-    :attr:`VectorFieldBundle.flow`, with :func:`fd_jacobian`'s steps, not
-    the closed form :func:`jacobian_x` the solvers use. The two differ by
-    about 1e-9 relative, enough to move printed spectra past their pinned
-    tolerance; where two agents coincide, the difference quotient
-    straddles the kink of a zero-length plain-law edge and is off by its
-    step. Moving spectra to the closed form changes published numbers.
-    This is an :class:`EquilibriumBatch` of one, whose fixed cost a caller
-    with several frameworks pays once by batching them.
-    """
-    batch = EquilibriumBatch()
-    batch.add(b, f)
-    return batch.spectra()[0]
+        records = []
+        for (b, f), spec, residual in zip(self.pairs, self.spectra(), self.residuals):
+            negative = sum(1 for v in spec.values if v.imag == 0.0 and v.real < 0.0)
+            records.append(EquilibriumRecord(
+                framework=f, kind=classify_kind(b, f), spectrum_gauge=spec,
+                index=(-1) ** negative if spec.is_hyperbolic() else None,
+                stable=spec.is_stable(), residual=residual,
+            ))
+        return records
 
 
 def classify_kind(b: VectorFieldBundle, f: Framework):
@@ -304,37 +297,6 @@ def classify_kind(b: VectorFieldBundle, f: Framework):
         if edges_aligned(z[i], z[j], DESIGN_TOL) and within_design_tol(np.delete(errs, (i, j))):
             return "ancillary_aligned"
     return "ancillary_other"
-
-
-def _record(b, f, spec, residual):
-    if spec.is_hyperbolic():
-        negative = sum(1 for v in spec.values if v.imag == 0.0 and v.real < 0.0)
-        index = (-1) ** negative
-    else:
-        index = None
-    return EquilibriumRecord(
-        framework=f,
-        kind=classify_kind(b, f),
-        spectrum_gauge=spec,
-        index=index,
-        stable=spec.is_stable(),
-        residual=residual,
-    )
-
-
-def equilibrium_record(b: VectorFieldBundle, f: Framework):
-    """Classify an equilibrium and attach its gauge-fixed spectrum and index.
-
-    The index of a hyperbolic equilibrium is the sign of the gauge
-    matrix's determinant, read off its spectrum: conjugate pairs multiply
-    to a positive number, so the sign is -1 to the number of real
-    negative eigenvalues. A non-equilibrium is a
-    :class:`FormulaDomainError`. This is an :class:`EquilibriumBatch` of
-    one; a caller with several frameworks batches them.
-    """
-    batch = EquilibriumBatch()
-    batch.add(b, f)
-    return batch.records()[0]
 
 
 def _aligned_triangle(d, a):

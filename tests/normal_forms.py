@@ -3,9 +3,9 @@
 A scalar census with the planar census's taxonomy and verdicts, the
 transcritical normal form ``xdot = x (mu - x)`` with its closed-form
 equilibria and bifurcation diagram, the two-cycles realizer on NumPy
-arrays, and the gauge spectrum of one framework at a time. Nothing in the
-package calls them; they are test fixtures built from the package's
-public pieces.
+arrays, the gauge spectrum of one framework at a time, and a record or
+spectrum from an equilibrium batch of one. Nothing in the package calls
+them; they are test fixtures built from the package's public pieces.
 """
 
 import math
@@ -13,7 +13,12 @@ import math
 import numpy as np
 
 from formation_forge.bifurcation import BranchPoint
-from formation_forge.equilibria import CensusReport, EquilibriumRecord, gauge_slice_basis
+from formation_forge.equilibria import (
+    CensusReport,
+    EquilibriumBatch,
+    EquilibriumRecord,
+    gauge_slice_basis,
+)
 from formation_forge.errors import (
     ConfigurationError,
     ConvergenceError,
@@ -204,3 +209,17 @@ def gauge_spectrum_oracle(b, f):
     """
     basis = gauge_slice_basis(f.x)
     return eigenvalues(basis.T @ fd_jacobian(b.flow, f.x.ravel()) @ basis)
+
+
+def one_record(b, f):
+    """The record of equilibrium ``f`` of bundle ``b``: an :class:`EquilibriumBatch` of one."""
+    batch = EquilibriumBatch()
+    batch.add(b, f)
+    return batch.records()[0]
+
+
+def one_spectrum(b, f):
+    """The gauge spectrum of equilibrium ``f`` of ``b``: an :class:`EquilibriumBatch` of one."""
+    batch = EquilibriumBatch()
+    batch.add(b, f)
+    return batch.spectra()[0]

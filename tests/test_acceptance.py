@@ -27,8 +27,6 @@ from formation_forge.dynamics import (
 from formation_forge.equilibria import (
     BENCHMARK_SPECTRA,
     census,
-    equilibrium_record,
-    gauge_fixed_spectrum,
     identify_convention,
 )
 from formation_forge.graph import edge_adjacency, mixed_adjacency, two_cycles
@@ -50,7 +48,13 @@ from formation_forge.rigidity import (
     rigidity_verdicts,
     singular_witnesses,
 )
-from normal_forms import logistic_family, logistic_reference, scalar_census
+from normal_forms import (
+    logistic_family,
+    logistic_reference,
+    one_record,
+    one_spectrum,
+    scalar_census,
+)
 
 REFERENCE_LENGTHS = (2.0, 2.6, 2.0, 1.4, 3.3)
 
@@ -295,8 +299,8 @@ def test_symmetry_and_index_properties():
             ]
             assert len(partners) == 1
             dev = chebyshev(
-                gauge_fixed_spectrum(b, fw).values,
-                gauge_fixed_spectrum(b, partners[0]).values,
+                one_spectrum(b, fw).values,
+                one_spectrum(b, partners[0]).values,
             )
             assert dev <= 1e-8
 
@@ -316,5 +320,5 @@ def test_symmetry_and_index_properties():
     for rec in stable:
         assert len(rec.spectrum_gauge.values) == 5
         assert rec.index == -1
-        assert equilibrium_record(b, rec.framework).index == -1
+        assert one_record(b, rec.framework).index == -1
     print("mirror spectra, rigid-motion equivariance, stable indices: PASS")

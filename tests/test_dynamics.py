@@ -26,7 +26,6 @@ from formation_forge.dynamics import (
     zdprime_vectors,
     zprime_vectors,
 )
-from formation_forge.equilibria import gauge_fixed_spectrum
 from formation_forge.errors import (
     ConfigurationError,
     DimensionError,
@@ -50,7 +49,7 @@ from formation_forge.rigidity import (
     make_singular_lengths,
     realize_two_cycles,
 )
-from normal_forms import scalar_census
+from normal_forms import one_spectrum, scalar_census
 
 BENCHMARK_SQUARED = (4.0, 6.76, 4.0, 10.89, 1.96)
 SQUARED = builtin_law("gradient_squared")
@@ -89,6 +88,13 @@ class TestControlLaws:
         law = builtin_law("gradient_plain", gain=3.0)
         assert law.weight(4.0, 9.0) == pytest.approx(3.0, abs=1e-15)
         assert law.weight_dlen(4.0, 9.0) == pytest.approx(0.5, abs=1e-15)
+
+    def test_the_base_law_has_no_weight(self):
+        with pytest.raises(NotImplementedError):
+            ControlLaw().weight(1.0, 1.0)
+
+    def test_repr_names_the_law_class_and_gain(self):
+        assert repr(builtin_law("gradient_plain", 2.0)) == "GradientPlainLaw(gain=2.0)"
 
     def test_literal_plain_law_repels(self):
         literal = builtin_law("eq1_plain")
@@ -747,7 +753,7 @@ def spectrum_gap(fw, z, b):
     """Relative gap between jacobian_z's 5 nonzero eigenvalues and the gauge spectrum."""
     full = np.array(eigenvalues(jacobian_z(b, z)).values)
     nonzero = np.sort_complex(full[np.argsort(np.abs(full))[5:]])
-    gauge = np.sort_complex(np.array(gauge_fixed_spectrum(b, fw).values))
+    gauge = np.sort_complex(np.array(one_spectrum(b, fw).values))
     return float(np.max(np.abs(nonzero - gauge))) / float(np.max(np.abs(gauge)))
 
 

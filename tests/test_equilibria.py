@@ -38,8 +38,6 @@ from formation_forge.equilibria import (
     canonical_gauge,
     census,
     classify_kind,
-    equilibrium_record,
-    gauge_fixed_spectrum,
     gauge_slice_basis,
     identify_convention,
     solve_ancillary_aligned,
@@ -65,7 +63,7 @@ from formation_forge.rigidity import (
     singular_witnesses,
     within_design_tol,
 )
-from normal_forms import gauge_spectrum_oracle, scalar_census
+from normal_forms import gauge_spectrum_oracle, one_record, one_spectrum, scalar_census
 from test_dynamics import FLOW_GRAPHS
 from test_kernel import make_law
 from test_numkernel import array_newton_root
@@ -241,10 +239,10 @@ class TestGaugeFixedSpectrum:
     def test_benchmark_design_classes(self):
         b = benchmark_bundle()
         frameworks = realize_two_cycles(b.graph, b.lengths)
-        stable = [fw for fw in frameworks if gauge_fixed_spectrum(b, fw).is_stable()]
+        stable = [fw for fw in frameworks if one_spectrum(b, fw).is_stable()]
         assert len(stable) == 2
         for fw in frameworks:
-            spec = gauge_fixed_spectrum(b, fw)
+            spec = one_spectrum(b, fw)
             positive = sum(1 for v in spec.values if v.real > 0)
             assert positive in (0, 1)
             assert len(spec.values) == 5
@@ -252,16 +250,9 @@ class TestGaugeFixedSpectrum:
     def test_matches_reduced_jacobian_spectrum(self):
         b = benchmark_bundle()
         for fw in realize_two_cycles(b.graph, b.lengths):
-            gauge = gauge_fixed_spectrum(b, fw)
+            gauge = one_spectrum(b, fw)
             reduced = eigenvalues(reduced_J(b, edge_vectors(fw)))
             assert chebyshev(gauge.values, reduced.values) <= 1e-6
-
-    def test_refused_away_from_equilibria(self):
-        b = benchmark_bundle()
-        fw = realize_two_cycles(b.graph, b.lengths)[0]
-        off = fw.with_positions(fw.x * 1.05)
-        with pytest.raises(FormulaDomainError, match="equilibrium"):
-            gauge_fixed_spectrum(b, off)
 
     def test_nan_residual_is_refused(self):
         # Agents near 1e155 overflow the squared-law field to inf and NaN;
@@ -275,7 +266,7 @@ class TestGaugeFixedSpectrum:
         fw = Framework(b.graph, x)
         assert np.isnan(eval_F_x(b, fw.x)).any()
         with pytest.raises(FormulaDomainError, match="residual nan"):
-            equilibrium_record(b, fw)
+            one_record(b, fw)
 
 
 def spectrum_bits(spec):
@@ -360,7 +351,7 @@ class TestEquilibriumBatch:
         assert [fw for _, fw in batch.pairs] == [frameworks[0], frameworks[2]]
         records = batch.records()
         for rec, fw in zip(records, (frameworks[0], frameworks[2])):
-            assert_same_record(rec, equilibrium_record(b, fw))
+            assert_same_record(rec, one_record(b, fw))
 
     def test_holds_one_graph_and_one_law(self):
         b = benchmark_bundle()
@@ -374,14 +365,30 @@ class TestEquilibriumBatch:
             batch.add(other, fw)
         assert EquilibriumBatch().spectra() == [] and EquilibriumBatch().records() == []
 
+    def test_refuses_a_framework_of_another_graph(self):
+        # fig2's first realization on a graph whose fourth edge is reversed:
+        # the framework's own edges would read its kind against the
+        # bundle's targets, and the spectrum would be the bundle's graph's.
+        b = fig2_bundle("gradient_squared")
+        fw = realize_two_cycles(b.graph, b.lengths)[0]
+        reversed_edge = FormationGraph(4, ((0, 1), (1, 2), (2, 0), (2, 3), (0, 3)))
+        batch = EquilibriumBatch()
+        with pytest.raises(ConfigurationError, match="graph must be its bundle's"):
+            batch.add(b, Framework(graph=reversed_edge, x=fw.x))
+        assert batch.pairs == [] and batch.residuals == []
+        batch.add(b, fw)
+        with pytest.raises(ConfigurationError, match="graph must be its bundle's"):
+            batch.add(b, Framework(graph=reversed_edge, x=fw.x))
+        assert [f for _, f in batch.pairs] == [fw]
+
 
 class TestPoincareIndex:
     def test_benchmark_design_indices(self):
         b = benchmark_bundle()
         for fw in realize_two_cycles(b.graph, b.lengths):
-            spec = gauge_fixed_spectrum(b, fw)
+            spec = one_spectrum(b, fw)
             expected = -1 if spec.is_stable() else 1
-            assert equilibrium_record(b, fw).index == expected
+            assert one_record(b, fw).index == expected
 
     @pytest.mark.parametrize("law_name", ("gradient_squared", "gradient_plain", "eq1_plain"))
     def test_index_from_the_spectrum_matches_the_determinant_sign(self, law_name):
@@ -411,7 +418,7 @@ class TestPoincareIndex:
     def test_undefined_at_a_singular_witness(self):
         out = make_singular_lengths(1.0, 5.0, 4.0, 2.0)
         b = benchmark_bundle().with_lengths(out.lengths)
-        assert equilibrium_record(b, canonical_gauge(out.witness)).index is None
+        assert one_record(b, canonical_gauge(out.witness)).index is None
 
 
 class TestClassifyKind:
@@ -468,7 +475,7 @@ class TestClassifyKind:
             graph=g, law=builtin_law("gradient_squared"), lengths=TargetLengths(d=tuple(d))
         )
         assert b.matrices["pairs"] == ((0, 4), (5, 6), (7, 8))
-        rec = equilibrium_record(b, Framework(graph=g, x=x))
+        rec = one_record(b, Framework(graph=g, x=x))
         assert rec.kind == "ancillary_aligned"
 
     @settings(max_examples=150, deadline=None)
@@ -1048,17 +1055,17 @@ def assert_same_record(rec, other):
 class TestCensusTakesStructuralRecordsAsBuilt:
     @pytest.mark.parametrize("law_name", sorted(FIG2_CENSUS_PINS))
     def test_one_spectrum_per_record(self, monkeypatch, law_name):
-        # Two batches, the aligned solver's and the census's own, take one
-        # spectrum per record between them.
+        # Two passes, the aligned solver's batch and the census's own, take
+        # one spectrum per record between them.
         b = fig2_bundle(law_name)
         calls = []
-        original = equilibria._gauge_spectra
+        original = EquilibriumBatch.spectra
 
-        def counted(pairs):
-            calls.append(len(pairs))
-            return original(pairs)
+        def counted(batch):
+            calls.append(len(batch.pairs))
+            return original(batch)
 
-        monkeypatch.setattr(equilibria, "_gauge_spectra", counted)
+        monkeypatch.setattr(EquilibriumBatch, "spectra", counted)
         report = census(b, n_random=60, seed=7, dedupe_tol=1e-6)
         assert len(report.records) == 10
         assert len(calls) == 2 and sum(calls) == 10
@@ -1067,7 +1074,7 @@ class TestCensusTakesStructuralRecordsAsBuilt:
     def test_design_and_aligned_records_are_bit_identical(self, law_name):
         b = fig2_bundle(law_name)
         report = census(b, n_random=60, seed=7, dedupe_tol=1e-6)
-        built = [equilibrium_record(b, fw) for fw in realize_two_cycles(b.graph, b.lengths)]
+        built = [one_record(b, fw) for fw in realize_two_cycles(b.graph, b.lengths)]
         built += solve_ancillary_aligned(b)
         assert [r.kind for r in built] == ["design"] * 4 + ["ancillary_aligned"] * 4
         for rec, other in zip(report.records, built):

@@ -30,8 +30,6 @@ MODULE_NAMES = {path.stem for path in PACKAGE_DIR.glob("*.py")}
 ENTRY_POINTS = {
     "CustomLaw": "a control law from the user's own weight function",
     "contains_subformation": "the subformation test on formation graphs",
-    "equilibrium_record": "one framework's record; package callers batch theirs",
-    "gauge_fixed_spectrum": "one framework's gauge spectrum; package callers batch theirs",
     "identify_convention": "scores the built-in conventions against the reference spectra",
     "in_singular_set": "membership of the singular target set; the bench tests call it",
     "jacobian_d": "the paper's factorization: the derivative in the targets",

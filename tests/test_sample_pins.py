@@ -13,12 +13,13 @@ import pytest
 
 from formation_forge.bifurcation import mu_sweep, sotomayor_at_witness
 from formation_forge.dynamics import VectorFieldBundle, builtin_law
-from formation_forge.equilibria import census, gauge_fixed_spectrum, solve_ancillary_aligned
+from formation_forge.equilibria import census, solve_ancillary_aligned
 from formation_forge.errors import InfeasibleLengthsError
 from formation_forge.graph import two_cycles
 from formation_forge.rigidity import (
     TargetLengths, realize_two_cycles, singular_witnesses,
 )
+from normal_forms import one_spectrum
 from test_equilibria import census_digest, singular_members
 
 LAWS = ("gradient_squared", "gradient_plain")
@@ -77,7 +78,7 @@ def singular_digest(law_name):
             update(h, rec.kind, repr((rec.index, rec.stable)), rec.framework.x,
                    rec.spectrum_gauge.values, rec.residual)
         for p in mu_sweep(b, eps=0.2, samples=21, mu_edge=2):
-            spec = gauge_fixed_spectrum(b.with_lengths(b.lengths.perturbed(2, p.mu)), p.framework)
+            spec = one_spectrum(b.with_lengths(b.lengths.perturbed(2, p.mu)), p.framework)
             update(h, p.branch, repr(p.stable), p.mu, p.framework.x, p.leading_real, spec.values)
         witness = singular_witnesses(realize_two_cycles(b.graph, b.lengths))[0]
         r = sotomayor_at_witness(b, witness, 2)
