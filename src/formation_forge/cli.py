@@ -63,9 +63,6 @@ _POSITIVE = (
     "key {k!r} must be finite and positive, got {v!r}",
 )
 _NON_NEGATIVE = (lambda v, m: v >= 0, "key {k!r} must not be negative, got {v!r}")
-_FINITE_NON_NEGATIVE = (
-    lambda v, m: 0 <= v < math.inf, "key {k!r} must not be negative or infinite, got {v!r}"
-)
 _AT_LEAST_ONE = (lambda v, m: v >= 1, "key {k!r} must be at least 1, got {v!r}")
 
 # A name or output directory must be text a run can write: UTF-8 (no lone
@@ -79,7 +76,6 @@ _TEXT = (
 # experiment may carry any of these keys; each reads its own.
 _PARAMS = {
     "n_random": (int, 200, *_NON_NEGATIVE),
-    "dedupe_tol": (float, 1e-6, *_FINITE_NON_NEGATIVE),
     "eps": (float, 0.2, *_POSITIVE),
     "samples": (int, 21, *_AT_LEAST_ONE),
     "mu_edge": (
@@ -205,12 +201,7 @@ def _records_table(records):
 
 
 def _run_census(sc, bundle):
-    report = census(
-        bundle,
-        n_random=_param(sc, "n_random"),
-        seed=sc.seed,
-        dedupe_tol=_param(sc, "dedupe_tol"),
-    )
+    report = census(bundle, n_random=_param(sc, "n_random"), seed=sc.seed)
     header, rows, lines = _records_table(report.records)
     return header, rows, lines + [
         f"dropped seeds: {report.dropped_seeds}",

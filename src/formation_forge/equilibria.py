@@ -52,6 +52,7 @@ RECORD_KINDS = ("design", "ancillary_aligned", "ancillary_collinear", "ancillary
 RESIDUAL_TOL = 1e-9  # largest field residual accepted as an equilibrium
 NEWTON_TOL = 1e-11  # residual at which the census and aligned solves stop
 CENSUS_MAX_ITER = 80
+DEDUPE_TOL = 1e-6  # largest position gap at which two census records count as one
 ALIGNED_SCAN_STEPS = 64  # scan steps along each aligned path; even, so the top is a sample
 # Agent 2's abscissa a must exceed this on an aligned path. a is the first
 # edge's length and divides agent 3's abscissa (a^2 + d3 - d2) / (2 a), so
@@ -476,7 +477,7 @@ def solve_ancillary_aligned(b: VectorFieldBundle):
     return batch.records()
 
 
-def census(b: VectorFieldBundle, n_random, seed, dedupe_tol):
+def census(b: VectorFieldBundle, n_random, seed):
     """Gather, deduplicate and classify the flow's equilibria.
 
     On two-cycles the closed-form design realizations and every aligned
@@ -487,16 +488,11 @@ def census(b: VectorFieldBundle, n_random, seed, dedupe_tol):
     from ``n_random`` frameworks drawn uniformly from
     a square sized to the targets, the first draws of ``default_rng(seed)``;
     its roots enter in canonical gauge, and a non-convergent draw is
-    counted, not raised. A record within ``dedupe_tol`` of an earlier one
-    is skipped, and a negative or non-finite ``dedupe_tol`` is refused.
-    The designs' and the roots' spectra come from one
+    counted, not raised. A record within ``DEDUPE_TOL`` of an earlier one
+    is skipped. The designs' and the roots' spectra come from one
     :class:`EquilibriumBatch`, the aligned records' from the solver's.
-    Identical seeds and tolerances give an identical report.
+    Identical bundles and seeds give an identical report.
     """
-    if not 0 <= dedupe_tol < math.inf:
-        raise ConfigurationError(
-            f"dedupe tolerance must not be negative or infinite, got {dedupe_tol!r}"
-        )
     dropped = 0
     batch = EquilibriumBatch()  # the designs, then the random roots
     kept = []  # the positions of the report's records, in record order
@@ -505,7 +501,7 @@ def census(b: VectorFieldBundle, n_random, seed, dedupe_tol):
 
     def admit(x):
         """Whether positions ``x`` are a new record, which they then are."""
-        new = all(np.max(np.abs(x - y)) > dedupe_tol for y in kept)
+        new = all(np.max(np.abs(x - y)) > DEDUPE_TOL for y in kept)
         if new:
             kept.append(x)
         return new

@@ -290,8 +290,10 @@ def make_singular_lengths(d1, d2, d3, signed_z5_length):
     s = float(signed_z5_length)
     if s == 0.0:
         raise InfeasibleLengthsError("the signed fifth-edge length must be nonzero")
+    if not math.isfinite(s):
+        raise InfeasibleLengthsError(f"the signed fifth-edge length must be finite, got {s!r}")
     for name, val in (("d1", d1), ("d2", d2), ("d3", d3)):
-        if float(val) <= 0:
+        if not float(val) > 0:  # NaN too; an infinite side fails the triangle test below
             raise InfeasibleLengthsError(f"{name} must be positive")
     r1, r2, r3 = math.sqrt(d1), math.sqrt(d2), math.sqrt(d3)
     sides = {"sqrt(d1)": r1, "sqrt(d2)": r2, "sqrt(d3)": r3}

@@ -314,7 +314,7 @@ def test_symmetry_and_index_properties():
         residual = eval_F_x(b, x @ rot.T + t) - eval_F_x(b, x) @ rot.T
         assert np.max(np.abs(residual)) <= 1e-12
 
-    report = census(b, n_random=60, seed=7, dedupe_tol=1e-6)
+    report = census(b, n_random=60, seed=7)
     stable = [rec for rec in report.records if rec.stable]
     assert stable
     for rec in stable:

@@ -17,7 +17,7 @@ import numpy as np
 import pytest
 
 import formation_forge
-from formation_forge import errors
+from formation_forge import equilibria, errors
 from formation_forge.cli import (
     _PARAMS,
     _RUNNERS,
@@ -732,8 +732,6 @@ class TestErrorPaths:
              "experiment: key 'initial' must hold 8 finite numbers"),
             ({"experiment": {"kind": "sweep", "eps": HUGE}},
              "experiment: key 'eps' must be a number within float range"),
-            ({"experiment": {"kind": "census", "dedupe_tol": HUGE}},
-             "experiment: key 'dedupe_tol' must be a number within float range"),
             ({"experiment": {"kind": "simulate", "t_end": HUGE}},
              "experiment: key 't_end' must be a number within float range"),
         ],
@@ -811,6 +809,11 @@ class TestErrorPaths:
             (
                 {"graph": {**BASE["graph"], "vertices": True}},
                 "graph: key 'vertices' must be of type int",
+            ),
+            # the census's dedupe bound is the module constant DEDUPE_TOL, not a run setting
+            (
+                {"experiment": {"kind": "census", "dedupe_tol": 1e-6}},
+                "experiment: unknown experiment keys: dedupe_tol",
             ),
         ],
     )
@@ -1053,26 +1056,22 @@ class TestMain:
         assert status == 0
         assert (out / "report.txt").exists()
 
-    def test_run_with_seed_and_tol(self, tmp_path, capsys):
-        # The seed and the census's dedupe bound are the scenario file's keys.
+    def test_run_with_seed(self, tmp_path, capsys):
+        # The seed is the scenario file's key.
         out = tmp_path / "out"
         path = write_scenario(
-            tmp_path, {"experiment": {"kind": "census", "n_random": 5, "dedupe_tol": 1e-5},
-                       "seed": 11}
+            tmp_path, {"experiment": {"kind": "census", "n_random": 5}, "seed": 11}
         )
         status = main(["run", str(path), "--out", str(out)])
         capsys.readouterr()
         assert status == 0
         assert "seed: 11" in (out / "report.txt").read_text()
 
-    def test_dedupe_tol_reaches_the_census(self, tmp_path, capsys):
-        # fig2 lists 10 equilibria at the default bound; a bound wider than
-        # the formation folds them into one.
-        raw = json.loads((SCENARIO_DIR / "fig2.json").read_text())
-        raw["experiment"]["dedupe_tol"] = 1e6
-        path = tmp_path / "fig2.json"
-        path.write_text(json.dumps(raw))
-        assert run_scenario(path, out_dir=tmp_path / "out") == 0
+    def test_dedupe_tol_reaches_the_census(self, tmp_path, capsys, monkeypatch):
+        # fig2 lists 10 equilibria at DEDUPE_TOL; a bound wider than the
+        # formation folds them into one.
+        monkeypatch.setattr(equilibria, "DEDUPE_TOL", 1e6)
+        assert run_scenario(SCENARIO_DIR / "fig2.json", out_dir=tmp_path / "out") == 0
         capsys.readouterr()
         assert "equilibria: 1\n" in (tmp_path / "out" / "report.txt").read_text()
 

@@ -332,7 +332,7 @@ class TestEquilibriumBatch:
         law = BATCH_LAWS[law_name]
         lengths = TargetLengths.from_values(values[: graph.m], "plain")
         b = VectorFieldBundle(graph, law, lengths)
-        report = census(b, n_random=6, seed=seed, dedupe_tol=1e-6)
+        report = census(b, n_random=6, seed=seed)
         for rec in report.records:
             assert spectrum_bits(rec.spectrum_gauge) == spectrum_bits(
                 gauge_spectrum_oracle(b, rec.framework)
@@ -404,7 +404,7 @@ class TestPoincareIndex:
             bundles.append(VectorFieldBundle(graph=two_cycles(), law=law, lengths=lengths))
         seen = set()
         for b in bundles:
-            for rec in census(b, n_random=20, seed=7, dedupe_tol=1e-6).records:
+            for rec in census(b, n_random=20, seed=7).records:
                 x = rec.framework.x
                 basis = gauge_slice_basis(x)
                 m = basis.T @ fd_jacobian(b.flow, x.ravel()) @ basis
@@ -888,7 +888,7 @@ class TestAlignedMinGap:
 
 @pytest.fixture(scope="module")
 def census_report():
-    return census(benchmark_bundle(), n_random=60, seed=7, dedupe_tol=1e-6)
+    return census(benchmark_bundle(), n_random=60, seed=7)
 
 
 @pytest.fixture(scope="module")
@@ -940,7 +940,7 @@ class TestCensus:
             assert chebyshev(rest, rec.spectrum_gauge.values) <= 1e-4 * radius
 
     def test_identical_inputs_give_identical_reports(self, report):
-        again = census(benchmark_bundle(), n_random=60, seed=7, dedupe_tol=1e-6)
+        again = census(benchmark_bundle(), n_random=60, seed=7)
         assert len(again.records) == len(report.records)
         assert again.dropped_seeds == report.dropped_seeds
         assert again.index_sum == report.index_sum
@@ -974,14 +974,7 @@ class TestCensus:
         b = VectorFieldBundle(
             graph=g, law=builtin_law("gradient_squared"), lengths=TargetLengths(d=(1.0,) * 33)
         )
-        assert census(b, n_random=3, seed=0, dedupe_tol=1e-6).records
-
-    @pytest.mark.parametrize("dedupe_tol", [-1e-6, math.nan, math.inf])
-    def test_a_negative_or_non_finite_dedupe_tolerance_is_refused(self, dedupe_tol):
-        # NaN and inf each kept 1 of the 8 records that 1e-6 keeps here, a
-        # negative tolerance merges nothing, and the CLI refuses all three.
-        with pytest.raises(ConfigurationError, match="dedupe tolerance"):
-            census(benchmark_bundle(), n_random=0, seed=0, dedupe_tol=dedupe_tol)
+        assert census(b, n_random=3, seed=0).records
 
 
 # The plain lengths of the bundled fig2.json census, in its edge order.
@@ -1021,7 +1014,7 @@ def fig2_bundle(law_name):
 
 @pytest.mark.parametrize("law_name", sorted(FIG2_CENSUS_PINS))
 def test_fig2_census_is_pinned(law_name):
-    report = census(fig2_bundle(law_name), n_random=60, seed=7, dedupe_tol=1e-6)
+    report = census(fig2_bundle(law_name), n_random=60, seed=7)
     assert (census_digest(report), report.dropped_seeds) == FIG2_CENSUS_PINS[law_name]
 
 
@@ -1030,14 +1023,14 @@ def test_fig2_census_matches_the_array_newton_oracle(monkeypatch, law_name):
     # Newton on floats must reach every random root of the array form, bit
     # for bit, and drop the same seeds.
     b = fig2_bundle(law_name)
-    reports = [census(b, n_random=60, seed=seed, dedupe_tol=1e-6) for seed in range(10)]
+    reports = [census(b, n_random=60, seed=seed) for seed in range(10)]
 
     def oracle(f, x0, **options):
         return array_newton_root(lambda v: np.array(f(v.tolist())), x0, **options)
 
     monkeypatch.setattr(equilibria, "newton_root", oracle)
     for seed, report in enumerate(reports):
-        expected = census(b, n_random=60, seed=seed, dedupe_tol=1e-6)
+        expected = census(b, n_random=60, seed=seed)
         assert report.dropped_seeds == expected.dropped_seeds
         assert len(report.records) == len(expected.records)
         for rec, other in zip(report.records, expected.records):
@@ -1066,14 +1059,14 @@ class TestCensusTakesStructuralRecordsAsBuilt:
             return original(batch)
 
         monkeypatch.setattr(EquilibriumBatch, "spectra", counted)
-        report = census(b, n_random=60, seed=7, dedupe_tol=1e-6)
+        report = census(b, n_random=60, seed=7)
         assert len(report.records) == 10
         assert len(calls) == 2 and sum(calls) == 10
 
     @pytest.mark.parametrize("law_name", sorted(FIG2_CENSUS_PINS))
     def test_design_and_aligned_records_are_bit_identical(self, law_name):
         b = fig2_bundle(law_name)
-        report = census(b, n_random=60, seed=7, dedupe_tol=1e-6)
+        report = census(b, n_random=60, seed=7)
         built = [one_record(b, fw) for fw in realize_two_cycles(b.graph, b.lengths)]
         built += solve_ancillary_aligned(b)
         assert [r.kind for r in built] == ["design"] * 4 + ["ancillary_aligned"] * 4
@@ -1093,7 +1086,7 @@ class TestCensusTakesStructuralRecordsAsBuilt:
         ]
         short = sum(r > RESIDUAL_TOL for r in residuals)
         assert 0 < short < len(residuals)
-        report = census(b, n_random=0, seed=0, dedupe_tol=1e-6)
+        report = census(b, n_random=0, seed=0)
         assert report.dropped_seeds == short
         assert len([r for r in report.records if r.kind == "design"]) == len(residuals) - short
 
@@ -1104,7 +1097,7 @@ class TestCensusTakesStructuralRecordsAsBuilt:
         witnesses = singular_witnesses(realize_two_cycles(b.graph, lengths))
         assert witnesses
         aligned = solve_ancillary_aligned(b)
-        report = census(b, n_random=10, seed=0, dedupe_tol=1e-6)
+        report = census(b, n_random=10, seed=0)
 
         def near(records, fw):
             return [r for r in records if np.max(np.abs(r.framework.x - fw.x)) <= 1e-6]

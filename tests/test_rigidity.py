@@ -445,6 +445,21 @@ class TestSingularLengths:
         with pytest.raises(InfeasibleLengthsError, match=f"{name} must be positive"):
             make_singular_lengths(*d, 2.0)
 
+    @pytest.mark.parametrize(
+        "args, message",
+        [
+            ((math.nan, 5.0, 4.0, 2.0), "d1 must be positive"),
+            ((1.0, math.nan, 4.0, 2.0), "d2 must be positive"),
+            ((1.0, 5.0, math.nan, 2.0), "d3 must be positive"),
+            ((1.0, 5.0, 4.0, math.nan), "fifth-edge length must be finite"),
+            ((1.0, 5.0, 4.0, math.inf), "fifth-edge length must be finite"),
+            ((1.0, 5.0, 4.0, -math.inf), "fifth-edge length must be finite"),
+        ],
+    )
+    def test_non_finite_input_is_rejected_by_name(self, args, message):
+        with pytest.raises(InfeasibleLengthsError, match=message):
+            make_singular_lengths(*args)
+
 
 class TestSingularSet:
     def test_constructed_lengths_are_members(self):

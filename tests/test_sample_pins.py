@@ -96,7 +96,7 @@ def test_singular_members_are_pinned(law_name):
 def test_census_records_are_pinned(law_name):
     h = hashlib.sha256()
     for d in feasible_targets(FEASIBLE_COUNT, seed=2):
-        report = census(bundle(law_name, d), n_random=0, seed=0, dedupe_tol=1e-6)
+        report = census(bundle(law_name, d), n_random=0, seed=0)
         h.update(census_digest(report).encode())
         update(h, repr(report.dropped_seeds))
     assert h.hexdigest() == CENSUS_PINS[law_name]
