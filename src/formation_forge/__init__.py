@@ -14,7 +14,6 @@ from .bifurcation import (
     BranchPoint,
     SotomayorReport,
     TranscriticalReport,
-    formation_family,
     gauge_slice_z_basis,
     mu_sweep,
     sotomayor_at_witness,

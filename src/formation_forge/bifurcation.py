@@ -98,8 +98,8 @@ def sotomayor_check(family, x0):
     """Evaluate the transcritical conditions for ``xdot = family(x, mu)`` at mu = 0.
 
     The family must already be free of structural kernel directions
-    (for formation flows, use the gauge-reduced family from
-    :func:`formation_family`), so a unique zero eigenvalue is meaningful.
+    (for formation flows, :func:`sotomayor_at_witness` builds the
+    gauge-reduced family), so a unique zero eigenvalue is meaningful.
     All derivatives are central finite differences: the state step is
     ``fd_second_step``'s (``FD_SECOND_STEP`` scaled by ``x0``), the
     parameter step is ``SOTOMAYOR_PARAM_STEP``. A residual at ``(x0, 0)``
@@ -192,13 +192,12 @@ def gauge_slice_z_basis(b: VectorFieldBundle, witness: Framework):
     return vt[rank:].T
 
 
-def formation_family(b: VectorFieldBundle, witness: Framework, mu_edge):
-    """The gauge-reduced one-parameter family at a witness framework.
+def sotomayor_at_witness(b: VectorFieldBundle, witness: Framework, mu_edge):
+    """Run the transcritical test on the gauge-reduced formation family at a witness.
 
-    Returns ``(family, q0)`` where ``family(q, mu)`` evaluates the edge
-    flow at ``z0 + B q`` with the stored squared target of ``mu_edge``
-    shifted by ``mu``, projected onto the slice basis ``B``; ``q0`` is
-    the zero vector placing the family at the witness.
+    The family ``family(q, mu)`` evaluates the edge flow at ``z0 + B q``
+    with the stored squared target of ``mu_edge`` shifted by ``mu``,
+    projected onto the slice basis ``B``; ``q = 0`` places it at the witness.
     """
     basis = gauge_slice_z_basis(b, witness)
     z0 = edge_vectors(witness).ravel()
@@ -212,13 +211,7 @@ def formation_family(b: VectorFieldBundle, witness: Framework, mu_edge):
         z = z0 + basis @ np.asarray(q, dtype=float)
         return basis.T @ eval_F_z(bundle, z, check=False)
 
-    return family, np.zeros(basis.shape[1])
-
-
-def sotomayor_at_witness(b: VectorFieldBundle, witness: Framework, mu_edge):
-    """Run the transcritical test on the formation family at a witness."""
-    family, q0 = formation_family(b, witness, mu_edge)
-    return sotomayor_check(family, q0)
+    return sotomayor_check(family, np.zeros(basis.shape[1]))
 
 
 def _follow_branch(batch, grid, center, start, step):

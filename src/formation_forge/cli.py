@@ -51,7 +51,6 @@ class Scenario:
     experiment: str
     params: dict
     seed: int
-    out: str | None
 
 
 # A bound is a test of a value against the graph's edge count m and the
@@ -65,10 +64,10 @@ _POSITIVE = (
 _NON_NEGATIVE = (lambda v, m: v >= 0, "key {k!r} must not be negative, got {v!r}")
 _AT_LEAST_ONE = (lambda v, m: v >= 1, "key {k!r} must be at least 1, got {v!r}")
 
-# A name or output directory must be text a run can write: UTF-8 (no lone
-# surrogate, which a JSON escape can spell) and no NUL, which no path holds.
+# A name must be text a report can hold: UTF-8 (no lone surrogate, which a
+# JSON escape can spell) and no NUL.
 _TEXT = (
-    lambda v, m: v is None or not any(c == "\0" or "\ud800" <= c <= "\udfff" for c in v),
+    lambda v, m: not any(c == "\0" or "\ud800" <= c <= "\udfff" for c in v),
     "key {k!r} must not hold a NUL or a lone surrogate, got {v!r}",
 )
 
@@ -308,9 +307,7 @@ def _run_simulate(sc, bundle):
     if "initial" in sc.params:
         x0 = np.asarray(sc.params["initial"], dtype=float).reshape(bundle.graph.n, 2)
     else:
-        rng = np.random.default_rng(sc.seed)
-        span = 2.0 * float(np.max(np.sqrt(bundle.lengths.as_array())))
-        x0 = rng.uniform(-span, span, (bundle.graph.n, 2))
+        x0 = bundle.random_start(np.random.default_rng(sc.seed))
     traj = integrate_ode(bundle.flow, x0.ravel(), t_end, step=step)
 
     indices = list(range(0, len(traj.times), stride))
@@ -380,7 +377,6 @@ _SCENARIO = {
     "law": ((dict,), _REQUIRED),
     "experiment": ((dict,), _REQUIRED),
     "seed": (int, 0, *_NON_NEGATIVE),
-    "out": ((str, type(None)), None, *_TEXT),
 }
 _GRAPH = {"vertices": ((int,), _REQUIRED), "edges": ((list,), _REQUIRED)}
 _LENGTHS = {
@@ -516,7 +512,6 @@ def load_scenario(path):
         experiment=experiment,
         params=params,
         seed=seed,
-        out=top("out"),
     )
 
 
@@ -524,15 +519,14 @@ def run_scenario(path, out_dir=None):
     """Run one scenario file; returns the process exit status.
 
     The experiment's table is written as ``<kind>.csv`` to ``out_dir``,
-    the scenario's ``out`` field, or the working directory, in that
-    precedence. The report, the scenario header followed by the
-    experiment's lines, is printed to stdout and saved as report.txt next
-    to the CSV.
+    else to the working directory. The report, the scenario header
+    followed by the experiment's lines, is printed to stdout and saved as
+    report.txt next to the CSV.
     """
     try:
         sc = load_scenario(path)
         bundle = _build_bundle(sc)
-        out = Path(out_dir or sc.out or ".")
+        out = Path(out_dir or ".")
         try:
             out.mkdir(parents=True, exist_ok=True)
         except (OSError, ValueError) as exc:  # ValueError: a NUL or a lone surrogate

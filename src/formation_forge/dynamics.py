@@ -25,7 +25,7 @@ from .errors import (
 )
 from .graph import FormationGraph, graph_matrices
 from .numkernel import fd_jacobian, fd_second_directional, squared_lengths
-from .rigidity import CONVENTIONS, TargetLengths, edge_block_rows, length_errors, within_design_tol
+from .rigidity import TargetLengths, edge_block_rows, length_errors, within_design_tol
 
 # Cycle sums an edge state may keep, per unit of its largest coordinate (at least 1):
 # a framework's sum to rounding, and an edge-coordinate integration drifts 1e-8 in 5 s.
@@ -158,15 +158,13 @@ class CustomLaw(ControlLaw):
     hook reads ``gain``. The derivative hooks are :class:`ControlLaw`'s
     central differences of ``weight``, accurate enough for the quantities
     the tests need. A ``pair_func(d_pair, s2_pair, s)`` replaces
-    ``pair_weights``, so the law is coupled.
+    ``pair_weights``, so the law is coupled. Its edge errors are in
+    :class:`ControlLaw`'s squared convention.
     """
 
-    def __init__(self, func, name="custom", convention="squared", pair_func=None):
+    def __init__(self, func, name="custom", pair_func=None):
         super().__init__()
-        if convention not in CONVENTIONS:
-            raise ConfigurationError(f"unknown law convention {convention!r}")
         self.name = name
-        self.convention = convention
         self._func = func
         if pair_func is not None:
             self.pair_weights = lambda *args: tuple(float(u) for u in pair_func(*args))
@@ -205,6 +203,11 @@ class VectorFieldBundle:
 
     def with_lengths(self, lengths: TargetLengths):
         return VectorFieldBundle(graph=self.graph, law=self.law, lengths=lengths)
+
+    def random_start(self, rng):
+        """(n, 2) positions drawn uniformly on a square of half-side twice the longest target."""
+        span = 2.0 * math.sqrt(max(self.lengths.d))
+        return rng.uniform(-span, span, (self.graph.n, 2))
 
     @cached_property
     def matrices(self):

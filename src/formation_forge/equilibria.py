@@ -209,8 +209,9 @@ class EquilibriumBatch:
     that skip non-equilibria catch it. ``add`` returns the equilibrium's
     index, its place in ``pairs``, ``residuals``, ``spectra()`` and
     ``records()``, which hold what was added, in order. A framework of
-    another graph than its bundle's, or a bundle of another graph or law
-    than the batch's, is a :class:`ConfigurationError`.
+    another graph than its bundle's, a bundle of another graph or law than
+    the batch's, and a graph with no edges are each a
+    :class:`ConfigurationError`.
 
     ``spectra()`` returns each equilibrium's spectrum on the gauge slice.
     The rigid directions lie in the kernel at any equilibrium, so the full
@@ -241,6 +242,8 @@ class EquilibriumBatch:
         self.residuals = []
 
     def add(self, b, f):
+        if not b.graph.m:
+            raise ConfigurationError("a batch needs a graph with at least one edge")
         if f.graph != b.graph:
             raise ConfigurationError("a framework's graph must be its bundle's")
         if self.pairs and (b.graph, b.law) != (self.pairs[0][0].graph, self.pairs[0][0].law):
@@ -485,14 +488,17 @@ def census(b: VectorFieldBundle, n_random, seed):
     first; a design whose field residual exceeds ``RESIDUAL_TOL`` is
     counted as dropped. Then Newton runs on :attr:`VectorFieldBundle.flow`
     with :func:`jacobian_x`, the graph's compiled kernel on Python floats,
-    from ``n_random`` frameworks drawn uniformly from
-    a square sized to the targets, the first draws of ``default_rng(seed)``;
+    from ``n_random`` frameworks drawn by
+    :meth:`VectorFieldBundle.random_start` from ``default_rng(seed)``;
     its roots enter in canonical gauge, and a non-convergent draw is
     counted, not raised. A record within ``DEDUPE_TOL`` of an earlier one
     is skipped. The designs' and the roots' spectra come from one
     :class:`EquilibriumBatch`, the aligned records' from the solver's.
-    Identical bundles and seeds give an identical report.
+    Identical bundles and seeds give an identical report. A graph with no
+    edges is a :class:`ConfigurationError`.
     """
+    if not b.graph.m:
+        raise ConfigurationError("a census needs a graph with at least one edge")
     dropped = 0
     batch = EquilibriumBatch()  # the designs, then the random roots
     kept = []  # the positions of the report's records, in record order
@@ -522,11 +528,10 @@ def census(b: VectorFieldBundle, n_random, seed):
         aligned = [rec for rec in solve_ancillary_aligned(b) if admit(rec.framework.x)]
 
     rng = np.random.default_rng(seed)
-    span = 2.0 * float(np.max(np.sqrt(b.lengths.as_array())))
     for _ in range(n_random):
         try:
             root = newton_root(
-                b.flow, rng.uniform(-span, span, (b.graph.n, 2)).ravel(),
+                b.flow, b.random_start(rng).ravel(),
                 max_iter=CENSUS_MAX_ITER, tol=NEWTON_TOL, jac=lambda v: jacobian_x(b, v),
             ).x
         except ConvergenceError:

@@ -108,9 +108,6 @@ class TargetLengths:
             vals = [v * v for v in vals]
         return cls(d=tuple(vals))
 
-    def as_array(self):
-        return np.asarray(self.d, dtype=float)
-
     def perturbed(self, edge, delta):
         """A copy with the stored squared length of edge ``0 <= edge < m`` shifted by ``delta``."""
         if not 0 <= edge < len(self.d):

@@ -168,7 +168,7 @@ def array_realize_two_cycles(graph: FormationGraph, lengths: TargetLengths):
     """
     if graph != two_cycles():
         raise ConfigurationError("realization is implemented for the two-cycles graph")
-    d = lengths.as_array()
+    d = np.array(lengths.d)
     if d.size != 5:
         raise ConfigurationError(f"two-cycles needs 5 target lengths, got {d.size}")
     r = np.sqrt(d)

@@ -652,15 +652,33 @@ class TestErrorPaths:
             "error": "scenario", "message": "case.json: scenario root must be an object"
         }
 
-    def test_out_must_be_a_string(self, tmp_path, capsys):
+    def test_out_is_an_unknown_scenario_key(self, tmp_path, capsys):
         path = write_scenario(tmp_path, {"out": 3})
         status = run_scenario(path)
         record, out_text = read_stderr_record(capsys)
         assert status == 2
         assert out_text == ""
-        assert record == {
-            "error": "scenario", "message": "case.json: key 'out' must be of type str"
-        }
+        assert record == {"error": "scenario", "message": "case.json: unknown scenario keys: out"}
+
+    def test_a_file_that_names_an_output_directory_exits_2_and_writes_nothing(
+        self, tmp_path, capsys, monkeypatch
+    ):
+        # Results go to --out, else to the working directory; the file names no place.
+        raw = json.loads((SCENARIO_DIR / "fig2.json").read_text())
+        path = tmp_path / "case.json"
+        work = tmp_path / "work"
+        work.mkdir()
+        monkeypatch.chdir(work)
+        path.write_text(json.dumps(dict(raw, out="x")))
+        assert run_scenario(path) == 2
+        record, out_text = read_stderr_record(capsys)
+        assert out_text == ""
+        assert record == {"error": "scenario", "message": "case.json: unknown scenario keys: out"}
+        assert list(work.iterdir()) == []
+        path.write_text(json.dumps(raw))
+        assert run_scenario(path) == 0
+        capsys.readouterr()
+        assert sorted(p.name for p in work.iterdir()) == ["census.csv", "report.txt"]
 
     def test_negative_seed_in_the_file_exits_2(self, tmp_path, capsys):
         path = write_scenario(tmp_path, {"seed": -1})
@@ -928,8 +946,7 @@ class TestErrorPaths:
     @pytest.mark.parametrize(
         "overrides, message",
         [
-            ({"out": "x\u0000y"},
-             "case.json: key 'out' must not hold a NUL or a lone surrogate, got 'x\\x00y'"),
+            ({"out": "x\u0000y"}, "case.json: unknown scenario keys: out"),
             ({"name": "a\ud800b"},
              "case.json: key 'name' must not hold a NUL or a lone surrogate, got 'a\\ud800b'"),
             # m edges name at most 2m agents; the kernel source grew with the count

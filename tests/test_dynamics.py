@@ -132,10 +132,6 @@ class TestControlLaws:
             differenced = getattr(ControlLaw, hook)(law, d, s2)
             assert abs(closed - differenced) <= rel * scale
 
-    def test_custom_law_refuses_an_unknown_convention(self):
-        with pytest.raises(ConfigurationError, match="unknown law convention 'cubed'"):
-            CustomLaw(lambda d, s2: s2 - d, convention="cubed")
-
     def test_custom_law_finite_difference_hooks(self):
         law = CustomLaw(
             lambda d, s2: (s2 - d) + 0.3 * (s2 - d) ** 2,

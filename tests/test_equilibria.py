@@ -108,6 +108,14 @@ def chebyshev(a, b):
     )
 
 
+def edgeless_bundle():
+    """One agent and no edges: a graph FormationGraph takes but no census or batch can."""
+    return VectorFieldBundle(
+        graph=FormationGraph(n=1, edges=()), law=builtin_law("gradient_squared"),
+        lengths=TargetLengths(d=()),
+    )
+
+
 class TestDesignFrameworks:
     def test_equilateral_targets_give_four_with_coincidence(self):
         frameworks = realize_two_cycles(two_cycles(), TargetLengths(d=(1.0,) * 5))
@@ -380,6 +388,13 @@ class TestEquilibriumBatch:
         with pytest.raises(ConfigurationError, match="graph must be its bundle's"):
             batch.add(b, Framework(graph=reversed_edge, x=fw.x))
         assert [f for _, f in batch.pairs] == [fw]
+
+    def test_refuses_a_graph_with_no_edges(self):
+        b = edgeless_bundle()
+        batch = EquilibriumBatch()
+        with pytest.raises(ConfigurationError, match="at least one edge"):
+            batch.add(b, Framework(graph=b.graph, x=np.zeros((1, 2))))
+        assert batch.pairs == [] and batch.records() == []
 
 
 class TestPoincareIndex:
@@ -697,7 +712,7 @@ class TestAlignedJacobian:
             graph=two_cycles(), law=law,
             lengths=TargetLengths(d=BENCHMARK_SQUARED),
         )
-        d = b.lengths.as_array()
+        d = np.array(b.lengths.d)
         res = _aligned_residual(law, d, a, bb)
         assume(res is not None)
         jac = _aligned_jacobian(law, d, a, bb)
@@ -733,7 +748,7 @@ class TestAlignedJacobian:
         b = VectorFieldBundle(
             graph=two_cycles(), law=law, lengths=TargetLengths(d=BENCHMARK_SQUARED)
         )
-        d = b.lengths.as_array()
+        d = np.array(b.lengths.d)
         res = _aligned_residual(law, d, a, bb)
         assume(res is not None)
         assert np.array_equal(res, aligned_residual(b, d, a, bb, sigma))
@@ -744,7 +759,7 @@ class TestAlignedJacobian:
         # aligned_root_near turns into the NaN that newton_root rejects
         # before it reads the Jacobian, None there too.
         b = benchmark_bundle()
-        d = b.lengths.as_array()
+        d = np.array(b.lengths.d)
         assert np.isnan(aligned_residual(b, d, 0.1, 1.0, 1.0)).all()
         assert _aligned_residual(b.law, d, 0.1, 1.0) is None
         assert _aligned_jacobian(b.law, d, 0.1, 1.0) is None
@@ -900,6 +915,10 @@ class TestCensus:
     @pytest.fixture
     def report(self, census_report):
         return census_report
+
+    def test_refuses_a_graph_with_no_edges(self):
+        with pytest.raises(ConfigurationError, match="at least one edge"):
+            census(edgeless_bundle(), 0, 0)
 
     def test_benchmark_population(self, report):
         assert report.feasible

@@ -112,7 +112,7 @@ def reference_weights(b, z):
     in floats, for every law: a separable law's is ``weight`` of each edge.
     """
     s2 = np.sum(z * z, axis=1)
-    d = b.lengths.as_array()
+    d = np.array(b.lengths.d)
     by_origin = {}
     for k, o in enumerate(b.graph.origins()):
         by_origin.setdefault(int(o), []).append(k)
