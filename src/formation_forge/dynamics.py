@@ -24,7 +24,7 @@ from .errors import (
     UnknownLawError,
 )
 from .graph import FormationGraph, graph_matrices
-from .numkernel import fd_jacobian, fd_second_directional, squared_lengths
+from .numkernel import fd_jacobian, fd_second_directional, kron_I2, squared_lengths
 from .rigidity import TargetLengths, edge_block_rows, length_errors, within_design_tol
 
 # Cycle sums an edge state may keep, per unit of its largest coordinate (at least 1):
@@ -429,7 +429,7 @@ def jacobian_z(b: VectorFieldBundle, z):
         return fd_jacobian(lambda v: eval_F_z(b, v, check=False), zz.ravel())
     dz = edge_block_rows(zz)
     dzp = edge_block_rows(zprime_vectors(b, zz))
-    return b.matrices["edge_adj2"] @ dzp.T @ dz
+    return kron_I2(b.matrices["edge_adj"]) @ dzp.T @ dz
 
 
 def jacobian_d(b: VectorFieldBundle, z):
@@ -448,7 +448,7 @@ def jacobian_d(b: VectorFieldBundle, z):
             b.lengths.d,
         )
     dzpp = edge_block_rows(zdprime_vectors(b, zz))
-    return b.matrices["edge_adj2"] @ dzpp.T
+    return kron_I2(b.matrices["edge_adj"]) @ dzpp.T
 
 
 def reduced_J(b: VectorFieldBundle, z):

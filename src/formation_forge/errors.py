@@ -86,7 +86,7 @@ class ConvergenceError(FormationForgeError):
     code = "no-convergence"
     exit_status = 3
 
-    def __init__(self, message, last_iterate=None, iterations=None):
+    def __init__(self, message, last_iterate, iterations):
         super().__init__(message)
         self.last_iterate = last_iterate
         self.iterations = iterations
@@ -98,6 +98,6 @@ class BlowUpError(FormationForgeError):
     code = "blow-up"
     exit_status = 3
 
-    def __init__(self, message, time=None):
+    def __init__(self, message, time):
         super().__init__(message)
         self.time = time

@@ -16,7 +16,7 @@ from itertools import permutations
 import numpy as np
 
 from .errors import ConfigurationError
-from .numkernel import NULLSPACE_TOL, kron_I2, left_nullspace, rk4_loop
+from .numkernel import NULLSPACE_TOL, left_nullspace, rk4_loop
 
 
 @dataclass(frozen=True)
@@ -299,7 +299,6 @@ def graph_matrices(g: FormationGraph):
         "origins": np.array([o for o, _ in g.edges], dtype=int),
         "targets": np.array([t for _, t in g.edges], dtype=int),
         "edge_adj": edge_adj,
-        "edge_adj2": kron_I2(edge_adj),
         "cycles": left_nullspace(mixed_adjacency(g), NULLSPACE_TOL),
         "pairs": tuple(tuple(ks) for ks in by_origin.values() if len(ks) == 2),
         "kernel": kernel,
@@ -319,8 +318,6 @@ def contains_subformation(g: FormationGraph, h: FormationGraph):
     an edge of ``h``. Closure is what lets stability obstructions on the
     sub-graph transfer to the whole formation.
     """
-    if h.n > g.n:
-        return False
     g_edges = set(g.edges)
     for image in permutations(range(g.n), h.n):
         mapped = {(image[o], image[t]) for o, t in h.edges}

@@ -67,8 +67,8 @@ class Spectrum:
 
     @classmethod
     def from_values(cls, values):
-        """Sort ``values``, a sequence or an array, read as Python complex numbers."""
-        vals = [complex(v) for v in (values.tolist() if isinstance(values, np.ndarray) else values)]
+        """Sort ``values``, a sequence, read as Python complex numbers."""
+        vals = [complex(v) for v in values]
         vals.sort(key=lambda c: (-c.real, -c.imag))
         return cls(tuple(vals))
 

@@ -73,6 +73,11 @@ def edge_vectors(f: Framework):
     return f.x[f.graph.targets()] - f.x[f.graph.origins()]
 
 
+def _check_convention(v):
+    if v not in CONVENTIONS:
+        raise ConfigurationError(f"unknown length convention {v!r}; expected one of {CONVENTIONS}")
+
+
 @dataclass(frozen=True)
 class TargetLengths:
     """Squared target lengths ``d``, each positive and finite."""
@@ -88,10 +93,7 @@ class TargetLengths:
     @classmethod
     def from_values(cls, values, convention):
         """Build from user-facing values in ``convention``: plain lengths get squared."""
-        if convention not in CONVENTIONS:
-            raise ConfigurationError(
-                f"unknown length convention {convention!r}; expected one of {CONVENTIONS}"
-            )
+        _check_convention(convention)
         vals = [float(v) for v in values]
         if convention == "plain":
             if any(v <= 0 for v in vals):
@@ -127,13 +129,14 @@ def edge_errors(f: Framework, lengths: TargetLengths, convention):
 
 
 def length_errors(z, d, convention):
-    """Per-edge errors of edge vectors ``z``: ``|z|^2 - d``, or ``|z| - sqrt(d)`` if plain.
+    """Edge errors of ``z``: ``|z|^2 - d`` if squared, ``|z| - sqrt(d)`` if plain, else refused.
 
     ``z`` is flat (2m), rows (m, 2), or a stack of rows (..., m, 2), whose
     errors come back with the stack's leading shape. ``d`` holds the
     squared targets, one per edge, or rows of them that broadcast against
     the stack, so each framework of a stack may have targets of its own.
     """
+    _check_convention(convention)
     z = np.asarray(z, dtype=float)
     s2 = squared_lengths(z).reshape(z.shape[:-2] + (-1,))
     d = np.asarray(d, dtype=float)

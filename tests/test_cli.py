@@ -153,6 +153,16 @@ class TestLoadScenario:
         with pytest.raises(ScenarioError, match="unknown experiment 'dance'"):
             load_scenario(path)
 
+    # m edges name at most 2m agents; the fresh-interpreter test runs a far larger count
+    def test_vertices_are_at_most_two_per_edge(self, tmp_path):
+        path = write_scenario(tmp_path, {"graph": dict(BASE["graph"], vertices=10)})
+        assert load_scenario(path).graph.n == 10
+        path = write_scenario(tmp_path, {"graph": dict(BASE["graph"], vertices=11)})
+        with pytest.raises(ScenarioError, match=re.escape(
+            "graph: key 'vertices' must be at most 10, two per edge, got 11"
+        )):
+            load_scenario(path)
+
     def test_edge_must_be_a_pair(self, tmp_path):
         path = write_scenario(
             tmp_path, {"graph": {"vertices": 4, "edges": [[1, 2, 3]]}}

@@ -159,7 +159,6 @@ class TestEdgeAdjacency:
         g = two_cycles()
         mats = graph_matrices(g)
         assert np.array_equal(mats["edge_adj"], edge_adjacency(g))
-        assert np.array_equal(mats["edge_adj2"], kron_I2(edge_adjacency(g)))
 
 
 class TestSubformation:

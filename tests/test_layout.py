@@ -21,6 +21,7 @@ import ast
 from pathlib import Path
 
 import formation_forge
+import linetrace
 
 PACKAGE = "formation_forge"
 PACKAGE_DIR = Path(formation_forge.__file__).resolve().parent
@@ -45,8 +46,8 @@ UNCALLED_MEMBERS = {
     "ROADMAP item 10's closed-form D^2F is its first caller",
 }
 
-# Keyword defaults of module-level functions that every call in the package
-# passes anyway, and why each stays.
+# Keyword defaults of module-level functions and class constructors that every
+# call in the package passes anyway, and why each stays.
 KEPT_DEFAULTS = {
     "run_scenario.out_dir": "the tests call run_scenario(path) as a scenario file's one run",
     "builtin_law.gain": 'bench/tests calls builtin_law("gradient_squared")',
@@ -276,30 +277,68 @@ def defaults_every_caller_passes(sources):
     nothing, and nor does a reference to the function that is not a call,
     since its callers are unknown. A function no call names is an entry
     point and is skipped.
+
+    A class's own ``__init__`` counts too, as ``Class.parameter`` past
+    ``self``; a dataclass's generated one is not read. It is called as
+    ``Class(...)``, ``raise Class(...)``, as a package subclass that
+    inherits it, or as ``super().__init__(...)`` in a method of a direct
+    subclass. A class named but not called is read as a type, as in an
+    ``except`` clause, so a class called through a variable can only make
+    the check flag more.
     """
     trees = [ast.parse(source) for source in sources]
-    defaults = {}
+    signatures = {}  # called name -> (positional parameters, the defaulted ones)
+    bases = {}  # class -> its first base's called name
     for tree in trees:
         for node in tree.body:
             if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
-                args = node.args
-                positional = [a.arg for a in args.posonlyargs + args.args]
-                named = positional[len(positional) - len(args.defaults):] + [
+                function, skip = node, 0
+            elif isinstance(node, ast.ClassDef):
+                bases[node.name] = called_name(node.bases[0]) if node.bases else None
+                inits = [item for item in node.body if getattr(item, "name", "") == "__init__"]
+                if not inits:
+                    continue
+                function, skip = inits[0], 1
+            else:
+                continue
+            args = function.args
+            positional = [a.arg for a in args.posonlyargs + args.args][skip:]
+            signatures[node.name] = (positional, set(
+                positional[len(positional) - len(args.defaults):] + [
                     a.arg for a, d in zip(args.kwonlyargs, args.kw_defaults) if d is not None
                 ]
-                if named:
-                    defaults[node.name] = (positional, set(named))
+            ))
+
+    def constructor(cls):
+        """The package class whose ``__init__`` a call of ``cls`` runs, or None."""
+        while cls in bases and cls not in signatures:
+            cls = bases[cls]
+        return cls if cls in signatures else None
+
+    def callee(node, cls):
+        """The called name of the call ``node`` in a method of class ``cls``, or None."""
+        func = node.func
+        if (isinstance(func, ast.Attribute) and func.attr == "__init__"
+                and isinstance(func.value, ast.Call) and called_name(func.value.func) == "super"):
+            return constructor(bases.get(cls))
+        name = called_name(func)
+        return constructor(name) if name in bases else name
+
     passed = {}
     for tree in trees:
         callees = set()
+        in_class = {
+            call: node.name for node in tree.body if isinstance(node, ast.ClassDef)
+            for call in ast.walk(node) if isinstance(call, ast.Call)
+        }
         for node in ast.walk(tree):
             if not isinstance(node, ast.Call):
                 continue
-            name = called_name(node.func)
-            if name not in defaults:
+            name = callee(node, in_class.get(node))
+            if name not in signatures:
                 continue
             callees.add(node.func)
-            positional, named = defaults[name]
+            positional, named = signatures[name]
             reached = []
             for arg in node.args:
                 if isinstance(arg, ast.Starred):
@@ -308,8 +347,8 @@ def defaults_every_caller_passes(sources):
             given = set(positional[: len(reached)]) | {kw.arg for kw in node.keywords}
             passed[name] = passed.get(name, named) & given
         for node in ast.walk(tree):
-            if isinstance(node, ast.Name) and node.id in defaults and node not in callees:
-                if isinstance(node.ctx, ast.Load):
+            if isinstance(node, ast.Name) and node.id in signatures and node not in callees:
+                if isinstance(node.ctx, ast.Load) and node.id not in bases:
                     passed[node.id] = set()
     return {f"{name}.{param}" for name, params in passed.items() for param in params}
 
@@ -330,15 +369,32 @@ def test_the_default_check_sees_calls_that_pass_or_leave_an_argument():
         "    return y\n"
         "def step(h=0.1):\n"
         "    return h\n"
+        "class Failure(Exception):\n"
+        "    def __init__(self, message, state=None, count=0, code='x'):\n"
+        "        super().__init__(message)\n"
+        "class Stalled(Failure):\n"
+        "    pass\n"
+        "class Timeout(Failure):\n"
+        "    def __init__(self, message, after=1.0):\n"
+        "        super().__init__(message, state=1, count=1)\n"
         "def run(options, args):\n"
         "    solve(1, 1e-6, budget=3, jac=None)\n"
         "    numkernel.solve(2, tol=1e-6, **options)\n"
         "    solve(*args, tol=1e-6, budget=3)\n"
         "    hook(y=3)\n"
         "    step(0.2)\n"
+        "    Failure('y', 2, 3, code='a')\n"
+        "    try:\n"
+        "        raise Stalled('x', code='b', count=2)\n"
+        "    except (Failure, Timeout):\n"
+        "        raise Timeout('z', after=2.0)\n"
         "    return [hook]\n"
     )
-    assert defaults_every_caller_passes([source]) == {"solve.tol", "step.h"}
+    # Stalled leaves state and Timeout's super().__init__ leaves code; the
+    # except clause names Failure and Timeout without calling them.
+    assert defaults_every_caller_passes([source]) == {
+        "solve.tol", "step.h", "Failure.count", "Timeout.after",
+    }
 
 
 def constant_value(node):
@@ -594,3 +650,18 @@ def test_the_import_check_sees_names_never_read():
         "    math = 1\n"
     )
     assert unused_imports(source) == [(2, "math"), (5, "two_cycles"), (8, "json")]
+
+
+def test_the_line_trace_leaves_out_only_the_bodies_of_main_blocks():
+    # tests/linetrace.py fails a run that leaves any other package line unrun
+    source = (
+        "import sys\n"
+        "def main():\n"
+        "    return 0\n"
+        'if __name__ == "__main__":\n'
+        "    code = main()\n"
+        "    sys.exit(code)\n"
+        'if __name__ == "formation_forge":\n'
+        "    main()\n"
+    )
+    assert linetrace.main_block_lines(source) == {5, 6}

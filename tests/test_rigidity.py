@@ -1,6 +1,7 @@
 """Tests for frameworks, rigidity predicates, and the singular length set."""
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -22,6 +23,7 @@ from formation_forge.rigidity import (
     edge_vectors,
     edges_aligned,
     in_singular_set,
+    length_errors,
     make_singular_lengths,
     planar_cross,
     realize_two_cycles,
@@ -165,6 +167,15 @@ class TestEdgeErrors:
         fw = framework(np.zeros((4, 2)))
         with pytest.raises(ConfigurationError):
             edge_errors(fw, TargetLengths(d=(1.0, 1.0)), "squared")
+
+    @pytest.mark.parametrize("convention", ["Plain", None])
+    def test_an_unknown_convention_is_refused(self, convention):
+        message = f"unknown length convention {convention!r}; expected one of"
+        with pytest.raises(ConfigurationError, match=re.escape(message)):
+            length_errors(np.array([1.0, 0.0, 0.0, 1.0]), (1.0, 1.0), convention)
+        fw = Framework(graph=FormationGraph(n=2, edges=((0, 1),)), x=np.eye(2))
+        with pytest.raises(ConfigurationError, match=re.escape(message)):
+            edge_errors(fw, TargetLengths(d=(1.0,)), convention)
 
 
 class TestTargetLengths:
